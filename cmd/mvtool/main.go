@@ -7,23 +7,18 @@
 //	mvtool build -app myapp -overrides overrides.conf -o myapp.fat
 //	mvtool inspect myapp.fat
 //	mvtool trace out.json
-//	mvtool bench -json -o BENCH_pr2.json
-//	mvtool bench -suite merger -json -o BENCH_pr3.json
-//	mvtool bench -suite scheduler -json -o BENCH_pr4.json
-//	mvtool bench -suite faults -json -o BENCH_pr5.json
-//	mvtool bench -suite obsv -json -o BENCH_pr6.json
-//	mvtool bench -suite exitless -json -o BENCH_pr7.json
-//	mvtool bench -suite density -json -o BENCH_pr9.json
+//	mvtool bench -suite NAME [-json] [-o FILE]     (NAME: a row of bench.Suites)
 //	mvtool bench -suite grid -json -o BENCH_pr10.json
+//	mvtool bench -suite obsv -compare BENCH_pr6.json
 //	mvtool slo -in metrics.json -check slo.json
 //	mvtool flight flight.txt
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"multiverse/internal/bench"
 	"multiverse/internal/core"
@@ -62,33 +57,37 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: mvtool build -app NAME [-overrides FILE] -o OUT.fat")
 	fmt.Fprintln(os.Stderr, "       mvtool inspect FILE.fat")
 	fmt.Fprintln(os.Stderr, "       mvtool trace [-top N] [-req ID] FILE.json")
-	fmt.Fprintln(os.Stderr, "       mvtool bench [-suite router|merger|scheduler|faults|obsv|exitless|simspeed|density|grid] [-json] [-o FILE] [-compare BENCH_pr8.json] [-cpuprofile FILE]")
+	fmt.Fprintln(os.Stderr, "       mvtool bench [-suite NAME] [-json] [-o FILE] [-compare PINNED.json [-tol R]] [-cpuprofile FILE]")
 	fmt.Fprintln(os.Stderr, "       mvtool slo -in METRICS.json [-report] [-check SPEC.json]")
 	fmt.Fprintln(os.Stderr, "       mvtool flight [-code NAME] [-site N] [-summary] FILE.txt")
 	os.Exit(2)
 }
 
-// benchCmd runs one of the deterministic benchmark suites in the
-// multiverse world: "router" compares the adaptive boundary router,
-// "merger" the incremental state-superposition merger, "scheduler"
-// sweeps the work-stealing scheduler's HPCG + places scaling ladder, and
-// "faults" measures the fault-injection/recovery configurations, and
-// "exitless" compares the router with and without the tier-3 polled
-// SPSC rings. With -json it emits the corresponding baseline document
-// (BENCH_pr2.json / BENCH_pr3.json / BENCH_pr4.json / BENCH_pr5.json /
-// BENCH_pr7.json); otherwise it prints the table.
+// benchCmd runs one suite of the bench.Suites table in the multiverse
+// world. It prints the suite's table, or with -json its pinned baseline
+// document; with -compare it collects a fresh document, runs the suite's
+// deterministic check against the pinned file, then the suite's host-time
+// bound if it has one.
 func benchCmd(args []string) error {
+	var names []string
+	for _, s := range bench.Suites {
+		names = append(names, fmt.Sprintf("%s (%s)", s.Name, s.File))
+	}
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	suite := fs.String("suite", "router", "suite: router (BENCH_pr2), merger (BENCH_pr3), scheduler (BENCH_pr4), faults (BENCH_pr5), obsv (BENCH_pr6), exitless (BENCH_pr7), simspeed (BENCH_pr8), density (BENCH_pr9), or grid (BENCH_pr10)")
+	suite := fs.String("suite", "router", "suite: "+strings.Join(names, ", "))
 	asJSON := fs.Bool("json", false, "emit the baseline JSON document")
 	out := fs.String("o", "", "write output to this file instead of stdout")
-	compare := fs.String("compare", "", "simspeed only: collect a fresh baseline and compare it against this pinned BENCH_pr8.json (cycles exact, wall ±tolerance)")
-	tol := fs.Float64("tol", 0.2, "wall-clock tolerance for -compare, as a ratio (0.2 = ±20%)")
+	compare := fs.String("compare", "", "collect a fresh baseline and check it against this pinned file, then apply the suite's host-time bound")
+	tol := fs.Float64("tol", 0.2, "wall-clock tolerance for the simspeed -compare bound, as a ratio (0.2 = ±20%)")
 	cpuProfile := fs.String("cpuprofile", "", "write a host pprof CPU profile of the suite to this file")
 	memProfile := fs.String("memprofile", "", "write a host pprof heap profile at exit to this file")
 	blockProfile := fs.String("blockprofile", "", "write a host pprof blocking profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	s, ok := bench.SuiteByName(*suite)
+	if !ok {
+		return fmt.Errorf("unknown suite %q (want %s)", *suite, strings.Join(names, ", "))
 	}
 	stopProfiles, err := profiling.Start(profiling.Flags{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile})
 	if err != nil {
@@ -100,141 +99,19 @@ func benchCmd(args []string) error {
 		}
 	}()
 	if *compare != "" {
-		if *suite != "simspeed" {
-			return fmt.Errorf("-compare applies to -suite simspeed only")
-		}
-		return compareSimspeed(*compare, *tol)
+		return compareSuite(s, *compare, *tol)
 	}
 	var blob []byte
-	switch {
-	case *suite == "grid" && *asJSON:
-		base, err := bench.CollectGridBaseline()
-		if err != nil {
-			return err
+	if *asJSON {
+		_, blob, err = s.Baseline()
+	} else {
+		var t *bench.Table
+		if t, err = s.Figure(); err == nil {
+			blob = []byte(t.String() + "\n")
 		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "grid":
-		t, err := bench.FigureGrid()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	case *suite == "density" && *asJSON:
-		base, err := bench.CollectDensityBaseline()
-		if err != nil {
-			return err
-		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "density":
-		t, err := bench.FigureDensity()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	case *suite == "simspeed" && *asJSON:
-		base, err := bench.CollectSimspeedBaseline()
-		if err != nil {
-			return err
-		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "simspeed":
-		t, err := bench.FigureSimspeed()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	case *suite == "router" && *asJSON:
-		base, err := bench.CollectRouterBaseline()
-		if err != nil {
-			return err
-		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "merger" && *asJSON:
-		base, err := bench.CollectMergerBaseline()
-		if err != nil {
-			return err
-		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "scheduler" && *asJSON:
-		base, err := bench.CollectSchedulerBaseline()
-		if err != nil {
-			return err
-		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "faults" && *asJSON:
-		base, err := bench.CollectFaultsBaseline()
-		if err != nil {
-			return err
-		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "exitless" && *asJSON:
-		base, err := bench.CollectExitlessBaseline()
-		if err != nil {
-			return err
-		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "exitless":
-		t, err := bench.FigureExitless()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	case *suite == "obsv" && *asJSON:
-		base, err := bench.CollectObsvBaseline()
-		if err != nil {
-			return err
-		}
-		if blob, err = base.MarshalIndent(); err != nil {
-			return err
-		}
-	case *suite == "obsv":
-		t, err := bench.FigureObsv()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	case *suite == "faults":
-		t, err := bench.FigureFaults()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	case *suite == "scheduler":
-		t, err := bench.FigureScheduler()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	case *suite == "router":
-		t, err := bench.FigureRouter()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	case *suite == "merger":
-		t, err := bench.FigureMerger()
-		if err != nil {
-			return err
-		}
-		blob = []byte(t.String() + "\n")
-	default:
-		return fmt.Errorf("unknown suite %q (want router, merger, scheduler, faults, obsv, exitless, simspeed, density, or grid)", *suite)
+	}
+	if err != nil {
+		return err
 	}
 	if *out != "" {
 		return os.WriteFile(*out, blob, 0o644)
@@ -243,27 +120,28 @@ func benchCmd(args []string) error {
 	return err
 }
 
-// compareSimspeed is the CI regression gate for the simspeed suite: the
-// deterministic virtual-cycle fields must match the pinned document
-// exactly, the wall-clock figures within the tolerance band.
-func compareSimspeed(pinnedPath string, tol float64) error {
-	data, err := os.ReadFile(pinnedPath)
+// compareSuite is the CI regression gate for one suite: a fresh
+// collection must pass the suite's deterministic check against the
+// pinned document, then its host-time bound.
+func compareSuite(s bench.Suite, pinnedPath string, tol float64) error {
+	pinned, err := os.ReadFile(pinnedPath)
 	if err != nil {
 		return err
 	}
-	var pinned bench.SimspeedBaseline
-	if err := json.Unmarshal(data, &pinned); err != nil {
-		return fmt.Errorf("parsing %s: %w", pinnedPath, err)
-	}
-	fresh, err := bench.CollectSimspeedBaseline()
+	doc, blob, err := s.Baseline()
 	if err != nil {
 		return err
 	}
-	if err := bench.CompareSimspeed(&pinned, fresh, tol); err != nil {
+	if err := s.Verify(pinned, doc, blob); err != nil {
 		return err
 	}
-	fmt.Printf("simspeed ok: %d cycles exact, %.3g cyc/s host-parallel (pinned %.3g, ±%.0f%%), %.2fx vs pre-PR\n",
-		fresh.TotalCycles, fresh.Simspeed, pinned.Simspeed, tol*100, fresh.Speedup)
+	summary := "deterministic fields match " + pinnedPath
+	if s.HostBound != nil {
+		if summary, err = s.HostBound(pinned, doc, tol); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("%s ok: %s\n", s.Name, summary)
 	return nil
 }
 

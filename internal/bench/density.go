@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -480,9 +478,13 @@ func densityBudget(b *DensityBaseline) error {
 }
 
 // CollectDensityBaseline runs the full suite and assembles the document.
+// Beyond each unit's own checks it enforces the suite's acceptance
+// criteria: at least 1000 groups live at once, warm spawn at least 10x
+// cheaper than cold, dense p999 within 2x of the single group, and no
+// group left in the registry after the joins.
 func CollectDensityBaseline() (*DensityBaseline, error) {
 	b := &DensityBaseline{
-		Note:    "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestDensityBaseline (or mvtool bench -suite density -json); all fields deterministic, byte-exact in CI",
+		Note:    regenerateNote("density") + "; all fields deterministic, byte-exact in CI",
 		ClockHz: uint64(cycles.ClockHz),
 	}
 	for _, unit := range []struct {
@@ -499,35 +501,17 @@ func CollectDensityBaseline() (*DensityBaseline, error) {
 			return nil, fmt.Errorf("bench: density unit %s: %w", unit.name, err)
 		}
 	}
+	switch {
+	case b.DensePeakLive < denseGroups:
+		return nil, fmt.Errorf("bench: density peak live = %d, want >= %d", b.DensePeakLive, denseGroups)
+	case b.WarmSpeedup < 10:
+		return nil, fmt.Errorf("bench: density warm speedup = %.2fx, want >= 10x", b.WarmSpeedup)
+	case b.DenseP999Ratio > 2:
+		return nil, fmt.Errorf("bench: density p999 ratio vs single group = %.2fx, want <= 2x", b.DenseP999Ratio)
+	case b.DenseGroupsLeaked != 0:
+		return nil, fmt.Errorf("bench: density leaked %d groups after joins, want 0", b.DenseGroupsLeaked)
+	}
 	return b, nil
-}
-
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr9.json.
-func (b *DensityBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// CompareDensity checks a fresh collection against the pinned document.
-// Everything is deterministic, so the comparison is byte equality of the
-// canonical encodings.
-func CompareDensity(pinned, fresh *DensityBaseline) error {
-	pb, err := pinned.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	fb, err := fresh.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(pb, fb) {
-		return fmt.Errorf("density: baseline diverged from pinned document:\npinned:\n%s\nfresh:\n%s", pb, fb)
-	}
-	return nil
 }
 
 // FigureDensity renders the density suite as a table.

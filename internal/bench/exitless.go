@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"multiverse/internal/core"
@@ -93,7 +92,7 @@ type ExitlessBaseline struct {
 func CollectExitlessBaseline() (*ExitlessBaseline, error) {
 	cost := cycles.DefaultCostModel()
 	b := &ExitlessBaseline{
-		Note:                     "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestExitlessBaseline (or mvtool bench -suite exitless -json)",
+		Note:                     regenerateNote("exitless"),
 		SyncRoundTripSameSocket:  uint64(cost.SyncRoundTrip(true)),
 		SyncRoundTripCrossSocket: uint64(cost.SyncRoundTrip(false)),
 		RingRoundTripSameSocket:  uint64(cost.RingRoundTrip(true)),
@@ -127,16 +126,6 @@ func CollectExitlessBaseline() (*ExitlessBaseline, error) {
 		return nil, fmt.Errorf("bench: no benchmark promoted onto the tier-3 rings")
 	}
 	return b, nil
-}
-
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr7.json.
-func (b *ExitlessBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // FigureExitless regenerates the exitless comparison: the seven

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -12,46 +10,6 @@ import (
 	"multiverse/internal/hvm"
 	"multiverse/internal/telemetry"
 )
-
-// exitlessBaselinePath locates BENCH_pr7.json at the repository root.
-func exitlessBaselinePath() string {
-	return filepath.Join("..", "..", "BENCH_pr7.json")
-}
-
-// TestExitlessBaseline pins the exitless suite against BENCH_pr7.json
-// exactly. The interesting invariants are enforced inside
-// CollectExitlessBaseline itself: every program's output byte-identical
-// to its dark (rings-off) run, at least one program promoted onto the
-// rings, exits.ring zero everywhere, and the composed ring round trip
-// within 2x of the sync round trip on both socket placements.
-// Regenerate with MV_UPDATE_BASELINE=1 after an intentional cost-model
-// or policy change.
-func TestExitlessBaseline(t *testing.T) {
-	got, err := CollectExitlessBaseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := got.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if os.Getenv("MV_UPDATE_BASELINE") != "" {
-		if err := os.WriteFile(exitlessBaselinePath(), blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("baseline updated: %s", exitlessBaselinePath())
-		return
-	}
-
-	want, err := os.ReadFile(exitlessBaselinePath())
-	if err != nil {
-		t.Fatalf("reading baseline (regenerate with MV_UPDATE_BASELINE=1): %v", err)
-	}
-	if !bytes.Equal(bytes.TrimSpace(want), bytes.TrimSpace(blob)) {
-		t.Errorf("benchmark baseline drifted from BENCH_pr7.json; regenerate with MV_UPDATE_BASELINE=1 if intentional")
-	}
-}
 
 // TestExitlessPartnerKillRecovery is the PR's fault acceptance scenario:
 // with the tier-3 rings armed and the partner-kill injector rolling, a

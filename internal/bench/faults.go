@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"multiverse/internal/core"
@@ -66,21 +65,15 @@ func faultsConfigs() []struct {
 // fasta benchmark and returns one FaultsRun per configuration (clean
 // first).
 func RunFaultsSuite() ([]FaultsRun, error) {
-	var prog *Program
-	for _, p := range Programs() {
-		if p.Name == faultsProgram {
-			prog = &p
-			break
-		}
-	}
-	if prog == nil {
+	prog, ok := ProgramByName(faultsProgram)
+	if !ok {
 		return nil, fmt.Errorf("bench: %s program missing from the suite", faultsProgram)
 	}
 
 	var runs []FaultsRun
 	var cleanOut []byte
 	for _, cfg := range faultsConfigs() {
-		res, err := RunBenchmarkCfg(*prog, core.WorldHRT, RunConfig{Faults: cfg.Plan})
+		res, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{Faults: cfg.Plan})
 		if err != nil {
 			return nil, fmt.Errorf("bench: faults config %s: %w", cfg.Name, err)
 		}
@@ -118,10 +111,12 @@ type FaultsBaseline struct {
 	Runs    []FaultsRun `json:"runs"`
 }
 
-// CollectFaultsBaseline runs the faults suite and validates its two
+// CollectFaultsBaseline runs the faults suite and validates its
 // structural invariants before returning: the plumbed run charges exactly
 // the clean run's cycles (overhead-when-clean is zero, not merely <=1%),
-// and every faulted configuration recovers to byte-identical output.
+// every faulted configuration recovers to byte-identical output, the
+// faulted run injects and retransmits, the scripted partner death
+// recovers once with its latency recorded, and the degraded run degrades.
 func CollectFaultsBaseline() (*FaultsBaseline, error) {
 	runs, err := RunFaultsSuite()
 	if err != nil {
@@ -136,21 +131,22 @@ func CollectFaultsBaseline() (*FaultsBaseline, error) {
 			return nil, fmt.Errorf("bench: faults config %s diverged from the clean output", r.Config)
 		}
 	}
+	if f := runs[2]; f.Injected == 0 || f.Retransmits == 0 {
+		return nil, fmt.Errorf("bench: faulted run injected %d faults, %d retransmits — the plane never fired",
+			f.Injected, f.Retransmits)
+	}
+	if s := runs[3]; s.Recoveries != 1 || s.RecoveryLatencyCycles == 0 {
+		return nil, fmt.Errorf("bench: scenario run: recoveries=%d latency=%d, want one measured recovery",
+			s.Recoveries, s.RecoveryLatencyCycles)
+	}
+	if d := runs[4]; d.Degraded != 1 {
+		return nil, fmt.Errorf("bench: degraded run: faults.degraded=%d, want 1", d.Degraded)
+	}
 	return &FaultsBaseline{
-		Note:    "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestFaultsBaseline (or mvtool bench -suite faults -json)",
+		Note:    regenerateNote("faults"),
 		Program: faultsProgram,
 		Runs:    runs,
 	}, nil
-}
-
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr5.json.
-func (b *FaultsBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // FigureFaults regenerates the fault-injection/recovery table: the five

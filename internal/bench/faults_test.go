@@ -2,67 +2,11 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"multiverse/internal/core"
 	"multiverse/internal/faults"
 )
-
-// faultsBaselinePath locates BENCH_pr5.json at the repository root.
-func faultsBaselinePath() string {
-	return filepath.Join("..", "..", "BENCH_pr5.json")
-}
-
-// TestFaultsBaseline pins the five-configuration faults suite against
-// BENCH_pr5.json exactly, and holds the structural invariants regardless
-// of the pinned numbers: the plumbed run is cycle-identical to clean, the
-// scripted partner death recovers (with its latency recorded), and every
-// configuration reproduces the clean output. Regenerate with
-// MV_UPDATE_BASELINE=1 after an intentional cost-model or recovery
-// change.
-func TestFaultsBaseline(t *testing.T) {
-	got, err := CollectFaultsBaseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := got.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	byName := make(map[string]FaultsRun, len(got.Runs))
-	for _, r := range got.Runs {
-		byName[r.Config] = r
-	}
-	if f := byName["faulted"]; f.Injected == 0 || f.Retransmits == 0 {
-		t.Errorf("faulted run injected %d faults, %d retransmits — the plane never fired", f.Injected, f.Retransmits)
-	}
-	if s := byName["scenario"]; s.Recoveries != 1 || s.RecoveryLatencyCycles == 0 {
-		t.Errorf("scenario run: recoveries=%d latency=%d, want one measured recovery",
-			s.Recoveries, s.RecoveryLatencyCycles)
-	}
-	if d := byName["degraded"]; d.Degraded != 1 {
-		t.Errorf("degraded run: faults.degraded=%d, want 1", d.Degraded)
-	}
-
-	if os.Getenv("MV_UPDATE_BASELINE") != "" {
-		if err := os.WriteFile(faultsBaselinePath(), blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("baseline updated: %s", faultsBaselinePath())
-		return
-	}
-
-	want, err := os.ReadFile(faultsBaselinePath())
-	if err != nil {
-		t.Fatalf("reading baseline (regenerate with MV_UPDATE_BASELINE=1): %v", err)
-	}
-	if !bytes.Equal(bytes.TrimSpace(want), bytes.TrimSpace(blob)) {
-		t.Errorf("benchmark baseline drifted from BENCH_pr5.json; regenerate with MV_UPDATE_BASELINE=1 if intentional")
-	}
-}
 
 // TestFaultedOutputProperty is the recovery-correctness property over
 // arbitrary seeds: a faulted run whose recovery budget covers every

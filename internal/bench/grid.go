@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -493,9 +492,14 @@ func gridChaosUnit(b *GridBaseline) error {
 }
 
 // CollectGridBaseline runs the full suite and assembles the document.
+// Each unit fails the collection when its acceptance criterion breaks: a
+// migrated run not byte- and cycle-identical to its reference, a node
+// kill that restores fewer than every victim or loses or duplicates a
+// syscall, a repeat run that diverges, or a chaos seed whose output
+// differs from clean.
 func CollectGridBaseline() (*GridBaseline, error) {
 	b := &GridBaseline{
-		Note:    "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestGridBaseline (or mvtool bench -suite grid -json); all fields deterministic, byte-exact in CI",
+		Note:    regenerateNote("grid") + "; all fields deterministic, byte-exact in CI",
 		ClockHz: uint64(cycles.ClockHz),
 	}
 	for _, unit := range []struct {
@@ -511,32 +515,6 @@ func CollectGridBaseline() (*GridBaseline, error) {
 		}
 	}
 	return b, nil
-}
-
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr10.json.
-func (b *GridBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// CompareGrid checks a fresh collection against the pinned document.
-func CompareGrid(pinned, fresh *GridBaseline) error {
-	pb, err := pinned.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	fb, err := fresh.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(pb, fb) {
-		return fmt.Errorf("grid: baseline diverged from pinned document:\npinned:\n%s\nfresh:\n%s", pb, fb)
-	}
-	return nil
 }
 
 // FigureGrid renders the grid suite as a table.

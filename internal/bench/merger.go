@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"multiverse/internal/core"
@@ -87,29 +86,33 @@ type MergerBaseline struct {
 }
 
 // CollectMergerBaseline runs the seven-benchmark suite in WorldHRT with
-// the incremental merger off and on and returns the comparison set.
+// the incremental merger off and on and returns the comparison set. It
+// enforces the suite-wide acceptance invariants before returning: the
+// merger reduces both the charged PML4-entry copies and the broadcast
+// shootdowns.
 func CollectMergerBaseline() (*MergerBaseline, error) {
-	b := &MergerBaseline{
-		Note: "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestMergerBaseline (or mvtool bench -json)",
-	}
+	b := &MergerBaseline{Note: regenerateNote("merger")}
+	var offEntries, onEntries, offBcast, onBcast uint64
 	for _, p := range Programs() {
 		cmp, err := CompareMerger(p)
 		if err != nil {
 			return nil, err
 		}
 		b.Benchmarks = append(b.Benchmarks, *cmp)
+		offEntries += cmp.OffEntriesCopied
+		onEntries += cmp.OnEntriesCopied
+		offBcast += cmp.OffBroadcasts
+		onBcast += cmp.OnBroadcasts
+	}
+	if onEntries >= offEntries {
+		return nil, fmt.Errorf("bench: merger did not reduce charged PML4-entry copies: off=%d on=%d",
+			offEntries, onEntries)
+	}
+	if onBcast >= offBcast {
+		return nil, fmt.Errorf("bench: merger did not reduce broadcast shootdowns: off=%d on=%d",
+			offBcast, onBcast)
 	}
 	return b, nil
-}
-
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr3.json.
-func (b *MergerBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // FigureMerger regenerates the incremental-merger comparison: the seven
@@ -161,15 +164,13 @@ func FigureMerger() (*Table, error) {
 // mergerMetricsRun executes one merger-on run and returns its registry for
 // the latency notes.
 func mergerMetricsRun() (*telemetry.Registry, error) {
-	for _, p := range Programs() {
-		if p.Name != "fasta" {
-			continue
-		}
-		res, err := RunBenchmarkCfg(p, core.WorldHRT, RunConfig{Merger: true})
-		if err != nil {
-			return nil, err
-		}
-		return res.Metrics, nil
+	p, ok := ProgramByName("fasta")
+	if !ok {
+		return nil, fmt.Errorf("bench: fasta program missing from the suite")
 	}
-	return nil, fmt.Errorf("bench: fasta program missing from the suite")
+	res, err := RunBenchmarkCfg(p, core.WorldHRT, RunConfig{Merger: true})
+	if err != nil {
+		return nil, err
+	}
+	return res.Metrics, nil
 }

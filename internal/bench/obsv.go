@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,12 +20,14 @@ const obsvProgram = "fasta"
 
 // ObsvWallOverheadBound is the acceptance bar on armed wall-clock cost:
 // the fully armed run (flight recorder + tracer + SLO histograms) may
-// cost at most 10% more host time than the dark run.
+// cost at most 10% more host time than the dark run. It is a host-time
+// gate, checked by `mvtool bench -suite obsv -compare` and not by tier-1
+// tests.
 const ObsvWallOverheadBound = 1.10
 
 // ObsvRun is one configuration of the observability suite. Every field
-// is deterministic — wall-clock timings are validated against the bound
-// at collection time but deliberately kept out of the pinned document.
+// is deterministic — wall-clock timings are deliberately kept out of the
+// pinned document.
 type ObsvRun struct {
 	Config string `json:"config"`
 	Cycles uint64 `json:"cycles"`
@@ -174,25 +175,24 @@ func RunObsvSuite(reps int) ([]ObsvRun, float64, error) {
 }
 
 // ObsvBaseline is the BENCH_pr6.json document: the deterministic
-// observability activity the regression tests pin. Wall-clock numbers are
-// validated at collection time (WallOverheadOK) but the measured ratio
-// itself stays out of the byte-pinned file.
+// observability activity the regression tests pin. The armed/dark
+// wall-clock ratio rides along for the host-time gate but stays out of
+// the byte-pinned file.
 type ObsvBaseline struct {
 	// Note documents how to regenerate the file.
-	Note    string `json:"note"`
-	Program string `json:"program"`
-	// WallOverheadOK asserts the armed run cost at most
-	// ObsvWallOverheadBound times the dark run's host wall time
-	// (minimum over the suite's reps). Collection fails when violated,
-	// so the pinned value is always true.
-	WallOverheadOK bool      `json:"wall_overhead_ok"`
-	Runs           []ObsvRun `json:"runs"`
+	Note    string    `json:"note"`
+	Program string    `json:"program"`
+	Runs    []ObsvRun `json:"runs"`
+	// WallRatio is the armed run's host wall time over the dark run's
+	// (minimum over the suite's reps each).
+	WallRatio float64 `json:"-"`
 }
 
 // CollectObsvBaseline runs the observability suite and validates its
 // structural invariants before returning: the armed run is cycle- and
 // output-identical to dark, the recorder actually saw traffic, and the
-// armed wall-clock overhead stays under the bound.
+// faulted run's recovery activity reached the ring. The wall-clock bound
+// is not checked here; obsvHostBound holds it.
 func CollectObsvBaseline() (*ObsvBaseline, error) {
 	const reps = 3
 	runs, ratio, err := RunObsvSuite(reps)
@@ -215,26 +215,23 @@ func CollectObsvBaseline() (*ObsvBaseline, error) {
 		return nil, fmt.Errorf("bench: faulted run: output match=%v recorder=%d (armed=%d) — recovery activity missing from the ring",
 			f.OutputMatchesDark, f.RecorderEvents, byName["armed"].RecorderEvents)
 	}
-	if ratio > ObsvWallOverheadBound {
-		return nil, fmt.Errorf("bench: armed wall overhead %.1f%% exceeds the %.0f%% bound",
-			100*(ratio-1), 100*(ObsvWallOverheadBound-1))
-	}
 	return &ObsvBaseline{
-		Note:           "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestObsvBaseline (or mvtool bench -suite obsv -json)",
-		Program:        obsvProgram,
-		WallOverheadOK: true,
-		Runs:           runs,
+		Note:      regenerateNote("obsv"),
+		Program:   obsvProgram,
+		Runs:      runs,
+		WallRatio: ratio,
 	}, nil
 }
 
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr6.json.
-func (b *ObsvBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
+// obsvHostBound is the obsv suite's host-time gate: the armed run may
+// cost at most ObsvWallOverheadBound times the dark run's wall time.
+func obsvHostBound(_ []byte, fresh any, _ float64) (string, error) {
+	ratio := fresh.(*ObsvBaseline).WallRatio
+	if ratio > ObsvWallOverheadBound {
+		return "", fmt.Errorf("obsv: armed wall overhead %.1f%% exceeds the %.0f%% bound",
+			100*(ratio-1), 100*(ObsvWallOverheadBound-1))
 	}
-	return append(out, '\n'), nil
+	return fmt.Sprintf("armed wall overhead %.1f%% (bound %.0f%%)", 100*(ratio-1), 100*(ObsvWallOverheadBound-1)), nil
 }
 
 // FigureObsv regenerates the observability-overhead table: the three

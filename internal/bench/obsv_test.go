@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,44 +10,6 @@ import (
 	"multiverse/internal/faults"
 	"multiverse/internal/telemetry"
 )
-
-// obsvBaselinePath locates BENCH_pr6.json at the repository root.
-func obsvBaselinePath() string {
-	return filepath.Join("..", "..", "BENCH_pr6.json")
-}
-
-// TestObsvBaseline pins the observability suite against BENCH_pr6.json
-// exactly. The interesting invariants are enforced inside
-// CollectObsvBaseline itself: armed cycles/output byte-identical to
-// dark, nonzero recorder and SLO activity, and armed wall-clock
-// overhead under the 10% bound. Regenerate with MV_UPDATE_BASELINE=1
-// after an intentional cost-model or instrumentation change.
-func TestObsvBaseline(t *testing.T) {
-	got, err := CollectObsvBaseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := got.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if os.Getenv("MV_UPDATE_BASELINE") != "" {
-		if err := os.WriteFile(obsvBaselinePath(), blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("baseline updated: %s", obsvBaselinePath())
-		return
-	}
-
-	want, err := os.ReadFile(obsvBaselinePath())
-	if err != nil {
-		t.Fatalf("reading baseline (regenerate with MV_UPDATE_BASELINE=1): %v", err)
-	}
-	if !bytes.Equal(bytes.TrimSpace(want), bytes.TrimSpace(blob)) {
-		t.Errorf("benchmark baseline drifted from BENCH_pr6.json; regenerate with MV_UPDATE_BASELINE=1 if intentional")
-	}
-}
 
 // TestCausalTimelineFromFlightDump is the PR's acceptance scenario: a
 // scripted run with dropped notifications and partner kills must

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"multiverse/internal/core"
@@ -79,29 +78,30 @@ type RouterBaseline struct {
 }
 
 // CollectRouterBaseline runs the seven-benchmark suite in WorldHRT with
-// the router off and on and returns the comparison set.
+// the router off and on and returns the comparison set. It enforces the
+// suite-wide acceptance invariants before returning: the router reduces
+// both the total crossings and the total forwarded-syscall cycles.
 func CollectRouterBaseline() (*RouterBaseline, error) {
-	b := &RouterBaseline{
-		Note: "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestBenchBaseline (or mvtool bench -json)",
-	}
+	b := &RouterBaseline{Note: regenerateNote("router")}
+	var offX, onX, offFwd, onFwd uint64
 	for _, p := range Programs() {
 		cmp, err := CompareRouter(p)
 		if err != nil {
 			return nil, err
 		}
 		b.Benchmarks = append(b.Benchmarks, *cmp)
+		offX += cmp.OffCrossings
+		onX += cmp.OnCrossings
+		offFwd += cmp.OffForwardCycles
+		onFwd += cmp.OnForwardCycles
+	}
+	if onX >= offX {
+		return nil, fmt.Errorf("bench: router did not reduce total crossings: off=%d on=%d", offX, onX)
+	}
+	if onFwd >= offFwd {
+		return nil, fmt.Errorf("bench: router did not reduce total forwarded cycles: off=%d on=%d", offFwd, onFwd)
 	}
 	return b, nil
-}
-
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr2.json.
-func (b *RouterBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // routerMicro measures the three router tiers directly from an HRT

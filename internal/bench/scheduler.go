@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -279,7 +278,7 @@ func runImbalancedSteal() (cycles.Cycles, int, error) {
 // the baseline document.
 func CollectSchedulerBaseline() (*SchedulerBaseline, error) {
 	b := &SchedulerBaseline{
-		Note:    "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestSchedulerBaseline (or mvtool bench -suite scheduler -json)",
+		Note:    regenerateNote("scheduler"),
 		Workers: schedWorkers,
 		N:       schedHPCGN,
 		Iters:   schedHPCGIters,
@@ -313,17 +312,49 @@ func CollectSchedulerBaseline() (*SchedulerBaseline, error) {
 	}
 	b.ImbalancedCycles = uint64(ic)
 	b.ImbalancedSteals = uint64(is)
+	if err := b.checkScaling(); err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr4.json.
-func (b *SchedulerBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
+// checkScaling holds the scheduler suite's acceptance invariants: with 4
+// HRT cores the HPCG solve beats the 1-core run by at least 2.5x, HPCG
+// and places scale monotonically over the core ladder, every point places
+// threads and spawns every place, and the imbalanced ramp steals.
+func (b *SchedulerBaseline) checkScaling() error {
+	byCores := make(map[int]SchedulerPoint, len(b.Points))
+	for _, p := range b.Points {
+		byCores[p.HRTCores] = p
 	}
-	return append(out, '\n'), nil
+	one, four := byCores[1], byCores[4]
+	if one.HPCGCycles == 0 || four.HPCGCycles == 0 {
+		return fmt.Errorf("bench: scheduler ladder points missing: %+v", b.Points)
+	}
+	if speedup := float64(one.HPCGCycles) / float64(four.HPCGCycles); speedup < 2.5 {
+		return fmt.Errorf("bench: HPCG 4-core speedup %.3fx < 2.5x (1 core: %d, 4 cores: %d)",
+			speedup, one.HPCGCycles, four.HPCGCycles)
+	}
+	for i, p := range b.Points {
+		if i > 0 && p.HPCGCycles >= b.Points[i-1].HPCGCycles {
+			return fmt.Errorf("bench: HPCG scaling not monotone: %d cores %d cycles >= %d cores %d cycles",
+				p.HRTCores, p.HPCGCycles, b.Points[i-1].HRTCores, b.Points[i-1].HPCGCycles)
+		}
+		if i > 0 && p.PlacesCycles >= b.Points[i-1].PlacesCycles {
+			return fmt.Errorf("bench: places scaling not monotone: %d cores %d cycles >= %d cores %d cycles",
+				p.HRTCores, p.PlacesCycles, b.Points[i-1].HRTCores, b.Points[i-1].PlacesCycles)
+		}
+		if p.Placements == 0 {
+			return fmt.Errorf("bench: %d cores: no sched.place placements recorded", p.HRTCores)
+		}
+		if p.PlacesSpawned != uint64(b.Places) {
+			return fmt.Errorf("bench: %d cores: %d places spawned, want %d", p.HRTCores, p.PlacesSpawned, b.Places)
+		}
+	}
+	if b.ImbalancedSteals == 0 {
+		return fmt.Errorf("bench: imbalanced ramp workload recorded no steals")
+	}
+	return nil
 }
 
 // FigureScheduler regenerates the scheduler scaling figure: HPCG and the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"multiverse/internal/core"
@@ -210,7 +211,7 @@ func CollectSimspeedBaseline() (*SimspeedBaseline, error) {
 	}
 
 	b := &SimspeedBaseline{
-		Note:    "regenerate: MV_UPDATE_BASELINE=1 go test ./internal/bench -run TestSimspeedBaseline (or mvtool bench -suite simspeed -json); cycle fields exact, wall fields ±20%",
+		Note:    regenerateNote("simspeed") + "; cycle fields exact, wall fields ±20%",
 		ClockHz: uint64(cycles.ClockHz),
 		Reps:    simspeedReps,
 	}
@@ -251,35 +252,40 @@ func CollectSimspeedBaseline() (*SimspeedBaseline, error) {
 	return b, nil
 }
 
-// MarshalIndent renders the baseline as the canonical JSON byte stream
-// written to BENCH_pr8.json.
-func (b *SimspeedBaseline) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
+// parseSimspeed decodes a pinned BENCH_pr8.json document.
+func parseSimspeed(pinned []byte) (*SimspeedBaseline, error) {
+	var b SimspeedBaseline
+	if err := json.Unmarshal(pinned, &b); err != nil {
+		return nil, fmt.Errorf("simspeed: parsing pinned document: %w", err)
 	}
-	return append(out, '\n'), nil
+	return &b, nil
 }
 
-// CompareSimspeed checks a freshly collected baseline against the pinned
-// document: deterministic fields (units, total cycles, parallel match)
-// must be exact; wall-clock fields must agree within tol (0.2 = ±20%,
-// applied as a ratio band in both directions).
-func CompareSimspeed(pinned, fresh *SimspeedBaseline, tol float64) error {
-	if fresh.TotalCycles != pinned.TotalCycles {
-		return fmt.Errorf("simspeed: total cycles %d, pinned %d", fresh.TotalCycles, pinned.TotalCycles)
+// checkSimspeed is the simspeed suite's deterministic check: units, total
+// cycles, and the host-parallel match must equal the pinned document
+// exactly. The wall-clock fields are simspeedHostBound's business.
+func checkSimspeed(pinnedBlob []byte, fresh any) error {
+	pinned, err := parseSimspeed(pinnedBlob)
+	if err != nil {
+		return err
 	}
-	if len(fresh.Units) != len(pinned.Units) {
-		return fmt.Errorf("simspeed: %d units, pinned %d", len(fresh.Units), len(pinned.Units))
+	f := fresh.(*SimspeedBaseline)
+	if f.TotalCycles != pinned.TotalCycles || !slices.Equal(f.Units, pinned.Units) || !f.HostParallelMatch {
+		return fmt.Errorf("simspeed: units %+v (total %d cycles, host-parallel match %v), pinned %+v (total %d cycles)",
+			f.Units, f.TotalCycles, f.HostParallelMatch, pinned.Units, pinned.TotalCycles)
 	}
-	for i, u := range fresh.Units {
-		if u != pinned.Units[i] {
-			return fmt.Errorf("simspeed: unit %s = %+v, pinned %+v", u.Name, u, pinned.Units[i])
-		}
+	return nil
+}
+
+// simspeedHostBound is the simspeed suite's host-time gate: the fresh
+// simspeed figures must agree with the pinned ones within tol (0.2 =
+// ±20%, applied as a ratio band in both directions).
+func simspeedHostBound(pinnedBlob []byte, fresh any, tol float64) (string, error) {
+	pinned, err := parseSimspeed(pinnedBlob)
+	if err != nil {
+		return "", err
 	}
-	if !fresh.HostParallelMatch {
-		return fmt.Errorf("simspeed: host-parallel pass diverged from serial")
-	}
+	f := fresh.(*SimspeedBaseline)
 	wallOK := func(name string, got, want float64) error {
 		if want <= 0 {
 			return nil
@@ -289,10 +295,14 @@ func CompareSimspeed(pinned, fresh *SimspeedBaseline, tol float64) error {
 		}
 		return nil
 	}
-	if err := wallOK("simspeed", fresh.Simspeed, pinned.Simspeed); err != nil {
-		return err
+	if err := wallOK("simspeed", f.Simspeed, pinned.Simspeed); err != nil {
+		return "", err
 	}
-	return wallOK("serial_simspeed", fresh.SerialSimspeed, pinned.SerialSimspeed)
+	if err := wallOK("serial_simspeed", f.SerialSimspeed, pinned.SerialSimspeed); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%d cycles exact, %.3g cyc/s host-parallel (pinned %.3g, ±%.0f%%), %.2fx vs pre-PR",
+		f.TotalCycles, f.Simspeed, pinned.Simspeed, tol*100, f.Speedup), nil
 }
 
 // FigureSimspeed renders the simspeed composite as a table.

@@ -284,7 +284,7 @@ func BenchmarkFig13(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", p.Name, w), func(b *testing.B) {
 				var total cycles.Cycles
 				for i := 0; i < b.N; i++ {
-					res, err := bench.RunBenchmark(p, w)
+					res, err := bench.RunBenchmark(p, w, core.Options{}, false)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -314,7 +314,7 @@ func BenchmarkIncrementalPort(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var total cycles.Cycles
 			for i := 0; i < b.N; i++ {
-				res, err := bench.RunBenchmarkEx(p, c.w, c.ak)
+				res, err := bench.RunBenchmark(p, c.w, core.Options{}, c.ak)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -332,7 +332,7 @@ func BenchmarkHPCG(b *testing.B) {
 		b.Run(w.String(), func(b *testing.B) {
 			var total cycles.Cycles
 			for i := 0; i < b.N; i++ {
-				sys, err := bench.NewSystemForWorld(w, vfs.New(), "hpcg")
+				sys, err := bench.NewSystemForWorld(w, core.Options{FS: vfs.New(), AppName: "hpcg"})
 				if err != nil {
 					b.Fatal(err)
 				}

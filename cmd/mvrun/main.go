@@ -35,61 +35,58 @@ import (
 )
 
 func main() {
+	var opts core.Options
+	var rep report
 	world := flag.String("world", "multiverse", "execution world: native, virtual, multiverse")
 	runtimeName := flag.String("runtime", "scheme", "guest runtime: scheme or vcode")
 	expr := flag.String("e", "", "evaluate this expression instead of a file")
 	repl := flag.Bool("repl", false, "run the interactive REPL over stdin")
 	benchName := flag.String("bench", "", "run a named paper benchmark instead of a file")
-	stats := flag.Bool("stats", false, "print run statistics afterwards")
-	router := flag.Bool("router", false, "enable the adaptive boundary-crossing router (multiverse world only)")
-	exitless := flag.Bool("exitless", false, "enable tier-3 exitless forwarding over polled SPSC rings (implies -router; multiverse world only)")
-	merger := flag.Bool("merger", false, "enable the incremental state-superposition merger (multiverse world only)")
-	scheduler := flag.Bool("scheduler", false, "enable the AeroKernel per-core run-queue scheduler (multiverse world only)")
-	hrtCores := flag.Int("hrtcores", 0, "size of the HRT core partition (cores 1..N; 0 = default single core)")
+	flag.BoolVar(&rep.stats, "stats", false, "print run statistics afterwards")
+	flag.BoolVar(&opts.Router, "router", false, "enable the adaptive boundary-crossing router (multiverse world only)")
+	flag.BoolVar(&opts.Exitless, "exitless", false, "enable tier-3 exitless forwarding over polled SPSC rings (implies -router; multiverse world only)")
+	flag.BoolVar(&opts.Merger, "merger", false, "enable the incremental state-superposition merger (multiverse world only)")
+	flag.BoolVar(&opts.Scheduler, "scheduler", false, "enable the AeroKernel per-core run-queue scheduler (multiverse world only)")
+	hrtCores := flag.Int("hrtcores", 0, "size of the HRT core partition (cores 1..N, the machine grown to fit; 0 = default single core)")
 	workers := flag.Int("workers", 8, "legion worker count for the hpcg benchmark")
-	hotspots := flag.Bool("hotspots", false, "print the legacy-interface hotspot report (multiverse world only)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto)")
-	metrics := flag.Bool("metrics", false, "dump the run's metrics registry to stderr afterwards")
+	flag.BoolVar(&rep.hotspots, "hotspots", false, "print the legacy-interface hotspot report (multiverse world only)")
+	flag.StringVar(&rep.trace, "trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto)")
+	flag.BoolVar(&rep.metrics, "metrics", false, "dump the run's metrics registry to stderr afterwards")
 	groups := flag.Int("groups", 0, "spawn N concurrent execution groups as a density workload before the program runs (multiverse world only; ignored with -bench)")
-	warmPool := flag.Int("warm-pool", 0, "keep up to M pre-booted AeroKernel contexts for warm group spawns (multiverse world only)")
-	maxGroups := flag.Int("max-groups", 0, "admission control: reject spawns beyond N live groups with ErrAdmissionRejected (0 = uncapped)")
+	flag.IntVar(&opts.WarmPool, "warm-pool", 0, "keep up to M pre-booted AeroKernel contexts for warm group spawns (multiverse world only)")
+	flag.IntVar(&opts.MaxGroups, "max-groups", 0, "admission control: reject spawns beyond N live groups with ErrAdmissionRejected (0 = uncapped)")
 	tenantBudget := flag.String("tenant-budget", "", "per-group boundary budget as <membytes>:<cycles>, e.g. 1048576:5000000 (either side 0 = unbounded)")
 	nodes := flag.Int("nodes", 0, "run a grid of N single-machine fault domains instead of a program; -groups sets the tenant count (multiverse world only)")
 	chaos := flag.String("chaos", "", "grid chaos as <seed>:<rate>: the PR-5 transport fault menu plus a node kill; summary stays byte-identical to a clean run (requires -nodes)")
 	faultsArg := flag.String("faults", "", "arm random fault injection as <seed>:<rate>, e.g. 42:0.01 (multiverse world only)")
 	faultSpec := flag.String("fault-spec", "", "arm a scripted fault scenario from this JSON file (multiverse world only)")
-	metricsJSON := flag.String("metrics-json", "", "write the run's metrics registry to this file as sorted JSON")
-	listen := flag.String("listen", "", "serve /metrics, /metrics.json, /healthz, /trace, and /flight on this address and keep serving after the run")
-	flight := flag.String("flight", "", "write the flight-recorder contents to this file at exit (auto-dumps also land here instead of stderr)")
-	sloReport := flag.Bool("slo", false, "print the per-group per-syscall SLO latency report to stderr afterwards")
+	flag.StringVar(&rep.metricsJSON, "metrics-json", "", "write the run's metrics registry to this file as sorted JSON")
+	flag.StringVar(&rep.listen, "listen", "", "serve /metrics, /metrics.json, /healthz, /trace, and /flight on this address and keep serving after the run")
+	flag.StringVar(&rep.flight, "flight", "", "write the flight-recorder contents to this file at exit (auto-dumps also land here instead of stderr)")
+	flag.BoolVar(&rep.slo, "slo", false, "print the per-group per-syscall SLO latency report to stderr afterwards")
 	cpuProfile := flag.String("cpuprofile", "", "write a host pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a host pprof heap profile at exit to this file")
 	blockProfile := flag.String("blockprofile", "", "write a host pprof blocking profile at exit to this file")
 	flag.Parse()
 
 	stopProfiles, err := profiling.Start(profiling.Flags{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile})
+	if err == nil {
+		opts.Faults, err = parseFaultFlags(*faultsArg, *faultSpec)
+	}
+	if err == nil {
+		opts.TenantBudget, err = parseTenantBudget(*tenantBudget)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mvrun: %v\n", err)
 		os.Exit(1)
 	}
-
-	knobs := runKnobs{router: *router || *exitless, exitless: *exitless, merger: *merger, scheduler: *scheduler, hrtCores: *hrtCores, workers: *workers}
-	knobs.obs = obsKnobs{metricsJSON: *metricsJSON, listen: *listen, flight: *flight, slo: *sloReport}
-	plan, err := parseFaultFlags(*faultsArg, *faultSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mvrun: %v\n", err)
-		os.Exit(1)
+	opts.HRTCores = core.HRTCoreRange(*hrtCores)
+	var runErr error
+	if *nodes > 0 || *chaos != "" {
+		runErr = runGrid(*world, *nodes, *groups, *chaos, rep)
+	} else {
+		runErr = run(*world, *runtimeName, *expr, *repl, *benchName, opts, *workers, *groups, rep, flag.Args())
 	}
-	knobs.faults = plan
-	knobs.groups, knobs.warmPool, knobs.maxGroups = *groups, *warmPool, *maxGroups
-	knobs.nodes, knobs.chaos = *nodes, *chaos
-	budget, err := parseTenantBudget(*tenantBudget)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mvrun: %v\n", err)
-		os.Exit(1)
-	}
-	knobs.budget = budget
-	runErr := run(*world, *runtimeName, *expr, *repl, *benchName, *stats, knobs, *hotspots, *tracePath, *metrics, flag.Args())
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "mvrun: %v\n", err)
 	}
@@ -112,24 +109,6 @@ func parseWorld(s string) (core.World, error) {
 	}
 }
 
-// runKnobs bundles the optional subsystem switches.
-type runKnobs struct {
-	router    bool
-	exitless  bool
-	merger    bool
-	scheduler bool
-	hrtCores  int
-	workers   int
-	faults    *faults.Plan
-	groups    int
-	warmPool  int
-	maxGroups int
-	nodes     int
-	chaos     string
-	budget    *core.TenantBudget
-	obs       obsKnobs
-}
-
 // parseTenantBudget parses -tenant-budget <membytes>:<cycles>. Either
 // side may be 0 (that bound disabled).
 func parseTenantBudget(s string) (*core.TenantBudget, error) {
@@ -143,12 +122,11 @@ func parseTenantBudget(s string) (*core.TenantBudget, error) {
 	return &core.TenantBudget{MemBytes: mem, Cycles: cycles.Cycles(cyc)}, nil
 }
 
-// obsKnobs bundles the exposition-plane switches.
-type obsKnobs struct {
-	metricsJSON string
-	listen      string
-	flight      string
-	slo         bool
+// report selects what mvrun prints and writes about a finished run.
+type report struct {
+	stats, metrics, hotspots, slo bool
+	trace, metricsJSON            string
+	listen, flight                string
 }
 
 // startExposition binds the live endpoint before the run starts, so a
@@ -175,25 +153,25 @@ func startExposition(addr string, reg *telemetry.Registry, tracer *telemetry.Tra
 
 // finishObservability emits the post-run artifacts: the metrics JSON
 // file, the SLO report, and the flight-recorder file.
-func finishObservability(obs obsKnobs, reg *telemetry.Registry, rec *telemetry.Recorder) error {
-	if obs.metricsJSON != "" {
+func finishObservability(rep report, reg *telemetry.Registry, rec *telemetry.Recorder) error {
+	if rep.metricsJSON != "" {
 		blob, err := reg.Snapshot().MarshalIndent()
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(obs.metricsJSON, blob, 0o644); err != nil {
+		if err := os.WriteFile(rep.metricsJSON, blob, 0o644); err != nil {
 			return err
 		}
 	}
-	if obs.slo {
+	if rep.slo {
 		if report := telemetry.SLOReport(reg.Snapshot()); report != "" {
 			fmt.Fprint(os.Stderr, report)
 		} else {
 			fmt.Fprintln(os.Stderr, "mvrun: no SLO histograms recorded (hybrid world only)")
 		}
 	}
-	if obs.flight != "" {
-		f, err := os.Create(obs.flight)
+	if rep.flight != "" {
+		f, err := os.Create(rep.flight)
 		if err != nil {
 			return err
 		}
@@ -245,8 +223,7 @@ func parseFaultFlags(seedRate, specPath string) (*faults.Plan, error) {
 	return &plan, nil
 }
 
-func run(worldName, runtimeName, expr string, repl bool, benchName string, stats bool, knobs runKnobs, hotspots bool, tracePath string, metrics bool, args []string) error {
-	router, merger := knobs.router, knobs.merger
+func run(worldName, runtimeName, expr string, repl bool, benchName string, opts core.Options, workers, groups int, rep report, args []string) error {
 	w, err := parseWorld(worldName)
 	if err != nil {
 		return err
@@ -254,54 +231,52 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, stats
 	if runtimeName != "scheme" && runtimeName != "vcode" {
 		return fmt.Errorf("unknown runtime %q (want scheme or vcode)", runtimeName)
 	}
-	if knobs.nodes > 0 || knobs.chaos != "" {
-		if w != core.WorldHRT {
-			return fmt.Errorf("-nodes/-chaos run the multi-node grid; they require -world multiverse")
-		}
-		return runGrid(knobs)
-	}
 
 	// Telemetry: tracing costs only when requested; the metrics registry
 	// and the flight recorder always exist (counters are near-free and
 	// the ring records in host time only). Both are created up front so
 	// the live endpoint can serve them while the run is in flight.
-	var tracer *telemetry.Tracer
-	if tracePath != "" || knobs.obs.listen != "" {
-		tracer = telemetry.New()
+	if rep.trace != "" || rep.listen != "" {
+		opts.Tracer = telemetry.New()
 	}
-	reg := telemetry.NewRegistry()
-	rec := telemetry.NewRecorder(telemetry.DefaultRecorderSize)
-	if knobs.obs.flight == "" {
+	opts.Metrics = telemetry.NewRegistry()
+	opts.Recorder = telemetry.NewRecorder(telemetry.DefaultRecorderSize)
+	if rep.flight == "" {
 		// Post-mortem auto-dumps (contained panics, budget exhaustion,
 		// wedged groups) land on stderr unless routed to a file.
-		rec.SetAutoDumpWriter(os.Stderr)
+		opts.Recorder.SetAutoDumpWriter(os.Stderr)
 	}
-	block, err := startExposition(knobs.obs.listen, reg, tracer, rec)
+	block, err := startExposition(rep.listen, opts.Metrics, opts.Tracer, opts.Recorder)
 	if err != nil {
 		return err
 	}
-	finish := func() error {
-		if err := finishObservability(knobs.obs, reg, rec); err != nil {
+	// finish prints the run's reports — the same for -bench and program
+	// runs — then emits the post-run artifacts.
+	finish := func(res *bench.RunResult) error {
+		if rep.stats {
+			printStats(res, groups)
+		}
+		if rep.metrics {
+			fmt.Fprint(os.Stderr, res.Metrics.Dump())
+		}
+		if rep.hotspots && res.Hotspots != nil {
+			fmt.Fprintln(os.Stderr)
+			fmt.Fprint(os.Stderr, res.Hotspots.Report())
+		}
+		if err := finishObservability(rep, opts.Metrics, opts.Recorder); err != nil {
 			return err
 		}
-		if err := writeTrace(tracer, tracePath); err != nil {
+		if err := writeTrace(opts.Tracer, rep.trace); err != nil {
 			return err
 		}
 		block()
 		return nil
 	}
 
-	cfg := bench.RunConfig{
-		Tracer: tracer, Metrics: reg, Recorder: rec,
-		Router: router, Exitless: knobs.exitless, Merger: merger,
-		Scheduler: knobs.scheduler, HRTCoreCount: knobs.hrtCores,
-		Faults:   knobs.faults,
-		WarmPool: knobs.warmPool, MaxGroups: knobs.maxGroups, TenantBudget: knobs.budget,
-	}
-	if knobs.faults != nil && w != core.WorldHRT {
+	if opts.Faults != nil && w != core.WorldHRT {
 		return fmt.Errorf("fault injection targets the hybrid boundary; it requires -world multiverse")
 	}
-	if (knobs.groups > 0 || knobs.warmPool > 0 || knobs.maxGroups > 0 || knobs.budget != nil) && w != core.WorldHRT {
+	if (groups > 0 || opts.WarmPool > 0 || opts.MaxGroups > 0 || opts.TenantBudget != nil) && w != core.WorldHRT {
 		return fmt.Errorf("-groups/-warm-pool/-max-groups/-tenant-budget configure the multi-tenant hybrid host; they require -world multiverse")
 	}
 
@@ -309,7 +284,7 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, stats
 		// The legion HPCG workload is not a Scheme program; it runs the
 		// task-parallel runtime directly so the partition and worker count
 		// can be varied from the command line.
-		t, err := bench.HPCGWorkloadTable(knobs.scheduler, knobs.hrtCores, knobs.workers)
+		t, err := bench.HPCGWorkloadTable(opts, workers)
 		if err != nil {
 			return err
 		}
@@ -321,18 +296,12 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, stats
 		if !ok {
 			return fmt.Errorf("unknown benchmark %q", benchName)
 		}
-		res, err := bench.RunBenchmarkCfg(prog, w, cfg)
+		res, err := bench.RunBenchmark(prog, w, opts, false)
 		if err != nil {
 			return err
 		}
 		os.Stdout.Write(res.Output)
-		if stats {
-			printStats(res, router, knobs.exitless, merger, knobs.faults != nil)
-		}
-		if metrics {
-			fmt.Fprint(os.Stderr, res.Metrics.Dump())
-		}
-		return finish()
+		return finish(res)
 	}
 
 	// Assemble the program source.
@@ -352,20 +321,20 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, stats
 		return fmt.Errorf("need a program file, -e expression, -repl, or -bench name")
 	}
 
-	fs := vfs.New()
-	if err := scheme.InstallPrelude(fs); err != nil {
+	opts.FS, opts.AppName = vfs.New(), "mvrun"
+	if err := scheme.InstallPrelude(opts.FS); err != nil {
 		return err
 	}
-	sys, err := bench.NewSystemForWorldCfg(w, fs, "mvrun", cfg)
+	sys, err := bench.NewSystemForWorld(w, opts)
 	if err != nil {
 		return err
 	}
-	if knobs.groups > 0 {
+	if groups > 0 {
 		// The density workload runs before the program: N tenants spawn
 		// concurrently, sit live together (so the peak gauge reflects true
 		// density), issue forwarded calls, and join — then the program gets
 		// the same system, warm pool included.
-		if err := bench.DensityWorkload(sys, knobs.groups); err != nil {
+		if err := bench.DensityWorkload(sys, groups); err != nil {
 			return err
 		}
 	}
@@ -377,6 +346,7 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, stats
 		sys.Proc.SetStdin(stdin)
 	}
 
+	var eng *scheme.Engine
 	var runErr error
 	if _, err := sys.RunMain(func(env core.Env) uint64 {
 		if runtimeName == "vcode" {
@@ -392,11 +362,12 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, stats
 			}
 			return 0
 		}
-		eng, eerr := scheme.NewEngine(env)
+		e, eerr := scheme.NewEngine(env)
 		if eerr != nil {
 			runErr = eerr
 			return 1
 		}
+		eng = e
 		if repl {
 			runErr = eng.REPL()
 		} else {
@@ -414,89 +385,7 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, stats
 	if runErr != nil {
 		return runErr
 	}
-	if stats {
-		st := sys.Proc.Stats()
-		fmt.Fprintf(os.Stderr, "\n[%s] %.4f virtual seconds, %d syscalls, %d faults, %d ctx switches\n",
-			w, sys.Main.Clock.Now().Seconds(), st.TotalSyscalls(),
-			st.MinorFaults+st.MajorFaults, st.VoluntaryCS+st.InvoluntaryCS)
-		// The boundary line prints in every world: the baselines simply
-		// have an empty boundary (all zeros), which is itself informative.
-		var fwdSys, fwdFaults uint64
-		var merges int
-		if sys.AK != nil {
-			fwdSys, fwdFaults, merges = sys.AK.ForwardedSyscalls(), sys.AK.ForwardedFaults(), sys.AK.MergeCount()
-		}
-		fmt.Fprintf(os.Stderr, "[%s] forwarded: %d syscalls, %d page faults; merges: %d\n",
-			w, fwdSys, fwdFaults, merges)
-		if router {
-			m := sys.Metrics()
-			fmt.Fprintf(os.Stderr, "[%s] router: local=%d cache=%d/%d inval=%d promo=%d/%d\n",
-				w, m.Counter("router.local_hits").Value(),
-				m.Counter("router.cache_hits").Value(), m.Counter("router.cache_misses").Value(),
-				m.Counter("router.cache_invalidations").Value(),
-				m.Counter("router.promotions").Value(), m.Counter("router.demotions").Value())
-		}
-		if knobs.exitless {
-			m := sys.Metrics()
-			fmt.Fprintf(os.Stderr, "[%s] ring: calls=%d promo=%d/%d fault-demo=%d repromo=%d exits=%d\n",
-				w, m.Counter("ring.syscalls").Value(),
-				m.Counter("router.tier3.promotions").Value(), m.Counter("router.tier3.demotions").Value(),
-				m.Counter("router.tier3.fault_demotions").Value(),
-				m.Counter("router.tier3.repromotions").Value(),
-				m.Counter("exits.ring").Value())
-		}
-		if knobs.scheduler {
-			m := sys.Metrics()
-			fmt.Fprintf(os.Stderr, "[%s] sched: placements=%d steals=%d halts=%d queue-delay=%d\n",
-				w, m.Counter("sched.place").Value(), m.Counter("sched.steal").Value(),
-				m.Counter("sched.idle.halt").Value(),
-				uint64(m.LatencyHistogram("sched.queue.delay").Sum()))
-		}
-		if merger {
-			m := sys.Metrics()
-			fmt.Fprintf(os.Stderr, "[%s] merger: entries=%d delta=%d shootdowns=%d/%d local-faults=%d\n",
-				w, m.Counter("paging.pml4_entries_copied").Value(),
-				m.Counter("merger.delta.entries").Value(),
-				m.Counter("merger.shootdown.targeted").Value(),
-				m.Counter("merger.shootdown.broadcast").Value(),
-				m.Counter("fault.local").Value())
-		}
-		if knobs.groups > 0 || knobs.warmPool > 0 || knobs.maxGroups > 0 || knobs.budget != nil {
-			m := sys.Metrics()
-			fmt.Fprintf(os.Stderr, "[%s] density: spawned=%d live=%d peak=%d warm=%d hits=%d misses=%d returns=%d drops=%d adm-rejected=%d budget-rejected=%d\n",
-				w, m.Counter("density.groups.spawned").Value(),
-				m.Gauge("density.groups.live").Value(),
-				m.Gauge("density.groups.peak").Value(),
-				m.Gauge("density.warm.size").Value(),
-				m.Counter("density.warm.hits").Value(),
-				m.Counter("density.warm.misses").Value(),
-				m.Counter("density.warm.returns").Value(),
-				m.Counter("density.warm.drops").Value(),
-				m.Counter("density.admission.rejected").Value(),
-				m.Counter("density.budget.rejected").Value())
-		}
-		if knobs.faults != nil {
-			m := sys.Metrics()
-			var injected uint64
-			for _, k := range []string{"drop-notify", "dup-notify", "delay-inject",
-				"corrupt-frame", "partner-stall", "partner-kill", "hrt-panic"} {
-				injected += m.Counter("faults.injected." + k).Value()
-			}
-			fmt.Fprintf(os.Stderr, "[%s] faults: injected=%d retransmits=%d dedups=%d recoveries=%d degraded=%d recovery-cycles=%d\n",
-				w, injected, m.Counter("faults.retransmit").Value(),
-				m.Counter("faults.dedup").Value(), m.Counter("faults.recovery").Value(),
-				m.Counter("faults.degraded").Value(),
-				uint64(m.LatencyHistogram("faults.recovery.latency").Sum()))
-		}
-	}
-	if metrics {
-		fmt.Fprint(os.Stderr, sys.Metrics().Dump())
-	}
-	if hotspots && sys.AK != nil {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprint(os.Stderr, sys.Hotspots().Report())
-	}
-	return finish()
+	return finish(bench.ResultOf(sys, "mvrun", w, eng))
 }
 
 // runGrid runs the grid workload: N nodes as independent fault domains,
@@ -506,19 +395,23 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, stats
 // same seed: that byte-identity IS the recovery claim, so everything
 // chaos-specific (kill count, rate) prints on stderr, outside the
 // comparable bytes.
-func runGrid(knobs runKnobs) error {
-	if knobs.nodes < 2 {
-		return fmt.Errorf("-nodes %d: a grid needs at least 2 nodes (a kill must leave a survivor)", knobs.nodes)
+func runGrid(worldName string, nodes, groups int, chaos string, rep report) error {
+	if w, err := parseWorld(worldName); err != nil {
+		return err
+	} else if w != core.WorldHRT {
+		return fmt.Errorf("-nodes/-chaos run the multi-node grid; they require -world multiverse")
+	}
+	if nodes < 2 {
+		return fmt.Errorf("-nodes %d: a grid needs at least 2 nodes (a kill must leave a survivor)", nodes)
 	}
 	plan := faults.Plan{Seed: 1}
-	if knobs.chaos != "" {
-		p, err := faults.ParseChaos(knobs.chaos)
+	if chaos != "" {
+		p, err := faults.ParseChaos(chaos)
 		if err != nil {
 			return err
 		}
 		plan = p
 	}
-	groups := knobs.groups
 	if groups <= 0 {
 		groups = 64
 	}
@@ -528,25 +421,25 @@ func runGrid(knobs runKnobs) error {
 	// timeline for `mvtool flight`.
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(telemetry.DefaultRecorderSize)
-	if knobs.obs.flight == "" {
+	if rep.flight == "" {
 		rec.SetAutoDumpWriter(os.Stderr)
 	}
-	block, err := startExposition(knobs.obs.listen, reg, nil, rec)
+	block, err := startExposition(rep.listen, reg, nil, rec)
 	if err != nil {
 		return err
 	}
-	summary, err := bench.RunGridChaosObserved(knobs.nodes, groups, plan, reg, rec)
+	summary, err := bench.RunGridChaosObserved(nodes, groups, plan, reg, rec)
 	if err != nil {
 		return err
 	}
 	os.Stdout.Write(summary)
-	if err := finishObservability(knobs.obs, reg, rec); err != nil {
+	if err := finishObservability(rep, reg, rec); err != nil {
 		return err
 	}
 	defer block()
-	if knobs.chaos != "" {
+	if chaos != "" {
 		fmt.Fprintf(os.Stderr, "mvrun: grid chaos seed=%d rate=%g node-kills=%d over %d nodes / %d groups; stdout is byte-identical to the same seed with the faults off (-chaos %d:0)\n",
-			plan.Seed, plan.Rate, plan.NodeKills, knobs.nodes, groups, plan.Seed)
+			plan.Seed, plan.Rate, plan.NodeKills, nodes, groups, plan.Seed)
 	}
 	return nil
 }
@@ -567,7 +460,12 @@ func writeTrace(tracer *telemetry.Tracer, path string) error {
 	return f.Close()
 }
 
-func printStats(res *bench.RunResult, router, exitless, merger, faulted bool) {
+// printStats prints the -stats report, the same for -bench and program
+// runs: the totals, the boundary and runtime lines in every world, then
+// one line per enabled subsystem. groups is the -groups density workload
+// (0 for -bench, which ignores it).
+func printStats(res *bench.RunResult, groups int) {
+	o, m := res.Opts, res.Metrics
 	fmt.Fprintf(os.Stderr, "\n[%s] %s: %.4f virtual seconds\n", res.World, res.Program, res.Seconds)
 	fmt.Fprintf(os.Stderr, "  syscalls=%d faults=%d maxrss=%dKb ctxsw=%d\n",
 		res.Stats.TotalSyscalls(), res.Stats.MinorFaults+res.Stats.MajorFaults,
@@ -578,24 +476,42 @@ func printStats(res *bench.RunResult, router, exitless, merger, faulted bool) {
 		res.ForwardedSyscalls, res.ForwardedFaults, res.Merges)
 	fmt.Fprintf(os.Stderr, "  gc: collections=%d barrier-faults=%d reductions=%d\n",
 		res.GCCollections, res.BarrierFaults, res.Reductions)
-	if router {
+	if o.Router {
 		fmt.Fprintf(os.Stderr, "  router: local=%d cache=%d/%d inval=%d promo=%d/%d fwd-cycles=%d\n",
 			res.RouterLocalHits, res.RouterCacheHits, res.RouterCacheMisses,
 			res.RouterInvalidations, res.RouterPromotions, res.RouterDemotions,
 			uint64(res.ForwardedSyscallCycles))
 	}
-	if exitless {
+	if o.Exitless {
 		fmt.Fprintf(os.Stderr, "  ring: calls=%d promo=%d/%d fault-demo=%d repromo=%d exits=%d\n",
 			res.RingCalls, res.RingPromotions, res.RingDemotions,
 			res.RingFaultDrops, res.RingRepromotions, res.RingExits)
 	}
-	if merger {
+	if o.Scheduler {
+		fmt.Fprintf(os.Stderr, "  sched: placements=%d steals=%d halts=%d queue-delay=%d\n",
+			m.Counter("sched.place").Value(), m.Counter("sched.steal").Value(),
+			m.Counter("sched.idle.halt").Value(),
+			uint64(m.LatencyHistogram("sched.queue.delay").Sum()))
+	}
+	if o.Merger {
 		fmt.Fprintf(os.Stderr, "  merger: entries=%d delta=%d remerges=%d shootdowns=%d/%d local-faults=%d\n",
 			res.PML4EntriesCopied, res.MergerDeltaEntries, res.Remerges,
 			res.MergerTargeted, res.MergerBroadcast, res.LocalFaults)
 	}
-	if faulted {
-		m := res.Metrics
+	if groups > 0 || o.WarmPool > 0 || o.MaxGroups > 0 || o.TenantBudget != nil {
+		fmt.Fprintf(os.Stderr, "  density: spawned=%d live=%d peak=%d warm=%d hits=%d misses=%d returns=%d drops=%d adm-rejected=%d budget-rejected=%d\n",
+			m.Counter("density.groups.spawned").Value(),
+			m.Gauge("density.groups.live").Value(),
+			m.Gauge("density.groups.peak").Value(),
+			m.Gauge("density.warm.size").Value(),
+			m.Counter("density.warm.hits").Value(),
+			m.Counter("density.warm.misses").Value(),
+			m.Counter("density.warm.returns").Value(),
+			m.Counter("density.warm.drops").Value(),
+			m.Counter("density.admission.rejected").Value(),
+			m.Counter("density.budget.rejected").Value())
+	}
+	if o.Faults != nil {
 		var injected uint64
 		for _, k := range []string{"drop-notify", "dup-notify", "delay-inject",
 			"corrupt-frame", "partner-stall", "partner-kill", "hrt-panic"} {

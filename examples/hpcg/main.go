@@ -24,7 +24,7 @@ const (
 )
 
 func solve(world core.World) *legion.HPCGResult {
-	sys, err := bench.NewSystemForWorld(world, vfs.New(), "hpcg")
+	sys, err := bench.NewSystemForWorld(world, core.Options{FS: vfs.New(), AppName: "hpcg"})
 	if err != nil {
 		log.Fatal(err)
 	}

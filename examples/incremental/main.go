@@ -43,7 +43,7 @@ func runWorld(world core.World, akMemory bool) {
 	if err := scheme.InstallPrelude(fs); err != nil {
 		log.Fatal(err)
 	}
-	sys, err := bench.NewSystemForWorld(world, fs, "incremental")
+	sys, err := bench.NewSystemForWorld(world, core.Options{FS: fs, AppName: "incremental"})
 	if err != nil {
 		log.Fatal(err)
 	}

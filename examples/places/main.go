@@ -40,7 +40,7 @@ func run(world core.World) {
 	if err := scheme.InstallPrelude(fs); err != nil {
 		log.Fatal(err)
 	}
-	sys, err := bench.NewSystemForWorld(world, fs, "places-demo")
+	sys, err := bench.NewSystemForWorld(world, core.Options{FS: fs, AppName: "places-demo"})
 	if err != nil {
 		log.Fatal(err)
 	}

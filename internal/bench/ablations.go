@@ -245,23 +245,10 @@ func AblationSyncSyscalls(runs int) (*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		fat, err := core.Build(core.BuildInput{
-			App:        core.NewAppImage("ablate-syncsys"),
-			AeroKernel: core.NewAeroKernelImage(),
+		sys, err := NewSystemForWorld(core.WorldHRT, core.Options{
+			FS: fs, AppName: "ablate-syncsys", SyncSyscalls: sync,
 		})
 		if err != nil {
-			return 0, err
-		}
-		sys, err := core.NewSystem(fat, core.Options{
-			Hybrid:       true,
-			FS:           fs,
-			AppName:      "ablate-syncsys",
-			SyncSyscalls: sync,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if err := sys.InitRuntime(); err != nil {
 			return 0, err
 		}
 		var per cycles.Cycles

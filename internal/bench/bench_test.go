@@ -17,7 +17,7 @@ func TestAllProgramsRunNative(t *testing.T) {
 	for _, p := range Programs() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			res, err := RunBenchmark(p, core.WorldNative)
+			res, err := RunBenchmark(p, core.WorldNative, core.Options{}, false)
 			if err != nil {
 				t.Fatalf("%v", err)
 			}
@@ -36,7 +36,7 @@ func TestOutputIdenticalAcrossWorlds(t *testing.T) {
 		p, _ := ProgramByName(name)
 		var outputs [3][]byte
 		for i, w := range []core.World{core.WorldNative, core.WorldVirtual, core.WorldHRT} {
-			res, err := RunBenchmark(p, w)
+			res, err := RunBenchmark(p, w, core.Options{}, false)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, w, err)
 			}
@@ -57,7 +57,7 @@ func TestFigure13Shape(t *testing.T) {
 	var secs [3]float64
 	var fwd uint64
 	for i, w := range []core.World{core.WorldNative, core.WorldVirtual, core.WorldHRT} {
-		res, err := RunBenchmark(p, w)
+		res, err := RunBenchmark(p, w, core.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +83,11 @@ func TestFigure13Shape(t *testing.T) {
 func TestFigure13OverheadTracksInteractions(t *testing.T) {
 	overhead := func(name string) float64 {
 		p, _ := ProgramByName(name)
-		rn, err := RunBenchmark(p, core.WorldNative)
+		rn, err := RunBenchmark(p, core.WorldNative, core.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm, err := RunBenchmark(p, core.WorldHRT)
+		rm, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,61 +344,22 @@ func TestAblationShapes(t *testing.T) {
 // synchronous forwarding path, producing identical output.
 func TestSyncSyscallsEndToEnd(t *testing.T) {
 	p, _ := ProgramByName("fasta")
-	base, err := RunBenchmark(p, core.WorldHRT)
+	base, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	fs, err := provisionFS(&p)
+	syncd, err := RunBenchmark(p, core.WorldHRT, core.Options{SyncSyscalls: true}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fat, err := core.Build(core.BuildInput{
-		App:        core.NewAppImage(p.Name),
-		AeroKernel: core.NewAeroKernelImage(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(fat, core.Options{
-		Hybrid:       true,
-		FS:           fs,
-		AppName:      p.Name,
-		SyncSyscalls: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.InitRuntime(); err != nil {
-		t.Fatal(err)
-	}
-	var runErr error
-	if _, err := sys.RunMain(func(env core.Env) uint64 {
-		eng, eerr := scheme.NewEngine(env)
-		if eerr != nil {
-			runErr = eerr
-			return 1
-		}
-		if _, eerr := eng.RunFile(BenchDir + "/" + p.Name + ".scm"); eerr != nil {
-			runErr = eerr
-			return 1
-		}
-		eng.Shutdown()
-		return 0
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if !bytes.Equal(sys.Proc.Stdout(), base.Output) {
+	if !bytes.Equal(syncd.Output, base.Output) {
 		t.Error("sync-syscall run changed program output")
 	}
-	syncSecs := sys.Main.Clock.Now().Seconds()
-	if syncSecs >= base.Seconds {
-		t.Errorf("sync forwarding (%.4fs) not faster than async (%.4fs) on a syscall-heavy benchmark", syncSecs, base.Seconds)
+	if syncd.Seconds >= base.Seconds {
+		t.Errorf("sync forwarding (%.4fs) not faster than async (%.4fs) on a syscall-heavy benchmark", syncd.Seconds, base.Seconds)
 	}
-	t.Logf("fasta: async %.4fs, sync-forwarding %.4fs", base.Seconds, syncSecs)
+	t.Logf("fasta: async %.4fs, sync-forwarding %.4fs", base.Seconds, syncd.Seconds)
 }
 
 // TestIncrementalPortingPayoff is the end-to-end thesis of the paper: the
@@ -407,15 +368,15 @@ func TestSyncSyscallsEndToEnd(t *testing.T) {
 // the HRT back to near-native, with forwarding largely gone.
 func TestIncrementalPortingPayoff(t *testing.T) {
 	p, _ := ProgramByName("binary-tree-2")
-	native, err := RunBenchmark(p, core.WorldNative)
+	native, err := RunBenchmark(p, core.WorldNative, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial, err := RunBenchmarkEx(p, core.WorldHRT, false)
+	initial, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ported, err := RunBenchmarkEx(p, core.WorldHRT, true)
+	ported, err := RunBenchmark(p, core.WorldHRT, core.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +408,7 @@ func TestHotspotReportNamesTheGCCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystemForWorld(core.WorldHRT, fs, p.Name)
+	sys, err := NewSystemForWorld(core.WorldHRT, core.Options{FS: fs, AppName: p.Name})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,12 +102,13 @@ type DensityBaseline struct {
 }
 
 // densitySystem assembles a fresh hybrid system for one density unit.
-func densitySystem(cfg RunConfig) (*core.System, error) {
+func densitySystem(opts core.Options) (*core.System, error) {
 	fs, err := provisionFS(nil)
 	if err != nil {
 		return nil, err
 	}
-	return NewSystemForWorldCfg(core.WorldHRT, fs, "density", cfg)
+	opts.FS, opts.AppName = fs, "density"
+	return NewSystemForWorld(core.WorldHRT, opts)
 }
 
 // getpidFn returns a group body that issues n forwarded getpid calls.
@@ -125,7 +126,7 @@ func getpidFn(n int) func(core.Env) uint64 {
 // densitySingle pins the single-group reference: cold-spawn cost and the
 // forwarded-syscall latency quantiles with the system to itself.
 func densitySingle(b *DensityBaseline) error {
-	sys, err := densitySystem(RunConfig{})
+	sys, err := densitySystem(core.Options{})
 	if err != nil {
 		return err
 	}
@@ -153,7 +154,7 @@ func densitySingle(b *DensityBaseline) error {
 // densityWarmCold pins the creator-observed spawn cost of a cold boot
 // against a warm-pool reuse on the same system.
 func densityWarmCold(b *DensityBaseline) error {
-	sys, err := densitySystem(RunConfig{WarmPool: 4})
+	sys, err := densitySystem(core.Options{WarmPool: 4})
 	if err != nil {
 		return err
 	}
@@ -210,7 +211,7 @@ type denseFigures struct {
 // behind a gate, release and join everything, then spawn a warm second
 // wave out of the pool.
 func runDense() (*denseFigures, error) {
-	sys, err := densitySystem(RunConfig{WarmPool: denseWarmPool})
+	sys, err := densitySystem(core.Options{WarmPool: denseWarmPool})
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +370,7 @@ func densityDense(b *DensityBaseline) error {
 func densityAdmission(b *DensityBaseline) error {
 	const cap = 8
 	const attempts = 10
-	sys, err := densitySystem(RunConfig{MaxGroups: cap})
+	sys, err := densitySystem(core.Options{MaxGroups: cap})
 	if err != nil {
 		return err
 	}
@@ -415,7 +416,7 @@ func densityAdmission(b *DensityBaseline) error {
 // gets ENOMEM past its reservation cap.
 func densityBudget(b *DensityBaseline) error {
 	budget := &core.TenantBudget{Cycles: 60_000, MemBytes: 8192}
-	sys, err := densitySystem(RunConfig{TenantBudget: budget})
+	sys, err := densitySystem(core.Options{TenantBudget: budget})
 	if err != nil {
 		return err
 	}

@@ -12,11 +12,11 @@ import (
 func TestDeterministicRuns(t *testing.T) {
 	p, _ := ProgramByName("fasta")
 	for _, w := range []core.World{core.WorldNative, core.WorldHRT} {
-		a, err := RunBenchmark(p, w)
+		a, err := RunBenchmark(p, w, core.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunBenchmark(p, w)
+		b, err := RunBenchmark(p, w, core.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestHRTReboot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystemForWorld(core.WorldHRT, fs, "reboot")
+	sys, err := NewSystemForWorld(core.WorldHRT, core.Options{FS: fs, AppName: "reboot"})
 	if err != nil {
 		t.Fatal(err)
 	}

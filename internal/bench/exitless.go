@@ -41,11 +41,11 @@ type ExitlessComparison struct {
 // the tier-3 rings off, then on — and pairs the results. Both runs are
 // deterministic, so the comparison is too.
 func CompareExitless(prog Program) (*ExitlessComparison, error) {
-	dark, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{Router: true})
+	dark, err := RunBenchmark(prog, core.WorldHRT, core.Options{Router: true}, false)
 	if err != nil {
 		return nil, err
 	}
-	on, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{Router: true, Exitless: true})
+	on, err := RunBenchmark(prog, core.WorldHRT, core.Options{Exitless: true}, false)
 	if err != nil {
 		return nil, err
 	}

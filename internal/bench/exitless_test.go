@@ -26,8 +26,8 @@ func TestExitlessPartnerKillRecovery(t *testing.T) {
 	// inside fasta's ~200 forwards: the hold clears after 16 clean
 	// tier-2 calls and re-promotion needs a 32-call burst.
 	pol := hvm.RouterPolicy{RingCalls: 32, RingWindow: 13_200_000, CleanStreak: 16}
-	cfg := RunConfig{Router: true, Exitless: true, RouterPolicy: pol}
-	clean, err := RunBenchmarkCfg(prog, core.WorldHRT, cfg)
+	opts := core.Options{Exitless: true, RouterPolicy: pol}
+	clean, err := RunBenchmark(prog, core.WorldHRT, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func TestExitlessPartnerKillRecovery(t *testing.T) {
 		t.Fatal("clean run never promoted onto the rings — the kill scenario would be vacuous")
 	}
 
-	cfg.Faults = &faults.Plan{Seed: 7, KillRate: 0.05, RecoveryBudget: 64}
-	faulted, err := RunBenchmarkCfg(prog, core.WorldHRT, cfg)
+	opts.Faults = &faults.Plan{Seed: 7, KillRate: 0.05, RecoveryBudget: 64}
+	faulted, err := RunBenchmark(prog, core.WorldHRT, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +87,16 @@ func TestExitlessTierTransitionsReplayable(t *testing.T) {
 		t.Fatal("fasta program missing")
 	}
 	for _, seed := range []uint64{1, 7, 42} {
-		cfg := RunConfig{
-			Router: true, Exitless: true,
+		opts := core.Options{
+			Exitless:     true,
 			RouterPolicy: hvm.RouterPolicy{RingCalls: 32, RingWindow: 13_200_000, CleanStreak: 16},
 			Faults:       &faults.Plan{Seed: seed, KillRate: 0.05, RecoveryBudget: 64},
 		}
-		a, err := RunBenchmarkCfg(prog, core.WorldHRT, cfg)
+		a, err := RunBenchmark(prog, core.WorldHRT, opts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunBenchmarkCfg(prog, core.WorldHRT, cfg)
+		b, err := RunBenchmark(prog, core.WorldHRT, opts, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func RunFaultsSuite() ([]FaultsRun, error) {
 	var runs []FaultsRun
 	var cleanOut []byte
 	for _, cfg := range faultsConfigs() {
-		res, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{Faults: cfg.Plan})
+		res, err := RunBenchmark(prog, core.WorldHRT, core.Options{Faults: cfg.Plan}, false)
 		if err != nil {
 			return nil, fmt.Errorf("bench: faults config %s: %w", cfg.Name, err)
 		}

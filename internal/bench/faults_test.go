@@ -17,14 +17,14 @@ func TestFaultedOutputProperty(t *testing.T) {
 	if !ok {
 		t.Fatal("n-body program missing")
 	}
-	clean, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{})
+	clean, err := RunBenchmark(prog, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []uint64{7, 21, 99, 12345} {
-		res, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{
+		res, err := RunBenchmark(prog, core.WorldHRT, core.Options{
 			Faults: &faults.Plan{Seed: seed, Rate: 0.05, KillRate: 0.002, RecoveryBudget: 128},
-		})
+		}, false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -45,16 +45,16 @@ func TestFaultedRunReplays(t *testing.T) {
 	if !ok {
 		t.Fatal("n-body program missing")
 	}
-	cfg := func() RunConfig {
-		return RunConfig{Faults: &faults.Plan{
+	opts := func() core.Options {
+		return core.Options{Faults: &faults.Plan{
 			Seed: 17, Rate: 0.05, KillRate: 0.005, RecoveryBudget: 128,
 		}}
 	}
-	a, err := RunBenchmarkCfg(prog, core.WorldHRT, cfg())
+	a, err := RunBenchmark(prog, core.WorldHRT, opts(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBenchmarkCfg(prog, core.WorldHRT, cfg())
+	b, err := RunBenchmark(prog, core.WorldHRT, opts(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

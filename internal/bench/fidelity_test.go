@@ -16,7 +16,7 @@ func faultTraceFor(t *testing.T, world core.World, src string) []ros.FaultRecord
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystemForWorld(world, fs, "trace")
+	sys, err := NewSystemForWorld(world, core.Options{FS: fs, AppName: "trace"})
 	if err != nil {
 		t.Fatal(err)
 	}

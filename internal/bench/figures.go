@@ -48,26 +48,9 @@ func newHybrid(name string, hrtCore machine.CoreID) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	fat, err := core.Build(core.BuildInput{
-		App:        core.NewAppImage(name),
-		AeroKernel: core.NewAeroKernelImage(),
+	return NewSystemForWorld(core.WorldHRT, core.Options{
+		FS: fs, AppName: name, HRTCores: []machine.CoreID{hrtCore},
 	})
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(fat, core.Options{
-		Hybrid:   true,
-		FS:       fs,
-		AppName:  name,
-		HRTCores: []machine.CoreID{hrtCore},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.InitRuntime(); err != nil {
-		return nil, err
-	}
-	return sys, nil
 }
 
 // Figure2 regenerates the round-trip latency table of ROS<->HRT
@@ -297,7 +280,7 @@ func Figure10() (*Table, error) {
 		},
 	}
 	for _, p := range Programs() {
-		res, err := RunBenchmark(p, core.WorldNative)
+		res, err := RunBenchmark(p, core.WorldNative, core.Options{}, false)
 		if err != nil {
 			return nil, err
 		}
@@ -334,7 +317,7 @@ func Figure11() (*Table, error) {
 // mmap/munmap/mprotect and signal traffic).
 func Figure12() (*Table, error) {
 	p, _ := ProgramByName("binary-tree-2")
-	res, err := RunBenchmark(p, core.WorldNative)
+	res, err := RunBenchmark(p, core.WorldNative, core.Options{}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +341,7 @@ func Figure13() (*Table, error) {
 		var secs [3]float64
 		var fwdS, fwdF uint64
 		for i, w := range []core.World{core.WorldNative, core.WorldVirtual, core.WorldHRT} {
-			res, err := RunBenchmark(p, w)
+			res, err := RunBenchmark(p, w, core.Options{}, false)
 			if err != nil {
 				return nil, err
 			}

@@ -116,7 +116,8 @@ func buildGridNodesObserved(n int, plan *faults.Plan, reg *telemetry.Registry, r
 		if err != nil {
 			return nil, nil, err
 		}
-		sys, err := NewSystemForWorldCfg(core.WorldHRT, fs, "grid", RunConfig{
+		sys, err := NewSystemForWorld(core.WorldHRT, core.Options{
+			FS: fs, AppName: "grid",
 			Metrics: reg, Recorder: rec, Faults: plan,
 		})
 		if err != nil {
@@ -169,7 +170,7 @@ func gridMigrateUnit(b *GridBaseline) error {
 	if err != nil {
 		return err
 	}
-	ref, err := NewSystemForWorldCfg(core.WorldHRT, fs, "grid", RunConfig{})
+	ref, err := NewSystemForWorld(core.WorldHRT, core.Options{FS: fs, AppName: "grid"})
 	if err != nil {
 		return err
 	}

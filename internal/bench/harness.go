@@ -6,9 +6,6 @@ import (
 
 	"multiverse/internal/core"
 	"multiverse/internal/cycles"
-	"multiverse/internal/faults"
-	"multiverse/internal/hvm"
-	"multiverse/internal/machine"
 	"multiverse/internal/ros"
 	"multiverse/internal/scheme"
 	"multiverse/internal/telemetry"
@@ -19,6 +16,9 @@ import (
 type RunResult struct {
 	Program string
 	World   core.World
+	// Opts is the configuration the system booted with, defaults filled
+	// in (so Exitless runs report Router too).
+	Opts core.Options
 
 	// Cycles is the end-to-end virtual runtime observed by the process's
 	// main thread (what `time` would report on the testbed).
@@ -33,7 +33,7 @@ type RunResult struct {
 	ForwardedFaults   uint64
 	Merges            int
 
-	// Boundary-router tier counters (all zero unless RunConfig.Router).
+	// Boundary-router tier counters (all zero unless Options.Router).
 	RouterLocalHits     uint64
 	RouterCacheHits     uint64
 	RouterCacheMisses   uint64
@@ -45,7 +45,7 @@ type RunResult struct {
 	// promoted synchronous-channel, and tier-3 ring round trips).
 	ForwardedSyscallCycles cycles.Cycles
 
-	// Tier-3 exitless counters (all zero unless RunConfig.Exitless).
+	// Tier-3 exitless counters (all zero unless Options.Exitless).
 	RingCalls        uint64
 	RingPromotions   uint64
 	RingDemotions    uint64
@@ -57,7 +57,7 @@ type RunResult struct {
 
 	// Incremental-merger counters. Entries copied and broadcast shootdowns
 	// accrue on every hybrid run (the fixed paths count too); the delta,
-	// targeted, and local-fault counters are zero unless RunConfig.Merger.
+	// targeted, and local-fault counters are zero unless Options.Merger.
 	PML4EntriesCopied  uint64
 	MergerDeltaEntries uint64
 	MergerTargeted     uint64
@@ -72,59 +72,12 @@ type RunResult struct {
 
 	// Telemetry of the run: Tracer is nil unless tracing was requested;
 	// Metrics is always populated; Recorder is the flight recorder (nil
-	// only when RunConfig.NoRecorder ran the system dark).
+	// only when Options.NoRecorder ran the system dark); Hotspots is the
+	// legacy-interface profile (nil outside WorldHRT).
 	Tracer   *telemetry.Tracer
 	Metrics  *telemetry.Registry
 	Recorder *telemetry.Recorder
-}
-
-// RunConfig carries the optional knobs of a benchmark run.
-type RunConfig struct {
-	// AKMemory switches the runtime's GC to AeroKernel memory management
-	// (WorldHRT only).
-	AKMemory bool
-	// Router enables the adaptive boundary-crossing fast path
-	// (core.Options.Router); only meaningful in WorldHRT.
-	Router bool
-	// RouterPolicy tunes promotion/demotion when Router is set; zero
-	// fields take hvm.DefaultRouterPolicy.
-	RouterPolicy hvm.RouterPolicy
-	// Exitless enables the router's tier-3 polled SPSC rings
-	// (core.Options.Exitless); requires Router, only meaningful in
-	// WorldHRT.
-	Exitless bool
-	// Merger enables the incremental state-superposition merger
-	// (core.Options.Merger); only meaningful in WorldHRT.
-	Merger bool
-	// Scheduler enables the AeroKernel per-core run-queue scheduler
-	// (core.Options.Scheduler); only meaningful in WorldHRT.
-	Scheduler bool
-	// HRTCoreCount sizes the HRT partition (cores 1..N, with the machine
-	// grown to fit when the default 2x4 topology is too small); 0 keeps
-	// the default single HRT core. Only meaningful in WorldHRT.
-	HRTCoreCount int
-	// Faults arms the deterministic fault-injection plane
-	// (core.Options.Faults); only meaningful in WorldHRT.
-	Faults *faults.Plan
-	// WarmPool bounds the warm AeroKernel context pool
-	// (core.Options.WarmPool); 0 keeps the cold-boot-only spawn path.
-	WarmPool int
-	// MaxGroups caps concurrently live execution groups
-	// (core.Options.MaxGroups); 0 = uncapped.
-	MaxGroups int
-	// TenantBudget arms per-group boundary budgets
-	// (core.Options.TenantBudget); nil = off.
-	TenantBudget *core.TenantBudget
-	// Tracer records virtual-time spans for the run (nil = tracing off).
-	Tracer *telemetry.Tracer
-	// Metrics receives the run's counters; one is created when nil.
-	Metrics *telemetry.Registry
-	// Recorder supplies the flight recorder; one is created when nil
-	// unless NoRecorder is set.
-	Recorder *telemetry.Recorder
-	// NoRecorder runs the system without a flight recorder (the
-	// observability bench's dark baseline).
-	NoRecorder bool
+	Hotspots *core.HotspotProfile
 }
 
 // BenchDir is where the harness installs program files.
@@ -148,86 +101,42 @@ func provisionFS(prog *Program) (*vfs.FS, error) {
 	return fs, nil
 }
 
-// NewSystemForWorld assembles a system configured for one of Figure 13's
-// three worlds. For WorldHRT the returned system is hybrid and already
-// initialized (AeroKernel booted, address spaces merged).
-func NewSystemForWorld(world core.World, fs *vfs.FS, name string) (*core.System, error) {
-	return NewSystemForWorldCfg(world, fs, name, RunConfig{})
-}
-
-// NewSystemForWorldCfg is NewSystemForWorld with telemetry attached.
-func NewSystemForWorldCfg(world core.World, fs *vfs.FS, name string, cfg RunConfig) (*core.System, error) {
-	opts := core.Options{
-		AppName: name, FS: fs, Tracer: cfg.Tracer, Metrics: cfg.Metrics,
-		Recorder: cfg.Recorder, NoRecorder: cfg.NoRecorder,
-		Router: cfg.Router, RouterPolicy: cfg.RouterPolicy, Exitless: cfg.Exitless,
-		Merger: cfg.Merger, Scheduler: cfg.Scheduler,
-		Faults: cfg.Faults,
-		WarmPool: cfg.WarmPool, MaxGroups: cfg.MaxGroups, TenantBudget: cfg.TenantBudget,
-	}
+// NewSystemForWorld boots a system for one of Figure 13's three worlds.
+// The world sets opts.Hybrid and opts.Virtual; every other option goes to
+// core.NewSystem unchanged. For WorldHRT the returned system is hybrid
+// and already initialized (AeroKernel booted, address spaces merged).
+func NewSystemForWorld(world core.World, opts core.Options) (*core.System, error) {
 	switch world {
-	case core.WorldNative:
-	case core.WorldVirtual:
-		opts.Virtual = true
+	case core.WorldNative, core.WorldVirtual:
+		opts.Hybrid, opts.Virtual = false, world == core.WorldVirtual
+		return core.NewSystem(nil, opts)
 	case core.WorldHRT:
 		opts.Hybrid = true
-		if cfg.HRTCoreCount > 0 {
-			spec := machine.DefaultSpec()
-			// Core 0 stays the ROS partition; grow the sockets evenly
-			// until cores 1..N fit.
-			for spec.Sockets*spec.CoresPerSocket < cfg.HRTCoreCount+1 {
-				spec.CoresPerSocket++
-			}
-			opts.MachineSpec = &spec
-			for i := 1; i <= cfg.HRTCoreCount; i++ {
-				opts.HRTCores = append(opts.HRTCores, machine.CoreID(i))
-			}
-		}
 	default:
 		return nil, fmt.Errorf("bench: unknown world %v", world)
 	}
-	var sys *core.System
-	var err error
-	if opts.Hybrid {
-		fatImg, berr := core.Build(core.BuildInput{
-			App:        core.NewAppImage(name),
-			AeroKernel: core.NewAeroKernelImage(),
-		})
-		if berr != nil {
-			return nil, berr
-		}
-		sys, err = core.NewSystem(fatImg, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.InitRuntime(); err != nil {
-			return nil, err
-		}
-	} else {
-		sys, err = core.NewSystem(nil, opts)
-		if err != nil {
-			return nil, err
-		}
+	fat, err := core.Build(core.BuildInput{
+		App:        core.NewAppImage(opts.AppName),
+		AeroKernel: core.NewAeroKernelImage(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	sys, err := core.NewSystem(fat, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.InitRuntime(); err != nil {
+		return nil, err
 	}
 	return sys, nil
 }
 
 // RunBenchmark executes one program in one world and collects the result.
-func RunBenchmark(prog Program, world core.World) (*RunResult, error) {
-	return RunBenchmarkCfg(prog, world, RunConfig{})
-}
-
-// RunBenchmarkEx additionally supports the incrementally ported
-// configuration: akMemory switches the runtime's GC to AeroKernel memory
-// management (only meaningful — and only permitted — in WorldHRT).
-func RunBenchmarkEx(prog Program, world core.World, akMemory bool) (*RunResult, error) {
-	return RunBenchmarkCfg(prog, world, RunConfig{AKMemory: akMemory})
-}
-
-// RunBenchmarkCfg is the full-configuration entry point: AK memory plus
-// telemetry.
-func RunBenchmarkCfg(prog Program, world core.World, cfg RunConfig) (*RunResult, error) {
-	akMemory := cfg.AKMemory
+// The harness installs the program into a fresh opts.FS and names the
+// process after it; akMemory switches the runtime's GC to AeroKernel
+// memory management (only meaningful — and only permitted — in WorldHRT).
+func RunBenchmark(prog Program, world core.World, opts core.Options, akMemory bool) (*RunResult, error) {
 	if akMemory && world != core.WorldHRT {
 		return nil, fmt.Errorf("bench: AK memory requires the Multiverse world")
 	}
@@ -235,7 +144,8 @@ func RunBenchmarkCfg(prog Program, world core.World, cfg RunConfig) (*RunResult,
 	if err != nil {
 		return nil, err
 	}
-	sys, err := NewSystemForWorldCfg(world, fs, prog.Name, cfg)
+	opts.FS, opts.AppName = fs, prog.Name
+	sys, err := NewSystemForWorld(world, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -269,33 +179,41 @@ func RunBenchmarkCfg(prog Program, world core.World, cfg RunConfig) (*RunResult,
 		return nil, fmt.Errorf("bench: %s on %s: %w", prog.Name, world, runErr)
 	}
 
-	out := sys.Proc.Stdout()
-	if prog.Check != "" && !bytes.Contains(out, []byte(prog.Check)) {
+	res := ResultOf(sys, prog.Name, world, engRef)
+	if prog.Check != "" && !bytes.Contains(res.Output, []byte(prog.Check)) {
 		return nil, fmt.Errorf("bench: %s on %s: output check %q failed (got %d bytes)",
-			prog.Name, world, prog.Check, len(out))
+			prog.Name, world, prog.Check, len(res.Output))
 	}
+	return res, nil
+}
 
+// ResultOf reads the result of a finished run off its system; eng is the
+// run's Scheme engine (nil when none ran, leaving the runtime counters
+// zero).
+func ResultOf(sys *core.System, program string, world core.World, eng *scheme.Engine) *RunResult {
 	res := &RunResult{
-		Program:  prog.Name,
+		Program:  program,
 		World:    world,
+		Opts:     sys.Opts,
 		Cycles:   sys.Main.Clock.Now(),
 		Stats:    sys.Proc.Stats(),
-		Output:   out,
+		Output:   sys.Proc.Stdout(),
 		Tracer:   sys.Tracer(),
 		Metrics:  sys.Metrics(),
 		Recorder: sys.Recorder(),
 	}
 	res.Seconds = res.Cycles.Seconds()
-	if engRef != nil {
-		res.GCCollections = engRef.Interp().GC().Collections
-		res.BarrierFaults = engRef.Interp().GC().BarrierFaults
-		res.Reductions = engRef.Interp().Reductions()
+	if eng != nil {
+		res.GCCollections = eng.Interp().GC().Collections
+		res.BarrierFaults = eng.Interp().GC().BarrierFaults
+		res.Reductions = eng.Interp().Reductions()
 	}
 	if sys.AK != nil {
 		res.ForwardedSyscalls = sys.AK.ForwardedSyscalls()
 		res.ForwardedFaults = sys.AK.ForwardedFaults()
 		res.Merges = sys.AK.MergeCount()
 		res.Remerges = sys.AK.RemergeCount()
+		res.Hotspots = sys.Hotspots()
 	}
 	m := res.Metrics
 	res.RouterLocalHits = m.Counter("router.local_hits").Value()
@@ -318,7 +236,7 @@ func RunBenchmarkCfg(prog Program, world core.World, cfg RunConfig) (*RunResult,
 	res.MergerTargeted = m.Counter("merger.shootdown.targeted").Value()
 	res.MergerBroadcast = m.Counter("merger.shootdown.broadcast").Value()
 	res.LocalFaults = m.Counter("fault.local").Value()
-	return res, nil
+	return res
 }
 
 // RunStartup boots the engine (GC heap creation, prelude load, timer
@@ -330,7 +248,7 @@ func RunStartup(world core.World) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := NewSystemForWorld(world, fs, "startup")
+	sys, err := NewSystemForWorld(world, core.Options{FS: fs, AppName: "startup"})
 	if err != nil {
 		return nil, err
 	}
@@ -350,12 +268,5 @@ func RunStartup(world core.World) (*RunResult, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	return &RunResult{
-		Program: "startup",
-		World:   world,
-		Cycles:  sys.Main.Clock.Now(),
-		Seconds: sys.Main.Clock.Now().Seconds(),
-		Stats:   sys.Proc.Stats(),
-		Output:  sys.Proc.Stdout(),
-	}, nil
+	return ResultOf(sys, "startup", world, nil), nil
 }

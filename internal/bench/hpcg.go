@@ -29,7 +29,7 @@ func FigureHPCG(workers int) (*Table, error) {
 	}
 	var rows []row
 	for _, world := range []core.World{core.WorldNative, core.WorldVirtual, core.WorldHRT} {
-		sys, err := NewSystemForWorld(world, vfs.New(), "hpcg")
+		sys, err := NewSystemForWorld(world, core.Options{FS: vfs.New(), AppName: "hpcg"})
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,7 @@ func FigureIncremental(progName string) (*Table, error) {
 	}
 	var native float64
 	for _, c := range cfgs {
-		res, err := RunBenchmarkEx(prog, c.world, c.akMemory)
+		res, err := RunBenchmark(prog, c.world, core.Options{}, c.akMemory)
 		if err != nil {
 			return nil, err
 		}

@@ -51,11 +51,11 @@ func (c *MergerComparison) EntriesSaved() uint64 {
 // merger on — and pairs the results. Both runs are deterministic, so the
 // comparison is too.
 func CompareMerger(prog Program) (*MergerComparison, error) {
-	off, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{})
+	off, err := RunBenchmark(prog, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		return nil, err
 	}
-	on, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{Merger: true})
+	on, err := RunBenchmark(prog, core.WorldHRT, core.Options{Merger: true}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func mergerMetricsRun() (*telemetry.Registry, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: fasta program missing from the suite")
 	}
-	res, err := RunBenchmarkCfg(p, core.WorldHRT, RunConfig{Merger: true})
+	res, err := RunBenchmark(p, core.WorldHRT, core.Options{Merger: true}, false)
 	if err != nil {
 		return nil, err
 	}

@@ -102,14 +102,14 @@ func busiestSLO(s *telemetry.MetricsSnapshot) (string, *telemetry.HistogramSnaps
 // runObsvConfig executes one configuration and reports the run plus its
 // host wall time.
 func runObsvConfig(prog Program, armed bool, plan *faults.Plan) (*RunResult, time.Duration, error) {
-	cfg := RunConfig{Faults: plan}
+	opts := core.Options{Faults: plan}
 	if armed {
-		cfg.Tracer = telemetry.New()
+		opts.Tracer = telemetry.New()
 	} else {
-		cfg.NoRecorder = true
+		opts.NoRecorder = true
 	}
 	start := time.Now()
-	res, err := RunBenchmarkCfg(prog, core.WorldHRT, cfg)
+	res, err := RunBenchmark(prog, core.WorldHRT, opts, false)
 	return res, time.Since(start), err
 }
 

@@ -22,9 +22,9 @@ func TestCausalTimelineFromFlightDump(t *testing.T) {
 	if !ok {
 		t.Fatal("fasta program missing")
 	}
-	res, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{
+	res, err := RunBenchmark(prog, core.WorldHRT, core.Options{
 		Faults: &faults.Plan{Seed: 7, Rate: 0.05, KillRate: 1, RecoveryBudget: 1},
-	})
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCausalTimelineFromFlightDump(t *testing.T) {
 	}
 
 	// The perturbation rule holds even for the run that died twice.
-	clean, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{})
+	clean, err := RunBenchmark(prog, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTraceCarriesRequestIDs(t *testing.T) {
 		t.Fatal("n-body program missing")
 	}
 	tr := telemetry.New()
-	res, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{Tracer: tr})
+	res, err := RunBenchmark(prog, core.WorldHRT, core.Options{Tracer: tr}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +142,9 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			}
 		}()
 	}
-	_, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{
-		Scheduler: true, HRTCoreCount: 4, Metrics: reg,
-	})
+	_, err := RunBenchmark(prog, core.WorldHRT, core.Options{
+		Scheduler: true, HRTCores: core.HRTCoreRange(4), Metrics: reg,
+	}, false)
 	close(done)
 	wg.Wait()
 	if err != nil {

@@ -19,7 +19,7 @@ func TestREPLInKernelMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := NewSystemForWorld(world, fs, "repl")
+		sys, err := NewSystemForWorld(world, core.Options{FS: fs, AppName: "repl"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	for name, want := range golden {
 		p, _ := ProgramByName(name)
-		res, err := RunBenchmark(p, core.WorldNative)
+		res, err := RunBenchmark(p, core.WorldNative, core.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,11 +44,11 @@ func (c *RouterComparison) CrossingsEliminated() uint64 {
 // router on — and pairs the results. Both runs are deterministic, so the
 // comparison is too.
 func CompareRouter(prog Program) (*RouterComparison, error) {
-	off, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{})
+	off, err := RunBenchmark(prog, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		return nil, err
 	}
-	on, err := RunBenchmarkCfg(prog, core.WorldHRT, RunConfig{Router: true})
+	on, err := RunBenchmark(prog, core.WorldHRT, core.Options{Router: true}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func FigureRouter() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sysR, err := NewSystemForWorldCfg(core.WorldHRT, fs, "router-micro", RunConfig{Router: true})
+	sysR, err := NewSystemForWorld(core.WorldHRT, core.Options{FS: fs, AppName: "router-micro", Router: true})
 	if err != nil {
 		return nil, err
 	}

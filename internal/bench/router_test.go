@@ -17,7 +17,7 @@ func routedSystem(t *testing.T, name string, policy hvm.RouterPolicy) *core.Syst
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystemForWorldCfg(core.WorldHRT, fs, name, RunConfig{Router: true, RouterPolicy: policy})
+	sys, err := NewSystemForWorld(core.WorldHRT, core.Options{FS: fs, AppName: name, Router: true, RouterPolicy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,8 @@ func TestRouterTraceEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystemForWorldCfg(core.WorldHRT, fs, "router-trace", RunConfig{
+	sys, err := NewSystemForWorld(core.WorldHRT, core.Options{
+		FS: fs, AppName: "router-trace",
 		Router:       true,
 		RouterPolicy: hvm.RouterPolicy{PromoteCalls: 4, PromoteWindow: 10_000_000, DemoteIdle: 1_000_000},
 		Tracer:       tracer,

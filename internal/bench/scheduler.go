@@ -89,20 +89,19 @@ type schedHPCGRun struct {
 // cores HRT cores, runs the CG solve with schedWorkers scheduler-placed
 // workers, and verifies the solution.
 func runSchedulerHPCG(cores int) (*schedHPCGRun, error) {
-	return runHPCGWorkload(true, cores, schedWorkers)
+	return runHPCGWorkload(core.Options{Scheduler: true, HRTCores: core.HRTCoreRange(cores)}, schedWorkers)
 }
 
 // runHPCGWorkload is the parameterized HPCG run behind both the scaling
-// suite and mvrun's manual-experiment surface: scheduler knob, HRT
-// partition size, and legion worker count are all free.
-func runHPCGWorkload(scheduler bool, cores, workers int) (*schedHPCGRun, error) {
+// suite and mvrun's manual-experiment surface: the options (scheduler,
+// HRT partition) and the legion worker count are all free.
+func runHPCGWorkload(opts core.Options, workers int) (*schedHPCGRun, error) {
 	fs, err := provisionFS(nil)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := NewSystemForWorldCfg(core.WorldHRT, fs, "hpcg-sched", RunConfig{
-		Scheduler: scheduler, HRTCoreCount: cores,
-	})
+	opts.FS, opts.AppName = fs, "hpcg-sched"
+	sys, err := NewSystemForWorld(core.WorldHRT, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -128,10 +127,10 @@ func runHPCGWorkload(scheduler bool, cores, workers int) (*schedHPCGRun, error) 
 		return nil, err
 	}
 	if runErr != nil {
-		return nil, fmt.Errorf("bench: scheduler HPCG on %d cores: %w", cores, runErr)
+		return nil, fmt.Errorf("bench: scheduler HPCG on %d cores: %w", len(sys.Opts.HRTCores), runErr)
 	}
 	if err := legion.VerifySolution(out.Result.X, 1e-6); err != nil {
-		return nil, fmt.Errorf("bench: scheduler HPCG on %d cores: %w", cores, err)
+		return nil, fmt.Errorf("bench: scheduler HPCG on %d cores: %w", len(sys.Opts.HRTCores), err)
 	}
 	m := sys.Metrics()
 	out.End = sys.Main.Clock.Now()
@@ -147,18 +146,17 @@ func runHPCGWorkload(scheduler bool, cores, workers int) (*schedHPCGRun, error) 
 	return out, nil
 }
 
-// HPCGWorkloadTable runs one HPCG solve in the HRT world with the given
-// scheduler knob, HRT partition size, and legion worker count, and renders
-// the result — the manual experiment `mvrun -bench hpcg -scheduler
-// -hrtcores N -workers M` drives.
-func HPCGWorkloadTable(scheduler bool, cores, workers int) (*Table, error) {
-	run, err := runHPCGWorkload(scheduler, cores, workers)
+// HPCGWorkloadTable runs one HPCG solve in the HRT world under opts with
+// the given legion worker count, and renders the result — the manual
+// experiment `mvrun -bench hpcg -scheduler -hrtcores N -workers M` drives.
+func HPCGWorkloadTable(opts core.Options, workers int) (*Table, error) {
+	run, err := runHPCGWorkload(opts, workers)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		Title: fmt.Sprintf("HPCG n=%d iters=%d workers=%d hrtcores=%d scheduler=%v",
-			schedHPCGN, schedHPCGIters, workers, cores, scheduler),
+			schedHPCGN, schedHPCGIters, workers, len(opts.HRTCores), opts.Scheduler),
 		Header: []string{"End cycles", "Solve cycles", "Sync ops", "Steals", "Placements", "Halts", "Queue delay"},
 	}
 	t.AddRow(
@@ -198,8 +196,9 @@ func runSchedulerPlaces(cores, nplaces int) (cycles.Cycles, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	sys, err := NewSystemForWorldCfg(core.WorldHRT, fs, "places-sched", RunConfig{
-		Scheduler: true, HRTCoreCount: cores,
+	sys, err := NewSystemForWorld(core.WorldHRT, core.Options{
+		FS: fs, AppName: "places-sched",
+		Scheduler: true, HRTCores: core.HRTCoreRange(cores),
 	})
 	if err != nil {
 		return 0, 0, err
@@ -241,8 +240,9 @@ func runImbalancedSteal() (cycles.Cycles, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	sys, err := NewSystemForWorldCfg(core.WorldHRT, fs, "ramp-sched", RunConfig{
-		Scheduler: true, HRTCoreCount: schedRampCores,
+	sys, err := NewSystemForWorld(core.WorldHRT, core.Options{
+		FS: fs, AppName: "ramp-sched",
+		Scheduler: true, HRTCores: core.HRTCoreRange(schedRampCores),
 	})
 	if err != nil {
 		return 0, 0, err

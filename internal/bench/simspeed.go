@@ -92,13 +92,13 @@ func simspeedUnits() []struct {
 	name string
 	run  func() (*simspeedResult, error)
 } {
-	progRun := func(name string, cfg RunConfig) func() (*simspeedResult, error) {
+	progRun := func(name string, opts core.Options) func() (*simspeedResult, error) {
 		return func() (*simspeedResult, error) {
 			prog, ok := ProgramByName(name)
 			if !ok {
 				return nil, fmt.Errorf("bench: no program %q", name)
 			}
-			res, err := RunBenchmarkCfg(prog, core.WorldHRT, cfg)
+			res, err := RunBenchmark(prog, core.WorldHRT, opts, false)
 			if err != nil {
 				return nil, err
 			}
@@ -115,11 +115,11 @@ func simspeedUnits() []struct {
 		name string
 		run  func() (*simspeedResult, error)
 	}{
-		{"fasta/router", progRun("fasta", RunConfig{Router: true})},
-		{"fasta/exitless", progRun("fasta", RunConfig{Router: true, Exitless: true})},
-		{"fasta-3/merger+sched", progRun("fasta-3", RunConfig{Router: true, Merger: true, Scheduler: true})},
+		{"fasta/router", progRun("fasta", core.Options{Router: true})},
+		{"fasta/exitless", progRun("fasta", core.Options{Exitless: true})},
+		{"fasta-3/merger+sched", progRun("fasta-3", core.Options{Router: true, Merger: true, Scheduler: true})},
 		{"hpcg/sched-4c8w", func() (*simspeedResult, error) {
-			run, err := runHPCGWorkload(true, 4, 8)
+			run, err := runHPCGWorkload(core.Options{Scheduler: true, HRTCores: core.HRTCoreRange(4)}, 8)
 			if err != nil {
 				return nil, err
 			}

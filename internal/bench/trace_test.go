@@ -18,7 +18,7 @@ func traceRun(t *testing.T, progName string) []byte {
 		t.Fatalf("unknown program %q", progName)
 	}
 	tr := telemetry.New()
-	if _, err := RunBenchmarkCfg(p, core.WorldHRT, RunConfig{Tracer: tr}); err != nil {
+	if _, err := RunBenchmark(p, core.WorldHRT, core.Options{Tracer: tr}, false); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -70,11 +70,11 @@ func TestTraceGoldenDeterminism(t *testing.T) {
 // agree on every virtual-time outcome.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	p, _ := ProgramByName("fasta")
-	plain, err := RunBenchmark(p, core.WorldHRT)
+	plain, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := RunBenchmarkCfg(p, core.WorldHRT, RunConfig{Tracer: telemetry.New()})
+	traced, err := RunBenchmark(p, core.WorldHRT, core.Options{Tracer: telemetry.New()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"multiverse/internal/cycles"
 	"multiverse/internal/faults"
@@ -419,5 +420,37 @@ func TestWarmPoolBounded(t *testing.T) {
 	}
 	if drops := m.Counter("density.warm.drops").Value(); drops != groups-poolMax {
 		t.Errorf("density.warm.drops = %d, want %d", drops, groups-poolMax)
+	}
+}
+
+// TestConcurrentExitsAllSignalled releases many groups at once so their
+// HRT exit signals overlap. A signal handler that drains another group's
+// exit id must set that group's exit bit before the other group's own
+// handler returns; otherwise that partner serves the exit notification
+// with the bit still clear, waits for a request that never comes, and
+// the join wedges.
+func TestConcurrentExitsAllSignalled(t *testing.T) {
+	sys := buildTestSystem(t, Options{AppName: "exits", WedgeTimeout: 20 * time.Second})
+	const groups, rounds = 32, 8
+	for r := 0; r < rounds; r++ {
+		arrived := make(chan struct{}, groups)
+		gate := make(chan struct{})
+		gs := make([]*ExecutionGroup, groups)
+		for i := range gs {
+			g, err := sys.SpawnGroup(sys.Main.Clock, holdFn(arrived, gate))
+			if err != nil {
+				t.Fatalf("round %d spawn %d: %v", r, i, err)
+			}
+			gs[i] = g
+		}
+		for range gs {
+			<-arrived
+		}
+		close(gate)
+		for i, g := range gs {
+			if _, err := g.Join(sys.Main); err != nil {
+				t.Fatalf("round %d join %d: %v", r, i, err)
+			}
+		}
 	}
 }

@@ -302,8 +302,11 @@ func (gr *Grid) migrateNow(g *ExecutionGroup, t *aerokernel.Thread, target *Syst
 
 // DrainNode stops placement on node i and migrates every live group off
 // it (ascending group-id order, each at its next boundary crossing),
-// returning how many moved. Groups that exit before crossing again
-// count as drained; degraded groups stay (they do not migrate).
+// returning how many moved. The members are the groups live on node i
+// when the drain flag is set, taken under the same lock, so the count
+// never depends on when the host schedules this call. Members that exit
+// before crossing again count as drained; degraded groups stay (they do
+// not migrate).
 func (gr *Grid) DrainNode(i int) (int, error) {
 	if i < 0 || i >= len(gr.nodes) {
 		return 0, fmt.Errorf("multiverse: no grid node %d", i)
@@ -314,10 +317,11 @@ func (gr *Grid) DrainNode(i int) (int, error) {
 		return 0, fmt.Errorf("multiverse: grid node %d is down", i)
 	}
 	gr.drain[i] = true
+	members := gr.liveGroupsOn(i)
 	gr.mu.Unlock()
 
 	moved := 0
-	for _, g := range gr.liveGroupsOn(i) {
+	for _, g := range members {
 		if g.degraded.Load() {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -246,6 +247,13 @@ func TestGridNodeKillRestoresAll(t *testing.T) {
 	}
 }
 
+// draining reports whether DrainNode has set node i's drain flag.
+func (gr *Grid) draining(i int) bool {
+	gr.mu.Lock()
+	defer gr.mu.Unlock()
+	return gr.drain[i]
+}
+
 // TestGridDrainNode drains a node through the public API: every live
 // group migrates off at its next boundary crossing and the node ends
 // empty.
@@ -276,6 +284,12 @@ func TestGridDrainNode(t *testing.T) {
 		moved, derr = gr.DrainNode(0)
 		close(drained)
 	}()
+	// Release the groups only once the drain has begun, so all four are
+	// members however the host schedules the drain goroutine; members
+	// that then exit before their next crossing still count as moved.
+	for !gr.draining(0) {
+		runtime.Gosched()
+	}
 	close(gate)
 	<-drained
 	if derr != nil {

@@ -25,11 +25,13 @@ type Options struct {
 	// Virtual hosts the ROS as an HVM guest (ignored when Hybrid, which
 	// is always virtualized).
 	Virtual bool
-	// MachineSpec overrides the default 2x4-core machine.
+	// MachineSpec overrides the default 2x4-core machine and is used
+	// exactly as given. When nil under Hybrid, the default machine grows
+	// its sockets evenly until every HRTCores entry exists.
 	MachineSpec *machine.Spec
 	// ROSCores / HRTCores partition the machine under Hybrid. Defaults:
 	// ROS on core 0, HRT on core 1 (one core each, like the paper's
-	// two-core guest).
+	// two-core guest); HRTCoreRange(n) lists the HRT cores 1..n.
 	ROSCores []machine.CoreID
 	HRTCores []machine.CoreID
 	// UseSymbolCache enables the override symbol cache (ablation; the
@@ -53,8 +55,8 @@ type Options struct {
 	// rates dedicate the partner to polling SPSC shared-memory rings, so
 	// steady-state forwarding takes zero VM exits ("Look Mum, no VM
 	// Exits!") — hypercalls remain only for ring setup/teardown and
-	// kill recovery. Requires Router (ignored without it, and in the
-	// static SyncSyscalls configuration). Off (the default) leaves the
+	// kill recovery. Implies Router (NewSystem sets it); ignored in the
+	// static SyncSyscalls configuration. Off (the default) leaves the
 	// router's tier-2 paths byte for byte.
 	Exitless bool
 	// Merger enables the incremental state-superposition merger: re-merges
@@ -124,9 +126,34 @@ func (o *Options) fill() {
 	if len(o.HRTCores) == 0 {
 		o.HRTCores = []machine.CoreID{1}
 	}
+	if o.MachineSpec == nil {
+		spec := machine.DefaultSpec()
+		if o.Hybrid {
+			// Grow the sockets evenly until every HRT core exists.
+			for _, c := range o.HRTCores {
+				for spec.Sockets*spec.CoresPerSocket <= int(c) {
+					spec.CoresPerSocket++
+				}
+			}
+		}
+		o.MachineSpec = &spec
+	}
+	if o.Exitless {
+		o.Router = true
+	}
 	if o.WedgeTimeout == 0 {
 		o.WedgeTimeout = 10 * time.Minute
 	}
+}
+
+// HRTCoreRange lists cores 1..n, an n-core HRT partition beside the ROS
+// on core 0; n <= 0 yields nil (the default single HRT core).
+func HRTCoreRange(n int) []machine.CoreID {
+	var cores []machine.CoreID
+	for i := 1; i <= n; i++ {
+		cores = append(cores, machine.CoreID(i))
+	}
+	return cores
 }
 
 // System is one assembled Multiverse machine: hardware, VMM, ROS, the
@@ -148,7 +175,7 @@ type System struct {
 	// spawn handoff, and join lookup from a thousand concurrent tenants
 	// must not serialize on one lock. The ID counters are atomics for the
 	// same reason. s.mu now guards only the cold paths (exit hooks, the
-	// hotspot profile).
+	// exit-signal drain, the hotspot profile).
 	fnRegistry    shardedMap[func(Env) uint64]
 	nextFnID      atomic.Uint64
 	pendingSpawns shardedMap[*spawnSpec]
@@ -187,11 +214,7 @@ type System struct {
 // may be nil for non-hybrid baselines.
 func NewSystem(fat *image.Image, opts Options) (*System, error) {
 	opts.fill()
-	spec := machine.DefaultSpec()
-	if opts.MachineSpec != nil {
-		spec = *opts.MachineSpec
-	}
-	m, err := machine.New(spec)
+	m, err := machine.New(*opts.MachineSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -417,11 +440,15 @@ func (s *System) runExitHooks() {
 // exited; flip the bit in the corresponding partner's data structure.
 // Signals coalesce, so one delivery may stand for several exits: drain
 // everything pending. The raise runs synchronously on the exiting HRT
-// goroutine, after its own push and before its exit event is forwarded,
-// so draining here guarantees each group's own bit is set by the time
-// its partner services the exit notification — the partner's exit time
-// does not depend on how concurrent exits interleave.
+// goroutine, after its own push and before its exit event is forwarded.
+// Draining under s.mu makes that enough: a concurrent handler that took
+// this group's id sets its bit before releasing s.mu, so when this
+// handler returns each group's own bit is set, and its partner never
+// services the exit notification with the bit clear (it would then wait
+// forever for a request that never comes).
 func (s *System) hrtExitSignal(sig int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
 		select {
 		case gid := <-s.exitPending:

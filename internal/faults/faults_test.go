@@ -61,7 +61,7 @@ func TestSeedChangesPattern(t *testing.T) {
 func TestPerKindRates(t *testing.T) {
 	inj, _ := New(Plan{
 		Seed:  7,
-		Rate:  0, // class transports off...
+		Rate:  0,                                 // class transports off...
 		Rates: map[Kind]float64{CorruptFrame: 1}, // ...but corruption always on
 	}, nil)
 	for seq := uint64(1); seq < 16; seq++ {

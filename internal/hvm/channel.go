@@ -263,7 +263,7 @@ func (c *EventChannel) ID() uint64 { return c.id }
 // restored group re-arms it before its new partner starts serving.
 func (c *EventChannel) ArmPartnerInterrupt() {
 	c.hltMu.Lock()
-	if c.halt == nil {
+	if c.halt == nil || closed(c.halt) {
 		c.halt = make(chan struct{})
 	}
 	c.hltMu.Unlock()
@@ -275,14 +275,24 @@ func (c *EventChannel) ArmPartnerInterrupt() {
 // envelope still queued or in flight survives for the restored partner
 // on the target node. Callers must only interrupt a quiesced partner
 // (nothing pending on the wire) — the quiesce-point invariant — so the
-// pending-vs-halt select below can never race a live delivery.
+// pending-vs-halt select below can never race a live delivery. The
+// closed line stays in place until the restore re-arms it: a partner
+// that reaches Recv only after the interrupt still sees it and stops.
 func (c *EventChannel) InterruptPartner() {
 	c.hltMu.Lock()
-	h := c.halt
-	c.halt = nil
+	if c.halt != nil && !closed(c.halt) {
+		close(c.halt)
+	}
 	c.hltMu.Unlock()
-	if h != nil {
-		close(h)
+}
+
+// closed reports whether a halt line has been closed.
+func closed(h chan struct{}) bool {
+	select {
+	case <-h:
+		return true
+	default:
+		return false
 	}
 }
 

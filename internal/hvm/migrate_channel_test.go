@@ -79,6 +79,39 @@ func TestChannelInterruptReplaysInflight(t *testing.T) {
 	<-done
 }
 
+// TestChannelInterruptBeforeRecv: the grid may interrupt a quiesced
+// partner before that partner has looped back into Recv (it has just
+// completed the previous call). The interrupt must still stop it there,
+// and only the restore's re-arm clears the line.
+func TestChannelInterruptBeforeRecv(t *testing.T) {
+	h := newFaultedHVM(t, faults.Plan{Seed: 9})
+	c := h.NewEventChannel(1, 0)
+	c.ArmPartnerInterrupt()
+	c.InterruptPartner()
+	c.InterruptPartner() // a second interrupt before the restore is a no-op
+
+	stopped := make(chan *Envelope, 1)
+	go func() { stopped <- c.Recv(cycles.NewClock(0)) }()
+	select {
+	case env := <-stopped:
+		if env != nil {
+			t.Fatal("interrupted Recv delivered an envelope")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Recv entered after the interrupt blocked instead of stopping")
+	}
+
+	c.ArmPartnerInterrupt()
+	done := serveChannel(c)
+	r, err := c.Forward(cycles.NewClock(0), &Envelope{Kind: EvSyscall,
+		Call: linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}})
+	if err != nil || r.Res.Ret != 5 {
+		t.Fatalf("Forward after re-arm = %d, %v; want 5", r.Res.Ret, err)
+	}
+	c.Close()
+	<-done
+}
+
 // TestChannelRetransmitBoundRejects pins the bounded retransmission
 // window: with the duplicate rate forced on and a bound of one, the
 // first forward's duplicate occupies the window, the second forward's

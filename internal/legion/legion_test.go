@@ -12,7 +12,7 @@ import (
 // withRuntime runs fn against a legion runtime in the given world.
 func withRuntime(t *testing.T, world core.World, workers int, fn func(env core.Env, rt *legion.Runtime)) *core.System {
 	t.Helper()
-	sys, err := bench.NewSystemForWorld(world, vfs.New(), "legion")
+	sys, err := bench.NewSystemForWorld(world, core.Options{FS: vfs.New(), AppName: "legion"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestShutdownIdempotentAndJoins(t *testing.T) {
 }
 
 func TestNewRejectsZeroWorkers(t *testing.T) {
-	sys, err := bench.NewSystemForWorld(core.WorldNative, vfs.New(), "legion0")
+	sys, err := bench.NewSystemForWorld(core.WorldNative, core.Options{FS: vfs.New(), AppName: "legion0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@ import (
 // run queues + Chase–Lev work stealing over 4 HRT cores).
 func withStealRuntime(t *testing.T, name string, workers int, fn func(env core.Env, rt *legion.Runtime)) {
 	t.Helper()
-	sys, err := bench.NewSystemForWorldCfg(core.WorldHRT, vfs.New(), name, bench.RunConfig{
-		Scheduler: true, HRTCoreCount: 4,
+	sys, err := bench.NewSystemForWorld(core.WorldHRT, core.Options{
+		FS: vfs.New(), AppName: name,
+		Scheduler: true, HRTCores: core.HRTCoreRange(4),
 	})
 	if err != nil {
 		t.Fatal(err)

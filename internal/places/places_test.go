@@ -17,7 +17,7 @@ func runWithPlaces(t *testing.T, world core.World, src string) (*core.System, *s
 	if err := scheme.InstallPrelude(fs); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := bench.NewSystemForWorld(world, fs, "places")
+	sys, err := bench.NewSystemForWorld(world, core.Options{FS: fs, AppName: "places"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPlaceValueMarshalling(t *testing.T) {
 func TestPlaceErrorsSurface(t *testing.T) {
 	fs := vfs.New()
 	_ = scheme.InstallPrelude(fs)
-	sys, err := bench.NewSystemForWorld(core.WorldNative, fs, "placeerr")
+	sys, err := bench.NewSystemForWorld(core.WorldNative, core.Options{FS: fs, AppName: "placeerr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPlaceErrorsSurface(t *testing.T) {
 func TestPlacesUnavailableWithoutAttach(t *testing.T) {
 	fs := vfs.New()
 	_ = scheme.InstallPrelude(fs)
-	sys, err := bench.NewSystemForWorld(core.WorldNative, fs, "noplaces")
+	sys, err := bench.NewSystemForWorld(core.WorldNative, core.Options{FS: fs, AppName: "noplaces"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,6 @@ type Obj struct {
 	// dispatches on one byte instead of converting and comparing the
 	// symbol name on every combination.
 	special uint8
-
 }
 
 // objExt is the side car of closures (Params..Env), builtins (Name, Fn),

@@ -16,7 +16,7 @@ import (
 // plus any run error.
 func runVCode(t *testing.T, world core.World, src string) (*core.System, error) {
 	t.Helper()
-	sys, err := bench.NewSystemForWorld(world, vfs.New(), "vcode")
+	sys, err := bench.NewSystemForWorld(world, core.Options{FS: vfs.New(), AppName: "vcode"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,6 @@ type Thread struct {
 
 	mu          sync.Mutex
 	ch          *hvm.EventChannel
-	syncSvc     *hvm.SyncSyscallChannel
 	router      *hvm.SyscallRouter
 	fallback    *Fallback
 	schedEntry  *QueueEntry // run-queue slot, when scheduler-placed
@@ -96,19 +95,9 @@ func (t *Thread) queueEntry() *QueueEntry {
 	return t.schedEntry
 }
 
-// SetSyncSyscalls binds the thread's system calls to a post-merger
-// memory-polling channel instead of the asynchronous event channel —
-// the low-latency path a dedicated ROS polling thread enables.
-func (t *Thread) SetSyncSyscalls(s *hvm.SyncSyscallChannel) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.syncSvc = s
-}
-
 // SetRouter binds the thread's system calls to the execution group's
-// adaptive boundary router. The router subsumes SetSyncSyscalls: it
-// decides per call whether to answer locally, from cache, or to forward
-// (and over which channel).
+// adaptive boundary router: it decides per call whether to answer
+// locally, from cache, or to forward (and over which channel).
 func (t *Thread) SetRouter(r *hvm.SyscallRouter) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -455,53 +444,24 @@ func (t *Thread) Syscall(call linuxabi.Call) linuxabi.Result {
 		}
 	}
 
-	// Degraded ROS-only mode: the group's recovery budget is spent, so
-	// the call is served by a direct ROS entry instead of a channel.
+	var res linuxabi.Result
 	if fb := t.fallbackSvc(); fb != nil && fb.Syscall != nil {
-		res := fb.Syscall(t, call)
-		switch call.Num {
-		case linuxabi.SysMprotect, linuxabi.SysMunmap, linuxabi.SysMmap, linuxabi.SysBrk:
-			k.m.Core(t.Core).MMU.TLB().FlushAll()
-			t.Clock.Advance(k.cost.TLBFlushLocal)
-		}
-		t.Clock.Advance(k.cost.AKSysretEmul)
-		return res
-	}
-
-	var reply hvm.Reply
-	if router := t.syscallRouter(); router != nil {
+		// Degraded ROS-only mode: the group's recovery budget is spent, so
+		// the call is served by a direct ROS entry instead of a channel.
+		res = fb.Syscall(t, call)
+	} else if router := t.syscallRouter(); router != nil {
 		// Routed path: only calls that actually cross the boundary count
 		// as forwards; tier-0/tier-1 hits never leave the HRT.
-		res, crossed, err := router.Dispatch(t.Clock, t.channel(), call, reqID)
+		r, crossed, err := router.Dispatch(t.Clock, t.channel(), call, reqID)
 		if err != nil {
 			return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.EINTR}
 		}
 		if crossed {
 			k.countForwardedSyscall()
 		}
-		reply = hvm.Reply{Res: res}
-		switch call.Num {
-		case linuxabi.SysMprotect, linuxabi.SysMunmap, linuxabi.SysMmap, linuxabi.SysBrk:
-			k.m.Core(t.Core).MMU.TLB().FlushAll()
-			t.Clock.Advance(k.cost.TLBFlushLocal)
-		}
-		t.Clock.Advance(k.cost.AKSysretEmul)
-		return reply.Res
-	}
-
-	k.countForwardedSyscall()
-
-	t.mu.Lock()
-	svc := t.syncSvc
-	t.mu.Unlock()
-
-	if svc != nil {
-		res, err := svc.Invoke(t.Clock, call, reqID)
-		if err != nil {
-			return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.EINTR}
-		}
-		reply = hvm.Reply{Res: res}
+		res = r
 	} else {
+		k.countForwardedSyscall()
 		ch := t.channel()
 		if ch == nil {
 			return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.ENOSYS}
@@ -510,24 +470,24 @@ func (t *Thread) Syscall(call linuxabi.Call) linuxabi.Result {
 		env.Kind = hvm.EvSyscall
 		env.Call = call
 		env.ReqID = reqID
-		r, err := ch.Forward(t.Clock, env)
+		reply, err := ch.Forward(t.Clock, env)
 		if err != nil {
 			return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.EINTR}
 		}
-		reply = r
+		res = reply.Res
 	}
-	// A forwarded memory-management call may have tightened mappings the
-	// ROS kernel's own TLB shootdown cannot reach: Linux does not know
-	// the HRT core exists. Nautilus invalidates locally so protection
-	// changes (the GC's mprotect write barriers, munmap) take effect in
-	// the HRT too.
+	// A memory-management call may have tightened mappings the ROS
+	// kernel's own TLB shootdown cannot reach: Linux does not know the
+	// HRT core exists. Nautilus invalidates locally so protection changes
+	// (the GC's mprotect write barriers, munmap) take effect in the HRT
+	// too, whichever source served the call.
 	switch call.Num {
 	case linuxabi.SysMprotect, linuxabi.SysMunmap, linuxabi.SysMmap, linuxabi.SysBrk:
 		k.m.Core(t.Core).MMU.TLB().FlushAll()
 		t.Clock.Advance(k.cost.TLBFlushLocal)
 	}
 	t.Clock.Advance(k.cost.AKSysretEmul)
-	return reply.Res
+	return res
 }
 
 // containInjectedPanic exercises panic containment on the syscall path:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"multiverse/internal/core"
+	"multiverse/internal/hvm"
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/scheme"
 )
@@ -340,16 +341,19 @@ func TestAblationShapes(t *testing.T) {
 	}
 }
 
-// TestSyncSyscallsEndToEnd: a whole benchmark runs correctly with the
-// synchronous forwarding path, producing identical output.
-func TestSyncSyscallsEndToEnd(t *testing.T) {
+// TestPromotedSyncSyscallsEndToEnd: a whole benchmark runs correctly
+// when the router promotes the group to the synchronous forwarding path
+// on its first forward, producing identical output, faster.
+func TestPromotedSyncSyscallsEndToEnd(t *testing.T) {
 	p, _ := ProgramByName("fasta")
 	base, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	syncd, err := RunBenchmark(p, core.WorldHRT, core.Options{SyncSyscalls: true}, false)
+	syncd, err := RunBenchmark(p, core.WorldHRT, core.Options{
+		Router: true, RouterPolicy: hvm.RouterPolicy{PromoteCalls: 1},
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +363,7 @@ func TestSyncSyscallsEndToEnd(t *testing.T) {
 	if syncd.Seconds >= base.Seconds {
 		t.Errorf("sync forwarding (%.4fs) not faster than async (%.4fs) on a syscall-heavy benchmark", syncd.Seconds, base.Seconds)
 	}
-	t.Logf("fasta: async %.4fs, sync-forwarding %.4fs", base.Seconds, syncd.Seconds)
+	t.Logf("fasta: async %.4fs, promoted sync-forwarding %.4fs", base.Seconds, syncd.Seconds)
 }
 
 // TestIncrementalPortingPayoff is the end-to-end thesis of the paper: the

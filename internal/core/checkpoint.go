@@ -150,9 +150,7 @@ func (s *System) RestoreGroup(g *ExecutionGroup, cp *GroupCheckpoint, migClk *cy
 
 	// Replay the mirrored-state merge on the target node, best-effort
 	// exactly as in watchdog respawn.
-	if err := s.HVM.MergeAddressSpace(migClk, s.Proc.CR3()); err != nil {
-		_ = err
-	}
+	_ = s.HVM.MergeAddressSpace(migClk, s.Proc.CR3())
 
 	// Move the group between fault domains: registry entry, live-count
 	// accounting, and the hosting-System pointer.

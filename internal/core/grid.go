@@ -23,10 +23,12 @@ import (
 // (and therefore its output) are bit-for-bit what an unmigrated run
 // produces. The quiesce-point invariant makes that safe: groups are
 // only interrupted at syscall boundaries, where no forwarded call is
-// in flight and the serve loop is parked in Recv.
+// in flight and the serve loop is parked in Recv. (A router-promoted
+// group is the known exception: Quiesce demotes it, and it re-promotes
+// on the target's clock, so its cycle total shifts.)
 //
 // Grid nodes must be built alike: hybrid, booted (InitRuntime ran), no
-// static sync forwarding, no scheduler, identical machine topologies,
+// scheduler, identical machine topologies,
 // and a shared metrics registry / flight recorder / process PID so a
 // group observes nothing node-specific across a move. NewGrid seeds
 // each node's group/thread/channel id counters into disjoint ranges so
@@ -71,9 +73,6 @@ func NewGrid(nodes []*System) (*Grid, error) {
 		}
 		if s.Opts.Scheduler || s.AK.Scheduler() != nil {
 			return nil, fmt.Errorf("multiverse: grid node %d runs the AK scheduler (migration requires boot-core pinning)", i)
-		}
-		if s.Opts.SyncSyscalls {
-			return nil, fmt.Errorf("multiverse: grid node %d uses static sync forwarding (pinned channels do not migrate)", i)
 		}
 		if s.grid != nil {
 			return nil, fmt.Errorf("multiverse: grid node %d already belongs to a grid", i)

@@ -89,72 +89,85 @@ func corpusApp(seed uint64, calls int, start <-chan struct{}) func(Env) uint64 {
 // property: over a corpus of random programs and migration points, a
 // migrated run produces byte-identical output (source stdout + target
 // stdout), the same exit code, and the identical virtual-cycle total as
-// an unmigrated run of the same program.
+// an unmigrated run of the same program. The router case uses the
+// default policy, which does not promote within these short programs: a
+// group migrated while promoted is not cycle-transparent (DESIGN.md,
+// "Virtual transparency").
 func TestGridMigrateTransparency(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		for _, migrateAt := range []uint64{1, 3, 7} {
-			// Unmigrated reference on a standalone system.
-			ref := buildTestSystem(t, Options{AppName: "grid"})
-			refStart := make(chan struct{})
-			close(refStart)
-			rg, err := ref.SpawnGroup(ref.Main.Clock, corpusApp(seed, 12, refStart))
-			if err != nil {
-				t.Fatalf("ref spawn: %v", err)
-			}
-			refCode, err := rg.Join(ref.Main)
-			if err != nil {
-				t.Fatalf("ref join: %v", err)
-			}
-			refOut := ref.Proc.Stdout()
-			refCycles := rg.HRTThread().Clock.Now()
-			refDone := rg.Channel().Window().Completed
+	for _, cfg := range []struct {
+		name string
+		opts Options
+	}{
+		{"paper", Options{AppName: "grid"}},
+		{"router", Options{AppName: "grid", Router: true}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				for _, migrateAt := range []uint64{1, 3, 7} {
+					// Unmigrated reference on a standalone system.
+					ref := buildTestSystem(t, cfg.opts)
+					refStart := make(chan struct{})
+					close(refStart)
+					rg, err := ref.SpawnGroup(ref.Main.Clock, corpusApp(seed, 12, refStart))
+					if err != nil {
+						t.Fatalf("ref spawn: %v", err)
+					}
+					refCode, err := rg.Join(ref.Main)
+					if err != nil {
+						t.Fatalf("ref join: %v", err)
+					}
+					refOut := ref.Proc.Stdout()
+					refCycles := rg.HRTThread().Clock.Now()
+					refDone := rg.Channel().Window().Completed
 
-			// Grid run, migrating node 0 -> node 1 at crossing migrateAt.
-			gr := buildTestGrid(t, 2, Options{AppName: "grid"})
-			start := make(chan struct{})
-			g, err := gr.SpawnGroupOn(0, corpusApp(seed, 12, start))
-			if err != nil {
-				t.Fatalf("grid spawn: %v", err)
-			}
-			req := &migrateRequest{
-				gr:         gr,
-				target:     gr.Node(1),
-				targetNode: 1,
-				afterCalls: migrateAt - 1,
-				done:       make(chan struct{}),
-			}
-			g.gateReq.Store(req)
-			close(start)
-			<-req.done
-			if req.err != nil {
-				t.Fatalf("seed %d at %d: migrate: %v", seed, migrateAt, req.err)
-			}
-			if g.sys() != gr.Node(1) {
-				t.Fatalf("seed %d at %d: group still on node %d", seed, migrateAt, g.sys().gridNode)
-			}
-			code, err := g.Join(gr.Node(0).Main)
-			if err != nil {
-				t.Fatalf("grid join: %v", err)
-			}
-			out := append(append([]byte{}, gr.Node(0).Proc.Stdout()...), gr.Node(1).Proc.Stdout()...)
+					// Grid run, migrating node 0 -> node 1 at crossing migrateAt.
+					gr := buildTestGrid(t, 2, cfg.opts)
+					start := make(chan struct{})
+					g, err := gr.SpawnGroupOn(0, corpusApp(seed, 12, start))
+					if err != nil {
+						t.Fatalf("grid spawn: %v", err)
+					}
+					req := &migrateRequest{
+						gr:         gr,
+						target:     gr.Node(1),
+						targetNode: 1,
+						afterCalls: migrateAt - 1,
+						done:       make(chan struct{}),
+					}
+					g.gateReq.Store(req)
+					close(start)
+					<-req.done
+					if req.err != nil {
+						t.Fatalf("seed %d at %d: migrate: %v", seed, migrateAt, req.err)
+					}
+					if g.sys() != gr.Node(1) {
+						t.Fatalf("seed %d at %d: group still on node %d", seed, migrateAt, g.sys().gridNode)
+					}
+					code, err := g.Join(gr.Node(0).Main)
+					if err != nil {
+						t.Fatalf("grid join: %v", err)
+					}
+					out := append(append([]byte{}, gr.Node(0).Proc.Stdout()...), gr.Node(1).Proc.Stdout()...)
 
-			if code != refCode {
-				t.Errorf("seed %d at %d: exit = %d, want %d", seed, migrateAt, code, refCode)
+					if code != refCode {
+						t.Errorf("seed %d at %d: exit = %d, want %d", seed, migrateAt, code, refCode)
+					}
+					if !bytes.Equal(out, refOut) {
+						t.Errorf("seed %d at %d: output %q, want %q", seed, migrateAt, out, refOut)
+					}
+					if got := g.HRTThread().Clock.Now(); got != refCycles {
+						t.Errorf("seed %d at %d: HRT cycles = %d, want %d (migration leaked virtual cost)",
+							seed, migrateAt, got, refCycles)
+					}
+					if got := g.Channel().Window().Completed; got != refDone {
+						t.Errorf("seed %d at %d: completed = %d, want %d", seed, migrateAt, got, refDone)
+					}
+					if v := gr.metrics.Counter("grid.groups.migrated").Value(); v != 1 {
+						t.Errorf("grid.groups.migrated = %d, want 1", v)
+					}
+				}
 			}
-			if !bytes.Equal(out, refOut) {
-				t.Errorf("seed %d at %d: output %q, want %q", seed, migrateAt, out, refOut)
-			}
-			if got := g.HRTThread().Clock.Now(); got != refCycles {
-				t.Errorf("seed %d at %d: HRT cycles = %d, want %d (migration leaked virtual cost)",
-					seed, migrateAt, got, refCycles)
-			}
-			if got := g.Channel().Window().Completed; got != refDone {
-				t.Errorf("seed %d at %d: completed = %d, want %d", seed, migrateAt, got, refDone)
-			}
-			if v := gr.metrics.Counter("grid.groups.migrated").Value(); v != 1 {
-				t.Errorf("grid.groups.migrated = %d, want 1", v)
-			}
-		}
+		})
 	}
 }
 
@@ -365,9 +378,6 @@ func TestGridValidation(t *testing.T) {
 	}
 	if _, err := NewGrid(nil); err == nil {
 		t.Error("NewGrid(nil) succeeded")
-	}
-	if _, err := NewGrid([]*System{build(Options{Metrics: reg, Recorder: rec, SyncSyscalls: true})}); err == nil {
-		t.Error("NewGrid accepted a static-sync node")
 	}
 	if _, err := NewGrid([]*System{build(Options{Metrics: reg, Recorder: rec, Scheduler: true})}); err == nil {
 		t.Error("NewGrid accepted a scheduler node")

@@ -27,15 +27,12 @@ var ErrGroupWedged = errors.New("multiverse: execution group wedged (no exit not
 // spawnSpec is the pending thread-creation request a partner thread hands
 // to the AeroKernel through the HVM.
 type spawnSpec struct {
-	fn      func(Env) uint64
-	core    machine.CoreID
-	super   aerokernel.Superposition
-	channel *hvm.EventChannel
-	stack   *machine.Stack
-	syncSvc *hvm.SyncSyscallChannel
-	router  *hvm.SyscallRouter
-	queue   *aerokernel.QueueEntry // run-queue slot when scheduler-placed
-	group   *ExecutionGroup
+	fn    func(Env) uint64
+	core  machine.CoreID
+	super aerokernel.Superposition
+	stack *machine.Stack
+	queue *aerokernel.QueueEntry // run-queue slot when scheduler-placed
+	group *ExecutionGroup
 }
 
 // ExecutionGroup is the pair the paper's split execution revolves around:
@@ -67,11 +64,6 @@ type ExecutionGroup struct {
 	// before or after cleanup is host-scheduling order, and it must not
 	// change the joiner's virtual clock.
 	dead atomic.Bool
-
-	// syncSvc and its dedicated polling thread exist when the system
-	// runs with synchronous syscall forwarding (Options.SyncSyscalls).
-	syncSvc *hvm.SyncSyscallChannel
-	poller  *ros.Thread
 
 	// router is the group's adaptive boundary-crossing fast path
 	// (Options.Router).
@@ -211,30 +203,6 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 		fi.AllowSite("chan", g.channel.ID())
 	}
 
-	// Optional low-latency path: a dedicated ROS thread polls a
-	// post-merger synchronous channel and services the HRT thread's
-	// system calls at cacheline latency (section 4.3's memory-based
-	// protocol), while faults and exit events stay on the event channel.
-	if s.Opts.SyncSyscalls {
-		svc, serr := s.HVM.SetupSyncSyscalls(creator, 0x7f50_0000_0000+g.id*4096, rosCore, hrtCore)
-		if serr != nil {
-			if sched != nil {
-				sched.CancelEntry(queue)
-			}
-			s.noteGroupDead()
-			g.retire()
-			return nil, serr
-		}
-		g.syncSvc = svc
-		g.poller = s.Proc.NewThread(rosCore)
-		g.poller.Start(creator, func(pt *ros.Thread) {
-			for svc.Serve(pt.Clock, func(call linuxabi.Call) linuxabi.Result {
-				return s.Proc.Syscall(pt, call)
-			}) {
-			}
-		})
-	}
-
 	// Adaptive boundary router: mirror the process-invariant state into
 	// the HRT, bridge the ROS kernel's mutation events to the cache
 	// invalidation paths, and hand the router the hooks it needs to
@@ -262,27 +230,13 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 		g.setPartner(pt)
 		creator.Advance(s.Machine.Cost.WarmPoolReuse)
 		slot.stack.Reset()
-		ht := s.AK.CreateThread(creator, hrtCore, aerokernel.Superposition{
+		g.akStack = slot.stack
+		g.startHRT(creator, hrtCore, aerokernel.Superposition{
 			GDT:    s.Kernel.ProcessGDT(),
 			FSBase: pt.FSBase,
-		}, g.channel, slot.stack)
+		}, slot.stack, queue, fn)
 		pt.Clock.SyncTo(creator.Now())
-		if g.syncSvc != nil {
-			ht.SetSyncSyscalls(g.syncSvc)
-		}
-		if g.router != nil {
-			ht.SetRouter(g.router)
-		}
-		if queue != nil {
-			ht.AttachQueueEntry(queue)
-		}
-		g.hrt = ht
-		g.akStack = slot.stack
-		s.allowFaultThread(g, ht)
 		close(g.created)
-		ht.Start(func(ht *aerokernel.Thread) uint64 {
-			return g.runHRT(ht, fn)
-		})
 		// The recycled service context restarts without a fresh clone()
 		// — the nil creator charges nothing, exactly like a watchdog
 		// respawn resuming an existing group.
@@ -305,12 +259,9 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 					GDT:    s.Kernel.ProcessGDT(),
 					FSBase: pt.FSBase,
 				},
-				channel: g.channel,
-				stack:   stack,
-				syncSvc: g.syncSvc,
-				router:  g.router,
-				queue:   queue,
-				group:   g,
+				stack: stack,
+				queue: queue,
+				group: g,
 			}
 			id := s.nextSpawnID.Add(1) - 1
 			s.pendingSpawns.store(id, spec)
@@ -350,6 +301,28 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 	return g, nil
 }
 
+// startHRT creates the group's top-level HRT thread on clk's timeline,
+// binds it to the group's router and run-queue slot, and starts fn on it.
+// The warm path and the cold path (mv_create_thread) both bind through
+// here.
+func (g *ExecutionGroup) startHRT(clk *cycles.Clock, core machine.CoreID, super aerokernel.Superposition,
+	stack *machine.Stack, queue *aerokernel.QueueEntry, fn func(Env) uint64) *aerokernel.Thread {
+	s := g.sys()
+	ht := s.AK.CreateThread(clk, core, super, g.channel, stack)
+	if g.router != nil {
+		ht.SetRouter(g.router)
+	}
+	if queue != nil {
+		ht.AttachQueueEntry(queue)
+	}
+	g.hrt = ht
+	s.allowFaultThread(g, ht)
+	ht.Start(func(ht *aerokernel.Thread) uint64 {
+		return g.runHRT(ht, fn)
+	})
+	return ht
+}
+
 // bindRouterHooks wires the group's router to a hosting System: the ROS
 // kernel's mutation events feed the cache-invalidation paths, and the
 // promotion/exitless hooks capture the host's Proc and HVM. Called at
@@ -369,13 +342,18 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 			r.InvalidateCwd()
 		}
 	})
-	if g.syncSvc != nil {
-		// Statically configured sync forwarding: the channel is pinned
-		// and the promotion policy stays out of the way.
-		r.SetSyncChannel(g.syncSvc)
-		return
-	}
 	gid := g.id
+	// startPoller dedicates a fresh ROS thread, created on the promoting
+	// HRT thread's clock, to a channel's serve loop; the loop ends when
+	// the channel closes.
+	startPoller := func(clk *cycles.Clock, serve func(*cycles.Clock, func(linuxabi.Call) linuxabi.Result) bool) {
+		s.Proc.NewThread(rosCore).Start(clk, func(pt *ros.Thread) {
+			for serve(pt.Clock, func(call linuxabi.Call) linuxabi.Result {
+				return s.Proc.Syscall(pt, call)
+			}) {
+			}
+		})
+	}
 	r.SetPromotionHooks(
 		func(clk *cycles.Clock) (*hvm.SyncSyscallChannel, error) {
 			// Promotion: one setup hypercall plus one ROS thread
@@ -384,13 +362,7 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 			if serr != nil {
 				return nil, serr
 			}
-			poller := s.Proc.NewThread(rosCore)
-			poller.Start(clk, func(pt *ros.Thread) {
-				for svc.Serve(pt.Clock, func(call linuxabi.Call) linuxabi.Result {
-					return s.Proc.Syscall(pt, call)
-				}) {
-				}
-			})
+			startPoller(clk, svc.Serve)
 			return svc, nil
 		},
 		func(clk *cycles.Clock, ch *hvm.SyncSyscallChannel) {
@@ -409,13 +381,7 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 				if xerr != nil {
 					return nil, xerr
 				}
-				poller := s.Proc.NewThread(rosCore)
-				poller.Start(clk, func(pt *ros.Thread) {
-					for x.Serve(pt.Clock, func(call linuxabi.Call) linuxabi.Result {
-						return s.Proc.Syscall(pt, call)
-					}) {
-					}
-				})
+				startPoller(clk, x.Serve)
 				return x, nil
 			},
 			func(clk *cycles.Clock, x *hvm.ExitlessChannel) {
@@ -454,7 +420,7 @@ func (g *ExecutionGroup) watch() {
 			g.lifeMu.Unlock()
 			return
 		}
-		g.respawn(p, recoveries)
+		g.respawn(p)
 		g.lifeMu.Unlock()
 	}
 }
@@ -464,17 +430,15 @@ func (g *ExecutionGroup) watch() {
 // merge (the dead partner may have died mid-protocol; the PR-3 delta path
 // makes the replay cheap), requeue every in-flight envelope, and resume
 // serving from the retransmit queue.
-func (g *ExecutionGroup) respawn(dead *ros.Thread, n int) {
+func (g *ExecutionGroup) respawn(dead *ros.Thread) {
 	s := g.sys()
 	start := dead.Clock.Now()
 	pt := s.Proc.NewThread(g.rosCore)
 	pt.Clock.SyncTo(start)
 	pt.Clock.Advance(s.Machine.Cost.ROSThreadCreate)
-	if err := s.HVM.MergeAddressSpace(pt.Clock, s.Proc.CR3()); err != nil {
-		// The merge replay is best-effort: the shared lower-level tables
-		// are still intact, so serving can resume regardless.
-		_ = err
-	}
+	// The merge replay is best-effort: the shared lower-level tables are
+	// still intact, so serving can resume regardless.
+	_ = s.HVM.MergeAddressSpace(pt.Clock, s.Proc.CR3())
 	replayed := g.channel.Requeue(pt.Clock.Now())
 	g.gen.Add(1) // kill rolls re-key: redelivered seqnos roll fresh
 	g.setPartner(pt)
@@ -494,7 +458,6 @@ func (g *ExecutionGroup) respawn(dead *ros.Thread, n int) {
 		telemetry.Attr{Key: "req", Val: firstReq})
 	s.recorder.Record(pt.Clock.Now(), telemetry.RecRespawn, g.id, firstReq,
 		g.gen.Load(), uint64(len(replayed)))
-	_ = n
 	pt.Start(nil, g.serve)
 }
 
@@ -565,12 +528,9 @@ func (g *ExecutionGroup) runHRT(t *aerokernel.Thread, fn func(Env) uint64) uint6
 	g.exitCode.Store(code)
 
 	g.sys().exitPending <- g.id
-	if err := g.sys().HVM.RaiseROSSignal(t.Clock, int(linuxabi.SIGCHLD)); err == nil {
-		// Signal delivered; the partner's bit is set.
-	}
-	if _, err := g.channel.Forward(t.Clock, &hvm.Envelope{Kind: hvm.EvThreadExit, ExitCode: code}); err != nil {
-		// Channel already down; nothing to wake.
-	}
+	// A failed signal or a channel already down leaves nothing to wake.
+	_ = g.sys().HVM.RaiseROSSignal(t.Clock, int(linuxabi.SIGCHLD))
+	_, _ = g.channel.Forward(t.Clock, &hvm.Envelope{Kind: hvm.EvThreadExit, ExitCode: code})
 	return code
 }
 
@@ -625,9 +585,6 @@ func (g *ExecutionGroup) serve(pt *ros.Thread) {
 func (g *ExecutionGroup) cleanup(pt *ros.Thread) {
 	if g.router != nil {
 		g.router.Shutdown() // closes a promoted channel; its poller exits
-	}
-	if g.syncSvc != nil {
-		g.syncSvc.Close() // the polling thread's Serve returns false
 	}
 	g.channel.Close()
 	g.sys().noteGroupDead()

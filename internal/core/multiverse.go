@@ -37,16 +37,11 @@ type Options struct {
 	// UseSymbolCache enables the override symbol cache (ablation; the
 	// paper's implementation looks the symbol up on every invocation).
 	UseSymbolCache bool
-	// SyncSyscalls forwards HRT system calls over the post-merger
-	// synchronous memory-polling channel (section 4.3) instead of the
-	// asynchronous event channel, at the price of a dedicated ROS
-	// polling thread per execution group.
-	SyncSyscalls bool
 	// Router enables the adaptive boundary-crossing fast path: HRT-local
 	// service for process-invariant calls, a result cache for idempotent
-	// calls, and dynamic promotion of hot groups to a synchronous
-	// channel. Off (the default) preserves the fixed forwarding paths
-	// byte for byte.
+	// calls, and dynamic promotion of hot groups to the synchronous
+	// memory-polling channel of section 4.3 (the only route to it). Off
+	// (the default) preserves the fixed forwarding paths byte for byte.
 	Router bool
 	// RouterPolicy tunes promotion/demotion; zero fields take the
 	// defaults (hvm.DefaultRouterPolicy).
@@ -55,9 +50,8 @@ type Options struct {
 	// rates dedicate the partner to polling SPSC shared-memory rings, so
 	// steady-state forwarding takes zero VM exits ("Look Mum, no VM
 	// Exits!") — hypercalls remain only for ring setup/teardown and
-	// kill recovery. Implies Router (NewSystem sets it); ignored in the
-	// static SyncSyscalls configuration. Off (the default) leaves the
-	// router's tier-2 paths byte for byte.
+	// kill recovery. Implies Router (NewSystem sets it). Off (the
+	// default) leaves the router's tier-2 paths byte for byte.
 	Exitless bool
 	// Merger enables the incremental state-superposition merger: re-merges
 	// copy only PML4 slots whose ROS-side generation stamp changed, TLB
@@ -495,21 +489,7 @@ func (s *System) linkAKFunctions() {
 		if spec == nil {
 			return ^uint64(0)
 		}
-		ht := ak.CreateThread(t.Clock, spec.core, spec.super, spec.channel, spec.stack)
-		if spec.syncSvc != nil {
-			ht.SetSyncSyscalls(spec.syncSvc)
-		}
-		if spec.router != nil {
-			ht.SetRouter(spec.router)
-		}
-		if spec.queue != nil {
-			ht.AttachQueueEntry(spec.queue)
-		}
-		spec.group.hrt = ht
-		s.allowFaultThread(spec.group, ht)
-		ht.Start(func(ht *aerokernel.Thread) uint64 {
-			return spec.group.runHRT(ht, spec.fn)
-		})
+		ht := spec.group.startHRT(t.Clock, spec.core, spec.super, spec.stack, spec.queue, spec.fn)
 		return uint64(ht.ID)
 	})
 

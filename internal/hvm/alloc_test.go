@@ -10,7 +10,7 @@ import (
 	"multiverse/internal/linuxabi"
 )
 
-// The exitless ring and the sync channel are the tightest loops the
+// The exitless ring and the sync channels are the tightest loops the
 // forwarding planes have; the raw-speed pass made their steady states
 // allocation-free (pooled reply channels, value-only ring frames, cached
 // metric handles). These tests pin that property.
@@ -70,6 +70,44 @@ func TestSyncInvokeSteadyStateAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("sync invoke allocates %.1f per round trip, want 0", n)
+	}
+}
+
+func TestSyncSyscallInvokeSteadyStateAllocationFree(t *testing.T) {
+	_, h := newHVM(t)
+	clk := cycles.NewClock(0)
+	sink := &fakeSink{clk: cycles.NewClock(0)}
+	h.RegisterBootHandler(func(BootInfo) (HRTSink, error) { return sink, nil })
+	_ = h.InstallImage(clk, &image.Image{Name: "nk"})
+	_ = h.BootHRT(clk)
+
+	sc, err := h.SetupSyncSyscalls(clk, 0x7f50_0000_0000, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	svcClk := cycles.NewClock(clk.Now())
+	go func() {
+		for sc.Serve(svcClk, func(call linuxabi.Call) linuxabi.Result {
+			return linuxabi.Result{Ret: call.Args[0]}
+		}) {
+		}
+	}()
+
+	call := linuxabi.Call{Num: linuxabi.SysIoctl, Args: [6]uint64{9}}
+	// Warm: the first invocation allocates the pooled reply channel.
+	for i := 0; i < 4; i++ {
+		if _, err := sc.Invoke(clk, call, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := sc.Invoke(clk, call, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("sync syscall invoke allocates %.1f per round trip, want 0", n)
 	}
 }
 

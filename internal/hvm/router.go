@@ -56,7 +56,9 @@ type SyscallRouter struct {
 	mu       sync.Mutex
 	cache    map[routerCacheKey]linuxabi.Result
 	cwdValid bool
-	sync     *SyncSyscallChannel
+	// sync is the promoted channel. Only promote creates one, so a
+	// non-nil sync implies the hooks are installed.
+	sync *SyncSyscallChannel
 	// recent holds the virtual times of the last PromoteCalls forwards
 	// (oldest first); lastForward gates idle demotion.
 	recent      []cycles.Cycles
@@ -241,15 +243,6 @@ func (r *SyscallRouter) SetExitlessHooks(
 	defer r.mu.Unlock()
 	r.ringPromote = promote
 	r.ringDemote = demote
-}
-
-// SetSyncChannel pins the router to an existing synchronous channel (the
-// static Options.SyncSyscalls configuration). A pinned channel is never
-// demoted unless demotion hooks are also installed.
-func (r *SyscallRouter) SetSyncChannel(ch *SyncSyscallChannel) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sync = ch
 }
 
 // Promoted reports whether the group currently forwards over the
@@ -485,12 +478,8 @@ func (r *SyscallRouter) applyRingPolicy(clk *cycles.Clock) *ExitlessChannel {
 			r.recent = r.recent[:0]
 			// The ring poller takes over the partner: a promoted sync
 			// channel gives its polling core back first.
-			var sc *SyncSyscallChannel
-			var scDemote func(*cycles.Clock, *SyncSyscallChannel)
-			if r.sync != nil && r.demote != nil {
-				sc, scDemote = r.sync, r.demote
-				r.sync = nil
-			}
+			sc, scDemote := r.sync, r.demote
+			r.sync = nil
 			r.mu.Unlock()
 			if sc != nil {
 				scDemote(clk, sc)
@@ -630,7 +619,7 @@ func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool)
 	}
 	r.mu.Lock()
 	r.lossRun = 0
-	if !viaSync || !r.lossSync || r.sync == nil || r.demote == nil {
+	if !viaSync || !r.lossSync || r.sync == nil {
 		r.mu.Unlock()
 		return
 	}
@@ -663,7 +652,7 @@ func (r *SyscallRouter) applyPolicy(clk *cycles.Clock) *SyncSyscallChannel {
 	// Demote after an idle gap: the polling core stopped paying for
 	// itself somewhere in the silence. A reliability demotion (lossSync)
 	// is exempt — only a clean window may undo it.
-	if r.sync != nil && !r.lossSync && r.demote != nil && r.lastForward > 0 && now-r.lastForward >= r.policy.DemoteIdle {
+	if r.sync != nil && !r.lossSync && r.lastForward > 0 && now-r.lastForward >= r.policy.DemoteIdle {
 		sc := r.sync
 		r.sync = nil
 		r.recent = r.recent[:0]
@@ -807,11 +796,7 @@ func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 	}
 	r.mu.Unlock()
 	if sc != nil {
-		if demote != nil {
-			demote(clk, sc)
-		} else {
-			sc.Close()
-		}
+		demote(clk, sc)
 	}
 	if dropped > 0 {
 		r.hvm.metrics.Counter("router.cache_invalidations").Add(uint64(dropped))

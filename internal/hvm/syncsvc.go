@@ -32,9 +32,16 @@ type SyncSyscallChannel struct {
 	mu     sync.Mutex
 	serve  chan syncSysReq
 	closed bool
+	// replyFree recycles the one-slot reply channel between calls, as in
+	// SyncChannel.
+	replyFree chan syncSysRep
 	// calls is atomic, like EventChannel.forwarded: the HRT thread
 	// invokes while the evaluation harness reads mid-run.
 	calls atomic.Uint64
+
+	// Metric handles resolved once at setup, not per call.
+	callCtr *telemetry.Counter
+	callLat *telemetry.Histogram
 }
 
 type syncSysReq struct {
@@ -68,6 +75,8 @@ func (h *HVM) SetupSyncSyscalls(clk *cycles.Clock, va uint64, rosCore, hrtCore m
 		hrtCore:    hrtCore,
 		sameSocket: h.machine.SameSocket(rosCore, hrtCore),
 		serve:      make(chan syncSysReq),
+		callCtr:    h.metrics.Counter("sync.syscalls"),
+		callLat:    h.metrics.LatencyHistogram("sync.syscall.latency"),
 	}, nil
 }
 
@@ -95,16 +104,24 @@ func (s *SyncSyscallChannel) invoke(clk *cycles.Clock, call linuxabi.Call, reqID
 		s.mu.Unlock()
 		return linuxabi.Result{}, 0, fmt.Errorf("hvm: sync syscall channel closed")
 	}
+	rc := s.replyFree
+	s.replyFree = nil
 	s.mu.Unlock()
+	if rc == nil {
+		rc = make(chan syncSysRep, 1)
+	}
 	seq := s.calls.Add(1)
 
 	start := clk.Now()
 	flow := flowID(s.id, seq)
-	sp := s.hvm.tracer.Begin(telemetry.Track{Core: int(s.hrtCore), Name: "hrt"},
-		"sync", "sync-syscall", start,
-		telemetry.Attr{Key: "num", Val: uint64(call.Num)},
-		telemetry.Attr{Key: "req", Val: reqID})
-	sp.LinkOut(flow)
+	var sp *telemetry.Span
+	if tr := s.hvm.tracer; tr.Enabled() {
+		sp = tr.Begin(telemetry.Track{Core: int(s.hrtCore), Name: "hrt"},
+			"sync", "sync-syscall", start,
+			telemetry.Attr{Key: "num", Val: uint64(call.Num)},
+			telemetry.Attr{Key: "req", Val: reqID})
+		sp.LinkOut(flow)
+	}
 
 	var rep syncSysRep
 	retx := 0
@@ -120,7 +137,9 @@ func (s *SyncSyscallChannel) invoke(clk *cycles.Clock, call linuxabi.Call, reqID
 		for attempt := 0; ; attempt++ {
 			last := attempt >= max-1
 			clk.Advance(cost.SyncProtocolOverhead / 2)
-			req := syncSysReq{call: call, stamp: clk.Now() + s.line(), flow: flow, reply: make(chan syncSysRep, 1)}
+			// A lost or damaged request is never answered, so the
+			// reply channel is still empty for the resend.
+			req := syncSysReq{call: call, stamp: clk.Now() + s.line(), flow: flow, reply: rc}
 			dropped := !last && fi.Roll(faults.DropNotify, s.id, seq, attempt, clk.Now())
 			if !dropped {
 				req.corrupt = !last && fi.Roll(faults.CorruptFrame, s.id, seq, attempt, clk.Now())
@@ -143,15 +162,20 @@ func (s *SyncSyscallChannel) invoke(clk *cycles.Clock, call linuxabi.Call, reqID
 		}
 	} else {
 		clk.Advance(cost.SyncProtocolOverhead / 2)
-		req := syncSysReq{call: call, stamp: clk.Now() + s.line(), flow: flow, reply: make(chan syncSysRep, 1)}
+		req := syncSysReq{call: call, stamp: clk.Now() + s.line(), flow: flow, reply: rc}
 		s.serve <- req
 		rep = <-req.reply
 	}
 	clk.SyncTo(rep.stamp + s.line())
 	clk.Advance(cost.SyncProtocolOverhead - cost.SyncProtocolOverhead/2)
 	sp.EndAt(clk.Now())
-	s.hvm.metrics.Counter("sync.syscalls").Inc()
-	s.hvm.metrics.LatencyHistogram("sync.syscall.latency").Observe(clk.Now() - start)
+	s.mu.Lock()
+	if s.replyFree == nil {
+		s.replyFree = rc
+	}
+	s.mu.Unlock()
+	s.callCtr.Inc()
+	s.callLat.Observe(clk.Now() - start)
 	s.hvm.recorder.Record(clk.Now(), telemetry.RecSyncCall, s.id, reqID, seq, uint64(retx))
 	return rep.res, retx, nil
 }
@@ -171,9 +195,12 @@ func (s *SyncSyscallChannel) Serve(clk *cycles.Clock, handler func(linuxabi.Call
 			s.hvm.metrics.Counter("faults.corrupt.detected").Inc()
 			continue
 		}
-		sp := s.hvm.tracer.Begin(telemetry.Track{Core: int(s.rosCore), Name: fmt.Sprintf("ros:syncsvc:%d", s.id)},
-			"sync", "serve-syscall", req.stamp, telemetry.Attr{Key: "num", Val: uint64(req.call.Num)})
-		sp.LinkIn(req.flow)
+		var sp *telemetry.Span
+		if tr := s.hvm.tracer; tr.Enabled() {
+			sp = tr.Begin(telemetry.Track{Core: int(s.rosCore), Name: fmt.Sprintf("ros:syncsvc:%d", s.id)},
+				"sync", "serve-syscall", req.stamp, telemetry.Attr{Key: "num", Val: uint64(req.call.Num)})
+			sp.LinkIn(req.flow)
+		}
 		res := handler(req.call)
 		sp.EndAt(clk.Now())
 		req.reply <- syncSysRep{res: res, stamp: clk.Now()}

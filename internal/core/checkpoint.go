@@ -95,6 +95,7 @@ func (g *ExecutionGroup) Checkpoint(migClk *cycles.Clock) *GroupCheckpoint {
 	if g.router != nil {
 		r := g.router.Quiesce(migClk)
 		rcp = &r
+		g.unhookRouter() // RestoreGroup hooks the target's Proc
 	}
 	var stackBytes, stackSP uint64
 	if g.akStack != nil {

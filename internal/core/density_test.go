@@ -23,31 +23,49 @@ func holdFn(arrived chan<- struct{}, gate <-chan struct{}) func(Env) uint64 {
 
 // TestGroupMapLeakRegression is the unbounded-growth fix pinned as a
 // regression: spawning and joining 10k groups must leave the registry
-// empty and keep it from accumulating along the way. Before this PR,
-// exited groups stayed in System.groups forever.
+// empty and keep it from accumulating along the way. Exited groups used
+// to stay in System.groups forever, and a routed group's mutation hook
+// stayed registered on the Proc forever; both must track live groups.
 func TestGroupMapLeakRegression(t *testing.T) {
-	sys := buildTestSystem(t, Options{AppName: "leak", WarmPool: 2})
-	const total = 10_000
-	clk := cycles.NewClock(0)
-	for i := 0; i < total; i++ {
-		g, err := sys.SpawnGroup(clk, func(Env) uint64 { return 0 })
-		if err != nil {
-			t.Fatalf("spawn %d: %v", i, err)
-		}
-		if _, jerr := g.WaitExit(clk); jerr != nil {
-			t.Fatalf("join %d: %v", i, jerr)
-		}
-		if i%1000 == 999 {
-			if n := sys.GroupTableSize(); n > 1 {
-				t.Fatalf("after %d spawn+join cycles the registry holds %d entries", i+1, n)
+	const hookSlack = 1
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{AppName: "leak", WarmPool: 2}},
+		{"routed", Options{AppName: "leak", WarmPool: 2, Router: true, Exitless: true, Merger: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := buildTestSystem(t, tc.opts)
+			const total = 10_000
+			clk := cycles.NewClock(0)
+			for i := 0; i < total; i++ {
+				g, err := sys.SpawnGroup(clk, func(Env) uint64 { return 0 })
+				if err != nil {
+					t.Fatalf("spawn %d: %v", i, err)
+				}
+				if _, jerr := g.WaitExit(clk); jerr != nil {
+					t.Fatalf("join %d: %v", i, jerr)
+				}
+				if i%1000 == 999 {
+					if n := sys.GroupTableSize(); n > 1 {
+						t.Fatalf("after %d spawn+join cycles the registry holds %d entries", i+1, n)
+					}
+					if n, live := sys.Proc.MutationHooks(), sys.LiveGroups(); n > live+hookSlack {
+						t.Fatalf("after %d spawn+join cycles the Proc holds %d mutation hooks for %d live groups", i+1, n, live)
+					}
+				}
 			}
-		}
-	}
-	if n := sys.GroupTableSize(); n != 0 {
-		t.Errorf("registry holds %d entries after all joins, want 0", n)
-	}
-	if live := sys.LiveGroups(); live != 0 {
-		t.Errorf("live-group count = %d after all joins, want 0", live)
+			if n := sys.GroupTableSize(); n != 0 {
+				t.Errorf("registry holds %d entries after all joins, want 0", n)
+			}
+			if live := sys.LiveGroups(); live != 0 {
+				t.Errorf("live-group count = %d after all joins, want 0", live)
+			}
+			if n := sys.Proc.MutationHooks(); n > hookSlack {
+				t.Errorf("Proc holds %d mutation hooks after all joins, want <= %d", n, hookSlack)
+			}
+		})
 	}
 }
 

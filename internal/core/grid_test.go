@@ -143,6 +143,15 @@ func TestGridMigrateTransparency(t *testing.T) {
 					if g.sys() != gr.Node(1) {
 						t.Fatalf("seed %d at %d: group still on node %d", seed, migrateAt, g.sys().gridNode)
 					}
+					// The router's mutation hook moved with the group.
+					wantHooks := 0
+					if cfg.opts.Router {
+						wantHooks = 1
+					}
+					if src, dst := gr.Node(0).Proc.MutationHooks(), gr.Node(1).Proc.MutationHooks(); src != 0 || dst != wantHooks {
+						t.Errorf("seed %d at %d: mutation hooks = %d on the source, %d on the target, want 0 and %d",
+							seed, migrateAt, src, dst, wantHooks)
+					}
 					code, err := g.Join(gr.Node(0).Main)
 					if err != nil {
 						t.Fatalf("grid join: %v", err)

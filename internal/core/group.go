@@ -66,8 +66,10 @@ type ExecutionGroup struct {
 	dead atomic.Bool
 
 	// router is the group's adaptive boundary-crossing fast path
-	// (Options.Router).
+	// (Options.Router); unhook removes its mutation hook from the
+	// hosting Proc (see unhookRouter).
 	router *hvm.SyscallRouter
+	unhook atomic.Pointer[func()]
 
 	created  chan struct{}
 	exitCode atomic.Uint64
@@ -128,6 +130,7 @@ func (g *ExecutionGroup) sys() *System { return g.sysv.Load() }
 func (g *ExecutionGroup) retire() {
 	if g.retired.CompareAndSwap(false, true) {
 		g.sys().groups.delete(g.id)
+		g.unhookRouter()
 	}
 }
 
@@ -325,12 +328,13 @@ func (g *ExecutionGroup) startHRT(clk *cycles.Clock, core machine.CoreID, super 
 
 // bindRouterHooks wires the group's router to a hosting System: the ROS
 // kernel's mutation events feed the cache-invalidation paths, and the
-// promotion/exitless hooks capture the host's Proc and HVM. Called at
-// spawn and again by a migration restore — after a move the hooks must
-// create pollers and channels on the target node.
+// polled-channel hooks capture the host's Proc and HVM. Called at spawn
+// and again by a migration restore — after a move the hooks must create
+// pollers and channels on the target node. The mutation hook stays
+// registered until unhookRouter releases it.
 func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.CoreID) {
 	r := g.router
-	s.Proc.AddMutationHook(func(ev ros.MutationEvent) {
+	remove := s.Proc.AddMutationHook(func(ev ros.MutationEvent) {
 		switch ev.Kind {
 		case ros.MutFD:
 			r.InvalidateFD(ev.FD)
@@ -342,52 +346,37 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 			r.InvalidateCwd()
 		}
 	})
-	gid := g.id
-	// startPoller dedicates a fresh ROS thread, created on the promoting
-	// HRT thread's clock, to a channel's serve loop; the loop ends when
-	// the channel closes.
-	startPoller := func(clk *cycles.Clock, serve func(*cycles.Clock, func(linuxabi.Call) linuxabi.Result) bool) {
-		s.Proc.NewThread(rosCore).Start(clk, func(pt *ros.Thread) {
-			for serve(pt.Clock, func(call linuxabi.Call) linuxabi.Result {
-				return s.Proc.Syscall(pt, call)
-			}) {
+	g.unhook.Store(&remove)
+	// Promotion sets up the channel with one hypercall and dedicates a
+	// fresh ROS thread, created on the promoting HRT thread's clock, to
+	// its serve loop; demotion (idle, fault pressure, or kill recovery)
+	// closes it with the kind's teardown hypercall, which also releases
+	// the poller. Exitless adds the tier-3 ring rung.
+	r.SetPollHooks(
+		func(clk *cycles.Clock, kind hvm.PollKind) (*hvm.PolledChannel, error) {
+			ch, err := s.HVM.OpenPolled(clk, kind, rosCore, hrtCore)
+			if err != nil {
+				return nil, err
 			}
-		})
-	}
-	r.SetPromotionHooks(
-		func(clk *cycles.Clock) (*hvm.SyncSyscallChannel, error) {
-			// Promotion: one setup hypercall plus one ROS thread
-			// creation, both charged to the promoting HRT thread.
-			svc, serr := s.HVM.SetupSyncSyscalls(clk, 0x7f60_0000_0000+gid*4096, rosCore, hrtCore)
-			if serr != nil {
-				return nil, serr
-			}
-			startPoller(clk, svc.Serve)
-			return svc, nil
-		},
-		func(clk *cycles.Clock, ch *hvm.SyncSyscallChannel) {
-			ch.Close() // the poller's Serve returns false and it exits
-		},
-	)
-	if s.Opts.Exitless {
-		// Tier-3 exitless rings: promotion sets up the ring pair with
-		// one hypercall and dedicates a fresh ROS thread to the poll
-		// loop; demotion (idle, fault pressure, or kill recovery)
-		// revokes the pages with the teardown hypercall, which also
-		// releases the poller.
-		r.SetExitlessHooks(
-			func(clk *cycles.Clock) (*hvm.ExitlessChannel, error) {
-				x, xerr := s.HVM.SetupExitless(clk, 0x7f70_0000_0000+gid*4096, rosCore, hrtCore)
-				if xerr != nil {
-					return nil, xerr
+			s.Proc.NewThread(rosCore).Start(clk, func(pt *ros.Thread) {
+				for ch.Serve(pt.Clock, func(call linuxabi.Call) linuxabi.Result {
+					return s.Proc.Syscall(pt, call)
+				}) {
 				}
-				startPoller(clk, x.Serve)
-				return x, nil
-			},
-			func(clk *cycles.Clock, x *hvm.ExitlessChannel) {
-				s.HVM.TeardownExitless(clk, x)
-			},
-		)
+			})
+			return ch, nil
+		},
+		s.HVM.ClosePolled,
+		s.Opts.Exitless,
+	)
+}
+
+// unhookRouter releases the router's mutation hook on its current host,
+// so a retired or migrated-out group stops receiving (and pinning) that
+// host's invalidations. Idempotent.
+func (g *ExecutionGroup) unhookRouter() {
+	if remove := g.unhook.Swap(nil); remove != nil {
+		(*remove)()
 	}
 }
 

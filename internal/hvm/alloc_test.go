@@ -10,10 +10,12 @@ import (
 	"multiverse/internal/linuxabi"
 )
 
-// The exitless ring and the sync channels are the tightest loops the
-// forwarding planes have; the raw-speed pass made their steady states
-// allocation-free (pooled reply channels, value-only ring frames, cached
-// metric handles). These tests pin that property.
+// The polled channels and the Figure 2 sync channel are the tightest
+// loops the forwarding planes have; their steady states are
+// allocation-free (value-only ring frames, a pooled reply channel,
+// metric handles resolved at setup, spans built only while tracing).
+// These tests pin that property for the ring primitive and for both
+// rungs of the router's ladder.
 
 func TestSPSCRingRoundTripAllocationFree(t *testing.T) {
 	r := newSPSCRing(ringCapacity)
@@ -74,40 +76,28 @@ func TestSyncInvokeSteadyStateAllocationFree(t *testing.T) {
 }
 
 func TestSyncSyscallInvokeSteadyStateAllocationFree(t *testing.T) {
-	_, h := newHVM(t)
-	clk := cycles.NewClock(0)
-	sink := &fakeSink{clk: cycles.NewClock(0)}
-	h.RegisterBootHandler(func(BootInfo) (HRTSink, error) { return sink, nil })
-	_ = h.InstallImage(clk, &image.Image{Name: "nk"})
-	_ = h.BootHRT(clk)
+	for _, kind := range []PollKind{PollSync, PollRing} {
+		t.Run(pollKinds[kind].name, func(t *testing.T) {
+			_, h := newHVM(t)
+			clk := cycles.NewClock(0)
+			p, done := openEcho(t, h, clk, kind)
+			defer func() { p.Close(); <-done }()
 
-	sc, err := h.SetupSyncSyscalls(clk, 0x7f50_0000_0000, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	svcClk := cycles.NewClock(clk.Now())
-	go func() {
-		for sc.Serve(svcClk, func(call linuxabi.Call) linuxabi.Result {
-			return linuxabi.Result{Ret: call.Args[0]}
-		}) {
-		}
-	}()
+			call := linuxabi.Call{Num: linuxabi.SysIoctl, Args: [6]uint64{9}}
+			for i := 0; i < 4; i++ {
+				if _, _, err := p.invoke(clk, call, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	call := linuxabi.Call{Num: linuxabi.SysIoctl, Args: [6]uint64{9}}
-	// Warm: the first invocation allocates the pooled reply channel.
-	for i := 0; i < 4; i++ {
-		if _, err := sc.Invoke(clk, call, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if n := testing.AllocsPerRun(500, func() {
-		if _, err := sc.Invoke(clk, call, 1); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("sync syscall invoke allocates %.1f per round trip, want 0", n)
+			if n := testing.AllocsPerRun(500, func() {
+				if _, _, err := p.invoke(clk, call, 1); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s invoke allocates %.1f per round trip, want 0", pollKinds[kind].name, n)
+			}
+		})
 	}
 }
 

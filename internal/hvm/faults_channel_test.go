@@ -209,16 +209,12 @@ func TestChannelRequeueRedelivers(t *testing.T) {
 	c.Close()
 }
 
-// TestSyncChannelDropRetransmits applies the poll-deadline policy to the
-// synchronous cacheline channel: a dropped request word goes unanswered
-// and the rewrite completes the call.
-func TestSyncChannelDropRetransmits(t *testing.T) {
-	h := newFaultedHVM(t, faults.Plan{
-		Seed: 10, MaxAttempts: 2,
-		Rates: map[faults.Kind]float64{faults.DropNotify: 1},
-	})
-	clk := cycles.NewClock(0)
-	h.RegisterBootHandler(func(info BootInfo) (HRTSink, error) {
+// openEcho boots h, opens a polled channel of kind on clk, and serves it
+// on its own goroutine with a handler that echoes the first argument.
+// done closes when the poller's Serve reports the channel closed.
+func openEcho(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind) (p *PolledChannel, done chan struct{}) {
+	t.Helper()
+	h.RegisterBootHandler(func(BootInfo) (HRTSink, error) {
 		return &fakeSink{clk: cycles.NewClock(0)}, nil
 	})
 	if err := h.InstallImage(clk, &image.Image{Name: "nk"}); err != nil {
@@ -227,30 +223,55 @@ func TestSyncChannelDropRetransmits(t *testing.T) {
 	if err := h.BootHRT(clk); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := h.SetupSyncSyscalls(clk, 0x7f50_0000_0000, 0, 1)
+	p, err := h.OpenPolled(clk, kind, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcClk := cycles.NewClock(0)
-	svcDone := make(chan struct{})
+	svcClk := cycles.NewClock(clk.Now())
+	done = make(chan struct{})
 	go func() {
-		defer close(svcDone)
-		for sc.Serve(svcClk, func(call linuxabi.Call) linuxabi.Result {
+		defer close(done)
+		for p.Serve(svcClk, func(call linuxabi.Call) linuxabi.Result {
 			return linuxabi.Result{Ret: call.Args[0]}
 		}) {
 		}
 	}()
+	return p, done
+}
 
-	res, err := sc.Invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestSyncChannelDropRetransmits applies the poll-deadline policy to both
+// polled channels: a dropped request frame goes unanswered and the
+// repost completes the call, without a VM exit on the rings.
+func TestSyncChannelDropRetransmits(t *testing.T) {
+	for _, kind := range []PollKind{PollSync, PollRing} {
+		t.Run(pollKinds[kind].name, func(t *testing.T) {
+			h := newFaultedHVM(t, faults.Plan{
+				Seed: 10, MaxAttempts: 2,
+				Rates: map[faults.Kind]float64{faults.DropNotify: 1},
+			})
+			clk := cycles.NewClock(0)
+			p, done := openEcho(t, h, clk, kind)
+
+			res, _, err := p.invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ret != 5 {
+				t.Errorf("res = %+v", res)
+			}
+			m := h.Metrics()
+			if got := m.Counter("faults.retransmit").Value(); got != 1 {
+				t.Errorf("retransmits = %d, want 1", got)
+			}
+			name := pollKinds[kind].name
+			if got := m.Counter(name + ".syscalls").Value(); got != 1 {
+				t.Errorf("%s.syscalls = %d, want 1", name, got)
+			}
+			if got := h.ExitCount(name); got != 0 {
+				t.Errorf("exits.%s = %d, want 0", name, got)
+			}
+			p.Close()
+			<-done
+		})
 	}
-	if res.Ret != 5 {
-		t.Errorf("res = %+v", res)
-	}
-	if got := h.Metrics().Counter("faults.retransmit").Value(); got != 1 {
-		t.Errorf("retransmits = %d, want 1", got)
-	}
-	sc.Close()
-	<-svcDone
 }

@@ -1,0 +1,301 @@
+package hvm
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"multiverse/internal/cycles"
+	"multiverse/internal/faults"
+	"multiverse/internal/linuxabi"
+	"multiverse/internal/machine"
+	"multiverse/internal/telemetry"
+)
+
+// errPolledDown reports that a polled channel was torn down before or
+// during a call — a partner kill or a concurrent shutdown. The router
+// catches it on the ring rung and falls back to the hypercall-mode
+// transports.
+var errPolledDown = errors.New("hvm: polled channel down")
+
+// PollKind selects one of the two polled system-call transports the
+// router's promotion ladder climbs. Both are the section 4.3 protocol
+// ("a simple memory-based protocol to communicate ... without VMM
+// intervention"): the HRT posts a request descriptor at an agreed
+// address and spins, a dedicated ROS thread polls, executes the call
+// against the kernel and posts the result back. They differ only in the
+// per-kind data of pollKinds.
+type PollKind uint8
+
+const (
+	// PollSync is tier 2's synchronous cacheline channel: two cacheline
+	// transfers plus protocol overhead per call (~790/1060 cycles)
+	// instead of the ~25K-cycle asynchronous event-channel round trip.
+	PollSync PollKind = iota
+	// PollRing is tier 3's exitless ring pair ("Look Mum, no VM
+	// Exits!"): the partner is statically dedicated to the poll loop, a
+	// round trip is RingPost + cacheline + RingPoll + service + RingPost
+	// + cacheline + RingReapBatch, and hypercalls appear only at setup,
+	// teardown and kill recovery.
+	PollRing
+)
+
+// pollKind is the per-kind data of one polled transport.
+type pollKind struct {
+	// name prefixes the kind's metrics ("<name>.syscalls",
+	// "<name>.syscall.latency"), span category and names, and the serve
+	// track ("ros:<name>svc:<id>").
+	name string
+	// setup/teardown name the hypercalls that open and close the
+	// channel ("" = none); setup also zeroes zeroPages shared pages.
+	setup, teardown string
+	zeroPages       cycles.Cycles
+	// charges prices one round trip: send before each post, poll and
+	// reply on the serve side, reap after the reply lands.
+	charges func(c *cycles.CostModel) (send, poll, reply, reap cycles.Cycles)
+	// killable rolls PartnerKill before every post: only the dedicated
+	// ring poller can die mid-protocol.
+	killable bool
+	// rec is the flight-recorder code of a completed call.
+	rec telemetry.EventCode
+}
+
+var pollKinds = [...]pollKind{
+	PollSync: {
+		name:  "sync",
+		setup: "sync-syscall-setup",
+		charges: func(c *cycles.CostModel) (send, poll, reply, reap cycles.Cycles) {
+			half := c.SyncProtocolOverhead / 2
+			return half, 0, 0, c.SyncProtocolOverhead - half
+		},
+		rec: telemetry.RecSyncCall,
+	},
+	PollRing: {
+		name:      "ring",
+		setup:     "ring-setup",
+		teardown:  "ring-teardown",
+		zeroPages: 2,
+		charges: func(c *cycles.CostModel) (send, poll, reply, reap cycles.Cycles) {
+			return c.RingPost, c.RingPoll, c.RingPost, c.RingReapBatch
+		},
+		killable: true,
+		rec:      telemetry.RecRingCall,
+	},
+}
+
+// PolledChannel is one polled system-call transport: a pair of SPSC
+// shared-memory rings — request and reply — between the HRT invoker and
+// a dedicated ROS poller. Virtual time on both sides is governed by the
+// frame stamps; the rings only carry them.
+type PolledChannel struct {
+	hvm  *HVM
+	kind PollKind
+	id   uint64
+	line cycles.Cycles // one cacheline transfer between the two cores
+
+	send, poll, reply, reap cycles.Cycles
+
+	req *spscRing // HRT -> ROS request frames
+	rep *spscRing // ROS -> HRT reply frames
+
+	// mu serializes invokes: the rings are strictly single-producer/
+	// single-consumer, and holding the lock across the round trip also
+	// guarantees the reply popped is the caller's own.
+	mu        sync.Mutex
+	seq       uint64 // last call's sequence number (mu-guarded)
+	closeOnce sync.Once
+	dead      atomic.Bool
+
+	// Telemetry handles resolved once at setup, not per call.
+	hrtTrack, serveTrack telemetry.Track
+	callCtr              *telemetry.Counter
+	callLat              *telemetry.Histogram
+}
+
+// OpenPolled establishes a polled channel of the given kind with its
+// setup hypercall, charged to clk: the VMM pins (and for the rings
+// zeroes) the shared pages and tells the HRT where they live. Every
+// steady-state crossing after that bypasses the VMM.
+func (h *HVM) OpenPolled(clk *cycles.Clock, kind PollKind, rosCore, hrtCore machine.CoreID) (*PolledChannel, error) {
+	k := &pollKinds[kind]
+	if !h.Booted() {
+		return nil, fmt.Errorf("hvm: cannot set up %s syscall channel before HRT boot", k.name)
+	}
+	h.hypercall(clk, k.setup)
+	clk.Advance(k.zeroPages * h.cost.PageZero)
+	return h.newPolled(kind, rosCore, hrtCore), nil
+}
+
+// newPolled builds the channel without any setup charge.
+func (h *HVM) newPolled(kind PollKind, rosCore, hrtCore machine.CoreID) *PolledChannel {
+	k := &pollKinds[kind]
+	p := &PolledChannel{
+		hvm:      h,
+		kind:     kind,
+		id:       atomic.AddUint64(&h.channelSeq, 1),
+		line:     h.cost.CachelineCrossSocket,
+		req:      newSPSCRing(ringCapacity),
+		rep:      newSPSCRing(ringCapacity),
+		hrtTrack: telemetry.Track{Core: int(hrtCore), Name: "hrt"},
+		callCtr:  h.metrics.Counter(k.name + ".syscalls"),
+		callLat:  h.metrics.LatencyHistogram(k.name + ".syscall.latency"),
+	}
+	if h.machine.SameSocket(rosCore, hrtCore) {
+		p.line = h.cost.CachelineSameSocket
+	}
+	p.send, p.poll, p.reply, p.reap = k.charges(h.cost)
+	p.serveTrack = telemetry.Track{Core: int(rosCore), Name: fmt.Sprintf("ros:%ssvc:%d", k.name, p.id)}
+	return p
+}
+
+// ClosePolled tears the channel down with its teardown hypercall, if the
+// kind has one, and releases the dedicated poller (its Serve returns
+// false). After a partner kill the ring teardown is the "hypercall-mode
+// recovery" step the fallback path charges.
+func (h *HVM) ClosePolled(clk *cycles.Clock, p *PolledChannel) {
+	if p.spec().teardown != "" {
+		h.hypercall(clk, p.spec().teardown)
+	}
+	p.Close()
+}
+
+// invoke forwards one system call, spinning until the polling partner
+// completes it, and reports the retransmission count the router's fault
+// policy reads. reqID is the causal request id from the syscall entry (0
+// for control traffic without one). It returns errPolledDown when the
+// channel died before or during the call; the caller still owns the
+// request and must re-route it.
+func (p *PolledChannel) invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint64) (linuxabi.Result, int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.dead.Load() {
+		return linuxabi.Result{}, 0, errPolledDown
+	}
+	p.seq++
+	seq, k := p.seq, p.spec()
+
+	start := clk.Now()
+	flow := flowID(p.id, seq)
+	var sp *telemetry.Span
+	if tr := p.hvm.tracer; tr.Enabled() {
+		sp = tr.Begin(p.hrtTrack, k.name, k.name+"-syscall", start,
+			telemetry.Attr{Key: "num", Val: uint64(call.Num)},
+			telemetry.Attr{Key: "req", Val: reqID})
+		sp.LinkOut(flow)
+	}
+
+	// Poll-deadline policy, as on the event channel: a dropped or
+	// corrupted request frame goes unanswered, the caller's virtual
+	// deadline expires, and it reposts with backoff. Shared memory cannot
+	// duplicate a frame, so only drop and corrupt apply — plus, on the
+	// rings, PartnerKill, which tears the channel down entirely and
+	// pushes recovery up to the router. The final attempt is never
+	// faulted, and with the fault plane off the first one is that.
+	var rep ringFrame
+	retx := 0
+	fi := p.hvm.faults
+	timeout, max := cycles.Cycles(0), 1
+	if fi != nil {
+		timeout, max = fi.RetryTimeout(), fi.MaxAttempts()
+	}
+	for attempt := 0; ; attempt++ {
+		if fi != nil && k.killable && fi.Roll(faults.PartnerKill, p.id, seq, attempt, clk.Now()) {
+			p.hvm.metrics.Counter("ring.kills").Inc()
+			p.hvm.recorder.Record(clk.Now(), telemetry.RecRingKill, p.id, reqID, seq, 0)
+			p.Close()
+			sp.EndAt(clk.Now())
+			return linuxabi.Result{}, retx, errPolledDown
+		}
+		last := attempt >= max-1
+		clk.Advance(p.send)
+		f := ringFrame{call: call, seq: seq, reqID: reqID, stamp: clk.Now() + p.line, flow: flow}
+		if last || !fi.Roll(faults.DropNotify, p.id, seq, attempt, clk.Now()) {
+			f.corrupt = !last && fi.Roll(faults.CorruptFrame, p.id, seq, attempt, clk.Now())
+			ok := p.post(clk, f)
+			if ok && !f.corrupt {
+				if rep, ok = p.rep.Pop(); ok {
+					break
+				}
+			}
+			if !ok {
+				sp.EndAt(clk.Now())
+				return linuxabi.Result{}, retx, errPolledDown
+			}
+		}
+		clk.Advance(timeout)
+		timeout *= 2
+		retx++
+		p.hvm.metrics.Counter("faults.retransmit").Inc()
+		p.hvm.tracer.InstantFlow(p.hrtTrack, k.name, "retransmit", clk.Now(), 0, flow,
+			telemetry.Attr{Key: "seq", Val: seq},
+			telemetry.Attr{Key: "req", Val: reqID},
+			telemetry.Attr{Key: "attempt", Val: uint64(retx)})
+		p.hvm.recorder.Record(clk.Now(), telemetry.RecRetransmit, p.id, reqID, seq, uint64(retx))
+	}
+	clk.SyncTo(rep.stamp + p.line)
+	clk.Advance(p.reap)
+	sp.EndAt(clk.Now())
+	p.callCtr.Inc()
+	p.callLat.Observe(clk.Now() - start)
+	p.hvm.recorder.Record(clk.Now(), k.rec, p.id, reqID, seq, uint64(retx))
+	return rep.res, retx, nil
+}
+
+// post publishes a request frame. A full ring would need a doorbell
+// hypercall to kick the partner — the only exit the steady-state path
+// can take, and one it never takes by construction (at most one request
+// is outstanding per ring pair), so a healthy run keeps exits.<kind> at
+// exactly zero.
+func (p *PolledChannel) post(clk *cycles.Clock, f ringFrame) bool {
+	for !p.req.Push(f) {
+		if p.req.Closed() {
+			return false
+		}
+		p.hvm.countExit(p.spec().name)
+		clk.Advance(p.hvm.cost.HypercallRoundTrip())
+	}
+	return true
+}
+
+// Serve handles one forwarded call on the dedicated ROS poller: the poll
+// iteration that found a frame, the service itself, and the reply post.
+// It blocks (host-level only) until a frame arrives and returns false
+// when the channel closes. Corrupt frames are discarded without an
+// answer — the caller's poll deadline reposts them.
+func (p *PolledChannel) Serve(clk *cycles.Clock, handler func(linuxabi.Call) linuxabi.Result) bool {
+	for {
+		f, ok := p.req.Pop()
+		if !ok {
+			return false
+		}
+		clk.SyncTo(f.stamp)
+		clk.Advance(p.poll)
+		if f.corrupt {
+			p.hvm.metrics.Counter("faults.corrupt.detected").Inc()
+			continue
+		}
+		var sp *telemetry.Span
+		if tr := p.hvm.tracer; tr.Enabled() {
+			sp = tr.Begin(p.serveTrack, p.spec().name, "serve-syscall", f.stamp,
+				telemetry.Attr{Key: "num", Val: uint64(f.call.Num)})
+			sp.LinkIn(f.flow)
+		}
+		res := handler(f.call)
+		sp.EndAt(clk.Now())
+		clk.Advance(p.reply)
+		p.rep.Push(ringFrame{seq: f.seq, reqID: f.reqID, res: res, stamp: clk.Now()})
+		return true
+	}
+}
+
+// Close shuts both rings down; idempotent, callable from either side.
+func (p *PolledChannel) Close() {
+	p.closeOnce.Do(func() {
+		p.dead.Store(true)
+		p.req.Close()
+		p.rep.Close()
+	})
+}
+
+func (p *PolledChannel) spec() *pollKind { return &pollKinds[p.kind] }

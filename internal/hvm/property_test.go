@@ -58,21 +58,30 @@ type sinkFunc func(*HRTRequest)
 
 func (f sinkFunc) Inject(req *HRTRequest) { f(req) }
 
-// Property: the router's tier-3 promotion/demotion policy is a pure
-// function of the forward stream's virtual times. For any sequence of
-// inter-arrival gaps, replaying the identical stream through a fresh
-// router yields the identical transition sequence at identical virtual
+// Property: the router's promotion ladder is a pure function of the
+// forward stream's virtual times. For any sequence of inter-arrival gaps,
+// replaying the identical stream through a fresh router with both rungs
+// installed yields the identical transition sequence at identical virtual
 // times — the determinism the seeded fault plane and the pinned bench
-// baselines stand on. Promotions and demotions must also strictly
-// alternate (the policy never double-promotes or double-demotes).
-func TestRouterRingTransitionsReplayableProperty(t *testing.T) {
+// baselines stand on. Each rung's promotions and demotions must strictly
+// alternate (the policy never double-promotes or double-demotes), and the
+// two rungs are never promoted at once: a ring promotion gives the sync
+// channel back first.
+func TestRouterLadderTransitionsReplayableProperty(t *testing.T) {
 	type transition struct {
-		What string
+		Kind PollKind
+		Open bool
 		At   cycles.Cycles
 	}
-	pol := RouterPolicy{RingCalls: 8, RingWindow: 400_000, RingIdle: 1_200_000}
+	pol := RouterPolicy{
+		PromoteCalls: 3, PromoteWindow: 150_000, DemoteIdle: 600_000,
+		RingCalls: 8, RingWindow: 400_000, RingIdle: 1_200_000,
+	}
+	var promotions [2]int
 
-	run := func(gaps []uint16) []transition {
+	// run replays one stream and reports its transitions, and whether
+	// both rungs were ever promoted at once.
+	run := func(gaps []uint16) ([]transition, bool) {
 		m, err := machine.New(machine.DefaultSpec())
 		if err != nil {
 			t.Fatal(err)
@@ -83,50 +92,65 @@ func TestRouterRingTransitionsReplayableProperty(t *testing.T) {
 		}
 		r := NewSyscallRouter(h, 1, RouterLocalState{}, pol)
 		var evs []transition
-		r.SetExitlessHooks(
-			func(clk *cycles.Clock) (*ExitlessChannel, error) {
+		var open [2]bool
+		overlap := false
+		r.SetPollHooks(
+			func(clk *cycles.Clock, kind PollKind) (*PolledChannel, error) {
 				clk.Advance(h.cost.HypercallRoundTrip())
-				evs = append(evs, transition{"promote", clk.Now()})
-				return &ExitlessChannel{hvm: h, req: newSPSCRing(ringCapacity), rep: newSPSCRing(ringCapacity)}, nil
+				overlap = overlap || open[PollSync] || open[PollRing]
+				open[kind] = true
+				promotions[kind]++
+				evs = append(evs, transition{kind, true, clk.Now()})
+				return h.newPolled(kind, 0, 1), nil
 			},
-			func(clk *cycles.Clock, x *ExitlessChannel) {
+			func(clk *cycles.Clock, p *PolledChannel) {
 				clk.Advance(h.cost.HypercallRoundTrip())
-				evs = append(evs, transition{"demote", clk.Now()})
-				x.Close()
+				open[p.kind] = false
+				evs = append(evs, transition{p.kind, false, clk.Now()})
+				p.Close()
 			},
+			true,
 		)
 		clk := cycles.NewClock(0)
 		for _, g := range gaps {
 			// Mostly sub-window gaps (promotable bursts) with occasional
-			// idle stretches past the poll budget — both derived only
-			// from the input, so the stream itself is deterministic.
+			// idle stretches past one or both idle budgets — all derived
+			// only from the input, so the stream itself is deterministic.
 			gap := cycles.Cycles(g&1023) * 97
-			if g%31 == 0 {
+			switch {
+			case g%31 == 0:
 				gap += pol.RingIdle
+			case g%17 == 0:
+				gap += pol.DemoteIdle
 			}
 			clk.Advance(gap)
-			r.applyRingPolicy(clk)
+			// The climbs forward makes, minus the transport call.
+			if r.climb(clk, &r.ring) == nil {
+				r.climb(clk, &r.sync)
+			}
 		}
-		return evs
+		return evs, overlap
 	}
 
 	prop := func(gaps []uint16) bool {
-		a, b := run(gaps), run(gaps)
-		if !reflect.DeepEqual(a, b) {
+		a, overlap := run(gaps)
+		b, _ := run(gaps)
+		if overlap || !reflect.DeepEqual(a, b) {
 			return false
 		}
-		for i, e := range a {
-			want := "promote"
-			if i%2 == 1 {
-				want = "demote"
-			}
-			if e.What != want {
+		var promoted [2]bool
+		for _, e := range a {
+			if e.Open == promoted[e.Kind] {
 				return false
 			}
+			promoted[e.Kind] = e.Open
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+	if promotions[PollSync] == 0 || promotions[PollRing] == 0 {
+		t.Errorf("promotions per rung = %v: the streams never climbed both rungs", promotions)
 	}
 }

@@ -36,55 +36,42 @@ import (
 //	  forwarding takes zero VM exits ("Look Mum, no VM Exits!");
 //	  hypercalls remain only for ring setup/teardown and kill recovery.
 //
-// Promotion is dynamic: the router tracks the group's forwarding rate in
-// virtual time and promotes a hot group to a SyncSyscallChannel mid-run
-// (burning a ROS polling core only while it pays for itself), demoting it
-// again after an idle gap. All decisions depend only on virtual time and
-// the call stream, so routing is as deterministic as the run itself.
+// Promotion is dynamic: tiers 2 and 3 are two rungs of one ladder, each
+// a PolledChannel of its own kind. The router tracks the group's
+// forwarding rate in virtual time, promotes a hot group onto a rung
+// mid-run (burning a ROS polling core only while it pays for itself), and
+// demotes it again after an idle gap. All decisions depend only on
+// virtual time and the call stream, so routing is as deterministic as the
+// run itself.
 type SyscallRouter struct {
 	hvm     *HVM
 	hrtCore machine.CoreID
 	policy  RouterPolicy
 	local   RouterLocalState
 
-	// Promotion hooks, installed by the execution-group layer: promote
-	// sets up a SyncSyscallChannel and its polling ROS thread; demote
-	// tears the channel down. Nil hooks disable dynamic promotion.
-	promote func(clk *cycles.Clock) (*SyncSyscallChannel, error)
-	demote  func(clk *cycles.Clock, ch *SyncSyscallChannel)
-
 	mu       sync.Mutex
 	cache    map[routerCacheKey]linuxabi.Result
 	cwdValid bool
-	// sync is the promoted channel. Only promote creates one, so a
-	// non-nil sync implies the hooks are installed.
-	sync *SyncSyscallChannel
-	// recent holds the virtual times of the last PromoteCalls forwards
-	// (oldest first); lastForward gates idle demotion.
-	recent      []cycles.Cycles
-	lastForward cycles.Cycles
-	closed      bool
+	closed   bool
 
-	// Fault-policy state (mu-guarded): lossRun counts consecutive lossy
-	// async forwards, cleanRun consecutive clean sync calls, and lossSync
-	// marks that the current sync channel exists for reliability — the
-	// idle-demotion rule must not tear it down while losses may recur.
+	// sync and ring are the ladder's two polled rungs (mu-guarded):
+	// tier 2's synchronous channel and tier 3's exitless rings.
+	sync, ring rung
+
+	// Tier-2 fault-policy state (mu-guarded): lossRun counts consecutive
+	// lossy async forwards, cleanRun consecutive clean sync calls, and
+	// lossSync marks that the current sync channel exists for reliability
+	// — the idle-demotion rule must not tear it down while losses may
+	// recur.
 	lossRun  int
 	cleanRun int
 	lossSync bool
 
-	// Tier-3 exitless hooks and state (mu-guarded): ringPromote sets up
-	// an ExitlessChannel and its dedicated ROS poller, ringDemote tears
-	// them down. Nil hooks disable tier 3 entirely — the dark path never
-	// touches any of this state. ringHold latches after a fault-pressure
+	// Tier-3 fault-policy state (mu-guarded), untouched while the ring
+	// rung has no hooks. ringHold latches after a fault-pressure
 	// demotion: re-promotion waits for CleanStreak clean tier-2 forwards
 	// (hypercall-mode recovery), and ringWasLossy makes that next
 	// promotion count as a re-promotion.
-	ringPromote  func(clk *cycles.Clock) (*ExitlessChannel, error)
-	ringDemote   func(clk *cycles.Clock, x *ExitlessChannel)
-	ring         *ExitlessChannel
-	ringRecent   []cycles.Cycles
-	lastRing     cycles.Cycles
 	ringLossRun  int
 	ringClean    int
 	ringHold     bool
@@ -93,6 +80,88 @@ type SyscallRouter struct {
 	// crossings counts tier-2 forwards (calls that actually crossed the
 	// boundary); atomic so the harness can read it mid-run.
 	crossings atomic.Uint64
+}
+
+// rung is one polled transport of the promotion ladder: its hooks, its
+// promoted channel, and the rate window and idle clock that move it.
+type rung struct {
+	kind PollKind
+	// open sets up a channel and its dedicated ROS poller; close tears
+	// them down. A rung without hooks never promotes.
+	open  func(clk *cycles.Clock, kind PollKind) (*PolledChannel, error)
+	close func(clk *cycles.Clock, ch *PolledChannel)
+	// ch is the promoted channel; only open creates one, so a non-nil ch
+	// implies the hooks are installed.
+	ch *PolledChannel
+	// recent holds the virtual times of the last calls forwards (oldest
+	// first) while the rung waits; last is the latest forward it carried,
+	// the clock idle demotion reads. (A sync channel promoted outside the
+	// rate window, for reliability, is idle-exempt for its whole life, so
+	// for the sync rung last is the latest tier-2 forward whenever idle
+	// demotion can fire.)
+	recent []cycles.Cycles
+	last   cycles.Cycles
+
+	calls        int
+	window, idle cycles.Cycles
+	// promoted and demoted are the rate-promotion and idle-demotion
+	// events.
+	promoted, demoted routerEvent
+}
+
+// step advances the rung's rate window and idle clock for one forward at
+// now, with the router's lock held. keep exempts a promoted channel from
+// idle demotion; hold blocks promotion. It returns the channel an idle
+// gap demoted, for the caller to close outside the lock, and whether the
+// window filled, in which case the caller opens a channel.
+func (g *rung) step(now cycles.Cycles, keep, hold bool) (idled *PolledChannel, fill bool) {
+	if g.ch != nil && !keep && g.last > 0 && now-g.last >= g.idle {
+		idled, g.ch = g.ch, nil
+		g.recent = g.recent[:0]
+	}
+	if g.ch != nil {
+		g.last = now
+		return idled, false
+	}
+	if hold {
+		return idled, false
+	}
+	g.recent = append(g.recent, now)
+	if len(g.recent) > g.calls {
+		g.recent = g.recent[len(g.recent)-g.calls:]
+	}
+	if len(g.recent) < g.calls || now-g.recent[0] > g.window {
+		return idled, false
+	}
+	g.recent = g.recent[:0]
+	return idled, true
+}
+
+// routerEvent is one ladder transition as the three telemetry planes see
+// it: a metric counter, a trace instant on the HRT track, and a
+// flight-recorder code.
+type routerEvent struct {
+	metric, instant string
+	rec             telemetry.EventCode
+}
+
+var (
+	evPromote       = routerEvent{"router.promotions", "channel-promote", telemetry.RecPromote}
+	evDemote        = routerEvent{"router.demotions", "channel-demote", telemetry.RecDemote}
+	evLossSync      = routerEvent{"router.fault_demotions", "channel-demote-lossy", telemetry.RecDemoteLossy}
+	evCleanAsync    = routerEvent{"router.fault_repromotions", "channel-repromote", telemetry.RecRepromote}
+	evRingPromote   = routerEvent{"router.tier3.promotions", "ring-promote", telemetry.RecRingPromote}
+	evRingRepromote = routerEvent{"router.tier3.repromotions", "ring-repromote", telemetry.RecRingRepromote}
+	evRingDemote    = routerEvent{"router.tier3.demotions", "ring-demote", telemetry.RecRingDemote}
+	evRingLossy     = routerEvent{"router.tier3.fault_demotions", "ring-demote-lossy", telemetry.RecRingDemoteLossy}
+)
+
+// event publishes one ladder transition at clk's current time.
+func (r *SyscallRouter) event(clk *cycles.Clock, ev routerEvent) {
+	now := clk.Now()
+	r.hvm.metrics.Counter(ev.metric).Inc()
+	r.hvm.tracer.Instant(telemetry.Track{Core: int(r.hrtCore), Name: "hrt"}, "router", ev.instant, now)
+	r.hvm.recorder.Record(now, ev.rec, uint64(r.hrtCore), 0, 0, 0)
 }
 
 // RouterPolicy tunes the dynamic sync/async channel promotion.
@@ -215,60 +284,35 @@ func NewSyscallRouter(h *HVM, hrtCore machine.CoreID, local RouterLocalState, po
 		local:    local,
 		cache:    make(map[routerCacheKey]linuxabi.Result),
 		cwdValid: true,
+		sync: rung{kind: PollSync, calls: policy.PromoteCalls, window: policy.PromoteWindow,
+			idle: policy.DemoteIdle, promoted: evPromote, demoted: evDemote},
+		ring: rung{kind: PollRing, calls: policy.RingCalls, window: policy.RingWindow,
+			idle: policy.RingIdle, promoted: evRingPromote, demoted: evRingDemote},
 	}
 }
 
-// SetPromotionHooks installs the callbacks that set up and tear down the
-// synchronous channel on promotion/demotion. Without hooks the router
-// never promotes (it still serves tiers 0 and 1).
-func (r *SyscallRouter) SetPromotionHooks(
-	promote func(clk *cycles.Clock) (*SyncSyscallChannel, error),
-	demote func(clk *cycles.Clock, ch *SyncSyscallChannel),
+// SetPollHooks installs the callbacks that open a polled channel (and
+// its dedicated ROS poller) on promotion and close it on demotion. The
+// sync rung always takes them; the ring rung only when exitless is set —
+// without it the router never reaches tier 3 and the tier-2 paths are
+// bit-for-bit what they were. Without hooks the router never promotes (it
+// still serves tiers 0 and 1).
+func (r *SyscallRouter) SetPollHooks(
+	open func(clk *cycles.Clock, kind PollKind) (*PolledChannel, error),
+	close func(clk *cycles.Clock, ch *PolledChannel),
+	exitless bool,
 ) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.promote = promote
-	r.demote = demote
-}
-
-// SetExitlessHooks installs the callbacks that set up and tear down the
-// tier-3 exitless ring pair (and its dedicated ROS poller) on
-// promotion/demotion. Without hooks the router never reaches tier 3 and
-// the tier-2 paths are bit-for-bit what they were.
-func (r *SyscallRouter) SetExitlessHooks(
-	promote func(clk *cycles.Clock) (*ExitlessChannel, error),
-	demote func(clk *cycles.Clock, x *ExitlessChannel),
-) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ringPromote = promote
-	r.ringDemote = demote
-}
-
-// Promoted reports whether the group currently forwards over the
-// synchronous channel.
-func (r *SyscallRouter) Promoted() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sync != nil
-}
-
-// RingPromoted reports whether the group currently forwards over the
-// tier-3 exitless rings.
-func (r *SyscallRouter) RingPromoted() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring != nil
+	r.sync.open, r.sync.close = open, close
+	if exitless {
+		r.ring.open, r.ring.close = open, close
+	}
 }
 
 // Crossings reports how many routed calls actually crossed the boundary
 // (tier-2 forwards). Race-free mid-run.
 func (r *SyscallRouter) Crossings() uint64 { return r.crossings.Load() }
-
-// hrtTrack is the router's trace track: the HRT thread's timeline.
-func (r *SyscallRouter) hrtTrack() telemetry.Track {
-	return telemetry.Track{Core: int(r.hrtCore), Name: "hrt"}
-}
 
 // Dispatch routes one system call from the HRT thread. It returns the
 // result, whether the call crossed the boundary, and a transport error (a
@@ -390,7 +434,7 @@ func (r *SyscallRouter) resolvePath(path string) string {
 // synchronous channel if promoted, the event channel otherwise.
 func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxabi.Call, reqID uint64) (linuxabi.Result, error) {
 	m := r.hvm.metrics
-	if x := r.applyRingPolicy(clk); x != nil {
+	if x := r.climb(clk, &r.ring); x != nil {
 		res, retx, err := x.invoke(clk, call, reqID)
 		if err == nil {
 			r.crossings.Add(1)
@@ -403,7 +447,7 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 		// the hypercall-mode tier-2 transports.
 		r.ringDown(clk)
 	}
-	sc := r.applyPolicy(clk)
+	sc := r.climb(clk, &r.sync)
 	r.crossings.Add(1)
 	if sc != nil {
 		res, retx, err := sc.invoke(clk, call, reqID)
@@ -412,7 +456,6 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 		}
 		m.Counter("router.forward.sync").Inc()
 		r.noteTransport(clk, retx, true)
-		r.noteRingRecovery(retx)
 		return res, nil
 	}
 	if ch == nil {
@@ -431,85 +474,66 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 	// only envelope producer, so the recycled envelope cannot be reused
 	// before the next Dispatch on this thread.
 	r.noteTransport(clk, env.Retransmits, false)
-	r.noteRingRecovery(env.Retransmits)
 	return rep.Res, nil
 }
 
-// applyRingPolicy runs the tier-3 promotion/demotion policy for one
-// forward and returns the ring channel to use (nil = stay on tier 2).
-// With no exitless hooks installed it returns immediately without
-// touching any state, keeping the dark path byte-identical.
-func (r *SyscallRouter) applyRingPolicy(clk *cycles.Clock) *ExitlessChannel {
+// climb runs one rung's promotion policy for a forward at the caller's
+// virtual time and returns the rung's channel to use (nil = fall through
+// to the rung below). Only the owning HRT thread climbs, so decisions are
+// serialized by construction; the lock only guards against concurrent
+// invalidations and harness reads. A rung without hooks returns at once
+// without touching any state, keeping the dark path byte-identical.
+//
+// The rungs differ in three rules. A reliability-promoted sync channel
+// (lossSync) is exempt from idle demotion: only a clean window may undo
+// it. The rings never promote during a recovery hold or over a
+// reliability sync channel. And a ring promotion first gives a promoted
+// sync channel's polling core back, since the ring poller takes over the
+// partner.
+func (r *SyscallRouter) climb(clk *cycles.Clock, g *rung) *PolledChannel {
+	now := clk.Now()
 	r.mu.Lock()
-	if r.ringPromote == nil {
+	if g.open == nil {
 		r.mu.Unlock()
 		return nil
 	}
-	now := clk.Now()
-
-	// Poll-budget exhaustion: an idle gap means the dedicated poller
-	// burned RingIdle cycles of its core finding nothing — give the
-	// partner back to tier 2.
-	if r.ring != nil && r.lastRing > 0 && now-r.lastRing >= r.policy.RingIdle {
-		x := r.ring
-		r.ring = nil
-		r.ringRecent = r.ringRecent[:0]
-		demote := r.ringDemote
-		r.mu.Unlock()
-		demote(clk, x)
-		r.hvm.metrics.Counter("router.tier3.demotions").Inc()
-		r.hvm.tracer.Instant(r.hrtTrack(), "router", "ring-demote", clk.Now())
-		r.hvm.recorder.Record(clk.Now(), telemetry.RecRingDemote, uint64(r.hrtCore), 0, 0, 0)
-		r.mu.Lock()
+	tier3 := g == &r.ring
+	idled, fill := g.step(now, !tier3 && r.lossSync, tier3 && (r.ringHold || r.lossSync))
+	var displaced *PolledChannel
+	if fill && tier3 {
+		displaced, r.sync.ch = r.sync.ch, nil
+		r.sync.recent = r.sync.recent[:0]
 	}
+	x, open, close, closeSync := g.ch, g.open, g.close, r.sync.close
+	r.mu.Unlock()
 
-	// Promote on a sustained forward rate. A recovery hold (fault
-	// pressure tore the rings down) blocks promotion until a clean
-	// tier-2 window clears it, and a reliability-demoted sync channel
-	// (lossSync) keeps its transport.
-	if r.ring == nil && !r.ringHold && !r.lossSync {
-		r.ringRecent = append(r.ringRecent, now)
-		if n := r.policy.RingCalls; len(r.ringRecent) > n {
-			r.ringRecent = r.ringRecent[len(r.ringRecent)-n:]
-		}
-		if len(r.ringRecent) == r.policy.RingCalls && now-r.ringRecent[0] <= r.policy.RingWindow {
-			promote := r.ringPromote
-			r.ringRecent = r.ringRecent[:0]
-			r.recent = r.recent[:0]
-			// The ring poller takes over the partner: a promoted sync
-			// channel gives its polling core back first.
-			sc, scDemote := r.sync, r.demote
-			r.sync = nil
-			r.mu.Unlock()
-			if sc != nil {
-				scDemote(clk, sc)
-				r.hvm.metrics.Counter("router.demotions").Inc()
-				r.hvm.tracer.Instant(r.hrtTrack(), "router", "channel-demote", clk.Now())
-				r.hvm.recorder.Record(clk.Now(), telemetry.RecDemote, uint64(r.hrtCore), 0, 0, 0)
-			}
-			x, err := promote(clk)
-			r.mu.Lock()
-			if err == nil && x != nil {
-				r.ring = x
-				r.ringLossRun = 0
-				if r.ringWasLossy {
-					r.ringWasLossy = false
-					r.hvm.metrics.Counter("router.tier3.repromotions").Inc()
-					r.hvm.tracer.Instant(r.hrtTrack(), "router", "ring-repromote", clk.Now())
-					r.hvm.recorder.Record(clk.Now(), telemetry.RecRingRepromote, uint64(r.hrtCore), 0, 0, 0)
-				} else {
-					r.hvm.metrics.Counter("router.tier3.promotions").Inc()
-					r.hvm.tracer.Instant(r.hrtTrack(), "router", "ring-promote", clk.Now())
-					r.hvm.recorder.Record(clk.Now(), telemetry.RecRingPromote, uint64(r.hrtCore), 0, 0, 0)
-				}
-			}
-		}
+	if idled != nil {
+		close(clk, idled)
+		r.event(clk, g.demoted)
 	}
-	x := r.ring
-	if x != nil {
-		r.lastRing = now
+	if !fill {
+		return x
+	}
+	if displaced != nil {
+		closeSync(clk, displaced)
+		r.event(clk, evDemote)
+	}
+	x, err := open(clk, g.kind)
+	if err != nil || x == nil {
+		return nil
+	}
+	r.mu.Lock()
+	g.ch, g.last = x, now
+	ev := g.promoted
+	if tier3 {
+		r.ringLossRun = 0
+		if r.ringWasLossy {
+			r.ringWasLossy = false
+			ev = evRingRepromote
+		}
 	}
 	r.mu.Unlock()
+	r.event(clk, ev)
 	return x
 }
 
@@ -543,152 +567,83 @@ func (r *SyscallRouter) noteRingTransport(clk *cycles.Clock, retx int) {
 // and re-promotion waits for a clean tier-2 window (noteRingRecovery).
 func (r *SyscallRouter) ringDown(clk *cycles.Clock) {
 	r.mu.Lock()
-	x := r.ring
-	r.ring = nil
-	r.ringRecent = r.ringRecent[:0]
+	x := r.ring.ch
+	r.ring.ch = nil
+	r.ring.recent = r.ring.recent[:0]
 	r.ringHold = true
 	r.ringWasLossy = true
 	r.ringClean = 0
-	demote := r.ringDemote
+	close := r.ring.close
 	r.mu.Unlock()
-	if x != nil && demote != nil {
-		demote(clk, x)
+	if x != nil && close != nil {
+		close(clk, x)
 	}
-	r.hvm.metrics.Counter("router.tier3.fault_demotions").Inc()
-	r.hvm.tracer.Instant(r.hrtTrack(), "router", "ring-demote-lossy", clk.Now())
-	r.hvm.recorder.Record(clk.Now(), telemetry.RecRingDemoteLossy, uint64(r.hrtCore), 0, 0, 0)
+	r.event(clk, evRingLossy)
 }
 
-// noteRingRecovery counts clean tier-2 forwards while a recovery hold
-// is latched; CleanStreak of them in a row prove the transport healthy
-// again and release the hold, letting applyRingPolicy re-promote. A
-// no-op (no state touched) when exitless is off or no hold is latched.
-func (r *SyscallRouter) noteRingRecovery(retx int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ringPromote == nil || !r.ringHold {
-		return
-	}
-	if retx > 0 {
-		r.ringClean = 0
-		return
-	}
-	r.ringClean++
-	if r.ringClean >= r.policy.CleanStreak {
-		r.ringHold = false
-		r.ringClean = 0
-	}
-}
-
-// noteTransport feeds the fault policy with one forward's transport
-// quality. It is a no-op while the fault plane is off, keeping the fixed
-// path untouched.
+// noteTransport feeds both fault policies with one tier-2 forward's
+// transport quality. While a ring recovery hold is latched, CleanStreak
+// clean forwards in a row prove the transport healthy again and release
+// the hold, letting the ring rung re-promote; that runs with the fault
+// plane off too, since a checkpoint latches the hold. The tier-2 policy
+// is a no-op while the fault plane is off, keeping the fixed path
+// untouched: LossStreak lossy async forwards in a row promote the sync
+// rung for reliability, and CleanStreak clean calls over that channel
+// demote it again.
 func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool) {
+	r.mu.Lock()
+	if r.ring.open != nil && r.ringHold {
+		if retx > 0 {
+			r.ringClean = 0
+		} else if r.ringClean++; r.ringClean >= r.policy.CleanStreak {
+			r.ringHold, r.ringClean = false, 0
+		}
+	}
 	if r.hvm.faults == nil {
+		r.mu.Unlock()
 		return
 	}
+	lossy, clean := false, (*PolledChannel)(nil)
 	if retx > 0 {
-		r.mu.Lock()
 		r.cleanRun = 0
-		if viaSync || r.sync != nil || r.promote == nil || r.lossSync {
-			r.mu.Unlock()
-			return
+		if !viaSync && r.sync.ch == nil && r.sync.open != nil && !r.lossSync {
+			r.lossRun++
+			if lossy = r.lossRun >= r.policy.LossStreak; lossy {
+				r.lossRun = 0
+			}
 		}
-		r.lossRun++
-		if r.lossRun < r.policy.LossStreak {
-			r.mu.Unlock()
-			return
-		}
-		// The async notification plane is flaky: fall back to the
-		// synchronous cacheline protocol, which a lost interrupt cannot
-		// touch.
-		promote := r.promote
+	} else {
 		r.lossRun = 0
-		r.mu.Unlock()
-		sc, err := promote(clk)
-		r.mu.Lock()
-		if err == nil && sc != nil {
-			r.sync = sc
-			r.lossSync = true
-			r.hvm.metrics.Counter("router.fault_demotions").Inc()
-			r.hvm.tracer.Instant(r.hrtTrack(), "router", "channel-demote-lossy", clk.Now())
-			r.hvm.recorder.Record(clk.Now(), telemetry.RecDemoteLossy, uint64(r.hrtCore), 0, 0, 0)
-		}
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Lock()
-	r.lossRun = 0
-	if !viaSync || !r.lossSync || r.sync == nil {
-		r.mu.Unlock()
-		return
-	}
-	r.cleanRun++
-	if r.cleanRun < r.policy.CleanStreak {
-		r.mu.Unlock()
-		return
-	}
-	// A clean window on the reliable path: give the polling core back.
-	sc := r.sync
-	r.sync = nil
-	r.lossSync = false
-	r.cleanRun = 0
-	demote := r.demote
-	r.mu.Unlock()
-	demote(clk, sc)
-	r.hvm.metrics.Counter("router.fault_repromotions").Inc()
-	r.hvm.tracer.Instant(r.hrtTrack(), "router", "channel-repromote", clk.Now())
-	r.hvm.recorder.Record(clk.Now(), telemetry.RecRepromote, uint64(r.hrtCore), 0, 0, 0)
-}
-
-// applyPolicy runs the promotion/demotion policy for one forward at the
-// caller's current virtual time and returns the synchronous channel to
-// use (nil = asynchronous). Only the owning HRT thread calls it, so
-// decisions are serialized by construction; the lock only guards against
-// concurrent invalidations and harness reads.
-func (r *SyscallRouter) applyPolicy(clk *cycles.Clock) *SyncSyscallChannel {
-	now := clk.Now()
-	r.mu.Lock()
-	// Demote after an idle gap: the polling core stopped paying for
-	// itself somewhere in the silence. A reliability demotion (lossSync)
-	// is exempt — only a clean window may undo it.
-	if r.sync != nil && !r.lossSync && r.lastForward > 0 && now-r.lastForward >= r.policy.DemoteIdle {
-		sc := r.sync
-		r.sync = nil
-		r.recent = r.recent[:0]
-		demote := r.demote
-		r.mu.Unlock()
-		demote(clk, sc)
-		r.hvm.metrics.Counter("router.demotions").Inc()
-		r.hvm.tracer.Instant(r.hrtTrack(), "router", "channel-demote", clk.Now())
-		r.hvm.recorder.Record(clk.Now(), telemetry.RecDemote, uint64(r.hrtCore), 0, 0, 0)
-		r.mu.Lock()
-	}
-
-	// Track the forwarding rate and promote on a hot burst.
-	if r.sync == nil && r.promote != nil {
-		r.recent = append(r.recent, now)
-		if n := r.policy.PromoteCalls; len(r.recent) > n {
-			r.recent = r.recent[len(r.recent)-n:]
-		}
-		if len(r.recent) == r.policy.PromoteCalls && now-r.recent[0] <= r.policy.PromoteWindow {
-			promote := r.promote
-			r.recent = r.recent[:0]
-			r.mu.Unlock()
-			sc, err := promote(clk)
-			r.mu.Lock()
-			if err == nil && sc != nil {
-				r.sync = sc
-				r.hvm.metrics.Counter("router.promotions").Inc()
-				r.hvm.tracer.Instant(r.hrtTrack(), "router", "channel-promote", clk.Now())
-				r.hvm.recorder.Record(clk.Now(), telemetry.RecPromote, uint64(r.hrtCore), 0, 0, 0)
+		if viaSync && r.lossSync && r.sync.ch != nil {
+			r.cleanRun++
+			if r.cleanRun >= r.policy.CleanStreak {
+				clean, r.sync.ch = r.sync.ch, nil
+				r.lossSync = false
+				r.cleanRun = 0
 			}
 		}
 	}
-	r.lastForward = now
-	sc := r.sync
+	open, close := r.sync.open, r.sync.close
 	r.mu.Unlock()
-	return sc
+	switch {
+	case lossy:
+		// The async notification plane is flaky: fall back to the
+		// synchronous cacheline protocol, which a lost interrupt cannot
+		// touch.
+		sc, err := open(clk, PollSync)
+		if err != nil {
+			return
+		}
+		r.mu.Lock()
+		r.sync.ch = sc
+		r.lossSync = true
+		r.mu.Unlock()
+		r.event(clk, evLossSync)
+	case clean != nil:
+		// A clean window on the reliable path: give the polling core back.
+		close(clk, clean)
+		r.event(clk, evCleanAsync)
+	}
 }
 
 // ---- Invalidation hooks -------------------------------------------------
@@ -774,18 +729,18 @@ type RouterCheckpoint struct {
 // timeline, which must stay byte-identical to an unmigrated run.
 func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 	r.mu.Lock()
-	hasRing := r.ring != nil
+	hasRing := r.ring.ch != nil
 	r.mu.Unlock()
 	if hasRing {
 		r.ringDown(clk)
 	}
 	r.mu.Lock()
-	sc := r.sync
-	r.sync = nil
+	sc := r.sync.ch
+	r.sync.ch = nil
 	r.lossSync = false
 	r.cleanRun = 0
-	r.recent = r.recent[:0]
-	demote := r.demote
+	r.sync.recent = r.sync.recent[:0]
+	close := r.sync.close
 	dropped := len(r.cache)
 	clear(r.cache)
 	cp := RouterCheckpoint{
@@ -796,7 +751,7 @@ func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 	}
 	r.mu.Unlock()
 	if sc != nil {
-		demote(clk, sc)
+		close(clk, sc)
 	}
 	if dropped > 0 {
 		r.hvm.metrics.Counter("router.cache_invalidations").Add(uint64(dropped))
@@ -808,16 +763,13 @@ func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 // freezes the cache.
 func (r *SyscallRouter) Shutdown() {
 	r.mu.Lock()
-	sc := r.sync
-	r.sync = nil
-	x := r.ring
-	r.ring = nil
+	sc, x := r.sync.ch, r.ring.ch
+	r.sync.ch, r.ring.ch = nil, nil
 	r.closed = true
 	r.mu.Unlock()
-	if sc != nil {
-		sc.Close()
-	}
-	if x != nil {
-		x.Close()
+	for _, c := range [...]*PolledChannel{sc, x} {
+		if c != nil {
+			c.Close()
+		}
 	}
 }

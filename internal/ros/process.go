@@ -2,6 +2,7 @@ package ros
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,7 +134,9 @@ type Process struct {
 	arenas    map[int]*threadArena
 
 	// mutHooks observe successful mutating syscalls (see AddMutationHook).
-	mutHooks []func(MutationEvent)
+	// The slice is copy-on-remove, so notifyMutations can iterate a
+	// snapshot outside the lock.
+	mutHooks []*mutationHook
 
 	// pml4Gen is the per-slot generation stamp of the lower-half PML4: any
 	// operation that can change a top-level entry (or what it governs)
@@ -184,13 +187,31 @@ type MutationEvent struct {
 	Path string
 }
 
+type mutationHook struct{ fn func(MutationEvent) }
+
 // AddMutationHook registers fn to run after every successful mutating
 // system call, with one event per affected cache axis. Hooks run outside
-// the process lock, on the servicing thread's goroutine.
-func (p *Process) AddMutationHook(fn func(MutationEvent)) {
+// the process lock, on the servicing thread's goroutine. The returned
+// function removes the hook again; calling it more than once is harmless.
+func (p *Process) AddMutationHook(fn func(MutationEvent)) (remove func()) {
+	h := &mutationHook{fn: fn}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.mutHooks = append(p.mutHooks, fn)
+	p.mutHooks = append(p.mutHooks, h)
+	return func() {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if i := slices.Index(p.mutHooks, h); i >= 0 {
+			p.mutHooks = append(p.mutHooks[:i:i], p.mutHooks[i+1:]...)
+		}
+	}
+}
+
+// MutationHooks reports how many mutation hooks are registered.
+func (p *Process) MutationHooks() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.mutHooks)
 }
 
 // EnableFaultTrace starts recording up to max kernel-handled user page

@@ -1,6 +1,7 @@
 package ros
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"multiverse/internal/linuxabi"
@@ -419,5 +420,50 @@ func TestMaxRSSTracksPeak(t *testing.T) {
 	}
 	if st.MaxRSSKb() != 40 {
 		t.Errorf("MaxRSSKb = %d", st.MaxRSSKb())
+	}
+}
+
+// TestMutationHookRemove pins the hook lifetime: a removed hook stops
+// observing mutations, removal is idempotent, and hooks can come and go
+// on one goroutine while another fires notifications (the router
+// registers and releases hooks while partner threads serve writes).
+func TestMutationHookRemove(t *testing.T) {
+	_, p, th := newProc(t, Native)
+	write := call(linuxabi.SysWrite, 1, 0, 1)
+	write.Data = []byte("x")
+
+	var kept atomic.Int64
+	p.AddMutationHook(func(MutationEvent) { kept.Add(1) })
+	const writes = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < writes; i++ {
+			var n atomic.Int64
+			remove := p.AddMutationHook(func(MutationEvent) { n.Add(1) })
+			remove()
+			remove()
+		}
+	}()
+	for i := 0; i < writes; i++ {
+		if res := p.Syscall(th, write); !res.Ok() {
+			t.Fatalf("write: %v", res.Err)
+		}
+	}
+	<-done
+	if n := p.MutationHooks(); n != 1 {
+		t.Errorf("MutationHooks = %d after every remove, want 1", n)
+	}
+	if got := kept.Load(); got < writes {
+		t.Errorf("kept hook saw %d events for %d writes", got, writes)
+	}
+
+	var late atomic.Int64
+	remove := p.AddMutationHook(func(MutationEvent) { late.Add(1) })
+	p.Syscall(th, write)
+	remove()
+	p.Syscall(th, write)
+	if got := late.Load(); got != 1 {
+		t.Errorf("hook saw %d events, want 1: it observed a write after its removal", got)
 	}
 }

@@ -71,8 +71,8 @@ func (p *Process) notifyMutations(call linuxabi.Call) {
 		}
 	}
 	for _, ev := range evs {
-		for _, fn := range hooks {
-			fn(ev)
+		for _, h := range hooks {
+			h.fn(ev)
 		}
 	}
 }

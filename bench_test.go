@@ -17,6 +17,7 @@ import (
 	"multiverse/internal/bench"
 	"multiverse/internal/core"
 	"multiverse/internal/cycles"
+	"multiverse/internal/hvm"
 	"multiverse/internal/legion"
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/machine"
@@ -84,18 +85,13 @@ func TestFig2TelemetryInvariance(t *testing.T) {
 		}
 		out["async"] = clk.Now() - start
 
-		s, err := sys.HVM.SetupSync(clk, 0x7f55_0000_0000, sys.Kernel.BootCore(), 1)
+		p, err := openSyncEcho(sys, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		pollClk := cycles.NewClock(clk.Now())
-		go func() {
-			for s.Poll(pollClk, func(fn uint64, args []uint64) uint64 { return 0 }) {
-			}
-		}()
+		defer p.Close()
 		start = clk.Now()
-		if _, err := s.Invoke(clk, noop); err != nil {
+		if _, _, err := p.Invoke(clk, linuxabi.Call{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		out["sync"] = clk.Now() - start
@@ -145,23 +141,36 @@ func BenchmarkFig2_AsynchronousCall(b *testing.B) {
 	reportVCycles(b, clk.Now()-start)
 }
 
+// openSyncEcho opens the section 4.3 synchronous channel between the ROS
+// boot core and an HRT poller on hrtCore, answering every call with 0. As
+// in Figure 2 the ends are swapped, since the call runs from the ROS to
+// the HRT. Close the channel to stop the poller.
+func openSyncEcho(sys *core.System, hrtCore machine.CoreID) (*hvm.PolledChannel, error) {
+	clk := sys.Main.Clock
+	p, err := sys.HVM.OpenPolled(clk, hvm.PollSync, hrtCore, sys.Kernel.BootCore())
+	if err != nil {
+		return nil, err
+	}
+	pollClk := cycles.NewClock(clk.Now())
+	go func() {
+		for p.Serve(pollClk, func(linuxabi.Call) linuxabi.Result { return linuxabi.Result{} }) {
+		}
+	}()
+	return p, nil
+}
+
 func benchSyncCall(b *testing.B, hrtCore machine.CoreID) {
 	sys := newHybrid(b, hrtCore)
 	clk := sys.Main.Clock
-	s, err := sys.HVM.SetupSync(clk, 0x7f77_0000_0000, sys.Kernel.BootCore(), hrtCore)
+	p, err := openSyncEcho(sys, hrtCore)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
-	pollClk := cycles.NewClock(clk.Now())
-	go func() {
-		for s.Poll(pollClk, func(fn uint64, args []uint64) uint64 { return 0 }) {
-		}
-	}()
+	defer p.Close()
 	start := clk.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Invoke(clk, 1); err != nil {
+		if _, _, err := p.Invoke(clk, linuxabi.Call{}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

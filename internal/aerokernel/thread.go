@@ -437,11 +437,9 @@ func (t *Thread) Syscall(call linuxabi.Call) linuxabi.Result {
 	// and carried through every tier, hop, retry, and replay below.
 	reqID := t.nextReqID()
 
-	if fi := k.faults; fi != nil {
-		t.sysCount++
-		if fi.Roll(faults.HRTPanic, uint64(t.ID), t.sysCount, 0, t.Clock.Now()) {
-			t.containInjectedPanic(reqID)
-		}
+	t.sysCount++
+	if k.faults.Roll(faults.HRTPanic, uint64(t.ID), t.sysCount, 0, t.Clock.Now()) {
+		t.containInjectedPanic(reqID)
 	}
 
 	var res linuxabi.Result

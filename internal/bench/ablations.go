@@ -303,21 +303,10 @@ func AblationChannelKind(runs int) (*Table, error) {
 		}
 	})
 
-	s, err := sys.HVM.SetupSync(clk, 0x7f44_0000_0000, sys.Kernel.BootCore(), sys.Opts.HRTCores[0])
+	sync, err := syncCallCycles(sys, sys.Opts.HRTCores[0], runs, 7)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	pollClk := cycles.NewClock(clk.Now())
-	go func() {
-		for s.Poll(pollClk, func(fn uint64, args []uint64) uint64 { return args[0] }) {
-		}
-	}()
-	sync := avgCycles(clk, runs, func() {
-		if _, serr := s.Invoke(clk, noopAddr, 7); serr != nil {
-			panic(serr)
-		}
-	})
 
 	t := &Table{
 		Title:  "Ablation: function invocation channel kind (same socket)",

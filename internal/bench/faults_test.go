@@ -37,6 +37,57 @@ func TestFaultedOutputProperty(t *testing.T) {
 	}
 }
 
+// TestFaultPlaneZeroRateEquivalence pins the nil injector as the fault
+// plane's zero: every channel runs one request loop whether or not the
+// plane is armed, so an armed plan whose rates are all zero must leave
+// each CLBG program's stdout, virtual cycles and forward counts exactly
+// as an unarmed run leaves them, on every transport.
+func TestFaultPlaneZeroRateEquivalence(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"plain", core.Options{}},
+		{"router", core.Options{Router: true}},
+		{"exitless", core.Options{Exitless: true}},
+		{"merger+scheduler+exitless", core.Options{Merger: true, Scheduler: true, Exitless: true}},
+	} {
+		for i, prog := range Programs() {
+			cfg, prog, seed := cfg, prog, uint64(31+i)
+			t.Run(cfg.name+"/"+prog.Name, func(t *testing.T) {
+				t.Parallel()
+				off, err := RunBenchmark(prog, core.WorldHRT, cfg.opts, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				armed := cfg.opts
+				armed.Faults = &faults.Plan{Seed: seed}
+				on, err := RunBenchmark(prog, core.WorldHRT, armed, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(on.Output, off.Output) {
+					t.Error("stdout differs with the zero-rate plane armed")
+				}
+				for _, c := range []struct {
+					what    string
+					on, off uint64
+				}{
+					{"cycles", uint64(on.Cycles), uint64(off.Cycles)},
+					{"forwarded syscalls", on.ForwardedSyscalls, off.ForwardedSyscalls},
+					{"forwarded faults", on.ForwardedFaults, off.ForwardedFaults},
+					{"forward cycles", uint64(on.ForwardedSyscallCycles), uint64(off.ForwardedSyscallCycles)},
+					{"ring calls", on.RingCalls, off.RingCalls},
+				} {
+					if c.on != c.off {
+						t.Errorf("%s = %d armed, %d unarmed", c.what, c.on, c.off)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestFaultedRunReplays pins fixed-seed replay: the same seed must
 // reproduce the identical trace of injections, retransmissions, and
 // recoveries — and the identical virtual cycle total — across runs.

@@ -7,6 +7,7 @@ import (
 	"multiverse/internal/aerokernel"
 	"multiverse/internal/core"
 	"multiverse/internal/cycles"
+	"multiverse/internal/hvm"
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/machine"
 	"multiverse/internal/telemetry"
@@ -53,6 +54,35 @@ func newHybrid(name string, hrtCore machine.CoreID) (*core.System, error) {
 	})
 }
 
+// syncCallCycles averages the round trip of the section 4.3 synchronous
+// memory-polling channel between the ROS boot core and hrtCore over runs
+// calls. The poller answers each call with its first argument, arg. The
+// figure's call runs from the ROS to an HRT poller, the reverse of a
+// forwarded system call, so the channel is opened with the ends swapped:
+// the caller's spans land on the boot core and the poller's on hrtCore.
+// The cacheline cost depends only on whether the two share a socket.
+func syncCallCycles(sys *core.System, hrtCore machine.CoreID, runs int, arg uint64) (cycles.Cycles, error) {
+	clk := sys.Main.Clock
+	p, err := sys.HVM.OpenPolled(clk, hvm.PollSync, hrtCore, sys.Kernel.BootCore())
+	if err != nil {
+		return 0, err
+	}
+	defer sys.HVM.ClosePolled(clk, p)
+	pollClk := cycles.NewClock(clk.Now())
+	go func() {
+		for p.Serve(pollClk, func(call linuxabi.Call) linuxabi.Result {
+			return linuxabi.Result{Ret: call.Args[0]}
+		}) {
+		}
+	}()
+	call := linuxabi.Call{Args: [6]uint64{arg}}
+	return avgCycles(clk, runs, func() {
+		if _, _, ierr := p.Invoke(clk, call, 0); ierr != nil {
+			panic(ierr)
+		}
+	}), nil
+}
+
 // Figure2 regenerates the round-trip latency table of ROS<->HRT
 // interactions: address-space merger, asynchronous call, and synchronous
 // calls on the same and on different sockets. The paper measured ~33 K,
@@ -82,28 +112,11 @@ func Figure2(runs int) (*Table, error) {
 		}
 	})
 
-	syncOn := func(hrtCore machine.CoreID) (cycles.Cycles, error) {
-		s, serr := sys.HVM.SetupSync(clk, 0x7f33_0000_0000, sys.Kernel.BootCore(), hrtCore)
-		if serr != nil {
-			return 0, serr
-		}
-		defer s.Close()
-		pollClk := cycles.NewClock(clk.Now())
-		go func() {
-			for s.Poll(pollClk, func(fn uint64, args []uint64) uint64 { return 0 }) {
-			}
-		}()
-		return avgCycles(clk, runs, func() {
-			if _, ierr := s.Invoke(clk, noopAddr); ierr != nil {
-				panic(ierr)
-			}
-		}), nil
-	}
-	syncSame, err := syncOn(sameSocketCore)
+	syncSame, err := syncCallCycles(sys, sameSocketCore, runs, 0)
 	if err != nil {
 		return nil, err
 	}
-	syncCross, err := syncOn(crossSocketCore)
+	syncCross, err := syncCallCycles(sys, crossSocketCore, runs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +134,7 @@ func Figure2(runs int) (*Table, error) {
 	row("Synchronous Call (same socket)", syncSame)
 	t.AddNote("paper: ~33K / ~25K / ~1060 / ~790 cycles")
 	latencyHistogramNotes(t, sys.Metrics(),
-		"hvm.merge_request.latency", "hvm.async_call.latency", "sync.invoke.latency")
+		"hvm.merge_request.latency", "hvm.async_call.latency", "sync.syscall.latency")
 	return t, nil
 }
 

@@ -2,13 +2,16 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"multiverse/internal/cycles"
 	"multiverse/internal/faults"
 	"multiverse/internal/linuxabi"
+	"multiverse/internal/ros"
 )
 
 // holdFn is a group body that checks in on arrived and then blocks until
@@ -24,21 +27,26 @@ func holdFn(arrived chan<- struct{}, gate <-chan struct{}) func(Env) uint64 {
 // TestGroupMapLeakRegression is the unbounded-growth fix pinned as a
 // regression: spawning and joining 10k groups must leave the registry
 // empty and keep it from accumulating along the way. Exited groups used
-// to stay in System.groups forever, and a routed group's mutation hook
-// stayed registered on the Proc forever; both must track live groups.
+// to stay in System.groups forever, a routed group's mutation hook
+// stayed registered on the Proc forever, and the Proc's thread table kept
+// every partner thread (and its 64 KiB stack) reachable; all three must
+// track live groups. The routed case watches the first retired partners
+// with finalizers: each must become collectable.
 func TestGroupMapLeakRegression(t *testing.T) {
 	const hookSlack = 1
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name    string
+		opts    Options
+		watched int
 	}{
-		{"plain", Options{AppName: "leak", WarmPool: 2}},
-		{"routed", Options{AppName: "leak", WarmPool: 2, Router: true, Exitless: true, Merger: true}},
+		{"plain", Options{AppName: "leak", WarmPool: 2}, 0},
+		{"routed", Options{AppName: "leak", WarmPool: 2, Router: true, Exitless: true, Merger: true}, 200},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := buildTestSystem(t, tc.opts)
 			const total = 10_000
 			clk := cycles.NewClock(0)
+			var freed atomic.Int64
 			for i := 0; i < total; i++ {
 				g, err := sys.SpawnGroup(clk, func(Env) uint64 { return 0 })
 				if err != nil {
@@ -46,6 +54,9 @@ func TestGroupMapLeakRegression(t *testing.T) {
 				}
 				if _, jerr := g.WaitExit(clk); jerr != nil {
 					t.Fatalf("join %d: %v", i, jerr)
+				}
+				if i < tc.watched {
+					runtime.SetFinalizer(g.Partner(), func(*ros.Thread) { freed.Add(1) })
 				}
 				if i%1000 == 999 {
 					if n := sys.GroupTableSize(); n > 1 {
@@ -64,6 +75,13 @@ func TestGroupMapLeakRegression(t *testing.T) {
 			}
 			if n := sys.Proc.MutationHooks(); n > hookSlack {
 				t.Errorf("Proc holds %d mutation hooks after all joins, want <= %d", n, hookSlack)
+			}
+			for deadline := time.Now().Add(10 * time.Second); freed.Load() < int64(tc.watched) && time.Now().Before(deadline); {
+				runtime.GC()
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := freed.Load(); n != int64(tc.watched) {
+				t.Errorf("%d of the first %d retired partner threads were collected, want all", n, tc.watched)
 			}
 		})
 	}

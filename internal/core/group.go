@@ -202,8 +202,8 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 	}
 	s.groups.store(g.id, g)
 	s.noteGroupLive()
-	if fi := s.faults; fi != nil && fi.Scoped() && fi.GroupInScope(g.id) {
-		fi.AllowSite("chan", g.channel.ID())
+	if s.faults.GroupInScope(g.id) {
+		s.faults.AllowSite("chan", g.channel.ID())
 	}
 
 	// Adaptive boundary router: mirror the process-invariant state into
@@ -540,7 +540,7 @@ func (g *ExecutionGroup) serve(pt *ros.Thread) {
 			}
 			break
 		}
-		if fi != nil && !g.degraded.Load() &&
+		if !g.degraded.Load() &&
 			fi.Roll(faults.PartnerKill, g.channel.ID(), env.Seq, int(g.gen.Load()), pt.Clock.Now()) {
 			// Injected partner death mid-service: return without cleanup.
 			// The thread finishes, the watchdog notices, and the envelope —

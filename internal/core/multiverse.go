@@ -312,10 +312,6 @@ func (s *System) Metrics() *telemetry.Registry { return s.metrics }
 // Options.NoRecorder).
 func (s *System) Recorder() *telemetry.Recorder { return s.recorder }
 
-// FaultInjector returns the run's fault injector (nil when the fault
-// plane is unarmed).
-func (s *System) FaultInjector() *faults.Injector { return s.faults }
-
 // InitRuntime performs the initialization the toolchain's hooks run
 // before main() (section 3.5): register ROS signal handlers, hook process
 // exit, link AeroKernel functions, parse and install the embedded
@@ -639,8 +635,8 @@ func (s *System) Groups() int {
 // fault allowlist when the owning group is an injection target
 // (faults.Plan.Groups).
 func (s *System) allowFaultThread(g *ExecutionGroup, ht *aerokernel.Thread) {
-	if fi := s.faults; fi != nil && fi.Scoped() && fi.GroupInScope(g.id) {
-		fi.AllowSite("thread", uint64(ht.ID))
+	if s.faults.GroupInScope(g.id) {
+		s.faults.AllowSite("thread", uint64(ht.ID))
 	}
 }
 

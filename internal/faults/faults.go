@@ -311,9 +311,6 @@ func (i *Injector) specFire(k Kind, id uint64, now cycles.Cycles) bool {
 	return false
 }
 
-// Scoped reports whether the plan is restricted to named groups.
-func (i *Injector) Scoped() bool { return i != nil && i.scoped }
-
 // GroupInScope reports whether gid is one of the plan's named groups.
 func (i *Injector) GroupInScope(gid uint64) bool {
 	if i == nil {
@@ -403,23 +400,6 @@ func (i *Injector) RetransmitBound() int {
 		return 0
 	}
 	return i.plan.RetransmitBound
-}
-
-// NodeKills is how many node-kill events a grid chaos run injects.
-func (i *Injector) NodeKills() int {
-	if i == nil {
-		return 0
-	}
-	return i.plan.NodeKills
-}
-
-// Seed exposes the plan seed for grid-level decisions (node-kill victim
-// selection) that must agree with the channel/thread-level rolls.
-func (i *Injector) Seed() uint64 {
-	if i == nil {
-		return 0
-	}
-	return i.plan.Seed
 }
 
 // NodeKillVictim deterministically picks the victim node of node-kill

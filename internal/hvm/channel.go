@@ -1,8 +1,8 @@
 package hvm
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -142,9 +142,12 @@ type EventChannel struct {
 	// svcName is the partner-side trace track name, formatted once.
 	svcName string
 
-	mu      sync.Mutex
-	pending chan *Envelope
-	closed  bool
+	// pending is the wire. It is never closed: done signals teardown, so
+	// a send that loses a race with Close (a duplicate completed the
+	// request and the partner closed the channel) cannot panic.
+	pending   chan *Envelope
+	done      chan struct{}
+	closeOnce sync.Once
 
 	// seq numbers this channel's forwards; combined with the channel id
 	// it yields flow ids that depend only on program order, never on
@@ -156,25 +159,15 @@ type EventChannel struct {
 	// traffic (thread exit) cannot be lost again.
 	reliable atomic.Bool
 
-	// Receiver-side recovery state, present only when the fault plane is
-	// armed. completed records serviced seqnos for duplicate coalescing;
-	// inflight tracks envelopes received but not yet completed (what a
-	// dead partner leaves behind); redeliver is the watchdog's replay
-	// queue, drained before pending.
-	rmu       sync.Mutex
-	completed map[uint64]bool
-	inflight  map[uint64]*Envelope
-	redeliver []*Envelope
-	// replayScratch is Requeue's reusable staging slice: respawn storms
-	// rebuild the redelivery queue without allocating a fresh slice per
-	// respawn.
-	replayScratch []*Envelope
+	// win is the receiver-side retransmission window; nil while the
+	// fault plane is off.
+	win *retxWindow
 
-	// Clean-path envelope recycling: one Forward is outstanding per
-	// channel in the steady state, so a one-slot free list (with the
-	// envelope's reply channel riding along) makes the round trip
-	// allocation-free. Fault-armed forwards never recycle — inflight and
-	// redeliver can hold references past Forward's return.
+	// Envelope recycling: one Forward is outstanding per channel in the
+	// steady state, so a one-slot free list (with the envelope's reply
+	// channel riding along) makes the round trip allocation-free. A
+	// forward whose duplicate is queued for redelivery is not recycled —
+	// the queue still holds the envelope.
 	fmu     sync.Mutex
 	freeEnv *Envelope
 
@@ -182,20 +175,19 @@ type EventChannel struct {
 	// instead of a registry lookup (and two string concats) per Forward.
 	fwdCtr [numEventKinds]*telemetry.Counter
 	fwdLat [numEventKinds]*telemetry.Histogram
-	// retransDepth gauges the retransmission window (redeliver queue +
-	// in-flight set); resolved once when the fault plane is armed.
-	retransDepth *telemetry.Gauge
 
 	// Partner-interrupt plumbing for grid migration. halt, when armed,
 	// lets the grid stop the partner's Recv loop without closing the
 	// channel: the channel object — pending queue, seqno counter, and
 	// the whole retransmission window — survives the move, and the
 	// restored partner on the target node keeps serving it. halt is nil
-	// on non-grid groups, so the ordinary receive path stays a plain
-	// channel receive.
+	// on non-grid groups.
 	hltMu sync.Mutex
 	halt  chan struct{}
 }
+
+// errChannelClosed is Forward's error once the channel is torn down.
+var errChannelClosed = errors.New("hvm: event channel closed")
 
 // NewEventChannel creates the channel for an execution group whose HRT
 // thread runs on hrtCore and whose partner runs on rosCore.
@@ -205,30 +197,21 @@ func (h *HVM) NewEventChannel(hrtCore, rosCore machine.CoreID) *EventChannel {
 		id:      atomic.AddUint64(&h.channelSeq, 1),
 		hrtCore: hrtCore,
 		rosCore: rosCore,
-		pending: make(chan *Envelope, 1),
+		done:    make(chan struct{}),
+		win:     newRetxWindow(h.faults, h.metrics),
 	}
+	c.pending = make(chan *Envelope, c.win.wireDepth())
 	c.svcName = fmt.Sprintf("ros:svc:%d", c.id)
-	if h.faults != nil {
-		// Duplicate deliveries and partner-death windows can park several
-		// envelopes at once; a deeper queue keeps the sender from blocking
-		// on a frame the dead partner will never drain.
-		c.pending = make(chan *Envelope, 64)
-		c.completed = make(map[uint64]bool)
-		c.inflight = make(map[uint64]*Envelope)
-	}
 	for k := EventKind(1); k < numEventKinds; k++ {
 		c.fwdCtr[k] = h.metrics.Counter("forward." + k.String())
 		c.fwdLat[k] = h.metrics.LatencyHistogram("forward." + k.String() + ".latency")
-	}
-	if h.faults != nil {
-		c.retransDepth = h.metrics.Gauge("faults.retransmit.depth")
 	}
 	return c
 }
 
 // NewEnvelope returns a zeroed envelope for the next Forward on this
-// channel, recycling the clean-path scratch envelope (and its reply
-// channel) when one is free.
+// channel, recycling the scratch envelope (and its reply channel) when
+// one is free.
 func (c *EventChannel) NewEnvelope() *Envelope {
 	c.fmu.Lock()
 	env := c.freeEnv
@@ -260,10 +243,11 @@ func (c *EventChannel) ID() uint64 { return c.id }
 
 // ArmPartnerInterrupt arms (or re-arms, after a restore) the halt line
 // that InterruptPartner closes. Grid-hosted groups arm it at spawn; a
-// restored group re-arms it before its new partner starts serving.
+// restored group re-arms it before its new partner starts serving. A
+// closed channel is never re-armed: its halt line is its stop line.
 func (c *EventChannel) ArmPartnerInterrupt() {
 	c.hltMu.Lock()
-	if c.halt == nil || closed(c.halt) {
+	if !closed(c.done) && (c.halt == nil || closed(c.halt)) {
 		c.halt = make(chan struct{})
 	}
 	c.hltMu.Unlock()
@@ -286,7 +270,7 @@ func (c *EventChannel) InterruptPartner() {
 	c.hltMu.Unlock()
 }
 
-// closed reports whether a halt line has been closed.
+// closed reports whether a signal line has been closed.
 func closed(h chan struct{}) bool {
 	select {
 	case <-h:
@@ -296,26 +280,21 @@ func closed(h chan struct{}) bool {
 	}
 }
 
-func (c *EventChannel) haltChan() chan struct{} {
+// recvPending blocks for the next wire delivery; it returns nil once the
+// channel is closed or the partner interrupt fires. Close also closes an
+// armed halt line, so one stop line covers both.
+func (c *EventChannel) recvPending() *Envelope {
 	c.hltMu.Lock()
-	h := c.halt
+	stop := c.halt
 	c.hltMu.Unlock()
-	return h
-}
-
-// recvPending blocks for the next wire delivery, honoring the partner
-// interrupt when one is armed. Non-grid channels take the plain receive.
-func (c *EventChannel) recvPending() (*Envelope, bool) {
-	h := c.haltChan()
-	if h == nil {
-		env, ok := <-c.pending
-		return env, ok
+	if stop == nil {
+		stop = c.done
 	}
 	select {
-	case env, ok := <-c.pending:
-		return env, ok
-	case <-h:
-		return nil, false
+	case env := <-c.pending:
+		return env
+	case <-stop:
+		return nil
 	}
 }
 
@@ -341,13 +320,9 @@ func (c *EventChannel) svcTrack() telemetry.Track {
 // the partner thread, partner wakeup; then on completion a post, a
 // hypercall, injection back into the HRT, and guest re-entry.
 func (c *EventChannel) Forward(clk *cycles.Clock, env *Envelope) (Reply, error) {
-	cost := c.hvm.cost
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return Reply{}, fmt.Errorf("hvm: event channel closed")
+	if closed(c.done) {
+		return Reply{}, errChannelClosed
 	}
-	c.mu.Unlock()
 	seq := c.seq.Add(1)
 	env.Seq = seq
 	env.flow = flowID(c.id, seq)
@@ -367,31 +342,23 @@ func (c *EventChannel) Forward(clk *cycles.Clock, env *Envelope) (Reply, error) 
 	}
 	c.hvm.recorder.Record(start, telemetry.RecDoorbell, c.id, env.ReqID, seq, uint64(env.Kind))
 
-	var r Reply
-	clean := c.hvm.faults == nil
-	if !clean {
-		r = c.sendFaulted(clk, env, c.hvm.faults)
-	} else {
-		leg := tr.Begin(c.hrtTrack(), "evtchan", "request-leg", clk.Now())
-		clk.Advance(cost.EventChannelPost)
-		clk.Advance(cost.HypercallRoundTrip())
-		clk.Advance(cost.VMMRecord)
-		c.hvm.countExit("evtchan")
-		env.Arrival = clk.Now() + cost.InjectWindowROS + cost.SignalInjectROS
-		leg.EndAt(env.Arrival)
-		c.pending <- env
-		r = <-env.reply
+	r, dup, err := c.request(clk, env)
+	if err != nil {
+		sp.EndAt(clk.Now())
+		return Reply{}, err
 	}
 	// Reply leg: injection back into the HRT plus guest re-entry.
+	cost := c.hvm.cost
 	inj := tr.Begin(c.hrtTrack(), "evtchan", "reply-inject", r.Departure)
 	clk.SyncTo(r.Departure + cost.InterruptInject + cost.VMEntry)
 	inj.EndAt(clk.Now())
 	sp.EndAt(clk.Now())
 
 	kind := env.Kind
-	if clean {
-		// The partner's Complete has run (it released the reply), so the
-		// envelope's round trip is over and it can be recycled.
+	if !dup {
+		// The partner's Complete has run (it released the reply) and no
+		// duplicate waits in the redelivery queue, so the envelope's round
+		// trip is over and it can be recycled.
 		c.releaseEnv(env)
 	}
 	if kind > 0 && kind < numEventKinds {
@@ -405,35 +372,17 @@ func (c *EventChannel) Forward(clk *cycles.Clock, env *Envelope) (Reply, error) 
 	return r, nil
 }
 
-// frameChecksum is the integrity word written with a request frame.
-func frameChecksum(c *EventChannel, env *Envelope) uint64 {
-	return faults.Checksum(
-		c.id, env.Seq, uint64(env.Kind),
-		uint64(env.Call.Num),
-		env.Call.Args[0], env.Call.Args[1], env.Call.Args[2],
-		env.Call.Args[3], env.Call.Args[4], env.Call.Args[5],
-		faults.HashString(env.Call.Path),
-		env.FaultAddr, boolWord(env.FaultWrite), env.ExitCode)
-}
-
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// sendFaulted is the request leg under an armed fault plane: the same
-// per-attempt virtual costs as the clean leg, plus a retransmission loop
-// driven by sender-side rolls. The sender learns of a lost or corrupted
-// delivery the way real hardware does — its virtual poll deadline expires
-// with no completion — and resends with exponential backoff. The final
-// attempt is forced clean so a request always terminates.
-func (c *EventChannel) sendFaulted(clk *cycles.Clock, env *Envelope, fi *faults.Injector) Reply {
-	cost := c.hvm.cost
-	tr := c.hvm.tracer
-	timeout := fi.RetryTimeout()
-	max := fi.MaxAttempts()
+// request is the request leg: post, hypercall and VMM record per attempt,
+// then injection into the partner. The fault plane may delay, drop,
+// corrupt or duplicate an attempt. The sender learns of a lost or
+// corrupted delivery the way real hardware does — its virtual poll
+// deadline expires with no completion — and resends with exponential
+// backoff. The last attempt is never faulted, and a nil injector makes
+// the first attempt the last, with no rolls. dup reports that a
+// duplicate of env waits in the redelivery queue.
+func (c *EventChannel) request(clk *cycles.Clock, env *Envelope) (r Reply, dup bool, err error) {
+	cost, tr, fi := c.hvm.cost, c.hvm.tracer, c.hvm.faults
+	timeout, max := fi.RetryTimeout(), fi.MaxAttempts()
 	quiet := c.reliable.Load() // degraded mode: no further transport faults
 	for attempt := 0; ; attempt++ {
 		last := quiet || attempt >= max-1
@@ -442,16 +391,16 @@ func (c *EventChannel) sendFaulted(clk *cycles.Clock, env *Envelope, fi *faults.
 		clk.Advance(cost.HypercallRoundTrip())
 		clk.Advance(cost.VMMRecord)
 		c.hvm.countExit("evtchan")
-		arrival := clk.Now() + cost.InjectWindowROS + cost.SignalInjectROS
+		env.Arrival = clk.Now() + cost.InjectWindowROS + cost.SignalInjectROS
 		if !quiet && fi.Roll(faults.DelayInject, c.id, env.Seq, attempt, clk.Now()) {
-			arrival += fi.Delay()
+			env.Arrival += fi.Delay()
 		}
-		env.Arrival = arrival
-		env.Checksum = frameChecksum(c, env)
-		leg.EndAt(arrival)
+		c.win.seal(c.id, env)
+		leg.EndAt(env.Arrival)
 
 		dropped := !last && fi.Roll(faults.DropNotify, c.id, env.Seq, attempt, clk.Now())
 		corrupted := !last && fi.Roll(faults.CorruptFrame, c.id, env.Seq, attempt, clk.Now())
+		var frame *Envelope
 		switch {
 		case dropped:
 			// The VMM lost the notification: nothing reaches the partner.
@@ -460,34 +409,38 @@ func (c *EventChannel) sendFaulted(clk *cycles.Clock, env *Envelope, fi *faults.
 			// and discards, so this attempt also goes unanswered.
 			bad := *env
 			bad.Checksum ^= 0xbad
-			c.pending <- &bad
+			frame = &bad
 		default:
 			if !quiet && fi.Roll(faults.DupNotify, c.id, env.Seq, attempt, clk.Now()) {
 				// Second delivery of the same frame; the receiver coalesces
-				// by seqno. It rides the redeliver queue rather than the
-				// wire so a completed request (which may close the channel)
-				// never races a still-in-flight duplicate send.
-				c.rmu.Lock()
-				depth := len(c.redeliver) + len(c.inflight)
-				if bound := fi.RetransmitBound(); bound > 0 && depth >= bound {
-					// A stalled partner must not grow the window without
-					// limit: drop the duplicate (dedup would discard it
-					// anyway) and degrade the channel to reliable
-					// transport — the existing graceful path — so no
-					// further injected faults can push it past the bound.
-					c.rmu.Unlock()
+				// it by seqno. It rides the redelivery queue, drained
+				// before the wire. A stalled partner must not grow the
+				// window without limit: past the plan's bound the
+				// duplicate is dropped (dedup would discard it anyway) and
+				// the channel degrades to reliable transport, so no
+				// further injected faults can push it past the bound.
+				if dup = c.win.queueDup(env, fi.RetransmitBound()); !dup {
 					c.hvm.metrics.Counter("faults.retransmit.rejected").Inc()
 					c.ForceReliable()
-					quiet = true
-				} else {
-					c.redeliver = append(c.redeliver, env)
-					depth++
-					c.rmu.Unlock()
-					c.noteWindowDepth(depth)
 				}
 			}
-			c.pending <- env
-			return <-env.reply
+			frame = env
+		}
+		if frame != nil {
+			// The send gives way to Close: a queued duplicate can complete
+			// the request, and a completed thread exit closes the channel,
+			// before the frame lands. Only a closed channel with no reply
+			// waiting is an error.
+			select {
+			case c.pending <- frame:
+			case <-c.done:
+				if len(env.reply) == 0 {
+					return Reply{}, dup, errChannelClosed
+				}
+			}
+		}
+		if frame == env {
+			return <-env.reply, dup, nil
 		}
 		// Unanswered attempt: wait out the poll deadline, then retransmit.
 		clk.Advance(timeout)
@@ -508,101 +461,48 @@ func (c *EventChannel) sendFaulted(clk *cycles.Clock, env *Envelope, fi *faults.
 
 // Recv blocks the ROS partner thread until a request arrives, then
 // synchronizes the partner's clock to the arrival time plus its own wakeup
-// cost. It returns nil when the channel is closed.
+// cost. It returns nil when the channel is closed or the partner is
+// interrupted. Redelivered envelopes (duplicates, watchdog replay) drain
+// before the wire, corrupted frames are caught by their checksum and
+// discarded, and a duplicate of an already-completed seqno is coalesced.
+// With the fault plane armed an accepted envelope stays in flight until
+// Complete, so a partner death between the two is recoverable.
 func (c *EventChannel) Recv(clk *cycles.Clock) *Envelope {
-	if fi := c.hvm.faults; fi != nil {
-		return c.recvFaulted(clk, fi)
-	}
-	env, ok := c.recvPending()
-	if !ok {
-		return nil
-	}
-	clk.SyncTo(env.Arrival)
-	if tr := c.hvm.tracer; tr.Enabled() {
-		env.span = tr.Begin(c.svcTrack(), "evtchan", serviceSpanName(env.Kind), env.Arrival,
-			telemetry.Attr{Key: "req", Val: env.ReqID})
-		env.span.LinkIn(env.flow)
-	}
-	c.hvm.recorder.Record(env.Arrival, telemetry.RecDeliver, c.id, env.ReqID, env.Seq, 0)
-	clk.Advance(c.hvm.cost.ContextSwitch) // partner wakes from its wait
-	clk.Advance(c.hvm.cost.EventChannelPost)
-	return env
-}
-
-// recvFaulted receives under an armed fault plane: redelivered envelopes
-// (watchdog replay) drain before fresh ones, corrupted frames are caught
-// by their checksum and discarded, and duplicate deliveries of an
-// already-completed seqno are coalesced. Accepted envelopes are tracked
-// as in-flight until Complete, so a partner death between the two is
-// recoverable.
-func (c *EventChannel) recvFaulted(clk *cycles.Clock, fi *faults.Injector) *Envelope {
-	m := c.hvm.metrics
+	cost, m, fi := c.hvm.cost, c.hvm.metrics, c.hvm.faults
 	for {
-		env := c.take()
+		env := c.win.take()
 		if env == nil {
-			return nil
+			if env = c.recvPending(); env == nil {
+				return nil
+			}
 		}
 		clk.SyncTo(env.Arrival)
-		if env.Checksum != 0 && env.Checksum != frameChecksum(c, env) {
+		if !c.win.intact(c.id, env) {
 			// Reading the damaged frame costs the partner one post; the
 			// sender's deadline handles the rest.
-			clk.Advance(c.hvm.cost.EventChannelPost)
+			clk.Advance(cost.EventChannelPost)
 			m.Counter("faults.corrupt.detected").Inc()
 			c.hvm.recorder.Record(clk.Now(), telemetry.RecCorrupt, c.id, env.ReqID, env.Seq, 0)
 			continue
 		}
-		c.rmu.Lock()
-		if c.completed[env.Seq] {
-			c.rmu.Unlock()
+		if !c.win.accept(env) {
 			m.Counter("faults.dedup").Inc()
 			c.hvm.recorder.Record(clk.Now(), telemetry.RecDedup, c.id, env.ReqID, env.Seq, 0)
 			continue
 		}
-		c.inflight[env.Seq] = env
-		depth := len(c.redeliver) + len(c.inflight)
-		c.rmu.Unlock()
-		c.noteWindowDepth(depth)
 		if tr := c.hvm.tracer; tr.Enabled() {
 			env.span = tr.Begin(c.svcTrack(), "evtchan", serviceSpanName(env.Kind), env.Arrival,
 				telemetry.Attr{Key: "req", Val: env.ReqID})
 			env.span.LinkIn(env.flow)
 		}
 		c.hvm.recorder.Record(env.Arrival, telemetry.RecDeliver, c.id, env.ReqID, env.Seq, 0)
-		clk.Advance(c.hvm.cost.ContextSwitch)
-		clk.Advance(c.hvm.cost.EventChannelPost)
+		clk.Advance(cost.ContextSwitch) // partner wakes from its wait
+		clk.Advance(cost.EventChannelPost)
 		if !c.reliable.Load() && fi.Roll(faults.PartnerStall, c.id, env.Seq, 0, clk.Now()) {
 			clk.Advance(fi.Stall())
 		}
 		return env
 	}
-}
-
-// noteWindowDepth publishes the retransmission-window occupancy
-// (redeliver queue + in-flight set) to the faults.retransmit.depth
-// gauge. Called outside rmu with a depth computed under it.
-func (c *EventChannel) noteWindowDepth(depth int) {
-	if c.retransDepth != nil {
-		c.retransDepth.Set(uint64(depth))
-	}
-}
-
-// take pops the next delivery: replayed envelopes first, then the wire.
-func (c *EventChannel) take() *Envelope {
-	c.rmu.Lock()
-	if len(c.redeliver) > 0 {
-		env := c.redeliver[0]
-		c.redeliver = c.redeliver[1:]
-		depth := len(c.redeliver) + len(c.inflight)
-		c.rmu.Unlock()
-		c.noteWindowDepth(depth)
-		return env
-	}
-	c.rmu.Unlock()
-	env, ok := c.recvPending()
-	if !ok {
-		return nil
-	}
-	return env
 }
 
 // Complete finishes a received envelope: the partner posts the result,
@@ -616,27 +516,10 @@ func (c *EventChannel) Complete(clk *cycles.Clock, env *Envelope, r Reply) {
 	env.span.EndAt(clk.Now())
 	env.span = nil
 	c.hvm.recorder.Record(clk.Now(), telemetry.RecComplete, c.id, env.ReqID, env.Seq, 0)
-	if c.hvm.faults != nil {
-		// Mark the seqno served *before* releasing the sender, so a
-		// duplicate delivery can never race past the dedup check.
-		c.rmu.Lock()
-		c.completed[env.Seq] = true
-		delete(c.inflight, env.Seq)
-		depth := len(c.redeliver) + len(c.inflight)
-		c.rmu.Unlock()
-		c.noteWindowDepth(depth)
-	}
+	// Mark the seqno served *before* releasing the sender, so a
+	// duplicate delivery can never race past the dedup check.
+	c.win.complete(env.Seq)
 	env.reply <- r
-}
-
-// Replayed describes one envelope Requeue put back for redelivery: its
-// seqno, the causal request id it carries, and its cross-track flow id,
-// so the watchdog can record the replay and flow-link its respawn
-// marker back to the original forward.
-type Replayed struct {
-	Seq   uint64
-	ReqID uint64
-	Flow  uint64
 }
 
 // Requeue moves every envelope a dead partner left in flight (received
@@ -646,67 +529,17 @@ type Replayed struct {
 // virtual time, used only to stamp the flight-recorder replay events.
 // Returns the replayed envelopes' identifying ids in replay order.
 func (c *EventChannel) Requeue(at cycles.Cycles) []Replayed {
-	c.rmu.Lock()
-	if len(c.inflight) == 0 {
-		c.rmu.Unlock()
-		return nil
-	}
-	// Stage the replay set in the reusable scratch slice, then append the
-	// existing queue behind it and swap the two slices: a respawn storm
-	// recycles the same two backing arrays instead of allocating a fresh
-	// queue per respawn. The inflight map is cleared, not re-made, for the
-	// same reason.
-	replay := c.replayScratch[:0]
-	for _, env := range c.inflight {
-		replay = append(replay, env)
-	}
-	clear(c.inflight)
-	sort.Slice(replay, func(i, j int) bool { return replay[i].Seq < replay[j].Seq })
-	nreplay := len(replay)
-	replay = append(replay, c.redeliver...)
-	c.replayScratch = c.redeliver[:0]
-	c.redeliver = replay
-	out := make([]Replayed, nreplay)
-	for i, env := range replay[:nreplay] {
-		out[i] = Replayed{Seq: env.Seq, ReqID: env.ReqID, Flow: env.flow}
-	}
-	c.rmu.Unlock()
+	out := c.win.requeue()
 	for _, r := range out {
 		c.hvm.recorder.Record(at, telemetry.RecRequeue, c.id, r.ReqID, r.Seq, 0)
 	}
 	return out
 }
 
-// ChannelWindow is the checkpointed seqno/retransmission window of one
-// event channel: everything a restored partner needs to know about the
-// channel's delivery state. The envelopes themselves live in the channel
-// object, which survives a migration as-is — the window is recorded for
-// checkpoint fidelity (costing, flight events, and the restore-side
-// replay accounting), not to rebuild the queues.
-type ChannelWindow struct {
-	// NextSeq is the sequence number the next Forward will be stamped
-	// with (last issued + 1).
-	NextSeq uint64
-	// Completed counts seqnos already serviced (the dedup set size).
-	Completed int
-	// Inflight lists seqnos received but not completed at checkpoint
-	// time; the restore replays them in ascending order via Requeue.
-	Inflight []uint64
-	// Redeliver is the depth of the duplicate-redelivery queue.
-	Redeliver int
-}
-
 // Window snapshots the channel's retransmission window for a checkpoint.
 func (c *EventChannel) Window() ChannelWindow {
-	w := ChannelWindow{NextSeq: c.seq.Load() + 1}
-	c.rmu.Lock()
-	w.Completed = len(c.completed)
-	w.Redeliver = len(c.redeliver)
-	for seq := range c.inflight {
-		w.Inflight = append(w.Inflight, seq)
-	}
-	c.rmu.Unlock()
-	sort.Slice(w.Inflight, func(i, j int) bool { return w.Inflight[i] < w.Inflight[j] })
+	w := c.win.snapshot()
+	w.NextSeq = c.seq.Load() + 1
 	return w
 }
 
@@ -716,167 +549,10 @@ func (c *EventChannel) Window() ChannelWindow {
 func (c *EventChannel) ForceReliable() { c.reliable.Store(true) }
 
 // Close tears the channel down (HRT thread exited and the partner
-// finished its cleanup).
+// finished its cleanup). Idempotent.
 func (c *EventChannel) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed = true
-		close(c.pending)
-	}
+	c.closeOnce.Do(func() {
+		close(c.done)
+		c.InterruptPartner()
+	})
 }
-
-// Cores returns the two endpoints' cores.
-func (c *EventChannel) Cores() (hrt, ros machine.CoreID) { return c.hrtCore, c.rosCore }
-
-// SyncChannel is the post-merger synchronous path: a cacheline-sized
-// protocol word at a user virtual address both worlds can see, polled by
-// the HRT, requiring no VMM intervention per call (section 4.3). Its
-// round-trip cost depends only on whether the two cores share a socket
-// (Figure 2's two synchronous rows).
-type SyncChannel struct {
-	hvm        *HVM
-	id         uint64
-	va         uint64
-	rosCore    machine.CoreID
-	hrtCore    machine.CoreID
-	sameSocket bool
-
-	mu     sync.Mutex
-	serve  chan syncReq
-	closed bool
-	// replyFree recycles the one-slot reply channel between invocations
-	// (one call is outstanding per channel in the steady state).
-	replyFree chan syncRep
-	// calls is atomic, like EventChannel.forwarded: the caller invokes
-	// while the evaluation harness reads mid-run.
-	calls atomic.Uint64
-
-	// Metric handles resolved once at setup, not per invocation.
-	invokeCtr *telemetry.Counter
-	invokeLat *telemetry.Histogram
-}
-
-type syncReq struct {
-	fn    uint64
-	args  []uint64
-	stamp cycles.Cycles
-	flow  uint64
-	reply chan syncRep
-}
-
-type syncRep struct {
-	ret   uint64
-	stamp cycles.Cycles
-}
-
-// SetupSync is the single hypercall that initiates synchronous operation
-// after a merger: it tells the HRT which virtual address will be used for
-// future synchronization. Subsequent invocations bypass the VMM entirely.
-func (h *HVM) SetupSync(clk *cycles.Clock, va uint64, rosCore, hrtCore machine.CoreID) (*SyncChannel, error) {
-	if !h.Booted() {
-		return nil, fmt.Errorf("hvm: cannot set up sync channel before HRT boot")
-	}
-	h.hypercall(clk, "sync-setup")
-	return &SyncChannel{
-		hvm:        h,
-		id:         atomic.AddUint64(&h.channelSeq, 1),
-		va:         va,
-		rosCore:    rosCore,
-		hrtCore:    hrtCore,
-		sameSocket: h.machine.SameSocket(rosCore, hrtCore),
-		serve:      make(chan syncReq),
-		invokeCtr:  h.metrics.Counter("sync.invokes"),
-		invokeLat:  h.metrics.LatencyHistogram("sync.invoke.latency"),
-	}, nil
-}
-
-// VA returns the synchronization address registered at setup.
-func (s *SyncChannel) VA() uint64 { return s.va }
-
-// Invoke calls function fn in the HRT synchronously from the ROS side:
-// the caller writes the request into the shared cacheline and spins; the
-// HRT's poller picks it up, runs the function, and writes the result back.
-// No hypercalls, no VMM exits.
-func (s *SyncChannel) Invoke(clk *cycles.Clock, fn uint64, args ...uint64) (uint64, error) {
-	cost := s.hvm.cost
-	line := cost.CachelineCrossSocket
-	if s.sameSocket {
-		line = cost.CachelineSameSocket
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("hvm: sync channel closed")
-	}
-	rc := s.replyFree
-	s.replyFree = nil
-	s.mu.Unlock()
-	if rc == nil {
-		rc = make(chan syncRep, 1)
-	}
-	seq := s.calls.Add(1)
-
-	start := clk.Now()
-	flow := flowID(s.id, seq)
-	var sp *telemetry.Span
-	if tr := s.hvm.tracer; tr.Enabled() {
-		sp = tr.Begin(telemetry.Track{Core: int(s.rosCore), Name: "ros:main"},
-			"sync", "sync-invoke", start, telemetry.Attr{Key: "fn", Val: fn})
-		sp.LinkOut(flow)
-	}
-
-	// Request leg: half the fixed protocol overhead plus one cacheline
-	// transfer to the polling core. If no poller is waiting yet, the
-	// request simply sits in the line until one arrives.
-	clk.Advance(cost.SyncProtocolOverhead / 2)
-	req := syncReq{fn: fn, args: args, stamp: clk.Now() + line, flow: flow, reply: rc}
-	s.serve <- req
-	rep := <-req.reply
-	clk.SyncTo(rep.stamp + line)
-	clk.Advance(cost.SyncProtocolOverhead - cost.SyncProtocolOverhead/2)
-	sp.EndAt(clk.Now())
-	s.mu.Lock()
-	if s.replyFree == nil {
-		s.replyFree = rc
-	}
-	s.mu.Unlock()
-	s.invokeCtr.Inc()
-	s.invokeLat.Observe(clk.Now() - start)
-	return rep.ret, nil
-}
-
-// Poll services one synchronous invocation on the HRT side using fns to
-// resolve function pointers; it blocks until a request arrives or the
-// channel closes (returning false).
-func (s *SyncChannel) Poll(clk *cycles.Clock, fns func(fn uint64, args []uint64) uint64) bool {
-	req, ok := <-s.serve
-	if !ok {
-		return false
-	}
-	clk.SyncTo(req.stamp)
-	var sp *telemetry.Span
-	if tr := s.hvm.tracer; tr.Enabled() {
-		sp = tr.Begin(telemetry.Track{Core: int(s.hrtCore), Name: "hrt"},
-			"sync", "sync-poll", req.stamp, telemetry.Attr{Key: "fn", Val: req.fn})
-		sp.LinkIn(req.flow)
-	}
-	ret := fns(req.fn, req.args)
-	sp.EndAt(clk.Now())
-	req.reply <- syncRep{ret: ret, stamp: clk.Now()}
-	return true
-}
-
-// Close shuts the channel down.
-func (s *SyncChannel) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.serve)
-	}
-}
-
-// Calls reports how many synchronous invocations have been issued. It is
-// race-free against concurrent Invoke calls.
-func (s *SyncChannel) Calls() uint64 { return s.calls.Load() }

@@ -2,6 +2,7 @@ package hvm
 
 import (
 	"testing"
+	"time"
 
 	"multiverse/internal/cycles"
 	"multiverse/internal/faults"
@@ -209,10 +210,58 @@ func TestChannelRequeueRedelivers(t *testing.T) {
 	c.Close()
 }
 
-// openEcho boots h, opens a polled channel of kind on clk, and serves it
-// on its own goroutine with a handler that echoes the first argument.
-// done closes when the poller's Serve reports the channel closed.
+// TestChannelDupCloseRace pins the duplicate-vs-close race: a
+// duplicated thread-exit frame is queued for redelivery before its wire
+// send, so the partner can complete the exit from the duplicate and close
+// the channel while the sender is still blocked on the send. The send
+// must return with the reply, not panic on a closed channel.
+func TestChannelDupCloseRace(t *testing.T) {
+	h := newFaultedHVM(t, faults.Plan{
+		Seed: 3, Rates: map[faults.Kind]float64{faults.DupNotify: 1},
+	})
+	c := h.NewEventChannel(1, 0)
+	for len(c.pending) < cap(c.pending) {
+		c.pending <- &Envelope{Kind: EvSyscall} // a full wire blocks the send
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Forward(cycles.NewClock(0), &Envelope{Kind: EvThreadExit, ExitCode: 3})
+		got <- err
+	}()
+	for queued := 0; queued == 0; {
+		time.Sleep(time.Millisecond)
+		c.win.mu.Lock()
+		queued = len(c.win.redeliver)
+		c.win.mu.Unlock()
+	}
+
+	clk := cycles.NewClock(0)
+	env := c.Recv(clk)
+	if env == nil || env.Kind != EvThreadExit || env.ExitCode != 3 {
+		t.Fatalf("Recv = %+v, want the duplicated thread exit", env)
+	}
+	c.Complete(clk, env, Reply{})
+	c.Close()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Errorf("Forward = %v, want the reply the duplicate earned", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sender still blocked after Close")
+	}
+}
+
+// openEcho boots h, opens a polled channel of kind on clk between ROS
+// core 0 and HRT core 1, and serves it on its own goroutine with a
+// handler that echoes the first argument. done closes when the poller's
+// Serve reports the channel closed.
 func openEcho(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind) (p *PolledChannel, done chan struct{}) {
+	return openEchoOn(t, h, clk, kind, 1)
+}
+
+// openEchoOn is openEcho with the HRT end on hrtCore.
+func openEchoOn(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind, hrtCore machine.CoreID) (p *PolledChannel, done chan struct{}) {
 	t.Helper()
 	h.RegisterBootHandler(func(BootInfo) (HRTSink, error) {
 		return &fakeSink{clk: cycles.NewClock(0)}, nil
@@ -223,7 +272,7 @@ func openEcho(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind) (p *Polled
 	if err := h.BootHRT(clk); err != nil {
 		t.Fatal(err)
 	}
-	p, err := h.OpenPolled(clk, kind, 0, 1)
+	p, err := h.OpenPolled(clk, kind, 0, hrtCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +301,7 @@ func TestSyncChannelDropRetransmits(t *testing.T) {
 			clk := cycles.NewClock(0)
 			p, done := openEcho(t, h, clk, kind)
 
-			res, _, err := p.invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
+			res, _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

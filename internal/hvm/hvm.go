@@ -149,8 +149,8 @@ type HVM struct {
 	recorder   *telemetry.Recorder
 	channelSeq uint64
 
-	// faults is the armed fault-injection plane; nil means every
-	// channel and protocol runs the exact pre-fault fixed path.
+	// faults is the armed fault-injection plane. nil is the no-op
+	// injector: every protocol makes one clean attempt per request.
 	faults *faults.Injector
 }
 
@@ -167,7 +167,7 @@ type Config struct {
 	// and protocols (nil = off; every Record call is nil-safe).
 	Recorder *telemetry.Recorder
 	// Faults arms deterministic fault injection on the HVM's channels
-	// (nil = off; fixed paths unchanged).
+	// (nil = off).
 	Faults *faults.Injector
 }
 
@@ -209,17 +209,6 @@ func New(m *machine.Machine, cfg Config) (*HVM, error) {
 	return h, nil
 }
 
-// Machine returns the underlying machine.
-func (h *HVM) Machine() *machine.Machine { return h.machine }
-
-// Cost returns the cost model in force.
-func (h *HVM) Cost() *cycles.CostModel { return h.cost }
-
-// ROSCores returns the ROS partition.
-func (h *HVM) ROSCores() []machine.CoreID {
-	return append([]machine.CoreID(nil), h.rosCores...)
-}
-
 // HRTCores returns the HRT partition.
 func (h *HVM) HRTCores() []machine.CoreID {
 	return append([]machine.CoreID(nil), h.hrtCores...)
@@ -228,17 +217,8 @@ func (h *HVM) HRTCores() []machine.CoreID {
 // SharedPage returns the VMM<->HRT data page frame.
 func (h *HVM) SharedPage() mem.Frame { return h.sharedPage }
 
-// Tracer returns the HVM's span tracer (nil when tracing is off).
-func (h *HVM) Tracer() *telemetry.Tracer { return h.tracer }
-
 // Metrics returns the HVM's metrics registry (never nil).
 func (h *HVM) Metrics() *telemetry.Registry { return h.metrics }
-
-// Recorder returns the HVM's flight recorder (nil when disabled).
-func (h *HVM) Recorder() *telemetry.Recorder { return h.recorder }
-
-// Faults returns the armed fault injector (nil when injection is off).
-func (h *HVM) Faults() *faults.Injector { return h.faults }
 
 // SeedChannelIDs advances the channel-id counter to at least base. A
 // grid seeds each node into a disjoint range so channel ids — which key
@@ -260,10 +240,6 @@ func (h *HVM) SeedChannelIDs(base uint64) {
 func (h *HVM) rosMainTrack() telemetry.Track {
 	return telemetry.Track{Core: int(h.rosCores[0]), Name: "ros:main"}
 }
-
-// SameSocket reports whether a ROS core and an HRT core share a socket,
-// the property behind the two synchronous-call rows of Figure 2.
-func (h *HVM) SameSocket(a, b machine.CoreID) bool { return h.machine.SameSocket(a, b) }
 
 // RegisterBootHandler installs the AeroKernel entry point. The Multiverse
 // runtime does this once before requesting the first boot.

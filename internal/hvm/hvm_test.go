@@ -283,28 +283,22 @@ func TestEventChannelRoundTrip(t *testing.T) {
 	ch.Close() // idempotent
 }
 
+// TestSyncChannelSocketDistance pins Figure 2's two synchronous rows on
+// the section 4.3 polled channel: half the protocol overhead, a
+// cacheline to the poller, a cacheline back, the other half.
 func TestSyncChannelSocketDistance(t *testing.T) {
-	_, h := newHVM(t)
-	clk := cycles.NewClock(0)
-	sink := &fakeSink{clk: cycles.NewClock(0)}
-	h.RegisterBootHandler(func(BootInfo) (HRTSink, error) { return sink, nil })
-	_ = h.InstallImage(clk, &image.Image{Name: "nk"})
-	_ = h.BootHRT(clk)
-
 	measure := func(hrtCore machine.CoreID) cycles.Cycles {
-		s, err := h.SetupSync(clk, 0x7fff_0000, 0, hrtCore)
+		_, h := newHVM(t)
+		clk := cycles.NewClock(0)
+		p, done := openEchoOn(t, h, clk, PollSync, hrtCore)
+		defer func() { p.Close(); <-done }()
+		before := clk.Now()
+		res, _, err := p.Invoke(clk, linuxabi.Call{Args: [6]uint64{42}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		pollClk := cycles.NewClock(clk.Now())
-		go func() {
-			for s.Poll(pollClk, func(fn uint64, args []uint64) uint64 { return fn }) {
-			}
-		}()
-		before := clk.Now()
-		if _, err := s.Invoke(clk, 42); err != nil {
-			t.Fatal(err)
+		if res.Ret != 42 {
+			t.Errorf("sync call returned %d, want 42", res.Ret)
 		}
 		return clk.Now() - before
 	}
@@ -321,7 +315,7 @@ func TestSyncChannelSocketDistance(t *testing.T) {
 
 func TestSyncChannelRequiresBoot(t *testing.T) {
 	_, h := newHVM(t)
-	if _, err := h.SetupSync(cycles.NewClock(0), 0x1000, 0, 1); err == nil {
+	if _, err := h.OpenPolled(cycles.NewClock(0), PollSync, 0, 1); err == nil {
 		t.Error("sync setup before boot should fail")
 	}
 }

@@ -30,8 +30,9 @@ type PollKind uint8
 
 const (
 	// PollSync is tier 2's synchronous cacheline channel: two cacheline
-	// transfers plus protocol overhead per call (~790/1060 cycles)
-	// instead of the ~25K-cycle asynchronous event-channel round trip.
+	// transfers plus protocol overhead per call (~790/1060 cycles, Figure
+	// 2's synchronous rows) instead of the ~25K-cycle asynchronous
+	// event-channel round trip.
 	PollSync PollKind = iota
 	// PollRing is tier 3's exitless ring pair ("Look Mum, no VM
 	// Exits!"): the partner is statically dedicated to the poll loop, a
@@ -160,13 +161,13 @@ func (h *HVM) ClosePolled(clk *cycles.Clock, p *PolledChannel) {
 	p.Close()
 }
 
-// invoke forwards one system call, spinning until the polling partner
+// Invoke forwards one system call, spinning until the polling partner
 // completes it, and reports the retransmission count the router's fault
 // policy reads. reqID is the causal request id from the syscall entry (0
 // for control traffic without one). It returns errPolledDown when the
 // channel died before or during the call; the caller still owns the
 // request and must re-route it.
-func (p *PolledChannel) invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint64) (linuxabi.Result, int, error) {
+func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint64) (linuxabi.Result, int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dead.Load() {
@@ -195,12 +196,9 @@ func (p *PolledChannel) invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint
 	var rep ringFrame
 	retx := 0
 	fi := p.hvm.faults
-	timeout, max := cycles.Cycles(0), 1
-	if fi != nil {
-		timeout, max = fi.RetryTimeout(), fi.MaxAttempts()
-	}
+	timeout, max := fi.RetryTimeout(), fi.MaxAttempts()
 	for attempt := 0; ; attempt++ {
-		if fi != nil && k.killable && fi.Roll(faults.PartnerKill, p.id, seq, attempt, clk.Now()) {
+		if k.killable && fi.Roll(faults.PartnerKill, p.id, seq, attempt, clk.Now()) {
 			p.hvm.metrics.Counter("ring.kills").Inc()
 			p.hvm.recorder.Record(clk.Now(), telemetry.RecRingKill, p.id, reqID, seq, 0)
 			p.Close()

@@ -435,7 +435,7 @@ func (r *SyscallRouter) resolvePath(path string) string {
 func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxabi.Call, reqID uint64) (linuxabi.Result, error) {
 	m := r.hvm.metrics
 	if x := r.climb(clk, &r.ring); x != nil {
-		res, retx, err := x.invoke(clk, call, reqID)
+		res, retx, err := x.Invoke(clk, call, reqID)
 		if err == nil {
 			r.crossings.Add(1)
 			m.Counter("router.forward.ring").Inc()
@@ -450,7 +450,7 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 	sc := r.climb(clk, &r.sync)
 	r.crossings.Add(1)
 	if sc != nil {
-		res, retx, err := sc.invoke(clk, call, reqID)
+		res, retx, err := sc.Invoke(clk, call, reqID)
 		if err != nil {
 			return res, err
 		}
@@ -540,11 +540,8 @@ func (r *SyscallRouter) climb(clk *cycles.Clock, g *rung) *PolledChannel {
 // noteRingTransport feeds the tier-3 fault policy with one ring call's
 // transport quality: RingLossStreak consecutive lossy calls mean the
 // retransmission layer is carrying the rings, so fault pressure demotes
-// back to tier 2. A no-op while the fault plane is off.
+// back to tier 2. With the fault plane off retx is always 0.
 func (r *SyscallRouter) noteRingTransport(clk *cycles.Clock, retx int) {
-	if r.hvm.faults == nil {
-		return
-	}
 	r.mu.Lock()
 	if retx == 0 {
 		r.ringLossRun = 0
@@ -586,10 +583,10 @@ func (r *SyscallRouter) ringDown(clk *cycles.Clock) {
 // clean forwards in a row prove the transport healthy again and release
 // the hold, letting the ring rung re-promote; that runs with the fault
 // plane off too, since a checkpoint latches the hold. The tier-2 policy
-// is a no-op while the fault plane is off, keeping the fixed path
-// untouched: LossStreak lossy async forwards in a row promote the sync
-// rung for reliability, and CleanStreak clean calls over that channel
-// demote it again.
+// needs a lossy forward to act, so it never fires while the fault plane
+// is off (retx is always 0): LossStreak lossy async forwards in a row
+// promote the sync rung for reliability, and CleanStreak clean calls
+// over that channel demote it again.
 func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool) {
 	r.mu.Lock()
 	if r.ring.open != nil && r.ringHold {
@@ -598,10 +595,6 @@ func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool)
 		} else if r.ringClean++; r.ringClean >= r.policy.CleanStreak {
 			r.ringHold, r.ringClean = false, 0
 		}
-	}
-	if r.hvm.faults == nil {
-		r.mu.Unlock()
-		return
 	}
 	lossy, clean := false, (*PolledChannel)(nil)
 	if retx > 0 {

@@ -105,7 +105,6 @@ type Process struct {
 	cwd        string
 	sigactions map[linuxabi.Signal]sigaction
 	handlers   map[uint64]SignalHandlerFunc
-	threads    map[int]*Thread
 	threadFns  map[uint64]func(*Thread)
 	nextTid    int
 	exited     bool
@@ -307,7 +306,6 @@ func newProcess(k *Kernel, pid int, name string) (*Process, error) {
 		cwd:        "/",
 		sigactions: make(map[linuxabi.Signal]sigaction),
 		handlers:   make(map[uint64]SignalHandlerFunc),
-		threads:    make(map[int]*Thread),
 		nextTid:    1,
 		stats:      Stats{Syscalls: make(map[linuxabi.Sysno]uint64)},
 	}

@@ -34,7 +34,7 @@ func (p *Process) NewThread(core machine.CoreID) *Thread {
 	p.nextTid++
 	p.mu.Unlock()
 
-	t := &Thread{
+	return &Thread{
 		TID:    tid,
 		Proc:   p,
 		Core:   core,
@@ -43,10 +43,6 @@ func (p *Process) NewThread(core machine.CoreID) *Thread {
 		FSBase: tlsBase(p.pid, tid),
 		done:   make(chan struct{}),
 	}
-	p.mu.Lock()
-	p.threads[tid] = t
-	p.mu.Unlock()
-	return t
 }
 
 // tlsBase fabricates a distinct, recognizable TLS address per thread.

@@ -36,7 +36,7 @@ func main() {
 		{"12", bench.Figure12},
 		{"13", bench.Figure13},
 		{"primitives", func() (*bench.Table, error) { return bench.PrimitivesTable(*runs) }},
-		{"hpcg", func() (*bench.Table, error) { return bench.FigureHPCG(4) }},
+		{"hpcg", bench.FigureHPCG},
 		{"incremental", func() (*bench.Table, error) { return bench.FigureIncremental("binary-tree-2") }},
 		{"router", bench.FigureRouter},
 		{"merger", bench.FigureMerger},

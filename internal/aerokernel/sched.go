@@ -86,11 +86,6 @@ func newScheduler(k *Kernel) *Scheduler {
 	return s
 }
 
-// Cores returns the HRT partition the scheduler places onto, in id order.
-func (s *Scheduler) Cores() []machine.CoreID {
-	return append([]machine.CoreID(nil), s.cores...)
-}
-
 // SpinWindow returns the idle-spin window before a core halts.
 func (s *Scheduler) SpinWindow() cycles.Cycles { return s.spinWindow }
 
@@ -245,51 +240,9 @@ func (s *Scheduler) threadRetired(t *Thread) {
 	e.finish(at)
 }
 
-// CoreFreeAt returns the stamp at which the core's last recorded burst or
-// queued thread released it — the earliest a new burst could start there.
-func (s *Scheduler) CoreFreeAt(c machine.CoreID) cycles.Cycles {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cs := s.state[c]; cs != nil {
-		return cs.freeAt
-	}
-	return 0
-}
-
-// BurstStart begins one work-stealing task burst on a core: the bursting
-// context's clock serializes behind whatever last ran there, and if the
-// core instead sat idle past the spin window it is kicked out of hlt, the
-// woken side paying the IPI and wakeup. tid is recorded as the core's
-// occupant for fault-routing visibility.
-func (s *Scheduler) BurstStart(c machine.CoreID, clk *cycles.Clock, tid int) {
-	s.mu.Lock()
-	free := s.state[c].freeAt
-	s.mu.Unlock()
-	ready := clk.Now()
-	if free > ready {
-		clk.SyncTo(free)
-	} else if ready > free+s.spinWindow {
-		s.k.m.Core(c).SetHalted(true)
-		s.k.m.KickCore(clk, c)
-		clk.Advance(s.k.cost.IdleHaltWake)
-		s.haltCtr.Inc()
-	}
-	s.k.m.Core(c).SetOccupant(tid)
-}
-
-// BurstEnd releases the core at the bursting clock's current time.
-func (s *Scheduler) BurstEnd(c machine.CoreID, clk *cycles.Clock) {
-	at := clk.Now()
-	s.mu.Lock()
-	if cs := s.state[c]; cs != nil && cs.freeAt < at {
-		cs.freeAt = at
-	}
-	s.mu.Unlock()
-	s.k.m.Core(c).SetOccupant(0)
-}
-
-// FreeSnapshot reads each core's current freeAt stamp in one lock round
-// trip, filling out (which must be len(cores)). Together with
+// FreeSnapshot reads each core's current freeAt stamp — the stamp at which
+// the core's last recorded burst or queued thread released it — in one
+// lock round trip, filling out (which must be len(cores)). Together with
 // BurstStartAt/BurstEndAt/PublishFreeAt it lets a launch executor that
 // owns a batch of bursts simulate the whole schedule against local state
 // instead of paying one lock round trip per event.
@@ -317,10 +270,14 @@ func (s *Scheduler) PublishFreeAt(cores []machine.CoreID, frees []cycles.Cycles)
 	s.mu.Unlock()
 }
 
-// BurstStartAt is BurstStart against a caller-tracked free stamp: the
-// same serialize-or-halt-wake arithmetic, no scheduler lock. Valid only
-// while the caller owns the core's burst schedule (nothing else starts
-// or ends bursts on it) and publishes the final stamps via PublishFreeAt.
+// BurstStartAt begins one work-stealing task burst on a core against a
+// caller-tracked free stamp: the bursting context's clock serializes
+// behind whatever last ran there, and if the core instead sat idle past
+// the spin window it is kicked out of hlt, the woken side paying the IPI
+// and wakeup. tid is recorded as the core's occupant for fault-routing
+// visibility. No scheduler lock is taken: valid only while the caller
+// owns the core's burst schedule (nothing else starts or ends bursts on
+// it) and publishes the final stamps via PublishFreeAt.
 func (s *Scheduler) BurstStartAt(c machine.CoreID, clk *cycles.Clock, tid int, free cycles.Cycles) {
 	ready := clk.Now()
 	if free > ready {

@@ -507,17 +507,6 @@ func (t *Thread) containInjectedPanic(reqID uint64) {
 	panic("injected: hrt-panic mid-syscall")
 }
 
-// NotifyExit raises the thread-exit event to the ROS side so the partner
-// can run its cleanup and unblock join (section 4.2, Threads).
-func (t *Thread) NotifyExit(code uint64) error {
-	ch := t.channel()
-	if ch == nil {
-		return nil
-	}
-	_, err := ch.Forward(t.Clock, &hvm.Envelope{Kind: hvm.EvThreadExit, ExitCode: code, ReqID: t.nextReqID()})
-	return err
-}
-
 // Event is the Nautilus event primitive: a kernel-mode wakeup designed to
 // outperform the Linux futex/condvar path by orders of magnitude
 // (section 2).

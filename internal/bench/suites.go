@@ -45,6 +45,7 @@ var Suites = []Suite{
 		Check: checkSimspeed, HostBound: simspeedHostBound},
 	{Name: "density", File: "BENCH_pr9.json", Collect: collect(CollectDensityBaseline), Figure: FigureDensity},
 	{Name: "grid", File: "BENCH_pr10.json", Collect: collect(CollectGridBaseline), Figure: FigureGrid},
+	{Name: "hpcg", File: "BENCH_pr20.json", Collect: collect(CollectHPCGBaseline), Figure: FigureHPCG},
 }
 
 // collect adapts a typed collection function to Suite.Collect.

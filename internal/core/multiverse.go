@@ -34,9 +34,6 @@ type Options struct {
 	// two-core guest); HRTCoreRange(n) lists the HRT cores 1..n.
 	ROSCores []machine.CoreID
 	HRTCores []machine.CoreID
-	// UseSymbolCache enables the override symbol cache (ablation; the
-	// paper's implementation looks the symbol up on every invocation).
-	UseSymbolCache bool
 	// Router enables the adaptive boundary-crossing fast path: HRT-local
 	// service for process-invariant calls, a result cache for idempotent
 	// calls, and dynamic promotion of hot groups to the synchronous
@@ -360,12 +357,14 @@ func (s *System) InitRuntime() error {
 	// functions and the override targets to their symbols.
 	s.linkAKFunctions()
 
-	// 6. Build the override wrapper table from the embedded config.
+	// 6. Build the override wrapper table from the embedded config. The
+	// wrappers look their symbol up on every invocation, as the paper's
+	// implementation does.
 	specs, err := ParseOverrides(image.ExtractOverrides(s.Fat))
 	if err != nil {
 		return err
 	}
-	s.Overrides = NewOverrideSet(specs, s.Opts.UseSymbolCache)
+	s.Overrides = NewOverrideSet(specs, false)
 	s.Overrides.SetTelemetry(s.tracer, s.metrics)
 
 	// 7. Merge the ROS process's lower half into the HRT address space,
@@ -613,10 +612,6 @@ func (s *System) SeedGroupIDs(base uint64) {
 		}
 	}
 }
-
-// GridNode reports the grid this System belongs to (nil standalone) and
-// its node index within it.
-func (s *System) GridNode() (*Grid, int) { return s.grid, s.gridNode }
 
 // Groups returns the live execution groups (diagnostics). Torn-down
 // groups stay registered until joined (late joiners must still find

@@ -14,7 +14,7 @@ package legion
 
 import (
 	"fmt"
-	"sync"
+	"sort"
 
 	"multiverse/internal/aerokernel"
 	"multiverse/internal/core"
@@ -44,48 +44,17 @@ func (futexCoster) chargeWake(env core.Env) {
 func (futexCoster) name() string { return "futex" }
 
 // akEventCoster binds to the AeroKernel event functions through direct
-// calls — no kernel/user crossing, no forwarding.
-type akEventCoster struct {
-	ak scheme.AKCaller
-}
+// calls on the acting thread — no kernel/user crossing, no forwarding.
+type akEventCoster struct{}
 
-func (c akEventCoster) chargeWait(env core.Env) {
-	if _, err := c.ak.AKCall("nk_event_wait"); err != nil {
-		panic(fmt.Sprintf("legion: nk_event_wait: %v", err))
+func (akEventCoster) chargeWait(env core.Env) { akCall(env, "nk_event_wait") }
+func (akEventCoster) chargeWake(env core.Env) { akCall(env, "nk_event_signal") }
+func (akEventCoster) name() string            { return "aerokernel-events" }
+
+func akCall(env core.Env, symbol string) {
+	if _, err := env.(scheme.AKCaller).AKCall(symbol); err != nil {
+		panic(fmt.Sprintf("legion: %s: %v", symbol, err))
 	}
-}
-func (c akEventCoster) chargeWake(env core.Env) {
-	if _, err := c.ak.AKCall("nk_event_signal"); err != nil {
-		panic(fmt.Sprintf("legion: nk_event_signal: %v", err))
-	}
-}
-func (akEventCoster) name() string { return "aerokernel-events" }
-
-// sem is a counting semaphore that carries virtual-time stamps: a Pend
-// synchronizes the waiter's clock past the corresponding Post.
-type sem struct {
-	ch chan cycles.Cycles
-}
-
-func newSem(capacity int) *sem { return &sem{ch: make(chan cycles.Cycles, capacity)} }
-
-func (s *sem) post(env core.Env, c syncCoster) {
-	c.chargeWake(env)
-	s.ch <- env.Clock().Now()
-}
-
-func (s *sem) pend(env core.Env, c syncCoster) {
-	c.chargeWait(env)
-	stamp := <-s.ch
-	env.Clock().SyncTo(stamp)
-}
-
-// task is one contiguous index-range assignment.
-type task struct {
-	fn    func(env core.Env, index int)
-	lo    int
-	hi    int
-	stamp cycles.Cycles
 }
 
 // batchEnv wraps a worker Env to defer Compute charges: tight per-element
@@ -127,13 +96,20 @@ func (b *batchEnv) Touch(addr uint64, write bool) error {
 
 func (b *batchEnv) CheckTimer() bool { b.flush(); return b.Env.CheckTimer() }
 
-// worker is one runtime thread.
+// worker is one runtime thread, driven as a clock context from the
+// master's goroutine by the launch loop. Without the scheduler it is a
+// pthread (under Multiverse, an HRT thread in its own execution group)
+// that hands back its Env and parks until Shutdown; under the scheduler
+// it is a nested scheduler-placed AeroKernel thread. No goroutine runs
+// launch work.
 type worker struct {
-	id   int
-	mail chan task
-	done *sem
-	env  core.Env
-	join core.PthreadJoin
+	id      int
+	env     core.Env
+	benv    *batchEnv      // Compute-batching view of env for chunk bodies
+	core    machine.CoreID // placed core (scheduler mode)
+	tid     int            // AeroKernel thread id, for core-occupancy bookkeeping
+	release func()         // joins the pthread or retires the nested thread
+	deque   deque
 }
 
 // Runtime is the mini-Legion instance.
@@ -141,170 +117,179 @@ type Runtime struct {
 	env     core.Env
 	coster  syncCoster
 	workers []*worker
-	done    *sem
-	mu      sync.Mutex
+	park    chan struct{} // closed by Shutdown to release pthread workers
 	closed  bool
 
-	// Scheduler mode (core.Options.Scheduler): index tasks run on
-	// persistent scheduler-placed worker contexts through the Chase–Lev
-	// work-stealing executor (steal.go) instead of the mailbox pool.
-	sched    *aerokernel.Scheduler
-	sworkers []*stealWorker
-	// Per-launch scratch for the batched executor: worker core ids and the
-	// locally evolved per-core free stamps (indexed by worker, workers on
-	// the same core share a value). Allocated once on first launch.
+	// Scheduler mode (core.Options.Scheduler): the workers are
+	// scheduler-placed and launches run the work-stealing loop (steal.go)
+	// instead of the static drain.
+	sched *aerokernel.Scheduler
+	// Per-launch scratch for the work-stealing loop: worker core ids and
+	// the locally evolved per-core free stamps (indexed by worker, workers
+	// on the same core share a value). Allocated once on first launch.
 	launchCores []machine.CoreID
 	launchFrees []cycles.Cycles
 
 	// Launches counts index launches (for reporting).
 	Launches int
-	// SyncOps counts semaphore operations (the hot-spot metric).
+	// SyncOps counts wake and wait operations (the hot-spot metric).
 	SyncOps int
 	// Steals counts work-stealing events (scheduler mode only).
 	Steals int
 }
 
-// New starts a runtime with the given number of worker threads, created
-// through env's pthread surface (so under Multiverse each worker is an
-// HRT thread in its own execution group). The synchronization binding is
-// chosen by capability: AeroKernel events when available, futexes
-// otherwise — the runtime-developer decision the accelerator model is
-// about.
+// New starts a runtime with the given number of worker threads. The
+// synchronization binding is chosen by capability: AeroKernel events when
+// available, futexes otherwise — the runtime-developer decision the
+// accelerator model is about.
 func New(env core.Env, nworkers int) (*Runtime, error) {
 	if nworkers < 1 {
 		return nil, fmt.Errorf("legion: need at least one worker")
 	}
-	rt := &Runtime{env: env, done: newSem(nworkers)}
-	if ak, ok := env.(scheme.AKCaller); ok {
-		rt.coster = akEventCoster{ak: ak}
-	} else {
-		rt.coster = futexCoster{}
+	rt := &Runtime{env: env, coster: futexCoster{}, park: make(chan struct{})}
+	if _, ok := env.(scheme.AKCaller); ok {
+		rt.coster = akEventCoster{}
 	}
-
-	// Under the AeroKernel scheduler the pool is nested scheduler-placed
-	// threads driven by the work-stealing executor; no execution groups,
-	// no mailbox goroutines.
+	spawn := rt.spawnThread
 	if host, ok := env.(core.SchedulerHost); ok && host.Scheduler() != nil {
 		rt.sched = host.Scheduler()
-		if err := rt.spawnStealWorkers(host, nworkers); err != nil {
-			return nil, fmt.Errorf("legion: spawning scheduler workers: %w", err)
-		}
-		return rt, nil
+		spawn = host.SpawnWorkerEnv
 	}
-
-	ready := make(chan *worker, nworkers)
 	for i := 0; i < nworkers; i++ {
-		w := &worker{id: i, mail: make(chan task, 1), done: rt.done}
-		join, err := env.PthreadCreate(func(wenv core.Env) {
-			w.env = wenv
-			ready <- w
-			benv := &batchEnv{Env: wenv}
-			for t := range w.mail {
-				wenv.Clock().SyncTo(t.stamp)
-				for idx := t.lo; idx < t.hi; idx++ {
-					t.fn(benv, idx)
-				}
-				benv.flush()
-				w.done.post(wenv, rt.coster)
-			}
-		})
+		wenv, coreID, release, err := spawn()
 		if err != nil {
+			rt.Shutdown()
 			return nil, fmt.Errorf("legion: spawning worker %d: %w", i, err)
 		}
-		w.join = join
+		w := &worker{id: i, env: wenv, benv: &batchEnv{Env: wenv}, core: coreID, release: release}
+		if ht, ok := wenv.(hrtThreader); ok {
+			w.tid = ht.HRTThreadForBench().ID
+		}
 		rt.workers = append(rt.workers, w)
 	}
-	for range rt.workers {
-		<-ready
-	}
 	return rt, nil
+}
+
+// spawnThread creates one scheduler-off worker through env's pthread
+// surface: the thread hands back its Env and parks until Shutdown.
+func (rt *Runtime) spawnThread() (core.Env, machine.CoreID, func(), error) {
+	ready := make(chan core.Env)
+	join, err := rt.env.PthreadCreate(func(wenv core.Env) {
+		ready <- wenv
+		<-rt.park
+	})
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return <-ready, 0, func() { join() }, nil
+}
+
+// hrtThreader recovers the AeroKernel thread behind a worker Env.
+type hrtThreader interface {
+	HRTThreadForBench() *aerokernel.Thread
 }
 
 // SyncBinding names the synchronization primitive in use.
 func (rt *Runtime) SyncBinding() string { return rt.coster.name() }
 
 // Workers returns the pool size.
-func (rt *Runtime) Workers() int {
-	if rt.sched != nil {
-		return len(rt.sworkers)
-	}
-	return len(rt.workers)
+func (rt *Runtime) Workers() int { return len(rt.workers) }
+
+// body is one launch's work: exactly one of fn/red is non-nil, and red
+// accumulates each chunk into its own slot (slots[chunk.slot]), keeping
+// reductions independent of which worker or core ran the chunk.
+type body struct {
+	fn    func(core.Env, int)
+	red   func(core.Env, int) float64
+	slots []float64
 }
 
-// beginLaunch is the shared launch prologue: closed check + accounting.
-func (rt *Runtime) beginLaunch() {
-	rt.mu.Lock()
+// run executes chunk c on w, then flushes w's batched compute charges.
+func (b body) run(w *worker, c chunk) {
+	if b.red != nil {
+		acc := 0.0
+		for idx := c.lo; idx < c.hi; idx++ {
+			acc += b.red(w.benv, idx)
+		}
+		b.slots[c.slot] = acc
+	} else {
+		for idx := c.lo; idx < c.hi; idx++ {
+			b.fn(w.benv, idx)
+		}
+	}
+	w.benv.flush()
+}
+
+// launch runs one bulk-synchronous step: chunks are dealt contiguously
+// into the workers' deques, then run by the static drain or, under the
+// scheduler, the work-stealing loop.
+func (rt *Runtime) launch(chunks []chunk, b body) {
 	if rt.closed {
-		rt.mu.Unlock()
 		panic("legion: IndexLaunch after Shutdown")
 	}
 	rt.Launches++
-	rt.mu.Unlock()
-}
-
-// IndexLaunch runs fn(i) for every i in [0, n), split contiguously across
-// the workers, and blocks until all complete — one bulk-synchronous step.
-// Under the scheduler the static split becomes chunked partitioning with
-// work stealing.
-func (rt *Runtime) IndexLaunch(n int, fn func(env core.Env, index int)) {
-	rt.beginLaunch()
-	if rt.sched != nil {
-		rt.stealLaunch(n, fn, nil, nil)
+	if len(chunks) == 0 {
 		return
 	}
-
 	p := len(rt.workers)
 	for i, w := range rt.workers {
-		lo := i * n / p
-		hi := (i + 1) * n / p
-		rt.coster.chargeWake(rt.env)
-		rt.countSync()
-		w.mail <- task{fn: fn, lo: lo, hi: hi, stamp: rt.env.Clock().Now()}
+		w.deque.reset(chunks[i*len(chunks)/p : (i+1)*len(chunks)/p])
 	}
-	for range rt.workers {
-		rt.done.pend(rt.env, rt.coster)
-		rt.countSync()
+	if rt.sched != nil {
+		rt.stealLaunch(len(chunks), b)
+	} else {
+		rt.staticLaunch(b)
 	}
 }
 
-func (rt *Runtime) countSync() {
-	rt.mu.Lock()
-	rt.SyncOps++
-	rt.mu.Unlock()
+// staticLaunch is the scheduler-off step with a semaphore barrier's
+// costs, in virtual-time order: the master wakes each worker in id order,
+// each worker drains its own deque from its wake and posts on its own
+// clock, and the master pends once per post in the order the posts land
+// (ties to the lower id), each pend charging its wait before it
+// synchronizes past the post.
+func (rt *Runtime) staticLaunch(b body) {
+	clk := rt.env.Clock()
+	for _, w := range rt.workers {
+		rt.coster.chargeWake(rt.env)
+		rt.SyncOps++
+		w.env.Clock().SyncTo(clk.Now())
+	}
+	posts := make([]*worker, len(rt.workers))
+	for i, w := range rt.workers {
+		for w.deque.size() > 0 {
+			b.run(w, w.deque.popBottom())
+		}
+		rt.coster.chargeWake(w.env)
+		posts[i] = w
+	}
+	sort.SliceStable(posts, func(i, j int) bool {
+		return posts[i].env.Clock().Now() < posts[j].env.Clock().Now()
+	})
+	for _, w := range posts {
+		rt.coster.chargeWait(rt.env)
+		rt.SyncOps++
+		clk.SyncTo(w.env.Clock().Now())
+	}
+}
+
+// IndexLaunch runs fn(i) for every i in [0, n) and blocks until all
+// complete — one bulk-synchronous step.
+func (rt *Runtime) IndexLaunch(n int, fn func(env core.Env, index int)) {
+	rt.launch(chunkRanges(n), body{fn: fn})
 }
 
 // Reduce runs fn over [0, n) and returns the sum — the dot-product shape
-// every CG iteration needs twice. Every task owns an explicit accumulator
-// slot indexed by the *task*, never by the worker that happened to execute
-// it: under stealing, worker identity no longer equals "who computed
-// what". Slots are combined in slot order, so for a given decomposition
-// the result is bit-identical regardless of which cores ran which tasks
-// or in what order.
+// every CG iteration needs twice. Every chunk owns an explicit accumulator
+// slot indexed by the chunk, never by the worker that happened to run it:
+// under stealing, worker identity no longer equals "who computed what".
+// Slots are combined in slot order over a decomposition that depends only
+// on n, so the result is bit-identical whatever the worker count, the
+// mode, or which cores ran which chunks.
 func (rt *Runtime) Reduce(n int, fn func(env core.Env, index int) float64) float64 {
-	if rt.sched != nil {
-		chunks := chunkRanges(n)
-		slots := make([]float64, len(chunks))
-		rt.beginLaunch()
-		rt.stealLaunch(n, nil, fn, slots)
-		total := 0.0
-		for _, v := range slots {
-			total += v
-		}
-		return total
-	}
-	// Static split: one task (and one slot) per worker index; the task id
-	// doubles as the launch index.
-	p := len(rt.workers)
-	slots := make([]float64, p)
-	rt.IndexLaunch(p, func(env core.Env, tidx int) {
-		lo := tidx * n / p
-		hi := (tidx + 1) * n / p
-		acc := 0.0
-		for i := lo; i < hi; i++ {
-			acc += fn(env, i)
-		}
-		slots[tidx] = acc
-	})
+	chunks := chunkRanges(n)
+	slots := make([]float64, len(chunks))
+	rt.launch(chunks, body{red: fn, slots: slots})
 	total := 0.0
 	for _, v := range slots {
 		total += v
@@ -312,22 +297,14 @@ func (rt *Runtime) Reduce(n int, fn func(env core.Env, index int) float64) float
 	return total
 }
 
-// Shutdown stops the workers and joins them.
+// Shutdown releases the workers and joins them.
 func (rt *Runtime) Shutdown() {
-	rt.mu.Lock()
 	if rt.closed {
-		rt.mu.Unlock()
 		return
 	}
 	rt.closed = true
-	rt.mu.Unlock()
-	for _, w := range rt.sworkers {
+	close(rt.park)
+	for _, w := range rt.workers {
 		w.release()
-	}
-	for _, w := range rt.workers {
-		close(w.mail)
-	}
-	for _, w := range rt.workers {
-		w.join()
 	}
 }

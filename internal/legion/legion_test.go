@@ -121,6 +121,31 @@ func TestHPCGHRTBeatsNative(t *testing.T) {
 	}
 }
 
+// TestHPCGDeterministic pins the scheduler-off executor to virtual time:
+// repeated solves in one world give identical cycles, whatever order the
+// host runs the worker threads in.
+func TestHPCGDeterministic(t *testing.T) {
+	for _, world := range []core.World{core.WorldNative, core.WorldHRT} {
+		t.Run(world.String(), func(t *testing.T) {
+			var first uint64
+			for run := 0; run < 3; run++ {
+				withRuntime(t, world, 4, func(env core.Env, rt *legion.Runtime) {
+					res, err := legion.RunHPCG(rt, env, 8192, 20)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := uint64(res.Cycles)
+					if run == 0 {
+						first = got
+					} else if got != first {
+						t.Errorf("run %d: %d cycles, run 0: %d", run, got, first)
+					}
+				})
+			}
+		})
+	}
+}
+
 func TestShutdownIdempotentAndJoins(t *testing.T) {
 	withRuntime(t, core.WorldNative, 2, func(env core.Env, rt *legion.Runtime) {
 		rt.IndexLaunch(10, func(core.Env, int) {})

@@ -1,18 +1,16 @@
 package legion
 
 import (
-	"multiverse/internal/aerokernel"
-	"multiverse/internal/core"
 	"multiverse/internal/cycles"
 	"multiverse/internal/machine"
 )
 
-// Chunked partitioning replaces the static per-worker block split under the
-// scheduler: [0, n) becomes up to maxChunks contiguous chunks of at least
-// minChunk indices. The layout is a function of n ONLY — never of the
-// worker count or of who runs what — so per-chunk partial sums land in the
-// same accumulator slots whatever the steal pattern, and reductions are
-// bit-identical between a 1-worker serial run and a stealing run.
+// Chunked partitioning splits every launch: [0, n) becomes up to maxChunks
+// contiguous chunks of at least minChunk indices. The layout is a function
+// of n ONLY — never of the worker count, the mode or who runs what — so
+// per-chunk partial sums land in the same accumulator slots whatever the
+// steal pattern, and reductions are bit-identical between a 1-worker
+// serial run, a static split and a stealing run.
 const (
 	minChunk  = 64
 	maxChunks = 64
@@ -55,51 +53,12 @@ func (d *deque) size() int        { return d.bot - d.top }
 func (d *deque) popBottom() chunk { d.bot--; return d.chunks[d.bot] }
 func (d *deque) stealTop() chunk  { c := d.chunks[d.top]; d.top++; return c }
 
-// stealWorker is one persistent scheduler-placed worker: a nested
-// AeroKernel thread used as a placement and clock context, driven by the
-// executor rather than by a goroutine of its own.
-type stealWorker struct {
-	id      int
-	env     core.Env
-	benv    *batchEnv // Compute-batching view of env for chunk bodies
-	core    machine.CoreID
-	tid     int // AeroKernel thread id, for core-occupancy bookkeeping
-	release func()
-	deque   deque
-}
-
-// hrtThreader recovers the AeroKernel thread behind a worker Env.
-type hrtThreader interface {
-	HRTThreadForBench() *aerokernel.Thread
-}
-
-// spawnStealWorkers builds the scheduler-mode worker pool.
-func (rt *Runtime) spawnStealWorkers(host core.SchedulerHost, nworkers int) error {
-	for i := 0; i < nworkers; i++ {
-		wenv, coreID, release, err := host.SpawnWorkerEnv()
-		if err != nil {
-			for _, w := range rt.sworkers {
-				w.release()
-			}
-			rt.sworkers = nil
-			return err
-		}
-		w := &stealWorker{id: i, env: wenv, benv: &batchEnv{Env: wenv}, core: coreID, release: release}
-		if ht, ok := wenv.(hrtThreader); ok {
-			w.tid = ht.HRTThreadForBench().ID
-		}
-		rt.sworkers = append(rt.sworkers, w)
-	}
-	return nil
-}
-
-// stealLaunch executes one index launch under the work-stealing scheduler
-// as a deterministic discrete-event simulation: chunks are dealt
-// contiguously into per-worker deques, then the worker able to act at the
-// earliest virtual time (ties to the lowest id) repeatedly pops its own
-// bottom chunk — or, with an empty deque, steals the top chunk of the
-// fullest victim, paying the Chase–Lev steal plus an IPI-class kick when
-// the victim lives on another core. Each burst serializes on its core's
+// stealLaunch executes one index launch of nchunks dealt chunks under the
+// work-stealing scheduler as a deterministic discrete-event simulation:
+// the worker able to act at the earliest virtual time (ties to the lowest
+// id) repeatedly pops its own bottom chunk — or, with an empty deque,
+// steals the top chunk of the fullest victim, paying the Chase–Lev steal
+// plus an IPI-class kick when the victim lives on another core. Each burst serializes on its core's
 // free time through the scheduler, so same-core workers never overlap in
 // virtual time, and the whole schedule depends only on clock arithmetic —
 // host goroutine interleaving cannot touch it.
@@ -115,24 +74,11 @@ func (rt *Runtime) spawnStealWorkers(host core.SchedulerHost, nworkers int) erro
 // lower index)" guarantees a fresh scan would pick me again. Chunk order,
 // steal decisions, per-chunk queue-delay observations, and halt/wake
 // accounting are bit-identical to the one-event-per-scan loop.
-//
-// Exactly one of fn/red is non-nil; red accumulates each chunk into its
-// own slot (slots[chunk.slot]), keeping reductions independent of which
-// worker or core ran the chunk.
-func (rt *Runtime) stealLaunch(n int, fn func(core.Env, int), red func(core.Env, int) float64, slots []float64) {
-	chunks := chunkRanges(n)
-	if len(chunks) == 0 {
-		return
-	}
-	ws := rt.sworkers
+func (rt *Runtime) stealLaunch(nchunks int, b body) {
+	ws := rt.workers
 	p := len(ws)
-	for i, w := range ws {
-		lo := i * len(chunks) / p
-		hi := (i + 1) * len(chunks) / p
-		w.deque.reset(chunks[lo:hi])
-	}
 	// The master pays one deque push per chunk, then publishes the launch.
-	rt.sched.ChargeEnqueue(rt.env.Clock(), len(chunks))
+	rt.sched.ChargeEnqueue(rt.env.Clock(), nchunks)
 	stamp := rt.env.Clock().Now()
 	for _, w := range ws {
 		w.env.Clock().SyncTo(stamp)
@@ -149,7 +95,7 @@ func (rt *Runtime) stealLaunch(n int, fn func(core.Env, int), red func(core.Env,
 	rt.sched.FreeSnapshot(rt.launchCores, frees)
 
 	steals := 0
-	remaining := len(chunks)
+	remaining := nchunks
 	for remaining > 0 {
 		best, second := -1, -1
 		var bestAt, secondAt cycles.Cycles
@@ -178,18 +124,7 @@ func (rt *Runtime) stealLaunch(n int, fn func(core.Env, int), red func(core.Env,
 			}
 			rt.sched.BurstStartAt(w.core, w.env.Clock(), w.tid, frees[best])
 			rt.sched.ObserveQueueDelay(w.env.Clock().Now() - stamp)
-			if red != nil {
-				acc := 0.0
-				for idx := c.lo; idx < c.hi; idx++ {
-					acc += red(w.benv, idx)
-				}
-				slots[c.slot] = acc
-			} else {
-				for idx := c.lo; idx < c.hi; idx++ {
-					fn(w.benv, idx)
-				}
-			}
-			w.benv.flush()
+			b.run(w, c)
 			end := rt.sched.BurstEndAt(w.core, w.env.Clock())
 			for j, other := range ws {
 				if other.core == w.core && frees[j] < end {
@@ -212,21 +147,15 @@ func (rt *Runtime) stealLaunch(n int, fn func(core.Env, int), red func(core.Env,
 		}
 	}
 	rt.sched.PublishFreeAt(rt.launchCores, frees)
-	if steals > 0 {
-		rt.mu.Lock()
-		rt.Steals += steals
-		rt.mu.Unlock()
-	}
+	rt.Steals += steals
 
 	// Completion barrier: the master observes one wake+wait pair per
-	// worker and synchronizes past the slowest, exactly the semantics of
-	// the mailbox pool's semaphore round.
+	// worker and synchronizes past the slowest.
 	maxEnd := stamp
 	for range ws {
 		rt.coster.chargeWake(rt.env)
-		rt.countSync()
 		rt.coster.chargeWait(rt.env)
-		rt.countSync()
+		rt.SyncOps += 2
 	}
 	for _, w := range ws {
 		if now := w.env.Clock().Now(); now > maxEnd {
@@ -238,9 +167,9 @@ func (rt *Runtime) stealLaunch(n int, fn func(core.Env, int), red func(core.Env,
 
 // victimFor picks the steal victim for thief: the worker with the most
 // queued chunks, ties to the lowest id.
-func (rt *Runtime) victimFor(thief int) *stealWorker {
-	var victim *stealWorker
-	for _, w := range rt.sworkers {
+func (rt *Runtime) victimFor(thief int) *worker {
+	var victim *worker
+	for _, w := range rt.workers {
 		if w.id == thief || w.deque.size() == 0 {
 			continue
 		}

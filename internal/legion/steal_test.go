@@ -51,27 +51,37 @@ func TestStealIndexLaunchCoversRange(t *testing.T) {
 
 // TestStealReduceMatchesSerial is the per-task accumulator-slot guarantee:
 // the reduction is combined in slot order over a decomposition that depends
-// only on n, so a stealing run with many workers is bit-identical to a
-// serial 1-worker run — floating-point non-associativity cannot leak the
-// steal pattern into the result.
+// only on n, so a stealing run with many workers and a static split with
+// the scheduler off are bit-identical to a serial 1-worker run —
+// floating-point non-associativity cannot leak the steal pattern, the
+// worker count or the mode into the result.
 func TestStealReduceMatchesSerial(t *testing.T) {
 	// Harmonic-like terms: reassociating this sum changes its low bits.
 	term := func(w core.Env, i int) float64 { return 1.0 / float64(i+1) }
 	n := 50_000
 
-	reduceWith := func(name string, workers int) float64 {
-		var v float64
-		withStealRuntime(t, name, workers, func(env core.Env, rt *legion.Runtime) {
-			v = rt.Reduce(n, term)
-		})
-		return v
-	}
-
-	serial := reduceWith("steal-red-1", 1)
-	parallel := reduceWith("steal-red-8", 8)
-	if math.Float64bits(serial) != math.Float64bits(parallel) {
-		t.Errorf("reduce differs: 1 worker %.17g (%#x), 8 workers %.17g (%#x)",
-			serial, math.Float64bits(serial), parallel, math.Float64bits(parallel))
+	var serial float64
+	withStealRuntime(t, "steal-red-1", 1, func(env core.Env, rt *legion.Runtime) {
+		serial = rt.Reduce(n, term)
+	})
+	var stealing, native, hrt float64
+	withStealRuntime(t, "steal-red-8", 8, func(env core.Env, rt *legion.Runtime) {
+		stealing = rt.Reduce(n, term)
+	})
+	withRuntime(t, core.WorldNative, 4, func(env core.Env, rt *legion.Runtime) {
+		native = rt.Reduce(n, term)
+	})
+	withRuntime(t, core.WorldHRT, 4, func(env core.Env, rt *legion.Runtime) {
+		hrt = rt.Reduce(n, term)
+	})
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{{"8 stealing workers", stealing}, {"Native, 4 workers", native}, {"HRT, 4 workers, no scheduler", hrt}} {
+		if math.Float64bits(serial) != math.Float64bits(c.v) {
+			t.Errorf("reduce differs: 1 worker %.17g (%#x), %s %.17g (%#x)",
+				serial, math.Float64bits(serial), c.name, c.v, math.Float64bits(c.v))
+		}
 	}
 
 	// And the value is actually the sum.

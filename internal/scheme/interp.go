@@ -153,9 +153,6 @@ func (in *Interp) installTimerHandler() {
 	})
 }
 
-// Global returns the global environment.
-func (in *Interp) Global() *Frame { return in.global }
-
 // GC returns the collector (stats).
 func (in *Interp) GC() *GC { return in.gc }
 

@@ -256,7 +256,7 @@ func (k *Kernel) eventLoop(bootCore machine.CoreID) {
 				req.Complete(clk, ^uint64(0))
 				continue
 			}
-			t := k.newThread(bootCore, nil)
+			t := k.newThread(bootCore, nil, nil)
 			t.Clock.SyncTo(clk.Now())
 			ret := fn(t, req.Args)
 			clk.SyncTo(t.Clock.Now())

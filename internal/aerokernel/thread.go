@@ -144,7 +144,12 @@ func (t *Thread) syscallRouter() *hvm.SyscallRouter {
 	return nil
 }
 
-func (k *Kernel) newThread(core machine.CoreID, parent *Thread) *Thread {
+// newThread makes a thread on core running on stack; a nil stack gets a
+// fresh 64 KiB one.
+func (k *Kernel) newThread(core machine.CoreID, parent *Thread, stack *machine.Stack) *Thread {
+	if stack == nil {
+		stack = machine.NewStack(64 * 1024)
+	}
 	// Off the kernel mutex: at density scale every spawn creates a
 	// thread, and ID allocation plus registry insert need none of the
 	// state k.mu guards.
@@ -152,7 +157,7 @@ func (k *Kernel) newThread(core machine.CoreID, parent *Thread) *Thread {
 		ID:     int(k.nextTid.Add(1)),
 		Core:   core,
 		Clock:  cycles.NewClock(0),
-		Stack:  machine.NewStack(64 * 1024),
+		Stack:  stack,
 		Nested: parent != nil,
 		Parent: parent,
 		done:   make(chan struct{}),
@@ -216,12 +221,9 @@ func (k *Kernel) retire(t *Thread) {
 // HRT thread (section 4.2). The creator's clock pays the (fast) AeroKernel
 // creation cost; the new thread's clock starts at the creation time.
 func (k *Kernel) CreateThread(creator *cycles.Clock, core machine.CoreID, super Superposition, ch *hvm.EventChannel, stack *machine.Stack) *Thread {
-	t := k.newThread(core, nil)
+	t := k.newThread(core, nil, stack)
 	t.ch = ch
 	t.FSBase = super.FSBase
-	if stack != nil {
-		t.Stack = stack
-	}
 
 	// Apply the superposition to the core: mirrored GDT and %fs.
 	c := k.m.Core(core)
@@ -241,7 +243,7 @@ func (t *Thread) CreateNested() *Thread {
 	if s := t.kern().Scheduler(); s != nil {
 		core = s.PlaceNested(t.Clock)
 	}
-	nt := t.kern().newThread(core, t)
+	nt := t.kern().newThread(core, t, nil)
 	nt.FSBase = t.FSBase
 	t.Clock.Advance(t.kern().cost.AKThreadCreate)
 	nt.Clock.SyncTo(t.Clock.Now())

@@ -24,12 +24,116 @@ func holdFn(arrived chan<- struct{}, gate <-chan struct{}) func(Env) uint64 {
 	}
 }
 
+// liveGroupCost is what holding groups live costs the host, per group.
+type liveGroupCost struct {
+	heap       float64 // bytes of live heap (HeapAlloc after GC)
+	goroutines float64
+	stack      float64 // bytes of goroutine stack in use
+}
+
+// holdLiveGroups spawns n groups that block in holdFn, measures the host
+// cost of holding them all live against the system before the spawns,
+// then releases and joins them and checks the registry drains.
+func holdLiveGroups(tb testing.TB, sys *System, n int) liveGroupCost {
+	tb.Helper()
+	clk := cycles.NewClock(0)
+	arrived := make(chan struct{}, n)
+	gate := make(chan struct{})
+	held := make([]*ExecutionGroup, n)
+	snapshot := func() (heap, stack uint64, goroutines int) {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, ms.StackInuse, runtime.NumGoroutine()
+	}
+	heap0, stack0, gr0 := snapshot()
+	for i := range held {
+		g, err := sys.SpawnGroup(clk, holdFn(arrived, gate))
+		if err != nil {
+			tb.Fatalf("spawn %d: %v", i, err)
+		}
+		held[i] = g
+	}
+	for range held {
+		<-arrived
+	}
+	heap1, stack1, gr1 := snapshot()
+	if live := sys.LiveGroups(); live != n {
+		tb.Errorf("live-group count = %d with %d groups held, want %d", live, n, n)
+	}
+	close(gate)
+	for i, g := range held {
+		if _, err := g.WaitExit(clk); err != nil {
+			tb.Fatalf("join %d: %v", i, err)
+		}
+	}
+	if size, live := sys.GroupTableSize(), sys.LiveGroups(); size != 0 || live != 0 {
+		tb.Errorf("after all joins the registry holds %d entries and %d live groups, want 0", size, live)
+	}
+	per := func(before, after int64) float64 { return float64(after-before) / float64(n) }
+	return liveGroupCost{
+		heap:       per(int64(heap0), int64(heap1)),
+		goroutines: per(int64(gr0), int64(gr1)),
+		stack:      per(int64(stack0), int64(stack1)),
+	}
+}
+
+// liveGroupConfigs are the configurations the live-group cost is bounded
+// in: every option off, and the routed fast path with a warm pool.
+var liveGroupConfigs = []struct {
+	name string
+	opts Options
+}{
+	{"plain", Options{AppName: "live"}},
+	{"routed", Options{AppName: "live", Router: true, Exitless: true, Merger: true, WarmPool: 64}},
+}
+
+// TestDensityLiveGroupHeap bounds the heap a held live group costs at
+// 16 KiB. Simulated stacks are paged, so the nominal 256 KiB HRT stack
+// and 64 KiB partner stack cost only the pages a group touches. A first
+// wave of 64 held groups warms the system (and fills the warm pool)
+// before the measured wave.
+func TestDensityLiveGroupHeap(t *testing.T) {
+	const groups = 2000
+	const maxHeap = 16 << 10
+	for _, tc := range liveGroupConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := buildTestSystem(t, tc.opts)
+			holdLiveGroups(t, sys, 64)
+			c := holdLiveGroups(t, sys, groups)
+			t.Logf("per live group: %.1f KiB heap, %.2f goroutines, %.1f KiB goroutine stack",
+				c.heap/1024, c.goroutines, c.stack/1024)
+			if c.heap > maxHeap {
+				t.Errorf("a live group costs %.1f KiB of heap, want <= %d KiB", c.heap/1024, maxHeap/1024)
+			}
+		})
+	}
+}
+
+// BenchmarkLiveGroups100k is the density probe kept out of tier-1: it
+// holds 100,000 live groups on one System (about 1 GB of host memory)
+// and reports what each costs the host. Run it once with
+// go test -run '^$' -bench LiveGroups100k -benchtime 1x ./internal/core.
+func BenchmarkLiveGroups100k(b *testing.B) {
+	for _, tc := range liveGroupConfigs {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sys := buildTestSystem(b, tc.opts)
+				c := holdLiveGroups(b, sys, 100_000)
+				b.ReportMetric(c.heap, "heap-B/group")
+				b.ReportMetric(c.goroutines, "goroutines/group")
+				b.ReportMetric(c.stack, "stack-B/group")
+			}
+		})
+	}
+}
+
 // TestGroupMapLeakRegression is the unbounded-growth fix pinned as a
 // regression: spawning and joining 10k groups must leave the registry
 // empty and keep it from accumulating along the way. Exited groups used
 // to stay in System.groups forever, a routed group's mutation hook
 // stayed registered on the Proc forever, and the Proc's thread table kept
-// every partner thread (and its 64 KiB stack) reachable; all three must
+// every partner thread (and its stack) reachable; all three must
 // track live groups. The routed case watches the first retired partners
 // with finalizers: each must become collectable.
 func TestGroupMapLeakRegression(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 
 // buildTestSystem assembles a hybrid system with a fat binary, ready for
 // InitRuntime.
-func buildTestSystem(t *testing.T, opts Options) *System {
+func buildTestSystem(t testing.TB, opts Options) *System {
 	t.Helper()
 	fat, err := Build(BuildInput{
 		App:        NewAppImage("smoke"),

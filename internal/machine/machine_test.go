@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"multiverse/internal/cycles"
@@ -198,6 +200,103 @@ func TestStackOverflowChecks(t *testing.T) {
 	}
 	if err := s.Release(10_000); err == nil {
 		t.Error("release past stack top should fail")
+	}
+}
+
+// stackBytes reads every byte of s through the red-zone window, walking
+// RSP down from the top and back, so it sees what a guest could.
+func stackBytes(t *testing.T, s *Stack) []byte {
+	t.Helper()
+	out := make([]byte, 0, s.Size())
+	top := s.SP()
+	for {
+		sp := s.SP()
+		for off := 0; off < RedZoneSize && sp-1-off >= 0; off++ {
+			b, err := s.ReadRedZone(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		if sp <= RedZoneSize {
+			break
+		}
+		if _, err := s.PullDown(RedZoneSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Release(top - s.SP()); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestStackResetReadsLikeFresh dirties a paged stack with interrupt
+// frames and red-zone bytes that straddle a page boundary, then requires
+// Reset to leave it byte-for-byte a fresh NewStack of the same size.
+func TestStackResetReadsLikeFresh(t *testing.T) {
+	const size = 4 * pageSize
+	s := NewStack(size)
+	// Park RSP 20 bytes above the boundary between pages 1 and 2, so the
+	// red zone and the frame below RSP both cross it.
+	if _, err := s.PullDown(size - 2*pageSize - 20); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < RedZoneSize; off++ {
+		if err := s.WriteRedZone(off, byte(0xA0+off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.PushFrame(&InterruptFrame{Vector: VecHVMEvent})
+	s.PushFrame(&InterruptFrame{Vector: VecPageFault})
+	dirty := stackBytes(t, s)
+	if bytes.Count(dirty, []byte{0}) == len(dirty) {
+		t.Fatal("writes did not reach the stack")
+	}
+
+	s.Reset()
+	fresh := NewStack(size)
+	if s.SP() != fresh.SP() || s.Size() != fresh.Size() {
+		t.Fatalf("reset SP/Size = %d/%d, fresh %d/%d", s.SP(), s.Size(), fresh.SP(), fresh.Size())
+	}
+	got, want := stackBytes(t, s), stackBytes(t, fresh)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reset stack reads %#x at walk position %d, fresh reads %#x", got[i], i, want[i])
+		}
+	}
+}
+
+var stackSink *Stack
+
+// TestStackAllocs bounds the host cost of the paged stack: a fresh 256 KiB
+// stack costs its page table, not its bytes, and a warm reset or an
+// interrupt on a touched page allocates nothing.
+func TestStackAllocs(t *testing.T) {
+	s := NewStack(256 * 1024)
+	f := &InterruptFrame{Vector: VecHVMEvent}
+	s.PushFrame(f)
+	s.PopFrame()
+	// Reset keeps the touched pages, so reusing the stack after it (a
+	// warm claim) allocates nothing either.
+	if n := testing.AllocsPerRun(100, func() { s.Reset(); s.PushFrame(f); s.PopFrame() }); n != 0 {
+		t.Errorf("Reset of a touched stack, then an interrupt: %.0f allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.PushFrame(f); s.PopFrame() }); n != 0 {
+		t.Errorf("PushFrame/PopFrame on a touched page: %.0f allocs, want 0", n)
+	}
+
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		stackSink = NewStack(256 * 1024)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 1024 {
+		t.Errorf("NewStack(256 KiB) allocates %d bytes, want <= 1024", per)
+	} else {
+		t.Logf("NewStack(256 KiB) allocates %d bytes", per)
 	}
 }
 

@@ -17,32 +17,52 @@ const RedZoneSize = 128
 // RFLAGS, CS, RIP, error code — 6 words).
 const frameBytes = 48
 
+// pageSize is the granule a Stack allocates its bytes in.
+const pageSize = 4096
+
 // Stack models one execution stack as real bytes, so red-zone clobbering
-// by interrupt frames is observable rather than hypothetical.
+// by interrupt frames is observable rather than hypothetical. The bytes
+// live in 4 KiB pages allocated on first write: the model only ever
+// touches the bytes near RSP, so a stack's heap cost tracks the pages it
+// used, not its nominal size, and an untouched byte reads as 0.
 type Stack struct {
-	mu   sync.Mutex
-	data []byte
-	sp   int // offset of the stack pointer within data; grows downward
+	mu    sync.Mutex
+	pages []*[pageSize]byte // nil until the page is first written
+	size  int
+	sp    int // offset of the stack pointer within the stack; grows downward
 }
 
-// NewStack allocates a stack of the given size with RSP at the top.
+// NewStack makes a stack of the given nominal size with RSP at the top.
 func NewStack(size int) *Stack {
 	if size < frameBytes+RedZoneSize {
 		size = frameBytes + RedZoneSize
 	}
-	return &Stack{data: make([]byte, size), sp: size}
+	return &Stack{pages: make([]*[pageSize]byte, (size+pageSize-1)/pageSize), size: size, sp: size}
 }
 
-// Reset rebases RSP to the top and clears the bytes — the deterministic
-// stack recycle a warm-pool reuse performs, so a recycled context is
-// indistinguishable from a fresh NewStack of the same size.
+// page returns the page holding offset i, allocating it on first use.
+func (s *Stack) page(i int) *[pageSize]byte {
+	p := s.pages[i/pageSize]
+	if p == nil {
+		p = new([pageSize]byte)
+		s.pages[i/pageSize] = p
+	}
+	return p
+}
+
+// Reset rebases RSP to the top and zeroes the touched pages, keeping them
+// allocated — the deterministic stack recycle a warm-pool reuse performs,
+// so a recycled context reads like a fresh NewStack of the same size and
+// a warm claim allocates nothing.
 func (s *Stack) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.data {
-		s.data[i] = 0
+	for _, p := range s.pages {
+		if p != nil {
+			clear(p[:])
+		}
 	}
-	s.sp = len(s.data)
+	s.sp = s.size
 }
 
 // SP returns the current stack-pointer offset.
@@ -52,12 +72,12 @@ func (s *Stack) SP() int {
 	return s.sp
 }
 
-// Size returns the stack's total size in bytes (what a checkpoint image
-// has to carry for it).
+// Size returns the stack's nominal size in bytes, touched or not (what a
+// checkpoint image has to carry for it).
 func (s *Stack) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.data)
+	return s.size
 }
 
 // PullDown moves RSP down by n bytes and returns the new offset — the
@@ -77,7 +97,7 @@ func (s *Stack) PullDown(n int) (int, error) {
 func (s *Stack) Release(n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sp+n > len(s.data) {
+	if s.sp+n > s.size {
 		return fmt.Errorf("machine: stack underflow releasing %d bytes", n)
 	}
 	s.sp += n
@@ -96,7 +116,7 @@ func (s *Stack) WriteRedZone(off int, b byte) error {
 	if idx < 0 {
 		return fmt.Errorf("machine: red zone write below stack")
 	}
-	s.data[idx] = b
+	s.page(idx)[idx%pageSize] = b
 	return nil
 }
 
@@ -111,7 +131,11 @@ func (s *Stack) ReadRedZone(off int) (byte, error) {
 	if idx < 0 {
 		return 0, fmt.Errorf("machine: red zone read below stack")
 	}
-	return s.data[idx], nil
+	p := s.pages[idx/pageSize]
+	if p == nil {
+		return 0, nil
+	}
+	return p[idx%pageSize], nil
 }
 
 // PushFrame pushes an interrupt frame at the current RSP, overwriting
@@ -125,8 +149,15 @@ func (s *Stack) PushFrame(f *InterruptFrame) {
 	if lo < 0 {
 		lo = 0
 	}
-	for i := lo; i < s.sp; i++ {
-		s.data[i] = 0xCC ^ byte(f.Vector)
+	// A frame is smaller than a page, so it spans at most two.
+	v := 0xCC ^ byte(f.Vector)
+	for i := lo; i < s.sp; {
+		off := i % pageSize
+		seg := s.page(i)[off:min(pageSize, off+s.sp-i)]
+		for j := range seg {
+			seg[j] = v
+		}
+		i += len(seg)
 	}
 	s.sp = lo
 }
@@ -136,7 +167,7 @@ func (s *Stack) PopFrame() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sp += frameBytes
-	if s.sp > len(s.data) {
-		s.sp = len(s.data)
+	if s.sp > s.size {
+		s.sp = s.size
 	}
 }

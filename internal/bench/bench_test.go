@@ -255,6 +255,23 @@ func TestFigure11And12Profiles(t *testing.T) {
 	}
 }
 
+// TestSigreturnsAreBarriersPlusTicks backs Figure 12's note: every
+// rt_sigreturn is the return of either a GC write-barrier fault (SIGSEGV)
+// or a scheduler tick (SIGVTALRM), on every CLBG program.
+func TestSigreturnsAreBarriersPlusTicks(t *testing.T) {
+	for _, p := range Programs() {
+		res, err := RunBenchmark(p, core.WorldNative, core.Options{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Stats.Syscalls[linuxabi.SysRtSigreturn]
+		if want := res.BarrierFaults + res.TimerFires; got != want {
+			t.Errorf("%s: rt_sigreturn %d, want %d barrier faults + %d timer ticks",
+				p.Name, got, res.BarrierFaults, res.TimerFires)
+		}
+	}
+}
+
 func TestStartupProfileMultiverseForwards(t *testing.T) {
 	res, err := RunStartup(core.WorldHRT)
 	if err != nil {

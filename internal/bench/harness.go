@@ -68,6 +68,7 @@ type RunResult struct {
 	// Runtime-internal counters.
 	GCCollections uint64
 	BarrierFaults uint64
+	TimerFires    uint64 // scheduler ticks (SIGVTALRM) delivered
 	Reductions    uint64
 
 	// Telemetry of the run: Tracer is nil unless tracing was requested;
@@ -206,6 +207,7 @@ func ResultOf(sys *core.System, program string, world core.World, eng *scheme.En
 	if eng != nil {
 		res.GCCollections = eng.Interp().GC().Collections
 		res.BarrierFaults = eng.Interp().GC().BarrierFaults
+		res.TimerFires = eng.Interp().TimerFires()
 		res.Reductions = eng.Interp().Reductions()
 	}
 	if sys.AK != nil {

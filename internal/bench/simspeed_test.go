@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"multiverse/internal/core"
+)
 
 // BenchmarkSimspeedSerial runs the composite one unit after another; the
 // CI bench artifact tracks its wall time across commits with benchstat.
@@ -20,5 +24,21 @@ func BenchmarkSimspeedParallel(b *testing.B) {
 		if _, _, err := runSimspeedParallel(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkProgram runs each CLBG program once per iteration, natively:
+// the interpreter's host cost (time and allocation per run) with no
+// forwarding in the way. It reports, it does not gate.
+func BenchmarkProgram(b *testing.B) {
+	for _, prog := range Programs() {
+		b.Run(prog.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunBenchmark(prog, core.WorldNative, core.Options{}, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

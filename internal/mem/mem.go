@@ -57,20 +57,32 @@ func (z Zone) End() Frame { return z.Start + Frame(z.Count) }
 type PhysMem struct {
 	mu    sync.Mutex
 	zones []Zone
-	free  map[NUMAZone][]Frame
+	free  map[NUMAZone]*freeList
 	limit Frame    // one past the highest frame of any zone
 	owner []string // owner tag per allocated frame ("" = free)
 	inUse []bool
-	pages [][]byte // materialized contents (page tables, shared pages)
+	pages []*[PageSize]byte // materialized contents (page tables, shared pages)
 	nUsed int
 }
+
+// freeList is one zone's free frames without a table of them: the frames
+// in [start, next) have never been handed out, and freed holds returned
+// frames, most recent last. Alloc reuses a freed frame first and otherwise
+// bumps next down, so a fresh zone hands out End-1, End-2, ... — the same
+// order as a LIFO stack of every frame, built for nothing at boot.
+type freeList struct {
+	start, next Frame
+	freed       []Frame
+}
+
+func (l *freeList) count() int { return len(l.freed) + int(l.next-l.start) }
 
 // New builds physical memory with the given zones. Zones must not overlap;
 // New panics on malformed configuration since it reflects a programming
 // error in machine construction, not a runtime condition.
 func New(zones ...Zone) *PhysMem {
 	pm := &PhysMem{
-		free: make(map[NUMAZone][]Frame),
+		free: make(map[NUMAZone]*freeList),
 	}
 	for _, z := range zones {
 		if z.Count == 0 {
@@ -82,18 +94,14 @@ func New(zones ...Zone) *PhysMem {
 			}
 		}
 		pm.zones = append(pm.zones, z)
-		frames := make([]Frame, 0, z.Count)
-		for f := z.Start; f < z.End(); f++ {
-			frames = append(frames, f)
-		}
-		pm.free[z.ID] = frames
+		pm.free[z.ID] = &freeList{start: z.Start, next: z.End()}
 		if end := z.End(); end > pm.limit {
 			pm.limit = end
 		}
 	}
 	pm.owner = make([]string, pm.limit)
 	pm.inUse = make([]bool, pm.limit)
-	pm.pages = make([][]byte, pm.limit)
+	pm.pages = make([]*[PageSize]byte, pm.limit)
 	return pm
 }
 
@@ -116,12 +124,18 @@ func (pm *PhysMem) Zones() []Zone {
 func (pm *PhysMem) Alloc(zone NUMAZone, owner string) (Frame, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	frames := pm.free[zone]
-	if len(frames) == 0 {
+	l := pm.free[zone]
+	if l == nil || l.count() == 0 {
 		return 0, fmt.Errorf("mem: zone %d exhausted (owner %q)", zone, owner)
 	}
-	f := frames[len(frames)-1]
-	pm.free[zone] = frames[:len(frames)-1]
+	var f Frame
+	if n := len(l.freed); n > 0 {
+		f = l.freed[n-1]
+		l.freed = l.freed[:n-1]
+	} else {
+		l.next--
+		f = l.next
+	}
 	pm.owner[f] = owner
 	pm.inUse[f] = true
 	pm.nUsed++
@@ -157,7 +171,8 @@ func (pm *PhysMem) Free(f Frame) error {
 	if !ok {
 		return fmt.Errorf("mem: frame %#x outside all zones", uint64(f))
 	}
-	pm.free[z.ID] = append(pm.free[z.ID], f)
+	l := pm.free[z.ID]
+	l.freed = append(l.freed, f)
 	return nil
 }
 
@@ -190,7 +205,10 @@ func (pm *PhysMem) InUse() int {
 func (pm *PhysMem) FreeCount(zone NUMAZone) int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return len(pm.free[zone])
+	if l := pm.free[zone]; l != nil {
+		return l.count()
+	}
+	return 0
 }
 
 // Page returns the materialized 4 KiB contents of an allocated frame,
@@ -210,10 +228,10 @@ func (pm *PhysMem) pageLocked(f Frame) ([]byte, error) {
 	}
 	p := pm.pages[f]
 	if p == nil {
-		p = make([]byte, PageSize)
+		p = new([PageSize]byte)
 		pm.pages[f] = p
 	}
-	return p, nil
+	return p[:], nil
 }
 
 // ReadU64 reads a 64-bit little-endian word at a physical address. The

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -165,5 +167,91 @@ func TestReadWriteRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllocOrder pins the order frames are handed out in: a fresh zone
+// gives End-1, End-2, ..., and a freed frame is reused before any frame
+// that was never allocated, most recently freed first. Page-table frames,
+// and so every simulated address built on them, follow this order.
+func TestAllocOrder(t *testing.T) {
+	pm := New(Zone{ID: 0, Start: 10, Count: 4}, Zone{ID: 1, Start: 20, Count: 2})
+	alloc := func(z NUMAZone) Frame {
+		t.Helper()
+		f, err := pm.Alloc(z, "order")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	var got []Frame
+	got = append(got, alloc(0), alloc(0), alloc(1))
+	if err := pm.Free(13); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Free(12); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, alloc(0), alloc(0), alloc(0), alloc(1), alloc(0))
+	want := []Frame{13, 12, 21, 12, 13, 11, 20, 10}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("allocation order = %v, want %v", got, want)
+		}
+	}
+	if n := pm.FreeCount(0); n != 0 {
+		t.Errorf("FreeCount(0) = %d, want 0", n)
+	}
+
+	// A seeded mix of allocs and frees against the reference allocator: a
+	// LIFO stack holding every frame of the zone in ascending order.
+	pm = NewFlat(64)
+	stack := make([]Frame, 64)
+	for i := range stack {
+		stack[i] = Frame(i)
+	}
+	var held []Frame
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 2000; step++ {
+		if len(stack) > 0 && (len(held) == 0 || rng.Intn(3) > 0) {
+			f, err := pm.Alloc(0, "mix")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if f != want {
+				t.Fatalf("step %d: Alloc = %d, reference %d", step, f, want)
+			}
+			held = append(held, f)
+		} else {
+			i := rng.Intn(len(held))
+			f := held[i]
+			held = append(held[:i], held[i+1:]...)
+			if err := pm.Free(f); err != nil {
+				t.Fatal(err)
+			}
+			stack = append(stack, f)
+		}
+		if pm.FreeCount(0) != len(stack) {
+			t.Fatalf("step %d: FreeCount = %d, reference %d", step, pm.FreeCount(0), len(stack))
+		}
+	}
+}
+
+// TestNewAllocBytes bounds what building the default machine's physical
+// memory (two zones of 16,384 frames) costs the host: per-frame tables
+// only, with no list of free frames and no per-frame slice header.
+func TestNewAllocBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pm := New(Zone{ID: 0, Start: 0, Count: 16384}, Zone{ID: 1, Start: 16384, Count: 16384})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pm)
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New allocated %d bytes for the default machine", n)
+	if n >= 1<<20 {
+		t.Errorf("New allocated %d bytes for the default machine, want < 1 MiB", n)
 	}
 }

@@ -512,7 +512,7 @@ func installBuiltins(in *Interp) {
 		if len(a) != 1 || a[0].Kind != KString {
 			return nil, evalError("string->number: want a string")
 		}
-		s := string(a[0].Str)
+		s := string(a[0].ext.Str)
 		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 			return in.NewInt(i), nil
 		}
@@ -585,45 +585,45 @@ func installBuiltins(in *Interp) {
 			return nil, evalError("vector-ref: malformed")
 		}
 		i := a[1].Int
-		if i < 0 || i >= int64(len(a[0].Vec)) {
-			return nil, evalError("vector-ref: index %d out of range [0,%d)", i, len(a[0].Vec))
+		if i < 0 || i >= int64(len(a[0].ext.Vec)) {
+			return nil, evalError("vector-ref: index %d out of range [0,%d)", i, len(a[0].ext.Vec))
 		}
-		return a[0].Vec[i], nil
+		return a[0].ext.Vec[i], nil
 	})
 	def("vector-set!", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 3 || a[0].Kind != KVector || a[1].Kind != KInt {
 			return nil, evalError("vector-set!: malformed")
 		}
 		i := a[1].Int
-		if i < 0 || i >= int64(len(a[0].Vec)) {
-			return nil, evalError("vector-set!: index %d out of range [0,%d)", i, len(a[0].Vec))
+		if i < 0 || i >= int64(len(a[0].ext.Vec)) {
+			return nil, evalError("vector-set!: index %d out of range [0,%d)", i, len(a[0].ext.Vec))
 		}
 		in.gc.WriteBarrier(a[0])
-		a[0].Vec[i] = a[2]
+		a[0].ext.Vec[i] = a[2]
 		return Unspecified, nil
 	})
 	def("vector-length", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 || a[0].Kind != KVector {
 			return nil, evalError("vector-length: want a vector")
 		}
-		return in.NewInt(int64(len(a[0].Vec))), nil
+		return in.NewInt(int64(len(a[0].ext.Vec))), nil
 	})
 	def("vector-fill!", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 2 || a[0].Kind != KVector {
 			return nil, evalError("vector-fill!: malformed")
 		}
 		in.gc.WriteBarrier(a[0])
-		for i := range a[0].Vec {
-			a[0].Vec[i] = a[1]
+		for i := range a[0].ext.Vec {
+			a[0].ext.Vec[i] = a[1]
 		}
-		in.charge(2 * uint64AsCycles(int64(len(a[0].Vec))))
+		in.charge(2 * uint64AsCycles(int64(len(a[0].ext.Vec))))
 		return Unspecified, nil
 	})
 	def("vector->list", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 || a[0].Kind != KVector {
 			return nil, evalError("vector->list: want a vector")
 		}
-		return in.List(a[0].Vec...), nil
+		return in.List(a[0].ext.Vec...), nil
 	})
 	def("list->vector", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 {
@@ -642,28 +642,28 @@ func installBuiltins(in *Interp) {
 		if len(a) != 1 || a[0].Kind != KString {
 			return nil, evalError("string-length: want a string")
 		}
-		return in.NewInt(int64(len(a[0].Str))), nil
+		return in.NewInt(int64(len(a[0].ext.Str))), nil
 	})
 	def("string-ref", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 2 || a[0].Kind != KString || a[1].Kind != KInt {
 			return nil, evalError("string-ref: malformed")
 		}
 		i := a[1].Int
-		if i < 0 || i >= int64(len(a[0].Str)) {
+		if i < 0 || i >= int64(len(a[0].ext.Str)) {
 			return nil, evalError("string-ref: index out of range")
 		}
-		return in.NewChar(rune(a[0].Str[i])), nil
+		return in.NewChar(rune(a[0].ext.Str[i])), nil
 	})
 	def("string-set!", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 3 || a[0].Kind != KString || a[1].Kind != KInt || a[2].Kind != KChar {
 			return nil, evalError("string-set!: malformed")
 		}
 		i := a[1].Int
-		if i < 0 || i >= int64(len(a[0].Str)) {
+		if i < 0 || i >= int64(len(a[0].ext.Str)) {
 			return nil, evalError("string-set!: index out of range")
 		}
 		in.gc.WriteBarrier(a[0])
-		a[0].Str[i] = byte(a[2].Int)
+		a[0].ext.Str[i] = byte(a[2].Int)
 		return Unspecified, nil
 	})
 	def("make-string", func(in *Interp, a []*Obj) (*Obj, error) {
@@ -686,7 +686,7 @@ func installBuiltins(in *Interp) {
 			if o.Kind != KString {
 				return nil, evalError("string-append: want strings")
 			}
-			b = append(b, o.Str...)
+			b = append(b, o.ext.Str...)
 		}
 		in.charge(uint64AsCycles(int64(len(b))))
 		return in.NewString(b), nil
@@ -696,42 +696,42 @@ func installBuiltins(in *Interp) {
 			return nil, evalError("substring: malformed")
 		}
 		lo := a[1].Int
-		hi := int64(len(a[0].Str))
+		hi := int64(len(a[0].ext.Str))
 		if len(a) >= 3 {
 			if a[2].Kind != KInt {
 				return nil, evalError("substring: malformed")
 			}
 			hi = a[2].Int
 		}
-		if lo < 0 || hi > int64(len(a[0].Str)) || lo > hi {
+		if lo < 0 || hi > int64(len(a[0].ext.Str)) || lo > hi {
 			return nil, evalError("substring: range out of bounds")
 		}
-		return in.NewString(append([]byte(nil), a[0].Str[lo:hi]...)), nil
+		return in.NewString(append([]byte(nil), a[0].ext.Str[lo:hi]...)), nil
 	})
 	def("string=?", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 2 || a[0].Kind != KString || a[1].Kind != KString {
 			return nil, evalError("string=?: want 2 strings")
 		}
-		return Boolean(string(a[0].Str) == string(a[1].Str)), nil
+		return Boolean(string(a[0].ext.Str) == string(a[1].ext.Str)), nil
 	})
 	def("string->symbol", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 || a[0].Kind != KString {
 			return nil, evalError("string->symbol: want a string")
 		}
-		return in.Intern(string(a[0].Str)), nil
+		return in.Intern(string(a[0].ext.Str)), nil
 	})
 	def("symbol->string", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 || a[0].Kind != KSymbol {
 			return nil, evalError("symbol->string: want a symbol")
 		}
-		return in.NewString(append([]byte(nil), a[0].Str...)), nil
+		return in.NewString(append([]byte(nil), a[0].ext.Str...)), nil
 	})
 	def("string->list", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 || a[0].Kind != KString {
 			return nil, evalError("string->list: want a string")
 		}
-		chars := make([]*Obj, len(a[0].Str))
-		for i, c := range a[0].Str {
+		chars := make([]*Obj, len(a[0].ext.Str))
+		for i, c := range a[0].ext.Str {
 			chars[i] = in.NewChar(rune(c))
 		}
 		return in.List(chars...), nil
@@ -757,7 +757,7 @@ func installBuiltins(in *Interp) {
 		if len(a) != 1 || a[0].Kind != KString {
 			return nil, evalError("string-copy: want a string")
 		}
-		return in.NewString(append([]byte(nil), a[0].Str...)), nil
+		return in.NewString(append([]byte(nil), a[0].ext.Str...)), nil
 	})
 	def("char->integer", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 || a[0].Kind != KChar {
@@ -811,7 +811,7 @@ func installBuiltins(in *Interp) {
 		if len(a) != 1 || a[0].Kind != KString {
 			return nil, evalError("write-string: want a string")
 		}
-		in.writeOut(a[0].Str)
+		in.writeOut(a[0].ext.Str)
 		return Unspecified, nil
 	})
 	def("void", func(in *Interp, a []*Obj) (*Obj, error) { return Unspecified, nil })
@@ -852,7 +852,7 @@ func installBuiltins(in *Interp) {
 		if len(a) != 1 || a[0].Kind != KString {
 			return nil, evalError("file->string: want a path")
 		}
-		data, err := in.readFile(string(a[0].Str))
+		data, err := in.readFile(string(a[0].ext.Str))
 		if err != nil {
 			return nil, err
 		}
@@ -863,7 +863,7 @@ func installBuiltins(in *Interp) {
 			return nil, evalError("file-size: want a path")
 		}
 		in.flushCompute()
-		res := in.Sys(linuxabi.Call{Num: linuxabi.SysStat, Path: string(a[0].Str)})
+		res := in.Sys(linuxabi.Call{Num: linuxabi.SysStat, Path: string(a[0].ext.Str)})
 		if !res.Ok() {
 			return nil, evalError("file-size: %v", res.Err)
 		}

@@ -86,14 +86,14 @@ func installExtendedBuiltins(in *Interp) {
 		if len(a) != 2 || a[0].Kind != KString || a[1].Kind != KString {
 			return nil, evalError("string-contains?: want 2 strings")
 		}
-		return Boolean(bytes.Contains(a[0].Str, a[1].Str)), nil
+		return Boolean(bytes.Contains(a[0].ext.Str, a[1].ext.Str)), nil
 	})
 
 	def("string-split", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 2 || a[0].Kind != KString || a[1].Kind != KChar {
 			return nil, evalError("string-split: want string and char")
 		}
-		parts := bytes.Split(a[0].Str, []byte{byte(a[1].Int)})
+		parts := bytes.Split(a[0].ext.Str, []byte{byte(a[1].Int)})
 		out := make([]*Obj, len(parts))
 		for i, p := range parts {
 			out[i] = in.NewString(append([]byte(nil), p...))
@@ -105,7 +105,7 @@ func installExtendedBuiltins(in *Interp) {
 		if len(a) != 2 || a[0].Kind != KString || a[1].Kind != KString {
 			return nil, evalError("string<?: want 2 strings")
 		}
-		return Boolean(string(a[0].Str) < string(a[1].Str)), nil
+		return Boolean(string(a[0].ext.Str) < string(a[1].ext.Str)), nil
 	})
 
 	charPred := func(name string, ok func(byte) bool) {
@@ -144,15 +144,15 @@ func installExtendedBuiltins(in *Interp) {
 		if len(a) != 1 || a[0].Kind != KVector {
 			return nil, evalError("vector-copy: want a vector")
 		}
-		return in.NewVector(append([]*Obj(nil), a[0].Vec...)), nil
+		return in.NewVector(append([]*Obj(nil), a[0].ext.Vec...)), nil
 	})
 
 	def("vector-map", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 2 || a[1].Kind != KVector {
 			return nil, evalError("vector-map: want proc and vector")
 		}
-		out := make([]*Obj, len(a[1].Vec))
-		for i, e := range a[1].Vec {
+		out := make([]*Obj, len(a[1].ext.Vec))
+		for i, e := range a[1].ext.Vec {
 			v, err := in.Apply(a[0], []*Obj{e})
 			if err != nil {
 				return nil, err
@@ -166,7 +166,7 @@ func installExtendedBuiltins(in *Interp) {
 		if len(a) != 2 || a[1].Kind != KVector {
 			return nil, evalError("vector-for-each: want proc and vector")
 		}
-		for _, e := range a[1].Vec {
+		for _, e := range a[1].ext.Vec {
 			if _, err := in.Apply(a[0], []*Obj{e}); err != nil {
 				return nil, err
 			}
@@ -218,8 +218,8 @@ func stringMap(name string, f func(byte) byte) func(*Interp, []*Obj) (*Obj, erro
 		if len(a) != 1 || a[0].Kind != KString {
 			return nil, evalError("%s: want a string", name)
 		}
-		b := make([]byte, len(a[0].Str))
-		for i, c := range a[0].Str {
+		b := make([]byte, len(a[0].ext.Str))
+		for i, c := range a[0].ext.Str {
 			b[i] = f(c)
 		}
 		in.charge(uint64AsCycles(int64(len(b))))

@@ -75,7 +75,7 @@ func (in *Interp) evalCore(expr *Obj, env *Frame, base int) (*Obj, error) {
 		case KSymbol:
 			v, ok := env.Lookup(expr)
 			if !ok {
-				return nil, evalError("unbound variable %s", expr.Str)
+				return nil, evalError("unbound variable %s", expr.ext.Str)
 			}
 			// A closure referenced in value position can flow anywhere —
 			// returned, stored, passed — so its environment chain must
@@ -134,7 +134,7 @@ func (in *Interp) evalCore(expr *Obj, env *Frame, base int) (*Obj, error) {
 					return nil, err
 				}
 				if !env.Set(args[0], v) {
-					return nil, evalError("set!: unbound variable %s", args[0].Str)
+					return nil, evalError("set!: unbound variable %s", args[0].ext.Str)
 				}
 				return Unspecified, nil
 
@@ -244,7 +244,7 @@ func (in *Interp) evalCore(expr *Obj, env *Frame, base int) (*Obj, error) {
 			case spWhen, spUnless:
 				cur := expr.Cdr
 				if cur.Kind != KPair {
-					return nil, evalError("%s: malformed", head.Str)
+					return nil, evalError("%s: malformed", head.ext.Str)
 				}
 				c, err := in.Eval(cur.Car, env)
 				if err != nil {
@@ -290,7 +290,7 @@ func (in *Interp) evalCore(expr *Obj, env *Frame, base int) (*Obj, error) {
 			in.tick()
 			v, ok := env.Lookup(head)
 			if !ok {
-				return nil, evalError("unbound variable %s", head.Str)
+				return nil, evalError("unbound variable %s", head.ext.Str)
 			}
 			fn = v
 		} else {
@@ -656,7 +656,7 @@ func (in *Interp) evalCond(clauses *Obj, env *Frame) (tail *Obj, done bool, v *O
 			return nil, false, nil, evalError("cond: malformed clause")
 		}
 		test := cl.Car
-		isElse := test.Kind == KSymbol && string(test.Str) == "else"
+		isElse := test.Kind == KSymbol && string(test.ext.Str) == "else"
 		var tv *Obj
 		if isElse {
 			tv = True
@@ -674,7 +674,7 @@ func (in *Interp) evalCond(clauses *Obj, env *Frame) (tail *Obj, done bool, v *O
 			return nil, true, tv, nil
 		}
 		// (test => proc)
-		if len(body) == 2 && body[0].Kind == KSymbol && string(body[0].Str) == "=>" {
+		if len(body) == 2 && body[0].Kind == KSymbol && string(body[0].ext.Str) == "=>" {
 			proc, err := in.Eval(body[1], env)
 			if err != nil {
 				return nil, false, nil, err
@@ -706,7 +706,7 @@ func (in *Interp) evalCase(form *Obj, env *Frame) (tail *Obj, done bool, v *Obj,
 			return nil, false, nil, evalError("case: malformed clause")
 		}
 		match := false
-		if cl.Car.Kind == KSymbol && string(cl.Car.Str) == "else" {
+		if cl.Car.Kind == KSymbol && string(cl.Car.ext.Str) == "else" {
 			match = true
 		} else {
 			for dc := cl.Car; dc.Kind == KPair; dc = dc.Cdr {
@@ -810,7 +810,7 @@ func (in *Interp) evalQuasi(form *Obj, env *Frame, depth int) (*Obj, error) {
 		return form, nil
 	}
 	if form.Car.Kind == KSymbol {
-		switch string(form.Car.Str) {
+		switch string(form.Car.ext.Str) {
 		case "unquote":
 			if depth == 1 {
 				return in.Eval(form.Cdr.Car, env)
@@ -833,7 +833,7 @@ func (in *Interp) evalQuasi(form *Obj, env *Frame, depth int) (*Obj, error) {
 	cur := form
 	for cur.Kind == KPair {
 		el := cur.Car
-		if el.Kind == KPair && el.Car.Kind == KSymbol && string(el.Car.Str) == "unquote-splicing" && depth == 1 {
+		if el.Kind == KPair && el.Car.Kind == KSymbol && string(el.Car.ext.Str) == "unquote-splicing" && depth == 1 {
 			spliced, err := in.Eval(el.Cdr.Car, env)
 			if err != nil {
 				return nil, err
@@ -901,15 +901,15 @@ func equalObj(a, b *Obj) bool {
 	}
 	switch a.Kind {
 	case KString, KSymbol:
-		return string(a.Str) == string(b.Str)
+		return string(a.ext.Str) == string(b.ext.Str)
 	case KPair:
 		return equalObj(a.Car, b.Car) && equalObj(a.Cdr, b.Cdr)
 	case KVector:
-		if len(a.Vec) != len(b.Vec) {
+		if len(a.ext.Vec) != len(b.ext.Vec) {
 			return false
 		}
-		for i := range a.Vec {
-			if !equalObj(a.Vec[i], b.Vec[i]) {
+		for i := range a.ext.Vec {
+			if !equalObj(a.ext.Vec[i], b.ext.Vec[i]) {
 				return false
 			}
 		}

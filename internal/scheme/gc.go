@@ -43,6 +43,15 @@ type GC struct {
 	roots      []*Obj
 	sinceMajor int
 
+	// epoch is the current collection's mark: collect bumps it, and an
+	// object (Obj.mark) or frame (Frame.seen) is marked when its stamp
+	// equals it, so marking needs no side table and unmarking is free.
+	// Fresh cells and frames hold 0, which no collection uses until the
+	// counter wraps after 2^32 collections. minor is the kind of the
+	// collection in progress.
+	epoch uint32
+	minor bool
+
 	// fastProtect, when non-nil, un-protects merged user pages by direct
 	// PTE edit on the HRT core — the fault fast lane (UserFaultLane).
 	fastProtect func(addr, length uint64, writable bool) bool
@@ -88,7 +97,7 @@ const (
 
 type segment struct {
 	base      uint64
-	cells     []*Obj
+	n         int   // cells handed out: arena[:n], in address order
 	arena     []Obj // Go-side cell storage, one block per segment
 	protected bool
 	old       bool       // promoted by a previous collection
@@ -101,7 +110,10 @@ type segment struct {
 // objects.
 func (s *segment) dirty() bool { return s.old && !s.protected }
 
-func (s *segment) full() bool { return len(s.cells) >= segCells }
+func (s *segment) full() bool { return s.n >= segCells }
+
+// cells returns the segment's allocated cells.
+func (s *segment) cells() []Obj { return s.arena[:s.n] }
 
 // newGC registers the SIGSEGV write-barrier handler and maps the initial
 // heap.
@@ -150,7 +162,7 @@ func (g *GC) newSegment() (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &segment{base: base, cells: make([]*Obj, 0, segCells), backend: g.backend}
+	s := &segment{base: base, backend: g.backend}
 	g.segments[s.base] = s
 	g.nursery = s
 	g.SegmentsEver++
@@ -174,7 +186,7 @@ func (g *GC) alloc() *Obj {
 		}
 		s = ns
 	}
-	addr := s.base + uint64(len(s.cells))*cellBytes
+	addr := s.base + uint64(s.n)*cellBytes
 	// Cells come from a per-segment arena: one Go allocation per segment
 	// instead of one per cell. The arena is sized up front and indexed by
 	// cell count, so cell pointers never move. Lazy — segments that never
@@ -182,10 +194,10 @@ func (g *GC) alloc() *Obj {
 	if s.arena == nil {
 		s.arena = make([]Obj, segCells)
 	}
-	o := &s.arena[len(s.cells)]
+	o := &s.arena[s.n]
 	o.Addr = addr
 	o.seg = s
-	s.cells = append(s.cells, o)
+	s.n++
 	g.allocBytes += cellBytes
 
 	// First touch of each heap page demand-pages it in (the minor-fault
@@ -311,70 +323,25 @@ func (g *GC) collect(minor bool) {
 
 	// Mark.
 	markSp := scope.Tracer.Begin(scope.Track, "gc", "mark", clk.Now())
-	marked := make(map[*Obj]bool)
-	frameSeen := make(map[*Frame]bool)
-	var mark func(o *Obj)
-	var markFrame func(f *Frame)
-	mark = func(o *Obj) {
-		for o != nil && !marked[o] {
-			if o.seg == nil {
-				return // immediate
-			}
-			if minor && o.seg.old && o.seg.protected {
-				// Clean old object: it survives by generation and — by
-				// the write-barrier invariant — cannot point at young
-				// objects. Stop here.
-				return
-			}
-			marked[o] = true
-			in.charge(markCost)
-			switch o.Kind {
-			case KPair:
-				mark(o.Car)
-				o = o.Cdr
-				continue
-			case KVector:
-				for _, e := range o.Vec {
-					mark(e)
-				}
-			case KClosure:
-				for _, p := range o.ext.Params {
-					mark(p)
-				}
-				mark(o.ext.Rest)
-				for _, b := range o.ext.Body {
-					mark(b)
-				}
-				markFrame(o.ext.Env)
-			}
-			return
-		}
-	}
-	markFrame = func(f *Frame) {
-		for ; f != nil && !frameSeen[f]; f = f.parent {
-			frameSeen[f] = true
-			f.each(func(k, v *Obj) {
-				mark(k)
-				mark(v)
-			})
-		}
-	}
+	g.epoch++
+	g.minor = minor
+	g.MarkedLast = 0
 	for _, r := range g.roots {
-		mark(r)
+		g.mark(r)
 	}
-	markFrame(in.global)
+	g.markFrame(in.global)
 	if minor {
 		// The remembered set: every cell of a dirty old segment may hold
 		// the only reference to a young object.
 		for _, s := range g.segments {
 			if s.dirty() {
-				for _, c := range s.cells {
-					mark(c)
+				cells := s.cells()
+				for i := range cells {
+					g.mark(&cells[i])
 				}
 			}
 		}
 	}
-	g.MarkedLast = uint64(len(marked))
 	in.flushCompute()
 	markSp.SetAttr("marked", g.MarkedLast)
 	markSp.EndAt(clk.Now())
@@ -392,15 +359,16 @@ func (g *GC) collect(minor bool) {
 		}
 		in.charge(sweepCost)
 		any := false
-		for _, c := range s.cells {
-			if marked[c] {
+		cells := s.cells()
+		for i := range cells {
+			if cells[i].mark == g.epoch {
 				any = true
 				live += cellBytes
 			}
 		}
 		// The nursery stays mapped even when empty of live cells: the
 		// bump allocator is still parked in it.
-		if !any && len(s.cells) > 0 && s != g.nursery {
+		if !any && s.n > 0 && s != g.nursery {
 			dead = append(dead, s)
 		}
 	}
@@ -408,8 +376,9 @@ func (g *GC) collect(minor bool) {
 	sort.Slice(dead, func(i, j int) bool { return dead[i].base < dead[j].base })
 	for _, s := range dead {
 		if s.backend.munmap(in, s.base, segBytes) {
-			for _, c := range s.cells {
-				c.seg = nil // cells outlive the segment harmlessly
+			cells := s.cells()
+			for i := range cells {
+				cells[i].seg = nil // cells outlive the segment harmlessly
 			}
 			delete(g.segments, s.base)
 			g.SegmentsFreed++
@@ -467,6 +436,63 @@ func (g *GC) collect(minor bool) {
 			next = gcMinHeap
 		}
 		g.threshold = next
+	}
+}
+
+// mark marks o and everything reachable from it, charging markCost per
+// object newly marked. Immediates (no segment) are never marked: they are
+// shared across interpreters, so the collector must not write to them.
+func (g *GC) mark(o *Obj) {
+	for o != nil && o.mark != g.epoch {
+		if o.seg == nil {
+			return // immediate
+		}
+		if g.minor && o.seg.old && o.seg.protected {
+			// Clean old object: it survives by generation and — by the
+			// write-barrier invariant — cannot point at young objects.
+			// Stop here.
+			return
+		}
+		o.mark = g.epoch
+		g.MarkedLast++
+		g.in.charge(markCost)
+		switch o.Kind {
+		case KPair:
+			g.mark(o.Car)
+			o = o.Cdr
+			continue
+		case KVector:
+			for _, e := range o.ext.Vec {
+				g.mark(e)
+			}
+		case KClosure:
+			x := o.ext
+			for _, p := range x.Params {
+				g.mark(p)
+			}
+			g.mark(x.Rest)
+			for _, b := range x.Body {
+				g.mark(b)
+			}
+			g.markFrame(x.Env)
+		}
+		return
+	}
+}
+
+// markFrame marks every binding of f and of its ancestors, stopping at
+// the first frame this collection already visited.
+func (g *GC) markFrame(f *Frame) {
+	for ; f != nil && f.seen != g.epoch; f = f.parent {
+		f.seen = g.epoch
+		for i := 0; i < f.n; i++ {
+			g.mark(f.keys[i])
+			g.mark(f.vals[i])
+		}
+		for k, c := range f.big {
+			g.mark(k)
+			g.mark(c.v)
+		}
 	}
 }
 

@@ -207,8 +207,8 @@ func (in *Interp) Intern(name string) *Obj {
 		return s
 	}
 	s := in.alloc(KSymbol)
-	s.Str = []byte(name)
-	s.ext = &objExt{Name: name} // string form, so users of the name allocate no conversion
+	// Name is the string form, so users of the name allocate no conversion.
+	s.ext = &objExt{Str: []byte(name), Name: name}
 	s.special = specialCodes[name]
 	in.syms[name] = s
 	in.gc.addRoot(s) // interned symbols are immortal
@@ -270,7 +270,7 @@ func (in *Interp) NewChar(c rune) *Obj {
 // NewString allocates a (mutable) string.
 func (in *Interp) NewString(b []byte) *Obj {
 	o := in.alloc(KString)
-	o.Str = b
+	o.ext = &objExt{Str: b}
 	in.gc.creditBytes(len(b))
 	return o
 }
@@ -286,7 +286,7 @@ func (in *Interp) Cons(car, cdr *Obj) *Obj {
 // NewVector allocates a vector with the given elements.
 func (in *Interp) NewVector(elems []*Obj) *Obj {
 	o := in.alloc(KVector)
-	o.Vec = elems
+	o.ext = &objExt{Vec: elems}
 	in.gc.creditBytes(8 * len(elems))
 	return o
 }

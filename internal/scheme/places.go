@@ -55,7 +55,7 @@ func installPlaceBuiltins(in *Interp) {
 			return nil, evalError("place-spawn: no place support in this environment")
 		}
 		in.flushCompute()
-		wait, err := in.placeSpawner(string(a[0].Str))
+		wait, err := in.placeSpawner(string(a[0].ext.Str))
 		if err != nil {
 			return nil, evalError("place-spawn: %v", err)
 		}
@@ -108,7 +108,7 @@ func installHRTBuiltins(in *Interp, ak AKCaller) {
 			args = append(args, uint64(o.Int))
 		}
 		in.flushCompute()
-		ret, err := ak.AKCall(string(a[0].Str), args...)
+		ret, err := ak.AKCall(string(a[0].ext.Str), args...)
 		if err != nil {
 			return nil, evalError("aerokernel-call: %v", err)
 		}

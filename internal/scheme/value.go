@@ -42,39 +42,49 @@ const (
 // simulated heap address of the cell, and seg points at its segment for
 // the write barrier. Immediate-like values (small ints, booleans, nil)
 // are preallocated and have no segment.
+//
+// Every heap cell is an Obj in a per-segment arena, so the struct's size
+// is what each arena's allocation, its zeroing, and the host collector's
+// scans pay for: it is held to 64 bytes. Only the pairs and floats that
+// churn through the heap keep their payload inline (Car/Cdr, Int,
+// Float); everything else rides in ext.
 type Obj struct {
 	Kind Kind
-
-	Int   int64
-	Float float64
-	Str   []byte // KString (mutable, as in Scheme), KSymbol (name)
-	Car   *Obj
-	Cdr   *Obj
-	Vec   []*Obj
-
-	// ext carries the fields only procedures and interned symbols use.
-	// Those kinds are rare next to the pairs, floats, and strings that
-	// churn through the heap, and every heap cell is an Obj in a
-	// per-segment arena — so keeping Obj lean is what the arena
-	// allocation, its zeroing, and the host collector's scans pay for.
-	// Splitting these seven fields off nearly halves the struct.
-	ext *objExt
-
-	Addr uint64 // simulated heap address (0 for immediates)
-	seg  *segment
 
 	// special is the evaluator's dispatch code for special-form symbols
 	// (spIf, spLet, ...), stamped at intern time so the hot loop
 	// dispatches on one byte instead of converting and comparing the
 	// symbol name on every combination.
 	special uint8
+
+	// mark is the collector's mark: the object is marked in the current
+	// collection when mark equals GC.epoch. It shares the first word with
+	// Kind and special, so it costs the cell no space.
+	mark uint32
+
+	Int   int64
+	Float float64
+	Car   *Obj
+	Cdr   *Obj
+
+	// ext carries the fields of the kinds that are rare next to pairs and
+	// floats: strings and symbols (Str), vectors (Vec), procedures, and
+	// interned symbols' binding caches.
+	ext *objExt
+
+	Addr uint64 // simulated heap address (0 for immediates)
+	seg  *segment
 }
 
-// objExt is the side car of closures (Params..Env), builtins (Name, Fn),
-// and interned symbols (Name, cell). Creation sites attach it; every
-// consumer dispatches on Kind first, and all three kinds are built
-// exclusively through paths that set ext, so consumers never see it nil.
+// objExt is the side car of strings and symbols (Str), vectors (Vec),
+// closures (Params..Env), builtins (Name, Fn), and interned symbols
+// (Name, cell, local). Creation sites attach it — NewString, NewVector,
+// Intern, and the closure and builtin constructors — and every consumer
+// dispatches on Kind first, so consumers never see it nil.
 type objExt struct {
+	Str []byte // KString (mutable, as in Scheme), KSymbol (name)
+	Vec []*Obj // KVector elements
+
 	// Closure fields.
 	Params []*Obj // parameter symbols
 	Rest   *Obj   // rest parameter symbol or nil
@@ -88,6 +98,12 @@ type objExt struct {
 	// cell caches a symbol's global binding slot (see gcell). Symbols
 	// are interned per-Interp, so the cache cannot cross interpreters.
 	cell *gcell
+
+	// local records that some non-root frame has bound the symbol (see
+	// Frame.Define). While it is clear, no frame on any chain can bind
+	// the symbol except the global one, so Lookup and Set go straight to
+	// cell without walking the chain.
+	local bool
 }
 
 // Special-form codes. spNone marks ordinary symbols.
@@ -184,6 +200,9 @@ type Frame struct {
 	big    map[*Obj]*gcell // spill for wide frames (the global env)
 	parent *Frame
 
+	// seen is the collector's visit stamp (see GC.epoch).
+	seen uint32
+
 	// escaped pins the frame against recycling: it is set the moment the
 	// frame becomes reachable from a closure (the only way a frame can
 	// outlive the evaluation that created it). See Interp.newFrame.
@@ -259,8 +278,13 @@ func (in *Interp) releaseFrame(f *Frame) {
 	in.freeFrames = append(in.freeFrames, f)
 }
 
-// Lookup resolves a symbol through the frame chain.
+// Lookup resolves a symbol through the frame chain. A symbol that only
+// the global frame has ever bound, and whose global cell is cached, skips
+// the chain: no frame on it can hold a binding for the symbol.
 func (f *Frame) Lookup(sym *Obj) (*Obj, bool) {
+	if x := sym.ext; !x.local && x.cell != nil {
+		return x.cell.v, true
+	}
 	for fr := f; fr != nil; fr = fr.parent {
 		for i := 0; i < fr.n; i++ {
 			if fr.keys[i] == sym {
@@ -282,8 +306,13 @@ func (f *Frame) Lookup(sym *Obj) (*Obj, bool) {
 	return nil, false
 }
 
-// Define binds a symbol in this frame.
+// Define binds a symbol in this frame. The first binding of a symbol in
+// any frame but the global one sets the symbol's local flag for good,
+// which turns off Lookup's and Set's global shortcut for it.
 func (f *Frame) Define(sym *Obj, v *Obj) {
+	if !f.root && !sym.ext.local {
+		sym.ext.local = true
+	}
 	for i := 0; i < f.n; i++ {
 		if f.keys[i] == sym {
 			f.vals[i] = v
@@ -316,8 +345,14 @@ func (f *Frame) Define(sym *Obj, v *Obj) {
 	}
 }
 
-// Set assigns an existing binding, reporting whether it was found.
+// Set assigns an existing binding, reporting whether it was found. Like
+// Lookup, it goes straight to the global cell of a symbol no other frame
+// has bound.
 func (f *Frame) Set(sym *Obj, v *Obj) bool {
+	if x := sym.ext; !x.local && x.cell != nil {
+		x.cell.v = v
+		return true
+	}
 	for fr := f; fr != nil; fr = fr.parent {
 		for i := 0; i < fr.n; i++ {
 			if fr.keys[i] == sym {
@@ -337,17 +372,6 @@ func (f *Frame) Set(sym *Obj, v *Obj) bool {
 		}
 	}
 	return false
-}
-
-// each visits every binding in this frame (not the chain) — the GC's
-// frame marking uses it.
-func (f *Frame) each(fn func(sym, v *Obj)) {
-	for i := 0; i < f.n; i++ {
-		fn(f.keys[i], f.vals[i])
-	}
-	for k, c := range f.big {
-		fn(k, c.v)
-	}
 }
 
 // ListToSlice converts a proper list to a slice; ok is false for improper
@@ -409,12 +433,12 @@ func writeObj(b *strings.Builder, o *Obj, write bool, seen map[*Obj]bool) {
 		}
 		b.WriteRune(rune(o.Int))
 	case KSymbol:
-		b.Write(o.Str)
+		b.Write(o.ext.Str)
 	case KString:
 		if write {
-			b.WriteString(strconv.Quote(string(o.Str)))
+			b.WriteString(strconv.Quote(string(o.ext.Str)))
 		} else {
-			b.Write(o.Str)
+			b.Write(o.ext.Str)
 		}
 	case KPair:
 		if seen[o] {
@@ -444,7 +468,7 @@ func writeObj(b *strings.Builder, o *Obj, write bool, seen map[*Obj]bool) {
 		delete(seen, o)
 	case KVector:
 		b.WriteString("#(")
-		for i, e := range o.Vec {
+		for i, e := range o.ext.Vec {
 			if i > 0 {
 				b.WriteByte(' ')
 			}

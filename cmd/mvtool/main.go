@@ -8,8 +8,11 @@
 //	mvtool inspect myapp.fat
 //	mvtool trace out.json
 //	mvtool bench -suite NAME [-json] [-o FILE]     (NAME: a row of bench.Suites)
+//	mvtool bench -suite all > FIGURES.txt
+//	mvtool bench -suite ablations
 //	mvtool bench -suite grid -json -o BENCH_pr10.json
 //	mvtool bench -suite obsv -compare BENCH_pr6.json
+//	mvtool sloc
 //	mvtool slo -in metrics.json -check slo.json
 //	mvtool flight flight.txt
 package main
@@ -40,6 +43,8 @@ func main() {
 		err = traceCmd(os.Args[2:])
 	case "bench":
 		err = benchCmd(os.Args[2:])
+	case "sloc":
+		err = slocCmd()
 	case "slo":
 		err = sloCmd(os.Args[2:])
 	case "flight":
@@ -57,25 +62,27 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: mvtool build -app NAME [-overrides FILE] -o OUT.fat")
 	fmt.Fprintln(os.Stderr, "       mvtool inspect FILE.fat")
 	fmt.Fprintln(os.Stderr, "       mvtool trace [-top N] [-req ID] FILE.json")
-	fmt.Fprintln(os.Stderr, "       mvtool bench [-suite NAME] [-json] [-o FILE] [-compare PINNED.json [-tol R]] [-cpuprofile FILE]")
+	fmt.Fprintln(os.Stderr, "       mvtool bench [-suite NAME|GROUP|all] [-json] [-o FILE] [-compare PINNED.json [-tol R]] [-cpuprofile FILE]")
+	fmt.Fprintln(os.Stderr, "       mvtool sloc")
 	fmt.Fprintln(os.Stderr, "       mvtool slo -in METRICS.json [-report] [-check SPEC.json]")
 	fmt.Fprintln(os.Stderr, "       mvtool flight [-code NAME] [-site N] [-summary] FILE.txt")
 	os.Exit(2)
 }
 
-// benchCmd runs one suite of the bench.Suites table in the multiverse
-// world. It prints the suite's table, or with -json its pinned baseline
-// document; with -compare it collects a fresh document, runs the suite's
-// deterministic check against the pinned file, then the suite's host-time
-// bound if it has one.
+// benchCmd runs rows of the bench.Suites figure registry in order and
+// prints their tables; -suite all is FIGURES.txt. With -json it prints
+// one pinned suite's baseline document instead; with -compare it
+// collects a fresh document, runs the suite's deterministic check
+// against the pinned file, then the suite's host-time bound if it has
+// one.
 func benchCmd(args []string) error {
 	var names []string
 	for _, s := range bench.Suites {
-		names = append(names, fmt.Sprintf("%s (%s)", s.Name, s.File))
+		names = append(names, s.Name)
 	}
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	suite := fs.String("suite", "router", "suite: "+strings.Join(names, ", "))
-	asJSON := fs.Bool("json", false, "emit the baseline JSON document")
+	suite := fs.String("suite", "all", "row of the figure registry, group (ablations), or all: "+strings.Join(names, ", "))
+	asJSON := fs.Bool("json", false, "emit the pinned suite's baseline JSON document")
 	out := fs.String("o", "", "write output to this file instead of stdout")
 	compare := fs.String("compare", "", "collect a fresh baseline and check it against this pinned file, then apply the suite's host-time bound")
 	tol := fs.Float64("tol", 0.2, "wall-clock tolerance for the simspeed -compare bound, as a ratio (0.2 = ±20%)")
@@ -85,9 +92,12 @@ func benchCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s, ok := bench.SuiteByName(*suite)
-	if !ok {
-		return fmt.Errorf("unknown suite %q (want %s)", *suite, strings.Join(names, ", "))
+	rows := bench.Select(*suite)
+	if len(rows) == 0 {
+		return fmt.Errorf("unknown suite %q (want all, ablations or one of %s)", *suite, strings.Join(names, ", "))
+	}
+	if (*asJSON || *compare != "") && (len(rows) != 1 || rows[0].File == "") {
+		return fmt.Errorf("-json and -compare need one pinned suite; %q is not one", *suite)
 	}
 	stopProfiles, err := profiling.Start(profiling.Flags{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile})
 	if err != nil {
@@ -99,16 +109,13 @@ func benchCmd(args []string) error {
 		}
 	}()
 	if *compare != "" {
-		return compareSuite(s, *compare, *tol)
+		return compareSuite(rows[0], *compare, *tol)
 	}
 	var blob []byte
 	if *asJSON {
-		_, blob, err = s.Baseline()
+		_, blob, err = rows[0].Baseline()
 	} else {
-		var t *bench.Table
-		if t, err = s.Figure(); err == nil {
-			blob = []byte(t.String() + "\n")
-		}
+		blob, err = renderTables(rows)
 	}
 	if err != nil {
 		return err
@@ -118,6 +125,31 @@ func benchCmd(args []string) error {
 	}
 	_, err = os.Stdout.Write(blob)
 	return err
+}
+
+// renderTables renders each row's table followed by a blank line.
+func renderTables(rows []bench.Suite) ([]byte, error) {
+	var blob []byte
+	for _, s := range rows {
+		t, err := s.Figure()
+		if err != nil {
+			return nil, fmt.Errorf("suite %s: %w", s.Name, err)
+		}
+		blob = append(blob, t.String()+"\n"...)
+	}
+	return blob, nil
+}
+
+// slocCmd prints the source-lines-of-code table (the paper's Figure 8)
+// for the module around the working directory. It counts source, not a
+// result, so it is no row of the figure registry.
+func slocCmd() error {
+	t, err := bench.Figure8()
+	if err != nil {
+		return err
+	}
+	fmt.Println(t)
+	return nil
 }
 
 // compareSuite is the CI regression gate for one suite: a fresh

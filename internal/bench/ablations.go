@@ -15,7 +15,7 @@ import (
 // Linux equivalents — the section 2 claim that AeroKernel thread creation
 // and events "outperform Linux by orders of magnitude" because there are
 // no kernel/user boundaries to cross.
-func PrimitivesTable(runs int) (*Table, error) {
+func PrimitivesTable() (*Table, error) {
 	sys, err := newHybrid("primitives", 1)
 	if err != nil {
 		return nil, err
@@ -23,12 +23,12 @@ func PrimitivesTable(runs int) (*Table, error) {
 
 	// ROS side: thread create+join and a futex-style wakeup.
 	rosClk := sys.Main.Clock
-	rosCreate := avgCycles(rosClk, runs, func() {
+	rosCreate := avgCycles(rosClk, latencyRuns, func() {
 		t := sys.Proc.NewThread(sys.Kernel.BootCore())
 		t.Start(rosClk, func(*ros.Thread) {})
 		t.Join(sys.Main)
 	})
-	rosEvent := avgCycles(rosClk, runs, func() {
+	rosEvent := avgCycles(rosClk, latencyRuns, func() {
 		sys.Proc.Syscall(sys.Main, linuxabi.Call{Num: linuxabi.SysFutex})
 	})
 
@@ -38,14 +38,14 @@ func PrimitivesTable(runs int) (*Table, error) {
 		clk := env.Clock()
 		ak := sys.AK
 		hrtCore := sys.Opts.HRTCores[0]
-		akCreate = avgCycles(clk, runs, func() {
+		akCreate = avgCycles(clk, latencyRuns, func() {
 			t := ak.CreateThread(clk, hrtCore, aerokernel.Superposition{}, nil, nil)
 			t.Start(func(*aerokernel.Thread) uint64 { return 0 })
 			t.Join(clk)
 		})
 		ev := ak.NewEvent()
 		self := hrtThreadOf(env)
-		akEvent = avgCycles(clk, runs, func() {
+		akEvent = avgCycles(clk, latencyRuns, func() {
 			// Signal with no waiters models the uncontended wakeup the
 			// Linux futex row also measures.
 			ev.Signal(self)
@@ -74,7 +74,7 @@ func PrimitivesTable(runs int) (*Table, error) {
 // AblationSymbolCache measures the override wrapper with and without the
 // symbol cache the paper suggests ("a symbol cache, much like that used in
 // the ELF standard, could easily be added to improve lookup times").
-func AblationSymbolCache(runs int) (*Table, error) {
+func AblationSymbolCache() (*Table, error) {
 	measure := func(useCache bool) (cycles.Cycles, error) {
 		sys, err := newHybrid("ablate-symcache", 1)
 		if err != nil {
@@ -92,7 +92,7 @@ func AblationSymbolCache(runs int) (*Table, error) {
 			if _, ierr := w.Invoke(t); ierr != nil {
 				panic(ierr)
 			}
-			per = avgCycles(clk, runs, func() {
+			per = avgCycles(clk, symbolCacheRuns, func() {
 				if _, ierr := w.Invoke(t); ierr != nil {
 					panic(ierr)
 				}
@@ -243,7 +243,7 @@ func AblationPinning() (*Table, error) {
 // route to that channel: with PromoteCalls 1 its first forward promotes
 // the group. Both rows time ioctl, the router figure's tier-2 probe, which
 // no router tier answers locally.
-func AblationSyncSyscalls(runs int) (*Table, error) {
+func AblationSyncSyscalls() (*Table, error) {
 	measure := func(opts core.Options) (cycles.Cycles, error) {
 		fs, err := provisionFS(nil)
 		if err != nil {
@@ -258,7 +258,7 @@ func AblationSyncSyscalls(runs int) (*Table, error) {
 		if _, err := sys.HRTInvokeFunc(func(env core.Env) uint64 {
 			clk := env.Clock()
 			env.Syscall(linuxabi.Call{Num: linuxabi.SysIoctl}) // warm (and promote)
-			per = avgCycles(clk, runs, func() {
+			per = avgCycles(clk, latencyRuns, func() {
 				env.Syscall(linuxabi.Call{Num: linuxabi.SysIoctl})
 			})
 			return 0
@@ -288,7 +288,7 @@ func AblationSyncSyscalls(runs int) (*Table, error) {
 // AblationChannelKind compares invoking an HRT function via the
 // asynchronous (hypercall + injection) path against the post-merger
 // synchronous memory-polling channel.
-func AblationChannelKind(runs int) (*Table, error) {
+func AblationChannelKind() (*Table, error) {
 	sys, err := newHybrid("ablate-channel", 1)
 	if err != nil {
 		return nil, err
@@ -297,13 +297,13 @@ func AblationChannelKind(runs int) (*Table, error) {
 	noopAddr := sys.AK.RegisterFunc("ablate_noop",
 		func(t *aerokernel.Thread, args []uint64) uint64 { return args[0] })
 
-	async := avgCycles(clk, runs, func() {
+	async := avgCycles(clk, latencyRuns, func() {
 		if _, aerr := sys.HVM.AsyncCall(clk, noopAddr, 7); aerr != nil {
 			panic(aerr)
 		}
 	})
 
-	sync, err := syncCallCycles(sys, sys.Opts.HRTCores[0], runs, 7)
+	sync, err := syncCallCycles(sys, sys.Opts.HRTCores[0], latencyRuns, 7)
 	if err != nil {
 		return nil, err
 	}

@@ -102,16 +102,13 @@ func TestFigure13OverheadTracksInteractions(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	tab, err := Figure2(10)
+	tab, err := Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tab)
 	vals := tableCycles(t, tab)
 	merger, async, syncCross, syncSame := vals[0], vals[1], vals[2], vals[3]
-	if !(syncSame < syncCross && syncCross < async && async < merger) {
-		t.Errorf("latency ordering violated: %v", vals)
-	}
 	within := func(name string, got, want, tol uint64) {
 		if got < want-tol || got > want+tol {
 			t.Errorf("%s = %d, want %d±%d (paper)", name, got, want, tol)
@@ -121,6 +118,23 @@ func TestFigure2Shape(t *testing.T) {
 	within("async", async, 25000, 5000)
 	within("sync cross", syncCross, 1060, 100)
 	within("sync same", syncSame, 790, 80)
+}
+
+// TestFigureOrderChecks feeds each figure's ordering check one input
+// that violates it.
+func TestFigureOrderChecks(t *testing.T) {
+	if err := checkFigure2Order(32880, 22700, 1060, 790); err != nil {
+		t.Errorf("Figure 2's own numbers fail the check: %v", err)
+	}
+	if err := checkFigure2Order(32880, 22700, 790, 1060); err == nil {
+		t.Error("a cross-socket sync call cheaper than a same-socket one passed the Figure 2 check")
+	}
+	if err := checkWorldOrder("fasta", 100, 100, 172); err != nil {
+		t.Errorf("a tied Native and Virtual fails the Figure 13 check: %v", err)
+	}
+	if err := checkWorldOrder("fasta", 100, 101, 99); err == nil {
+		t.Error("a Multiverse run faster than Virtual passed the Figure 13 check")
+	}
 }
 
 func tableCycles(t *testing.T, tab *Table) []uint64 {
@@ -155,7 +169,7 @@ func TestFigure8CountsSomething(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	tab, err := Figure9(10)
+	tab, err := Figure9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +302,7 @@ func TestStartupProfileMultiverseForwards(t *testing.T) {
 }
 
 func TestPrimitivesOrdersOfMagnitude(t *testing.T) {
-	tab, err := PrimitivesTable(10)
+	tab, err := PrimitivesTable()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +316,7 @@ func TestPrimitivesOrdersOfMagnitude(t *testing.T) {
 }
 
 func TestAblationShapes(t *testing.T) {
-	sym, err := AblationSymbolCache(50)
+	sym, err := AblationSymbolCache()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +349,7 @@ func TestAblationShapes(t *testing.T) {
 		t.Errorf("pinning should remove most cost: %d vs %d", pinned, demand)
 	}
 
-	ch, err := AblationChannelKind(20)
+	ch, err := AblationChannelKind()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +360,7 @@ func TestAblationShapes(t *testing.T) {
 		t.Errorf("sync channel should be >=10x cheaper: %d vs %d", sync, async)
 	}
 
-	ss, err := AblationSyncSyscalls(20)
+	ss, err := AblationSyncSyscalls()
 	if err != nil {
 		t.Fatal(err)
 	}

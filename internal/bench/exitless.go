@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"multiverse/internal/core"
 	"multiverse/internal/cycles"
 )
 
@@ -37,20 +36,11 @@ type ExitlessComparison struct {
 	OutputMatch bool `json:"output_match"`
 }
 
-// CompareExitless runs one benchmark in WorldHRT twice — router on with
-// the tier-3 rings off, then on — and pairs the results. Both runs are
-// deterministic, so the comparison is too.
-func CompareExitless(prog Program) (*ExitlessComparison, error) {
-	dark, err := RunBenchmark(prog, core.WorldHRT, core.Options{Router: true}, false)
-	if err != nil {
-		return nil, err
-	}
-	on, err := RunBenchmark(prog, core.WorldHRT, core.Options{Exitless: true}, false)
-	if err != nil {
-		return nil, err
-	}
-	return &ExitlessComparison{
-		Program:           prog.Name,
+// exitlessRow projects the exitless suite's row from a program's
+// router-on (dark) and rings-on runs.
+func exitlessRow(dark, on *RunResult) ExitlessComparison {
+	return ExitlessComparison{
+		Program:           on.Program,
 		DarkCycles:        uint64(dark.Cycles),
 		OnCycles:          uint64(on.Cycles),
 		DarkCrossings:     dark.ForwardedSyscalls,
@@ -62,7 +52,7 @@ func CompareExitless(prog Program) (*ExitlessComparison, error) {
 		RingDemotions:     on.RingDemotions,
 		RingExits:         on.RingExits,
 		OutputMatch:       string(dark.Output) == string(on.Output),
-	}, nil
+	}
 }
 
 // ExitlessBaseline is the BENCH_pr7.json document: the deterministic
@@ -83,10 +73,10 @@ type ExitlessBaseline struct {
 	Benchmarks []ExitlessComparison `json:"benchmarks"`
 }
 
-// CollectExitlessBaseline runs the seven-benchmark suite in WorldHRT with
-// the tier-3 rings off and on and returns the comparison set. It enforces
-// the suite's invariants before returning: every program's output matches
-// its dark run, at least one program actually promoted onto the rings,
+// CollectExitlessBaseline projects the seven-benchmark WorldHRT sweep
+// onto the tier-3 rings off/on comparison set. It enforces the suite's
+// invariants before returning: every program's output matches its dark
+// run, at least one program actually promoted onto the rings,
 // exits.ring is zero everywhere, and the composed ring round trip is
 // within 2x of the sync round trip on both socket placements.
 func CollectExitlessBaseline() (*ExitlessBaseline, error) {
@@ -106,21 +96,22 @@ func CollectExitlessBaseline() (*ExitlessBaseline, error) {
 		return nil, fmt.Errorf("bench: ring round trip %d exceeds 2x sync %d (cross socket)",
 			b.RingRoundTripCrossSocket, b.SyncRoundTripCrossSocket)
 	}
+	rows, err := hrtSweep()
+	if err != nil {
+		return nil, err
+	}
 	var ringCalls uint64
-	for _, p := range Programs() {
-		cmp, err := CompareExitless(p)
-		if err != nil {
-			return nil, err
+	for _, r := range rows {
+		c := r.exitless
+		if !c.OutputMatch {
+			return nil, fmt.Errorf("bench: %s output diverged with exitless rings on", c.Program)
 		}
-		if !cmp.OutputMatch {
-			return nil, fmt.Errorf("bench: %s output diverged with exitless rings on", p.Name)
-		}
-		if cmp.RingExits != 0 {
+		if c.RingExits != 0 {
 			return nil, fmt.Errorf("bench: %s took %d VM exits on the ring path (want 0)",
-				p.Name, cmp.RingExits)
+				c.Program, c.RingExits)
 		}
-		ringCalls += cmp.RingCalls
-		b.Benchmarks = append(b.Benchmarks, *cmp)
+		ringCalls += c.RingCalls
+		b.Benchmarks = append(b.Benchmarks, c)
 	}
 	if ringCalls == 0 {
 		return nil, fmt.Errorf("bench: no benchmark promoted onto the tier-3 rings")
@@ -128,9 +119,9 @@ func CollectExitlessBaseline() (*ExitlessBaseline, error) {
 	return b, nil
 }
 
-// FigureExitless regenerates the exitless comparison: the seven
-// benchmarks in WorldHRT with the tier-3 rings off vs on, plus the
-// composed transport round trips.
+// FigureExitless renders the exitless suite: the seven benchmarks in
+// WorldHRT with the tier-3 rings off vs on, plus the composed transport
+// round trips.
 func FigureExitless() (*Table, error) {
 	b, err := CollectExitlessBaseline()
 	if err != nil {

@@ -61,15 +61,27 @@ func faultsConfigs() []struct {
 	}
 }
 
-// RunFaultsSuite executes the five-configuration faults suite on the
-// fasta benchmark and returns one FaultsRun per configuration (clean
-// first).
-func RunFaultsSuite() ([]FaultsRun, error) {
+// FaultsBaseline is the BENCH_pr5.json document: the deterministic
+// injection/recovery activity and cycle totals the regression tests pin.
+type FaultsBaseline struct {
+	// Note documents how to regenerate the file.
+	Note    string      `json:"note"`
+	Program string      `json:"program"`
+	Runs    []FaultsRun `json:"runs"`
+}
+
+// CollectFaultsBaseline runs the five-configuration faults suite on the
+// fasta benchmark, clean first, and validates its structural invariants
+// before returning: the plumbed run charges exactly the clean run's
+// cycles (overhead-when-clean is zero, not merely <=1%), every faulted
+// configuration recovers to byte-identical output, the faulted run
+// injects and retransmits, the scripted partner death recovers once with
+// its latency recorded, and the degraded run degrades.
+func CollectFaultsBaseline() (*FaultsBaseline, error) {
 	prog, ok := ProgramByName(faultsProgram)
 	if !ok {
 		return nil, fmt.Errorf("bench: %s program missing from the suite", faultsProgram)
 	}
-
 	var runs []FaultsRun
 	var cleanOut []byte
 	for _, cfg := range faultsConfigs() {
@@ -99,29 +111,6 @@ func RunFaultsSuite() ([]FaultsRun, error) {
 			OutputMatchesClean:    bytes.Equal(res.Output, cleanOut),
 		})
 	}
-	return runs, nil
-}
-
-// FaultsBaseline is the BENCH_pr5.json document: the deterministic
-// injection/recovery activity and cycle totals the regression tests pin.
-type FaultsBaseline struct {
-	// Note documents how to regenerate the file.
-	Note    string      `json:"note"`
-	Program string      `json:"program"`
-	Runs    []FaultsRun `json:"runs"`
-}
-
-// CollectFaultsBaseline runs the faults suite and validates its
-// structural invariants before returning: the plumbed run charges exactly
-// the clean run's cycles (overhead-when-clean is zero, not merely <=1%),
-// every faulted configuration recovers to byte-identical output, the
-// faulted run injects and retransmits, the scripted partner death
-// recovers once with its latency recorded, and the degraded run degrades.
-func CollectFaultsBaseline() (*FaultsBaseline, error) {
-	runs, err := RunFaultsSuite()
-	if err != nil {
-		return nil, err
-	}
 	if runs[1].Cycles != runs[0].Cycles {
 		return nil, fmt.Errorf("bench: plumbed run charges %d cycles vs clean %d — the unfired fault plane is not free",
 			runs[1].Cycles, runs[0].Cycles)
@@ -149,11 +138,11 @@ func CollectFaultsBaseline() (*FaultsBaseline, error) {
 	}, nil
 }
 
-// FigureFaults regenerates the fault-injection/recovery table: the five
-// fasta configurations with their injection counts, recovery activity,
-// and the output-correctness verdict.
+// FigureFaults renders the faults suite: the five fasta configurations
+// with their injection counts, recovery activity, and the
+// output-correctness verdict the collection enforced.
 func FigureFaults() (*Table, error) {
-	runs, err := RunFaultsSuite()
+	b, err := CollectFaultsBaseline()
 	if err != nil {
 		return nil, err
 	}
@@ -164,12 +153,8 @@ func FigureFaults() (*Table, error) {
 			"Dedups", "Corrupt", "Recoveries", "Degraded", "Output",
 		},
 	}
-	clean := runs[0].Cycles
-	for _, r := range runs {
-		verdict := "identical"
-		if !r.OutputMatchesClean {
-			verdict = "DIVERGED"
-		}
+	clean := b.Runs[0].Cycles
+	for _, r := range b.Runs {
 		t.AddRow(
 			r.Config,
 			fmt.Sprintf("%d", r.Cycles),
@@ -180,14 +165,11 @@ func FigureFaults() (*Table, error) {
 			fmt.Sprintf("%d", r.Corrupt),
 			fmt.Sprintf("%d", r.Recoveries),
 			fmt.Sprintf("%d", r.Degraded),
-			verdict,
+			"identical",
 		)
 	}
-	for _, r := range runs {
-		if r.Recoveries > 0 && r.Config == "scenario" {
-			t.AddNote("scripted partner death recovered in %d virtual cycles (respawn + merge replay + redelivery)", r.RecoveryLatencyCycles)
-		}
-	}
+	t.AddNote("scripted partner death recovered in %d virtual cycles (respawn + merge replay + redelivery)",
+		b.Runs[3].RecoveryLatencyCycles)
 	t.AddNote("plumbed = fault plane armed with all rates zero; its overhead against clean is the suite's acceptance bar (0.00%%)")
 	return t, nil
 }

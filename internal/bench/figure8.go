@@ -16,7 +16,8 @@ import (
 //	HVM additions        -> internal/hvm
 //
 // Counting runs against the source tree, so it must execute from within
-// the repository (as go test / mvbench do).
+// the repository (as go test and mvtool sloc do). It is not a row of
+// Suites: the counts move with every code change, so they are no result.
 func Figure8() (*Table, error) {
 	root, err := moduleRoot()
 	if err != nil {

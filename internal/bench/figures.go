@@ -28,12 +28,16 @@ func latencyHistogramNotes(t *Table, reg *telemetry.Registry, names ...string) {
 	}
 }
 
+// Repetitions behind the averaged latency tables: the paper averages 10
+// runs, and the symbol-cache ablation averages 50.
+const (
+	latencyRuns     = 10
+	symbolCacheRuns = 50
+)
+
 // avgCycles averages a measured callback over runs, using the clock delta
 // around each call.
 func avgCycles(clk *cycles.Clock, runs int, fn func()) cycles.Cycles {
-	if runs <= 0 {
-		runs = 1
-	}
 	var total cycles.Cycles
 	for i := 0; i < runs; i++ {
 		start := clk.Now()
@@ -83,11 +87,22 @@ func syncCallCycles(sys *core.System, hrtCore machine.CoreID, runs int, arg uint
 	}), nil
 }
 
+// checkFigure2Order holds Figure 2's load-bearing ordering: a same-socket
+// synchronous call is cheaper than a cross-socket one, which is cheaper
+// than an asynchronous call, which is cheaper than a merger.
+func checkFigure2Order(merger, async, syncCross, syncSame cycles.Cycles) error {
+	if syncSame < syncCross && syncCross < async && async < merger {
+		return nil
+	}
+	return fmt.Errorf("bench: Figure 2 wants sync same-socket < sync cross-socket < async < merger, got %d / %d / %d / %d cycles",
+		uint64(syncSame), uint64(syncCross), uint64(async), uint64(merger))
+}
+
 // Figure2 regenerates the round-trip latency table of ROS<->HRT
 // interactions: address-space merger, asynchronous call, and synchronous
 // calls on the same and on different sockets. The paper measured ~33 K,
 // ~25 K, ~790, and ~1060 cycles respectively.
-func Figure2(runs int) (*Table, error) {
+func Figure2() (*Table, error) {
 	// ROS runs on core 0 (socket 0). Core 1 shares its socket; core 4 is
 	// on the other socket.
 	const sameSocketCore, crossSocketCore = machine.CoreID(1), machine.CoreID(4)
@@ -98,7 +113,7 @@ func Figure2(runs int) (*Table, error) {
 	}
 	clk := sys.Main.Clock
 
-	merger := avgCycles(clk, runs, func() {
+	merger := avgCycles(clk, latencyRuns, func() {
 		if merr := sys.HVM.MergeAddressSpace(clk, sys.Proc.CR3()); merr != nil {
 			panic(merr)
 		}
@@ -106,18 +121,21 @@ func Figure2(runs int) (*Table, error) {
 
 	noopAddr := sys.AK.RegisterFunc("fig2_noop",
 		func(t *aerokernel.Thread, args []uint64) uint64 { return 0 })
-	async := avgCycles(clk, runs, func() {
+	async := avgCycles(clk, latencyRuns, func() {
 		if _, aerr := sys.HVM.AsyncCall(clk, noopAddr); aerr != nil {
 			panic(aerr)
 		}
 	})
 
-	syncSame, err := syncCallCycles(sys, sameSocketCore, runs, 0)
+	syncSame, err := syncCallCycles(sys, sameSocketCore, latencyRuns, 0)
 	if err != nil {
 		return nil, err
 	}
-	syncCross, err := syncCallCycles(sys, crossSocketCore, runs, 0)
+	syncCross, err := syncCallCycles(sys, crossSocketCore, latencyRuns, 0)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkFigure2Order(merger, async, syncCross, syncSame); err != nil {
 		return nil, err
 	}
 
@@ -221,7 +239,7 @@ func measureFig9(env core.Env, runs int) (map[string]cycles.Cycles, error) {
 
 // Figure9 regenerates the system-call latency comparison, Virtual vs.
 // Multiverse, for the nine calls (1 MiB payloads where applicable).
-func Figure9(runs int) (*Table, error) {
+func Figure9() (*Table, error) {
 	provision := func(sys *core.System) error {
 		fs := sys.Kernel.FS()
 		if err := fs.MkdirAll("/fig9"); err != nil {
@@ -242,7 +260,7 @@ func Figure9(runs int) (*Table, error) {
 	if err := provision(sysV); err != nil {
 		return nil, err
 	}
-	virt, err := measureFig9(sysV.NativeEnv(), runs)
+	virt, err := measureFig9(sysV.NativeEnv(), latencyRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +276,7 @@ func Figure9(runs int) (*Table, error) {
 	var mv map[string]cycles.Cycles
 	var mvErr error
 	if _, err := sysM.HRTInvokeFunc(func(env core.Env) uint64 {
-		mv, mvErr = measureFig9(env, runs)
+		mv, mvErr = measureFig9(env, latencyRuns)
 		return 0
 	}); err != nil {
 		return nil, err
@@ -344,6 +362,16 @@ func Figure12() (*Table, error) {
 	return t, nil
 }
 
+// checkWorldOrder holds Figure 13's expected shape for one benchmark:
+// Native <= Virtual <= Multiverse.
+func checkWorldOrder(program string, native, virt, mv cycles.Cycles) error {
+	if native <= virt && virt <= mv {
+		return nil
+	}
+	return fmt.Errorf("bench: Figure 13 wants Native <= Virtual <= Multiverse on %s, got %d / %d / %d cycles",
+		program, uint64(native), uint64(virt), uint64(mv))
+}
+
 // Figure13 regenerates the end-to-end benchmark comparison across the
 // three worlds.
 func Figure13() (*Table, error) {
@@ -352,26 +380,26 @@ func Figure13() (*Table, error) {
 		Header: []string{"Benchmark", "Native", "Virtual", "Multiverse", "MV/Native", "Fwd Syscalls", "Fwd Faults"},
 	}
 	for _, p := range Programs() {
-		var secs [3]float64
-		var fwdS, fwdF uint64
+		var runs [3]*RunResult
 		for i, w := range []core.World{core.WorldNative, core.WorldVirtual, core.WorldHRT} {
 			res, err := RunBenchmark(p, w, core.Options{}, false)
 			if err != nil {
 				return nil, err
 			}
-			secs[i] = res.Seconds
-			if w == core.WorldHRT {
-				fwdS, fwdF = res.ForwardedSyscalls, res.ForwardedFaults
-			}
+			runs[i] = res
+		}
+		native, virt, mv := runs[0], runs[1], runs[2]
+		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv.Cycles); err != nil {
+			return nil, err
 		}
 		t.AddRow(
 			p.Name,
-			fmt.Sprintf("%.4f", secs[0]),
-			fmt.Sprintf("%.4f", secs[1]),
-			fmt.Sprintf("%.4f", secs[2]),
-			fmt.Sprintf("%.2fx", secs[2]/secs[0]),
-			fmt.Sprintf("%d", fwdS),
-			fmt.Sprintf("%d", fwdF),
+			fmt.Sprintf("%.4f", native.Seconds),
+			fmt.Sprintf("%.4f", virt.Seconds),
+			fmt.Sprintf("%.4f", mv.Seconds),
+			fmt.Sprintf("%.2fx", mv.Seconds/native.Seconds),
+			fmt.Sprintf("%d", mv.ForwardedSyscalls),
+			fmt.Sprintf("%d", mv.ForwardedFaults),
 		)
 	}
 	t.AddNote("expected shape: Native <= Virtual <= Multiverse; overhead tracks forwarded interactions")

@@ -6,10 +6,14 @@ import (
 	"multiverse/internal/core"
 )
 
+// incrementalProgram is the GC benchmark the incremental-porting table
+// ports: its overhead is almost all forwarded memory management.
+const incrementalProgram = "binary-tree-2"
+
 // FigureIncremental demonstrates the paper's whole point end to end: the
 // automatic hybridization is "a starting point for HRT development" whose
 // overhead the developer removes by porting the hotspot functionality into
-// the AeroKernel. It runs the GC benchmark four ways:
+// the AeroKernel. It runs the GC benchmark three ways:
 //
 //	Native                 — the original user-level baseline
 //	Multiverse (initial)   — automatic hybridization, everything forwarded
@@ -20,10 +24,10 @@ import (
 // for example the mmap(), mprotect(), and signal mechanisms the garbage
 // collector depends on, to kernel mode via AeroKernel ... all of which
 // can occur hundreds of times faster within the kernel."
-func FigureIncremental(progName string) (*Table, error) {
-	prog, ok := ProgramByName(progName)
+func FigureIncremental() (*Table, error) {
+	prog, ok := ProgramByName(incrementalProgram)
 	if !ok {
-		return nil, fmt.Errorf("bench: unknown program %q", progName)
+		return nil, fmt.Errorf("bench: %s program missing from the suite", incrementalProgram)
 	}
 
 	type cfg struct {

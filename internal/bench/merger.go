@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"multiverse/internal/core"
 	"multiverse/internal/telemetry"
 )
 
@@ -47,20 +46,11 @@ func (c *MergerComparison) EntriesSaved() uint64 {
 	return c.OffEntriesCopied - c.OnEntriesCopied
 }
 
-// CompareMerger runs one benchmark in WorldHRT twice — merger off, then
-// merger on — and pairs the results. Both runs are deterministic, so the
-// comparison is too.
-func CompareMerger(prog Program) (*MergerComparison, error) {
-	off, err := RunBenchmark(prog, core.WorldHRT, core.Options{}, false)
-	if err != nil {
-		return nil, err
-	}
-	on, err := RunBenchmark(prog, core.WorldHRT, core.Options{Merger: true}, false)
-	if err != nil {
-		return nil, err
-	}
-	return &MergerComparison{
-		Program:          prog.Name,
+// mergerRow projects the merger suite's row from a program's off and
+// merger-on runs.
+func mergerRow(off, on *RunResult) MergerComparison {
+	return MergerComparison{
+		Program:          on.Program,
 		OffCycles:        uint64(off.Cycles),
 		OnCycles:         uint64(on.Cycles),
 		OffMerges:        uint64(off.Merges),
@@ -74,7 +64,7 @@ func CompareMerger(prog Program) (*MergerComparison, error) {
 		OnBroadcasts:     on.MergerBroadcast,
 		Targeted:         on.MergerTargeted,
 		LocalFaults:      on.LocalFaults,
-	}, nil
+	}
 }
 
 // MergerBaseline is the BENCH_pr3.json document: the deterministic
@@ -83,26 +73,32 @@ type MergerBaseline struct {
 	// Note documents how to regenerate the file.
 	Note       string             `json:"note"`
 	Benchmarks []MergerComparison `json:"benchmarks"`
+	// latency is the metrics registry of fasta's merger-on run (the
+	// heaviest write/GC mix in the suite), the figure's latency detail.
+	latency *telemetry.Registry
 }
 
-// CollectMergerBaseline runs the seven-benchmark suite in WorldHRT with
-// the incremental merger off and on and returns the comparison set. It
-// enforces the suite-wide acceptance invariants before returning: the
-// merger reduces both the charged PML4-entry copies and the broadcast
-// shootdowns.
+// CollectMergerBaseline projects the seven-benchmark WorldHRT sweep onto
+// the incremental merger off/on comparison set. It enforces the
+// suite-wide acceptance invariants before returning: the merger reduces
+// both the charged PML4-entry copies and the broadcast shootdowns.
 func CollectMergerBaseline() (*MergerBaseline, error) {
+	rows, err := hrtSweep()
+	if err != nil {
+		return nil, err
+	}
 	b := &MergerBaseline{Note: regenerateNote("merger")}
 	var offEntries, onEntries, offBcast, onBcast uint64
-	for _, p := range Programs() {
-		cmp, err := CompareMerger(p)
-		if err != nil {
-			return nil, err
+	for _, r := range rows {
+		c := r.merger
+		b.Benchmarks = append(b.Benchmarks, c)
+		if c.Program == "fasta" {
+			b.latency = r.mergerMetrics
 		}
-		b.Benchmarks = append(b.Benchmarks, *cmp)
-		offEntries += cmp.OffEntriesCopied
-		onEntries += cmp.OnEntriesCopied
-		offBcast += cmp.OffBroadcasts
-		onBcast += cmp.OnBroadcasts
+		offEntries += c.OffEntriesCopied
+		onEntries += c.OnEntriesCopied
+		offBcast += c.OffBroadcasts
+		onBcast += c.OnBroadcasts
 	}
 	if onEntries >= offEntries {
 		return nil, fmt.Errorf("bench: merger did not reduce charged PML4-entry copies: off=%d on=%d",
@@ -115,10 +111,14 @@ func CollectMergerBaseline() (*MergerBaseline, error) {
 	return b, nil
 }
 
-// FigureMerger regenerates the incremental-merger comparison: the seven
-// benchmarks in WorldHRT with the merger off vs on (entry copies saved,
-// shootdown mix, locally resolved faults, cycle totals).
+// FigureMerger renders the merger suite: the seven benchmarks in
+// WorldHRT with the merger off vs on (entry copies saved, shootdown mix,
+// locally resolved faults, cycle totals).
 func FigureMerger() (*Table, error) {
+	b, err := CollectMergerBaseline()
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: "Merger figure: incremental state superposition, WorldHRT merger off vs on",
 		Header: []string{
@@ -127,13 +127,7 @@ func FigureMerger() (*Table, error) {
 			"Bcast off/on", "Targeted", "Local faults",
 		},
 	}
-	var last *MergerComparison
-	for _, p := range Programs() {
-		c, err := CompareMerger(p)
-		if err != nil {
-			return nil, err
-		}
-		last = c
+	for _, c := range b.Benchmarks {
 		t.AddRow(
 			c.Program,
 			fmt.Sprintf("%d", c.OffCycles),
@@ -147,30 +141,7 @@ func FigureMerger() (*Table, error) {
 			fmt.Sprintf("%d", c.LocalFaults),
 		)
 	}
-	if last != nil {
-		t.AddNote("off re-merges copy all %d lower-half entries and broadcast a full flush; on, only generation-stamped deltas move and small deltas invalidate per slot", 256)
-	}
-
-	// Latency detail from an instrumented merger-on run of the fasta
-	// benchmark (the heaviest write/GC mix in the suite).
-	reg, err := mergerMetricsRun()
-	if err != nil {
-		return nil, err
-	}
-	latencyHistogramNotes(t, reg, "ak.merge.latency", "fault.local.latency")
+	t.AddNote("off re-merges copy all %d lower-half entries and broadcast a full flush; on, only generation-stamped deltas move and small deltas invalidate per slot", 256)
+	latencyHistogramNotes(t, b.latency, "ak.merge.latency", "fault.local.latency")
 	return t, nil
-}
-
-// mergerMetricsRun executes one merger-on run and returns its registry for
-// the latency notes.
-func mergerMetricsRun() (*telemetry.Registry, error) {
-	p, ok := ProgramByName("fasta")
-	if !ok {
-		return nil, fmt.Errorf("bench: fasta program missing from the suite")
-	}
-	res, err := RunBenchmark(p, core.WorldHRT, core.Options{Merger: true}, false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Metrics, nil
 }

@@ -9,15 +9,16 @@ import "testing"
 // across runs.
 func TestMergerRegression(t *testing.T) {
 	p, _ := ProgramByName("fasta")
-	a, err := CompareMerger(p)
+	ra, err := sweepProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompareMerger(p)
+	rb, err := sweepProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *a != *b {
+	a, b := ra.merger, rb.merger
+	if a != b {
 		t.Errorf("merger comparison not deterministic:\n%+v\n%+v", a, b)
 	}
 	if a.OnRemerges == 0 {

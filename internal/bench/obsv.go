@@ -113,20 +113,37 @@ func runObsvConfig(prog Program, armed bool, plan *faults.Plan) (*RunResult, tim
 	return res, time.Since(start), err
 }
 
-// RunObsvSuite executes the observability suite on the fasta benchmark:
-// each configuration runs `reps` times (wall time takes the minimum to
-// damp scheduler noise; every rep must agree on cycles) and the dark run
-// anchors the zero-perturbation comparison. It returns the runs plus the
-// armed-over-dark wall-clock ratio.
-func RunObsvSuite(reps int) ([]ObsvRun, float64, error) {
-	if reps < 1 {
-		reps = 1
-	}
+// ObsvBaseline is the BENCH_pr6.json document: the deterministic
+// observability activity the regression tests pin. The armed/dark
+// wall-clock ratio rides along for the host-time gate but stays out of
+// the byte-pinned file.
+type ObsvBaseline struct {
+	// Note documents how to regenerate the file.
+	Note    string    `json:"note"`
+	Program string    `json:"program"`
+	Runs    []ObsvRun `json:"runs"`
+	// WallRatio is the armed run's host wall time over the dark run's
+	// (minimum over the suite's reps each).
+	WallRatio float64 `json:"-"`
+}
+
+// obsvReps is how many times each configuration runs: the wall time
+// takes the minimum to damp scheduler noise, and every rep must agree on
+// cycles.
+const obsvReps = 3
+
+// CollectObsvBaseline runs the observability suite on the fasta
+// benchmark, with the dark run anchoring the zero-perturbation
+// comparison, and validates its structural invariants before returning:
+// the armed run is cycle- and output-identical to dark, the recorder
+// actually saw traffic, and the faulted run's recovery activity reached
+// the ring. The wall-clock bound is not checked here; obsvHostBound
+// holds it.
+func CollectObsvBaseline() (*ObsvBaseline, error) {
 	prog, ok := ProgramByName(obsvProgram)
 	if !ok {
-		return nil, 0, fmt.Errorf("bench: %s program missing from the suite", obsvProgram)
+		return nil, fmt.Errorf("bench: %s program missing from the suite", obsvProgram)
 	}
-
 	var runs []ObsvRun
 	var darkCycles uint64
 	var darkOut []byte
@@ -134,13 +151,13 @@ func RunObsvSuite(reps int) ([]ObsvRun, float64, error) {
 	for _, cfg := range obsvConfigs() {
 		var res *RunResult
 		best := time.Duration(0)
-		for rep := 0; rep < reps; rep++ {
+		for rep := 0; rep < obsvReps; rep++ {
 			r, d, err := runObsvConfig(prog, cfg.Armed, cfg.Faults)
 			if err != nil {
-				return nil, 0, fmt.Errorf("bench: obsv config %s: %w", cfg.Name, err)
+				return nil, fmt.Errorf("bench: obsv config %s: %w", cfg.Name, err)
 			}
 			if res != nil && r.Cycles != res.Cycles {
-				return nil, 0, fmt.Errorf("bench: obsv config %s: cycles diverged across reps (%d vs %d)",
+				return nil, fmt.Errorf("bench: obsv config %s: cycles diverged across reps (%d vs %d)",
 					cfg.Name, r.Cycles, res.Cycles)
 			}
 			if best == 0 || d < best {
@@ -170,56 +187,24 @@ func RunObsvSuite(reps int) ([]ObsvRun, float64, error) {
 		}
 		runs = append(runs, run)
 	}
-	ratio := float64(wall["armed"]) / float64(wall["dark"])
-	return runs, ratio, nil
-}
-
-// ObsvBaseline is the BENCH_pr6.json document: the deterministic
-// observability activity the regression tests pin. The armed/dark
-// wall-clock ratio rides along for the host-time gate but stays out of
-// the byte-pinned file.
-type ObsvBaseline struct {
-	// Note documents how to regenerate the file.
-	Note    string    `json:"note"`
-	Program string    `json:"program"`
-	Runs    []ObsvRun `json:"runs"`
-	// WallRatio is the armed run's host wall time over the dark run's
-	// (minimum over the suite's reps each).
-	WallRatio float64 `json:"-"`
-}
-
-// CollectObsvBaseline runs the observability suite and validates its
-// structural invariants before returning: the armed run is cycle- and
-// output-identical to dark, the recorder actually saw traffic, and the
-// faulted run's recovery activity reached the ring. The wall-clock bound
-// is not checked here; obsvHostBound holds it.
-func CollectObsvBaseline() (*ObsvBaseline, error) {
-	const reps = 3
-	runs, ratio, err := RunObsvSuite(reps)
-	if err != nil {
-		return nil, err
-	}
-	byName := make(map[string]ObsvRun, len(runs))
-	for _, r := range runs {
-		byName[r.Config] = r
-	}
-	if a := byName["armed"]; !a.CyclesMatchDark || !a.OutputMatchesDark {
+	armed, faulted := runs[1], runs[2]
+	if !armed.CyclesMatchDark || !armed.OutputMatchesDark {
 		return nil, fmt.Errorf("bench: armed observability perturbed the run (cycles match=%v output match=%v)",
-			a.CyclesMatchDark, a.OutputMatchesDark)
+			armed.CyclesMatchDark, armed.OutputMatchesDark)
 	}
-	if a := byName["armed"]; a.RecorderEvents == 0 || a.SLOCount == 0 {
+	if armed.RecorderEvents == 0 || armed.SLOCount == 0 {
 		return nil, fmt.Errorf("bench: armed run recorded no events (recorder=%d slo=%d) — the planes never engaged",
-			a.RecorderEvents, a.SLOCount)
+			armed.RecorderEvents, armed.SLOCount)
 	}
-	if f := byName["faulted"]; !f.OutputMatchesDark || f.RecorderEvents <= byName["armed"].RecorderEvents {
+	if !faulted.OutputMatchesDark || faulted.RecorderEvents <= armed.RecorderEvents {
 		return nil, fmt.Errorf("bench: faulted run: output match=%v recorder=%d (armed=%d) — recovery activity missing from the ring",
-			f.OutputMatchesDark, f.RecorderEvents, byName["armed"].RecorderEvents)
+			faulted.OutputMatchesDark, faulted.RecorderEvents, armed.RecorderEvents)
 	}
 	return &ObsvBaseline{
 		Note:      regenerateNote("obsv"),
 		Program:   obsvProgram,
 		Runs:      runs,
-		WallRatio: ratio,
+		WallRatio: float64(wall["armed"]) / float64(wall["dark"]),
 	}, nil
 }
 
@@ -234,11 +219,13 @@ func obsvHostBound(_ []byte, fresh any, _ float64) (string, error) {
 	return fmt.Sprintf("armed wall overhead %.1f%% (bound %.0f%%)", 100*(ratio-1), 100*(ObsvWallOverheadBound-1)), nil
 }
 
-// FigureObsv regenerates the observability-overhead table: the three
-// fasta configurations with their recorder/SLO activity and the
-// zero-perturbation verdicts.
+// FigureObsv renders the observability suite: the three fasta
+// configurations with their recorder/SLO activity and the
+// zero-perturbation verdicts the collection enforced. The armed run's
+// wall-clock overhead is host time, so it stays out of the table;
+// `mvtool bench -suite obsv -compare` prints it.
 func FigureObsv() (*Table, error) {
-	runs, ratio, err := RunObsvSuite(3)
+	b, err := CollectObsvBaseline()
 	if err != nil {
 		return nil, err
 	}
@@ -249,23 +236,16 @@ func FigureObsv() (*Table, error) {
 			"SLOMetric", "p50", "p99", "p99.9",
 		},
 	}
-	for _, r := range runs {
-		verdict := "identical"
-		if !r.OutputMatchesDark {
-			verdict = "DIVERGED"
-		}
+	for _, r := range b.Runs {
 		cm := "yes"
 		if !r.CyclesMatchDark {
-			cm = "no"
-			if r.Config == "faulted" {
-				cm = "n/a (faulted)"
-			}
+			cm = "n/a (faulted)"
 		}
 		t.AddRow(
 			r.Config,
 			fmt.Sprintf("%d", r.Cycles),
 			cm,
-			verdict,
+			"identical",
 			fmt.Sprintf("%d", r.RecorderEvents),
 			r.SLOMetric,
 			fmt.Sprintf("%d", r.SLOP50),
@@ -273,7 +253,6 @@ func FigureObsv() (*Table, error) {
 			fmt.Sprintf("%d", r.SLOP999),
 		)
 	}
-	t.AddNote("armed wall-clock overhead: %.1f%% (bound %.0f%%, min of 3 reps)", 100*(ratio-1), 100*(ObsvWallOverheadBound-1))
 	t.AddNote("SLO metric shown is the busiest slo.g<group>.<syscall> histogram of each run")
 	return t, nil
 }

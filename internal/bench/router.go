@@ -40,20 +40,11 @@ func (c *RouterComparison) CrossingsEliminated() uint64 {
 	return c.OffCrossings - c.OnCrossings
 }
 
-// CompareRouter runs one benchmark in WorldHRT twice — router off, then
-// router on — and pairs the results. Both runs are deterministic, so the
-// comparison is too.
-func CompareRouter(prog Program) (*RouterComparison, error) {
-	off, err := RunBenchmark(prog, core.WorldHRT, core.Options{}, false)
-	if err != nil {
-		return nil, err
-	}
-	on, err := RunBenchmark(prog, core.WorldHRT, core.Options{Router: true}, false)
-	if err != nil {
-		return nil, err
-	}
-	return &RouterComparison{
-		Program:          prog.Name,
+// routerRow projects the router suite's row from a program's off and
+// router-on runs.
+func routerRow(off, on *RunResult) RouterComparison {
+	return RouterComparison{
+		Program:          on.Program,
 		OffCycles:        uint64(off.Cycles),
 		OnCycles:         uint64(on.Cycles),
 		OffCrossings:     off.ForwardedSyscalls,
@@ -66,7 +57,7 @@ func CompareRouter(prog Program) (*RouterComparison, error) {
 		Invalidations:    on.RouterInvalidations,
 		Promotions:       on.RouterPromotions,
 		Demotions:        on.RouterDemotions,
-	}, nil
+	}
 }
 
 // RouterBaseline is the BENCH_pr2.json document: the deterministic
@@ -77,23 +68,24 @@ type RouterBaseline struct {
 	Benchmarks []RouterComparison `json:"benchmarks"`
 }
 
-// CollectRouterBaseline runs the seven-benchmark suite in WorldHRT with
-// the router off and on and returns the comparison set. It enforces the
-// suite-wide acceptance invariants before returning: the router reduces
-// both the total crossings and the total forwarded-syscall cycles.
+// CollectRouterBaseline projects the seven-benchmark WorldHRT sweep onto
+// the router off/on comparison set. It enforces the suite-wide
+// acceptance invariants before returning: the router reduces both the
+// total crossings and the total forwarded-syscall cycles.
 func CollectRouterBaseline() (*RouterBaseline, error) {
+	rows, err := hrtSweep()
+	if err != nil {
+		return nil, err
+	}
 	b := &RouterBaseline{Note: regenerateNote("router")}
 	var offX, onX, offFwd, onFwd uint64
-	for _, p := range Programs() {
-		cmp, err := CompareRouter(p)
-		if err != nil {
-			return nil, err
-		}
-		b.Benchmarks = append(b.Benchmarks, *cmp)
-		offX += cmp.OffCrossings
-		onX += cmp.OnCrossings
-		offFwd += cmp.OffForwardCycles
-		onFwd += cmp.OnForwardCycles
+	for _, r := range rows {
+		c := r.router
+		b.Benchmarks = append(b.Benchmarks, c)
+		offX += c.OffCrossings
+		onX += c.OnCrossings
+		offFwd += c.OffForwardCycles
+		onFwd += c.OnForwardCycles
 	}
 	if onX >= offX {
 		return nil, fmt.Errorf("bench: router did not reduce total crossings: off=%d on=%d", offX, onX)
@@ -135,10 +127,14 @@ func routerMicro(sys *core.System, runs int) (map[string]uint64, error) {
 	return out, nil
 }
 
-// FigureRouter regenerates the adaptive-router comparison: the seven
-// benchmarks in WorldHRT with the router off vs on (crossings eliminated,
-// cycle totals), plus per-tier latencies measured directly.
+// FigureRouter renders the router suite: the seven benchmarks in
+// WorldHRT with the router off vs on (crossings eliminated, cycle
+// totals), plus per-tier latencies measured directly.
 func FigureRouter() (*Table, error) {
+	b, err := CollectRouterBaseline()
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: "Router figure: adaptive boundary-crossing fast path, WorldHRT router off vs on",
 		Header: []string{
@@ -147,11 +143,7 @@ func FigureRouter() (*Table, error) {
 			"Local", "Cache h/m", "Promo",
 		},
 	}
-	for _, p := range Programs() {
-		c, err := CompareRouter(p)
-		if err != nil {
-			return nil, err
-		}
+	for _, c := range b.Benchmarks {
 		t.AddRow(
 			c.Program,
 			fmt.Sprintf("%d", c.OffCycles),

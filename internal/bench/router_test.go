@@ -160,15 +160,16 @@ func TestRouterPromotionDemotion(t *testing.T) {
 // and both configurations must reproduce exactly across runs.
 func TestRouterRegression(t *testing.T) {
 	p, _ := ProgramByName("fasta")
-	a, err := CompareRouter(p)
+	ra, err := sweepProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompareRouter(p)
+	rb, err := sweepProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *a != *b {
+	a, b := ra.router, rb.router
+	if a != b {
 		t.Errorf("router comparison not deterministic:\n%+v\n%+v", a, b)
 	}
 	if a.OnCrossings >= a.OffCrossings {

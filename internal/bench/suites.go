@@ -7,33 +7,49 @@ import (
 	"strings"
 )
 
-// Suite is one pinned-baseline benchmark suite: a deterministic
-// collection whose canonical encoding is committed at the repository
-// root. TestBaselines checks every entry of Suites against its file, CI
+// Suite is one row of the figure registry: one table of the paper's
+// evaluation or of an extension suite. `mvtool bench -suite all` prints
+// every deterministic row in table order, and CI compares that output
+// byte for byte with FIGURES.txt. A row with a File is also a pinned
+// suite: TestBaselines checks its document against the file, CI
 // byte-compares the `mvtool bench -suite NAME -json` output with it, and
 // `mvtool bench -suite NAME -compare FILE` adds the suite's host-time
 // bound, if it has one.
 type Suite struct {
 	Name string
-	// File is the pinned document's name at the repository root.
+	// File is the pinned document's name at the repository root. A row
+	// without one is table-only and has no Collect.
 	File string
 	// Collect runs the suite and returns its document. It fails when any
 	// of the suite's acceptance invariants does not hold, so a failing
 	// collection can never be pinned.
 	Collect func() (any, error)
-	// Figure renders the suite as a table.
+	// Figure renders the row as a table; a pinned suite renders the
+	// document its Collect returns.
 	Figure func() (*Table, error)
 	// Check compares a fresh document with the pinned bytes. Nil means
 	// byte equality of the canonical encodings; only a suite whose
-	// document carries host-time fields supplies its own.
+	// document carries host-time fields supplies its own, and its table
+	// reads host time too, so `all` leaves it out.
 	Check func(pinned []byte, fresh any) error
 	// HostBound is the suite's host-time gate, run only by -compare and
 	// never by tier-1 tests. It returns a one-line summary on success.
 	HostBound func(pinned []byte, fresh any, tol float64) (string, error)
 }
 
-// Suites is the table of pinned-baseline suites, in PR order.
+// Suites is the figure registry, in FIGURES.txt order: the paper's
+// figures and tables, the pinned extension suites in the order they were
+// added, then the ablations.
 var Suites = []Suite{
+	{Name: "2", Figure: Figure2},
+	{Name: "9", Figure: Figure9},
+	{Name: "10", Figure: Figure10},
+	{Name: "11", Figure: Figure11},
+	{Name: "12", Figure: Figure12},
+	{Name: "13", Figure: Figure13},
+	{Name: "primitives", Figure: PrimitivesTable},
+	{Name: "hpcg", File: "BENCH_pr20.json", Collect: collect(CollectHPCGBaseline), Figure: FigureHPCG},
+	{Name: "incremental", Figure: FigureIncremental},
 	{Name: "router", File: "BENCH_pr2.json", Collect: collect(CollectRouterBaseline), Figure: FigureRouter},
 	{Name: "merger", File: "BENCH_pr3.json", Collect: collect(CollectMergerBaseline), Figure: FigureMerger},
 	{Name: "scheduler", File: "BENCH_pr4.json", Collect: collect(CollectSchedulerBaseline), Figure: FigureScheduler},
@@ -45,7 +61,11 @@ var Suites = []Suite{
 		Check: checkSimspeed, HostBound: simspeedHostBound},
 	{Name: "density", File: "BENCH_pr9.json", Collect: collect(CollectDensityBaseline), Figure: FigureDensity},
 	{Name: "grid", File: "BENCH_pr10.json", Collect: collect(CollectGridBaseline), Figure: FigureGrid},
-	{Name: "hpcg", File: "BENCH_pr20.json", Collect: collect(CollectHPCGBaseline), Figure: FigureHPCG},
+	{Name: "ablations/symbol-cache", Figure: AblationSymbolCache},
+	{Name: "ablations/remerge", Figure: AblationRemerge},
+	{Name: "ablations/pinning", Figure: AblationPinning},
+	{Name: "ablations/channel-kind", Figure: AblationChannelKind},
+	{Name: "ablations/sync-syscalls", Figure: AblationSyncSyscalls},
 }
 
 // collect adapts a typed collection function to Suite.Collect.
@@ -53,14 +73,18 @@ func collect[T any](f func() (*T, error)) func() (any, error) {
 	return func() (any, error) { return f() }
 }
 
-// SuiteByName looks a suite up in the table.
-func SuiteByName(name string) (Suite, bool) {
+// Select returns the rows a -suite argument names: "all" is every
+// deterministic row (FIGURES.txt), a group such as "ablations" is every
+// row named "ablations/...", and any other name is the one row of that
+// name. It returns nil for an unknown name.
+func Select(name string) []Suite {
+	var rows []Suite
 	for _, s := range Suites {
-		if s.Name == name {
-			return s, true
+		if (name == "all" && s.Check == nil) || s.Name == name || strings.HasPrefix(s.Name, name+"/") {
+			rows = append(rows, s)
 		}
 	}
-	return Suite{}, false
+	return rows
 }
 
 // regenerateNote is the note every pinned document carries: the two

@@ -33,25 +33,55 @@ func runBaseline(s Suite, dir string, update bool) error {
 	return s.Verify(pinned, doc, blob)
 }
 
-// TestBaselines checks every suite of the table against its pinned file
-// at the repository root, one subtest per suite. With
-// MV_UPDATE_BASELINE=1 it rewrites the files instead; a collection that
-// breaks one of its suite's acceptance invariants fails either way.
+// TestBaselines checks every pinned suite of the table against its file
+// at the repository root, one subtest per suite; table-only rows have no
+// file and are skipped. With MV_UPDATE_BASELINE=1 it rewrites the files
+// instead; a collection that breaks one of its suite's acceptance
+// invariants fails either way.
 func TestBaselines(t *testing.T) {
 	pinned, err := filepath.Glob(filepath.Join(repoRoot, "BENCH_pr*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pinned) != len(Suites) {
-		t.Errorf("%d pinned BENCH_pr*.json files, %d suites in the table", len(pinned), len(Suites))
+	var suites []Suite
+	for _, s := range Suites {
+		if s.File != "" {
+			suites = append(suites, s)
+		}
+	}
+	if len(pinned) != len(suites) {
+		t.Errorf("%d pinned BENCH_pr*.json files, %d pinned suites in the table", len(pinned), len(suites))
 	}
 	update := os.Getenv("MV_UPDATE_BASELINE") != ""
-	for _, s := range Suites {
+	for _, s := range suites {
 		t.Run(s.Name, func(t *testing.T) {
 			if err := runBaseline(s, repoRoot, update); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSelect pins the -suite names: all is every row but the host-timed
+// simspeed suite, a group name picks its rows, and one name one row.
+func TestSelect(t *testing.T) {
+	all := Select("all")
+	if len(all) != len(Suites)-1 {
+		t.Errorf("all selects %d of %d rows, want every row but simspeed", len(all), len(Suites))
+	}
+	for _, s := range all {
+		if s.Name == "simspeed" {
+			t.Error("all selects the host-timed simspeed suite")
+		}
+	}
+	if n := len(Select("ablations")); n != 5 {
+		t.Errorf("ablations selects %d rows, want 5", n)
+	}
+	if rows := Select("2"); len(rows) != 1 || rows[0].Name != "2" {
+		t.Errorf("2 selects %d rows, want Figure 2 alone", len(rows))
+	}
+	if rows := Select("8"); rows != nil {
+		t.Errorf("8 selects %d rows; Figure 8 is mvtool sloc, not a row", len(rows))
 	}
 }
 

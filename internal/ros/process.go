@@ -2,7 +2,6 @@ package ros
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,9 +132,12 @@ type Process struct {
 	arenas    map[int]*threadArena
 
 	// mutHooks observe successful mutating syscalls (see AddMutationHook).
-	// The slice is copy-on-remove, so notifyMutations can iterate a
-	// snapshot outside the lock.
-	mutHooks []*mutationHook
+	// A removed hook is marked dead in place and counted in deadHooks;
+	// once half the entries are dead the live ones move to a fresh slice.
+	// The slice is never written below its length, so notifyMutations can
+	// iterate a snapshot outside the lock.
+	mutHooks  []*mutationHook
+	deadHooks int
 
 	// pml4Gen is the per-slot generation stamp of the lower-half PML4: any
 	// operation that can change a top-level entry (or what it governs)
@@ -186,12 +188,16 @@ type MutationEvent struct {
 	Path string
 }
 
-type mutationHook struct{ fn func(MutationEvent) }
+type mutationHook struct {
+	fn   func(MutationEvent)
+	dead atomic.Bool
+}
 
 // AddMutationHook registers fn to run after every successful mutating
 // system call, with one event per affected cache axis. Hooks run outside
 // the process lock, on the servicing thread's goroutine. The returned
-// function removes the hook again; calling it more than once is harmless.
+// function removes the hook again in amortized O(1); calling it more than
+// once is harmless.
 func (p *Process) AddMutationHook(fn func(MutationEvent)) (remove func()) {
 	h := &mutationHook{fn: fn}
 	p.mu.Lock()
@@ -200,17 +206,28 @@ func (p *Process) AddMutationHook(fn func(MutationEvent)) (remove func()) {
 	return func() {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		if i := slices.Index(p.mutHooks, h); i >= 0 {
-			p.mutHooks = append(p.mutHooks[:i:i], p.mutHooks[i+1:]...)
+		if h.dead.Swap(true) {
+			return
 		}
+		p.deadHooks++
+		if 2*p.deadHooks < len(p.mutHooks) {
+			return
+		}
+		live := make([]*mutationHook, 0, len(p.mutHooks)-p.deadHooks)
+		for _, o := range p.mutHooks {
+			if !o.dead.Load() {
+				live = append(live, o)
+			}
+		}
+		p.mutHooks, p.deadHooks = live, 0
 	}
 }
 
-// MutationHooks reports how many mutation hooks are registered.
+// MutationHooks reports how many live mutation hooks are registered.
 func (p *Process) MutationHooks() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.mutHooks)
+	return len(p.mutHooks) - p.deadHooks
 }
 
 // EnableFaultTrace starts recording up to max kernel-handled user page

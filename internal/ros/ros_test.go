@@ -1,6 +1,7 @@
 package ros
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -465,5 +466,32 @@ func TestMutationHookRemove(t *testing.T) {
 	p.Syscall(th, write)
 	if got := late.Load(); got != 1 {
 		t.Errorf("hook saw %d events, want 1: it observed a write after its removal", got)
+	}
+}
+
+// TestMutationHookRemoveLinear bounds what retiring many routed groups
+// costs the hook list: registering and then removing n hooks, oldest
+// first, must allocate O(n) bytes. A copy of the list on every removal
+// allocates about n*n/2 pointers, some 100 MB at n = 5,000.
+func TestMutationHookRemoveLinear(t *testing.T) {
+	_, p, _ := newProc(t, Native)
+	const n = 5000
+	removes := make([]func(), n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range removes {
+		removes[i] = p.AddMutationHook(func(MutationEvent) {})
+	}
+	for _, remove := range removes {
+		remove()
+	}
+	runtime.ReadMemStats(&after)
+	if n := p.MutationHooks(); n != 0 {
+		t.Errorf("MutationHooks = %d after every remove, want 0", n)
+	}
+	const perHook = 512
+	if got := after.TotalAlloc - before.TotalAlloc; got > n*perHook {
+		t.Errorf("registering and removing %d hooks allocated %d bytes, want <= %d (%d per hook)",
+			n, got, n*perHook, perHook)
 	}
 }

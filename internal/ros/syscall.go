@@ -72,7 +72,9 @@ func (p *Process) notifyMutations(call linuxabi.Call) {
 	}
 	for _, ev := range evs {
 		for _, h := range hooks {
-			h.fn(ev)
+			if !h.dead.Load() {
+				h.fn(ev)
+			}
 		}
 	}
 }

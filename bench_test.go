@@ -1,6 +1,9 @@
 // Package multiverse_test holds the repository-level benchmark harness:
-// one testing.B benchmark per table and figure in the paper's evaluation,
-// plus the ablation benches DESIGN.md calls out.
+// testing.B benchmarks for the end-to-end tables of the paper's
+// evaluation, the Nautilus primitives, and the ablation benches DESIGN.md
+// calls out. The latency tables' benchmarks (Figures 2 and 9 and the
+// channel-kind ablation) live beside their figure code in internal/bench,
+// timing the closures those tables average.
 //
 // Simulated latencies are reported as "vcycles" (virtual cycles at the
 // simulated 2.2 GHz) via b.ReportMetric; Go-level ns/op measures the
@@ -17,267 +20,28 @@ import (
 	"multiverse/internal/bench"
 	"multiverse/internal/core"
 	"multiverse/internal/cycles"
-	"multiverse/internal/hvm"
 	"multiverse/internal/legion"
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/machine"
 	"multiverse/internal/ros"
 	"multiverse/internal/scheme"
-	"multiverse/internal/telemetry"
 	"multiverse/internal/vfs"
 )
 
 // newHybrid builds an initialized hybrid system for microbenchmarks.
 func newHybrid(b *testing.B, hrtCore machine.CoreID) *core.System {
 	b.Helper()
-	sys, err := newHybridOpts(hrtCore, nil)
+	sys, err := bench.NewSystemForWorld(core.WorldHRT, core.Options{
+		AppName: "bench", HRTCores: []machine.CoreID{hrtCore},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return sys
 }
 
-func newHybridOpts(hrtCore machine.CoreID, tracer *telemetry.Tracer) (*core.System, error) {
-	fat, err := core.Build(core.BuildInput{
-		App:        core.NewAppImage("bench"),
-		AeroKernel: core.NewAeroKernelImage(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(fat, core.Options{
-		Hybrid:   true,
-		AppName:  "bench",
-		HRTCores: []machine.CoreID{hrtCore},
-		Tracer:   tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.InitRuntime(); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-// TestFig2TelemetryInvariance pins the telemetry layer's core contract:
-// recording spans and metrics never advances a virtual clock, so every
-// Figure 2 latency is identical — not merely close — with tracing on.
-func TestFig2TelemetryInvariance(t *testing.T) {
-	measure := func(tracer *telemetry.Tracer) map[string]cycles.Cycles {
-		sys, err := newHybridOpts(1, tracer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clk := sys.Main.Clock
-		out := make(map[string]cycles.Cycles)
-
-		start := clk.Now()
-		if err := sys.HVM.MergeAddressSpace(clk, sys.Proc.CR3()); err != nil {
-			t.Fatal(err)
-		}
-		out["merger"] = clk.Now() - start
-
-		noop := sys.AK.RegisterFunc("inv_noop", func(*aerokernel.Thread, []uint64) uint64 { return 0 })
-		start = clk.Now()
-		if _, err := sys.HVM.AsyncCall(clk, noop); err != nil {
-			t.Fatal(err)
-		}
-		out["async"] = clk.Now() - start
-
-		p, err := openSyncEcho(sys, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		start = clk.Now()
-		if _, _, err := p.Invoke(clk, linuxabi.Call{}, 0); err != nil {
-			t.Fatal(err)
-		}
-		out["sync"] = clk.Now() - start
-		return out
-	}
-
-	off := measure(nil)
-	on := measure(telemetry.New())
-	for name, want := range off {
-		if got := on[name]; got != want {
-			t.Errorf("%s latency changed with tracing on: %d vs %d cycles (delta %d)",
-				name, got, want, int64(got)-int64(want))
-		}
-	}
-}
-
 func reportVCycles(b *testing.B, total cycles.Cycles) {
 	b.ReportMetric(float64(total)/float64(b.N), "vcycles/op")
-}
-
-// ---- Figure 2: ROS<->HRT round-trip latencies ---------------------------
-
-func BenchmarkFig2_AddressSpaceMerger(b *testing.B) {
-	sys := newHybrid(b, 1)
-	clk := sys.Main.Clock
-	start := clk.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sys.HVM.MergeAddressSpace(clk, sys.Proc.CR3()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportVCycles(b, clk.Now()-start)
-}
-
-func BenchmarkFig2_AsynchronousCall(b *testing.B) {
-	sys := newHybrid(b, 1)
-	clk := sys.Main.Clock
-	noop := sys.AK.RegisterFunc("bench_noop", func(*aerokernel.Thread, []uint64) uint64 { return 0 })
-	start := clk.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.HVM.AsyncCall(clk, noop); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportVCycles(b, clk.Now()-start)
-}
-
-// openSyncEcho opens the section 4.3 synchronous channel between the ROS
-// boot core and an HRT poller on hrtCore, answering every call with 0. As
-// in Figure 2 the ends are swapped, since the call runs from the ROS to
-// the HRT. Close the channel to stop the poller.
-func openSyncEcho(sys *core.System, hrtCore machine.CoreID) (*hvm.PolledChannel, error) {
-	clk := sys.Main.Clock
-	p, err := sys.HVM.OpenPolled(clk, hvm.PollSync, hrtCore, sys.Kernel.BootCore())
-	if err != nil {
-		return nil, err
-	}
-	pollClk := cycles.NewClock(clk.Now())
-	go func() {
-		for p.Serve(pollClk, func(linuxabi.Call) linuxabi.Result { return linuxabi.Result{} }) {
-		}
-	}()
-	return p, nil
-}
-
-func benchSyncCall(b *testing.B, hrtCore machine.CoreID) {
-	sys := newHybrid(b, hrtCore)
-	clk := sys.Main.Clock
-	p, err := openSyncEcho(sys, hrtCore)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	start := clk.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Invoke(clk, linuxabi.Call{}, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportVCycles(b, clk.Now()-start)
-}
-
-func BenchmarkFig2_SynchronousCallSameSocket(b *testing.B)  { benchSyncCall(b, 1) }
-func BenchmarkFig2_SynchronousCallCrossSocket(b *testing.B) { benchSyncCall(b, 4) }
-
-// ---- Figure 9: system call latency, Virtual vs Multiverse ---------------
-
-// fig9Op issues one instance of the named call against env.
-func fig9Op(b *testing.B, env core.Env, name string, fd uint64, buf uint64, payload []byte) {
-	switch name {
-	case "getpid":
-		env.VDSO(linuxabi.SysGetpid)
-	case "gettimeofday":
-		env.VDSO(linuxabi.SysGettimeofday)
-	case "fwrite":
-		env.Syscall(linuxabi.Call{Num: linuxabi.SysWrite, Args: [6]uint64{fd, buf, uint64(len(payload))}, Data: payload})
-	case "stat":
-		env.Syscall(linuxabi.Call{Num: linuxabi.SysStat, Path: "/fig9/in.dat"})
-	case "read":
-		env.Syscall(linuxabi.Call{Num: linuxabi.SysLseek, Args: [6]uint64{fd, 0, 0}})
-		env.Syscall(linuxabi.Call{Num: linuxabi.SysRead, Args: [6]uint64{fd, buf, 1 << 20}})
-	case "getcwd":
-		env.Syscall(linuxabi.Call{Num: linuxabi.SysGetcwd})
-	case "open":
-		r := env.Syscall(linuxabi.Call{Num: linuxabi.SysOpen, Path: "/fig9/in.dat", Args: [6]uint64{0, linuxabi.ORdonly}})
-		env.Syscall(linuxabi.Call{Num: linuxabi.SysClose, Args: [6]uint64{r.Ret}})
-	case "mmap":
-		r := env.Syscall(linuxabi.Call{Num: linuxabi.SysMmap, Args: [6]uint64{0, 1 << 20, linuxabi.ProtRead | linuxabi.ProtWrite, linuxabi.MapPrivate | linuxabi.MapAnonymous}})
-		env.Syscall(linuxabi.Call{Num: linuxabi.SysMunmap, Args: [6]uint64{r.Ret, 1 << 20}})
-	default:
-		b.Fatalf("unknown fig9 op %q", name)
-	}
-}
-
-func fig9Setup(b *testing.B, env core.Env) (fd, buf uint64, payload []byte) {
-	mres := env.Syscall(linuxabi.Call{Num: linuxabi.SysMmap, Args: [6]uint64{0, 1 << 20, linuxabi.ProtRead | linuxabi.ProtWrite, linuxabi.MapPrivate | linuxabi.MapAnonymous}})
-	for off := uint64(0); off < 1<<20; off += 4096 {
-		if err := env.Touch(mres.Ret+off, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-	o := env.Syscall(linuxabi.Call{Num: linuxabi.SysOpen, Path: "/fig9/in.dat", Args: [6]uint64{0, linuxabi.ORdwr}})
-	return o.Ret, mres.Ret, make([]byte, 1<<20)
-}
-
-func fig9FS(b *testing.B, sys *core.System) {
-	b.Helper()
-	if err := sys.Kernel.FS().MkdirAll("/fig9"); err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Kernel.FS().WriteFile("/fig9/in.dat", make([]byte, 1<<20)); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkFig9_Virtual(b *testing.B) {
-	calls := []string{"getpid", "gettimeofday", "fwrite", "stat", "read", "getcwd", "open", "close", "mmap"}
-	for _, name := range calls {
-		if name == "close" {
-			continue // folded into open
-		}
-		b.Run(name, func(b *testing.B) {
-			sys, err := core.NewSystem(nil, core.Options{Virtual: true, AppName: "fig9"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			fig9FS(b, sys)
-			env := sys.NativeEnv()
-			fd, buf, payload := fig9Setup(b, env)
-			clk := env.Clock()
-			start := clk.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fig9Op(b, env, name, fd, buf, payload)
-			}
-			reportVCycles(b, clk.Now()-start)
-		})
-	}
-}
-
-func BenchmarkFig9_Multiverse(b *testing.B) {
-	calls := []string{"getpid", "gettimeofday", "fwrite", "stat", "read", "getcwd", "open", "mmap"}
-	for _, name := range calls {
-		b.Run(name, func(b *testing.B) {
-			sys := newHybrid(b, 1)
-			fig9FS(b, sys)
-			var total cycles.Cycles
-			if _, err := sys.HRTInvokeFunc(func(env core.Env) uint64 {
-				fd, buf, payload := fig9Setup(b, env)
-				clk := env.Clock()
-				start := clk.Now()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					fig9Op(b, env, name, fd, buf, payload)
-				}
-				total = clk.Now() - start
-				return 0
-			}); err != nil {
-				b.Fatal(err)
-			}
-			reportVCycles(b, total)
-		})
-	}
 }
 
 // ---- Figures 10-13: the Racket-stand-in benchmarks ----------------------
@@ -520,11 +284,6 @@ func BenchmarkAblation_Pinning(b *testing.B) {
 			reportVCycles(b, total)
 		})
 	}
-}
-
-func BenchmarkAblation_ChannelKind(b *testing.B) {
-	b.Run("async", BenchmarkFig2_AsynchronousCall)
-	b.Run("sync", func(b *testing.B) { benchSyncCall(b, 1) })
 }
 
 // ---- The interpreter itself (Go-level performance) ----------------------

@@ -59,7 +59,6 @@ type Kernel struct {
 	nextFunc uint64
 	merged   bool
 	rosCR3   uint64
-	merges   int
 
 	// Incremental-merger state: the ROS-published generation source, the
 	// snapshot the last merge consumed, and the cached ros-merge-view
@@ -79,7 +78,6 @@ type Kernel struct {
 	// a repeat means the ROS changed a top-level mapping and the PML4
 	// must be re-merged (section 4.4).
 	lastFault map[machine.CoreID]uint64
-	remerges  int
 	// eagerRemerge re-merges on *every* forwarded fault — the naive
 	// alternative policy the re-merge ablation compares against.
 	eagerRemerge bool
@@ -111,13 +109,13 @@ type Kernel struct {
 	metrics  *telemetry.Registry
 	recorder *telemetry.Recorder
 
-	// Counters for the evaluation. forwardedSyscalls is on the syscall
-	// hot path, so it is an atomic with its metric handle resolved once
-	// (fwdSysCtr) rather than a k.mu critical section plus a registry
-	// lookup per call.
-	forwardedFaults   uint64
-	forwardedSyscalls atomic.Uint64
-	fwdSysCtr         *telemetry.Counter
+	// The evaluation's boundary counts live only in the registry; Boot
+	// resolves their handles once so the syscall and fault paths pay one
+	// atomic add, not a registry lookup.
+	fwdSysCtr   *telemetry.Counter
+	fwdFaultCtr *telemetry.Counter
+	mergeCtr    *telemetry.Counter
+	remergeCtr  *telemetry.Counter
 
 	// faults is the armed fault-injection plane (nil = off), delivered
 	// through the boot protocol for HRT-panic injection.
@@ -151,6 +149,9 @@ func Boot(m *machine.Machine, info hvm.BootInfo) (*Kernel, error) {
 		k.metrics = telemetry.NewRegistry()
 	}
 	k.fwdSysCtr = k.metrics.Counter("ak.forwarded_syscalls")
+	k.fwdFaultCtr = k.metrics.Counter("ak.forwarded_faults")
+	k.mergeCtr = k.metrics.Counter("ak.merges")
+	k.remergeCtr = k.metrics.Counter("ak.remerges")
 	zone := m.ZoneOfCore(info.Core)
 	space, err := paging.NewAddressSpace(m.Phys, zone, "hrt")
 	if err != nil {
@@ -302,12 +303,11 @@ func (k *Kernel) Merged() bool {
 	return k.merged
 }
 
-// MergeCount returns how many mergers (initial + re-merges) have run.
-func (k *Kernel) MergeCount() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.merges
-}
+// MergeCount returns how many mergers (initial + re-merges) have run:
+// the registry's ak.merges counter. Like every count below it is
+// registry-wide — grid nodes share one registry, and an HRT reboot does
+// not reset it.
+func (k *Kernel) MergeCount() int { return int(k.mergeCtr.Value()) }
 
 // EnableIncrementalMerger installs the ROS generation source: subsequent
 // re-merges against the same CR3 copy only the PML4 slots whose generation
@@ -370,32 +370,19 @@ func (k *Kernel) SetEagerRemerge(on bool) {
 	k.eagerRemerge = on
 }
 
-// RemergeCount returns how many duplicate-fault re-merges have run.
-func (k *Kernel) RemergeCount() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.remerges
-}
+// RemergeCount returns how many re-merges the fault handler has run (the
+// registry's ak.remerges counter; registry-wide, see MergeCount).
+func (k *Kernel) RemergeCount() int { return int(k.remergeCtr.Value()) }
 
-// ForwardedFaults returns the number of page faults forwarded to the ROS.
-func (k *Kernel) ForwardedFaults() uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.forwardedFaults
-}
+// ForwardedFaults returns the number of page faults forwarded to the ROS
+// (the registry's ak.forwarded_faults counter; registry-wide, see
+// MergeCount). Thread.ForwardedFaults is one thread's share.
+func (k *Kernel) ForwardedFaults() uint64 { return k.fwdFaultCtr.Value() }
 
-// ForwardedSyscalls returns the number of system calls forwarded.
-func (k *Kernel) ForwardedSyscalls() uint64 {
-	return k.forwardedSyscalls.Load()
-}
-
-// countForwardedSyscall bumps both views of the forwarded-syscall count:
-// the evaluation counter and the exposition-plane metric (whose handle
-// Boot resolved once).
-func (k *Kernel) countForwardedSyscall() {
-	k.forwardedSyscalls.Add(1)
-	k.fwdSysCtr.Inc()
-}
+// ForwardedSyscalls returns the number of system calls forwarded (the
+// registry's ak.forwarded_syscalls counter; registry-wide, see
+// MergeCount).
+func (k *Kernel) ForwardedSyscalls() uint64 { return k.fwdSysCtr.Value() }
 
 // targetedShootdownMaxSlots is the delta size up to which a re-merge
 // invalidates per-slot (invlpg on resident entries) instead of broadcasting
@@ -486,12 +473,11 @@ func (k *Kernel) Merge(clk *cycles.Clock, onCore machine.CoreID, cr3 uint64) err
 	k.mu.Lock()
 	k.merged = true
 	k.rosCR3 = cr3
-	k.merges++
 	if gens != nil {
 		k.lastGen = gens
 	}
 	k.mu.Unlock()
-	k.metrics.Counter("ak.merges").Inc()
+	k.mergeCtr.Inc()
 	k.metrics.LatencyHistogram("ak.merge.latency").Observe(clk.Now() - start)
 	k.recorder.Record(clk.Now(), telemetry.RecMergeDelta, uint64(onCore), 0, uint64(n), boolU64(delta))
 	return nil
@@ -659,10 +645,7 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 		if err := k.Merge(t.Clock, t.Core, cr3); err != nil {
 			return err
 		}
-		k.mu.Lock()
-		k.remerges++
-		k.mu.Unlock()
-		k.metrics.Counter("ak.remerges").Inc()
+		k.remergeCtr.Inc()
 		k.recorder.Record(t.Clock.Now(), telemetry.RecRemerge, uint64(t.ID), reqID, addr, 0)
 	} else if dup {
 		// Same address faulted twice in a row: the ROS must have
@@ -671,10 +654,9 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 			return err
 		}
 		k.mu.Lock()
-		k.remerges++
 		delete(k.lastFault, t.Core)
 		k.mu.Unlock()
-		k.metrics.Counter("ak.remerges").Inc()
+		k.remergeCtr.Inc()
 		k.recorder.Record(t.Clock.Now(), telemetry.RecRemerge, uint64(t.ID), reqID, addr, 0)
 		return nil
 	}
@@ -696,10 +678,8 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 	if ch == nil {
 		return fmt.Errorf("aerokernel: fault at %#x with no event channel", addr)
 	}
-	k.mu.Lock()
-	k.forwardedFaults++
-	k.mu.Unlock()
-	k.metrics.Counter("ak.forwarded_faults").Inc()
+	t.fwdFaults++
+	k.fwdFaultCtr.Inc()
 	reply, err := ch.Forward(t.Clock, &hvm.Envelope{
 		Kind:       hvm.EvPageFault,
 		FaultAddr:  addr,

@@ -61,7 +61,17 @@ type Thread struct {
 	// whose sequence must not shift when fault forwards also start
 	// allocating ids. Only the owning goroutine touches it.
 	reqCount uint64
+
+	// fwdFaults counts the page faults this thread's accesses forwarded
+	// to the ROS. The fault handler runs synchronously inside Touch, so
+	// only the owning goroutine touches it.
+	fwdFaults uint64
 }
+
+// ForwardedFaults returns how many page faults this thread's accesses
+// have forwarded to the ROS: the per-thread attribution a caller of Touch
+// reads, unperturbed by faults other threads forward meanwhile.
+func (t *Thread) ForwardedFaults() uint64 { return t.fwdFaults }
 
 // nextReqID allocates the causal request id for one boundary request:
 // the thread id in the high word, a per-thread ordinal in the low. The
@@ -457,11 +467,11 @@ func (t *Thread) Syscall(call linuxabi.Call) linuxabi.Result {
 			return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.EINTR}
 		}
 		if crossed {
-			k.countForwardedSyscall()
+			k.fwdSysCtr.Inc()
 		}
 		res = r
 	} else {
-		k.countForwardedSyscall()
+		k.fwdSysCtr.Inc()
 		ch := t.channel()
 		if ch == nil {
 			return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.ENOSYS}

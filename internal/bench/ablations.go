@@ -285,6 +285,23 @@ func AblationSyncSyscalls() (*Table, error) {
 	return t, nil
 }
 
+// channelKindCycles averages an HRT function invocation over runs calls
+// through each channel kind on sys: the asynchronous hypercall-and-
+// injection channel, and the synchronous polled channel to sys's HRT
+// core.
+func channelKindCycles(sys *core.System, runs int) (async, sync cycles.Cycles, err error) {
+	clk := sys.Main.Clock
+	noopAddr := sys.AK.RegisterFunc("ablate_noop",
+		func(t *aerokernel.Thread, args []uint64) uint64 { return args[0] })
+	async = avgCycles(clk, runs, func() {
+		if _, aerr := sys.HVM.AsyncCall(clk, noopAddr, 7); aerr != nil {
+			panic(aerr)
+		}
+	})
+	sync, err = syncCallCycles(sys, sys.Opts.HRTCores[0], runs, 7)
+	return async, sync, err
+}
+
 // AblationChannelKind compares invoking an HRT function via the
 // asynchronous (hypercall + injection) path against the post-merger
 // synchronous memory-polling channel.
@@ -293,17 +310,7 @@ func AblationChannelKind() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	clk := sys.Main.Clock
-	noopAddr := sys.AK.RegisterFunc("ablate_noop",
-		func(t *aerokernel.Thread, args []uint64) uint64 { return args[0] })
-
-	async := avgCycles(clk, latencyRuns, func() {
-		if _, aerr := sys.HVM.AsyncCall(clk, noopAddr, 7); aerr != nil {
-			panic(aerr)
-		}
-	})
-
-	sync, err := syncCallCycles(sys, sys.Opts.HRTCores[0], latencyRuns, 7)
+	async, sync, err := channelKindCycles(sys, latencyRuns)
 	if err != nil {
 		return nil, err
 	}

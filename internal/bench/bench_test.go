@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -458,6 +459,30 @@ func TestHotspotReportNamesTheGCCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := sys.Hotspots().Entries()
+	// The full profile is pinned: every HRT syscall and every forwarded
+	// fault, with its count and cycles, in report order.
+	want := []core.HotspotEntry{
+		{Name: "page-fault", Count: 1616, Cycles: 48751450},
+		{Name: "mmap", Count: 128, Cycles: 3554560},
+		{Name: "munmap", Count: 103, Cycles: 2907685},
+		{Name: "mprotect", Count: 31, Cycles: 850370},
+		{Name: "getrusage", Count: 12, Cycles: 317640},
+		{Name: "read", Count: 10, Cycles: 268200},
+		{Name: "write", Count: 6, Cycles: 163020},
+		{Name: "open", Count: 6, Cycles: 162420},
+		{Name: "stat", Count: 6, Cycles: 161820},
+		{Name: "close", Count: 6, Cycles: 158820},
+		{Name: "brk", Count: 2, Cycles: 54380},
+		{Name: "poll", Count: 2, Cycles: 52940},
+		{Name: "rt_sigaction", Count: 2, Cycles: 52940},
+		{Name: "setitimer", Count: 2, Cycles: 52940},
+		{Name: "getdents64", Count: 1, Cycles: 27170},
+		{Name: "ioctl", Count: 1, Cycles: 26470},
+		{Name: "uname", Count: 1, Cycles: 26470},
+	}
+	if !reflect.DeepEqual(entries, want) {
+		t.Errorf("binary-tree-2 hotspot profile drifted:\ngot  %+v\nwant %+v", entries, want)
+	}
 	if len(entries) < 5 {
 		t.Fatalf("hotspot entries = %d", len(entries))
 	}

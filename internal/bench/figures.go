@@ -98,22 +98,21 @@ func checkFigure2Order(merger, async, syncCross, syncSame cycles.Cycles) error {
 		uint64(syncSame), uint64(syncCross), uint64(async), uint64(merger))
 }
 
-// Figure2 regenerates the round-trip latency table of ROS<->HRT
-// interactions: address-space merger, asynchronous call, and synchronous
-// calls on the same and on different sockets. The paper measured ~33 K,
-// ~25 K, ~790, and ~1060 cycles respectively.
-func Figure2() (*Table, error) {
-	// ROS runs on core 0 (socket 0). Core 1 shares its socket; core 4 is
-	// on the other socket.
-	const sameSocketCore, crossSocketCore = machine.CoreID(1), machine.CoreID(4)
+// Figure 2 runs the ROS on core 0 (socket 0); the same-socket HRT core
+// shares its socket, the cross-socket one is on the other socket.
+const fig2SameSocketCore, fig2CrossSocketCore = machine.CoreID(1), machine.CoreID(4)
 
-	sys, err := newHybrid("fig2", sameSocketCore)
-	if err != nil {
-		return nil, err
-	}
+// fig2Latencies is Figure 2's four averaged round trips.
+type fig2Latencies struct {
+	merger, async, syncCross, syncSame cycles.Cycles
+}
+
+// measureFig2 averages each of Figure 2's round trips over runs on sys, a
+// hybrid system whose HRT is on fig2SameSocketCore.
+func measureFig2(sys *core.System, runs int) (fig2Latencies, error) {
+	var l fig2Latencies
 	clk := sys.Main.Clock
-
-	merger := avgCycles(clk, latencyRuns, func() {
+	l.merger = avgCycles(clk, runs, func() {
 		if merr := sys.HVM.MergeAddressSpace(clk, sys.Proc.CR3()); merr != nil {
 			panic(merr)
 		}
@@ -121,21 +120,34 @@ func Figure2() (*Table, error) {
 
 	noopAddr := sys.AK.RegisterFunc("fig2_noop",
 		func(t *aerokernel.Thread, args []uint64) uint64 { return 0 })
-	async := avgCycles(clk, latencyRuns, func() {
+	l.async = avgCycles(clk, runs, func() {
 		if _, aerr := sys.HVM.AsyncCall(clk, noopAddr); aerr != nil {
 			panic(aerr)
 		}
 	})
 
-	syncSame, err := syncCallCycles(sys, sameSocketCore, latencyRuns, 0)
+	var err error
+	if l.syncSame, err = syncCallCycles(sys, fig2SameSocketCore, runs, 0); err != nil {
+		return l, err
+	}
+	l.syncCross, err = syncCallCycles(sys, fig2CrossSocketCore, runs, 0)
+	return l, err
+}
+
+// Figure2 regenerates the round-trip latency table of ROS<->HRT
+// interactions: address-space merger, asynchronous call, and synchronous
+// calls on the same and on different sockets. The paper measured ~33 K,
+// ~25 K, ~790, and ~1060 cycles respectively.
+func Figure2() (*Table, error) {
+	sys, err := newHybrid("fig2", fig2SameSocketCore)
 	if err != nil {
 		return nil, err
 	}
-	syncCross, err := syncCallCycles(sys, crossSocketCore, latencyRuns, 0)
+	l, err := measureFig2(sys, latencyRuns)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkFigure2Order(merger, async, syncCross, syncSame); err != nil {
+	if err := checkFigure2Order(l.merger, l.async, l.syncCross, l.syncSame); err != nil {
 		return nil, err
 	}
 
@@ -146,10 +158,10 @@ func Figure2() (*Table, error) {
 	row := func(name string, c cycles.Cycles) {
 		t.AddRow(name, fmt.Sprintf("~%d", uint64(c)), fmt.Sprintf("%.1f ns", c.Nanoseconds()))
 	}
-	row("Address Space Merger", merger)
-	row("Asynchronous Call", async)
-	row("Synchronous Call (different socket)", syncCross)
-	row("Synchronous Call (same socket)", syncSame)
+	row("Address Space Merger", l.merger)
+	row("Asynchronous Call", l.async)
+	row("Synchronous Call (different socket)", l.syncCross)
+	row("Synchronous Call (same socket)", l.syncSame)
 	t.AddNote("paper: ~33K / ~25K / ~1060 / ~790 cycles")
 	latencyHistogramNotes(t, sys.Metrics(),
 		"hvm.merge_request.latency", "hvm.async_call.latency", "sync.syscall.latency")
@@ -237,52 +249,53 @@ func measureFig9(env core.Env, runs int) (map[string]cycles.Cycles, error) {
 	return out, nil
 }
 
+// fig9World measures Figure 9's calls in one world, WorldVirtual or
+// WorldHRT (from inside an HRT thread), averaging runs of each; it also
+// returns the system the calls ran on.
+func fig9World(world core.World, runs int) (map[string]cycles.Cycles, *core.System, error) {
+	fs, err := provisionFS(nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := core.Options{FS: fs, AppName: "fig9v"}
+	if world == core.WorldHRT {
+		opts.AppName, opts.HRTCores = "fig9m", []machine.CoreID{1}
+	}
+	sys, err := NewSystemForWorld(world, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := fs.MkdirAll("/fig9"); err != nil {
+		return nil, nil, err
+	}
+	if err := fs.WriteFile("/fig9/in.dat", make([]byte, payloadMB)); err != nil {
+		return nil, nil, err
+	}
+	if world != core.WorldHRT {
+		lat, err := measureFig9(sys.NativeEnv(), runs)
+		return lat, sys, err
+	}
+	var lat map[string]cycles.Cycles
+	var mErr error
+	if _, err := sys.HRTInvokeFunc(func(env core.Env) uint64 {
+		lat, mErr = measureFig9(env, runs)
+		return 0
+	}); err != nil {
+		return nil, nil, err
+	}
+	return lat, sys, mErr
+}
+
 // Figure9 regenerates the system-call latency comparison, Virtual vs.
 // Multiverse, for the nine calls (1 MiB payloads where applicable).
 func Figure9() (*Table, error) {
-	provision := func(sys *core.System) error {
-		fs := sys.Kernel.FS()
-		if err := fs.MkdirAll("/fig9"); err != nil {
-			return err
-		}
-		return fs.WriteFile("/fig9/in.dat", make([]byte, payloadMB))
-	}
-
-	// Virtual baseline.
-	fsV, err := provisionFS(nil)
+	virt, _, err := fig9World(core.WorldVirtual, latencyRuns)
 	if err != nil {
 		return nil, err
 	}
-	sysV, err := core.NewSystem(nil, core.Options{Virtual: true, FS: fsV, AppName: "fig9v"})
+	mv, sysM, err := fig9World(core.WorldHRT, latencyRuns)
 	if err != nil {
 		return nil, err
-	}
-	if err := provision(sysV); err != nil {
-		return nil, err
-	}
-	virt, err := measureFig9(sysV.NativeEnv(), latencyRuns)
-	if err != nil {
-		return nil, err
-	}
-
-	// Multiverse: measure from inside an HRT thread.
-	sysM, err := newHybrid("fig9m", 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := provision(sysM); err != nil {
-		return nil, err
-	}
-	var mv map[string]cycles.Cycles
-	var mvErr error
-	if _, err := sysM.HRTInvokeFunc(func(env core.Env) uint64 {
-		mv, mvErr = measureFig9(env, latencyRuns)
-		return 0
-	}); err != nil {
-		return nil, err
-	}
-	if mvErr != nil {
-		return nil, mvErr
 	}
 
 	t := &Table{

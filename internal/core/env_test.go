@@ -6,6 +6,7 @@ import (
 
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/ros"
+	"multiverse/internal/telemetry"
 )
 
 func TestNativeEnvSurface(t *testing.T) {
@@ -63,10 +64,14 @@ func TestNativeEnvVirtualWorldTag(t *testing.T) {
 }
 
 func TestHotspotProfileUnit(t *testing.T) {
-	hp := newHotspotProfile()
-	hp.record("mmap", 1000)
-	hp.record("mmap", 500)
-	hp.record("page-fault", 9000)
+	// Syscall entries sum the per-group SLO histograms by call name;
+	// page faults are the hotspot counter pair.
+	reg := telemetry.NewRegistry()
+	hp := &HotspotProfile{reg: reg}
+	reg.LatencyHistogram(telemetry.SLOPrefix + "g1.mmap").Observe(1000)
+	reg.LatencyHistogram(telemetry.SLOPrefix + "g2.mmap").Observe(500)
+	reg.LatencyHistogram("forward.syscall.latency").Observe(7000)
+	hp.recordFault(9000)
 	entries := hp.Entries()
 	if len(entries) != 2 || entries[0].Name != "page-fault" {
 		t.Fatalf("entries = %+v", entries)

@@ -727,10 +727,10 @@ func (e *hrtEnv) Syscall(call linuxabi.Call) linuxabi.Result {
 	if e.sys().Opts.TenantBudget != nil {
 		e.group.chargeBudget(lat)
 	}
-	e.sys().recordHotspot(call.Num, false, lat)
-	// Per-group, per-syscall-kind SLO distribution. Wall-only cost: the
-	// histogram observes the already-computed virtual latency and never
-	// advances a clock.
+	// Per-group, per-syscall-kind SLO distribution, and the source of
+	// the hotspot report's syscall entries. Wall-only cost: the histogram
+	// observes the already-computed virtual latency and never advances a
+	// clock.
 	e.sys().metrics.LatencyHistogram(telemetry.SLOPrefix + "g" +
 		strconv.FormatUint(e.group.id, 10) + "." + call.Num.String()).Observe(lat)
 	return res
@@ -743,11 +743,13 @@ func (e *hrtEnv) VDSO(num linuxabi.Sysno) (uint64, linuxabi.Errno) {
 }
 
 func (e *hrtEnv) Touch(addr uint64, write bool) error {
-	before := e.sys().AK.ForwardedFaults()
+	// This thread's own forwarded-fault count: another group forwarding
+	// a fault meanwhile must not make this access a page-fault hotspot.
+	before := e.t.ForwardedFaults()
 	start := e.t.Clock.Now()
 	err := e.t.Touch(addr, write)
-	if e.sys().AK.ForwardedFaults() > before {
-		e.sys().recordHotspot(0, true, e.t.Clock.Now()-start)
+	if e.t.ForwardedFaults() > before {
+		e.sys().Hotspots().recordFault(e.t.Clock.Now() - start)
 	}
 	return err
 }

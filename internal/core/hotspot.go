@@ -6,25 +6,33 @@ import (
 	"strings"
 
 	"multiverse/internal/cycles"
-	"multiverse/internal/linuxabi"
 	"multiverse/internal/telemetry"
 )
 
 // The hotspot profile operationalizes the paper's incremental methodology:
 // "The runtime developer can then identify hot spots in the legacy
 // interface and move their implementations (possibly even changing their
-// interfaces) into the AeroKernel." Every event an execution group
-// forwards is attributed here with its full round-trip cost, and the
-// report ranks legacy dependencies by the cycles they burn — the porting
-// worklist.
+// interfaces) into the AeroKernel." Every system call HRT code issues is
+// attributed here with the cost its thread saw — forwarded calls and
+// router-answered ones alike — and so is every access whose page fault
+// the thread forwarded to the ROS. The report ranks legacy dependencies
+// by the cycles they burn — the porting worklist.
 //
 // The profile keeps no bookkeeping of its own: it is a read view over the
-// system's telemetry registry, where each forwarded dependency is a pair
-// of counters, `hotspot.<name>.count` and `hotspot.<name>.cycles`. The
-// same numbers therefore appear in the --metrics dump.
+// system's telemetry registry. A system call's entry sums, across groups,
+// the count and cycle total of the per-group SLO histograms
+// `slo.g<group>.<syscall>` the HRT syscall boundary records; page faults
+// are the counter pair `hotspot.page-fault.count` and
+// `hotspot.page-fault.cycles`. The same numbers therefore appear in the
+// --metrics dump.
 
-// hotspotPrefix namespaces the profile's counters in the registry.
-const hotspotPrefix = "hotspot."
+// faultHotspot names the forwarded-page-fault entry, and its counters in
+// the registry.
+const (
+	faultHotspot      = "page-fault"
+	faultCountMetric  = "hotspot." + faultHotspot + ".count"
+	faultCyclesMetric = "hotspot." + faultHotspot + ".cycles"
+)
 
 // HotspotEntry is one legacy dependency's aggregate cost.
 type HotspotEntry struct {
@@ -33,49 +41,47 @@ type HotspotEntry struct {
 	Cycles cycles.Cycles
 }
 
-// HotspotProfile reads forwarded-event costs out of a metrics registry.
+// HotspotProfile reads HRT boundary costs out of a metrics registry.
 type HotspotProfile struct {
 	reg *telemetry.Registry
 }
 
-// newHotspotProfile returns a profile over a private registry (tests and
-// standalone use; a System's profile shares the run's registry instead).
-func newHotspotProfile() *HotspotProfile {
-	return &HotspotProfile{reg: telemetry.NewRegistry()}
-}
-
-func (hp *HotspotProfile) record(name string, cost cycles.Cycles) {
-	hp.reg.Counter(hotspotPrefix + name + ".count").Inc()
-	hp.reg.Counter(hotspotPrefix + name + ".cycles").Add(uint64(cost))
+// recordFault attributes one access whose page fault was forwarded.
+func (hp *HotspotProfile) recordFault(cost cycles.Cycles) {
+	hp.reg.Counter(faultCountMetric).Inc()
+	hp.reg.Counter(faultCyclesMetric).Add(uint64(cost))
 }
 
 // Entries returns the profile sorted by total cycles, descending.
 func (hp *HotspotProfile) Entries() []HotspotEntry {
 	byName := make(map[string]*HotspotEntry)
-	hp.reg.EachCounter(func(name string, v uint64) {
-		if !strings.HasPrefix(name, hotspotPrefix) {
-			return
-		}
-		rest := strings.TrimPrefix(name, hotspotPrefix)
-		var dep string
-		var isCount bool
-		switch {
-		case strings.HasSuffix(rest, ".count"):
-			dep, isCount = strings.TrimSuffix(rest, ".count"), true
-		case strings.HasSuffix(rest, ".cycles"):
-			dep = strings.TrimSuffix(rest, ".cycles")
-		default:
-			return
-		}
-		e := byName[dep]
+	entry := func(name string) *HotspotEntry {
+		e := byName[name]
 		if e == nil {
-			e = &HotspotEntry{Name: dep}
-			byName[dep] = e
+			e = &HotspotEntry{Name: name}
+			byName[name] = e
 		}
-		if isCount {
-			e.Count = v
-		} else {
-			e.Cycles = cycles.Cycles(v)
+		return e
+	}
+	hp.reg.EachHistogram(func(name string, h *telemetry.Histogram) {
+		rest, ok := strings.CutPrefix(name, telemetry.SLOPrefix)
+		if !ok {
+			return
+		}
+		_, call, ok := strings.Cut(rest, ".") // drop the "g<group>" part
+		if !ok {
+			return
+		}
+		e := entry(call)
+		e.Count += h.Count()
+		e.Cycles += h.Sum()
+	})
+	hp.reg.EachCounter(func(name string, v uint64) {
+		switch name {
+		case faultCountMetric:
+			entry(faultHotspot).Count = v
+		case faultCyclesMetric:
+			entry(faultHotspot).Cycles = cycles.Cycles(v)
 		}
 	})
 	out := make([]HotspotEntry, 0, len(byName))
@@ -91,7 +97,7 @@ func (hp *HotspotProfile) Entries() []HotspotEntry {
 	return out
 }
 
-// Total returns the aggregate forwarded cost.
+// Total returns the aggregate count and cost of every entry.
 func (hp *HotspotProfile) Total() (count uint64, total cycles.Cycles) {
 	for _, e := range hp.Entries() {
 		count += e.Count
@@ -118,22 +124,6 @@ func (hp *HotspotProfile) Report() string {
 	return b.String()
 }
 
-// Hotspots returns the system's forwarded-event profile (populated while
+// Hotspots returns the system's HRT boundary profile (populated while
 // hybridized code runs).
-func (s *System) Hotspots() *HotspotProfile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.hotspots == nil {
-		s.hotspots = &HotspotProfile{reg: s.metrics}
-	}
-	return s.hotspots
-}
-
-// recordHotspot attributes one forwarded event.
-func (s *System) recordHotspot(num linuxabi.Sysno, isFault bool, cost cycles.Cycles) {
-	name := num.String()
-	if isFault {
-		name = "page-fault"
-	}
-	s.Hotspots().record(name, cost)
-}
+func (s *System) Hotspots() *HotspotProfile { return &HotspotProfile{reg: s.metrics} }

@@ -177,7 +177,6 @@ type System struct {
 	mu          sync.Mutex
 	exitPending chan uint64 // group ids whose HRT thread exited
 	exitHooks   []func()
-	hotspots    *HotspotProfile
 
 	// Multi-tenancy state (tenancy.go): the live-group count admission
 	// control checks, the warm spawn pool, and the density instruments.

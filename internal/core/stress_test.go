@@ -110,3 +110,81 @@ func TestGroupSpawnAfterMainExit(t *testing.T) {
 		t.Error("spawn against a halted AeroKernel succeeded")
 	}
 }
+
+// TestPageFaultHotspotPerThread: the page-fault hotspot counts the
+// accesses whose own thread forwarded a fault. Group B touches N fresh
+// pages (N forwarded faults) while group A keeps touching one page that is
+// already resident in the merged tables; A must add no page-fault entries
+// however the host interleaves the two groups.
+func TestPageFaultHotspotPerThread(t *testing.T) {
+	const n = 32
+	sys := buildTestSystem(t, Options{AppName: "fault-attribution"})
+	clk := sys.Main.Clock
+	mmap := func(pages uint64) uint64 {
+		r := sys.Proc.Syscall(sys.Main, linuxabi.Call{
+			Num:  linuxabi.SysMmap,
+			Args: [6]uint64{0, pages * 4096, linuxabi.ProtRead | linuxabi.ProtWrite, linuxabi.MapPrivate | linuxabi.MapAnonymous},
+		})
+		if !r.Ok() {
+			t.Fatalf("mmap: %v", r.Err)
+		}
+		return r.Ret
+	}
+	resident, fresh := mmap(1), mmap(n)
+	if errno := sys.Proc.Touch(sys.Main, resident, true); errno != linuxabi.OK {
+		t.Fatalf("ROS touch: %v", errno)
+	}
+	// Re-merge so A's page is mapped in the HRT view before either group
+	// runs: A's touches never fault, and each of B's faults once.
+	if err := sys.HVM.MergeAddressSpace(clk, sys.Proc.CR3()); err != nil {
+		t.Fatal(err)
+	}
+
+	started, done := make(chan struct{}), make(chan struct{})
+	a, err := sys.SpawnGroup(clk, func(env Env) uint64 {
+		err := env.Touch(resident, false)
+		close(started)
+		for err == nil {
+			select {
+			case <-done:
+				return 0
+			default:
+				err = env.Touch(resident, false)
+			}
+		}
+		return 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.SpawnGroup(clk, func(env Env) uint64 {
+		defer close(done)
+		<-started
+		for off := uint64(0); off < n*4096; off += 4096 {
+			if err := env.Touch(fresh+off, true); err != nil {
+				return 1
+			}
+		}
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*ExecutionGroup{a, b} {
+		if code, err := g.WaitExit(clk); err != nil || code != 0 {
+			t.Fatalf("group exit %d, %v", code, err)
+		}
+	}
+	if got := b.HRTThread().ForwardedFaults(); got != n {
+		t.Errorf("group B forwarded %d faults, want %d", got, n)
+	}
+	var faults uint64
+	for _, e := range sys.Hotspots().Entries() {
+		if e.Name == "page-fault" {
+			faults = e.Count
+		}
+	}
+	if faults != n {
+		t.Errorf("page-fault hotspot count = %d, want %d", faults, n)
+	}
+}

@@ -316,7 +316,7 @@ func TestSyncChannelDropRetransmits(t *testing.T) {
 			if got := m.Counter(name + ".syscalls").Value(); got != 1 {
 				t.Errorf("%s.syscalls = %d, want 1", name, got)
 			}
-			if got := h.ExitCount(name); got != 0 {
+			if got := m.Counter("exits." + name).Value(); got != 0 {
 				t.Errorf("exits.%s = %d, want 0", name, got)
 			}
 			p.Close()

@@ -135,12 +135,12 @@ type HVM struct {
 	rosSignalStack *machine.Stack
 	rosSignalClock *cycles.Clock
 
-	// Exit statistics per kind, for the "thinner virtualization layer"
+	// Exit counts per kind, for the "thinner virtualization layer"
 	// analysis. Every VM exit from every group lands here, so at density
-	// scale the per-kind stats are lock-free: a sync.Map of exitStat
-	// entries whose count is an atomic and whose "exits.<kind>" metric
-	// handle is resolved once, at first exit of that kind.
-	exits sync.Map // string kind -> *exitStat
+	// scale the lookup is lock-free: a sync.Map caching each kind's
+	// "exits.<kind>" metric handle, resolved once, at the first exit of
+	// that kind.
+	exits sync.Map // string kind -> *telemetry.Counter
 
 	// Telemetry: tracer may be nil (tracing off); metrics is always
 	// non-nil. Channel ids make flow links deterministic.
@@ -249,35 +249,18 @@ func (h *HVM) RegisterBootHandler(bh BootHandler) {
 	h.bootHandler = bh
 }
 
-// exitStat is one exit kind's lock-free record: its count and its
-// pre-resolved metrics counter.
-type exitStat struct {
-	n   atomic.Uint64
-	ctr *telemetry.Counter
-}
-
-// countExit records one VM exit, both in the per-kind stats (ExitCount)
-// and as an "exits.<kind>" metrics counter so a run's exposition plane
-// can prove transport-level claims — in particular that the tier-3
-// exitless steady state really takes zero exits (exits.ring stays 0).
-// The path is lock-free after a kind's first exit: it used to take the
-// HVM mutex per exit, which serialized every group in the system.
+// countExit records one VM exit as an "exits.<kind>" metrics counter so
+// a run's exposition plane can prove transport-level claims — in
+// particular that the tier-3 exitless steady state really takes zero
+// exits (exits.ring stays 0). The path is lock-free after a kind's first
+// exit: it used to take the HVM mutex per exit, which serialized every
+// group in the system.
 func (h *HVM) countExit(kind string) {
 	v, ok := h.exits.Load(kind)
 	if !ok {
-		v, _ = h.exits.LoadOrStore(kind, &exitStat{ctr: h.metrics.Counter("exits." + kind)})
+		v, _ = h.exits.LoadOrStore(kind, h.metrics.Counter("exits."+kind))
 	}
-	st := v.(*exitStat)
-	st.n.Add(1)
-	st.ctr.Inc()
-}
-
-// ExitCount returns the number of VM exits recorded for a kind.
-func (h *HVM) ExitCount(kind string) uint64 {
-	if v, ok := h.exits.Load(kind); ok {
-		return v.(*exitStat).n.Load()
-	}
-	return 0
+	v.(*telemetry.Counter).Inc()
 }
 
 // hypercall charges one guest->VMM->guest transition to the calling

@@ -327,10 +327,11 @@ func TestExitAccounting(t *testing.T) {
 	h.RegisterBootHandler(func(BootInfo) (HRTSink, error) { return sink, nil })
 	_ = h.InstallImage(clk, &image.Image{Name: "nk"})
 	_ = h.BootHRT(clk)
-	if h.ExitCount("hypercall:install") != 1 {
+	m := h.Metrics()
+	if m.Counter("exits.hypercall:install").Value() != 1 {
 		t.Error("install hypercall not counted")
 	}
-	if h.ExitCount("hypercall:boot") != 1 {
+	if m.Counter("exits.hypercall:boot").Value() != 1 {
 		t.Error("boot hypercall not counted")
 	}
 }

@@ -3,7 +3,6 @@ package hvm
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"multiverse/internal/cycles"
 	"multiverse/internal/linuxabi"
@@ -76,10 +75,6 @@ type SyscallRouter struct {
 	ringClean    int
 	ringHold     bool
 	ringWasLossy bool
-
-	// crossings counts tier-2 forwards (calls that actually crossed the
-	// boundary); atomic so the harness can read it mid-run.
-	crossings atomic.Uint64
 }
 
 // rung is one polled transport of the promotion ladder: its hooks, its
@@ -310,10 +305,6 @@ func (r *SyscallRouter) SetPollHooks(
 	}
 }
 
-// Crossings reports how many routed calls actually crossed the boundary
-// (tier-2 forwards). Race-free mid-run.
-func (r *SyscallRouter) Crossings() uint64 { return r.crossings.Load() }
-
 // Dispatch routes one system call from the HRT thread. It returns the
 // result, whether the call crossed the boundary, and a transport error (a
 // closed channel) if any. clk is the HRT thread's clock; each tier charges
@@ -437,7 +428,6 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 	if x := r.climb(clk, &r.ring); x != nil {
 		res, retx, err := x.Invoke(clk, call, reqID)
 		if err == nil {
-			r.crossings.Add(1)
 			m.Counter("router.forward.ring").Inc()
 			r.noteRingTransport(clk, retx)
 			return res, nil
@@ -448,7 +438,6 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 		r.ringDown(clk)
 	}
 	sc := r.climb(clk, &r.sync)
-	r.crossings.Add(1)
 	if sc != nil {
 		res, retx, err := sc.Invoke(clk, call, reqID)
 		if err != nil {

@@ -106,6 +106,10 @@ func DefaultLatencyBuckets() []cycles.Cycles {
 	}
 }
 
+// defaultEdges is the one copy of DefaultLatencyBuckets every
+// default-bucket histogram shares; nothing writes it after init.
+var defaultEdges = DefaultLatencyBuckets()
+
 // Observe records one value.
 func (h *Histogram) Observe(v cycles.Cycles) {
 	if h == nil {
@@ -233,10 +237,12 @@ func (r *Registry) Histogram(name string, edges []cycles.Cycles) *Histogram {
 	h := r.hists[name]
 	if h == nil {
 		if len(edges) == 0 {
-			edges = DefaultLatencyBuckets()
+			edges = defaultEdges
+		} else {
+			edges = append([]cycles.Cycles(nil), edges...)
 		}
 		h = &Histogram{
-			edges:  append([]cycles.Cycles(nil), edges...),
+			edges:  edges,
 			counts: make([]atomic.Uint64, len(edges)+1),
 		}
 		r.hists[name] = h

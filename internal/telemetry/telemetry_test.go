@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -140,6 +141,33 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 	if h.Sum() != 10+11+100+101+1000+1001 {
 		t.Errorf("Sum = %d", h.Sum())
+	}
+}
+
+// TestDefaultHistogramSharesEdges: every default-bucket histogram (one
+// per group and syscall kind for the SLO histograms) shares one copy of
+// the default edges, so creating one allocates only the histogram and its
+// bucket counts.
+func TestDefaultHistogramSharesEdges(t *testing.T) {
+	const runs = 1000
+	r := NewRegistry()
+	names := make([]string, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range names {
+		names[i] = "slo.g" + strconv.Itoa(i) + ".write"
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		r.LatencyHistogram(names[i])
+		i++
+	})
+	if allocs > 2 {
+		t.Errorf("new default histogram: %.0f allocs, want <= 2 (histogram + bucket counts)", allocs)
+	}
+	h := r.LatencyHistogram(names[0])
+	edges := h.Edges()
+	edges[0] = 1
+	if got := r.LatencyHistogram(names[1]).Edges()[0]; got != DefaultLatencyBuckets()[0] {
+		t.Errorf("Edges() copy leaked into the shared edges: first edge %d", got)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestRouterCacheInvalidation(t *testing.T) {
 		}
 		env.Syscall(linuxabi.Call{Num: linuxabi.SysClose, Args: [6]uint64{ores.Ret}})
 
-		// The write's mutation hook must have dropped the cached stat:
+		// The write restamped the file, so the cached stat is stale:
 		// this stat re-forwards and sees the new size.
 		misses := m.Counter("router.cache_misses").Value()
 		if n := statSize(env); n != 8 {
@@ -89,6 +89,65 @@ func TestRouterCacheInvalidation(t *testing.T) {
 	}
 	if inv := m.Counter("router.cache_invalidations").Value(); inv == 0 {
 		t.Error("no cache invalidations recorded")
+	}
+}
+
+// TestRouterInvalidationCount scripts every tier-1 shape through a cache
+// fill, a hit and a mutation, and leaves some entries stale without ever
+// reading them again. Each entry a mutation outdates counts as one
+// invalidation however it is found — at its next lookup or at the group's
+// shutdown — so the run's totals are fixed: 7 hits, 9 misses and 8
+// invalidations.
+func TestRouterInvalidationCount(t *testing.T) {
+	sys := routedSystem(t, "router-count", hvm.RouterPolicy{})
+	if err := sys.Kernel.FS().WriteFile("/data.txt", []byte("12345")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.HRTInvokeFunc(func(env core.Env) uint64 {
+		sc := func(c linuxabi.Call) linuxabi.Result {
+			res := env.Syscall(c)
+			if !res.Ok() {
+				t.Errorf("%v: %v", c.Num, res.Err)
+			}
+			return res
+		}
+		open := linuxabi.Call{Num: linuxabi.SysOpen, Path: "/data.txt", Args: [6]uint64{0, linuxabi.ORdwr}}
+		fd := sc(open).Ret
+		stat := linuxabi.Call{Num: linuxabi.SysStat, Path: "/data.txt"}
+		fstat := linuxabi.Call{Num: linuxabi.SysFstat, Args: [6]uint64{fd}}
+		tell := linuxabi.Call{Num: linuxabi.SysLseek, Args: [6]uint64{fd, 0, linuxabi.SeekCur}}
+		rewind := linuxabi.Call{Num: linuxabi.SysLseek, Args: [6]uint64{fd, 0, linuxabi.SeekSet}}
+		brk := linuxabi.Call{Num: linuxabi.SysBrk}
+		write := linuxabi.Call{Num: linuxabi.SysWrite, Args: [6]uint64{fd, 0, 3}, Data: []byte("678")}
+		closeFD := linuxabi.Call{Num: linuxabi.SysClose, Args: [6]uint64{fd}}
+		for _, c := range []linuxabi.Call{stat, stat, fstat, fstat, tell, tell, brk} {
+			sc(c) // 4 misses, 3 hits
+		}
+		grow := linuxabi.Call{Num: linuxabi.SysBrk, Args: [6]uint64{sc(brk).Ret + 4096}} // hit
+		sc(write)                                                                        // outdates stat, fstat, tell
+		sc(stat)                                                                         // invalidation 1, miss
+		sc(stat)                                                                         // hit
+		sc(fstat)                                                                        // invalidation 2, miss
+		sc(rewind)                                                                       // outdates fstat
+		sc(fstat)                                                                        // invalidation 3, miss
+		sc(grow)                                                                         // outdates brk
+		sc(write)                                                                        // outdates stat, fstat
+		sc(open)                                                                         // outdates stat
+		sc(tell)                                                                         // invalidation 4, miss
+		sc(tell)                                                                         // hit
+		sc(closeFD)                                                                      // outdates tell
+		sc(brk)                                                                          // invalidation 5, miss
+		sc(brk)                                                                          // hit
+		// Never read again: stat, fstat and tell, 3 more at shutdown.
+		return 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m := sys.Metrics()
+	hits, misses := m.Counter("router.cache_hits").Value(), m.Counter("router.cache_misses").Value()
+	inv := m.Counter("router.cache_invalidations").Value()
+	if hits != 7 || misses != 9 || inv != 8 {
+		t.Errorf("hits/misses/invalidations = %d/%d/%d, want 7/9/8", hits, misses, inv)
 	}
 }
 

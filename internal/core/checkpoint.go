@@ -71,8 +71,6 @@ type GroupCheckpoint struct {
 	// process-invariant state, which migrates as-is so tier-0 answers
 	// stay byte-identical.
 	Router *hvm.RouterCheckpoint
-
-	ExitRequested bool
 }
 
 // Checkpoint serializes the group's superposed state. The caller (the
@@ -95,7 +93,6 @@ func (g *ExecutionGroup) Checkpoint(migClk *cycles.Clock) *GroupCheckpoint {
 	if g.router != nil {
 		r := g.router.Quiesce(migClk)
 		rcp = &r
-		g.unhookRouter() // RestoreGroup hooks the target's Proc
 	}
 	var stackBytes, stackSP uint64
 	if g.akStack != nil {
@@ -103,19 +100,18 @@ func (g *ExecutionGroup) Checkpoint(migClk *cycles.Clock) *GroupCheckpoint {
 		stackSP = uint64(g.akStack.SP())
 	}
 	cp := &GroupCheckpoint{
-		GroupID:       g.id,
-		SourceNode:    src.gridNode,
-		HRTThreadID:   g.hrt.ID,
-		HRTClock:      g.hrt.Clock.Now(),
-		StackSP:       stackSP,
-		StackBytes:    stackBytes,
-		FSBase:        g.hrt.FSBase,
-		PartnerClock:  p.Clock.Now(),
-		PartnerTID:    p.TID,
-		Delta:         delta,
-		Window:        g.channel.Window(),
-		Router:        rcp,
-		ExitRequested: g.exitRequested.Load(),
+		GroupID:      g.id,
+		SourceNode:   src.gridNode,
+		HRTThreadID:  g.hrt.ID,
+		HRTClock:     g.hrt.Clock.Now(),
+		StackSP:      stackSP,
+		StackBytes:   stackBytes,
+		FSBase:       g.hrt.FSBase,
+		PartnerClock: p.Clock.Now(),
+		PartnerTID:   p.TID,
+		Delta:        delta,
+		Window:       g.channel.Window(),
+		Router:       rcp,
 	}
 	migClk.Advance(cost.CheckpointBase +
 		cycles.Cycles(len(delta))*cost.CheckpointPerSlot)

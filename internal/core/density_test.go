@@ -131,13 +131,11 @@ func BenchmarkLiveGroups100k(b *testing.B) {
 // TestGroupMapLeakRegression is the unbounded-growth fix pinned as a
 // regression: spawning and joining 10k groups must leave the registry
 // empty and keep it from accumulating along the way. Exited groups used
-// to stay in System.groups forever, a routed group's mutation hook
-// stayed registered on the Proc forever, and the Proc's thread table kept
-// every partner thread (and its stack) reachable; all three must
-// track live groups. The routed case watches the first retired partners
-// with finalizers: each must become collectable.
+// to stay in System.groups forever, and the Proc's thread table kept
+// every partner thread (and its stack) reachable; both must track live
+// groups. The routed case watches the first retired partners with
+// finalizers: each must become collectable.
 func TestGroupMapLeakRegression(t *testing.T) {
-	const hookSlack = 1
 	for _, tc := range []struct {
 		name    string
 		opts    Options
@@ -166,9 +164,6 @@ func TestGroupMapLeakRegression(t *testing.T) {
 					if n := sys.GroupTableSize(); n > 1 {
 						t.Fatalf("after %d spawn+join cycles the registry holds %d entries", i+1, n)
 					}
-					if n, live := sys.Proc.MutationHooks(), sys.LiveGroups(); n > live+hookSlack {
-						t.Fatalf("after %d spawn+join cycles the Proc holds %d mutation hooks for %d live groups", i+1, n, live)
-					}
 				}
 			}
 			if n := sys.GroupTableSize(); n != 0 {
@@ -176,9 +171,6 @@ func TestGroupMapLeakRegression(t *testing.T) {
 			}
 			if live := sys.LiveGroups(); live != 0 {
 				t.Errorf("live-group count = %d after all joins, want 0", live)
-			}
-			if n := sys.Proc.MutationHooks(); n > hookSlack {
-				t.Errorf("Proc holds %d mutation hooks after all joins, want <= %d", n, hookSlack)
 			}
 			for deadline := time.Now().Add(10 * time.Second); freed.Load() < int64(tc.watched) && time.Now().Before(deadline); {
 				runtime.GC()
@@ -208,6 +200,30 @@ func TestSpawnFailureLeavesNoResidue(t *testing.T) {
 	}
 	if live := sys.LiveGroups(); live != 0 {
 		t.Errorf("failed spawn left live-group count %d", live)
+	}
+}
+
+// TestPthreadClosuresReleased pins the pthread_create registry: each
+// closure is taken by the nk_thread_create that spawns it, so a run of
+// create+join pairs leaves nothing registered.
+func TestPthreadClosuresReleased(t *testing.T) {
+	sys := buildTestSystem(t, Options{AppName: "pthreads"})
+	const n = 50
+	if _, err := sys.RunMain(func(env Env) uint64 {
+		for i := 0; i < n; i++ {
+			join, err := env.PthreadCreate(func(Env) {})
+			if err != nil {
+				t.Errorf("create %d: %v", i, err)
+				return 1
+			}
+			join()
+		}
+		return 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if size := sys.fnRegistry.size(); size != 0 {
+		t.Errorf("%d closures still registered after %d create+join pairs, want 0", size, n)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"multiverse/internal/faults"
 	"multiverse/internal/hvm"
 	"multiverse/internal/linuxabi"
-	"multiverse/internal/ros"
 )
 
 // writeN issues n forwarded write() calls to stdout and returns code.
@@ -116,49 +115,54 @@ func TestRecoveryBudgetDegrade(t *testing.T) {
 	}
 }
 
-// TestSeqnoDedupBrkMutation is the satellite-3 regression: with every
-// notification duplicated, sequence-number dedup must keep brk mutation
-// hooks firing exactly as often as in a clean run — a double-applied brk
-// would fire the hook twice per call.
+// TestSeqnoDedupBrkMutation is the seqno-dedup regression: with every
+// notification duplicated, a brk must still be applied exactly once. Each
+// moving brk restamps the break once, so seen from the HRT side the brk
+// stamp moves across every call and never between calls, and the ROS
+// services as many brk calls as in a clean run — a double-applied brk
+// would restamp the break and enter the kernel a second time.
 func TestSeqnoDedupBrkMutation(t *testing.T) {
-	brkCalls := func(t *testing.T, sys *System) (uint64, int) {
+	brkCalls := func(t *testing.T, sys *System) (code, served uint64) {
 		t.Helper()
-		hooks := 0
-		sys.Proc.AddMutationHook(func(ev ros.MutationEvent) {
-			if ev.Kind == ros.MutBrk {
-				hooks++
-			}
-		})
 		code, err := sys.RunMain(func(env Env) uint64 {
 			cur := env.Syscall(linuxabi.Call{Num: linuxabi.SysBrk}).Ret
+			stamp := sys.Proc.BrkStamp()
 			for i := 0; i < 3; i++ {
 				cur += 4096
+				if s := sys.Proc.BrkStamp(); s != stamp {
+					t.Errorf("brk %d: the break was restamped between calls", i)
+				}
 				if res := env.Syscall(linuxabi.Call{Num: linuxabi.SysBrk, Args: [6]uint64{cur}}); !res.Ok() {
 					t.Errorf("brk: %v", res.Err)
 				}
+				next := sys.Proc.BrkStamp()
+				if next == stamp {
+					t.Errorf("brk %d did not restamp the break", i)
+				}
+				stamp = next
 			}
 			return 0
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return code, hooks
+		return code, sys.Proc.Stats().Syscalls[linuxabi.SysBrk]
 	}
 
 	clean := buildTestSystem(t, Options{AppName: "brk"})
-	cleanCode, cleanHooks := brkCalls(t, clean)
+	cleanCode, cleanServed := brkCalls(t, clean)
 
 	dup := buildTestSystem(t, Options{
 		AppName: "brk",
 		Faults:  &faults.Plan{Seed: 5, Rates: map[faults.Kind]float64{faults.DupNotify: 1}},
 	})
-	dupCode, dupHooks := brkCalls(t, dup)
+	dupCode, dupServed := brkCalls(t, dup)
 
 	if cleanCode != dupCode {
 		t.Errorf("codes diverge: clean %d, dup %d", cleanCode, dupCode)
 	}
-	if cleanHooks != dupHooks {
-		t.Errorf("MutBrk hooks: clean %d, dup %d — a duplicate was double-applied", cleanHooks, dupHooks)
+	if cleanServed != dupServed {
+		t.Errorf("brk calls served: clean %d, dup %d — a duplicate was double-applied", cleanServed, dupServed)
 	}
 	if dup.Metrics().Counter("faults.dedup").Value() == 0 {
 		t.Error("no duplicates coalesced — DupNotify never fired?")

@@ -143,15 +143,6 @@ func TestGridMigrateTransparency(t *testing.T) {
 					if g.sys() != gr.Node(1) {
 						t.Fatalf("seed %d at %d: group still on node %d", seed, migrateAt, g.sys().gridNode)
 					}
-					// The router's mutation hook moved with the group.
-					wantHooks := 0
-					if cfg.opts.Router {
-						wantHooks = 1
-					}
-					if src, dst := gr.Node(0).Proc.MutationHooks(), gr.Node(1).Proc.MutationHooks(); src != 0 || dst != wantHooks {
-						t.Errorf("seed %d at %d: mutation hooks = %d on the source, %d on the target, want 0 and %d",
-							seed, migrateAt, src, dst, wantHooks)
-					}
 					code, err := g.Join(gr.Node(0).Main)
 					if err != nil {
 						t.Fatalf("grid join: %v", err)
@@ -176,7 +167,85 @@ func TestGridMigrateTransparency(t *testing.T) {
 					}
 				}
 			}
+			if cfg.opts.Router {
+				checkStampsFollowMigration(t, cfg.opts)
+			}
 		})
+	}
+}
+
+// checkStampsFollowMigration pins where a migrated group's result cache
+// reads its generation stamps: after the move, a write on the target to
+// the group's fd makes its next fstat miss, and a write on the source to
+// the same fd number does not.
+func checkStampsFollowMigration(t *testing.T, opts Options) {
+	t.Helper()
+	gr := buildTestGrid(t, 2, opts)
+	for i := 0; i < 2; i++ {
+		if err := gr.Node(i).Kernel.FS().WriteFile("/f", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := gr.metrics.Counter("router.cache_misses")
+	fdc := make(chan uint64)
+	step := make(chan struct{})
+	var afterSource, afterTarget uint64
+	start := make(chan struct{})
+	g, err := gr.SpawnGroupOn(0, func(env Env) uint64 {
+		<-start
+		env.Syscall(linuxabi.Call{Num: linuxabi.SysGetpid}) // migrates here
+		fd := env.Syscall(linuxabi.Call{Num: linuxabi.SysOpen, Path: "/f", Args: [6]uint64{0, linuxabi.ORdwr}}).Ret
+		fstat := func() uint64 {
+			env.Syscall(linuxabi.Call{Num: linuxabi.SysFstat, Args: [6]uint64{fd}})
+			return misses.Value()
+		}
+		fstat()
+		fdc <- fd
+		<-step
+		afterSource = fstat()
+		fdc <- fd
+		<-step
+		afterTarget = fstat()
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrated, err := gr.ArmMigration(g, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(start)
+	if err := <-migrated; err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	write := func(s *System, fd uint64) {
+		th := s.Proc.NewThread(s.Kernel.BootCore())
+		if res := s.Proc.Syscall(th, linuxabi.Call{Num: linuxabi.SysWrite, Args: [6]uint64{fd}, Data: []byte("y")}); !res.Ok() {
+			t.Errorf("write on node: %v", res.Err)
+		}
+	}
+
+	fd := <-fdc
+	filled := misses.Value()
+	src := gr.Node(0)
+	if res := src.Proc.Syscall(src.Proc.NewThread(src.Kernel.BootCore()),
+		linuxabi.Call{Num: linuxabi.SysOpen, Path: "/f", Args: [6]uint64{0, linuxabi.ORdwr}}); res.Ret != fd {
+		t.Fatalf("source open = fd %d (%v), want the group's fd number %d", res.Ret, res.Err, fd)
+	}
+	write(src, fd)
+	step <- struct{}{}
+	<-fdc
+	write(gr.Node(1), fd)
+	step <- struct{}{}
+	if _, err := g.Join(gr.Node(0).Main); err != nil {
+		t.Fatal(err)
+	}
+	if afterSource != filled {
+		t.Errorf("a write on the source made the migrated group's fstat miss (misses %d -> %d)", filled, afterSource)
+	}
+	if afterTarget != afterSource+1 {
+		t.Errorf("a write on the target left the migrated group's fstat cached (misses %d -> %d)", afterSource, afterTarget)
 	}
 }
 

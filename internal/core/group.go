@@ -54,10 +54,6 @@ type ExecutionGroup struct {
 	pmu     sync.Mutex
 	partner *ros.Thread
 
-	// exitRequested is "a bit in the appropriate partner thread's data
-	// structure" flipped by the ROS-side HRT-exit signal handler.
-	exitRequested atomic.Bool
-
 	// dead marks the group torn down. The group stays registered so a
 	// joiner that arrives after cleanup still finds it and synchronizes
 	// its clock against the partner's final time — whether the join lands
@@ -66,10 +62,8 @@ type ExecutionGroup struct {
 	dead atomic.Bool
 
 	// router is the group's adaptive boundary-crossing fast path
-	// (Options.Router); unhook removes its mutation hook from the
-	// hosting Proc (see unhookRouter).
+	// (Options.Router).
 	router *hvm.SyscallRouter
-	unhook atomic.Pointer[func()]
 
 	created  chan struct{}
 	exitCode atomic.Uint64
@@ -130,7 +124,6 @@ func (g *ExecutionGroup) sys() *System { return g.sysv.Load() }
 func (g *ExecutionGroup) retire() {
 	if g.retired.CompareAndSwap(false, true) {
 		g.sys().groups.delete(g.id)
-		g.unhookRouter()
 	}
 }
 
@@ -207,9 +200,9 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 	}
 
 	// Adaptive boundary router: mirror the process-invariant state into
-	// the HRT, bridge the ROS kernel's mutation events to the cache
-	// invalidation paths, and hand the router the hooks it needs to
-	// promote a hot group to a synchronous channel mid-run.
+	// the HRT, point the result cache at the Proc's generation stamps,
+	// and hand the router the hooks it needs to promote a hot group to a
+	// synchronous channel mid-run.
 	if s.Opts.Router {
 		g.router = hvm.NewSyscallRouter(s.HVM, hrtCore, hvm.RouterLocalState{
 			PID:   uint64(s.Proc.Pid()),
@@ -326,27 +319,15 @@ func (g *ExecutionGroup) startHRT(clk *cycles.Clock, core machine.CoreID, super 
 	return ht
 }
 
-// bindRouterHooks wires the group's router to a hosting System: the ROS
-// kernel's mutation events feed the cache-invalidation paths, and the
+// bindRouterHooks wires the group's router to a hosting System: the
+// result cache checks the host Proc's generation stamps, and the
 // polled-channel hooks capture the host's Proc and HVM. Called at spawn
 // and again by a migration restore — after a move the hooks must create
-// pollers and channels on the target node. The mutation hook stays
-// registered until unhookRouter releases it.
+// pollers and channels on the target node. The Proc keeps no reference
+// to the router, so a retired or migrated group leaves nothing behind.
 func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.CoreID) {
 	r := g.router
-	remove := s.Proc.AddMutationHook(func(ev ros.MutationEvent) {
-		switch ev.Kind {
-		case ros.MutFD:
-			r.InvalidateFD(ev.FD)
-		case ros.MutPath:
-			r.InvalidatePath(ev.Path)
-		case ros.MutBrk:
-			r.InvalidateBrk()
-		case ros.MutCwd:
-			r.InvalidateCwd()
-		}
-	})
-	g.unhook.Store(&remove)
+	r.SetStamps(s.Proc)
 	// Promotion sets up the channel with one hypercall and dedicates a
 	// fresh ROS thread, created on the promoting HRT thread's clock, to
 	// its serve loop; demotion (idle, fault pressure, or kill recovery)
@@ -369,15 +350,6 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 		s.HVM.ClosePolled,
 		s.Opts.Exitless,
 	)
-}
-
-// unhookRouter releases the router's mutation hook on its current host,
-// so a retired or migrated-out group stops receiving (and pinning) that
-// host's invalidations. Idempotent.
-func (g *ExecutionGroup) unhookRouter() {
-	if remove := g.unhook.Swap(nil); remove != nil {
-		(*remove)()
-	}
 }
 
 // watch is the group's watchdog goroutine: it observes partner-thread
@@ -509,14 +481,13 @@ func (g *ExecutionGroup) degrade(dead *ros.Thread) {
 // runHRT is the HRT thread's body: run the application function in the
 // HRT environment, then execute the exit protocol — write the exit
 // notification, raise the asynchronous HRT->ROS signal (which bypasses
-// the ROS kernel and flips the partner's bit), and wake the partner
-// through the event channel so it can clean up and exit.
+// the ROS kernel), and send the partner the exit event through the event
+// channel so it can clean up and exit.
 func (g *ExecutionGroup) runHRT(t *aerokernel.Thread, fn func(Env) uint64) uint64 {
 	env := &hrtEnv{t: t, group: g}
 	code := fn(env)
 	g.exitCode.Store(code)
 
-	g.sys().exitPending <- g.id
 	// A failed signal or a channel already down leaves nothing to wake.
 	_ = g.sys().HVM.RaiseROSSignal(t.Clock, int(linuxabi.SIGCHLD))
 	_, _ = g.channel.Forward(t.Clock, &hvm.Envelope{Kind: hvm.EvThreadExit, ExitCode: code})
@@ -559,10 +530,8 @@ func (g *ExecutionGroup) serve(pt *ros.Thread) {
 			g.channel.Complete(pt.Clock, env, hvm.Reply{FaultOK: errno == linuxabi.OK})
 		case hvm.EvThreadExit:
 			g.channel.Complete(pt.Clock, env, hvm.Reply{})
-			if g.exitRequested.Load() {
-				g.cleanup(pt)
-				return
-			}
+			g.cleanup(pt)
+			return
 		default:
 			g.channel.Complete(pt.Clock, env, hvm.Reply{Res: linuxabi.Result{Err: linuxabi.ENOSYS}})
 		}
@@ -586,28 +555,30 @@ func (g *ExecutionGroup) cleanup(pt *ros.Thread) {
 	close(g.finished)
 }
 
-// awaitDone blocks until the group has finished cleanly (cleanup ran AND
-// the HRT goroutine exited) or the wedge deadline expires. The deadline
-// is host real time on purpose: a wedged group's virtual clocks stop
-// advancing, so only wall time can flush the condition out.
+// awaitDone blocks until the group has finished cleanly (cleanup ran,
+// the HRT goroutine exited and the partner thread that ran cleanup
+// returned) or the wedge deadline expires. The deadline is host real time
+// on purpose: a wedged group's virtual clocks stop advancing, so only wall
+// time can flush the condition out.
 func (g *ExecutionGroup) awaitDone() error {
-	d := g.sys().Opts.WedgeTimeout
-	if d <= 0 {
-		<-g.finished
-		<-g.hrt.Done()
-		return nil
+	var deadline <-chan time.Time // nil: no deadline, wait forever
+	if d := g.sys().Opts.WedgeTimeout; d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		deadline = timer.C
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-g.finished:
-	case <-timer.C:
-		return g.wedged()
-	}
-	select {
-	case <-g.hrt.Done():
-	case <-timer.C:
-		return g.wedged()
+	for _, done := range [...]func() <-chan struct{}{
+		func() <-chan struct{} { return g.finished },
+		g.hrt.Done,
+		// Read once finished closed: cleanup runs on the final partner
+		// generation, which closes finished before its thread returns.
+		func() <-chan struct{} { return g.partnerRef().Done() },
+	} {
+		select {
+		case <-done():
+		case <-deadline:
+			return g.wedged()
+		}
 	}
 	return nil
 }
@@ -624,12 +595,13 @@ func (g *ExecutionGroup) wedged() error {
 
 // WaitExit blocks until the group has finished — cleanup ran on the
 // partner side (the protocol guarantees that happens only after the HRT
-// thread wrote its exit notification) and the HRT goroutine itself exited
+// thread wrote its exit notification), the HRT goroutine itself exited
 // (it may still be closing its half of the final round trip when the
-// partner unblocks) — then synchronizes the waiter's clock to the
-// partner's final time and returns the exit code. If the group wedges —
-// no exit notification within Options.WedgeTimeout of host time — it
-// returns ErrGroupWedged instead of blocking forever.
+// partner unblocks) and the partner thread returned — then synchronizes
+// the waiter's clock to the partner's final time and returns the exit
+// code. If the group wedges — no exit notification within
+// Options.WedgeTimeout of host time — it returns ErrGroupWedged instead
+// of blocking forever.
 func (g *ExecutionGroup) WaitExit(clk *cycles.Clock) (uint64, error) {
 	if err := g.awaitDone(); err != nil {
 		return 0, err

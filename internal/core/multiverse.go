@@ -166,7 +166,7 @@ type System struct {
 	// spawn handoff, and join lookup from a thousand concurrent tenants
 	// must not serialize on one lock. The ID counters are atomics for the
 	// same reason. s.mu now guards only the cold paths (exit hooks, the
-	// exit-signal drain, the hotspot profile).
+	// hotspot profile).
 	fnRegistry    shardedMap[func(Env) uint64]
 	nextFnID      atomic.Uint64
 	pendingSpawns shardedMap[*spawnSpec]
@@ -174,9 +174,8 @@ type System struct {
 	groups        shardedMap[*ExecutionGroup]
 	nextGroupID   atomic.Uint64
 
-	mu          sync.Mutex
-	exitPending chan uint64 // group ids whose HRT thread exited
-	exitHooks   []func()
+	mu        sync.Mutex
+	exitHooks []func()
 
 	// Multi-tenancy state (tenancy.go): the live-group count admission
 	// control checks, the warm spawn pool, and the density instruments.
@@ -210,13 +209,12 @@ func NewSystem(fat *image.Image, opts Options) (*System, error) {
 	}
 
 	s := &System{
-		Opts:        opts,
-		Machine:     m,
-		Fat:         fat,
-		exitPending: make(chan uint64, 64),
-		tracer:      opts.Tracer,
-		metrics:     opts.Metrics,
-		recorder:    opts.Recorder,
+		Opts:     opts,
+		Machine:  m,
+		Fat:      fat,
+		tracer:   opts.Tracer,
+		metrics:  opts.Metrics,
+		recorder: opts.Recorder,
 	}
 	// Fabricated function pointers start in the canonical text-ish range;
 	// group ids start at 1 (0 is "no group"). The counters are atomics:
@@ -321,7 +319,11 @@ func (s *System) InitRuntime() error {
 	}
 
 	// 1. Register ROS signal handlers: the HRT-exit notification path.
-	s.HVM.RegisterROSSignal(s.Main.Clock, s.hrtExitSignal, s.Main.Stack)
+	// The handler has nothing to record — the partner cleans up on the
+	// exit event the HRT thread forwards right after the raise — but the
+	// registration and every raise still pay their hypercalls and
+	// injection costs, as the paper's exit protocol does.
+	s.HVM.RegisterROSSignal(s.Main.Clock, func(int) {}, s.Main.Stack)
 
 	// 2. Hook process exit so HRT shutdown accompanies it.
 	s.AddExitHook(func() {
@@ -424,43 +426,13 @@ func (s *System) runExitHooks() {
 	}
 }
 
-// hrtExitSignal is the registered ROS signal handler: an HRT thread
-// exited; flip the bit in the corresponding partner's data structure.
-// Signals coalesce, so one delivery may stand for several exits: drain
-// everything pending. The raise runs synchronously on the exiting HRT
-// goroutine, after its own push and before its exit event is forwarded.
-// Draining under s.mu makes that enough: a concurrent handler that took
-// this group's id sets its bit before releasing s.mu, so when this
-// handler returns each group's own bit is set, and its partner never
-// services the exit notification with the bit clear (it would then wait
-// forever for a request that never comes).
-func (s *System) hrtExitSignal(sig int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		select {
-		case gid := <-s.exitPending:
-			if g, ok := s.groups.load(gid); ok {
-				g.exitRequested.Store(true)
-			}
-		default:
-			// Nothing (more) pending.
-			return
-		}
-	}
-}
-
 // registerFn stores an application closure under a fabricated function
-// pointer (the address the runtime would pass to pthread_create).
+// pointer (the address the runtime would pass to pthread_create), for
+// nk_thread_create to take exactly once.
 func (s *System) registerFn(fn func(Env) uint64) uint64 {
 	id := s.nextFnID.Add(16) - 16
 	s.fnRegistry.store(id, fn)
 	return id
-}
-
-func (s *System) lookupFn(id uint64) func(Env) uint64 {
-	fn, _ := s.fnRegistry.load(id)
-	return fn
 }
 
 // linkAKFunctions binds the AeroKernel-side implementations Multiverse
@@ -494,7 +466,7 @@ func (s *System) linkAKFunctions() {
 		if len(args) < 1 {
 			return ^uint64(0)
 		}
-		fn := s.lookupFn(args[0])
+		fn, _ := s.fnRegistry.loadAndDelete(args[0])
 		if fn == nil {
 			return ^uint64(0)
 		}

@@ -24,9 +24,11 @@ import (
 //	  state mirrored into the HRT at router creation — vDSO-style, zero
 //	  boundary crossings.
 //	tier 1 (result cache): idempotent read-only calls (stat, fstat,
-//	  position-query lseek, brk(0)) are served from a result cache. The
-//	  ROS kernel's mutating paths invalidate entries through hooks, so a
-//	  cached stat never survives a write to the file it describes.
+//	  position-query lseek, brk(0)) are served from a result cache. Each
+//	  entry keeps the ROS generation stamp of the state it describes,
+//	  read before the call crossed; the ROS kernel restamps that state on
+//	  every mutation, so a cached stat never survives a write to the file
+//	  it describes.
 //	tier 2 (transport): everything else forwards — over the group's
 //	  asynchronous event channel by default, or over a synchronous
 //	  memory-polling channel while the group is promoted.
@@ -48,10 +50,10 @@ type SyscallRouter struct {
 	policy  RouterPolicy
 	local   RouterLocalState
 
-	mu       sync.Mutex
-	cache    map[routerCacheKey]linuxabi.Result
-	cwdValid bool
-	closed   bool
+	mu     sync.Mutex
+	stamps StampSource
+	cache  map[routerCacheKey]cachedResult
+	closed bool
 
 	// sync and ring are the ladder's two polled rungs (mu-guarded):
 	// tier 2's synchronous channel and tier 3's exitless rings.
@@ -246,8 +248,8 @@ func (p *RouterPolicy) fill() {
 // RouterLocalState is the ROS process state mirrored into the HRT when the
 // router is created — the data page tier 0 reads instead of crossing. It
 // is the same superposition idea the GDT/TLS mirroring uses: state that is
-// process-invariant (or whose changes are hooked) can be replicated once
-// and consulted locally forever after.
+// process-invariant can be replicated once and consulted locally forever
+// after. (The ROS has no chdir, so the working directory is invariant.)
 type RouterLocalState struct {
 	PID   uint64
 	Cwd   string
@@ -268,22 +270,62 @@ const (
 	ckBrk
 )
 
+// cachedResult is one tier-1 entry: the result and the generation stamp
+// its state had before the call that produced it crossed.
+type cachedResult struct {
+	res   linuxabi.Result
+	stamp uint64
+}
+
+// StampSource publishes the ROS generation stamps tier-1 entries are
+// checked against (*ros.Process implements it). A stamp changes on every
+// mutation of the state it describes and never returns to an earlier
+// value.
+type StampSource interface {
+	FDStamp(fd int) uint64
+	PathStamp(path string) uint64
+	BrkStamp() uint64
+}
+
+// stampOf reads the current stamp of the state key's result describes:
+// the fd for fstat and lseek, the path for stat, the break for brk.
+// Callers hold r.mu.
+func (r *SyscallRouter) stampOf(key routerCacheKey) uint64 {
+	switch key.kind {
+	case ckStat:
+		return r.stamps.PathStamp(key.path)
+	case ckBrk:
+		return r.stamps.BrkStamp()
+	default:
+		return r.stamps.FDStamp(key.fd)
+	}
+}
+
 // NewSyscallRouter builds a router over the HVM's cost model and
 // telemetry. local mirrors the owning process's state at creation time.
 func NewSyscallRouter(h *HVM, hrtCore machine.CoreID, local RouterLocalState, policy RouterPolicy) *SyscallRouter {
 	policy.fill()
 	return &SyscallRouter{
-		hvm:      h,
-		hrtCore:  hrtCore,
-		policy:   policy,
-		local:    local,
-		cache:    make(map[routerCacheKey]linuxabi.Result),
-		cwdValid: true,
+		hvm:     h,
+		hrtCore: hrtCore,
+		policy:  policy,
+		local:   local,
+		cache:   make(map[routerCacheKey]cachedResult),
 		sync: rung{kind: PollSync, calls: policy.PromoteCalls, window: policy.PromoteWindow,
 			idle: policy.DemoteIdle, promoted: evPromote, demoted: evDemote},
 		ring: rung{kind: PollRing, calls: policy.RingCalls, window: policy.RingWindow,
 			idle: policy.RingIdle, promoted: evRingPromote, demoted: evRingDemote},
 	}
+}
+
+// SetStamps binds tier 1 to the ROS process hosting the group, whose
+// generation stamps decide whether a cached result is still current. It
+// must be called before the first cacheable call, and again after the
+// group moves to another process.
+func (r *SyscallRouter) SetStamps(src StampSource) {
+	r.mu.Lock()
+	r.stamps = src
+	r.mu.Unlock()
 }
 
 // SetPollHooks installs the callbacks that open a polled channel (and
@@ -325,25 +367,35 @@ func (r *SyscallRouter) Dispatch(clk *cycles.Clock, ch *EventChannel, call linux
 		return res, false, nil
 	}
 
-	// Tier 1: result cache for idempotent read-only calls.
+	// Tier 1: result cache for idempotent read-only calls. The stamp is
+	// read before the call crosses, so a mutation that lands while the
+	// fill is in flight leaves the new entry stale, not current.
 	if key, cacheable := r.cacheKeyOf(call); cacheable {
 		clk.Advance(cost.SyscallCacheProbe)
 		r.mu.Lock()
-		res, hit := r.cache[key]
+		stamp := r.stampOf(key)
+		e, found := r.cache[key]
+		stale := found && e.stamp != stamp
+		if stale {
+			delete(r.cache, key)
+		}
 		r.mu.Unlock()
-		if hit {
+		if found && !stale {
 			clk.Advance(cost.SyscallCacheHit)
 			m.Counter("router.cache_hits").Inc()
 			m.LatencyHistogram("router.cache_hit.latency").Observe(cost.SyscallCacheProbe + cost.SyscallCacheHit)
 			rec.Record(clk.Now(), telemetry.RecTierCache, uint64(r.hrtCore), reqID, uint64(call.Num), 0)
-			return res, false, nil
+			return e.res, false, nil
+		}
+		if stale {
+			m.Counter("router.cache_invalidations").Inc()
 		}
 		m.Counter("router.cache_misses").Inc()
 		res, err := r.forward(clk, ch, call, reqID)
 		if err == nil && res.Err == linuxabi.OK {
 			r.mu.Lock()
 			if !r.closed {
-				r.cache[key] = res
+				r.cache[key] = cachedResult{res: res, stamp: stamp}
 			}
 			r.mu.Unlock()
 		}
@@ -376,12 +428,7 @@ func (r *SyscallRouter) serveLocal(clk *cycles.Clock, call linuxabi.Call) (linux
 	case linuxabi.SysUname:
 		return serve(linuxabi.Result{Ret: 0, Err: linuxabi.OK, Data: []byte(r.local.Uname)})
 	case linuxabi.SysGetcwd:
-		r.mu.Lock()
-		valid, cwd := r.cwdValid, r.local.Cwd
-		r.mu.Unlock()
-		if !valid {
-			return linuxabi.Result{}, false // mirror stale: fall through to forwarding
-		}
+		cwd := r.local.Cwd
 		return serve(linuxabi.Result{Ret: uint64(len(cwd)), Err: linuxabi.OK, Data: []byte(cwd)})
 	}
 	return linuxabi.Result{}, false
@@ -408,8 +455,8 @@ func (r *SyscallRouter) cacheKeyOf(call linuxabi.Call) (routerCacheKey, bool) {
 	return routerCacheKey{}, false
 }
 
-// resolvePath canonicalizes a path against the mirrored cwd so cache keys
-// match the absolute paths the ROS-side invalidation hooks report.
+// resolvePath makes a path absolute against the mirrored cwd, so relative
+// and absolute names of one file share a cache key and a path stamp.
 func (r *SyscallRouter) resolvePath(path string) string {
 	if strings.HasPrefix(path, "/") {
 		return path
@@ -470,7 +517,7 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 // virtual time and returns the rung's channel to use (nil = fall through
 // to the rung below). Only the owning HRT thread climbs, so decisions are
 // serialized by construction; the lock only guards against concurrent
-// invalidations and harness reads. A rung without hooks returns at once
+// checkpoints and harness reads. A rung without hooks returns at once
 // without touching any state, keeping the dark path byte-identical.
 //
 // The rungs differ in three rules. A reliability-promoted sync channel
@@ -628,58 +675,6 @@ func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool)
 	}
 }
 
-// ---- Invalidation hooks -------------------------------------------------
-//
-// The ROS kernel's mutating syscall paths call these (through the
-// execution-group wiring) whenever state a cached result might describe
-// changes. Each method drops exactly the entries the mutation can affect.
-
-// invalidate removes one key, counting it if present.
-func (r *SyscallRouter) invalidate(keys ...routerCacheKey) {
-	r.mu.Lock()
-	dropped := 0
-	for _, k := range keys {
-		if _, ok := r.cache[k]; ok {
-			delete(r.cache, k)
-			dropped++
-		}
-	}
-	r.mu.Unlock()
-	if dropped > 0 {
-		r.hvm.metrics.Counter("router.cache_invalidations").Add(uint64(dropped))
-	}
-}
-
-// InvalidateFD drops results keyed to a file descriptor (fstat, lseek
-// position) — a write, read, seek, or close changed them.
-func (r *SyscallRouter) InvalidateFD(fd int) {
-	r.invalidate(routerCacheKey{kind: ckFstat, fd: fd}, routerCacheKey{kind: ckLseek, fd: fd})
-}
-
-// InvalidatePath drops the stat result of an absolute path — a write or a
-// (re)open may have changed the file's metadata.
-func (r *SyscallRouter) InvalidatePath(path string) {
-	if path == "" {
-		return
-	}
-	r.invalidate(routerCacheKey{kind: ckStat, path: path})
-}
-
-// InvalidateBrk drops the cached break query after a mutating brk.
-func (r *SyscallRouter) InvalidateBrk() {
-	r.invalidate(routerCacheKey{kind: ckBrk})
-}
-
-// InvalidateCwd marks the mirrored working directory stale; getcwd
-// forwards from then on. (The current ROS has no chdir, but the hook keeps
-// the mirror honest if one appears.)
-func (r *SyscallRouter) InvalidateCwd() {
-	r.mu.Lock()
-	r.cwdValid = false
-	r.mu.Unlock()
-	r.hvm.metrics.Counter("router.cache_invalidations").Inc()
-}
-
 // RouterCheckpoint is the router slice of a group checkpoint: the
 // mirrored tier-0 state plus the fault-policy latches that survive a
 // migration. The router object itself crosses with the group (the
@@ -696,9 +691,6 @@ type RouterCheckpoint struct {
 	// same CleanStreak window as after a partner-kill demotion.
 	RingHold     bool
 	RingWasLossy bool
-	// CacheEntries counts the tier-1 results dropped at checkpoint time
-	// (fd and path identity is per-node, so the cache does not migrate).
-	CacheEntries int
 }
 
 // Quiesce prepares the router for a checkpoint. Tier-3 rings are torn
@@ -706,7 +698,8 @@ type RouterCheckpoint struct {
 // path — teardown hypercall, recovery hold, clean-streak-gated
 // re-promotion on the target. A promoted sync channel is demoted (its
 // polling thread lives on the source node and cannot move), and the
-// tier-1 result cache is dropped. clk is the migration clock: the
+// tier-1 result cache is dropped (fd and path identity is per-node), each
+// entry counting as an invalidation. clk is the migration clock: the
 // teardown hypercalls are a cost of migrating, not of the group's own
 // timeline, which must stay byte-identical to an unmigrated run.
 func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
@@ -729,7 +722,6 @@ func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 		Local:        r.local,
 		RingHold:     r.ringHold,
 		RingWasLossy: r.ringWasLossy,
-		CacheEntries: dropped,
 	}
 	r.mu.Unlock()
 	if sc != nil {
@@ -742,16 +734,28 @@ func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 }
 
 // Shutdown closes any promoted channels (the group is tearing down) and
-// freezes the cache.
+// freezes the cache. An entry a mutation made stale but no lookup has
+// found counts as an invalidation here, so every entry that went stale
+// is counted once: at its next lookup, at a checkpoint, or now.
 func (r *SyscallRouter) Shutdown() {
 	r.mu.Lock()
 	sc, x := r.sync.ch, r.ring.ch
 	r.sync.ch, r.ring.ch = nil, nil
 	r.closed = true
+	stale := 0
+	for key, e := range r.cache {
+		if e.stamp != r.stampOf(key) {
+			delete(r.cache, key)
+			stale++
+		}
+	}
 	r.mu.Unlock()
 	for _, c := range [...]*PolledChannel{sc, x} {
 		if c != nil {
 			c.Close()
 		}
+	}
+	if stale > 0 {
+		r.hvm.metrics.Counter("router.cache_invalidations").Add(uint64(stale))
 	}
 }

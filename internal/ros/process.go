@@ -99,7 +99,7 @@ type Process struct {
 	brk        uint64
 	mmapBase   uint64
 	residency  uint64 // currently mapped pages
-	fds        map[int]*vfs.File
+	fds        map[int]fdEntry
 	nextFd     int
 	cwd        string
 	sigactions map[linuxabi.Signal]sigaction
@@ -131,13 +131,9 @@ type Process struct {
 	detArenas bool
 	arenas    map[int]*threadArena
 
-	// mutHooks observe successful mutating syscalls (see AddMutationHook).
-	// A removed hook is marked dead in place and counted in deadHooks;
-	// once half the entries are dead the live ones move to a fresh slice.
-	// The slice is never written below its length, so notifyMutations can
-	// iterate a snapshot outside the lock.
-	mutHooks  []*mutationHook
-	deadHooks int
+	// brkStamp is the generation stamp of the program break (see
+	// BrkStamp).
+	brkStamp uint64
 
 	// pml4Gen is the per-slot generation stamp of the lower-half PML4: any
 	// operation that can change a top-level entry (or what it governs)
@@ -156,78 +152,17 @@ type Process struct {
 	involCS     atomic.Uint64
 }
 
+// fdEntry is one fd-table slot: the open file and the generation stamp
+// of what the fd addresses (see FDStamp).
+type fdEntry struct {
+	file  *vfs.File
+	stamp uint64
+}
+
 // FaultRecord is one entry of the page-fault trace.
 type FaultRecord struct {
 	Addr  uint64
 	Write bool
-}
-
-// MutationKind classifies one kernel state change that observers of
-// cached system-call results (the HRT-side boundary router) care about.
-type MutationKind int
-
-const (
-	// MutFD: state addressed by a file descriptor changed — a write,
-	// read, or seek moved the offset or size, or a close freed the fd
-	// for reuse.
-	MutFD MutationKind = iota + 1
-	// MutPath: the metadata of the file at an absolute path changed
-	// (a write grew it, an open created or truncated it).
-	MutPath
-	// MutBrk: the program break moved.
-	MutBrk
-	// MutCwd: the working directory changed.
-	MutCwd
-)
-
-// MutationEvent is one fired mutation: the kind plus whichever address
-// field applies.
-type MutationEvent struct {
-	Kind MutationKind
-	FD   int
-	Path string
-}
-
-type mutationHook struct {
-	fn   func(MutationEvent)
-	dead atomic.Bool
-}
-
-// AddMutationHook registers fn to run after every successful mutating
-// system call, with one event per affected cache axis. Hooks run outside
-// the process lock, on the servicing thread's goroutine. The returned
-// function removes the hook again in amortized O(1); calling it more than
-// once is harmless.
-func (p *Process) AddMutationHook(fn func(MutationEvent)) (remove func()) {
-	h := &mutationHook{fn: fn}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.mutHooks = append(p.mutHooks, h)
-	return func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if h.dead.Swap(true) {
-			return
-		}
-		p.deadHooks++
-		if 2*p.deadHooks < len(p.mutHooks) {
-			return
-		}
-		live := make([]*mutationHook, 0, len(p.mutHooks)-p.deadHooks)
-		for _, o := range p.mutHooks {
-			if !o.dead.Load() {
-				live = append(live, o)
-			}
-		}
-		p.mutHooks, p.deadHooks = live, 0
-	}
-}
-
-// MutationHooks reports how many live mutation hooks are registered.
-func (p *Process) MutationHooks() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.mutHooks) - p.deadHooks
 }
 
 // EnableFaultTrace starts recording up to max kernel-handled user page
@@ -318,7 +253,7 @@ func newProcess(k *Kernel, pid int, name string) (*Process, error) {
 		space:      space,
 		brk:        brkBase,
 		mmapBase:   mmapBase,
-		fds:        make(map[int]*vfs.File),
+		fds:        make(map[int]fdEntry),
 		nextFd:     3, // 0,1,2 reserved for stdio
 		cwd:        "/",
 		sigactions: make(map[linuxabi.Signal]sigaction),
@@ -364,6 +299,46 @@ func (p *Process) PML4Generations() []uint64 {
 	out := make([]uint64, paging.LowerHalfEntries)
 	copy(out, p.pml4Gen[:])
 	return out
+}
+
+// Generation stamps of the state the HRT-side router caches results
+// about. Each successful mutating system call gives the state it changed a
+// fresh stamp (vfs.NewStamp), so a cached result is current exactly while
+// the stamp it was filled under still reads the same:
+//
+//	fd:    write, read, a seek other than the lseek(fd, 0, SEEK_CUR)
+//	       position query, and close (the fd then reads 0);
+//	path:  open, and write through an fd on the file;
+//	break: brk with a nonzero argument.
+//
+// A closed fd and a missing path read 0, which no entry holds.
+
+// FDStamp returns the generation stamp of fd, or 0 when fd is not open.
+func (p *Process) FDStamp(fd int) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.fds[fd].stamp
+}
+
+// PathStamp returns the generation stamp of the file at an absolute path,
+// or 0 when no file is there.
+func (p *Process) PathStamp(path string) uint64 { return p.kern.fs.Stamp(path) }
+
+// BrkStamp returns the generation stamp of the program break.
+func (p *Process) BrkStamp() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.brkStamp
+}
+
+// restampFD gives fd's entry a fresh stamp.
+func (p *Process) restampFD(fd int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e, ok := p.fds[fd]; ok {
+		e.stamp = vfs.NewStamp()
+		p.fds[fd] = e
+	}
 }
 
 // bumpGen bumps the generation of every lower-half PML4 slot covering

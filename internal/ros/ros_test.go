@@ -1,8 +1,6 @@
 package ros
 
 import (
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"multiverse/internal/linuxabi"
@@ -424,74 +422,73 @@ func TestMaxRSSTracksPeak(t *testing.T) {
 	}
 }
 
-// TestMutationHookRemove pins the hook lifetime: a removed hook stops
-// observing mutations, removal is idempotent, and hooks can come and go
-// on one goroutine while another fires notifications (the router
-// registers and releases hooks while partner threads serve writes).
-func TestMutationHookRemove(t *testing.T) {
-	_, p, th := newProc(t, Native)
-	write := call(linuxabi.SysWrite, 1, 0, 1)
-	write.Data = []byte("x")
+// TestGenerationStamps pins which calls move which stamp: every
+// successful mutating call restamps the state it changed, and nothing
+// else moves a stamp — not the cacheable queries (stat, fstat, the
+// lseek position query, brk(0)) and not a failed call.
+func TestGenerationStamps(t *testing.T) {
+	k, p, th := newProc(t, Native)
+	if err := k.FS().WriteFile("/f", []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	type stamps struct{ fd, path, brk uint64 }
+	var fd uint64
+	read := func() stamps { return stamps{p.FDStamp(int(fd)), p.PathStamp("/f"), p.BrkStamp()} }
+	withPath := func(c linuxabi.Call, path string) linuxabi.Call { c.Path = path; return c }
+	withData := func(c linuxabi.Call, data string) linuxabi.Call { c.Data = []byte(data); return c }
 
-	var kept atomic.Int64
-	p.AddMutationHook(func(MutationEvent) { kept.Add(1) })
-	const writes = 200
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < writes; i++ {
-			var n atomic.Int64
-			remove := p.AddMutationHook(func(MutationEvent) { n.Add(1) })
-			remove()
-			remove()
+	if s := p.PathStamp("/missing"); s != 0 {
+		t.Errorf("missing path stamp = %d, want 0", s)
+	}
+	before := p.PathStamp("/f")
+	res := p.Syscall(th, withPath(call(linuxabi.SysOpen, 0, linuxabi.ORdwr), "/f"))
+	if !res.Ok() {
+		t.Fatalf("open: %v", res.Err)
+	}
+	fd = res.Ret
+	if s := read(); s.path == before || s.fd == 0 {
+		t.Errorf("open: path stamp %d -> %d, fd stamp %d; want a new path stamp and a nonzero fd stamp", before, s.path, s.fd)
+	}
+
+	cur := p.Syscall(th, call(linuxabi.SysBrk)).Ret
+	for _, tc := range []struct {
+		name          string
+		call          linuxabi.Call
+		fd, path, brk bool
+		wantErr       bool
+	}{
+		{name: "stat", call: withPath(call(linuxabi.SysStat), "/f")},
+		{name: "fstat", call: call(linuxabi.SysFstat, fd)},
+		{name: "lseek query", call: call(linuxabi.SysLseek, fd, 0, linuxabi.SeekCur)},
+		{name: "brk query", call: call(linuxabi.SysBrk)},
+		{name: "write", call: withData(call(linuxabi.SysWrite, fd, 0, 2), "xy"), fd: true, path: true},
+		{name: "lseek", call: call(linuxabi.SysLseek, fd, 0, linuxabi.SeekSet), fd: true},
+		{name: "read", call: call(linuxabi.SysRead, fd, 0, 2), fd: true},
+		{name: "brk", call: call(linuxabi.SysBrk, cur+4096), brk: true},
+		{name: "failed brk", call: call(linuxabi.SysBrk, 1), wantErr: true},
+		{name: "failed lseek", call: call(linuxabi.SysLseek, fd, 0, 42), wantErr: true},
+		{name: "stdout write", call: withData(call(linuxabi.SysWrite, 1, 0, 1), "x")},
+	} {
+		was := read()
+		if res := p.Syscall(th, tc.call); res.Ok() == tc.wantErr {
+			t.Fatalf("%s: err = %v, want failure %v", tc.name, res.Err, tc.wantErr)
 		}
-	}()
-	for i := 0; i < writes; i++ {
-		if res := p.Syscall(th, write); !res.Ok() {
-			t.Fatalf("write: %v", res.Err)
+		now := read()
+		if moved := now.fd != was.fd; moved != tc.fd {
+			t.Errorf("%s: fd stamp moved = %v, want %v", tc.name, moved, tc.fd)
+		}
+		if moved := now.path != was.path; moved != tc.path {
+			t.Errorf("%s: path stamp moved = %v, want %v", tc.name, moved, tc.path)
+		}
+		if moved := now.brk != was.brk; moved != tc.brk {
+			t.Errorf("%s: brk stamp moved = %v, want %v", tc.name, moved, tc.brk)
 		}
 	}
-	<-done
-	if n := p.MutationHooks(); n != 1 {
-		t.Errorf("MutationHooks = %d after every remove, want 1", n)
-	}
-	if got := kept.Load(); got < writes {
-		t.Errorf("kept hook saw %d events for %d writes", got, writes)
-	}
 
-	var late atomic.Int64
-	remove := p.AddMutationHook(func(MutationEvent) { late.Add(1) })
-	p.Syscall(th, write)
-	remove()
-	p.Syscall(th, write)
-	if got := late.Load(); got != 1 {
-		t.Errorf("hook saw %d events, want 1: it observed a write after its removal", got)
+	if res := p.Syscall(th, call(linuxabi.SysClose, fd)); !res.Ok() {
+		t.Fatalf("close: %v", res.Err)
 	}
-}
-
-// TestMutationHookRemoveLinear bounds what retiring many routed groups
-// costs the hook list: registering and then removing n hooks, oldest
-// first, must allocate O(n) bytes. A copy of the list on every removal
-// allocates about n*n/2 pointers, some 100 MB at n = 5,000.
-func TestMutationHookRemoveLinear(t *testing.T) {
-	_, p, _ := newProc(t, Native)
-	const n = 5000
-	removes := make([]func(), n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range removes {
-		removes[i] = p.AddMutationHook(func(MutationEvent) {})
-	}
-	for _, remove := range removes {
-		remove()
-	}
-	runtime.ReadMemStats(&after)
-	if n := p.MutationHooks(); n != 0 {
-		t.Errorf("MutationHooks = %d after every remove, want 0", n)
-	}
-	const perHook = 512
-	if got := after.TotalAlloc - before.TotalAlloc; got > n*perHook {
-		t.Errorf("registering and removing %d hooks allocated %d bytes, want <= %d (%d per hook)",
-			n, got, n*perHook, perHook)
+	if s := p.FDStamp(int(fd)); s != 0 {
+		t.Errorf("closed fd stamp = %d, want 0", s)
 	}
 }

@@ -29,65 +29,7 @@ func (p *Process) Syscall(t *Thread, call linuxabi.Call) linuxabi.Result {
 
 	p.kern.exitKernel(t.Clock)
 	p.chargeSys(t.Clock.Now() - start)
-	if res.Err == linuxabi.OK {
-		p.notifyMutations(call)
-	}
 	return res
-}
-
-// notifyMutations fires the registered mutation hooks for one successful
-// call, outside every lock: the hooks are the HRT router's invalidation
-// paths and take their own locks.
-func (p *Process) notifyMutations(call linuxabi.Call) {
-	p.mu.Lock()
-	hooks := p.mutHooks
-	p.mu.Unlock()
-	if len(hooks) == 0 {
-		return
-	}
-	var evs []MutationEvent
-	switch call.Num {
-	case linuxabi.SysWrite:
-		fd := int(call.Args[0])
-		evs = append(evs, MutationEvent{Kind: MutFD, FD: fd})
-		if path := p.fdPath(fd); path != "" {
-			evs = append(evs, MutationEvent{Kind: MutPath, Path: path})
-		}
-	case linuxabi.SysRead:
-		evs = append(evs, MutationEvent{Kind: MutFD, FD: int(call.Args[0])})
-	case linuxabi.SysLseek:
-		// The position query lseek(fd, 0, SEEK_CUR) mutates nothing; any
-		// other seek moves the offset.
-		if call.Args[1] != 0 || call.Args[2] != linuxabi.SeekCur {
-			evs = append(evs, MutationEvent{Kind: MutFD, FD: int(call.Args[0])})
-		}
-	case linuxabi.SysOpen:
-		evs = append(evs, MutationEvent{Kind: MutPath, Path: p.resolvePath(call.Path)})
-	case linuxabi.SysClose:
-		evs = append(evs, MutationEvent{Kind: MutFD, FD: int(call.Args[0])})
-	case linuxabi.SysBrk:
-		if call.Args[0] != 0 {
-			evs = append(evs, MutationEvent{Kind: MutBrk})
-		}
-	}
-	for _, ev := range evs {
-		for _, h := range hooks {
-			if !h.dead.Load() {
-				h.fn(ev)
-			}
-		}
-	}
-}
-
-// fdPath returns the absolute path backing fd, or "" for pathless fds
-// (stdio, closed).
-func (p *Process) fdPath(fd int) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if f, okf := p.fds[fd]; okf {
-		return f.Path()
-	}
-	return ""
 }
 
 func (p *Process) dispatch(t *Thread, call linuxabi.Call) linuxabi.Result {
@@ -221,11 +163,11 @@ func (p *Process) touchRange(t *Thread, addr uint64, n int, write bool) linuxabi
 func (p *Process) file(fd int) (*vfs.File, linuxabi.Errno) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, okf := p.fds[fd]
+	e, okf := p.fds[fd]
 	if !okf {
 		return nil, linuxabi.EBADF
 	}
-	return f, linuxabi.OK
+	return e.file, linuxabi.OK
 }
 
 func (p *Process) sysOpen(t *Thread, call linuxabi.Call) linuxabi.Result {
@@ -237,10 +179,11 @@ func (p *Process) sysOpen(t *Thread, call linuxabi.Call) linuxabi.Result {
 		}
 		return fail(linuxabi.ENOENT)
 	}
+	f.Restamp()
 	p.mu.Lock()
 	fd := p.nextFd
 	p.nextFd++
-	p.fds[fd] = f
+	p.fds[fd] = fdEntry{file: f, stamp: vfs.NewStamp()}
 	p.mu.Unlock()
 	t.Clock.Advance(600) // path walk + inode lookup
 	return ok(uint64(fd))
@@ -286,6 +229,7 @@ func (p *Process) sysRead(t *Thread, call linuxabi.Call) linuxabi.Result {
 		}
 		return fail(linuxabi.EBADF)
 	}
+	p.restampFD(fd)
 	p.copyCost(t, rn)
 	return linuxabi.Result{Ret: uint64(rn), Err: linuxabi.OK, Data: buf[:rn]}
 }
@@ -318,6 +262,8 @@ func (p *Process) sysWrite(t *Thread, call linuxabi.Call) linuxabi.Result {
 		}
 		return fail(linuxabi.EBADF)
 	}
+	f.Restamp()
+	p.restampFD(fd)
 	return ok(uint64(wn))
 }
 
@@ -342,7 +288,8 @@ func (p *Process) sysFstat(t *Thread, call linuxabi.Call) linuxabi.Result {
 }
 
 func (p *Process) sysLseek(t *Thread, call linuxabi.Call) linuxabi.Result {
-	f, errno := p.file(int(call.Args[0]))
+	fd := int(call.Args[0])
+	f, errno := p.file(fd)
 	if errno != linuxabi.OK {
 		return fail(errno)
 	}
@@ -352,6 +299,9 @@ func (p *Process) sysLseek(t *Thread, call linuxabi.Call) linuxabi.Result {
 			return fail(e)
 		}
 		return fail(linuxabi.EINVAL)
+	}
+	if call.Args[1] != 0 || call.Args[2] != linuxabi.SeekCur {
+		p.restampFD(fd) // anything but the position query moves the offset
 	}
 	return ok(uint64(pos))
 }
@@ -559,6 +509,7 @@ func (p *Process) sysBrk(t *Thread, call linuxabi.Call) linuxabi.Result {
 	} else {
 		p.brk = newBrk
 	}
+	p.brkStamp = vfs.NewStamp()
 	return ok(newBrk)
 }
 

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"multiverse/internal/linuxabi"
 )
@@ -24,7 +25,17 @@ type inode struct {
 	mode     uint32
 	data     []byte
 	children map[string]*inode // directories only
+	stamp    uint64            // generation stamp (see NewStamp)
 }
+
+// stamps is the one counter every generation stamp is drawn from.
+var stamps atomic.Uint64
+
+// NewStamp returns a generation stamp no earlier call returned, and never
+// 0. An inode draws one at creation, so a missing path can read as 0 and
+// a file recreated at a path never repeats its predecessor's stamp; the
+// ROS kernel draws the stamps of its fd table and program break here too.
+func NewStamp() uint64 { return stamps.Add(1) }
 
 func (n *inode) isDir() bool { return n.mode&ModeDir != 0 }
 
@@ -100,6 +111,7 @@ func (fs *FS) Mkdir(p string) error {
 		ino:      fs.nextIno,
 		mode:     ModeDir | 0o755,
 		children: make(map[string]*inode),
+		stamp:    NewStamp(),
 	}
 	fs.nextIno++
 	return nil
@@ -137,9 +149,10 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 		return nil
 	}
 	parent.children[base] = &inode{
-		ino:  fs.nextIno,
-		mode: ModeFile | 0o644,
-		data: append([]byte(nil), data...),
+		ino:   fs.nextIno,
+		mode:  ModeFile | 0o644,
+		data:  append([]byte(nil), data...),
+		stamp: NewStamp(),
 	}
 	fs.nextIno++
 	return nil
@@ -189,6 +202,18 @@ func (fs *FS) ReadDir(p string) ([]string, error) {
 	return names, nil
 }
 
+// Stamp returns the generation stamp of the inode at p, or 0 when p does
+// not exist.
+func (fs *FS) Stamp(p string) uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.lookup(p)
+	if err != nil {
+		return 0
+	}
+	return n.stamp
+}
+
 // Remove deletes a file or empty directory.
 func (fs *FS) Remove(p string) error {
 	fs.mu.Lock()
@@ -229,7 +254,7 @@ func (fs *FS) Open(p string, flags int) (*File, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		n = &inode{ino: fs.nextIno, mode: ModeFile | 0o644}
+		n = &inode{ino: fs.nextIno, mode: ModeFile | 0o644, stamp: NewStamp()}
 		fs.nextIno++
 		parent.children[base] = n
 	} else if err != nil {
@@ -242,6 +267,13 @@ func (fs *FS) Open(p string, flags int) (*File, error) {
 		n.data = n.data[:0]
 	}
 	return &File{fs: fs, node: n, flags: flags, append: flags&linuxabi.OAppend != 0, path: clean(p)}, nil
+}
+
+// Restamp gives the file's inode a fresh generation stamp.
+func (f *File) Restamp() {
+	f.fs.mu.Lock()
+	f.node.stamp = NewStamp()
+	f.fs.mu.Unlock()
 }
 
 // Path returns the path the file was opened with.
@@ -275,9 +307,10 @@ func (f *File) Write(p []byte) (int, error) {
 	}
 	end := f.pos + int64(len(p))
 	if end > int64(len(f.node.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.node.data)
-		f.node.data = grown
+		// append grows the capacity geometrically, so a run of appends
+		// copies the file O(log n) times, not once per write; any gap
+		// between the old end and pos reads as zeros.
+		f.node.data = append(f.node.data, make([]byte, end-int64(len(f.node.data)))...)
 	}
 	copy(f.node.data[f.pos:], p)
 	f.pos = end

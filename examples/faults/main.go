@@ -1,7 +1,7 @@
 // Fault injection and recovery: kill the ROS partner thread under a
-// running HRT program and watch the execution group's watchdog respawn
-// it, replay the mirrored-state merge, and redeliver the in-flight
-// request — with the program none the wiser.
+// running HRT program and watch the execution group respawn it at the
+// same virtual point, replay the mirrored-state merge, and redeliver
+// the in-flight request — with the program none the wiser.
 //
 // The scenario in partner-death.json scripts three faults: a partner
 // death on the first serviced request, then a dropped notification and a

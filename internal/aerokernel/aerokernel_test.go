@@ -178,13 +178,12 @@ func TestSyscallForwarding(t *testing.T) {
 
 	// A fake partner services one getpid.
 	partnerClk := cycles.NewClock(0)
-	go func() {
-		env := ch.Recv(partnerClk)
+	ch.Bind(partnerClk, func(env *hvm.Envelope) {
 		if env.Kind != hvm.EvSyscall || env.Call.Num != linuxabi.SysGetpid {
 			t.Errorf("partner got %v", env.Kind)
 		}
 		ch.Complete(partnerClk, env, hvm.Reply{Res: linuxabi.Result{Ret: 4242, Err: linuxabi.OK}})
-	}()
+	})
 
 	res := th.Syscall(linuxabi.Call{Num: linuxabi.SysGetpid})
 	if !res.Ok() || res.Ret != 4242 {
@@ -210,25 +209,19 @@ func TestFaultForwardingAndRetry(t *testing.T) {
 	th := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
 
 	served := 0
-	go func() {
-		partnerClk := cycles.NewClock(0)
-		for {
-			env := ch.Recv(partnerClk)
-			if env == nil {
-				return
-			}
-			if env.Kind != hvm.EvPageFault {
-				t.Errorf("partner got %v", env.Kind)
-			}
-			served++
-			// "Replicate the access": the ROS maps the page, then the
-			// shared lower tables make it visible to the HRT.
-			if err := r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite); err != nil {
-				t.Errorf("ros map: %v", err)
-			}
-			ch.Complete(partnerClk, env, hvm.Reply{FaultOK: true})
+	partnerClk := cycles.NewClock(0)
+	ch.Bind(partnerClk, func(env *hvm.Envelope) {
+		if env.Kind != hvm.EvPageFault {
+			t.Errorf("partner got %v", env.Kind)
 		}
-	}()
+		served++
+		// "Replicate the access": the ROS maps the page, then the
+		// shared lower tables make it visible to the HRT.
+		if err := r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite); err != nil {
+			t.Errorf("ros map: %v", err)
+		}
+		ch.Complete(partnerClk, env, hvm.Reply{FaultOK: true})
+	})
 
 	addr := uint64(0x7f55_0000_2000)
 	if err := th.Touch(addr, true); err != nil {
@@ -268,18 +261,12 @@ func TestDuplicateFaultTriggersRemerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	go func() {
-		partnerClk := cycles.NewClock(0)
-		for {
-			env := ch.Recv(partnerClk)
-			if env == nil {
-				return
-			}
-			// The ROS resolves the fault trivially: the page is already
-			// mapped on its side.
-			ch.Complete(partnerClk, env, hvm.Reply{FaultOK: true})
-		}
-	}()
+	// The ROS resolves the fault trivially: the page is already mapped
+	// on its side.
+	partnerClk := cycles.NewClock(0)
+	ch.Bind(partnerClk, func(env *hvm.Envelope) {
+		ch.Complete(partnerClk, env, hvm.Reply{FaultOK: true})
+	})
 
 	if err := th.Touch(addr, false); err != nil {
 		t.Fatalf("touch: %v", err)
@@ -395,17 +382,11 @@ func TestEagerRemergePolicy(t *testing.T) {
 	th := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
 
 	f, _ := r.m.Phys.Alloc(0, "p")
-	go func() {
-		partnerClk := cycles.NewClock(0)
-		for {
-			env := ch.Recv(partnerClk)
-			if env == nil {
-				return
-			}
-			_ = r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite)
-			ch.Complete(partnerClk, env, hvm.Reply{FaultOK: true})
-		}
-	}()
+	partnerClk := cycles.NewClock(0)
+	ch.Bind(partnerClk, func(env *hvm.Envelope) {
+		_ = r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite)
+		ch.Complete(partnerClk, env, hvm.Reply{FaultOK: true})
+	})
 	if err := th.Touch(0x7f66_0000_0000, true); err != nil {
 		t.Fatal(err)
 	}

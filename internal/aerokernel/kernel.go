@@ -680,12 +680,12 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 	}
 	t.fwdFaults++
 	k.fwdFaultCtr.Inc()
-	reply, err := ch.Forward(t.Clock, &hvm.Envelope{
-		Kind:       hvm.EvPageFault,
-		FaultAddr:  addr,
-		FaultWrite: f.ErrorCode&0x2 != 0,
-		ReqID:      reqID,
-	})
+	env := ch.NewEnvelope()
+	env.Kind = hvm.EvPageFault
+	env.FaultAddr = addr
+	env.FaultWrite = f.ErrorCode&0x2 != 0
+	env.ReqID = reqID
+	reply, err := ch.Forward(t.Clock, env)
 	if err != nil {
 		return err
 	}

@@ -165,25 +165,19 @@ func TestConcurrentFaultsSameCoreRouteCorrectly(t *testing.T) {
 	r.merge(t)
 
 	mkServer := func(ch *hvm.EventChannel) {
-		go func() {
-			partnerClk := cycles.NewClock(0)
-			for {
-				env := ch.Recv(partnerClk)
-				if env == nil {
-					return
-				}
-				if env.Kind != hvm.EvPageFault {
-					ch.Complete(partnerClk, env, hvm.Reply{})
-					continue
-				}
-				f, err := r.m.Phys.Alloc(0, "page")
-				ok := err == nil
-				if ok {
-					ok = r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite) == nil
-				}
-				ch.Complete(partnerClk, env, hvm.Reply{FaultOK: ok})
+		partnerClk := cycles.NewClock(0)
+		ch.Bind(partnerClk, func(env *hvm.Envelope) {
+			if env.Kind != hvm.EvPageFault {
+				ch.Complete(partnerClk, env, hvm.Reply{})
+				return
 			}
-		}()
+			f, err := r.m.Phys.Alloc(0, "page")
+			ok := err == nil
+			if ok {
+				ok = r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite) == nil
+			}
+			ch.Complete(partnerClk, env, hvm.Reply{FaultOK: ok})
+		})
 	}
 
 	ch1 := r.hv.NewEventChannel(1, 0)

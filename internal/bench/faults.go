@@ -46,7 +46,7 @@ func faultsConfigs() []struct {
 	}{
 		{"clean", nil},
 		// Plumbed but clean: the fault plane armed with every rate zero.
-		// Sequencing, checksums, and watchdogs all run; the acceptance bar
+		// Sequencing, checksums, and kill rolls all run; the acceptance bar
 		// is zero added virtual cycles against the clean run.
 		{"plumbed", &faults.Plan{Seed: 1}},
 		// Random transport faults plus rare partner deaths, with budget to

@@ -67,18 +67,14 @@ func newHybrid(name string, hrtCore machine.CoreID) (*core.System, error) {
 // The cacheline cost depends only on whether the two share a socket.
 func syncCallCycles(sys *core.System, hrtCore machine.CoreID, runs int, arg uint64) (cycles.Cycles, error) {
 	clk := sys.Main.Clock
-	p, err := sys.HVM.OpenPolled(clk, hvm.PollSync, hrtCore, sys.Kernel.BootCore())
+	p, err := sys.HVM.OpenPolled(clk, hvm.PollSync, hrtCore, sys.Kernel.BootCore(), hvm.Poller{
+		Clock: cycles.NewClock(clk.Now()),
+		Serve: func(call linuxabi.Call) linuxabi.Result { return linuxabi.Result{Ret: call.Args[0]} },
+	})
 	if err != nil {
 		return 0, err
 	}
 	defer sys.HVM.ClosePolled(clk, p)
-	pollClk := cycles.NewClock(clk.Now())
-	go func() {
-		for p.Serve(pollClk, func(call linuxabi.Call) linuxabi.Result {
-			return linuxabi.Result{Ret: call.Args[0]}
-		}) {
-		}
-	}()
 	call := linuxabi.Call{Args: [6]uint64{arg}}
 	return avgCycles(clk, runs, func() {
 		if _, _, ierr := p.Invoke(clk, call, 0); ierr != nil {

@@ -16,7 +16,7 @@ import (
 // auto-dump the flight recorder when the recovery budget runs out, and
 // the dump must let a reader reconstruct the full causal chain — a
 // forwarded syscall's request ID from its doorbell through the fault
-// roll, the retransmission, the requeue, and the watchdog respawn.
+// roll, the retransmission, the requeue, and the partner respawn.
 func TestCausalTimelineFromFlightDump(t *testing.T) {
 	prog, ok := ProgramByName("fasta")
 	if !ok {

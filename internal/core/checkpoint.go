@@ -13,8 +13,9 @@ import (
 // serialized image of one quiesced execution group (GroupCheckpoint),
 // the group-side Checkpoint/RestoreGroup building blocks, and the
 // voluntary-migration syscall gate. The Grid (grid.go) is the safe
-// driver for all of it — it owns the quiesce protocol, the dedicated
-// migration clock, and the lifeMu serialization against the watchdog.
+// driver for all of it — it owns the quiesce protocol and the dedicated
+// migration clock, and holds the group's channel service while it moves
+// the group, which serializes a move against inline recovery.
 
 // ErrNotMigratable reports that a group cannot be checkpointed or
 // migrated: it is not grid-hosted, already dead, or running degraded
@@ -74,8 +75,8 @@ type GroupCheckpoint struct {
 }
 
 // Checkpoint serializes the group's superposed state. The caller (the
-// Grid) must have quiesced the group first: partner interrupted and
-// exited, no forwarded call in flight on the HRT side, lifeMu held.
+// Grid) must have quiesced the group first: no forwarded call in flight
+// on the HRT side, and the channel's service held.
 // All costs charge migClk — the dedicated migration clock — never a
 // group clock, so the workload's virtual times match an unmigrated run.
 func (g *ExecutionGroup) Checkpoint(migClk *cycles.Clock) *GroupCheckpoint {
@@ -127,10 +128,10 @@ func (g *ExecutionGroup) Checkpoint(migClk *cycles.Clock) *GroupCheckpoint {
 // between fault domains, the channel window requeued so in-flight and
 // pending envelopes redeliver exactly once, and the router hooks
 // rebound to this node's Proc and HVM. Transfer and rebuild costs
-// charge migClk. The caller holds the group's lifeMu with relocating
-// set and the old partner already exited; the AK-thread re-home is the
-// caller's job (inline for a voluntary migration, deferred to the next
-// boundary crossing for a forced restore).
+// charge migClk. The caller holds the group's channel service; the
+// AK-thread re-home is the caller's job (inline for a voluntary
+// migration, deferred to the next boundary crossing for a forced
+// restore).
 func (s *System) RestoreGroup(g *ExecutionGroup, cp *GroupCheckpoint, migClk *cycles.Clock) {
 	src := g.sys()
 	cost := s.Machine.Cost
@@ -146,7 +147,7 @@ func (s *System) RestoreGroup(g *ExecutionGroup, cp *GroupCheckpoint, migClk *cy
 	pt.Clock.SyncTo(cp.PartnerClock)
 
 	// Replay the mirrored-state merge on the target node, best-effort
-	// exactly as in watchdog respawn.
+	// exactly as in a respawn.
 	_ = s.HVM.MergeAddressSpace(migClk, s.Proc.CR3())
 
 	// Move the group between fault domains: registry entry, live-count
@@ -157,13 +158,15 @@ func (s *System) RestoreGroup(g *ExecutionGroup, cp *GroupCheckpoint, migClk *cy
 	s.noteGroupMigratedIn()
 	g.sysv.Store(s)
 
-	// In-flight and pending envelopes redeliver through the new partner;
-	// completed seqnos stay deduplicated in the window, so the replay is
-	// exactly-once — zero lost, zero duplicated syscalls.
+	// In-flight and pending envelopes redeliver through the new partner
+	// at the next delivery; completed seqnos stay deduplicated in the
+	// window, so the replay is exactly-once — zero lost, zero duplicated
+	// syscalls. The new partner serves on the target's Proc with a fresh
+	// recovery budget.
 	g.channel.Requeue(pt.Clock.Now())
 	g.gen.Add(1) // kill rolls re-key, as in respawn
-	g.channel.ArmPartnerInterrupt()
-	g.setPartner(pt)
+	g.recoveries = 0
+	g.bind(pt)
 
 	if g.router != nil {
 		// The quiesced router survives the move (tier state, hold
@@ -174,12 +177,6 @@ func (s *System) RestoreGroup(g *ExecutionGroup, cp *GroupCheckpoint, migClk *cy
 
 	s.recorder.Record(migClk.Now(), telemetry.RecRestore, g.id, 0,
 		uint64(cp.SourceNode), uint64(s.gridNode))
-	if s.faults != nil {
-		// The source watchdog stood down when the partner it watched
-		// was replaced under relocating; arm a fresh one here.
-		go g.watch()
-	}
-	pt.Start(nil, g.serve)
 }
 
 // migrateRequest is an armed voluntary migration, claimed by the

@@ -10,6 +10,7 @@ import (
 
 	"multiverse/internal/cycles"
 	"multiverse/internal/faults"
+	"multiverse/internal/hvm"
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/ros"
 )
@@ -31,10 +32,15 @@ type liveGroupCost struct {
 	stack      float64 // bytes of goroutine stack in use
 }
 
-// holdLiveGroups spawns n groups that block in holdFn, measures the host
-// cost of holding them all live against the system before the spawns,
-// then releases and joins them and checks the registry drains.
-func holdLiveGroups(tb testing.TB, sys *System, n int) liveGroupCost {
+// badClose is a system call every router tier forwards: closing an fd
+// that is not open.
+var badClose = linuxabi.Call{Num: linuxabi.SysClose, Args: [6]uint64{999}}
+
+// holdLiveGroups spawns n groups that forward calls badClose calls and
+// then block in holdFn, measures the host cost of holding them all live
+// against the system before the spawns, then releases and joins them and
+// checks the registry drains.
+func holdLiveGroups(tb testing.TB, sys *System, n, calls int) liveGroupCost {
 	tb.Helper()
 	clk := cycles.NewClock(0)
 	arrived := make(chan struct{}, n)
@@ -47,8 +53,14 @@ func holdLiveGroups(tb testing.TB, sys *System, n int) liveGroupCost {
 		return ms.HeapAlloc, ms.StackInuse, runtime.NumGoroutine()
 	}
 	heap0, stack0, gr0 := snapshot()
+	hold := holdFn(arrived, gate)
 	for i := range held {
-		g, err := sys.SpawnGroup(clk, holdFn(arrived, gate))
+		g, err := sys.SpawnGroup(clk, func(env Env) uint64 {
+			for c := 0; c < calls; c++ {
+				env.Syscall(badClose)
+			}
+			return hold(env)
+		})
 		if err != nil {
 			tb.Fatalf("spawn %d: %v", i, err)
 		}
@@ -78,33 +90,74 @@ func holdLiveGroups(tb testing.TB, sys *System, n int) liveGroupCost {
 	}
 }
 
-// liveGroupConfigs are the configurations the live-group cost is bounded
-// in: every option off, and the routed fast path with a warm pool.
-var liveGroupConfigs = []struct {
-	name string
-	opts Options
-}{
-	{"plain", Options{AppName: "live"}},
-	{"routed", Options{AppName: "live", Router: true, Exitless: true, Merger: true, WarmPool: 64}},
+// liveGroupConfig is one configuration the live-group cost is bounded
+// in. Each held group first forwards calls system calls; promoted names
+// the router counter that must then read one promotion per group.
+type liveGroupConfig struct {
+	name     string
+	opts     Options
+	calls    int
+	promoted string
 }
 
-// TestDensityLiveGroupHeap bounds the heap a held live group costs at
-// 16 KiB. Simulated stacks are paged, so the nominal 256 KiB HRT stack
-// and 64 KiB partner stack cost only the pages a group touches. A first
-// wave of 64 held groups warms the system (and fills the warm pool)
-// before the measured wave.
+// liveGroupConfigs are every option off, and the routed fast path with a
+// warm pool.
+var liveGroupConfigs = []liveGroupConfig{
+	{name: "plain", opts: Options{AppName: "live"}},
+	{name: "routed", opts: Options{AppName: "live", Router: true, Exitless: true, Merger: true, WarmPool: 64}},
+}
+
+// promotedGroupConfigs hold groups the router has promoted to a polled
+// rung: tier 2's sync channel after one forward, and tier 3's rings
+// after two (the ring promotion gives the sync channel back).
+var promotedGroupConfigs = []liveGroupConfig{
+	{name: "tier2", calls: 1, promoted: "router.promotions", opts: Options{AppName: "live", Router: true,
+		RouterPolicy: hvm.RouterPolicy{PromoteCalls: 1}}},
+	{name: "tier3", calls: 2, promoted: "router.tier3.promotions", opts: Options{AppName: "live", Router: true,
+		Exitless: true, RouterPolicy: hvm.RouterPolicy{PromoteCalls: 1, RingCalls: 2}}},
+}
+
+// TestDensityLiveGroupHeap bounds what a held live group costs the host:
+// 16 KiB of heap, and the one goroutine of its HRT thread with at most
+// 3 KiB of goroutine stack. Simulated stacks are paged, so the nominal
+// 256 KiB HRT stack and 64 KiB partner stack cost only the pages a group
+// touches, and the partner and a promoted rung's poller are bound
+// handlers, not goroutines. A group that has forwarded a call ran the
+// ROS service on its HRT goroutine, whose stack then stays at 4 KiB:
+// the runtime shrinks a stack only while a quarter of it is free of
+// frames and of the 800-byte nosplit reserve, which a 4 KiB stack never
+// is. (Under the race detector, whose instrumented frames double every
+// stack, only the heap and goroutine bounds apply.) A first wave of 64
+// held groups warms the system (and fills the warm pool) before the
+// measured wave.
 func TestDensityLiveGroupHeap(t *testing.T) {
 	const groups = 2000
 	const maxHeap = 16 << 10
-	for _, tc := range liveGroupConfigs {
+	const maxGoroutines = 1.05
+	for _, tc := range append(append([]liveGroupConfig(nil), liveGroupConfigs...), promotedGroupConfigs...) {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := buildTestSystem(t, tc.opts)
-			holdLiveGroups(t, sys, 64)
-			c := holdLiveGroups(t, sys, groups)
+			holdLiveGroups(t, sys, 64, tc.calls)
+			c := holdLiveGroups(t, sys, groups, tc.calls)
 			t.Logf("per live group: %.1f KiB heap, %.2f goroutines, %.1f KiB goroutine stack",
 				c.heap/1024, c.goroutines, c.stack/1024)
 			if c.heap > maxHeap {
 				t.Errorf("a live group costs %.1f KiB of heap, want <= %d KiB", c.heap/1024, maxHeap/1024)
+			}
+			if c.goroutines > maxGoroutines {
+				t.Errorf("a live group costs %.2f goroutines, want <= %.2f", c.goroutines, maxGoroutines)
+			}
+			maxStack := 3 << 10
+			if tc.calls > 0 {
+				maxStack = 9 << 9
+			}
+			if !raceBuild && c.stack > float64(maxStack) {
+				t.Errorf("a live group costs %.1f KiB of goroutine stack, want <= %.1f KiB", c.stack/1024, float64(maxStack)/1024)
+			}
+			if tc.promoted != "" {
+				if n := sys.Metrics().Counter(tc.promoted).Value(); n != 64+groups {
+					t.Errorf("%s = %d, want one per held group (%d)", tc.promoted, n, 64+groups)
+				}
 			}
 		})
 	}
@@ -119,7 +172,7 @@ func BenchmarkLiveGroups100k(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sys := buildTestSystem(b, tc.opts)
-				c := holdLiveGroups(b, sys, 100_000)
+				c := holdLiveGroups(b, sys, 100_000, tc.calls)
 				b.ReportMetric(c.heap, "heap-B/group")
 				b.ReportMetric(c.goroutines, "goroutines/group")
 				b.ReportMetric(c.stack, "stack-B/group")

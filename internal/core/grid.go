@@ -22,8 +22,9 @@ import (
 // never a group or partner clock, so a migrated group's virtual times
 // (and therefore its output) are bit-for-bit what an unmigrated run
 // produces. The quiesce-point invariant makes that safe: groups are
-// only interrupted at syscall boundaries, where no forwarded call is
-// in flight and the serve loop is parked in Recv. (A router-promoted
+// only moved at syscall boundaries, where no forwarded call is in
+// flight, and the move holds the channel's service, so no delivery runs
+// while the partner is rebound. (A router-promoted
 // group is the known exception: Quiesce demotes it, and it re-promotes
 // on the target's clock, so its cycle total shifts.)
 //
@@ -268,35 +269,32 @@ func (gr *Grid) awaitMigration(g *ExecutionGroup, req *migrateRequest) error {
 
 // migrateNow executes a claimed voluntary migration. It runs on the
 // group's own HRT goroutine at a syscall boundary — the group is
-// quiescent by construction — and under lifeMu so the watchdog cannot
-// treat the interrupted partner as a fault.
+// quiescent by construction — and holds the channel's service, so no
+// delivery (and no inline recovery) runs while the group moves.
 func (gr *Grid) migrateNow(g *ExecutionGroup, t *aerokernel.Thread, target *System, targetNode int) error {
 	src := g.sys()
 	if target == src {
 		return nil
 	}
-	g.lifeMu.Lock()
-	defer g.lifeMu.Unlock()
-	if g.dead.Load() || g.degraded.Load() {
-		return ErrNotMigratable
-	}
-	g.relocating.Store(true)
-	p := g.partnerRef()
-	g.channel.InterruptPartner()
-	<-p.Done()
-	start := gr.migClk.Now()
-	cp := g.Checkpoint(gr.migClk)
-	target.RestoreGroup(g, cp, gr.migClk)
-	// Voluntary path: this goroutine IS the HRT thread, so the re-home
-	// is safe right here.
-	t.Rehome(target.AK)
-	g.relocating.Store(false)
-	lat := gr.migClk.Now() - start
-	gr.migrated.Inc()
-	gr.migrateH.Observe(lat)
-	gr.recorder.Record(gr.migClk.Now(), telemetry.RecMigrateDone, g.id, 0,
-		uint64(lat), uint64(targetNode))
-	return nil
+	err := ErrNotMigratable
+	g.channel.Hold(func() {
+		if g.dead.Load() || g.degraded.Load() {
+			return
+		}
+		start := gr.migClk.Now()
+		cp := g.Checkpoint(gr.migClk)
+		target.RestoreGroup(g, cp, gr.migClk)
+		// Voluntary path: this goroutine IS the HRT thread, so the
+		// re-home is safe right here.
+		t.Rehome(target.AK)
+		lat := gr.migClk.Now() - start
+		gr.migrated.Inc()
+		gr.migrateH.Observe(lat)
+		gr.recorder.Record(gr.migClk.Now(), telemetry.RecMigrateDone, g.id, 0,
+			uint64(lat), uint64(targetNode))
+		err = nil
+	})
+	return err
 }
 
 // DrainNode stops placement on node i and migrates every live group off
@@ -397,29 +395,26 @@ func (gr *Grid) KillNode(i int) ([]uint64, error) {
 }
 
 // restoreOnSurvivor force-restores one victim of a node kill onto
-// target: interrupt the (quiesced) partner, checkpoint, restore. The
+// target: hold the (quiesced) group's service, checkpoint, restore. The
 // AK-thread re-home is deferred to the group's next boundary crossing
 // — the HRT goroutine is not ours to touch here. The source
 // AeroKernel is deliberately not halted: the restored HRT context is
 // the live thread object, which re-homes itself at that next crossing.
 func (gr *Grid) restoreOnSurvivor(g *ExecutionGroup, target *System) bool {
-	g.lifeMu.Lock()
-	defer g.lifeMu.Unlock()
-	if g.dead.Load() {
-		return false
-	}
-	g.relocating.Store(true)
-	p := g.partnerRef()
-	g.channel.InterruptPartner()
-	<-p.Done()
-	start := gr.migClk.Now()
-	cp := g.Checkpoint(gr.migClk)
-	target.RestoreGroup(g, cp, gr.migClk)
-	g.rehomePending.Store(true)
-	g.relocating.Store(false)
-	gr.migrated.Inc()
-	gr.restoreH.Observe(gr.migClk.Now() - start)
-	return true
+	restored := false
+	g.channel.Hold(func() {
+		if g.dead.Load() {
+			return
+		}
+		start := gr.migClk.Now()
+		cp := g.Checkpoint(gr.migClk)
+		target.RestoreGroup(g, cp, gr.migClk)
+		g.rehomePending.Store(true)
+		gr.migrated.Inc()
+		gr.restoreH.Observe(gr.migClk.Now() - start)
+		restored = true
+	})
+	return restored
 }
 
 // liveGroupsOn snapshots the live groups hosted on node i, ascending

@@ -39,7 +39,10 @@ type spawnSpec struct {
 // one ROS partner thread and one top-level HRT thread, joined by an event
 // channel (section 3.2). The partner exists to preserve join semantics and
 // to provide the ROS-side context that initiates the state superposition
-// and services forwarded events.
+// and services forwarded events. It is state — a TID, a clock, a stack
+// and TLS — bound to the channel as a handler: each forwarded event is
+// served where it is delivered, on the forwarding goroutine, against the
+// partner's own clock. Only the HRT thread has a goroutine.
 type ExecutionGroup struct {
 	id uint64
 	// sysv is the hosting System (node). It is atomic because a grid
@@ -50,7 +53,7 @@ type ExecutionGroup struct {
 	channel *hvm.EventChannel
 	rosCore machine.CoreID
 
-	// pmu guards partner, which the watchdog replaces on a respawn.
+	// pmu guards partner, which recovery and migration replace.
 	pmu     sync.Mutex
 	partner *ros.Thread
 
@@ -65,23 +68,28 @@ type ExecutionGroup struct {
 	// (Options.Router).
 	router *hvm.SyscallRouter
 
-	created  chan struct{}
+	// slo holds the group's per-syscall SLO histograms, resolved once
+	// per system call number.
+	slo telemetry.Handles[linuxabi.Sysno, *telemetry.Histogram]
+
 	exitCode atomic.Uint64
 
-	// finished closes when the serve loop has cleaned the group up;
+	// finished closes when the partner has cleaned the group up;
 	// finalTime is the partner clock at that moment — what joiners
-	// synchronize to. (The partner clock does not advance between cleanup
-	// and thread exit, so this equals the pre-watchdog join-time read.)
+	// synchronize to.
 	finished  chan struct{}
 	finalTime atomic.Uint64
 
 	// Recovery state (fault plane only): gen counts partner generations
 	// (salted into the kill roll so a respawned partner re-rolls the
-	// redelivered seqno fresh); degraded marks ROS-only fallback mode;
+	// redelivered seqno fresh); recoveries counts the deaths recovered on
+	// the current node, against the plan's budget (guarded by the
+	// channel's service lock); degraded marks ROS-only fallback mode;
 	// fbMu serializes the degraded direct-service entries.
-	gen      atomic.Uint64
-	degraded atomic.Bool
-	fbMu     sync.Mutex
+	gen        atomic.Uint64
+	recoveries int
+	degraded   atomic.Bool
+	fbMu       sync.Mutex
 
 	// akStack is the ROS-side stack backing the HRT thread — what the
 	// warm pool recycles at exit (tenancy.go). Written once before the
@@ -97,17 +105,14 @@ type ExecutionGroup struct {
 
 	// Grid state (grid.go / checkpoint.go), all zero outside a grid.
 	// gridHosted marks the group migratable (set at spawn when the node
-	// belongs to a Grid); relocating marks a checkpoint/restore in
-	// progress — the serve loop returns without cleanup and the watchdog
-	// stands down; lifeMu serializes watchdog recovery against migration
-	// restore; gateCalls counts boundary crossings at the syscall gate;
-	// gateReq holds an armed voluntary-migration request the gate claims;
-	// rehomePending defers the AK-thread re-home of a force-restored
-	// group to its next boundary crossing (the first point the HRT
-	// goroutine is provably quiescent after a node kill).
+	// belongs to a Grid); gateCalls counts boundary crossings at the
+	// syscall gate; gateReq holds an armed voluntary-migration request
+	// the gate claims; rehomePending defers the AK-thread re-home of a
+	// force-restored group to its next boundary crossing (the first
+	// point the HRT goroutine is provably quiescent after a node kill).
+	// A migration holds the channel's service lock, which also
+	// serializes it against inline recovery.
 	gridHosted    bool
-	relocating    atomic.Bool
-	lifeMu        sync.Mutex
 	gateCalls     atomic.Uint64
 	gateReq       atomic.Pointer[migrateRequest]
 	rehomePending atomic.Bool
@@ -127,18 +132,32 @@ func (g *ExecutionGroup) retire() {
 	}
 }
 
-// partnerRef returns the current partner thread (the watchdog may have
-// replaced it).
+// partnerRef returns the current partner thread (recovery or migration
+// may have replaced it).
 func (g *ExecutionGroup) partnerRef() *ros.Thread {
 	g.pmu.Lock()
 	defer g.pmu.Unlock()
 	return g.partner
 }
 
-func (g *ExecutionGroup) setPartner(p *ros.Thread) {
+// bind makes pt the group's partner generation: every envelope the
+// channel delivers runs serve on pt's clock, and a partner that dies
+// mid-service recovers inline before the delivery loop drains the
+// replay. The replaced generation, if any, is over. Callers bind before
+// the HRT thread can forward, or while they hold the service.
+func (g *ExecutionGroup) bind(pt *ros.Thread) {
 	g.pmu.Lock()
-	g.partner = p
+	prev := g.partner
+	g.partner = pt
 	g.pmu.Unlock()
+	if prev != nil {
+		prev.Exit(0)
+	}
+	g.channel.Bind(pt.Clock, func(env *hvm.Envelope) {
+		if !g.serve(pt, env) {
+			g.recoverPartner(pt)
+		}
+	})
 }
 
 // PartnerTID is the TID of the current partner thread — the key the ROS
@@ -180,19 +199,13 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 	g := &ExecutionGroup{
 		channel:  s.HVM.NewEventChannel(hrtCore, rosCore),
 		rosCore:  rosCore,
-		created:  make(chan struct{}),
 		finished: make(chan struct{}),
 	}
 	g.sysv.Store(s)
 	g.id = s.nextGroupID.Add(1)
-	if s.grid != nil {
-		// Grid-hosted: the partner may be interrupted at a quiesce point
-		// and the group restored on another node. Arming the interrupt
-		// before the partner ever serves keeps the Recv path shape fixed
-		// for the group's whole life.
-		g.gridHosted = true
-		g.channel.ArmPartnerInterrupt()
-	}
+	// Grid-hosted: the group may be checkpointed at a quiesce point and
+	// restored on another node.
+	g.gridHosted = s.grid != nil
 	s.groups.store(g.id, g)
 	s.noteGroupLive()
 	if s.faults.GroupInScope(g.id) {
@@ -216,38 +229,42 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 		// Warm reuse (the paper's HRT-reboot fast path, per-group): the
 		// parked context already paid its clone() and its async creation
 		// round trip when it was first cold-booted, so a warm spawn only
-		// pays the reuse switch plus the AeroKernel thread creation. The
+		// pays the reuse switch plus the AeroKernel thread creation — the
+		// recycled service context restarts without a fresh clone(). The
 		// deterministic reset is explicit: the stack pointer rebases
 		// (Reset), the clock rebases to the claimant (CreateThread syncs
 		// it), and CreateThread re-applies the GDT/FSBase superposition —
 		// the slot carries no address-space deltas because group-private
-		// state died with the old group's channel/ring teardown.
+		// state died with the old group's channel/ring teardown. The
+		// service is held until the partner clock has caught up, so the
+		// new HRT thread's first forward waits for it.
 		pt := s.Proc.NewThread(rosCore)
-		g.setPartner(pt)
 		creator.Advance(s.Machine.Cost.WarmPoolReuse)
 		slot.stack.Reset()
 		g.akStack = slot.stack
-		g.startHRT(creator, hrtCore, aerokernel.Superposition{
-			GDT:    s.Kernel.ProcessGDT(),
-			FSBase: pt.FSBase,
-		}, slot.stack, queue, fn)
-		pt.Clock.SyncTo(creator.Now())
-		close(g.created)
-		// The recycled service context restarts without a fresh clone()
-		// — the nil creator charges nothing, exactly like a watchdog
-		// respawn resuming an existing group.
-		pt.Start(nil, g.serve)
+		g.channel.Hold(func() {
+			g.bind(pt)
+			g.startHRT(creator, hrtCore, aerokernel.Superposition{
+				GDT:    s.Kernel.ProcessGDT(),
+				FSBase: pt.FSBase,
+			}, slot.stack, queue, fn)
+			pt.Clock.SyncTo(creator.Now())
+		})
 	} else {
-		// Cold boot: Figure 7's full protocol. The stack is allocated
+		// Cold boot: Figure 7's full protocol, run on the spawner's
+		// goroutine against the partner's clock. The stack is allocated
 		// here (host-side, no virtual cost) so the group can remember it
-		// for warm-pool parking at exit.
+		// for warm-pool parking at exit. The partner owns the ROS-side
+		// stack for the HRT thread and mirrors its own GDT/TLS state into
+		// the superposition; the service is held across the creation
+		// request, so the new HRT thread's first forward is served only
+		// after the partner's clock has seen it complete.
 		stack := machine.NewStack(256 * 1024)
 		g.akStack = stack
-		partner := s.Proc.NewThread(rosCore)
-		g.setPartner(partner)
-		partner.Start(creator, func(pt *ros.Thread) {
-			// The partner owns the ROS-side stack for the HRT thread
-			// and mirrors its own GDT/TLS state into the superposition.
+		pt := s.Proc.NewThread(rosCore)
+		pt.Create(creator)
+		g.channel.Hold(func() {
+			g.bind(pt)
 			spec := &spawnSpec{
 				fn:   fn,
 				core: hrtCore,
@@ -268,16 +285,12 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 				// kernel, failed injection): drop it so failed spawns do
 				// not leak pending entries.
 				s.pendingSpawns.delete(id)
-				close(g.created)
 				g.channel.Close()
-				return
+				pt.Exit(0)
 			}
-			close(g.created)
-			g.serve(pt)
 		})
 	}
 
-	<-g.created
 	if g.hrt == nil {
 		// The HRT thread never started; release its run-queue slot so
 		// threads queued behind it do not wait forever, and unregister
@@ -288,11 +301,6 @@ func (s *System) spawnGroupFrom(creator *cycles.Clock, creatorT *aerokernel.Thre
 		s.noteGroupDead()
 		g.retire()
 		return nil, fmt.Errorf("multiverse: HRT thread creation failed")
-	}
-	if s.faults != nil {
-		// Watchdog: only armed runs can lose a partner thread, and only
-		// after a successful spawn is there anything to watch.
-		go g.watch()
 	}
 	return g, nil
 }
@@ -329,22 +337,21 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 	r := g.router
 	r.SetStamps(s.Proc)
 	// Promotion sets up the channel with one hypercall and dedicates a
-	// fresh ROS thread, created on the promoting HRT thread's clock, to
-	// its serve loop; demotion (idle, fault pressure, or kill recovery)
+	// fresh ROS thread, created on the promoting HRT thread's clock, as
+	// its poller; demotion (idle, fault pressure, or kill recovery)
 	// closes it with the kind's teardown hypercall, which also releases
 	// the poller. Exitless adds the tier-3 ring rung.
 	r.SetPollHooks(
 		func(clk *cycles.Clock, kind hvm.PollKind) (*hvm.PolledChannel, error) {
-			ch, err := s.HVM.OpenPolled(clk, kind, rosCore, hrtCore)
+			pt := s.Proc.NewThread(rosCore)
+			ch, err := s.HVM.OpenPolled(clk, kind, rosCore, hrtCore, hvm.Poller{
+				Clock: pt.Clock,
+				Serve: func(call linuxabi.Call) linuxabi.Result { return s.Proc.Syscall(pt, call) },
+			})
 			if err != nil {
 				return nil, err
 			}
-			s.Proc.NewThread(rosCore).Start(clk, func(pt *ros.Thread) {
-				for ch.Serve(pt.Clock, func(call linuxabi.Call) linuxabi.Result {
-					return s.Proc.Syscall(pt, call)
-				}) {
-				}
-			})
+			pt.Create(clk)
 			return ch, nil
 		},
 		s.HVM.ClosePolled,
@@ -352,38 +359,19 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 	)
 }
 
-// watch is the group's watchdog goroutine: it observes partner-thread
-// death and drives recovery — respawn within the budget, graceful
-// ROS-only degradation beyond it. Recovery runs under lifeMu so it
-// serializes against a concurrent migration restore: a partner that died
-// because a migration quiesced it is not a fault, and the watchdog
-// stands down (the restore starts a fresh watchdog on the target node).
-func (g *ExecutionGroup) watch() {
-	fi := g.sys().faults
-	recoveries := 0
-	for {
-		p := g.partnerRef()
-		<-p.Done()
-		g.lifeMu.Lock()
-		if g.dead.Load() {
-			g.lifeMu.Unlock()
-			return // normal teardown
-		}
-		if g.relocating.Load() || g.partnerRef() != p {
-			// A migration interrupted this partner (or already replaced
-			// it while we waited for lifeMu): not a death to recover.
-			g.lifeMu.Unlock()
-			return
-		}
-		recoveries++
-		if recoveries > fi.RecoveryBudget() {
-			g.degrade(p)
-			g.lifeMu.Unlock()
-			return
-		}
-		g.respawn(p)
-		g.lifeMu.Unlock()
+// recoverPartner is partner-death recovery, run inline by the delivery that
+// found the partner dead, at the dead partner's clock: respawn within
+// the fault plan's budget, graceful ROS-only degradation beyond it.
+// Either binds the next generation and requeues the in-flight
+// envelopes, and the delivery loop drains the replay to it, so the
+// blocked Forward returns the replayed reply.
+func (g *ExecutionGroup) recoverPartner(dead *ros.Thread) {
+	g.recoveries++
+	if g.recoveries > g.sys().faults.RecoveryBudget() {
+		g.degrade(dead)
+		return
 	}
+	g.respawn(dead)
 }
 
 // respawn brings up a fresh partner thread after a death: create the
@@ -402,7 +390,7 @@ func (g *ExecutionGroup) respawn(dead *ros.Thread) {
 	_ = s.HVM.MergeAddressSpace(pt.Clock, s.Proc.CR3())
 	replayed := g.channel.Requeue(pt.Clock.Now())
 	g.gen.Add(1) // kill rolls re-key: redelivered seqnos roll fresh
-	g.setPartner(pt)
+	g.bind(pt)
 	s.metrics.Counter("faults.recovery").Inc()
 	s.metrics.LatencyHistogram("faults.recovery.latency").Observe(pt.Clock.Now() - start)
 	// Flow-link the respawn marker to the first replayed envelope's
@@ -419,7 +407,6 @@ func (g *ExecutionGroup) respawn(dead *ros.Thread) {
 		telemetry.Attr{Key: "req", Val: firstReq})
 	s.recorder.Record(pt.Clock.Now(), telemetry.RecRespawn, g.id, firstReq,
 		g.gen.Load(), uint64(len(replayed)))
-	pt.Start(nil, g.serve)
 }
 
 // degrade is the recovery-budget-exhausted path: instead of wedging (or
@@ -427,8 +414,8 @@ func (g *ExecutionGroup) respawn(dead *ros.Thread) {
 // the paper's Incremental model run in reverse. System calls and
 // forwarded faults are served by direct ROS entries under a dedicated
 // service context; the event channel goes force-reliable and a final
-// serve loop handles the residual control traffic (thread exit, plus any
-// requeued in-flight envelopes).
+// partner generation handles the residual control traffic (thread exit,
+// plus any requeued in-flight envelopes).
 func (g *ExecutionGroup) degrade(dead *ros.Thread) {
 	s := g.sys()
 	cost := s.Machine.Cost
@@ -467,7 +454,7 @@ func (g *ExecutionGroup) degrade(dead *ros.Thread) {
 	pt.Clock.Advance(cost.ROSThreadCreate)
 	g.channel.Requeue(pt.Clock.Now())
 	g.gen.Add(1)
-	g.setPartner(pt)
+	g.bind(pt)
 	s.metrics.Counter("faults.degraded").Inc()
 	s.tracer.Instant(telemetry.Track{Core: int(g.rosCore), Name: "ros:watchdog"},
 		"faults", "degraded-ros-only", pt.Clock.Now(),
@@ -475,7 +462,6 @@ func (g *ExecutionGroup) degrade(dead *ros.Thread) {
 	s.recorder.Record(pt.Clock.Now(), telemetry.RecDegrade, g.id, 0, g.gen.Load(), 0)
 	// Budget exhaustion is a post-mortem trigger: preserve the lead-up.
 	s.recorder.AutoDump(fmt.Sprintf("recovery budget exhausted on group %d (degraded to ROS-only)", g.id))
-	pt.Start(nil, g.serve)
 }
 
 // runHRT is the HRT thread's body: run the application function in the
@@ -494,55 +480,40 @@ func (g *ExecutionGroup) runHRT(t *aerokernel.Thread, fn func(Env) uint64) uint6
 	return code
 }
 
-// serve is the partner thread's event loop: converge on each event the
-// HRT side raises — forwarded system calls are executed against the ROS
-// kernel, forwarded page faults are replicated so the ROS fault path runs
-// — until the HRT thread exits.
-func (g *ExecutionGroup) serve(pt *ros.Thread) {
-	fi := g.sys().faults
-	for {
-		env := g.channel.Recv(pt.Clock)
-		if env == nil {
-			if g.relocating.Load() {
-				// Migration interrupt, not channel close: return without
-				// cleanup. The restored partner resumes serving on the
-				// target node from the requeued window.
-				return
-			}
-			break
-		}
-		if !g.degraded.Load() &&
-			fi.Roll(faults.PartnerKill, g.channel.ID(), env.Seq, int(g.gen.Load()), pt.Clock.Now()) {
-			// Injected partner death mid-service: return without cleanup.
-			// The thread finishes, the watchdog notices, and the envelope —
-			// still in the channel's in-flight set — is requeued for the
-			// next generation.
-			return
-		}
-		switch env.Kind {
-		case hvm.EvSyscall:
-			res := g.sys().Proc.Syscall(pt, env.Call)
-			g.channel.Complete(pt.Clock, env, hvm.Reply{Res: res})
-		case hvm.EvPageFault:
-			// Replicate the access: the same exception occurs on the
-			// ROS core and the ROS handles it as it would normally.
-			errno := g.sys().Proc.Touch(pt, env.FaultAddr, env.FaultWrite)
-			g.channel.Complete(pt.Clock, env, hvm.Reply{FaultOK: errno == linuxabi.OK})
-		case hvm.EvThreadExit:
-			g.channel.Complete(pt.Clock, env, hvm.Reply{})
-			g.cleanup(pt)
-			return
-		default:
-			g.channel.Complete(pt.Clock, env, hvm.Reply{Res: linuxabi.Result{Err: linuxabi.ENOSYS}})
-		}
+// serve is the partner's per-envelope body: it converges on one event
+// the HRT side raised — a forwarded system call is executed against the
+// ROS kernel, a forwarded page fault is replicated so the ROS fault path
+// runs, and the thread exit tears the group down. It returns false when
+// an injected partner death interrupts the service: the envelope, still
+// in the channel's in-flight set, is requeued for the next generation.
+func (g *ExecutionGroup) serve(pt *ros.Thread, env *hvm.Envelope) bool {
+	if !g.degraded.Load() &&
+		g.sys().faults.Roll(faults.PartnerKill, g.channel.ID(), env.Seq, int(g.gen.Load()), pt.Clock.Now()) {
+		return false
 	}
-	g.cleanup(pt)
+	switch env.Kind {
+	case hvm.EvSyscall:
+		res := g.sys().Proc.Syscall(pt, env.Call)
+		g.channel.Complete(pt.Clock, env, hvm.Reply{Res: res})
+	case hvm.EvPageFault:
+		// Replicate the access: the same exception occurs on the
+		// ROS core and the ROS handles it as it would normally.
+		errno := g.sys().Proc.Touch(pt, env.FaultAddr, env.FaultWrite)
+		g.channel.Complete(pt.Clock, env, hvm.Reply{FaultOK: errno == linuxabi.OK})
+	case hvm.EvThreadExit:
+		g.channel.Complete(pt.Clock, env, hvm.Reply{})
+		g.cleanup(pt)
+	default:
+		g.channel.Complete(pt.Clock, env, hvm.Reply{Res: linuxabi.Result{Err: linuxabi.ENOSYS}})
+	}
+	return true
 }
 
-// cleanup tears the group down on the partner side.
+// cleanup tears the group down on the partner side, ending the last
+// partner generation.
 func (g *ExecutionGroup) cleanup(pt *ros.Thread) {
 	if g.router != nil {
-		g.router.Shutdown() // closes a promoted channel; its poller exits
+		g.router.Shutdown() // closes a promoted channel and its poller
 	}
 	g.channel.Close()
 	g.sys().noteGroupDead()
@@ -551,13 +522,14 @@ func (g *ExecutionGroup) cleanup(pt *ros.Thread) {
 	// slot. Parking charges no virtual cycles (tenancy.go).
 	g.parkWarmSlot()
 	g.finalTime.Store(uint64(pt.Clock.Now()))
-	g.dead.Store(true) // dead before finished: the watchdog checks it on wake
+	g.dead.Store(true)
+	pt.Exit(0)
 	close(g.finished)
 }
 
 // awaitDone blocks until the group has finished cleanly (cleanup ran,
-// the HRT goroutine exited and the partner thread that ran cleanup
-// returned) or the wedge deadline expires. The deadline is host real time
+// ending the last partner generation, and the HRT goroutine exited) or
+// the wedge deadline expires. The deadline is host real time
 // on purpose: a wedged group's virtual clocks stop advancing, so only wall
 // time can flush the condition out.
 func (g *ExecutionGroup) awaitDone() error {
@@ -567,15 +539,9 @@ func (g *ExecutionGroup) awaitDone() error {
 		defer timer.Stop()
 		deadline = timer.C
 	}
-	for _, done := range [...]func() <-chan struct{}{
-		func() <-chan struct{} { return g.finished },
-		g.hrt.Done,
-		// Read once finished closed: cleanup runs on the final partner
-		// generation, which closes finished before its thread returns.
-		func() <-chan struct{} { return g.partnerRef().Done() },
-	} {
+	for _, done := range [...]<-chan struct{}{g.finished, g.hrt.Done()} {
 		select {
-		case <-done():
+		case <-done:
 		case <-deadline:
 			return g.wedged()
 		}
@@ -614,7 +580,7 @@ func (g *ExecutionGroup) WaitExit(clk *cycles.Clock) (uint64, error) {
 // Join joins the partner thread from a ROS thread — the main thread's
 // join() path in the Incremental model. It charges the same costs as a
 // direct ros.Thread.Join (a voluntary context switch plus the join
-// syscall) but waits group-wise, so a watchdog-respawned partner does not
+// syscall) but waits group-wise, so a respawned partner does not
 // strand the joiner on a dead thread handle, and a wedged group surfaces
 // ErrGroupWedged instead of hanging.
 func (g *ExecutionGroup) Join(joiner *ros.Thread) (uint64, error) {
@@ -634,8 +600,8 @@ func (g *ExecutionGroup) Channel() *hvm.EventChannel { return g.channel }
 // HRTThread exposes the group's HRT thread.
 func (g *ExecutionGroup) HRTThread() *aerokernel.Thread { return g.hrt }
 
-// Partner exposes the group's current ROS partner thread (the watchdog
-// may have replaced the original).
+// Partner exposes the group's current ROS partner thread (recovery or
+// migration may have replaced the original).
 func (g *ExecutionGroup) Partner() *ros.Thread { return g.partnerRef() }
 
 // Router exposes the group's boundary router (nil unless Options.Router).
@@ -681,8 +647,7 @@ func (e *hrtEnv) Syscall(call linuxabi.Call) linuxabi.Result {
 		// grid-hosted group passes here at zero virtual cost, and an
 		// armed voluntary migration fires synchronously on this (the
 		// HRT) goroutine — which is exactly what makes the group
-		// quiescent: no forwarded call is in flight and the serve loop
-		// is parked in Recv.
+		// quiescent: no forwarded call is in flight.
 		e.group.syscallGate(e.t)
 	}
 	if b := e.sys().Opts.TenantBudget; b != nil {
@@ -703,9 +668,17 @@ func (e *hrtEnv) Syscall(call linuxabi.Call) linuxabi.Result {
 	// the hotspot report's syscall entries. Wall-only cost: the histogram
 	// observes the already-computed virtual latency and never advances a
 	// clock.
-	e.sys().metrics.LatencyHistogram(telemetry.SLOPrefix + "g" +
-		strconv.FormatUint(e.group.id, 10) + "." + call.Num.String()).Observe(lat)
+	e.group.sloHist(call.Num).Observe(lat)
 	return res
+}
+
+// sloHist returns the group's SLO histogram for num. Grid nodes share
+// one registry, so a migrated group keeps its handles.
+func (g *ExecutionGroup) sloHist(num linuxabi.Sysno) *telemetry.Histogram {
+	return g.slo.Get(num, func() *telemetry.Histogram {
+		return g.sys().metrics.LatencyHistogram(telemetry.SLOPrefix + "g" +
+			strconv.FormatUint(g.id, 10) + "." + num.String())
+	})
 }
 
 func (e *hrtEnv) VDSO(num linuxabi.Sysno) (uint64, linuxabi.Errno) {

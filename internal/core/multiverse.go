@@ -185,7 +185,7 @@ type System struct {
 
 	// Grid membership (grid.go): set by NewGrid before any spawn. grid is
 	// nil for a standalone System, which keeps every non-grid path — the
-	// spawn shape, the channel Recv shape, the syscall path — byte for
+	// spawn shape, the channel's delivery, the syscall path — byte for
 	// byte what it was.
 	grid     *Grid
 	gridNode int

@@ -1,20 +1,57 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
+	"multiverse/internal/faults"
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/machine"
 )
 
-// TestManyConcurrentGroups hammers the HVM with several execution groups
-// forwarding syscalls and faults simultaneously — the protocol must hold
-// under concurrency (run under -race in CI).
+// TestManyConcurrentGroups hammers the HVM with several execution
+// groups — pthreads, each spawned as a group of its own — forwarding
+// syscalls and faults simultaneously, while scheduler-placed workers of
+// the main group forward over the main group's channel from goroutines
+// of their own, contending for its service lock. The protocol must hold
+// under concurrency (run under -race in CI). The routed configuration
+// adds the router's polled rungs, and the fault-armed one partner kills,
+// duplicated and corrupted frames. Every thread writes its own letter at
+// its own length, so each result and the final stdout prove that every
+// forwarded request was served exactly once.
 func TestManyConcurrentGroups(t *testing.T) {
-	sys := buildTestSystem(t, Options{AppName: "stress"})
-	const groups = 6
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{AppName: "stress", Scheduler: true}},
+		{"routed", Options{AppName: "stress", Scheduler: true, Router: true, Exitless: true}},
+		{"faults", Options{AppName: "stress", Scheduler: true, Faults: &faults.Plan{Seed: 12, RecoveryBudget: 1 << 20,
+			Rates: map[faults.Kind]float64{faults.PartnerKill: 0.05, faults.DupNotify: 0.2, faults.CorruptFrame: 0.1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { manyConcurrentGroups(t, tc.opts) })
+	}
+}
+
+func manyConcurrentGroups(t *testing.T, opts Options) {
+	sys := buildTestSystem(t, opts)
+	const groups, workers = 6, 2
 	const callsPerGroup = 40
+
+	// writes issues callsPerGroup forwarded writes of data, checking each
+	// result.
+	writes := func(env Env, who string, data []byte) {
+		for i := 0; i < callsPerGroup; i++ {
+			res := env.Syscall(linuxabi.Call{Num: linuxabi.SysWrite, Args: [6]uint64{1}, Data: data})
+			if !res.Ok() || res.Ret != uint64(len(data)) {
+				t.Errorf("%s write %d = %d, %v; want %d", who, i, res.Ret, res.Err, len(data))
+				return
+			}
+		}
+	}
+	letter := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, i+1) }
 
 	var wg sync.WaitGroup
 	errs := make(chan error, groups)
@@ -38,12 +75,7 @@ func TestManyConcurrentGroups(t *testing.T) {
 						return
 					}
 				}
-				for i := 0; i < callsPerGroup; i++ {
-					if res := child.Syscall(linuxabi.Call{Num: linuxabi.SysGetpid}); !res.Ok() {
-						errs <- res.Err
-						return
-					}
-				}
+				writes(child, fmt.Sprintf("pthread %d", g), letter(g))
 			})
 			if err != nil {
 				t.Errorf("spawn %d: %v", g, err)
@@ -51,6 +83,20 @@ func TestManyConcurrentGroups(t *testing.T) {
 				continue
 			}
 			defer join()
+		}
+		host := env.(SchedulerHost)
+		for w := 0; w < workers; w++ {
+			wenv, _, release, err := host.SpawnWorkerEnv()
+			if err != nil {
+				t.Errorf("worker %d: %v", w, err)
+				continue
+			}
+			defer release()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				writes(wenv, fmt.Sprintf("worker %d", w), letter(groups+w))
+			}()
 		}
 		wg.Wait()
 		return 0
@@ -62,8 +108,36 @@ func TestManyConcurrentGroups(t *testing.T) {
 	for e := range errs {
 		t.Errorf("group error: %v", e)
 	}
-	if got := sys.AK.ForwardedSyscalls(); got < groups*callsPerGroup {
-		t.Errorf("forwarded %d syscalls, want >= %d", got, groups*callsPerGroup)
+	if got := sys.AK.ForwardedSyscalls(); got < (groups+workers)*callsPerGroup {
+		t.Errorf("forwarded %d syscalls, want >= %d", got, (groups+workers)*callsPerGroup)
+	}
+	out := sys.Proc.Stdout()
+	for i := 0; i < groups+workers; i++ {
+		if n, want := bytes.Count(out, letter(i)[:1]), callsPerGroup*(i+1); n != want {
+			t.Errorf("stdout holds %d bytes of writer %d, want %d", n, i, want)
+		}
+	}
+
+	// Exactly-once service on the event channels: each completed
+	// forward was served once, and each queued duplicate was coalesced
+	// once — except that a duplicated thread exit closes its channel
+	// before the duplicate arrives, at most once per group.
+	m := sys.Metrics()
+	served := m.Counter("exits.evtchan-complete").Value()
+	forwarded := m.Counter("forward.syscall").Value() + m.Counter("forward.page-fault").Value() +
+		m.Counter("forward.thread-exit").Value()
+	if served != forwarded {
+		t.Errorf("served %d requests, forwarded %d: want each served exactly once", served, forwarded)
+	}
+	dups := m.Counter("faults.injected.dup-notify").Value() - m.Counter("faults.retransmit.rejected").Value()
+	if dedup := m.Counter("faults.dedup").Value(); dedup > dups || dups-dedup > groups+1 {
+		t.Errorf("coalesced %d duplicates of %d queued", dedup, dups)
+	}
+	t.Logf("served %d, coalesced %d duplicates, %d corrupt frames, %d recoveries, %d sync and %d ring calls",
+		served, m.Counter("faults.dedup").Value(), m.Counter("faults.corrupt.detected").Value(),
+		m.Counter("faults.recovery").Value(), m.Counter("sync.syscalls").Value(), m.Counter("ring.syscalls").Value())
+	if opts.Faults != nil && m.Counter("faults.recovery").Value() == 0 {
+		t.Error("the fault-armed run recovered no partner")
 	}
 }
 

@@ -76,7 +76,7 @@ type warmSlot struct {
 }
 
 // warmPool is the bounded pool of warm slots (Options.WarmPool). Parking
-// happens on the partner goroutine during group cleanup and charges zero
+// happens in the partner's cleanup, at the exit's delivery, and charges zero
 // virtual cycles (charging there would make a group's exit time depend on
 // host-scheduled pool occupancy); the claimant pays the deterministic
 // WarmPoolReuse cost instead.

@@ -47,8 +47,8 @@ const (
 	// before it services a received request.
 	PartnerStall
 	// PartnerKill kills the ROS partner thread after it receives a request
-	// but before it applies it; the group watchdog must respawn the
-	// partner and redeliver the in-flight work.
+	// but before it applies it; the delivery that found it dead must
+	// respawn the partner and redeliver the in-flight work.
 	PartnerKill
 	// HRTPanic panics the HRT thread mid-syscall; the AeroKernel contains
 	// the panic on the IST stack and the syscall retries from the stub.

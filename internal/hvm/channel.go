@@ -106,15 +106,18 @@ type Envelope struct {
 	// control traffic).
 	ReqID uint64
 
-	reply chan Reply
 	// pooled marks an envelope acquired from its channel's free list, so
 	// only those are recycled (caller-constructed envelopes are left
 	// alone).
 	pooled bool
+	// served and result hold the completion once Complete has run; the
+	// sender reads them after its delivery returns.
+	served bool
+	result Reply
 
 	// flow is the deterministic cross-track link id stitching the HRT
 	// forward span to the ROS service span; span is the open service
-	// span between Recv and Complete.
+	// span between delivery and Complete.
 	flow uint64
 	span *telemetry.Span
 }
@@ -128,12 +131,18 @@ type Reply struct {
 	FaultOK bool
 	// Departure is the virtual time the reply left the ROS side.
 	Departure cycles.Cycles
+	// Retransmits is the request's retransmission count, copied out by
+	// Forward because a recycled envelope may be reused once it returns.
+	Retransmits int
 }
 
 // EventChannel is the VMM-mediated communication path of one execution
-// group: the HRT thread on one end, its ROS partner thread on the other.
-// The VMM "only expects that the execution group adheres to a strict
-// protocol for event requests and completion" (section 3.2).
+// group: the HRT thread on one end, its ROS partner on the other. The
+// VMM "only expects that the execution group adheres to a strict
+// protocol for event requests and completion" (section 3.2), so the
+// partner is a bound handler, not a thread of control: Forward delivers
+// each frame that reaches the partner at the point where it is sent,
+// and the handler runs there against the partner's own clock.
 type EventChannel struct {
 	hvm     *HVM
 	id      uint64
@@ -142,12 +151,8 @@ type EventChannel struct {
 	// svcName is the partner-side trace track name, formatted once.
 	svcName string
 
-	// pending is the wire. It is never closed: done signals teardown, so
-	// a send that loses a race with Close (a duplicate completed the
-	// request and the partner closed the channel) cannot panic.
-	pending   chan *Envelope
-	done      chan struct{}
-	closeOnce sync.Once
+	// down marks the channel torn down (Close).
+	down atomic.Bool
 
 	// seq numbers this channel's forwards; combined with the channel id
 	// it yields flow ids that depend only on program order, never on
@@ -163,11 +168,16 @@ type EventChannel struct {
 	// fault plane is off.
 	win *retxWindow
 
+	// svc is the service lock: one delivery at a time, since nested
+	// HRT threads share their top-level ancestor's channel. It guards
+	// the bound partner, srvClk and srvFn.
+	svc    sync.Mutex
+	srvClk *cycles.Clock
+	srvFn  Handler
+
 	// Envelope recycling: one Forward is outstanding per channel in the
-	// steady state, so a one-slot free list (with the envelope's reply
-	// channel riding along) makes the round trip allocation-free. A
-	// forward whose duplicate is queued for redelivery is not recycled —
-	// the queue still holds the envelope.
+	// steady state, so a one-slot free list makes the round trip
+	// allocation-free.
 	fmu     sync.Mutex
 	freeEnv *Envelope
 
@@ -175,16 +185,15 @@ type EventChannel struct {
 	// instead of a registry lookup (and two string concats) per Forward.
 	fwdCtr [numEventKinds]*telemetry.Counter
 	fwdLat [numEventKinds]*telemetry.Histogram
-
-	// Partner-interrupt plumbing for grid migration. halt, when armed,
-	// lets the grid stop the partner's Recv loop without closing the
-	// channel: the channel object — pending queue, seqno counter, and
-	// the whole retransmission window — survives the move, and the
-	// restored partner on the target node keeps serving it. halt is nil
-	// on non-grid groups.
-	hltMu sync.Mutex
-	halt  chan struct{}
 }
+
+// Handler is the partner's per-envelope body. It runs at delivery, on
+// the forwarding goroutine and under the service lock, after the
+// channel has charged the partner's wakeup, and ends with Complete. A
+// partner that dies mid-service returns without completing: env stays
+// in flight, and once Requeue puts it back the delivery loop hands it
+// to whatever partner is bound by then.
+type Handler func(env *Envelope)
 
 // errChannelClosed is Forward's error once the channel is torn down.
 var errChannelClosed = errors.New("hvm: event channel closed")
@@ -197,10 +206,8 @@ func (h *HVM) NewEventChannel(hrtCore, rosCore machine.CoreID) *EventChannel {
 		id:      atomic.AddUint64(&h.channelSeq, 1),
 		hrtCore: hrtCore,
 		rosCore: rosCore,
-		done:    make(chan struct{}),
 		win:     newRetxWindow(h.faults, h.metrics),
 	}
-	c.pending = make(chan *Envelope, c.win.wireDepth())
 	c.svcName = fmt.Sprintf("ros:svc:%d", c.id)
 	for k := EventKind(1); k < numEventKinds; k++ {
 		c.fwdCtr[k] = h.metrics.Counter("forward." + k.String())
@@ -209,9 +216,26 @@ func (h *HVM) NewEventChannel(hrtCore, rosCore machine.CoreID) *EventChannel {
 	return c
 }
 
+// Bind attaches the partner that serves the channel: clk, the partner
+// thread's clock, pays every ROS-side charge of a delivery, and h is
+// its per-envelope body. A rebind (respawn, degrade, restore) takes
+// effect at the next envelope. Callers bind before the first Forward
+// or while they hold the service: from inside a handler or under Hold.
+func (c *EventChannel) Bind(clk *cycles.Clock, h Handler) {
+	c.srvClk, c.srvFn = clk, h
+}
+
+// Hold runs fn with the service lock held, so no delivery runs while
+// it does: a spawn holds it across the HRT thread's creation, a
+// migration across checkpoint and restore.
+func (c *EventChannel) Hold(fn func()) {
+	c.svc.Lock()
+	defer c.svc.Unlock()
+	fn()
+}
+
 // NewEnvelope returns a zeroed envelope for the next Forward on this
-// channel, recycling the scratch envelope (and its reply channel) when
-// one is free.
+// channel, recycling the scratch envelope when one is free.
 func (c *EventChannel) NewEnvelope() *Envelope {
 	c.fmu.Lock()
 	env := c.freeEnv
@@ -220,8 +244,7 @@ func (c *EventChannel) NewEnvelope() *Envelope {
 	if env == nil {
 		return &Envelope{pooled: true}
 	}
-	reply := env.reply
-	*env = Envelope{reply: reply, pooled: true}
+	*env = Envelope{pooled: true}
 	return env
 }
 
@@ -241,63 +264,6 @@ func (c *EventChannel) releaseEnv(env *Envelope) {
 // ID returns the channel's deterministic id (fault-injection site key).
 func (c *EventChannel) ID() uint64 { return c.id }
 
-// ArmPartnerInterrupt arms (or re-arms, after a restore) the halt line
-// that InterruptPartner closes. Grid-hosted groups arm it at spawn; a
-// restored group re-arms it before its new partner starts serving. A
-// closed channel is never re-armed: its halt line is its stop line.
-func (c *EventChannel) ArmPartnerInterrupt() {
-	c.hltMu.Lock()
-	if !closed(c.done) && (c.halt == nil || closed(c.halt)) {
-		c.halt = make(chan struct{})
-	}
-	c.hltMu.Unlock()
-}
-
-// InterruptPartner stops the partner's receive loop without closing the
-// channel: the blocked Recv returns nil, the serve loop exits without
-// running its teardown (the group is relocating, not dying), and every
-// envelope still queued or in flight survives for the restored partner
-// on the target node. Callers must only interrupt a quiesced partner
-// (nothing pending on the wire) — the quiesce-point invariant — so the
-// pending-vs-halt select below can never race a live delivery. The
-// closed line stays in place until the restore re-arms it: a partner
-// that reaches Recv only after the interrupt still sees it and stops.
-func (c *EventChannel) InterruptPartner() {
-	c.hltMu.Lock()
-	if c.halt != nil && !closed(c.halt) {
-		close(c.halt)
-	}
-	c.hltMu.Unlock()
-}
-
-// closed reports whether a signal line has been closed.
-func closed(h chan struct{}) bool {
-	select {
-	case <-h:
-		return true
-	default:
-		return false
-	}
-}
-
-// recvPending blocks for the next wire delivery; it returns nil once the
-// channel is closed or the partner interrupt fires. Close also closes an
-// armed halt line, so one stop line covers both.
-func (c *EventChannel) recvPending() *Envelope {
-	c.hltMu.Lock()
-	stop := c.halt
-	c.hltMu.Unlock()
-	if stop == nil {
-		stop = c.done
-	}
-	select {
-	case env := <-c.pending:
-		return env
-	case <-stop:
-		return nil
-	}
-}
-
 // hrtTrack is the trace track of the HRT thread driving this channel.
 func (c *EventChannel) hrtTrack() telemetry.Track {
 	return telemetry.Track{Core: int(c.hrtCore), Name: "hrt"}
@@ -310,9 +276,10 @@ func (c *EventChannel) svcTrack() telemetry.Track {
 	return telemetry.Track{Core: int(c.rosCore), Name: c.svcName}
 }
 
-// Forward sends an envelope from the HRT side and blocks until the ROS
-// side completes it. clk is the HRT thread's clock; it pays the full
-// request leg and is synchronized to the reply's arrival.
+// Forward sends an envelope from the HRT side and returns once the ROS
+// side has completed it: each frame that reaches the partner is served
+// at the point where it is sent. clk is the HRT thread's clock; it pays
+// the full request leg and is synchronized to the reply's arrival.
 //
 // Cost structure of one round trip (the ~25K-cycle asynchronous path of
 // Figure 2): post to the shared page, hypercall, VMM records the raise and
@@ -320,7 +287,7 @@ func (c *EventChannel) svcTrack() telemetry.Track {
 // the partner thread, partner wakeup; then on completion a post, a
 // hypercall, injection back into the HRT, and guest re-entry.
 func (c *EventChannel) Forward(clk *cycles.Clock, env *Envelope) (Reply, error) {
-	if closed(c.done) {
+	if c.down.Load() {
 		return Reply{}, errChannelClosed
 	}
 	seq := c.seq.Add(1)
@@ -337,9 +304,6 @@ func (c *EventChannel) Forward(clk *cycles.Clock, env *Envelope) (Reply, error) 
 			telemetry.Attr{Key: "req", Val: env.ReqID})
 		sp.LinkOut(env.flow)
 	}
-	if env.reply == nil {
-		env.reply = make(chan Reply, 1)
-	}
 	c.hvm.recorder.Record(start, telemetry.RecDoorbell, c.id, env.ReqID, seq, uint64(env.Kind))
 
 	r, dup, err := c.request(clk, env)
@@ -355,10 +319,11 @@ func (c *EventChannel) Forward(clk *cycles.Clock, env *Envelope) (Reply, error) 
 	sp.EndAt(clk.Now())
 
 	kind := env.Kind
+	r.Retransmits = env.Retransmits
 	if !dup {
-		// The partner's Complete has run (it released the reply) and no
-		// duplicate waits in the redelivery queue, so the envelope's round
-		// trip is over and it can be recycled.
+		// The partner's Complete has run and no duplicate of env was
+		// queued for redelivery, so nothing holds the envelope any more
+		// and it can be recycled.
 		c.releaseEnv(env)
 	}
 	if kind > 0 && kind < numEventKinds {
@@ -379,7 +344,7 @@ func (c *EventChannel) Forward(clk *cycles.Clock, env *Envelope) (Reply, error) 
 // deadline expires with no completion — and resends with exponential
 // backoff. The last attempt is never faulted, and a nil injector makes
 // the first attempt the last, with no rolls. dup reports that a
-// duplicate of env waits in the redelivery queue.
+// duplicate of env was queued for redelivery.
 func (c *EventChannel) request(clk *cycles.Clock, env *Envelope) (r Reply, dup bool, err error) {
 	cost, tr, fi := c.hvm.cost, c.hvm.tracer, c.hvm.faults
 	timeout, max := fi.RetryTimeout(), fi.MaxAttempts()
@@ -414,7 +379,7 @@ func (c *EventChannel) request(clk *cycles.Clock, env *Envelope) (r Reply, dup b
 			if !quiet && fi.Roll(faults.DupNotify, c.id, env.Seq, attempt, clk.Now()) {
 				// Second delivery of the same frame; the receiver coalesces
 				// it by seqno. It rides the redelivery queue, drained
-				// before the wire. A stalled partner must not grow the
+				// before the frame itself. A stalled partner must not grow the
 				// window without limit: past the plan's bound the
 				// duplicate is dropped (dedup would discard it anyway) and
 				// the channel degrades to reliable transport, so no
@@ -427,20 +392,14 @@ func (c *EventChannel) request(clk *cycles.Clock, env *Envelope) (r Reply, dup b
 			frame = env
 		}
 		if frame != nil {
-			// The send gives way to Close: a queued duplicate can complete
-			// the request, and a completed thread exit closes the channel,
-			// before the frame lands. Only a closed channel with no reply
-			// waiting is an error.
-			select {
-			case c.pending <- frame:
-			case <-c.done:
-				if len(env.reply) == 0 {
-					return Reply{}, dup, errChannelClosed
-				}
-			}
+			c.deliver(frame)
 		}
-		if frame == env {
-			return <-env.reply, dup, nil
+		if env.served {
+			return env.result, dup, nil
+		}
+		if frame == env || c.down.Load() {
+			// Delivered but never completed: the channel closed first.
+			return Reply{}, dup, errChannelClosed
 		}
 		// Unanswered attempt: wait out the poll deadline, then retransmit.
 		clk.Advance(timeout)
@@ -459,50 +418,57 @@ func (c *EventChannel) request(clk *cycles.Clock, env *Envelope) (r Reply, dup b
 	}
 }
 
-// Recv blocks the ROS partner thread until a request arrives, then
-// synchronizes the partner's clock to the arrival time plus its own wakeup
-// cost. It returns nil when the channel is closed or the partner is
-// interrupted. Redelivered envelopes (duplicates, watchdog replay) drain
-// before the wire, corrupted frames are caught by their checksum and
-// discarded, and a duplicate of an already-completed seqno is coalesced.
-// With the fault plane armed an accepted envelope stays in flight until
-// Complete, so a partner death between the two is recoverable.
-func (c *EventChannel) Recv(clk *cycles.Clock) *Envelope {
-	cost, m, fi := c.hvm.cost, c.hvm.metrics, c.hvm.faults
-	for {
+// deliver hands frame to the bound partner at the point where it is
+// sent. The redelivery queue drains first, as a waking partner thread
+// would find it, and a closed channel delivers nothing more.
+func (c *EventChannel) deliver(frame *Envelope) {
+	c.svc.Lock()
+	defer c.svc.Unlock()
+	for !c.down.Load() {
 		env := c.win.take()
 		if env == nil {
-			if env = c.recvPending(); env == nil {
-				return nil
+			if env, frame = frame, nil; env == nil {
+				break
 			}
 		}
-		clk.SyncTo(env.Arrival)
-		if !c.win.intact(c.id, env) {
-			// Reading the damaged frame costs the partner one post; the
-			// sender's deadline handles the rest.
-			clk.Advance(cost.EventChannelPost)
-			m.Counter("faults.corrupt.detected").Inc()
-			c.hvm.recorder.Record(clk.Now(), telemetry.RecCorrupt, c.id, env.ReqID, env.Seq, 0)
-			continue
-		}
-		if !c.win.accept(env) {
-			m.Counter("faults.dedup").Inc()
-			c.hvm.recorder.Record(clk.Now(), telemetry.RecDedup, c.id, env.ReqID, env.Seq, 0)
-			continue
-		}
-		if tr := c.hvm.tracer; tr.Enabled() {
-			env.span = tr.Begin(c.svcTrack(), "evtchan", serviceSpanName(env.Kind), env.Arrival,
-				telemetry.Attr{Key: "req", Val: env.ReqID})
-			env.span.LinkIn(env.flow)
-		}
-		c.hvm.recorder.Record(env.Arrival, telemetry.RecDeliver, c.id, env.ReqID, env.Seq, 0)
-		clk.Advance(cost.ContextSwitch) // partner wakes from its wait
-		clk.Advance(cost.EventChannelPost)
-		if !c.reliable.Load() && fi.Roll(faults.PartnerStall, c.id, env.Seq, 0, clk.Now()) {
-			clk.Advance(fi.Stall())
-		}
-		return env
+		c.serve(env)
 	}
+}
+
+// serve runs one delivery on the partner's clock: the partner wakes at
+// the frame's arrival, discards a frame its checksum rejects or a
+// duplicate of a completed seqno, pays its wakeup, and runs the
+// handler. With the fault plane armed an accepted envelope stays in
+// flight until Complete, so a partner death in between is recoverable.
+func (c *EventChannel) serve(env *Envelope) {
+	cost, m, fi := c.hvm.cost, c.hvm.metrics, c.hvm.faults
+	clk := c.srvClk
+	clk.SyncTo(env.Arrival)
+	if !c.win.intact(c.id, env) {
+		// Reading the damaged frame costs the partner one post; the
+		// sender's deadline handles the rest.
+		clk.Advance(cost.EventChannelPost)
+		m.Counter("faults.corrupt.detected").Inc()
+		c.hvm.recorder.Record(clk.Now(), telemetry.RecCorrupt, c.id, env.ReqID, env.Seq, 0)
+		return
+	}
+	if !c.win.accept(env) {
+		m.Counter("faults.dedup").Inc()
+		c.hvm.recorder.Record(clk.Now(), telemetry.RecDedup, c.id, env.ReqID, env.Seq, 0)
+		return
+	}
+	if tr := c.hvm.tracer; tr.Enabled() {
+		env.span = tr.Begin(c.svcTrack(), "evtchan", serviceSpanName(env.Kind), env.Arrival,
+			telemetry.Attr{Key: "req", Val: env.ReqID})
+		env.span.LinkIn(env.flow)
+	}
+	c.hvm.recorder.Record(env.Arrival, telemetry.RecDeliver, c.id, env.ReqID, env.Seq, 0)
+	clk.Advance(cost.ContextSwitch) // partner wakes from its wait
+	clk.Advance(cost.EventChannelPost)
+	if !c.reliable.Load() && fi.Roll(faults.PartnerStall, c.id, env.Seq, 0, clk.Now()) {
+		clk.Advance(fi.Stall())
+	}
+	c.srvFn(env)
 }
 
 // Complete finishes a received envelope: the partner posts the result,
@@ -516,16 +482,15 @@ func (c *EventChannel) Complete(clk *cycles.Clock, env *Envelope, r Reply) {
 	env.span.EndAt(clk.Now())
 	env.span = nil
 	c.hvm.recorder.Record(clk.Now(), telemetry.RecComplete, c.id, env.ReqID, env.Seq, 0)
-	// Mark the seqno served *before* releasing the sender, so a
-	// duplicate delivery can never race past the dedup check.
 	c.win.complete(env.Seq)
-	env.reply <- r
+	env.result, env.served = r, true
 }
 
 // Requeue moves every envelope a dead partner left in flight (received
 // but never completed) onto the redelivery queue, ordered by seqno so
-// replay preserves program order. The watchdog calls this after a respawn
-// and before the new partner starts serving; `at` is the respawn's
+// replay preserves program order. Recovery calls this after binding the
+// next partner, which the delivery loop then drains it to; `at` is the
+// respawn's
 // virtual time, used only to stamp the flight-recorder replay events.
 // Returns the replayed envelopes' identifying ids in replay order.
 func (c *EventChannel) Requeue(at cycles.Cycles) []Replayed {
@@ -550,9 +515,4 @@ func (c *EventChannel) ForceReliable() { c.reliable.Store(true) }
 
 // Close tears the channel down (HRT thread exited and the partner
 // finished its cleanup). Idempotent.
-func (c *EventChannel) Close() {
-	c.closeOnce.Do(func() {
-		close(c.done)
-		c.InterruptPartner()
-	})
-}
+func (c *EventChannel) Close() { c.down.Store(true) }

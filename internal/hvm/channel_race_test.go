@@ -18,19 +18,9 @@ func TestForwardCountersConcurrent(t *testing.T) {
 	const workers = 4
 	const perWorker = 64
 
-	// Service loop: drain and complete every envelope.
-	svcDone := make(chan struct{})
-	go func() {
-		defer close(svcDone)
-		clk := cycles.NewClock(0)
-		for {
-			env := c.Recv(clk)
-			if env == nil {
-				return
-			}
-			c.Complete(clk, env, Reply{})
-		}
-	}()
+	// The partner completes every envelope at delivery.
+	svc := cycles.NewClock(0)
+	c.Bind(svc, func(env *Envelope) { c.Complete(svc, env, Reply{}) })
 
 	// Concurrent reader of the counters.
 	readerStop := make(chan struct{})
@@ -69,8 +59,6 @@ func TestForwardCountersConcurrent(t *testing.T) {
 	wg.Wait()
 	close(readerStop)
 	<-readerDone
-	c.Close()
-	<-svcDone
 
 	want := uint64(workers / 2 * perWorker)
 	if got := h.Metrics().Counter("forward.syscall").Value(); got != want {

@@ -33,21 +33,14 @@ func newFaultedHVM(t *testing.T, plan faults.Plan) *HVM {
 	return h
 }
 
-// serveChannel runs a service loop completing every accepted envelope.
-func serveChannel(c *EventChannel) chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		clk := cycles.NewClock(0)
-		for {
-			env := c.Recv(clk)
-			if env == nil {
-				return
-			}
-			c.Complete(clk, env, Reply{Res: linuxabi.Result{Ret: env.Call.Args[0]}})
-		}
-	}()
-	return done
+// serveChannel binds a partner that completes every accepted envelope
+// with its first argument, and returns the partner's clock.
+func serveChannel(c *EventChannel) *cycles.Clock {
+	clk := cycles.NewClock(0)
+	c.Bind(clk, func(env *Envelope) {
+		c.Complete(clk, env, Reply{Res: linuxabi.Result{Ret: env.Call.Args[0]}})
+	})
+	return clk
 }
 
 // TestChannelDropRetransmits drops the first delivery of every request:
@@ -59,11 +52,11 @@ func TestChannelDropRetransmits(t *testing.T) {
 		Rates: map[faults.Kind]float64{faults.DropNotify: 1},
 	})
 	c := h.NewEventChannel(1, 0)
-	done := serveChannel(c)
+	serveChannel(c)
 
 	clean := newFaultedHVM(t, faults.Plan{Seed: 2}) // armed, all rates zero
 	cc := clean.NewEventChannel(1, 0)
-	cleanDone := serveChannel(cc)
+	serveChannel(cc)
 
 	clk := cycles.NewClock(0)
 	cleanClk := cycles.NewClock(0)
@@ -86,10 +79,6 @@ func TestChannelDropRetransmits(t *testing.T) {
 	if clk.Now() < cleanClk.Now()+60_000 {
 		t.Errorf("lossy %d vs clean %d: no deadline charged", clk.Now(), cleanClk.Now())
 	}
-	c.Close()
-	cc.Close()
-	<-done
-	<-cleanDone
 }
 
 // TestChannelCorruptDetected corrupts the first delivery: the receiver's
@@ -101,7 +90,7 @@ func TestChannelCorruptDetected(t *testing.T) {
 		Rates: map[faults.Kind]float64{faults.CorruptFrame: 1},
 	})
 	c := h.NewEventChannel(1, 0)
-	done := serveChannel(c)
+	serveChannel(c)
 
 	clk := cycles.NewClock(0)
 	r, err := c.Forward(clk, &Envelope{Kind: EvSyscall, Call: linuxabi.Call{Num: linuxabi.SysWrite, Args: [6]uint64{7}}})
@@ -118,8 +107,6 @@ func TestChannelCorruptDetected(t *testing.T) {
 	if got := m.Counter("faults.retransmit").Value(); got != 1 {
 		t.Errorf("retransmits = %d, want 1", got)
 	}
-	c.Close()
-	<-done
 }
 
 // TestChannelDupCoalesced duplicates every delivery: exactly one copy may
@@ -133,18 +120,10 @@ func TestChannelDupCoalesced(t *testing.T) {
 
 	served := 0
 	clkSvc := cycles.NewClock(0)
-	svcDone := make(chan struct{})
-	go func() {
-		defer close(svcDone)
-		for {
-			env := c.Recv(clkSvc)
-			if env == nil {
-				return
-			}
-			served++
-			c.Complete(clkSvc, env, Reply{})
-		}
-	}()
+	c.Bind(clkSvc, func(env *Envelope) {
+		served++
+		c.Complete(clkSvc, env, Reply{})
+	})
 
 	clk := cycles.NewClock(0)
 	const calls = 5
@@ -153,8 +132,6 @@ func TestChannelDupCoalesced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Close()
-	<-svcDone
 
 	if served != calls {
 		t.Errorf("served %d envelopes, want %d (duplicates double-applied)", served, calls)
@@ -164,104 +141,100 @@ func TestChannelDupCoalesced(t *testing.T) {
 	}
 }
 
-// TestChannelRequeueRedelivers kills the service loop mid-request (after
-// Recv, before Complete) and checks that Requeue hands the in-flight
-// envelope to the next service generation, completing the blocked sender.
+// TestChannelRequeueRedelivers kills the partner mid-request (after
+// delivery, before Complete) and checks that Requeue hands the in-flight
+// envelope to the next partner generation within the same delivery,
+// completing the blocked sender exactly once.
 func TestChannelRequeueRedelivers(t *testing.T) {
 	h := newFaultedHVM(t, faults.Plan{Seed: 8})
 	c := h.NewEventChannel(1, 0)
 
-	received := make(chan *Envelope, 1)
 	clkSvc := cycles.NewClock(0)
-	go func() {
-		env := c.Recv(clkSvc)
-		received <- env
-		// Die without completing: the envelope stays in-flight.
-	}()
+	var died *Envelope
+	clk2 := cycles.NewClock(0)
+	var replayed []Replayed
+	c.Bind(clkSvc, func(env *Envelope) {
+		// Die without completing: the envelope stays in flight. Recovery
+		// binds the next generation at the dead partner's time and
+		// requeues, and the delivery loop drains the replay to it.
+		died = env
+		clk2.SyncTo(clkSvc.Now())
+		c.Bind(clk2, func(env *Envelope) {
+			c.Complete(clk2, env, Reply{Res: linuxabi.Result{Ret: env.Call.Args[0]}})
+		})
+		replayed = c.Requeue(clk2.Now())
+	})
 
-	got := make(chan Reply, 1)
 	clk := cycles.NewClock(0)
-	go func() {
-		r, err := c.Forward(clk, &Envelope{Kind: EvSyscall, Call: linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{9}}})
-		if err != nil {
-			return
-		}
-		got <- r
-	}()
-
-	env := <-received
-	if env == nil {
-		t.Fatal("service loop got no envelope")
+	r, err := c.Forward(clk, &Envelope{Kind: EvSyscall, Call: linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{9}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := c.Requeue(clkSvc.Now()); len(n) != 1 {
-		t.Fatalf("Requeue = %d, want 1", len(n))
+	if died == nil || len(replayed) != 1 || replayed[0].Seq != died.Seq {
+		t.Fatalf("replayed = %+v, want the dead partner's envelope", replayed)
 	}
-	// Second generation drains the redeliver queue and completes it.
-	clk2 := cycles.NewClock(clkSvc.Now())
-	env2 := c.Recv(clk2)
-	if env2 == nil || env2.Seq != env.Seq {
-		t.Fatalf("redelivered envelope = %+v", env2)
-	}
-	c.Complete(clk2, env2, Reply{Res: linuxabi.Result{Ret: 9}})
-	r := <-got
 	if r.Res.Ret != 9 {
 		t.Errorf("reply = %+v", r)
 	}
-	c.Close()
+	if r.Departure != clk2.Now() {
+		t.Errorf("reply departed at %d, want the second generation's %d", r.Departure, clk2.Now())
+	}
+	if w := c.Window(); w.Completed != 1 || len(w.Inflight) != 0 || w.Redeliver != 0 {
+		t.Errorf("window = %+v, want 1 completed, nothing in flight", w)
+	}
 }
 
 // TestChannelDupCloseRace pins the duplicate-vs-close race: a
-// duplicated thread-exit frame is queued for redelivery before its wire
-// send, so the partner can complete the exit from the duplicate and close
-// the channel while the sender is still blocked on the send. The send
-// must return with the reply, not panic on a closed channel.
+// duplicated thread-exit frame is queued for redelivery ahead of its own
+// delivery, so the partner completes the exit from the duplicate and
+// closes the channel before the frame itself is handed over. The sender
+// must return the reply the duplicate earned, and the closed channel
+// must deliver nothing more.
 func TestChannelDupCloseRace(t *testing.T) {
 	h := newFaultedHVM(t, faults.Plan{
 		Seed: 3, Rates: map[faults.Kind]float64{faults.DupNotify: 1},
 	})
 	c := h.NewEventChannel(1, 0)
-	for len(c.pending) < cap(c.pending) {
-		c.pending <- &Envelope{Kind: EvSyscall} // a full wire blocks the send
-	}
-	got := make(chan error, 1)
+	clk := cycles.NewClock(0)
+	served := 0
+	c.Bind(clk, func(env *Envelope) {
+		served++
+		if env.Kind != EvThreadExit || env.ExitCode != 3 {
+			t.Errorf("delivered %+v, want the duplicated thread exit", env)
+		}
+		c.Complete(clk, env, Reply{})
+		c.Close()
+	})
+	done := make(chan error, 1)
 	go func() {
 		_, err := c.Forward(cycles.NewClock(0), &Envelope{Kind: EvThreadExit, ExitCode: 3})
-		got <- err
+		done <- err
 	}()
-	for queued := 0; queued == 0; {
-		time.Sleep(time.Millisecond)
-		c.win.mu.Lock()
-		queued = len(c.win.redeliver)
-		c.win.mu.Unlock()
-	}
-
-	clk := cycles.NewClock(0)
-	env := c.Recv(clk)
-	if env == nil || env.Kind != EvThreadExit || env.ExitCode != 3 {
-		t.Fatalf("Recv = %+v, want the duplicated thread exit", env)
-	}
-	c.Complete(clk, env, Reply{})
-	c.Close()
 	select {
-	case err := <-got:
+	case err := <-done:
 		if err != nil {
 			t.Errorf("Forward = %v, want the reply the duplicate earned", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("sender still blocked after Close")
 	}
+	if served != 1 {
+		t.Errorf("served %d copies, want 1", served)
+	}
+	if v := h.Metrics().Counter("faults.dedup").Value(); v != 0 {
+		t.Errorf("dedup = %d, want 0: a closed channel delivers nothing more", v)
+	}
 }
 
-// openEcho boots h, opens a polled channel of kind on clk between ROS
-// core 0 and HRT core 1, and serves it on its own goroutine with a
-// handler that echoes the first argument. done closes when the poller's
-// Serve reports the channel closed.
-func openEcho(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind) (p *PolledChannel, done chan struct{}) {
+// openEcho boots h and opens a polled channel of kind on clk between ROS
+// core 0 and HRT core 1, bound to a poller that echoes the first
+// argument.
+func openEcho(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind) *PolledChannel {
 	return openEchoOn(t, h, clk, kind, 1)
 }
 
 // openEchoOn is openEcho with the HRT end on hrtCore.
-func openEchoOn(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind, hrtCore machine.CoreID) (p *PolledChannel, done chan struct{}) {
+func openEchoOn(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind, hrtCore machine.CoreID) *PolledChannel {
 	t.Helper()
 	h.RegisterBootHandler(func(BootInfo) (HRTSink, error) {
 		return &fakeSink{clk: cycles.NewClock(0)}, nil
@@ -272,20 +245,14 @@ func openEchoOn(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind, hrtCore 
 	if err := h.BootHRT(clk); err != nil {
 		t.Fatal(err)
 	}
-	p, err := h.OpenPolled(clk, kind, 0, hrtCore)
+	p, err := h.OpenPolled(clk, kind, 0, hrtCore, Poller{
+		Clock: cycles.NewClock(clk.Now()),
+		Serve: func(call linuxabi.Call) linuxabi.Result { return linuxabi.Result{Ret: call.Args[0]} },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcClk := cycles.NewClock(clk.Now())
-	done = make(chan struct{})
-	go func() {
-		defer close(done)
-		for p.Serve(svcClk, func(call linuxabi.Call) linuxabi.Result {
-			return linuxabi.Result{Ret: call.Args[0]}
-		}) {
-		}
-	}()
-	return p, done
+	return p
 }
 
 // TestSyncChannelDropRetransmits applies the poll-deadline policy to both
@@ -299,7 +266,7 @@ func TestSyncChannelDropRetransmits(t *testing.T) {
 				Rates: map[faults.Kind]float64{faults.DropNotify: 1},
 			})
 			clk := cycles.NewClock(0)
-			p, done := openEcho(t, h, clk, kind)
+			p := openEcho(t, h, clk, kind)
 
 			res, _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
 			if err != nil {
@@ -319,8 +286,6 @@ func TestSyncChannelDropRetransmits(t *testing.T) {
 			if got := m.Counter("exits." + name).Value(); got != 0 {
 				t.Errorf("exits.%s = %d, want 0", name, got)
 			}
-			p.Close()
-			<-done
 		})
 	}
 }

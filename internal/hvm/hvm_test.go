@@ -249,14 +249,13 @@ func TestEventChannelRoundTrip(t *testing.T) {
 	hrtClk := cycles.NewClock(0)
 	rosClk := cycles.NewClock(0)
 
-	go func() {
-		env := ch.Recv(rosClk)
+	ch.Bind(rosClk, func(env *Envelope) {
 		if env.Kind != EvSyscall || env.Call.Num != linuxabi.SysGetpid {
-			t.Errorf("recv = %+v", env)
+			t.Errorf("delivered %+v", env)
 		}
 		rosClk.Advance(500) // service time
 		ch.Complete(rosClk, env, Reply{Res: linuxabi.Result{Ret: 321, Err: linuxabi.OK}})
-	}()
+	})
 
 	r, err := ch.Forward(hrtClk, &Envelope{Kind: EvSyscall, Call: linuxabi.Call{Num: linuxabi.SysGetpid}})
 	if err != nil {
@@ -277,9 +276,6 @@ func TestEventChannelRoundTrip(t *testing.T) {
 	if _, err := ch.Forward(hrtClk, &Envelope{Kind: EvSyscall}); err == nil {
 		t.Error("forward on closed channel should fail")
 	}
-	if env := ch.Recv(rosClk); env != nil {
-		t.Error("recv on closed channel should return nil")
-	}
 	ch.Close() // idempotent
 }
 
@@ -290,8 +286,7 @@ func TestSyncChannelSocketDistance(t *testing.T) {
 	measure := func(hrtCore machine.CoreID) cycles.Cycles {
 		_, h := newHVM(t)
 		clk := cycles.NewClock(0)
-		p, done := openEchoOn(t, h, clk, PollSync, hrtCore)
-		defer func() { p.Close(); <-done }()
+		p := openEchoOn(t, h, clk, PollSync, hrtCore)
 		before := clk.Now()
 		res, _, err := p.Invoke(clk, linuxabi.Call{Args: [6]uint64{42}}, 0)
 		if err != nil {
@@ -315,7 +310,7 @@ func TestSyncChannelSocketDistance(t *testing.T) {
 
 func TestSyncChannelRequiresBoot(t *testing.T) {
 	_, h := newHVM(t)
-	if _, err := h.OpenPolled(cycles.NewClock(0), PollSync, 0, 1); err == nil {
+	if _, err := h.OpenPolled(cycles.NewClock(0), PollSync, 0, 1, Poller{}); err == nil {
 		t.Error("sync setup before boot should fail")
 	}
 }

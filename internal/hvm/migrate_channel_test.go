@@ -9,64 +9,47 @@ import (
 	"multiverse/internal/linuxabi"
 )
 
-// TestChannelInterruptReplaysInflight exercises the channel half of a
-// migration: the partner is interrupted (not killed) with one envelope
-// accepted but never completed, the channel object survives, Requeue
-// replays the in-flight envelope, and a fresh partner completes it —
-// the blocked Forward unblocks exactly once, with no duplicate service.
-func TestChannelInterruptReplaysInflight(t *testing.T) {
+// TestChannelRestoreReplaysInflight exercises the channel half of a
+// restore: partner 1 accepts an envelope and is replaced before it
+// completes it. The checkpointed window lists the envelope in flight,
+// the channel object survives, Requeue replays it, and the restored
+// partner completes it within the same delivery — the blocked Forward
+// returns exactly once, with no duplicate service, stamped by the
+// restored partner's clock.
+func TestChannelRestoreReplaysInflight(t *testing.T) {
 	h := newFaultedHVM(t, faults.Plan{Seed: 9}) // armed, all rates zero
 	c := h.NewEventChannel(1, 0)
-	c.ArmPartnerInterrupt()
 
-	type fwd struct {
-		r   Reply
-		err error
-	}
-	got := make(chan fwd, 1)
-	go func() {
-		clk := cycles.NewClock(0)
-		r, err := c.Forward(clk, &Envelope{Kind: EvSyscall,
-			Call: linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{77}}})
-		got <- fwd{r, err}
-	}()
+	p1 := cycles.NewClock(0)
+	restored := cycles.NewClock(0)
+	var cp ChannelWindow
+	var replayed []Replayed
+	served := 0
+	c.Bind(p1, func(env *Envelope) {
+		// Partner 1 is replaced mid-service: checkpoint, then restore a
+		// fresh partner at partner 1's time plus a transfer.
+		cp = c.Window()
+		restored.SyncTo(p1.Now() + 12_345)
+		c.Bind(restored, func(env *Envelope) {
+			served++
+			c.Complete(restored, env, Reply{Res: linuxabi.Result{Ret: env.Call.Args[0]}})
+		})
+		replayed = c.Requeue(restored.Now())
+	})
 
-	// Partner 1 accepts the envelope but never completes it, then parks
-	// in Recv — the quiesced posture the grid interrupts at.
-	taken := make(chan *Envelope, 1)
-	p1done := make(chan struct{})
-	go func() {
-		defer close(p1done)
-		clk := cycles.NewClock(0)
-		taken <- c.Recv(clk)
-		if e := c.Recv(clk); e != nil {
-			t.Error("interrupted Recv delivered an envelope")
-		}
-	}()
-	env := <-taken
-	if env == nil {
-		t.Fatal("partner 1 got no envelope")
+	r, err := c.Forward(cycles.NewClock(0), &Envelope{Kind: EvSyscall,
+		Call: linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{77}}})
+	if err != nil {
+		t.Fatalf("Forward: %v", err)
 	}
-	// Let partner 1 park in its second Recv before interrupting; the
-	// grid gets this for free from the quiesce-point invariant.
-	time.Sleep(20 * time.Millisecond)
-	c.InterruptPartner()
-	<-p1done
-
-	replayed := c.Requeue(cycles.Cycles(12_345))
-	if len(replayed) != 1 || replayed[0].Seq != env.Seq {
-		t.Fatalf("Requeue = %+v, want 1 entry with seq %d", replayed, env.Seq)
+	if len(cp.Inflight) != 1 || len(replayed) != 1 || replayed[0].Seq != cp.Inflight[0] {
+		t.Fatalf("checkpoint in flight %v, replayed %+v: want the one envelope", cp.Inflight, replayed)
 	}
-
-	// Restored partner on the "target node": re-arm and serve.
-	c.ArmPartnerInterrupt()
-	done := serveChannel(c)
-	res := <-got
-	if res.err != nil {
-		t.Fatalf("Forward: %v", res.err)
+	if r.Res.Ret != 77 || served != 1 {
+		t.Errorf("reply = %d after %d services, want 77 after 1", r.Res.Ret, served)
 	}
-	if res.r.Res.Ret != 77 {
-		t.Errorf("reply = %d, want 77", res.r.Res.Ret)
+	if r.Departure != restored.Now() {
+		t.Errorf("reply departed at %d, want the restored partner's %d", r.Departure, restored.Now())
 	}
 	w := c.Window()
 	if w.Completed != 1 || len(w.Inflight) != 0 || w.Redeliver != 0 {
@@ -75,55 +58,22 @@ func TestChannelInterruptReplaysInflight(t *testing.T) {
 	if v := h.Metrics().Counter("faults.dedup").Value(); v != 0 {
 		t.Errorf("dedup = %d, want 0 (envelope serviced twice?)", v)
 	}
-	c.Close()
-	<-done
-}
-
-// TestChannelInterruptBeforeRecv: the grid may interrupt a quiesced
-// partner before that partner has looped back into Recv (it has just
-// completed the previous call). The interrupt must still stop it there,
-// and only the restore's re-arm clears the line.
-func TestChannelInterruptBeforeRecv(t *testing.T) {
-	h := newFaultedHVM(t, faults.Plan{Seed: 9})
-	c := h.NewEventChannel(1, 0)
-	c.ArmPartnerInterrupt()
-	c.InterruptPartner()
-	c.InterruptPartner() // a second interrupt before the restore is a no-op
-
-	stopped := make(chan *Envelope, 1)
-	go func() { stopped <- c.Recv(cycles.NewClock(0)) }()
-	select {
-	case env := <-stopped:
-		if env != nil {
-			t.Fatal("interrupted Recv delivered an envelope")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Recv entered after the interrupt blocked instead of stopping")
-	}
-
-	c.ArmPartnerInterrupt()
-	done := serveChannel(c)
-	r, err := c.Forward(cycles.NewClock(0), &Envelope{Kind: EvSyscall,
-		Call: linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}})
-	if err != nil || r.Res.Ret != 5 {
-		t.Fatalf("Forward after re-arm = %d, %v; want 5", r.Res.Ret, err)
-	}
-	c.Close()
-	<-done
 }
 
 // TestChannelRetransmitBoundRejects pins the bounded retransmission
-// window: with the duplicate rate forced on and a bound of one, the
-// first forward's duplicate occupies the window, the second forward's
-// duplicate is rejected — counted, and the channel degrades to
-// reliable transport — and both calls still complete once a partner
-// serves.
+// window: with the duplicate rate forced on and a bound of one, a
+// second forwarder's duplicate finds the window at its bound (the first
+// forward is in service, in flight) and is rejected — counted, and the
+// channel degrades to reliable transport — and both calls still
+// complete exactly once.
 func TestChannelRetransmitBoundRejects(t *testing.T) {
 	h := newFaultedHVM(t, faults.Plan{
 		Seed: 11, MaxAttempts: 3, RetransmitBound: 1,
 		Rates: map[faults.Kind]float64{faults.DupNotify: 1},
 	})
 	c := h.NewEventChannel(1, 0)
+	depth := h.Metrics().Gauge("faults.retransmit.depth")
+	rejected := h.Metrics().Counter("faults.retransmit.rejected")
 
 	type fwd struct {
 		r   Reply
@@ -132,37 +82,33 @@ func TestChannelRetransmitBoundRejects(t *testing.T) {
 	forward := func(arg uint64) chan fwd {
 		out := make(chan fwd, 1)
 		go func() {
-			clk := cycles.NewClock(0)
-			r, err := c.Forward(clk, &Envelope{Kind: EvSyscall,
+			r, err := c.Forward(cycles.NewClock(0), &Envelope{Kind: EvSyscall,
 				Call: linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{arg}}})
 			out <- fwd{r, err}
 		}()
 		return out
 	}
-	depth := h.Metrics().Gauge("faults.retransmit.depth")
-	rejected := h.Metrics().Counter("faults.retransmit.rejected")
 
-	// Forward 1: its duplicate is appended to the redelivery queue
-	// (window depth 1) before the wire post, so waiting on the gauge
-	// fully orders the two forwards.
-	got1 := forward(1)
-	for depth.Value() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	// Forward 2: the window is at the bound, so its duplicate must be
-	// rejected and the channel degraded instead of growing the queue.
-	got2 := forward(2)
-	for rejected.Value() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	if d := depth.Value(); d != 1 {
-		t.Errorf("depth after rejection = %d, want 1 (queue must not grow)", d)
-	}
+	clk := cycles.NewClock(0)
+	var got2 chan fwd
+	var depthAtReject uint64
+	c.Bind(clk, func(env *Envelope) {
+		if env.Call.Args[0] == 1 && got2 == nil {
+			// Forward 1 is in service and in flight (window depth 1):
+			// forward 2's duplicate must be rejected instead of growing
+			// the queue. Forward 2 then waits for the service.
+			got2 = forward(2)
+			deadline := time.Now().Add(10 * time.Second)
+			for rejected.Value() != 1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			depthAtReject = depth.Value()
+		}
+		c.Complete(clk, env, Reply{Res: linuxabi.Result{Ret: env.Call.Args[0]}})
+	})
 
-	// Graceful degradation: with a partner serving, both calls complete
-	// exactly once — the surviving duplicate coalesces by seqno.
-	done := serveChannel(c)
-	r1, r2 := <-got1, <-got2
+	r1 := <-forward(1)
+	r2 := <-got2
 	if r1.err != nil || r2.err != nil {
 		t.Fatalf("forwards errored: %v / %v", r1.err, r2.err)
 	}
@@ -172,9 +118,10 @@ func TestChannelRetransmitBoundRejects(t *testing.T) {
 	if v := rejected.Value(); v != 1 {
 		t.Errorf("rejected = %d, want 1", v)
 	}
+	if depthAtReject != 1 {
+		t.Errorf("depth at rejection = %d, want 1 (queue must not grow)", depthAtReject)
+	}
 	if v := h.Metrics().Counter("faults.dedup").Value(); v != 1 {
 		t.Errorf("dedup = %d, want 1 (forward 1's surviving duplicate)", v)
 	}
-	c.Close()
-	<-done
 }

@@ -85,28 +85,33 @@ var pollKinds = [...]pollKind{
 	},
 }
 
-// PolledChannel is one polled system-call transport: a pair of SPSC
-// shared-memory rings — request and reply — between the HRT invoker and
-// a dedicated ROS poller. Virtual time on both sides is governed by the
-// frame stamps; the rings only carry them.
+// Poller is the ROS side of a polled channel: the dedicated poller
+// thread's clock, which pays the poll, service and reply charges of
+// every frame, and the service each call receives.
+type Poller struct {
+	Clock *cycles.Clock
+	Serve func(linuxabi.Call) linuxabi.Result
+}
+
+// PolledChannel is one polled system-call transport between the HRT
+// invoker and a dedicated ROS poller. The poller is bound state, not a
+// thread of control: Invoke serves each frame inline at the point it is
+// posted, so virtual time on both sides is governed by the frame stamps
+// alone.
 type PolledChannel struct {
-	hvm  *HVM
-	kind PollKind
-	id   uint64
-	line cycles.Cycles // one cacheline transfer between the two cores
+	hvm    *HVM
+	kind   PollKind
+	id     uint64
+	line   cycles.Cycles // one cacheline transfer between the two cores
+	poller Poller
 
 	send, poll, reply, reap cycles.Cycles
 
-	req *spscRing // HRT -> ROS request frames
-	rep *spscRing // ROS -> HRT reply frames
-
-	// mu serializes invokes: the rings are strictly single-producer/
-	// single-consumer, and holding the lock across the round trip also
-	// guarantees the reply popped is the caller's own.
-	mu        sync.Mutex
-	seq       uint64 // last call's sequence number (mu-guarded)
-	closeOnce sync.Once
-	dead      atomic.Bool
+	// mu serializes invokes: the protocol has one request outstanding
+	// per channel, and the poller serves one frame at a time.
+	mu   sync.Mutex
+	seq  uint64 // last call's sequence number (mu-guarded)
+	dead atomic.Bool
 
 	// Telemetry handles resolved once at setup, not per call.
 	hrtTrack, serveTrack telemetry.Track
@@ -115,29 +120,29 @@ type PolledChannel struct {
 }
 
 // OpenPolled establishes a polled channel of the given kind with its
-// setup hypercall, charged to clk: the VMM pins (and for the rings
-// zeroes) the shared pages and tells the HRT where they live. Every
-// steady-state crossing after that bypasses the VMM.
-func (h *HVM) OpenPolled(clk *cycles.Clock, kind PollKind, rosCore, hrtCore machine.CoreID) (*PolledChannel, error) {
+// setup hypercall, charged to clk, and binds poller as its ROS side:
+// the VMM pins (and for the rings zeroes) the shared pages and tells the
+// HRT where they live. Every steady-state crossing after that bypasses
+// the VMM.
+func (h *HVM) OpenPolled(clk *cycles.Clock, kind PollKind, rosCore, hrtCore machine.CoreID, poller Poller) (*PolledChannel, error) {
 	k := &pollKinds[kind]
 	if !h.Booted() {
 		return nil, fmt.Errorf("hvm: cannot set up %s syscall channel before HRT boot", k.name)
 	}
 	h.hypercall(clk, k.setup)
 	clk.Advance(k.zeroPages * h.cost.PageZero)
-	return h.newPolled(kind, rosCore, hrtCore), nil
+	return h.newPolled(kind, rosCore, hrtCore, poller), nil
 }
 
 // newPolled builds the channel without any setup charge.
-func (h *HVM) newPolled(kind PollKind, rosCore, hrtCore machine.CoreID) *PolledChannel {
+func (h *HVM) newPolled(kind PollKind, rosCore, hrtCore machine.CoreID, poller Poller) *PolledChannel {
 	k := &pollKinds[kind]
 	p := &PolledChannel{
 		hvm:      h,
 		kind:     kind,
 		id:       atomic.AddUint64(&h.channelSeq, 1),
 		line:     h.cost.CachelineCrossSocket,
-		req:      newSPSCRing(ringCapacity),
-		rep:      newSPSCRing(ringCapacity),
+		poller:   poller,
 		hrtTrack: telemetry.Track{Core: int(hrtCore), Name: "hrt"},
 		callCtr:  h.metrics.Counter(k.name + ".syscalls"),
 		callLat:  h.metrics.LatencyHistogram(k.name + ".syscall.latency"),
@@ -151,9 +156,9 @@ func (h *HVM) newPolled(kind PollKind, rosCore, hrtCore machine.CoreID) *PolledC
 }
 
 // ClosePolled tears the channel down with its teardown hypercall, if the
-// kind has one, and releases the dedicated poller (its Serve returns
-// false). After a partner kill the ring teardown is the "hypercall-mode
-// recovery" step the fallback path charges.
+// kind has one, and releases the dedicated poller. After a partner kill
+// the ring teardown is the "hypercall-mode recovery" step the fallback
+// path charges.
 func (h *HVM) ClosePolled(clk *cycles.Clock, p *PolledChannel) {
 	if p.spec().teardown != "" {
 		h.hypercall(clk, p.spec().teardown)
@@ -193,7 +198,8 @@ func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint
 	// rings, PartnerKill, which tears the channel down entirely and
 	// pushes recovery up to the router. The final attempt is never
 	// faulted, and with the fault plane off the first one is that.
-	var rep ringFrame
+	var res linuxabi.Result
+	var replied cycles.Cycles
 	retx := 0
 	fi := p.hvm.faults
 	timeout, max := fi.RetryTimeout(), fi.MaxAttempts()
@@ -207,18 +213,16 @@ func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint
 		}
 		last := attempt >= max-1
 		clk.Advance(p.send)
-		f := ringFrame{call: call, seq: seq, reqID: reqID, stamp: clk.Now() + p.line, flow: flow}
+		posted := clk.Now() + p.line
 		if last || !fi.Roll(faults.DropNotify, p.id, seq, attempt, clk.Now()) {
-			f.corrupt = !last && fi.Roll(faults.CorruptFrame, p.id, seq, attempt, clk.Now())
-			ok := p.post(clk, f)
-			if ok && !f.corrupt {
-				if rep, ok = p.rep.Pop(); ok {
-					break
-				}
-			}
-			if !ok {
+			corrupt := !last && fi.Roll(faults.CorruptFrame, p.id, seq, attempt, clk.Now())
+			if p.dead.Load() {
 				sp.EndAt(clk.Now())
 				return linuxabi.Result{}, retx, errPolledDown
+			}
+			var ok bool
+			if res, replied, ok = p.serve(call, posted, flow, corrupt); ok {
+				break
 			}
 		}
 		clk.Advance(timeout)
@@ -231,69 +235,41 @@ func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint
 			telemetry.Attr{Key: "attempt", Val: uint64(retx)})
 		p.hvm.recorder.Record(clk.Now(), telemetry.RecRetransmit, p.id, reqID, seq, uint64(retx))
 	}
-	clk.SyncTo(rep.stamp + p.line)
+	clk.SyncTo(replied + p.line)
 	clk.Advance(p.reap)
 	sp.EndAt(clk.Now())
 	p.callCtr.Inc()
 	p.callLat.Observe(clk.Now() - start)
 	p.hvm.recorder.Record(clk.Now(), k.rec, p.id, reqID, seq, uint64(retx))
-	return rep.res, retx, nil
+	return res, retx, nil
 }
 
-// post publishes a request frame. A full ring would need a doorbell
-// hypercall to kick the partner — the only exit the steady-state path
-// can take, and one it never takes by construction (at most one request
-// is outstanding per ring pair), so a healthy run keeps exits.<kind> at
-// exactly zero.
-func (p *PolledChannel) post(clk *cycles.Clock, f ringFrame) bool {
-	for !p.req.Push(f) {
-		if p.req.Closed() {
-			return false
-		}
-		p.hvm.countExit(p.spec().name)
-		clk.Advance(p.hvm.cost.HypercallRoundTrip())
+// serve is the poller's side of one frame posted at virtual time
+// posted: the poll iteration that finds it, the service, and the reply
+// post, all on the poller's clock. It returns the result and the time
+// the reply was posted. A corrupt frame is discarded without an answer
+// (ok false), and the caller's poll deadline reposts it.
+func (p *PolledChannel) serve(call linuxabi.Call, posted cycles.Cycles, flow uint64, corrupt bool) (res linuxabi.Result, replied cycles.Cycles, ok bool) {
+	clk := p.poller.Clock
+	clk.SyncTo(posted)
+	clk.Advance(p.poll)
+	if corrupt {
+		p.hvm.metrics.Counter("faults.corrupt.detected").Inc()
+		return res, 0, false
 	}
-	return true
-}
-
-// Serve handles one forwarded call on the dedicated ROS poller: the poll
-// iteration that found a frame, the service itself, and the reply post.
-// It blocks (host-level only) until a frame arrives and returns false
-// when the channel closes. Corrupt frames are discarded without an
-// answer — the caller's poll deadline reposts them.
-func (p *PolledChannel) Serve(clk *cycles.Clock, handler func(linuxabi.Call) linuxabi.Result) bool {
-	for {
-		f, ok := p.req.Pop()
-		if !ok {
-			return false
-		}
-		clk.SyncTo(f.stamp)
-		clk.Advance(p.poll)
-		if f.corrupt {
-			p.hvm.metrics.Counter("faults.corrupt.detected").Inc()
-			continue
-		}
-		var sp *telemetry.Span
-		if tr := p.hvm.tracer; tr.Enabled() {
-			sp = tr.Begin(p.serveTrack, p.spec().name, "serve-syscall", f.stamp,
-				telemetry.Attr{Key: "num", Val: uint64(f.call.Num)})
-			sp.LinkIn(f.flow)
-		}
-		res := handler(f.call)
-		sp.EndAt(clk.Now())
-		clk.Advance(p.reply)
-		p.rep.Push(ringFrame{seq: f.seq, reqID: f.reqID, res: res, stamp: clk.Now()})
-		return true
+	var sp *telemetry.Span
+	if tr := p.hvm.tracer; tr.Enabled() {
+		sp = tr.Begin(p.serveTrack, p.spec().name, "serve-syscall", posted,
+			telemetry.Attr{Key: "num", Val: uint64(call.Num)})
+		sp.LinkIn(flow)
 	}
+	res = p.poller.Serve(call)
+	sp.EndAt(clk.Now())
+	clk.Advance(p.reply)
+	return res, clk.Now(), true
 }
 
-// Close shuts both rings down; idempotent, callable from either side.
-func (p *PolledChannel) Close() {
-	p.closeOnce.Do(func() {
-		p.dead.Store(true)
-		p.req.Close()
-		p.rep.Close()
-	})
-}
+// Close shuts the channel down; idempotent, callable from either side.
+func (p *PolledChannel) Close() { p.dead.Store(true) }
 
 func (p *PolledChannel) spec() *pollKind { return &pollKinds[p.kind] }

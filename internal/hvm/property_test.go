@@ -101,7 +101,7 @@ func TestRouterLadderTransitionsReplayableProperty(t *testing.T) {
 				open[kind] = true
 				promotions[kind]++
 				evs = append(evs, transition{kind, true, clk.Now()})
-				return h.newPolled(kind, 0, 1), nil
+				return h.newPolled(kind, 0, 1, Poller{}), nil
 			},
 			func(clk *cycles.Clock, p *PolledChannel) {
 				clk.Advance(h.cost.HypercallRoundTrip())

@@ -77,6 +77,27 @@ type SyscallRouter struct {
 	ringClean    int
 	ringHold     bool
 	ringWasLossy bool
+
+	// Per-call metric handles, resolved on first use: counters and
+	// histograms by name, and tier 0's per-call counters by number.
+	counters telemetry.Handles[string, *telemetry.Counter]
+	hists    telemetry.Handles[string, *telemetry.Histogram]
+	localBy  telemetry.Handles[linuxabi.Sysno, *telemetry.Counter]
+}
+
+// counter returns the router's handle for the named counter.
+func (r *SyscallRouter) counter(name string) *telemetry.Counter {
+	return r.counters.Get(name, func() *telemetry.Counter { return r.hvm.metrics.Counter(name) })
+}
+
+// histogram returns the router's handle for the named latency histogram.
+func (r *SyscallRouter) histogram(name string) *telemetry.Histogram {
+	return r.hists.Get(name, func() *telemetry.Histogram { return r.hvm.metrics.LatencyHistogram(name) })
+}
+
+// localCounter returns tier 0's counter for one system call number.
+func (r *SyscallRouter) localCounter(num linuxabi.Sysno) *telemetry.Counter {
+	return r.localBy.Get(num, func() *telemetry.Counter { return r.hvm.metrics.Counter("router.local." + num.String()) })
 }
 
 // rung is one polled transport of the promotion ladder: its hooks, its
@@ -125,7 +146,9 @@ func (g *rung) step(now cycles.Cycles, keep, hold bool) (idled *PolledChannel, f
 	}
 	g.recent = append(g.recent, now)
 	if len(g.recent) > g.calls {
-		g.recent = g.recent[len(g.recent)-g.calls:]
+		// Slide the window within its backing array, which a reslice
+		// would walk off the end of and reallocate.
+		g.recent = g.recent[:copy(g.recent, g.recent[len(g.recent)-g.calls:])]
 	}
 	if len(g.recent) < g.calls || now-g.recent[0] > g.window {
 		return idled, false
@@ -355,14 +378,13 @@ func (r *SyscallRouter) SetPollHooks(
 // control traffic).
 func (r *SyscallRouter) Dispatch(clk *cycles.Clock, ch *EventChannel, call linuxabi.Call, reqID uint64) (linuxabi.Result, bool, error) {
 	cost := r.hvm.cost
-	m := r.hvm.metrics
 	rec := r.hvm.recorder
 
 	// Tier 0: HRT-local service from mirrored state.
 	if res, ok := r.serveLocal(clk, call); ok {
-		m.Counter("router.local_hits").Inc()
-		m.Counter("router.local." + call.Num.String()).Inc()
-		m.LatencyHistogram("router.local.latency").Observe(cost.HRTLocalSyscall)
+		r.counter("router.local_hits").Inc()
+		r.localCounter(call.Num).Inc()
+		r.histogram("router.local.latency").Observe(cost.HRTLocalSyscall)
 		rec.Record(clk.Now(), telemetry.RecTierLocal, uint64(r.hrtCore), reqID, uint64(call.Num), 0)
 		return res, false, nil
 	}
@@ -382,15 +404,15 @@ func (r *SyscallRouter) Dispatch(clk *cycles.Clock, ch *EventChannel, call linux
 		r.mu.Unlock()
 		if found && !stale {
 			clk.Advance(cost.SyscallCacheHit)
-			m.Counter("router.cache_hits").Inc()
-			m.LatencyHistogram("router.cache_hit.latency").Observe(cost.SyscallCacheProbe + cost.SyscallCacheHit)
+			r.counter("router.cache_hits").Inc()
+			r.histogram("router.cache_hit.latency").Observe(cost.SyscallCacheProbe + cost.SyscallCacheHit)
 			rec.Record(clk.Now(), telemetry.RecTierCache, uint64(r.hrtCore), reqID, uint64(call.Num), 0)
 			return e.res, false, nil
 		}
 		if stale {
-			m.Counter("router.cache_invalidations").Inc()
+			r.counter("router.cache_invalidations").Inc()
 		}
-		m.Counter("router.cache_misses").Inc()
+		r.counter("router.cache_misses").Inc()
 		res, err := r.forward(clk, ch, call, reqID)
 		if err == nil && res.Err == linuxabi.OK {
 			r.mu.Lock()
@@ -471,11 +493,10 @@ func (r *SyscallRouter) resolvePath(path string) string {
 // the tier-3 exitless rings when promoted, else tier 2 — the
 // synchronous channel if promoted, the event channel otherwise.
 func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxabi.Call, reqID uint64) (linuxabi.Result, error) {
-	m := r.hvm.metrics
 	if x := r.climb(clk, &r.ring); x != nil {
 		res, retx, err := x.Invoke(clk, call, reqID)
 		if err == nil {
-			m.Counter("router.forward.ring").Inc()
+			r.counter("router.forward.ring").Inc()
 			r.noteRingTransport(clk, retx)
 			return res, nil
 		}
@@ -484,15 +505,16 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 		// the hypercall-mode tier-2 transports.
 		r.ringDown(clk)
 	}
-	sc := r.climb(clk, &r.sync)
-	if sc != nil {
+	if sc := r.climb(clk, &r.sync); sc != nil {
 		res, retx, err := sc.Invoke(clk, call, reqID)
-		if err != nil {
-			return res, err
+		if err == nil {
+			r.counter("router.forward.sync").Inc()
+			r.noteTransport(clk, retx, true)
+			return res, nil
 		}
-		m.Counter("router.forward.sync").Inc()
-		r.noteTransport(clk, retx, true)
-		return res, nil
+		// Another thread of the group demoted the channel before this
+		// call reached it, so nothing served the call: forward it over
+		// the event channel.
 	}
 	if ch == nil {
 		return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.ENOSYS}, nil
@@ -505,11 +527,8 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 	if err != nil {
 		return linuxabi.Result{}, err
 	}
-	m.Counter("router.forward.async").Inc()
-	// Reading env after Forward is safe: the dispatcher is the channel's
-	// only envelope producer, so the recycled envelope cannot be reused
-	// before the next Dispatch on this thread.
-	r.noteTransport(clk, env.Retransmits, false)
+	r.counter("router.forward.async").Inc()
+	r.noteTransport(clk, rep.Retransmits, false)
 	return rep.Res, nil
 }
 

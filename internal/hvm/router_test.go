@@ -44,21 +44,15 @@ func TestRouterFillStampPrecedesForward(t *testing.T) {
 	stamps := &fakeStamps{stamp: 1}
 	r.SetStamps(stamps)
 
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		rosClk := cycles.NewClock(0)
-		for n := 0; ; n++ {
-			env := ch.Recv(rosClk)
-			if env == nil {
-				return
-			}
-			if n == 0 {
-				stamps.bump() // a mutation lands while the first fill is in flight
-			}
-			ch.Complete(rosClk, env, Reply{Res: linuxabi.Result{Ret: uint64(n), Err: linuxabi.OK}})
+	rosClk := cycles.NewClock(0)
+	n := 0
+	ch.Bind(rosClk, func(env *Envelope) {
+		if n == 0 {
+			stamps.bump() // a mutation lands while the first fill is in flight
 		}
-	}()
+		ch.Complete(rosClk, env, Reply{Res: linuxabi.Result{Ret: uint64(n), Err: linuxabi.OK}})
+		n++
+	})
 
 	m := h.Metrics()
 	clk := cycles.NewClock(0)
@@ -78,6 +72,4 @@ func TestRouterFillStampPrecedesForward(t *testing.T) {
 				i, hits, misses, inv, want.hits, want.misses, want.invalidations)
 		}
 	}
-	ch.Close()
-	<-served
 }

@@ -11,7 +11,7 @@ import (
 // retxWindow is an event channel's receiver-side recovery state: the
 // seqnos already serviced (duplicate coalescing), the envelopes received
 // but not yet completed (what a dead partner leaves behind), and the
-// redelivery queue the partner drains before the wire. It exists only
+// redelivery queue a delivery drains before its own frame. It exists only
 // while the fault plane is armed. Every method is nil-safe, and the nil
 // window is the fault-free channel: nothing is ever redelivered and
 // every delivery is fresh.
@@ -39,17 +39,6 @@ func newRetxWindow(fi *faults.Injector, m *telemetry.Registry) *retxWindow {
 		inflight:  make(map[uint64]*Envelope),
 		depth:     m.Gauge("faults.retransmit.depth"),
 	}
-}
-
-// wireDepth sizes the channel's pending queue. Duplicate deliveries and
-// partner-death windows can park several envelopes at once; a deeper
-// queue keeps the sender from blocking on a frame a dead partner will
-// never drain.
-func (w *retxWindow) wireDepth() int {
-	if w == nil {
-		return 1
-	}
-	return 64
 }
 
 // seal stamps env's integrity word for channel id. Only an armed plane
@@ -152,7 +141,7 @@ func (w *retxWindow) queueDup(env *Envelope, bound int) bool {
 
 // Replayed describes one envelope Requeue put back for redelivery: its
 // seqno, the causal request id it carries, and its cross-track flow id,
-// so the watchdog can record the replay and flow-link its respawn
+// so recovery can record the replay and flow-link its respawn
 // marker back to the original forward.
 type Replayed struct {
 	Seq   uint64

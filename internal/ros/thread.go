@@ -55,13 +55,20 @@ func (t *Thread) finish() {
 	t.closeOnce.Do(func() { close(t.done) })
 }
 
+// Create pays thread creation on the creator's clock (clone + runqueue
+// insertion) and starts the thread's clock there. A thread that is
+// state rather than a thread of control — a partner whose service runs
+// where its events are delivered — is created this way and never
+// started.
+func (t *Thread) Create(creator *cycles.Clock) {
+	creator.Advance(t.Proc.kern.cost.ROSThreadCreate)
+	t.Clock.SyncTo(creator.Now())
+}
+
 // Start runs fn on a new goroutine as this thread's code, paying thread
-// creation cost on the creator's clock (clone + runqueue insertion).
+// creation cost on the creator's clock.
 func (t *Thread) Start(creator *cycles.Clock, fn func(*Thread)) {
-	if creator != nil {
-		creator.Advance(t.Proc.kern.cost.ROSThreadCreate)
-		t.Clock.SyncTo(creator.Now())
-	}
+	t.Create(creator)
 	go func() {
 		defer t.finish()
 		fn(t)

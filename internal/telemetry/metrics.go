@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -253,6 +254,44 @@ func (r *Registry) Histogram(name string, edges []cycles.Cycles) *Histogram {
 // LatencyHistogram is Histogram with the default latency buckets.
 func (r *Registry) LatencyHistogram(name string) *Histogram {
 	return r.Histogram(name, nil)
+}
+
+// Handles caches instrument handles by key, resolving each key once:
+// after its first resolution a key's lookup is one atomic load and a map
+// read, with no lock and no allocation. It stands in for a registry
+// lookup per event, which takes the registry-wide lock and usually
+// builds the instrument's name. Resolving on first use keeps the
+// registry's contents what per-event lookups would have made them. The
+// zero value is ready to use.
+type Handles[K comparable, T any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[K]T]
+}
+
+// Get returns the handle for key, calling resolve on the key's first
+// use.
+func (h *Handles[K, T]) Get(key K, resolve func() T) T {
+	if m := h.m.Load(); m != nil {
+		if v, ok := (*m)[key]; ok {
+			return v
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	old := h.m.Load()
+	if old != nil {
+		if v, ok := (*old)[key]; ok {
+			return v
+		}
+	}
+	next := make(map[K]T, 1)
+	if old != nil {
+		next = maps.Clone(*old)
+	}
+	v := resolve()
+	next[key] = v
+	h.m.Store(&next)
+	return v
 }
 
 // EachCounter visits the counters in name order.

@@ -34,7 +34,7 @@ const (
 	RecRepromote                 // fault policy re-promoted after clean run; Site=hrt core
 	RecFaultRoll                 // injector fired; Site=roll site id, A=fault kind, B=seq
 	RecRequeue                   // respawn replayed an inflight envelope; Site=channel, A=seq
-	RecRespawn                   // watchdog respawned a partner; Site=group, A=generation, B=replayed
+	RecRespawn                   // recovery respawned a partner; Site=group, A=generation, B=replayed
 	RecDegrade                   // recovery budget exhausted, ROS-only; Site=group, A=recoveries
 	RecPanic                     // contained HRT panic; Site=thread, A=syscall count
 	RecThreadPanic               // real host panic recovered in Thread.Run; Site=thread

@@ -28,17 +28,22 @@ func BenchmarkSimspeedParallel(b *testing.B) {
 }
 
 // BenchmarkProgram runs each CLBG program once per iteration, natively:
-// the interpreter's host cost (time and allocation per run) with no
-// forwarding in the way. It reports, it does not gate.
+// the interpreter's host cost (time and allocation per run, and host time
+// per reduction) with no forwarding in the way. It reports, it does not
+// gate.
 func BenchmarkProgram(b *testing.B) {
 	for _, prog := range Programs() {
 		b.Run(prog.Name, func(b *testing.B) {
 			b.ReportAllocs()
+			var reductions uint64
 			for i := 0; i < b.N; i++ {
-				if _, err := RunBenchmark(prog, core.WorldNative, core.Options{}, false); err != nil {
+				res, err := RunBenchmark(prog, core.WorldNative, core.Options{}, false)
+				if err != nil {
 					b.Fatal(err)
 				}
+				reductions += res.Reductions
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reductions), "ns/reduction")
 		})
 	}
 }

@@ -12,11 +12,7 @@ import (
 // through tick() at application sites plus explicit charges for
 // data-proportional operations.
 func installBuiltins(in *Interp) {
-	def := func(name string, fn func(*Interp, []*Obj) (*Obj, error)) {
-		b := in.alloc(KBuiltin)
-		b.ext = &objExt{Name: name, Fn: fn}
-		in.global.Define(in.Intern(name), b)
-	}
+	def := in.defineBuiltin
 
 	wantArgs := func(name string, args []*Obj, n int) error {
 		if len(args) != n {

@@ -13,11 +13,7 @@ import (
 // remaining time/system calls. Split from installBuiltins only for
 // organization; every interpreter gets both.
 func installExtendedBuiltins(in *Interp) {
-	def := func(name string, fn func(*Interp, []*Obj) (*Obj, error)) {
-		b := in.alloc(KBuiltin)
-		b.ext = &objExt{Name: name, Fn: fn}
-		in.global.Define(in.Intern(name), b)
-	}
+	def := in.defineBuiltin
 
 	// (sort lst less?) — merge sort via Go's sort with comparator
 	// callbacks into the interpreter. O(n log n) comparisons, each a

@@ -201,7 +201,7 @@ func (e *Engine) RunString(src string) (*Obj, error) {
 			in.FlushOut()
 			return out, nil
 		}
-		v, err := in.Eval(form, in.global)
+		v, err := in.evalTop(form)
 		if err != nil {
 			in.FlushOut()
 			return nil, err
@@ -247,7 +247,7 @@ func (e *Engine) REPL() error {
 		if form == nil {
 			break
 		}
-		v, err := in.Eval(form, in.global)
+		v, err := in.evalTop(form)
 		if err != nil {
 			in.writeOut([]byte(fmt.Sprintf("%v\n", err)))
 			continue

@@ -1,16 +1,45 @@
 package scheme
 
-import "fmt"
+// evalTop analyzes a top-level form and runs it in the global frame.
+func (in *Interp) evalTop(form *Obj) (*Obj, error) {
+	return in.eval(in.analyze(form), in.global)
+}
 
-// Eval evaluates expr in env. It brackets evalCore with the frame-
-// recycling sweep: frames this evaluation created (let frames, parameter
-// frames) that did not escape into a closure go back on the free list
-// when the evaluation finishes. The returned value cannot reference a
-// released frame — only closures hold frames, and closure creation marks
-// its whole environment chain escaped.
-func (in *Interp) Eval(expr *Obj, env *Frame) (*Obj, error) {
+// eval runs n in env. It brackets exec with the frame-recycling sweep:
+// frames this evaluation created (let frames, parameter frames) that did
+// not escape into a closure go back on the free list when the evaluation
+// finishes. The returned value cannot reference a released frame — only
+// closures hold frames, and closure creation marks its whole environment
+// chain escaped. Constants and variable references, which create no
+// frame, run here directly.
+func (in *Interp) eval(n *node, env *Frame) (*Obj, error) {
+	switch n.op {
+	case opConst:
+		in.tick()
+		return n.val, nil
+	case opRef:
+		in.tick()
+		if v := n.read(env); v != nil && v.Kind != KClosure {
+			return v, nil
+		}
+		return in.value(n, env)
+	case opCall:
+		// A builtin application creates no frame and makes no tail call,
+		// so it runs here too: the same two reductions exec would count,
+		// the call's and its operator's. Reading the operator twice is
+		// harmless, as a read has no effect.
+		fn := n.read(env)
+		if fn == nil {
+			fn = n.lookup(env)
+		}
+		if fn != nil && fn.Kind == KBuiltin {
+			in.tick()
+			in.tick()
+			return in.applyBuiltin(fn, n.kids, env)
+		}
+	}
 	base := len(in.owned)
-	v, err := in.evalCore(expr, env, base)
+	v, err := in.exec(n, env, base)
 	if len(in.owned) > base {
 		in.sweepOwned(base)
 	}
@@ -32,7 +61,7 @@ func (in *Interp) sweepOwned(base int) {
 
 // sweepTail runs at a tail-call transition into next: owned frames that
 // are not on next's chain are already dead — recycling them here, rather
-// than at Eval exit, is what lets tail-recursive loops run in constant
+// than at eval exit, is what lets tail-recursive loops run in constant
 // frame space instead of accumulating one dead frame per iteration.
 func (in *Interp) sweepTail(base int, next *Frame) {
 	owned := in.owned
@@ -63,280 +92,348 @@ func (in *Interp) sweepTail(base int, next *Frame) {
 	in.owned = owned[:keep]
 }
 
-// evalCore is the evaluator loop, with proper tail calls: tail positions
-// update expr/env and loop rather than recursing, so iterative Scheme
-// (named let, do loops, tail recursion) runs in constant Go stack — the
-// tail-call elimination Racket guarantees. base is the caller's owned-
-// frame watermark, used by tail-transition sweeps.
-func (in *Interp) evalCore(expr *Obj, env *Frame, base int) (*Obj, error) {
+// read is lookup's inline fast path: a global cell, or a binding in its
+// guessed slot. nil sends the caller to lookup.
+func (n *node) read(env *Frame) *Obj {
+	if n.cell != nil {
+		return n.cell.v
+	}
+	if fr, ok := n.binder(env); ok {
+		return fr.slots[n.slot].val
+	}
+	return nil
+}
+
+// binder returns the frame a local reference resolved to, and whether
+// the guessed slot there holds the name. When it does not, the binder
+// has not run the define yet, or ran its defines in another order: the
+// caller searches that frame and the frames above it.
+func (n *node) binder(env *Frame) (*Frame, bool) {
+	fr := env
+	for d := n.depth; d > 0; d-- {
+		fr = fr.parent
+	}
+	s := int(n.slot)
+	return fr, s < fr.n && fr.slots[s].key == n.sym
+}
+
+// lookup reads a resolved reference's binding, nil if it is unbound.
+func (n *node) lookup(env *Frame) *Obj {
+	if n.cell != nil {
+		return n.cell.v
+	}
+	fr, ok := n.binder(env)
+	if ok {
+		return fr.slots[n.slot].val
+	}
+	return fr.lookup(n.sym)
+}
+
+// assign stores v in a resolved reference's binding, reporting whether
+// there was one.
+func (n *node) assign(env *Frame, v *Obj) bool {
+	if c := n.cell; c != nil {
+		if c.v == nil {
+			return false
+		}
+		c.v = v
+		return true
+	}
+	fr, ok := n.binder(env)
+	if ok {
+		fr.slots[n.slot].val = v
+		return true
+	}
+	return fr.set(n.sym, v)
+}
+
+// value reads a variable in value position. A closure referenced there
+// can flow anywhere — returned, stored, passed — so its environment chain
+// must survive the evaluation that built it. This is the one producer of
+// closure values besides closure creation (which marks then): operator
+// positions read through lookup and stay unmarked, which is what lets
+// named-let loop frames recycle.
+func (in *Interp) value(n *node, env *Frame) (*Obj, error) {
+	v := n.lookup(env)
+	if v == nil {
+		return nil, evalError("unbound variable %s", n.sym.ext.Str)
+	}
+	if v.Kind == KClosure && v.ext.Env != nil {
+		markEscaped(v.ext.Env)
+	}
+	return v, nil
+}
+
+// evalSeq runs all but the last of body for effect and returns the last,
+// for the caller to run in tail position; nil for an empty body.
+func (in *Interp) evalSeq(body []*node, env *Frame) (*node, error) {
+	if len(body) == 0 {
+		return nil, nil
+	}
+	last := len(body) - 1
+	for _, e := range body[:last] {
+		if _, err := in.eval(e, env); err != nil {
+			return nil, err
+		}
+	}
+	return body[last], nil
+}
+
+// exec is the evaluator loop, with proper tail calls: tail positions
+// update n/env and loop rather than recursing, so iterative Scheme (named
+// let, do loops, tail recursion) runs in constant Go stack — the
+// tail-call elimination Racket guarantees. Each pass is one reduction.
+// base is the caller's owned-frame watermark, used by tail-transition
+// sweeps.
+func (in *Interp) exec(n *node, env *Frame, base int) (*Obj, error) {
 	for {
 		in.tick()
-		switch expr.Kind {
-		case KSymbol:
-			v, ok := env.Lookup(expr)
-			if !ok {
-				return nil, evalError("unbound variable %s", expr.ext.Str)
-			}
-			// A closure referenced in value position can flow anywhere —
-			// returned, stored, passed — so its environment chain must
-			// survive the evaluation that built it. This is the one
-			// producer of closure values besides makeClosure (which marks
-			// at creation): combination heads bypass this case via the
-			// fast path below and stay unmarked, which is what lets
-			// named-let loop frames recycle.
-			if v.Kind == KClosure && v.ext.Env != nil {
-				markEscaped(v.ext.Env)
-			}
-			return v, nil
-		case KPair:
-			// fall through to combination handling below
-		default:
-			return expr, nil // self-evaluating
-		}
+		switch n.op {
+		case opConst:
+			return n.val, nil
 
-		head := expr.Car
-		if head.Kind == KSymbol && head.special != spNone {
-			switch head.special {
-			case spQuote:
-				return expr.Cdr.Car, nil
+		case opRef:
+			return in.value(n, env)
 
-			case spIf:
-				// (if test then [else]) — a proper list of 2 or 3 forms.
-				cd := expr.Cdr
-				if cd.Kind != KPair || cd.Cdr.Kind != KPair ||
-					!(cd.Cdr.Cdr.Kind == KNil ||
-						(cd.Cdr.Cdr.Kind == KPair && cd.Cdr.Cdr.Cdr.Kind == KNil)) {
-					return nil, evalError("if: malformed")
-				}
-				c, err := in.Eval(cd.Car, env)
-				if err != nil {
+		case opFail:
+			for _, e := range n.kids {
+				if _, err := in.eval(e, env); err != nil {
 					return nil, err
 				}
-				if Truthy(c) {
-					expr = cd.Cdr.Car
-				} else if cd.Cdr.Cdr.Kind == KPair {
-					expr = cd.Cdr.Cdr.Car
-				} else {
-					return Unspecified, nil
-				}
-				continue
+			}
+			return nil, n.x.err
 
-			case spDefine:
-				return in.evalDefine(expr.Cdr, env)
-
-			case spSet:
-				args, ok := ListToSlice(expr.Cdr)
-				if !ok || len(args) != 2 || args[0].Kind != KSymbol {
-					return nil, evalError("set!: malformed")
-				}
-				v, err := in.Eval(args[1], env)
-				if err != nil {
-					return nil, err
-				}
-				if !env.Set(args[0], v) {
-					return nil, evalError("set!: unbound variable %s", args[0].ext.Str)
-				}
+		case opIf:
+			c, err := in.eval(n.kids[0], env)
+			if err != nil {
+				return nil, err
+			}
+			if Truthy(c) {
+				n = n.kids[1]
+			} else if len(n.kids) == 3 {
+				n = n.kids[2]
+			} else {
 				return Unspecified, nil
+			}
 
-			case spLambda:
-				return in.makeClosure(expr.Cdr, env)
-
-			case spBegin:
-				cur := expr.Cdr
-				if cur.Kind == KNil {
-					return Unspecified, nil
-				}
-				for cur.Kind == KPair && cur.Cdr.Kind == KPair {
-					if _, err := in.Eval(cur.Car, env); err != nil {
-						return nil, err
-					}
-					cur = cur.Cdr
-				}
-				if cur.Kind != KPair || cur.Cdr.Kind != KNil {
-					return nil, evalError("begin: malformed")
-				}
-				expr = cur.Car
-				continue
-
-			case spLet, spLetStar, spLetrec:
-				var body *Obj
-				var le *Frame
+		case opDefine:
+			v := Unspecified
+			if len(n.kids) > 0 {
 				var err error
-				switch head.special {
-				case spLet:
-					body, le, err = in.evalLet(expr.Cdr, env)
-				case spLetStar:
-					body, le, err = in.evalLetStar(expr.Cdr, env)
-				default:
-					body, le, err = in.evalLetrec(expr.Cdr, env)
-				}
-				if err != nil {
+				if v, err = in.eval(n.kids[0], env); err != nil {
 					return nil, err
 				}
-				tail, err := in.evalBodyList(body, le)
-				if err != nil {
-					return nil, err
-				}
-				if tail == nil {
-					return Unspecified, nil
-				}
-				expr, env = tail, le
-				continue
-
-			case spCond:
-				ne, done, v, err := in.evalCond(expr.Cdr, env)
-				if err != nil {
-					return nil, err
-				}
-				if done {
-					return v, nil
-				}
-				expr = ne
-				continue
-
-			case spCase:
-				ne, done, v, err := in.evalCase(expr.Cdr, env)
-				if err != nil {
-					return nil, err
-				}
-				if done {
-					return v, nil
-				}
-				expr = ne
-				continue
-
-			case spAnd:
-				cur := expr.Cdr
-				if cur.Kind != KPair {
-					return True, nil
-				}
-				for cur.Cdr.Kind == KPair {
-					v, err := in.Eval(cur.Car, env)
-					if err != nil {
-						return nil, err
-					}
-					if !Truthy(v) {
-						return v, nil
-					}
-					cur = cur.Cdr
-				}
-				expr = cur.Car
-				continue
-
-			case spOr:
-				cur := expr.Cdr
-				if cur.Kind != KPair {
-					return False, nil
-				}
-				for cur.Cdr.Kind == KPair {
-					v, err := in.Eval(cur.Car, env)
-					if err != nil {
-						return nil, err
-					}
-					if Truthy(v) {
-						return v, nil
-					}
-					cur = cur.Cdr
-				}
-				expr = cur.Car
-				continue
-
-			case spWhen, spUnless:
-				cur := expr.Cdr
-				if cur.Kind != KPair {
-					return nil, evalError("%s: malformed", head.ext.Str)
-				}
-				c, err := in.Eval(cur.Car, env)
-				if err != nil {
-					return nil, err
-				}
-				hit := Truthy(c)
-				if head.special == spUnless {
-					hit = !hit
-				}
-				if !hit || cur.Cdr.Kind != KPair {
-					return Unspecified, nil
-				}
-				cur = cur.Cdr
-				for cur.Cdr.Kind == KPair {
-					if _, err := in.Eval(cur.Car, env); err != nil {
-						return nil, err
-					}
-					cur = cur.Cdr
-				}
-				expr = cur.Car
-				continue
-
-			case spDo:
-				v, err := in.evalDo(expr.Cdr, env)
-				return v, err
-
-			case spQuasiquote:
-				return in.evalQuasi(expr.Cdr.Car, env, 1)
 			}
-		}
+			in.bindDefined(n, env, v)
+			return Unspecified, nil
 
-		// Combination: evaluate operator and operands, then apply. The
-		// operands ride the interpreter's operand stack: pushed here,
-		// passed down as a sub-slice, and popped before leaving — callees
-		// never retain the slice, so argument lists cost no allocation.
-		// Head position: a symbol head is resolved inline — same tick,
-		// same charge, but without the KSymbol value-position escape
-		// marking, since evalCore consumes fn immediately and never
-		// retains it. Calling a named-let loop therefore does not pin its
-		// frames.
-		var fn *Obj
-		if head.Kind == KSymbol {
-			in.tick()
-			v, ok := env.Lookup(head)
-			if !ok {
-				return nil, evalError("unbound variable %s", head.ext.Str)
+		case opDefineProc:
+			in.Cons(n.val.Car.Cdr, n.val.Cdr) // (formals body...)
+			if n.x.err != nil {
+				return nil, n.x.err
 			}
-			fn = v
-		} else {
-			v, err := in.Eval(head, env)
+			in.bindDefined(n, env, in.makeClosure(n.x.lam, env))
+			return Unspecified, nil
+
+		case opSet:
+			v, err := in.eval(n.kids[0], env)
 			if err != nil {
 				return nil, err
 			}
-			fn = v
-		}
-		abase := len(in.argStack)
-		for cur := expr.Cdr; cur.Kind == KPair; cur = cur.Cdr {
-			a, err := in.Eval(cur.Car, env)
-			if err != nil {
-				in.argStack = in.argStack[:abase]
-				return nil, err
+			if !n.assign(env, v) {
+				return nil, evalError("set!: unbound variable %s", n.sym.ext.Str)
 			}
-			in.argStack = append(in.argStack, a)
-		}
-		args := in.argStack[abase:]
+			return Unspecified, nil
 
-		switch fn.Kind {
-		case KBuiltin:
-			v, err := fn.ext.Fn(in, args)
-			in.argStack = in.argStack[:abase]
-			return v, err
-		case KClosure:
-			frame, err := in.bindParams(fn, args)
-			in.argStack = in.argStack[:abase]
+		case opLambda:
+			return in.makeClosure(n.x.lam, env), nil
+
+		case opBegin:
+			tail, err := in.evalSeq(n.body, env)
 			if err != nil {
 				return nil, err
 			}
-			if len(fn.ext.Body) == 0 {
+			n = tail
+
+		case opLet, opLetStar, opLetrec:
+			le, err := in.bindLet(n, env)
+			if err != nil {
+				return nil, err
+			}
+			tail, err := in.evalSeq(n.body, le)
+			if err != nil {
+				return nil, err
+			}
+			if tail == nil {
 				return Unspecified, nil
 			}
-			for _, e := range fn.ext.Body[:len(fn.ext.Body)-1] {
-				if _, err := in.Eval(e, frame); err != nil {
+			n, env = tail, le
+
+		case opNamedLet:
+			frame, err := in.enterLoop(n, env)
+			if err != nil {
+				return nil, err
+			}
+			tail, err := in.evalSeq(n.x.lam.code, frame)
+			if err != nil {
+				return nil, err
+			}
+			if tail == nil {
+				return Unspecified, nil
+			}
+			n, env = tail, frame
+
+		case opCond:
+			tail, v, err := in.evalCond(n, env)
+			if tail == nil {
+				return v, err
+			}
+			n = tail
+
+		case opCase:
+			tail, err := in.evalCase(n, env)
+			if err != nil {
+				return nil, err
+			}
+			if tail == nil {
+				return Unspecified, nil
+			}
+			n = tail
+
+		case opAnd, opOr:
+			last := len(n.body) - 1
+			for _, e := range n.body[:last] {
+				v, err := in.eval(e, env)
+				if err != nil {
 					return nil, err
 				}
+				if Truthy(v) != (n.op == opAnd) {
+					return v, nil
+				}
+			}
+			n = n.body[last]
+
+		case opWhen, opUnless:
+			c, err := in.eval(n.kids[0], env)
+			if err != nil {
+				return nil, err
+			}
+			if Truthy(c) != (n.op == opWhen) || len(n.body) == 0 {
+				return Unspecified, nil
+			}
+			tail, err := in.evalSeq(n.body, env)
+			if err != nil {
+				return nil, err
+			}
+			n = tail
+
+		case opDo:
+			return in.evalDo(n, env)
+
+		case opQuasi:
+			return in.evalQuasi(n.x.q, env)
+
+		case opCall, opCallExpr:
+			// Operands ride the interpreter's operand stack: pushed here,
+			// passed down as a sub-slice, and popped before leaving —
+			// callees never retain the slice, so argument lists cost no
+			// allocation. A variable operator is read inline — same
+			// reduction, but without value-position escape marking, since
+			// exec consumes fn at once and never retains it. Calling a
+			// named-let loop therefore does not pin its frames.
+			var fn *Obj
+			operands := n.kids
+			if n.op == opCall {
+				in.tick()
+				if fn = n.read(env); fn == nil {
+					if fn = n.lookup(env); fn == nil {
+						return nil, evalError("unbound variable %s", n.sym.ext.Str)
+					}
+				}
+			} else {
+				v, err := in.eval(operands[0], env)
+				if err != nil {
+					return nil, err
+				}
+				fn, operands = v, operands[1:]
+			}
+			if fn.Kind == KBuiltin {
+				return in.applyBuiltin(fn, operands, env)
+			}
+			abase := len(in.argStack)
+			if err := in.pushOperands(operands, env); err != nil {
+				return nil, err
+			}
+			if fn.Kind != KClosure {
+				in.argStack = in.argStack[:abase]
+				return nil, evalError("not a procedure: %s", WriteString(fn))
+			}
+			frame, err := in.bindParams(fn, in.argStack[abase:])
+			in.argStack = in.argStack[:abase]
+			if err != nil {
+				return nil, err
+			}
+			code := fn.ext.lam.code
+			if len(code) == 0 {
+				return Unspecified, nil
+			}
+			tail, err := in.evalSeq(code, frame)
+			if err != nil {
+				return nil, err
 			}
 			in.sweepTail(base, frame)
-			expr, env = fn.ext.Body[len(fn.ext.Body)-1], frame
-			continue
-		default:
-			in.argStack = in.argStack[:abase]
-			return nil, evalError("not a procedure: %s", WriteString(fn))
+			n, env = tail, frame
 		}
+	}
+}
+
+// pushOperands evaluates operands in order onto the operand stack. On an
+// error it pops what it pushed.
+func (in *Interp) pushOperands(operands []*node, env *Frame) error {
+	abase := len(in.argStack)
+	for _, a := range operands {
+		// Constants and variables are evaluated inline: the same
+		// reduction eval would count, without the call.
+		var v *Obj
+		var err error
+		switch a.op {
+		case opConst:
+			in.tick()
+			v = a.val
+		case opRef:
+			in.tick()
+			if v = a.read(env); v == nil || v.Kind == KClosure {
+				v, err = in.value(a, env)
+			}
+		default:
+			v, err = in.eval(a, env)
+		}
+		if err != nil {
+			in.argStack = in.argStack[:abase]
+			return err
+		}
+		in.argStack = append(in.argStack, v)
+	}
+	return nil
+}
+
+// applyBuiltin evaluates operands and applies the builtin fn to them.
+func (in *Interp) applyBuiltin(fn *Obj, operands []*node, env *Frame) (*Obj, error) {
+	abase := len(in.argStack)
+	if err := in.pushOperands(operands, env); err != nil {
+		return nil, err
+	}
+	v, err := fn.ext.Fn(in, in.argStack[abase:])
+	in.argStack = in.argStack[:abase]
+	return v, err
+}
+
+// bindDefined binds a define's value in the frame it runs in.
+func (in *Interp) bindDefined(n *node, env *Frame, v *Obj) {
+	if n.cell != nil {
+		n.cell.v = v
+	} else {
+		env.Define(n.sym, v)
 	}
 }
 
@@ -355,8 +452,8 @@ func (in *Interp) Apply(fn *Obj, args []*Obj) (*Obj, error) {
 			return nil, err
 		}
 		var out *Obj = Unspecified
-		for _, e := range fn.ext.Body {
-			v, err := in.Eval(e, frame)
+		for _, e := range fn.ext.lam.code {
+			v, err := in.eval(e, frame)
 			if err != nil {
 				in.sweepOwned(base)
 				return nil, err
@@ -371,412 +468,238 @@ func (in *Interp) Apply(fn *Obj, args []*Obj) (*Obj, error) {
 }
 
 func (in *Interp) bindParams(fn *Obj, args []*Obj) (*Frame, error) {
-	frame := in.newFrame(fn.ext.Env)
+	x := fn.ext.procExt
+	lam := x.lam // the closure's Params and Rest, on one cache line
+	frame := in.newFrame(x.Env)
 	in.owned = append(in.owned, frame)
-	if fn.ext.Rest == nil && len(args) != len(fn.ext.Params) {
-		return nil, evalError("arity: want %d args, got %d", len(fn.ext.Params), len(args))
+	if lam.rest == nil && len(args) != len(lam.params) {
+		return nil, evalError("arity: want %d args, got %d", len(lam.params), len(args))
 	}
-	if fn.ext.Rest != nil && len(args) < len(fn.ext.Params) {
-		return nil, evalError("arity: want at least %d args, got %d", len(fn.ext.Params), len(args))
+	if lam.rest != nil && len(args) < len(lam.params) {
+		return nil, evalError("arity: want at least %d args, got %d", len(lam.params), len(args))
 	}
-	for i, p := range fn.ext.Params {
-		frame.Define(p, args[i])
+	if lam.direct {
+		for i, p := range lam.params {
+			frame.slots[i] = binding{p, args[i]}
+		}
+		frame.n = len(lam.params)
+	} else {
+		for i, p := range lam.params {
+			frame.Define(p, args[i])
+		}
 	}
-	if fn.ext.Rest != nil {
-		frame.Define(fn.ext.Rest, in.List(args[len(fn.ext.Params):]...))
+	if lam.rest != nil {
+		frame.Define(lam.rest, in.List(args[len(lam.params):]...))
 	}
 	return frame, nil
 }
 
-// makeClosure builds a closure from (lambda formals body...).
-func (in *Interp) makeClosure(form *Obj, env *Frame) (*Obj, error) {
-	if form.Kind != KPair {
-		return nil, evalError("lambda: malformed")
-	}
-	params, rest, err := parseFormals(form.Car)
-	if err != nil {
-		return nil, err
-	}
-	body, ok := ListToSlice(form.Cdr)
-	if !ok {
-		return nil, evalError("lambda: malformed body")
-	}
+// newProc attaches an empty closure side car to o, in one host
+// allocation.
+func newProc(o *Obj) *procExt {
+	x := &struct {
+		objExt
+		procExt
+	}{}
+	x.objExt.procExt = &x.procExt
+	o.ext = &x.objExt
+	return &x.procExt
+}
+
+// makeClosure closes lam over env.
+func (in *Interp) makeClosure(lam *lambda, env *Frame) *Obj {
 	c := in.alloc(KClosure)
-	c.ext = &objExt{Params: params, Rest: rest, Body: body, Env: env}
+	x := newProc(c)
+	x.Params, x.Rest, x.Body, x.Env, x.lam = lam.params, lam.rest, lam.body, env, lam
 	markEscaped(env)
-	return c, nil
+	return c
 }
 
-func parseFormals(f *Obj) (params []*Obj, rest *Obj, err error) {
-	switch f.Kind {
-	case KSymbol: // (lambda args ...)
-		return nil, f, nil
-	case KNil:
-		return nil, nil, nil
-	case KPair:
-		cur := f
-		for cur.Kind == KPair {
-			if cur.Car.Kind != KSymbol {
-				return nil, nil, evalError("lambda: non-symbol formal")
-			}
-			params = append(params, cur.Car)
-			cur = cur.Cdr
-		}
-		if cur.Kind == KSymbol {
-			rest = cur
-		} else if cur.Kind != KNil {
-			return nil, nil, evalError("lambda: malformed formals")
-		}
-		return params, rest, nil
-	default:
-		return nil, nil, evalError("lambda: malformed formals")
-	}
-}
-
-// evalDefine handles (define x v) and (define (f . formals) body...).
-func (in *Interp) evalDefine(form *Obj, env *Frame) (*Obj, error) {
-	if form.Kind != KPair {
-		return nil, evalError("define: malformed")
-	}
-	target := form.Car
-	switch target.Kind {
-	case KSymbol:
-		if form.Cdr.Kind != KPair {
-			env.Define(target, Unspecified)
-			return Unspecified, nil
-		}
-		v, err := in.Eval(form.Cdr.Car, env)
-		if err != nil {
-			return nil, err
-		}
-		env.Define(target, v)
-		return Unspecified, nil
-	case KPair:
-		name := target.Car
-		if name.Kind != KSymbol {
-			return nil, evalError("define: bad function name")
-		}
-		lam := in.Cons(target.Cdr, form.Cdr) // (formals body...)
-		c, err := in.makeClosure(lam, env)
-		if err != nil {
-			return nil, err
-		}
-		c.ext.Name = name.ext.Name
-		env.Define(name, c)
-		return Unspecified, nil
-	default:
-		return nil, evalError("define: malformed")
-	}
-}
-
-// evalBodyList evaluates all but the last expression of a body (a pair
-// chain), returning the last as the caller's new tail expression (nil for
-// an empty body). It never allocates: multi-expression bodies need no
-// begin-wrapping and no slice conversion.
-func (in *Interp) evalBodyList(body *Obj, env *Frame) (*Obj, error) {
-	if body.Kind != KPair {
-		return nil, nil
-	}
-	for body.Cdr.Kind == KPair {
-		if _, err := in.Eval(body.Car, env); err != nil {
-			return nil, err
-		}
-		body = body.Cdr
-	}
-	return body.Car, nil
-}
-
-// checkBinding validates one (symbol init) binding form.
-func checkBinding(b *Obj) error {
-	if b.Kind != KPair || b.Car.Kind != KSymbol || b.Cdr.Kind != KPair {
-		return evalError("let: malformed binding %s", WriteString(b))
-	}
-	return nil
-}
-
-// evalLet handles plain and named let, returning the body (a pair chain)
-// and the new environment.
-func (in *Interp) evalLet(form *Obj, env *Frame) (*Obj, *Frame, error) {
-	if form.Kind != KPair {
-		return nil, nil, evalError("let: malformed")
-	}
-	// Named let: (let loop ((v init)...) body...)
-	if form.Car.Kind == KSymbol {
-		name := form.Car
-		rest := form.Cdr
-		if rest.Kind != KPair {
-			return nil, nil, evalError("named let: malformed")
-		}
-		binds, body := rest.Car, rest.Cdr
-		// loopEnv is owned and recyclable, not escaped: the loop closure
-		// below is deliberately unmarked. It can only leak out of the
-		// loop by being referenced in value position (the KSymbol case
-		// marks then) or by being captured inside a lambda whose chain
-		// passes through loopEnv (makeClosure marks then) — head-position
-		// loop calls pin nothing, so iterative loops recycle every frame.
-		// Named-let loop procedures are compiled to jumps by real
-		// runtimes (Racket never materializes them), so this one is not
-		// a heap allocation: loops stay allocation-free. The closure Obj
-		// itself recycles with its frame (Frame.loopc), so a loop entry
-		// reuses a dead loop's closure and backing arrays.
-		var c *Obj
-		if n := len(in.freeClosures); n > 0 {
-			c = in.freeClosures[n-1]
-			in.freeClosures[n-1] = nil
-			in.freeClosures = in.freeClosures[:n-1]
-			ce := c.ext
-			ce.Params = ce.Params[:0]
-			ce.Body = ce.Body[:0]
-			ce.Rest = nil
-		} else {
-			c = &Obj{Kind: KClosure, ext: &objExt{}}
-		}
-		ce := c.ext
-		cur := binds
-		for ; cur.Kind == KPair; cur = cur.Cdr {
-			if err := checkBinding(cur.Car); err != nil {
-				return nil, nil, err
-			}
-			ce.Params = append(ce.Params, cur.Car.Car)
-		}
-		if cur.Kind != KNil {
-			return nil, nil, evalError("let: improper binding list")
-		}
-		for b := body; b.Kind == KPair; b = b.Cdr {
-			ce.Body = append(ce.Body, b.Car)
-		}
-		loopEnv := in.newFrame(env)
-		in.owned = append(in.owned, loopEnv)
-		ce.Env = loopEnv
-		ce.Name = name.ext.Name
-		loopEnv.Define(name, c)
-		loopEnv.loopc = c
-		// Initial loop arguments ride the operand stack, like any other
-		// application's.
-		abase := len(in.argStack)
-		for b := binds; b.Kind == KPair; b = b.Cdr {
-			v, err := in.Eval(b.Car.Cdr.Car, env)
-			if err != nil {
-				in.argStack = in.argStack[:abase]
-				return nil, nil, err
-			}
-			in.argStack = append(in.argStack, v)
-		}
-		frame, err := in.bindParams(c, in.argStack[abase:])
-		in.argStack = in.argStack[:abase]
-		if err != nil {
-			return nil, nil, err
-		}
-		return body, frame, nil
-	}
-
-	// Plain let: inits evaluate in the outer env, bindings land directly
-	// in the fresh frame — no params/inits slices.
-	frame := in.newFrame(env)
-	in.owned = append(in.owned, frame)
-	cur := form.Car
-	for ; cur.Kind == KPair; cur = cur.Cdr {
-		b := cur.Car
-		if err := checkBinding(b); err != nil {
-			return nil, nil, err
-		}
-		v, err := in.Eval(b.Cdr.Car, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		frame.Define(b.Car, v)
-	}
-	if cur.Kind != KNil {
-		return nil, nil, evalError("let: improper binding list")
-	}
-	return form.Cdr, frame, nil
-}
-
-func (in *Interp) evalLetStar(form *Obj, env *Frame) (*Obj, *Frame, error) {
-	if form.Kind != KPair {
-		return nil, nil, evalError("let*: malformed")
-	}
-	frame := env
-	cur := form.Car
-	for ; cur.Kind == KPair; cur = cur.Cdr {
-		b := cur.Car
-		if err := checkBinding(b); err != nil {
-			return nil, nil, err
-		}
-		frame = in.newFrame(frame)
+// bindLet makes the frame of a let, let* or letrec and binds its
+// variables, returning the frame the body runs in.
+func (in *Interp) bindLet(n *node, env *Frame) (*Frame, error) {
+	switch n.op {
+	case opLet:
+		// Inits run in the outer frame, bindings land in the new one.
+		frame := in.newFrame(env)
 		in.owned = append(in.owned, frame)
-		v, err := in.Eval(b.Cdr.Car, frame)
-		if err != nil {
-			return nil, nil, err
-		}
-		frame.Define(b.Car, v)
-	}
-	if cur.Kind != KNil {
-		return nil, nil, evalError("let: improper binding list")
-	}
-	if frame == env {
-		frame = in.newFrame(env)
-		in.owned = append(in.owned, frame)
-	}
-	return form.Cdr, frame, nil
-}
-
-func (in *Interp) evalLetrec(form *Obj, env *Frame) (*Obj, *Frame, error) {
-	if form.Kind != KPair {
-		return nil, nil, evalError("letrec: malformed")
-	}
-	frame := in.newFrame(env)
-	in.owned = append(in.owned, frame)
-	cur := form.Car
-	for ; cur.Kind == KPair; cur = cur.Cdr {
-		if err := checkBinding(cur.Car); err != nil {
-			return nil, nil, err
-		}
-		frame.Define(cur.Car.Car, Unspecified)
-	}
-	if cur.Kind != KNil {
-		return nil, nil, evalError("let: improper binding list")
-	}
-	for cur = form.Car; cur.Kind == KPair; cur = cur.Cdr {
-		b := cur.Car
-		v, err := in.Eval(b.Cdr.Car, frame)
-		if err != nil {
-			return nil, nil, err
-		}
-		frame.Define(b.Car, v)
-	}
-	return form.Cdr, frame, nil
-}
-
-// evalCond returns either a tail expression or a final value.
-func (in *Interp) evalCond(clauses *Obj, env *Frame) (tail *Obj, done bool, v *Obj, err error) {
-	for cur := clauses; cur.Kind == KPair; cur = cur.Cdr {
-		cl := cur.Car
-		if cl.Kind != KPair {
-			return nil, false, nil, evalError("cond: malformed clause")
-		}
-		test := cl.Car
-		isElse := test.Kind == KSymbol && string(test.ext.Str) == "else"
-		var tv *Obj
-		if isElse {
-			tv = True
-		} else {
-			tv, err = in.Eval(test, env)
+		for i, init := range n.kids {
+			v, err := in.eval(init, env)
 			if err != nil {
-				return nil, false, nil, err
+				return nil, err
+			}
+			frame.Define(n.x.vars[i], v)
+		}
+		return frame, n.x.err
+	case opLetStar:
+		frame := env
+		for i, init := range n.kids {
+			frame = in.newFrame(frame)
+			in.owned = append(in.owned, frame)
+			v, err := in.eval(init, frame)
+			if err != nil {
+				return nil, err
+			}
+			frame.Define(n.x.vars[i], v)
+		}
+		if n.x.err != nil {
+			return nil, n.x.err
+		}
+		if frame == env {
+			frame = in.newFrame(env)
+			in.owned = append(in.owned, frame)
+		}
+		return frame, nil
+	default: // opLetrec
+		frame := in.newFrame(env)
+		in.owned = append(in.owned, frame)
+		for _, v := range n.x.vars {
+			frame.Define(v, Unspecified)
+		}
+		for i, init := range n.kids {
+			v, err := in.eval(init, frame)
+			if err != nil {
+				return nil, err
+			}
+			frame.Define(n.x.vars[i], v)
+		}
+		return frame, nil
+	}
+}
+
+// enterLoop starts a named let: it makes the loop closure, binds it in a
+// frame of its own, and applies it to the inits, returning the frame the
+// body runs in.
+//
+// The loop frame is owned and recyclable, not escaped: the loop closure
+// is deliberately unmarked. It can only leak out of the loop by being
+// referenced in value position (value marks then) or by being captured
+// inside a lambda whose chain passes through the loop frame (closure
+// creation marks then) — operator-position loop calls pin nothing, so
+// iterative loops recycle every frame. Named-let loop procedures are
+// compiled to jumps by real runtimes (Racket never materializes them), so
+// this one is not a heap allocation: loops stay allocation-free. The
+// closure Obj itself recycles with its frame (Frame.loopc), so a loop
+// entry reuses a dead loop's closure. Its Params and Body are the
+// analyzed lambda's shared slices, assigned and never appended to.
+func (in *Interp) enterLoop(n *node, env *Frame) (*Frame, error) {
+	var c *Obj
+	if k := len(in.freeClosures); k > 0 {
+		c = in.freeClosures[k-1]
+		in.freeClosures[k-1] = nil
+		in.freeClosures = in.freeClosures[:k-1]
+	} else {
+		c = &Obj{Kind: KClosure}
+		newProc(c)
+	}
+	lam := n.x.lam
+	loopEnv := in.newFrame(env)
+	in.owned = append(in.owned, loopEnv)
+	x := c.ext.procExt
+	x.Params, x.Rest, x.Body, x.Env, x.lam = lam.params, nil, lam.body, loopEnv, lam
+	loopEnv.Define(n.sym, c)
+	loopEnv.loopc = c
+	// Initial loop arguments ride the operand stack, like any other
+	// application's.
+	abase := len(in.argStack)
+	for _, init := range n.kids {
+		v, err := in.eval(init, env)
+		if err != nil {
+			in.argStack = in.argStack[:abase]
+			return nil, err
+		}
+		in.argStack = append(in.argStack, v)
+	}
+	frame, err := in.bindParams(c, in.argStack[abase:])
+	in.argStack = in.argStack[:abase]
+	return frame, err
+}
+
+// evalCond returns either a tail form or, when tail is nil, the result.
+func (in *Interp) evalCond(n *node, env *Frame) (tail *node, v *Obj, err error) {
+	for i := range n.x.clauses {
+		cl := &n.x.clauses[i]
+		if cl.err != nil {
+			return nil, nil, cl.err
+		}
+		tv := True
+		if !cl.isElse {
+			if tv, err = in.eval(cl.test, env); err != nil {
+				return nil, nil, err
 			}
 		}
 		if !Truthy(tv) {
 			continue
 		}
-		body, _ := ListToSlice(cl.Cdr)
-		if len(body) == 0 {
-			return nil, true, tv, nil
-		}
-		// (test => proc)
-		if len(body) == 2 && body[0].Kind == KSymbol && string(body[0].ext.Str) == "=>" {
-			proc, err := in.Eval(body[1], env)
+		if cl.arrow != nil {
+			proc, err := in.eval(cl.arrow, env)
 			if err != nil {
-				return nil, false, nil, err
+				return nil, nil, err
 			}
 			v, err := in.Apply(proc, []*Obj{tv})
-			return nil, true, v, err
+			return nil, v, err
 		}
-		for _, e := range body[:len(body)-1] {
-			if _, err := in.Eval(e, env); err != nil {
-				return nil, false, nil, err
-			}
+		if len(cl.body) == 0 {
+			return nil, tv, nil
 		}
-		return body[len(body)-1], false, nil, nil
+		tail, err := in.evalSeq(cl.body, env)
+		return tail, nil, err
 	}
-	return nil, true, Unspecified, nil
+	return nil, Unspecified, nil
 }
 
-func (in *Interp) evalCase(form *Obj, env *Frame) (tail *Obj, done bool, v *Obj, err error) {
-	if form.Kind != KPair {
-		return nil, false, nil, evalError("case: malformed")
-	}
-	key, err := in.Eval(form.Car, env)
+// evalCase returns the tail form of the matching clause, or nil when the
+// result is unspecified (no match, an empty clause, or an error).
+func (in *Interp) evalCase(n *node, env *Frame) (*node, error) {
+	key, err := in.eval(n.kids[0], env)
 	if err != nil {
-		return nil, false, nil, err
+		return nil, err
 	}
-	for cur := form.Cdr; cur.Kind == KPair; cur = cur.Cdr {
-		cl := cur.Car
-		if cl.Kind != KPair {
-			return nil, false, nil, evalError("case: malformed clause")
+	for i := range n.x.clauses {
+		cl := &n.x.clauses[i]
+		if cl.err != nil {
+			return nil, cl.err
 		}
-		match := false
-		if cl.Car.Kind == KSymbol && string(cl.Car.ext.Str) == "else" {
-			match = true
-		} else {
-			for dc := cl.Car; dc.Kind == KPair; dc = dc.Cdr {
-				if eqv(key, dc.Car) {
-					match = true
-					break
-				}
-			}
+		match := cl.isElse
+		for dc := cl.data; !match && dc.Kind == KPair; dc = dc.Cdr {
+			match = eqv(key, dc.Car)
 		}
 		if !match {
 			continue
 		}
-		body, _ := ListToSlice(cl.Cdr)
-		if len(body) == 0 {
-			return nil, true, Unspecified, nil
-		}
-		for _, e := range body[:len(body)-1] {
-			if _, err := in.Eval(e, env); err != nil {
-				return nil, false, nil, err
-			}
-		}
-		return body[len(body)-1], false, nil, nil
+		return in.evalSeq(cl.body, env)
 	}
-	return nil, true, Unspecified, nil
+	return nil, nil
 }
 
-// evalDo implements (do ((var init step)...) (test result...) body...).
-func (in *Interp) evalDo(form *Obj, env *Frame) (*Obj, error) {
-	if form.Kind != KPair || form.Cdr.Kind != KPair {
-		return nil, evalError("do: malformed")
-	}
+// evalDo runs (do ((var init step)...) (test result...) body...).
+func (in *Interp) evalDo(n *node, env *Frame) (*Obj, error) {
 	// do-loop frames are managed locally rather than through the owned
 	// stack: the loop wholly controls both the current and next frame, so
 	// it can recycle the old one at each step swap (releaseFrame skips
 	// any frame a closure captured).
-	var names []*Obj
-	var steps []*Obj
 	frame := in.newFrame(env)
-	for cur := form.Car; cur.Kind == KPair; cur = cur.Cdr {
-		spec, _ := ListToSlice(cur.Car)
-		if len(spec) < 2 || spec[0].Kind != KSymbol {
-			return nil, evalError("do: malformed variable spec")
-		}
-		v, err := in.Eval(spec[1], env)
+	for i, init := range n.kids {
+		v, err := in.eval(init, env)
 		if err != nil {
 			return nil, err
 		}
-		frame.Define(spec[0], v)
-		names = append(names, spec[0])
-		if len(spec) >= 3 {
-			steps = append(steps, spec[2])
-		} else {
-			steps = append(steps, spec[0])
-		}
+		frame.Define(n.x.vars[i], v)
 	}
-	testClause, _ := ListToSlice(form.Cdr.Car)
-	if len(testClause) == 0 {
-		return nil, evalError("do: missing test")
+	if n.x.err != nil {
+		return nil, n.x.err
 	}
-	body, _ := ListToSlice(form.Cdr.Cdr)
+	d := n.x.loop
 	for {
 		in.tick()
-		tv, err := in.Eval(testClause[0], frame)
+		tv, err := in.eval(d.test, frame)
 		if err != nil {
 			return nil, err
 		}
 		if Truthy(tv) {
 			out := Unspecified
-			for _, e := range testClause[1:] {
-				out, err = in.Eval(e, frame)
+			for _, e := range d.results {
+				out, err = in.eval(e, frame)
 				if err != nil {
 					return nil, err
 				}
@@ -784,57 +707,45 @@ func (in *Interp) evalDo(form *Obj, env *Frame) (*Obj, error) {
 			in.releaseFrame(frame)
 			return out, nil
 		}
-		for _, e := range body {
-			if _, err := in.Eval(e, frame); err != nil {
+		for _, e := range d.body {
+			if _, err := in.eval(e, frame); err != nil {
 				return nil, err
 			}
 		}
 		next := in.newFrame(env)
-		for i, n := range names {
-			v, err := in.Eval(steps[i], frame)
+		for i, step := range d.steps {
+			v, err := in.eval(step, frame)
 			if err != nil {
 				in.releaseFrame(next)
 				return nil, err
 			}
-			next.Define(n, v)
+			next.Define(n.x.vars[i], v)
 		}
 		in.releaseFrame(frame)
 		frame = next
 	}
 }
 
-// evalQuasi implements one-level quasiquotation with unquote and
-// unquote-splicing (enough for the benchmark sources).
-func (in *Interp) evalQuasi(form *Obj, env *Frame, depth int) (*Obj, error) {
-	if form.Kind != KPair {
-		return form, nil
-	}
-	if form.Car.Kind == KSymbol {
-		switch string(form.Car.ext.Str) {
-		case "unquote":
-			if depth == 1 {
-				return in.Eval(form.Cdr.Car, env)
-			}
-			inner, err := in.evalQuasi(form.Cdr.Car, env, depth-1)
-			if err != nil {
-				return nil, err
-			}
-			return in.List(in.Intern("unquote"), inner), nil
-		case "quasiquote":
-			inner, err := in.evalQuasi(form.Cdr.Car, env, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			return in.List(in.Intern("quasiquote"), inner), nil
+// evalQuasi builds a quasiquote template's value (one level of
+// unquote and unquote-splicing: enough for the benchmark sources).
+func (in *Interp) evalQuasi(q *quasi, env *Frame) (*Obj, error) {
+	switch q.kind {
+	case qConst:
+		return q.val, nil
+	case qUnquote:
+		return in.eval(q.expr, env)
+	case qWrap:
+		inner, err := in.evalQuasi(q.inner, env)
+		if err != nil {
+			return nil, err
 		}
+		return in.List(q.val, inner), nil
 	}
 	// Element-wise reconstruction with splicing support.
 	var items []*Obj
-	cur := form
-	for cur.Kind == KPair {
-		el := cur.Car
-		if el.Kind == KPair && el.Car.Kind == KSymbol && string(el.Car.ext.Str) == "unquote-splicing" && depth == 1 {
-			spliced, err := in.Eval(el.Cdr.Car, env)
+	for _, it := range q.items {
+		if it.kind == qSplice {
+			spliced, err := in.eval(it.expr, env)
 			if err != nil {
 				return nil, err
 			}
@@ -843,24 +754,22 @@ func (in *Interp) evalQuasi(form *Obj, env *Frame, depth int) (*Obj, error) {
 				return nil, evalError("unquote-splicing: not a list")
 			}
 			items = append(items, parts...)
-		} else {
-			v, err := in.evalQuasi(el, env, depth)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, v)
+			continue
 		}
-		cur = cur.Cdr
-	}
-	tail := Nil
-	if cur.Kind != KNil {
-		t, err := in.evalQuasi(cur, env, depth)
+		v, err := in.evalQuasi(it, env)
 		if err != nil {
 			return nil, err
 		}
-		tail = t
+		items = append(items, v)
 	}
-	out := tail
+	out := Nil
+	if q.tail != nil {
+		t, err := in.evalQuasi(q.tail, env)
+		if err != nil {
+			return nil, err
+		}
+		out = t
+	}
 	for i := len(items) - 1; i >= 0; i-- {
 		out = in.Cons(items[i], out)
 	}
@@ -918,5 +827,3 @@ func equalObj(a, b *Obj) bool {
 		return false
 	}
 }
-
-var _ = fmt.Sprintf

@@ -486,8 +486,8 @@ func (g *GC) markFrame(f *Frame) {
 	for ; f != nil && f.seen != g.epoch; f = f.parent {
 		f.seen = g.epoch
 		for i := 0; i < f.n; i++ {
-			g.mark(f.keys[i])
-			g.mark(f.vals[i])
+			g.mark(f.slots[i].key)
+			g.mark(f.slots[i].val)
 		}
 		for k, c := range f.big {
 			g.mark(k)

@@ -90,8 +90,7 @@ func NewInterp(osenv OS) (*Interp, error) {
 		syms:      make(map[string]*Obj, 256),
 		pollEvery: 4,
 	}
-	in.global = NewFrame(nil)
-	in.global.root = true
+	in.global = &Frame{big: make(map[*Obj]*gcell, 256)}
 
 	// libc-style process setup chatter before the heap exists.
 	brk := in.os.Syscall(linuxabi.Call{Num: linuxabi.SysBrk, Args: [6]uint64{0}})
@@ -175,11 +174,18 @@ func (in *Interp) Sys(call linuxabi.Call) linuxabi.Result {
 }
 
 // tick runs the per-reduction bookkeeping: cycle charge and periodic
-// timer checks.
+// timer checks. It is small enough to inline at every reduction; the
+// timer check is a call.
 func (in *Interp) tick() {
 	in.reductions++
 	in.charge(reductionCost)
-	if in.reductions%timerCheckEvery == 0 && in.schedulerActive {
+	if in.reductions%timerCheckEvery == 0 {
+		in.checkTimer()
+	}
+}
+
+func (in *Interp) checkTimer() {
+	if in.schedulerActive {
 		in.flushCompute()
 		in.timerChecks++
 		in.os.CheckTimer()
@@ -207,8 +213,7 @@ func (in *Interp) Intern(name string) *Obj {
 		return s
 	}
 	s := in.alloc(KSymbol)
-	// Name is the string form, so users of the name allocate no conversion.
-	s.ext = &objExt{Str: []byte(name), Name: name}
+	s.ext = &objExt{Str: []byte(name)}
 	s.special = specialCodes[name]
 	in.syms[name] = s
 	in.gc.addRoot(s) // interned symbols are immortal
@@ -298,6 +303,14 @@ func (in *Interp) List(elems ...*Obj) *Obj {
 		out = in.Cons(elems[i], out)
 	}
 	return out
+}
+
+// defineBuiltin binds a builtin procedure in the global frame.
+func (in *Interp) defineBuiltin(name string, fn func(*Interp, []*Obj) (*Obj, error)) {
+	b := in.alloc(KBuiltin)
+	sym := in.Intern(name)
+	b.ext = &objExt{Str: sym.ext.Str, Fn: fn} // names are immutable: share the symbol's
+	in.global.Define(sym, b)
 }
 
 // ---- Output -------------------------------------------------------------

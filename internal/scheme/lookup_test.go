@@ -2,10 +2,10 @@ package scheme_test
 
 import "testing"
 
-// TestGlobalShortcutShadowed: a global that has been read — so its cell
-// is cached on the symbol and lookups skip the frame chain — must still
-// lose to every kind of local binding of the same name, and must read
-// as the global again outside it.
+// TestGlobalShortcutShadowed: a global that has been read through its
+// cell must still lose to every kind of local binding of the same name,
+// which analysis resolves to the binding frame, and must read as the
+// global again outside it.
 func TestGlobalShortcutShadowed(t *testing.T) {
 	cases := []struct{ name, shadow string }{
 		{"lambda parameter", `((lambda (g) ((lambda () g))) 'inner)`},
@@ -24,16 +24,16 @@ func TestGlobalShortcutShadowed(t *testing.T) {
 			evalTo(t, eng, c.shadow, "inner")
 			evalTo(t, eng, "(read-g)", "outer")
 			evalTo(t, eng, "g", "outer")
-			// A second shadowing, with the symbol already known to be
-			// bound locally, reads the local binding too.
+			// A second shadowing, analyzed after the first has run,
+			// reads the local binding too.
 			evalTo(t, eng, c.shadow, "inner")
 		})
 	}
 }
 
-// TestGlobalShortcutSet: set! of a cached global writes the global cell,
-// and set! of a shadowed name writes the local binding, leaving the
-// global alone.
+// TestGlobalShortcutSet: set! of a global writes the global cell, and
+// set! of a shadowed name writes the local binding, leaving the global
+// alone.
 func TestGlobalShortcutSet(t *testing.T) {
 	eng, _ := newNativeEngine(t)
 	evalTo(t, eng, `(define h 1) (define (get-h) h) (get-h)`, "1")

@@ -40,11 +40,7 @@ func installPlaceBuiltins(in *Interp) {
 	if in.places == nil {
 		in.places = make(map[int64]*placeHandle)
 	}
-	def := func(name string, fn func(*Interp, []*Obj) (*Obj, error)) {
-		b := in.alloc(KBuiltin)
-		b.ext = &objExt{Name: name, Fn: fn}
-		in.global.Define(in.Intern(name), b)
-	}
+	def := in.defineBuiltin
 
 	// (place-spawn "source") -> handle
 	def("place-spawn", func(in *Interp, a []*Obj) (*Obj, error) {
@@ -94,9 +90,7 @@ func installPlaceBuiltins(in *Interp) {
 // environment is an HRT: direct AeroKernel calls. Called from NewInterp
 // when the OS offers them.
 func installHRTBuiltins(in *Interp, ak AKCaller) {
-	b := in.alloc(KBuiltin)
-	b.ext = &objExt{Name: "aerokernel-call"}
-	b.ext.Fn = func(in *Interp, a []*Obj) (*Obj, error) {
+	in.defineBuiltin("aerokernel-call", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) < 1 || a[0].Kind != KString {
 			return nil, evalError("aerokernel-call: want a symbol name string")
 		}
@@ -113,20 +107,12 @@ func installHRTBuiltins(in *Interp, ak AKCaller) {
 			return nil, evalError("aerokernel-call: %v", err)
 		}
 		return in.NewInt(int64(ret)), nil
-	}
-	in.global.Define(in.Intern("aerokernel-call"), b)
-
-	p := in.alloc(KBuiltin)
-	p.ext = &objExt{Name: "running-as-hrt?"}
-	p.ext.Fn = func(in *Interp, a []*Obj) (*Obj, error) { return True, nil }
-	in.global.Define(in.Intern("running-as-hrt?"), p)
+	})
+	in.defineBuiltin("running-as-hrt?", func(in *Interp, a []*Obj) (*Obj, error) { return True, nil })
 }
 
 // installUserBuiltinFallbacks defines the non-HRT variants so programs can
 // probe portably.
 func installUserBuiltinFallbacks(in *Interp) {
-	p := in.alloc(KBuiltin)
-	p.ext = &objExt{Name: "running-as-hrt?"}
-	p.ext.Fn = func(in *Interp, a []*Obj) (*Obj, error) { return False, nil }
-	in.global.Define(in.Intern("running-as-hrt?"), p)
+	in.defineBuiltin("running-as-hrt?", func(in *Interp, a []*Obj) (*Obj, error) { return False, nil })
 }

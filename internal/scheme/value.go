@@ -68,42 +68,38 @@ type Obj struct {
 	Cdr   *Obj
 
 	// ext carries the fields of the kinds that are rare next to pairs and
-	// floats: strings and symbols (Str), vectors (Vec), procedures, and
-	// interned symbols' binding caches.
+	// floats: strings and symbols (Str), vectors (Vec) and procedures.
 	ext *objExt
 
 	Addr uint64 // simulated heap address (0 for immediates)
 	seg  *segment
 }
 
-// objExt is the side car of strings and symbols (Str), vectors (Vec),
-// closures (Params..Env), builtins (Name, Fn), and interned symbols
-// (Name, cell, local). Creation sites attach it — NewString, NewVector,
+// objExt is the side car of strings, symbols and builtins (Str), vectors
+// (Vec) and builtins (Fn). A closure hangs its fields off it behind one
+// more pointer (procExt), so a string or vector attaches 64 bytes, not a
+// closure's worth. Creation sites attach it — NewString, NewVector,
 // Intern, and the closure and builtin constructors — and every consumer
 // dispatches on Kind first, so consumers never see it nil.
 type objExt struct {
-	Str []byte // KString (mutable, as in Scheme), KSymbol (name)
+	Str []byte // KString (mutable, as in Scheme), KSymbol and KBuiltin (name)
 	Vec []*Obj // KVector elements
 
-	// Closure fields.
+	// Fn is a builtin's Go implementation.
+	Fn func(in *Interp, args []*Obj) (*Obj, error)
+
+	*procExt // KClosure
+}
+
+// procExt holds a closure's fields. A closure keeps its source (Params,
+// Rest, Body) and its environment because the collector marks through
+// them; it runs lam, the analyzed form of that source.
+type procExt struct {
 	Params []*Obj // parameter symbols
 	Rest   *Obj   // rest parameter symbol or nil
 	Body   []*Obj
 	Env    *Frame
-
-	// Builtin (and display) name.
-	Name string
-	Fn   func(in *Interp, args []*Obj) (*Obj, error)
-
-	// cell caches a symbol's global binding slot (see gcell). Symbols
-	// are interned per-Interp, so the cache cannot cross interpreters.
-	cell *gcell
-
-	// local records that some non-root frame has bound the symbol (see
-	// Frame.Define). While it is clear, no frame on any chain can bind
-	// the symbol except the global one, so Lookup and Set go straight to
-	// cell without walking the chain.
-	local bool
+	lam    *lambda
 }
 
 // Special-form codes. spNone marks ordinary symbols.
@@ -190,15 +186,17 @@ const frameInline = 8
 // Frame is one lexical environment frame. Frames are heap-allocated
 // conceptually but represented natively; the GC treats the frame chain as
 // roots through the interpreter's thread state. Bindings live in a fixed
-// inline array scanned by symbol identity — symbols are interned, so a
-// pointer compare replaces the map hash the hot path used to pay — with a
-// spill map for frames wider than frameInline.
+// inline array, with a spill map for frames wider than frameInline; the
+// global frame keeps every binding in the map. Analysis resolves each
+// variable reference to the frame that binds it and to its slot there
+// (see Interp.ref), so the hot path indexes the arrays directly; the key
+// compare guards the slot against internal defines that ran in another
+// order or have not run yet.
 type Frame struct {
-	keys   [frameInline]*Obj
-	vals   [frameInline]*Obj
-	n      int
-	big    map[*Obj]*gcell // spill for wide frames (the global env)
 	parent *Frame
+	n      int
+	slots  [frameInline]binding
+	big    map[*Obj]*gcell // spill for wide frames; all of the global frame
 
 	// seen is the collector's visit stamp (see GC.epoch).
 	seen uint32
@@ -208,31 +206,24 @@ type Frame struct {
 	// outlive the evaluation that created it). See Interp.newFrame.
 	escaped bool
 
-	// root marks the interpreter's global frame — the one wide frame
-	// whose spilled bindings are worth caching on the symbols themselves
-	// (Obj.cell). Recycled and user frames are never root, so a stale
-	// symbol cache can never alias a reused frame.
-	root bool
-
 	// loopc ties a named-let loop closure's lifetime to this frame: the
 	// closure is reachable only through this frame's binding of the loop
 	// name, and every path that could leak it out (value-position lookup,
-	// capture by makeClosure) marks the frame escaped first. So when the
+	// capture by a lambda) marks the frame escaped first. So when the
 	// frame comes back unescaped, the closure is provably dead and goes
 	// back on the interpreter's closure free list with it.
 	loopc *Obj
 }
 
-// gcell is one spilled binding slot. The indirection gives a binding a
-// stable identity across set!/define, so a symbol can cache a pointer to
-// its global cell and hot global lookups skip the map hash entirely.
-type gcell struct{ v *Obj }
+// binding is one inline slot. Key and value sit side by side, so the
+// slot guard and the read touch one cache line.
+type binding struct{ key, val *Obj }
 
-// NewFrame makes a child frame. No map is allocated: small frames are one
-// allocation total.
-func NewFrame(parent *Frame) *Frame {
-	return &Frame{parent: parent}
-}
+// gcell is one spilled binding slot. The indirection gives a binding a
+// stable identity across set!/define, so analysis resolves a global
+// reference to its cell once, even before the define that fills it has
+// run: an empty cell reads as unbound.
+type gcell struct{ v *Obj }
 
 // markEscaped pins f and every ancestor against recycling. Called when a
 // frame is stored into a closure's Env: from then on its lifetime is the
@@ -278,100 +269,73 @@ func (in *Interp) releaseFrame(f *Frame) {
 	in.freeFrames = append(in.freeFrames, f)
 }
 
-// Lookup resolves a symbol through the frame chain. A symbol that only
-// the global frame has ever bound, and whose global cell is cached, skips
-// the chain: no frame on it can hold a binding for the symbol.
-func (f *Frame) Lookup(sym *Obj) (*Obj, bool) {
-	if x := sym.ext; !x.local && x.cell != nil {
-		return x.cell.v, true
+// cell returns f's spilled binding cell for sym, or nil.
+func (f *Frame) cell(sym *Obj) *gcell {
+	if f.big == nil {
+		return nil
 	}
-	for fr := f; fr != nil; fr = fr.parent {
-		for i := 0; i < fr.n; i++ {
-			if fr.keys[i] == sym {
-				return fr.vals[i], true
-			}
-		}
-		if fr.big != nil {
-			if fr.root && sym.ext.cell != nil {
-				return sym.ext.cell.v, true
-			}
-			if c, ok := fr.big[sym]; ok {
-				if fr.root {
-					sym.ext.cell = c
-				}
-				return c.v, true
-			}
-		}
+	if c := f.big[sym]; c != nil && c.v != nil {
+		return c
 	}
-	return nil, false
+	return nil
 }
 
-// Define binds a symbol in this frame. The first binding of a symbol in
-// any frame but the global one sets the symbol's local flag for good,
-// which turns off Lookup's and Set's global shortcut for it.
-func (f *Frame) Define(sym *Obj, v *Obj) {
-	if !f.root && !sym.ext.local {
-		sym.ext.local = true
-	}
-	for i := 0; i < f.n; i++ {
-		if f.keys[i] == sym {
-			f.vals[i] = v
-			return
+// lookup resolves sym from f up the chain, returning nil if no frame
+// binds it. It is the slow path of a resolved reference, taken when the
+// slot guard fails.
+func (f *Frame) lookup(sym *Obj) *Obj {
+	for fr := f; fr != nil; fr = fr.parent {
+		for i := 0; i < fr.n; i++ {
+			if fr.slots[i].key == sym {
+				return fr.slots[i].val
+			}
+		}
+		if c := fr.cell(sym); c != nil {
+			return c.v
 		}
 	}
-	if f.big != nil {
-		if c, ok := f.big[sym]; ok {
+	return nil
+}
+
+// set assigns the binding lookup would find, reporting whether there was
+// one.
+func (f *Frame) set(sym *Obj, v *Obj) bool {
+	for fr := f; fr != nil; fr = fr.parent {
+		for i := 0; i < fr.n; i++ {
+			if fr.slots[i].key == sym {
+				fr.slots[i].val = v
+				return true
+			}
+		}
+		if c := fr.cell(sym); c != nil {
 			c.v = v
-			return
-		}
-		c := &gcell{v: v}
-		f.big[sym] = c
-		if f.root {
-			sym.ext.cell = c
-		}
-		return
-	}
-	if f.n < frameInline {
-		f.keys[f.n] = sym
-		f.vals[f.n] = v
-		f.n++
-		return
-	}
-	f.big = make(map[*Obj]*gcell, 4*frameInline)
-	c := &gcell{v: v}
-	f.big[sym] = c
-	if f.root {
-		sym.ext.cell = c
-	}
-}
-
-// Set assigns an existing binding, reporting whether it was found. Like
-// Lookup, it goes straight to the global cell of a symbol no other frame
-// has bound.
-func (f *Frame) Set(sym *Obj, v *Obj) bool {
-	if x := sym.ext; !x.local && x.cell != nil {
-		x.cell.v = v
-		return true
-	}
-	for fr := f; fr != nil; fr = fr.parent {
-		for i := 0; i < fr.n; i++ {
-			if fr.keys[i] == sym {
-				fr.vals[i] = v
-				return true
-			}
-		}
-		if fr.big != nil {
-			if fr.root && sym.ext.cell != nil {
-				sym.ext.cell.v = v
-				return true
-			}
-			if c, ok := fr.big[sym]; ok {
-				c.v = v
-				return true
-			}
+			return true
 		}
 	}
 	return false
+}
+
+// Define binds a symbol in this frame.
+func (f *Frame) Define(sym *Obj, v *Obj) {
+	for i := 0; i < f.n; i++ {
+		if f.slots[i].key == sym {
+			f.slots[i].val = v
+			return
+		}
+	}
+	if f.big == nil {
+		if f.n < frameInline {
+			f.slots[f.n] = binding{sym, v}
+			f.n++
+			return
+		}
+		f.big = make(map[*Obj]*gcell, 4*frameInline)
+	}
+	if c, ok := f.big[sym]; ok {
+		c.v = v
+		return
+	}
+	f.big[sym] = &gcell{v: v}
 }
 
 // ListToSlice converts a proper list to a slice; ok is false for improper
@@ -478,7 +442,7 @@ func writeObj(b *strings.Builder, o *Obj, write bool, seen map[*Obj]bool) {
 	case KClosure:
 		b.WriteString("#<procedure>")
 	case KBuiltin:
-		fmt.Fprintf(b, "#<procedure:%s>", o.ext.Name)
+		fmt.Fprintf(b, "#<procedure:%s>", o.ext.Str)
 	case KUnspecified:
 		b.WriteString("#<void>")
 	case KEOF:

@@ -123,6 +123,30 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
+// TestRecorderRingAcrossChunks: a ring larger than one allocation piece,
+// with a short last piece, keeps the same window in the same order as a
+// flat ring — before it fills, and after it wraps mid-piece.
+func TestRecorderRingAcrossChunks(t *testing.T) {
+	const size = 2*recChunk + 300
+	rec := NewRecorder(size)
+	for _, n := range []int{recChunk + 5, 3*size + 17} {
+		for int(rec.Total()) < n {
+			i := rec.Total()
+			rec.Record(cycles.Cycles(i), RecDoorbell, i, 0, 0, 0)
+		}
+		evs := rec.Events()
+		want := min(n, size)
+		if len(evs) != want {
+			t.Fatalf("after %d records: retained %d events, want %d", n, len(evs), want)
+		}
+		for i, ev := range evs {
+			if wantSite := uint64(n - want + i); ev.Site != wantSite {
+				t.Fatalf("after %d records: event %d is record %d, want %d", n, i, ev.Site, wantSite)
+			}
+		}
+	}
+}
+
 // TestRecorderAutoDumpOnce pins the post-mortem contract: the first
 // trigger wins, later triggers do not overwrite it, and the dump text
 // renders every retained event with its code name.

@@ -121,11 +121,11 @@ type Event struct {
 // acquisition per event is well under the wall-clock budget, and it
 // keeps torn reads out of the dump path without atomics gymnastics.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	wrapped bool
-	total   uint64
+	mu     sync.Mutex
+	chunks [][]Event // the ring, in recChunk pieces allocated on first use
+	size   int
+	next   int // ring position of the next event
+	total  uint64
 
 	dumpW    io.Writer
 	dumped   bool
@@ -136,13 +136,17 @@ type Recorder struct {
 // DefaultRecorderSize is the ring capacity used when callers pass 0.
 const DefaultRecorderSize = 8192
 
+// recChunk is how many events one piece of the ring holds: a run that
+// records few events allocates one piece, not the whole ring.
+const recChunk = 1024
+
 // NewRecorder returns a recorder holding the last `size` events
 // (DefaultRecorderSize when size <= 0).
 func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRecorderSize
 	}
-	return &Recorder{buf: make([]Event, size)}
+	return &Recorder{size: size, chunks: make([][]Event, (size+recChunk-1)/recChunk)}
 }
 
 // Record appends one event, overwriting the oldest when full.
@@ -151,15 +155,21 @@ func (r *Recorder) Record(at cycles.Cycles, code EventCode, site, req, a, b uint
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = Event{VTime: at, Code: code, Site: site, Req: req, A: a, B: b}
-	r.next++
-	if r.next == len(r.buf) {
+	c := r.chunks[r.next/recChunk]
+	if c == nil {
+		c = make([]Event, min(recChunk, r.size-r.next))
+		r.chunks[r.next/recChunk] = c
+	}
+	c[r.next%recChunk] = Event{VTime: at, Code: code, Site: site, Req: req, A: a, B: b}
+	if r.next++; r.next == r.size {
 		r.next = 0
-		r.wrapped = true
 	}
 	r.total++
 	r.mu.Unlock()
 }
+
+// at returns the event at ring position pos.
+func (r *Recorder) at(pos int) Event { return r.chunks[pos/recChunk][pos%recChunk] }
 
 // Total returns the number of events ever recorded (including ones the
 // ring has since overwritten).
@@ -181,13 +191,13 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	r.mu.Lock()
-	var out []Event
-	if r.wrapped {
-		out = make([]Event, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf[:r.next]...)
+	n, start := r.size, r.next // a full ring starts at its oldest event
+	if r.total < uint64(r.size) {
+		n, start = int(r.total), 0
+	}
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = r.at((start + i) % r.size)
 	}
 	r.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].VTime < out[j].VTime })

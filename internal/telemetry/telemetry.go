@@ -73,21 +73,74 @@ type Span struct {
 
 	tr     *Tracer
 	parent *Span
+	open   *openSpans // the track's open-span stack, while the span is open
 	ended  bool
 }
 
+// openSpans is one track's stack of open spans.
+type openSpans struct{ spans []*Span }
+
 // Tracer collects spans. The zero value and nil are both valid disabled
 // tracers; New returns an enabled one.
+//
+// Recording is on the forwarding hot path of an armed run, so a span
+// costs no allocation of its own: spans and their attributes are carved
+// from slabs, which also keeps callers' variadic attribute slices on
+// their stacks, and a span start finds its track's stack through a
+// one-entry cache before the map.
 type Tracer struct {
 	mu      sync.Mutex
 	enabled bool
 	spans   []*Span
-	open    map[Track][]*Span
+	open    map[Track]*openSpans
+	slab    []Span
+	attrs   []Attr
+
+	lastTrack Track
+	lastOpen  *openSpans
 }
+
+// spanSlab is how many spans (and attributes) one slab allocation holds.
+const spanSlab = 256
 
 // New returns an enabled tracer.
 func New() *Tracer {
-	return &Tracer{enabled: true, open: make(map[Track][]*Span)}
+	return &Tracer{enabled: true, open: make(map[Track]*openSpans)}
+}
+
+// newSpan carves a span from the current slab. Callers hold tr.mu.
+func (tr *Tracer) newSpan(tk Track, cat, name string, at cycles.Cycles, attrs []Attr) *Span {
+	if len(tr.slab) == 0 {
+		tr.slab = make([]Span, spanSlab)
+	}
+	sp := &tr.slab[0]
+	tr.slab = tr.slab[1:]
+	sp.Track, sp.Cat, sp.Name, sp.Start, sp.tr = tk, cat, name, at, tr
+	if n := len(attrs); n > 0 {
+		if len(tr.attrs) < n {
+			tr.attrs = make([]Attr, max(spanSlab, n))
+		}
+		// Capacity n: a later SetAttr reallocates rather than writing
+		// into the next span's attributes.
+		sp.Attrs = tr.attrs[:n:n]
+		copy(sp.Attrs, attrs)
+		tr.attrs = tr.attrs[n:]
+	}
+	return sp
+}
+
+// openOn returns tk's open-span stack. Callers hold tr.mu.
+func (tr *Tracer) openOn(tk Track) *openSpans {
+	if tr.lastOpen != nil && tr.lastTrack == tk {
+		return tr.lastOpen
+	}
+	o := tr.open[tk]
+	if o == nil {
+		o = &openSpans{}
+		tr.open[tk] = o
+	}
+	tr.lastTrack, tr.lastOpen = tk, o
+	return o
 }
 
 // Enabled reports whether spans are being recorded. Instrumentation does
@@ -102,14 +155,15 @@ func (tr *Tracer) Begin(tk Track, cat, name string, at cycles.Cycles, attrs ...A
 	if tr == nil || !tr.enabled {
 		return nil
 	}
-	sp := &Span{Track: tk, Cat: cat, Name: name, Start: at, Attrs: attrs, tr: tr}
 	tr.mu.Lock()
-	stack := tr.open[tk]
-	if n := len(stack); n > 0 {
-		sp.parent = stack[n-1]
+	sp := tr.newSpan(tk, cat, name, at, attrs)
+	o := tr.openOn(tk)
+	if n := len(o.spans); n > 0 {
+		sp.parent = o.spans[n-1]
 		sp.Depth = n
 	}
-	tr.open[tk] = append(stack, sp)
+	o.spans = append(o.spans, sp)
+	sp.open = o
 	tr.mu.Unlock()
 	return sp
 }
@@ -119,18 +173,7 @@ func (tr *Tracer) Begin(tk Track, cat, name string, at cycles.Cycles, attrs ...A
 // than a timed region. The event nests visually under the track's
 // innermost open span but does not join the open-span stack.
 func (tr *Tracer) Instant(tk Track, cat, name string, at cycles.Cycles, attrs ...Attr) {
-	if tr == nil || !tr.enabled {
-		return
-	}
-	sp := &Span{Track: tk, Cat: cat, Name: name, Start: at, End: at,
-		Attrs: attrs, Instant: true, ended: true, tr: tr}
-	tr.mu.Lock()
-	if stack := tr.open[tk]; len(stack) > 0 {
-		sp.parent = stack[len(stack)-1]
-		sp.Depth = len(stack)
-	}
-	tr.spans = append(tr.spans, sp)
-	tr.mu.Unlock()
+	tr.InstantFlow(tk, cat, name, at, 0, 0, attrs...)
 }
 
 // InstantFlow records an instant that participates in cross-track flow
@@ -143,13 +186,13 @@ func (tr *Tracer) InstantFlow(tk Track, cat, name string, at cycles.Cycles, flow
 	if tr == nil || !tr.enabled {
 		return
 	}
-	sp := &Span{Track: tk, Cat: cat, Name: name, Start: at, End: at,
-		Attrs: attrs, Instant: true, ended: true, tr: tr,
-		FlowIn: flowIn, FlowOut: flowOut}
 	tr.mu.Lock()
-	if stack := tr.open[tk]; len(stack) > 0 {
-		sp.parent = stack[len(stack)-1]
-		sp.Depth = len(stack)
+	sp := tr.newSpan(tk, cat, name, at, attrs)
+	sp.End, sp.Instant, sp.ended = at, true, true
+	sp.FlowIn, sp.FlowOut = flowIn, flowOut
+	if o := tr.openOn(tk); len(o.spans) > 0 {
+		sp.parent = o.spans[len(o.spans)-1]
+		sp.Depth = len(o.spans)
 	}
 	tr.spans = append(tr.spans, sp)
 	tr.mu.Unlock()
@@ -170,14 +213,14 @@ func (sp *Span) EndAt(at cycles.Cycles) {
 	sp.End = at
 	tr := sp.tr
 	tr.mu.Lock()
-	stack := tr.open[sp.Track]
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i] == sp {
-			stack = append(stack[:i], stack[i+1:]...)
+	o := sp.open
+	for i := len(o.spans) - 1; i >= 0; i-- {
+		if o.spans[i] == sp {
+			o.spans = append(o.spans[:i], o.spans[i+1:]...)
 			break
 		}
 	}
-	tr.open[sp.Track] = stack
+	sp.open = nil
 	tr.spans = append(tr.spans, sp)
 	tr.mu.Unlock()
 }

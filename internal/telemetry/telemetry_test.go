@@ -267,3 +267,21 @@ func TestChromeTraceShape(t *testing.T) {
 		t.Error("re-export differs")
 	}
 }
+
+// TestSpanAttrsStayPrivate: spans share attribute slabs, so an attribute
+// added after Begin must not land in the next span's attributes.
+func TestSpanAttrsStayPrivate(t *testing.T) {
+	tr := New()
+	tk := Track{Core: 0, Name: "hrt"}
+	a := tr.Begin(tk, "c", "a", 1, Attr{Key: "x", Val: 1})
+	b := tr.Begin(tk, "c", "b", 2, Attr{Key: "y", Val: 2})
+	a.SetAttr("z", 3)
+	b.EndAt(3)
+	a.EndAt(4)
+	if len(a.Attrs) != 2 || a.Attrs[0] != (Attr{"x", 1}) || a.Attrs[1] != (Attr{"z", 3}) {
+		t.Errorf("a.Attrs = %v, want [{x 1} {z 3}]", a.Attrs)
+	}
+	if len(b.Attrs) != 1 || b.Attrs[0] != (Attr{"y", 2}) {
+		t.Errorf("b.Attrs = %v, want [{y 2}]", b.Attrs)
+	}
+}

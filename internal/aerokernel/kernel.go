@@ -671,25 +671,32 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 		return fmt.Errorf("aerokernel: degraded ROS service could not resolve fault at %#x", addr)
 	}
 
-	// Forward the fault to the ROS over the execution group's event
-	// channel; the partner replicates the access and the ROS handles it
-	// as it would natively.
+	// Forward the fault to the ROS: through the group's router when it
+	// has one, which takes a promoted polled rung if there is one, else
+	// over the execution group's event channel. Either way the ROS side
+	// replicates the access and handles it as it would natively.
 	ch := t.channel()
-	if ch == nil {
+	router := t.syscallRouter()
+	if ch == nil && router == nil {
 		return fmt.Errorf("aerokernel: fault at %#x with no event channel", addr)
 	}
 	t.fwdFaults++
 	k.fwdFaultCtr.Inc()
-	env := ch.NewEnvelope()
-	env.Kind = hvm.EvPageFault
-	env.FaultAddr = addr
-	env.FaultWrite = f.ErrorCode&0x2 != 0
-	env.ReqID = reqID
-	reply, err := ch.Forward(t.Clock, env)
-	if err != nil {
-		return err
+	write := f.ErrorCode&0x2 != 0
+	var ok bool
+	if router != nil {
+		var err error
+		if ok, err = router.ForwardFault(t.Clock, ch, addr, write, reqID); err != nil {
+			return err
+		}
+	} else {
+		reply, err := ch.ForwardFault(t.Clock, addr, write, reqID)
+		if err != nil {
+			return err
+		}
+		ok = reply.FaultOK
 	}
-	if !reply.FaultOK {
+	if !ok {
 		return fmt.Errorf("aerokernel: ROS could not resolve fault at %#x", addr)
 	}
 	// The ROS fixed the shared lower-level tables; drop our stale TLB

@@ -130,11 +130,17 @@ func TestFigureOrderChecks(t *testing.T) {
 	if err := checkFigure2Order(32880, 22700, 790, 1060); err == nil {
 		t.Error("a cross-socket sync call cheaper than a same-socket one passed the Figure 2 check")
 	}
-	if err := checkWorldOrder("fasta", 100, 100, 172); err != nil {
+	if err := checkWorldOrder("fasta", 100, 100, 172, 120); err != nil {
 		t.Errorf("a tied Native and Virtual fails the Figure 13 check: %v", err)
 	}
-	if err := checkWorldOrder("fasta", 100, 101, 99); err == nil {
+	if err := checkWorldOrder("fasta", 100, 101, 99, 99); err == nil {
 		t.Error("a Multiverse run faster than Virtual passed the Figure 13 check")
+	}
+	if err := checkWorldOrder("fasta", 100, 101, 172, 173); err == nil {
+		t.Error("a routed run slower than Multiverse passed the Figure 13 check")
+	}
+	if err := checkWorldOrder("fasta", 100, 101, 172, 99); err == nil {
+		t.Error("a routed run faster than Native passed the Figure 13 check")
 	}
 }
 

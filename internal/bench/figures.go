@@ -372,23 +372,33 @@ func Figure12() (*Table, error) {
 }
 
 // checkWorldOrder holds Figure 13's expected shape for one benchmark:
-// Native <= Virtual <= Multiverse.
-func checkWorldOrder(program string, native, virt, mv cycles.Cycles) error {
-	if native <= virt && virt <= mv {
-		return nil
+// Native <= Virtual <= Multiverse, and Native <= Multiverse + router <=
+// Multiverse.
+func checkWorldOrder(program string, native, virt, mv, routed cycles.Cycles) error {
+	if native > virt || virt > mv {
+		return fmt.Errorf("bench: Figure 13 wants Native <= Virtual <= Multiverse on %s, got %d / %d / %d cycles",
+			program, uint64(native), uint64(virt), uint64(mv))
 	}
-	return fmt.Errorf("bench: Figure 13 wants Native <= Virtual <= Multiverse on %s, got %d / %d / %d cycles",
-		program, uint64(native), uint64(virt), uint64(mv))
+	if native > routed || routed > mv {
+		return fmt.Errorf("bench: Figure 13 wants Native <= Multiverse + router <= Multiverse on %s, got %d / %d / %d cycles",
+			program, uint64(native), uint64(routed), uint64(mv))
+	}
+	return nil
 }
 
 // Figure13 regenerates the end-to-end benchmark comparison across the
-// three worlds.
+// three worlds, plus the Multiverse world with the router on, read from
+// the shared WorldHRT sweep.
 func Figure13() (*Table, error) {
 	t := &Table{
 		Title:  "Figure 13: Benchmark runtime (virtual seconds), Native vs Virtual vs Multiverse",
-		Header: []string{"Benchmark", "Native", "Virtual", "Multiverse", "MV/Native", "Fwd Syscalls", "Fwd Faults"},
+		Header: []string{"Benchmark", "Native", "Virtual", "Multiverse", "Multiverse + router", "MV/Native", "Fwd Syscalls", "Fwd Faults"},
 	}
-	for _, p := range Programs() {
+	sweep, err := hrtSweep()
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range Programs() {
 		var runs [3]*RunResult
 		for i, w := range []core.World{core.WorldNative, core.WorldVirtual, core.WorldHRT} {
 			res, err := RunBenchmark(p, w, core.Options{}, false)
@@ -398,7 +408,8 @@ func Figure13() (*Table, error) {
 			runs[i] = res
 		}
 		native, virt, mv := runs[0], runs[1], runs[2]
-		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv.Cycles); err != nil {
+		routed := cycles.Cycles(sweep[pi].router.OnCycles)
+		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv.Cycles, routed); err != nil {
 			return nil, err
 		}
 		t.AddRow(
@@ -406,12 +417,14 @@ func Figure13() (*Table, error) {
 			fmt.Sprintf("%.4f", native.Seconds),
 			fmt.Sprintf("%.4f", virt.Seconds),
 			fmt.Sprintf("%.4f", mv.Seconds),
+			fmt.Sprintf("%.4f", routed.Seconds()),
 			fmt.Sprintf("%.2fx", mv.Seconds/native.Seconds),
 			fmt.Sprintf("%d", mv.ForwardedSyscalls),
 			fmt.Sprintf("%d", mv.ForwardedFaults),
 		)
 	}
 	t.AddNote("expected shape: Native <= Virtual <= Multiverse; overhead tracks forwarded interactions")
+	t.AddNote("Multiverse + router: forwarded syscalls and page faults ride the router's polled rungs once promoted")
 	return t, nil
 }
 

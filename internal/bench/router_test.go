@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"multiverse/internal/core"
 	"multiverse/internal/hvm"
@@ -285,5 +286,87 @@ func TestRouterTraceEvents(t *testing.T) {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("chrome trace missing %s", want)
 		}
+	}
+}
+
+// TestRoutedFaultsCountedOnce: with the router on, every forwarded page
+// fault is counted once whichever transport carried it: the AeroKernel's
+// ak.forwarded_faults equals the event channel's page-fault forwards plus
+// the polled rungs' fault frames, and the hotspot profile's page-fault
+// entry. Fault frames stay out of the system-call metrics, so the
+// syscall latency histograms and ring.syscalls count system calls alone.
+func TestRoutedFaultsCountedOnce(t *testing.T) {
+	p, _ := ProgramByName("fasta")
+	plain, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"router", core.Options{Router: true}},
+		{"exitless", core.Options{Exitless: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunBenchmark(p, core.WorldHRT, tc.opts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Metrics
+			c := func(name string) uint64 { return m.Counter(name).Value() }
+			n := func(name string) uint64 { return m.LatencyHistogram(name).Count() }
+
+			if res.ForwardedFaults != plain.ForwardedFaults {
+				t.Errorf("forwarded faults = %d, want the unrouted run's %d", res.ForwardedFaults, plain.ForwardedFaults)
+			}
+			polled := c("sync.faults") + c("ring.faults")
+			if polled == 0 {
+				t.Error("no fault rode a polled rung")
+			}
+			if got := c("forward.page-fault") + polled; got != res.ForwardedFaults {
+				t.Errorf("event-channel + polled faults = %d, want ak.forwarded_faults = %d", got, res.ForwardedFaults)
+			}
+			if got := n("sync.fault.latency") + n("ring.fault.latency"); got != polled {
+				t.Errorf("fault latency observations = %d, want %d", got, polled)
+			}
+			var hot uint64
+			for _, e := range res.Hotspots.Entries() {
+				if e.Name == "page-fault" {
+					hot = e.Count
+				}
+			}
+			if hot != res.ForwardedFaults {
+				t.Errorf("page-fault hotspot count = %d, want %d", hot, res.ForwardedFaults)
+			}
+
+			for _, kind := range []string{"sync", "ring"} {
+				if c(kind+".syscalls") != c("router.forward."+kind) || n(kind+".syscall.latency") != c(kind+".syscalls") {
+					t.Errorf("%s: syscalls %d, router forwards %d, latency observations %d: want all equal",
+						kind, c(kind+".syscalls"), c("router.forward."+kind), n(kind+".syscall.latency"))
+				}
+			}
+			if res.RingCalls != c("ring.syscalls") {
+				t.Errorf("RingCalls = %d, want ring.syscalls = %d", res.RingCalls, c("ring.syscalls"))
+			}
+		})
+	}
+}
+
+// TestRoutedBarrierFaultsUsePartnerDispositions runs the router with the
+// scheduler, whose deterministic arenas keep signal dispositions per ROS
+// thread, and without the merger's fault fast lane, so the GC's write
+// barrier faults reach the ROS SIGSEGV path. The runtime installed its
+// handler for the partner; a fault replicated by the polled rung's
+// poller, a different thread, must still find it.
+func TestRoutedBarrierFaultsUsePartnerDispositions(t *testing.T) {
+	p, _ := ProgramByName("fasta")
+	res, err := RunBenchmark(p, core.WorldHRT, core.Options{Router: true, Scheduler: true, WedgeTimeout: time.Minute}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BarrierFaults == 0 || res.Metrics.Counter("sync.faults").Value() == 0 {
+		t.Fatalf("barrier faults %d, polled faults %d: want both nonzero",
+			res.BarrierFaults, res.Metrics.Counter("sync.faults").Value())
 	}
 }

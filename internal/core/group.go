@@ -347,6 +347,9 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 			ch, err := s.HVM.OpenPolled(clk, kind, rosCore, hrtCore, hvm.Poller{
 				Clock: pt.Clock,
 				Serve: func(call linuxabi.Call) linuxabi.Result { return s.Proc.Syscall(pt, call) },
+				Touch: func(addr uint64, write bool) bool {
+					return s.Proc.TouchFor(pt, g.PartnerTID(), addr, write) == linuxabi.OK
+				},
 			})
 			if err != nil {
 				return nil, err

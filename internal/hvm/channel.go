@@ -269,6 +269,17 @@ func (c *EventChannel) hrtTrack() telemetry.Track {
 	return telemetry.Track{Core: int(c.hrtCore), Name: "hrt"}
 }
 
+// ForwardFault forwards one page fault at addr: the partner replicates
+// the access, and the reply's FaultOK reports whether the ROS resolved
+// it. reqID is the causal request id the fault handler allocated.
+func (c *EventChannel) ForwardFault(clk *cycles.Clock, addr uint64, write bool, reqID uint64) (Reply, error) {
+	env := c.NewEnvelope()
+	env.Kind = EvPageFault
+	env.FaultAddr, env.FaultWrite = addr, write
+	env.ReqID = reqID
+	return c.Forward(clk, env)
+}
+
 // svcTrack is the trace track of the ROS partner thread servicing this
 // channel. Naming it per channel keeps each partner's span stack private,
 // so parent/child inference never depends on goroutine interleaving.
@@ -355,7 +366,7 @@ func (c *EventChannel) request(clk *cycles.Clock, env *Envelope) (r Reply, dup b
 		clk.Advance(cost.EventChannelPost)
 		clk.Advance(cost.HypercallRoundTrip())
 		clk.Advance(cost.VMMRecord)
-		c.hvm.countExit("evtchan")
+		c.hvm.countExit(exitEvtchan)
 		env.Arrival = clk.Now() + cost.InjectWindowROS + cost.SignalInjectROS
 		if !quiet && fi.Roll(faults.DelayInject, c.id, env.Seq, attempt, clk.Now()) {
 			env.Arrival += fi.Delay()
@@ -477,7 +488,7 @@ func (c *EventChannel) Complete(clk *cycles.Clock, env *Envelope, r Reply) {
 	cost := c.hvm.cost
 	clk.Advance(cost.EventChannelPost)
 	clk.Advance(cost.HypercallRoundTrip())
-	c.hvm.countExit("evtchan-complete")
+	c.hvm.countExit(exitEvtchanComplete)
 	r.Departure = clk.Now()
 	env.span.EndAt(clk.Now())
 	env.span = nil

@@ -236,6 +236,21 @@ func openEcho(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind) *PolledCha
 // openEchoOn is openEcho with the HRT end on hrtCore.
 func openEchoOn(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind, hrtCore machine.CoreID) *PolledChannel {
 	t.Helper()
+	bootFake(t, h, clk)
+	p, err := h.OpenPolled(clk, kind, 0, hrtCore, Poller{
+		Clock: cycles.NewClock(clk.Now()),
+		Serve: func(call linuxabi.Call) linuxabi.Result { return linuxabi.Result{Ret: call.Args[0]} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// bootFake installs an image and boots the HRT on clk with a fake sink,
+// which polled channels need before they open.
+func bootFake(t *testing.T, h *HVM, clk *cycles.Clock) {
+	t.Helper()
 	h.RegisterBootHandler(func(BootInfo) (HRTSink, error) {
 		return &fakeSink{clk: cycles.NewClock(0)}, nil
 	})
@@ -245,14 +260,6 @@ func openEchoOn(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind, hrtCore 
 	if err := h.BootHRT(clk); err != nil {
 		t.Fatal(err)
 	}
-	p, err := h.OpenPolled(clk, kind, 0, hrtCore, Poller{
-		Clock: cycles.NewClock(clk.Now()),
-		Serve: func(call linuxabi.Call) linuxabi.Result { return linuxabi.Result{Ret: call.Args[0]} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // TestSyncChannelDropRetransmits applies the poll-deadline policy to both

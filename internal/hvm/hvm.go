@@ -137,10 +137,14 @@ type HVM struct {
 
 	// Exit counts per kind, for the "thinner virtualization layer"
 	// analysis. Every VM exit from every group lands here, so at density
-	// scale the lookup is lock-free: a sync.Map caching each kind's
-	// "exits.<kind>" metric handle, resolved once, at the first exit of
-	// that kind.
-	exits sync.Map // string kind -> *telemetry.Counter
+	// scale the lookup is lock-free: each kind's "exits.<kind>" metric
+	// handle is resolved once, at the first exit of that kind. The
+	// per-forward kinds are pre-indexed; hypercalls are keyed by kind.
+	hotExits       [numExitKinds]atomic.Pointer[telemetry.Counter]
+	hypercallExits telemetry.Handles[string, *telemetry.Counter]
+
+	// routerHandles are every group's router's metric handles.
+	routerHandles routerHandles
 
 	// Telemetry: tracer may be nil (tracing off); metrics is always
 	// non-nil. Channel ids make flow links deterministic.
@@ -249,25 +253,46 @@ func (h *HVM) RegisterBootHandler(bh BootHandler) {
 	h.bootHandler = bh
 }
 
+// exitKind is a VM exit kind the per-forward paths take.
+type exitKind uint8
+
+const (
+	exitEvtchan exitKind = iota
+	exitEvtchanComplete
+	exitInject
+	exitSignalROS
+	numExitKinds
+)
+
+var exitMetrics = [numExitKinds]string{
+	exitEvtchan:         "exits.evtchan",
+	exitEvtchanComplete: "exits.evtchan-complete",
+	exitInject:          "exits.inject",
+	exitSignalROS:       "exits.signal-ros",
+}
+
 // countExit records one VM exit as an "exits.<kind>" metrics counter so
 // a run's exposition plane can prove transport-level claims — in
 // particular that the tier-3 exitless steady state really takes zero
-// exits (exits.ring stays 0). The path is lock-free after a kind's first
-// exit: it used to take the HVM mutex per exit, which serialized every
-// group in the system.
-func (h *HVM) countExit(kind string) {
-	v, ok := h.exits.Load(kind)
-	if !ok {
-		v, _ = h.exits.LoadOrStore(kind, h.metrics.Counter("exits."+kind))
+// exits (exits.ring stays 0). After a kind's first exit the path is one
+// atomic load: no lock, no hashing of the kind's name.
+func (h *HVM) countExit(k exitKind) {
+	c := h.hotExits[k].Load()
+	if c == nil {
+		// Racing first exits resolve the same registry counter.
+		c = h.metrics.Counter(exitMetrics[k])
+		h.hotExits[k].Store(c)
 	}
-	v.(*telemetry.Counter).Inc()
+	c.Inc()
 }
 
 // hypercall charges one guest->VMM->guest transition to the calling
-// context and records the exit.
+// context and records the exit as "exits.hypercall:<kind>".
 func (h *HVM) hypercall(clk *cycles.Clock, kind string) {
 	clk.Advance(h.cost.HypercallRoundTrip())
-	h.countExit("hypercall:" + kind)
+	h.hypercallExits.Get(kind, func() *telemetry.Counter {
+		return h.metrics.Counter("exits.hypercall:" + kind)
+	}).Inc()
 }
 
 // InstallImage is the hypercall through which the ROS application supplies
@@ -367,7 +392,7 @@ func (h *HVM) inject(clk *cycles.Clock, req *HRTRequest) (chan cycles.Cycles, er
 	req.Arrival = clk.Advance(h.cost.InterruptInject)
 	req.hvm = h
 	req.done = make(chan cycles.Cycles, 1)
-	h.countExit("inject")
+	h.countExit(exitInject)
 	sink.Inject(req)
 	return req.done, nil
 }
@@ -490,7 +515,7 @@ func (h *HVM) RaiseROSSignal(hrtClk *cycles.Clock, sig int) error {
 		stack.PushFrame(frame)
 		defer stack.PopFrame()
 	}
-	h.countExit("signal-ros")
+	h.countExit(exitSignalROS)
 	handler(sig)
 	return nil
 }

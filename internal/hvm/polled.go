@@ -45,7 +45,8 @@ const (
 // pollKind is the per-kind data of one polled transport.
 type pollKind struct {
 	// name prefixes the kind's metrics ("<name>.syscalls",
-	// "<name>.syscall.latency"), span category and names, and the serve
+	// "<name>.syscall.latency", and for fault frames "<name>.faults",
+	// "<name>.fault.latency"), span category and names, and the serve
 	// track ("ros:<name>svc:<id>").
 	name string
 	// setup/teardown name the hypercalls that open and close the
@@ -87,13 +88,27 @@ var pollKinds = [...]pollKind{
 
 // Poller is the ROS side of a polled channel: the dedicated poller
 // thread's clock, which pays the poll, service and reply charges of
-// every frame, and the service each call receives.
+// every frame, and the service each frame receives. Serve executes a
+// system call; Touch replicates a forwarded page fault's access on the
+// poller thread, so the ROS fault path runs as it would natively, and
+// reports whether the ROS resolved it.
 type Poller struct {
 	Clock *cycles.Clock
 	Serve func(linuxabi.Call) linuxabi.Result
+	Touch func(addr uint64, write bool) bool
 }
 
-// PolledChannel is one polled system-call transport between the HRT
+// frame is one request a polled channel carries: a system call, or, when
+// fault is set, a page fault at addr. Both ride the same protocol at the
+// same price; they differ in their service and their telemetry.
+type frame struct {
+	call  linuxabi.Call
+	fault bool
+	addr  uint64
+	write bool
+}
+
+// PolledChannel is one polled transport between the HRT
 // invoker and a dedicated ROS poller. The poller is bound state, not a
 // thread of control: Invoke serves each frame inline at the point it is
 // posted, so virtual time on both sides is governed by the frame stamps
@@ -113,10 +128,12 @@ type PolledChannel struct {
 	seq  uint64 // last call's sequence number (mu-guarded)
 	dead atomic.Bool
 
-	// Telemetry handles resolved once at setup, not per call.
+	// Telemetry handles resolved once at setup, not per call; the fault
+	// frames' pair on the first fault frame (mu-guarded), so a channel
+	// that never carries one registers no fault metric.
 	hrtTrack, serveTrack telemetry.Track
-	callCtr              *telemetry.Counter
-	callLat              *telemetry.Histogram
+	callCtr, faultCtr    *telemetry.Counter
+	callLat, faultLat    *telemetry.Histogram
 }
 
 // OpenPolled establishes a polled channel of the given kind with its
@@ -173,6 +190,13 @@ func (h *HVM) ClosePolled(clk *cycles.Clock, p *PolledChannel) {
 // channel died before or during the call; the caller still owns the
 // request and must re-route it.
 func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint64) (linuxabi.Result, int, error) {
+	return p.roundTrip(clk, frame{call: call}, reqID)
+}
+
+// roundTrip carries one frame, a system call or a fault, as Invoke
+// describes: post, poll, service, reply, reap. A fault frame's result is
+// faultResult's.
+func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (linuxabi.Result, int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dead.Load() {
@@ -180,14 +204,28 @@ func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint
 	}
 	p.seq++
 	seq, k := p.seq, p.spec()
+	ctr, lat, rec := p.callCtr, p.callLat, k.rec
+	if fr.fault {
+		if p.faultCtr == nil {
+			p.faultCtr = p.hvm.metrics.Counter(k.name + ".faults")
+			p.faultLat = p.hvm.metrics.LatencyHistogram(k.name + ".fault.latency")
+		}
+		ctr, lat, rec = p.faultCtr, p.faultLat, telemetry.RecPolledFault
+	}
 
 	start := clk.Now()
 	flow := flowID(p.id, seq)
 	var sp *telemetry.Span
 	if tr := p.hvm.tracer; tr.Enabled() {
-		sp = tr.Begin(p.hrtTrack, k.name, k.name+"-syscall", start,
-			telemetry.Attr{Key: "num", Val: uint64(call.Num)},
-			telemetry.Attr{Key: "req", Val: reqID})
+		if fr.fault {
+			sp = tr.Begin(p.hrtTrack, k.name, k.name+"-fault", start,
+				telemetry.Attr{Key: "addr", Val: fr.addr},
+				telemetry.Attr{Key: "req", Val: reqID})
+		} else {
+			sp = tr.Begin(p.hrtTrack, k.name, k.name+"-syscall", start,
+				telemetry.Attr{Key: "num", Val: uint64(fr.call.Num)},
+				telemetry.Attr{Key: "req", Val: reqID})
+		}
 		sp.LinkOut(flow)
 	}
 
@@ -221,7 +259,7 @@ func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint
 				return linuxabi.Result{}, retx, errPolledDown
 			}
 			var ok bool
-			if res, replied, ok = p.serve(call, posted, flow, corrupt); ok {
+			if res, replied, ok = p.serve(fr, posted, flow, corrupt); ok {
 				break
 			}
 		}
@@ -238,9 +276,9 @@ func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint
 	clk.SyncTo(replied + p.line)
 	clk.Advance(p.reap)
 	sp.EndAt(clk.Now())
-	p.callCtr.Inc()
-	p.callLat.Observe(clk.Now() - start)
-	p.hvm.recorder.Record(clk.Now(), k.rec, p.id, reqID, seq, uint64(retx))
+	ctr.Inc()
+	lat.Observe(clk.Now() - start)
+	p.hvm.recorder.Record(clk.Now(), rec, p.id, reqID, seq, uint64(retx))
 	return res, retx, nil
 }
 
@@ -248,8 +286,10 @@ func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint
 // posted: the poll iteration that finds it, the service, and the reply
 // post, all on the poller's clock. It returns the result and the time
 // the reply was posted. A corrupt frame is discarded without an answer
-// (ok false), and the caller's poll deadline reposts it.
-func (p *PolledChannel) serve(call linuxabi.Call, posted cycles.Cycles, flow uint64, corrupt bool) (res linuxabi.Result, replied cycles.Cycles, ok bool) {
+// (ok false), and the caller's poll deadline reposts it; only an
+// accepted frame reaches the service, so a fault's access is replicated
+// exactly once however many attempts its frame took.
+func (p *PolledChannel) serve(fr frame, posted cycles.Cycles, flow uint64, corrupt bool) (res linuxabi.Result, replied cycles.Cycles, ok bool) {
 	clk := p.poller.Clock
 	clk.SyncTo(posted)
 	clk.Advance(p.poll)
@@ -259,14 +299,32 @@ func (p *PolledChannel) serve(call linuxabi.Call, posted cycles.Cycles, flow uin
 	}
 	var sp *telemetry.Span
 	if tr := p.hvm.tracer; tr.Enabled() {
-		sp = tr.Begin(p.serveTrack, p.spec().name, "serve-syscall", posted,
-			telemetry.Attr{Key: "num", Val: uint64(call.Num)})
+		if fr.fault {
+			sp = tr.Begin(p.serveTrack, p.spec().name, "serve-fault", posted,
+				telemetry.Attr{Key: "addr", Val: fr.addr})
+		} else {
+			sp = tr.Begin(p.serveTrack, p.spec().name, "serve-syscall", posted,
+				telemetry.Attr{Key: "num", Val: uint64(fr.call.Num)})
+		}
 		sp.LinkIn(flow)
 	}
-	res = p.poller.Serve(call)
+	if fr.fault {
+		res = faultResult(p.poller.Touch(fr.addr, fr.write))
+	} else {
+		res = p.poller.Serve(fr.call)
+	}
 	sp.EndAt(clk.Now())
 	clk.Advance(p.reply)
 	return res, clk.Now(), true
+}
+
+// faultResult is a fault frame's result: OK when the ROS resolved the
+// access, EFAULT when it did not.
+func faultResult(resolved bool) linuxabi.Result {
+	if resolved {
+		return linuxabi.Result{Err: linuxabi.OK}
+	}
+	return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.EFAULT}
 }
 
 // Close shuts the channel down; idempotent, callable from either side.

@@ -77,9 +77,13 @@ type SyscallRouter struct {
 	ringClean    int
 	ringHold     bool
 	ringWasLossy bool
+}
 
-	// Per-call metric handles, resolved on first use: counters and
-	// histograms by name, and tier 0's per-call counters by number.
+// routerHandles are the routers' per-call metric handles, resolved on
+// first use: counters and histograms by name, and tier 0's per-call
+// counters by number. They live on the HVM, whose registry they name, so
+// every group's router shares them and a new group's router starts warm.
+type routerHandles struct {
 	counters telemetry.Handles[string, *telemetry.Counter]
 	hists    telemetry.Handles[string, *telemetry.Histogram]
 	localBy  telemetry.Handles[linuxabi.Sysno, *telemetry.Counter]
@@ -87,17 +91,19 @@ type SyscallRouter struct {
 
 // counter returns the router's handle for the named counter.
 func (r *SyscallRouter) counter(name string) *telemetry.Counter {
-	return r.counters.Get(name, func() *telemetry.Counter { return r.hvm.metrics.Counter(name) })
+	return r.hvm.routerHandles.counters.Get(name, func() *telemetry.Counter { return r.hvm.metrics.Counter(name) })
 }
 
 // histogram returns the router's handle for the named latency histogram.
 func (r *SyscallRouter) histogram(name string) *telemetry.Histogram {
-	return r.hists.Get(name, func() *telemetry.Histogram { return r.hvm.metrics.LatencyHistogram(name) })
+	return r.hvm.routerHandles.hists.Get(name, func() *telemetry.Histogram { return r.hvm.metrics.LatencyHistogram(name) })
 }
 
 // localCounter returns tier 0's counter for one system call number.
 func (r *SyscallRouter) localCounter(num linuxabi.Sysno) *telemetry.Counter {
-	return r.localBy.Get(num, func() *telemetry.Counter { return r.hvm.metrics.Counter("router.local." + num.String()) })
+	return r.hvm.routerHandles.localBy.Get(num, func() *telemetry.Counter {
+		return r.hvm.metrics.Counter("router.local." + num.String())
+	})
 }
 
 // rung is one polled transport of the promotion ladder: its hooks, its
@@ -413,7 +419,7 @@ func (r *SyscallRouter) Dispatch(clk *cycles.Clock, ch *EventChannel, call linux
 			r.counter("router.cache_invalidations").Inc()
 		}
 		r.counter("router.cache_misses").Inc()
-		res, err := r.forward(clk, ch, call, reqID)
+		res, err := r.forward(clk, ch, frame{call: call}, reqID)
 		if err == nil && res.Err == linuxabi.OK {
 			r.mu.Lock()
 			if !r.closed {
@@ -425,7 +431,7 @@ func (r *SyscallRouter) Dispatch(clk *cycles.Clock, ch *EventChannel, call linux
 	}
 
 	// Tier 2: forward.
-	res, err := r.forward(clk, ch, call, reqID)
+	res, err := r.forward(clk, ch, frame{call: call}, reqID)
 	return res, true, err
 }
 
@@ -489,14 +495,29 @@ func (r *SyscallRouter) resolvePath(path string) string {
 	return r.local.Cwd + "/" + path
 }
 
+// ForwardFault forwards one page fault from the HRT thread at clk and
+// reports whether the ROS resolved it. A fault is a forward like any
+// other: it climbs the same rungs as a system call, in a fault frame of
+// its own, feeds the same promotion windows, idle clocks and fault
+// policies, and takes the ~25K-cycle event channel only when no rung is
+// promoted. reqID is the causal request id the fault handler allocated.
+func (r *SyscallRouter) ForwardFault(clk *cycles.Clock, ch *EventChannel, addr uint64, write bool, reqID uint64) (bool, error) {
+	res, err := r.forward(clk, ch, frame{fault: true, addr: addr, write: write}, reqID)
+	return err == nil && res.Err == linuxabi.OK, err
+}
+
 // forward crosses the boundary over the cheapest promoted transport:
 // the tier-3 exitless rings when promoted, else tier 2 — the
-// synchronous channel if promoted, the event channel otherwise.
-func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxabi.Call, reqID uint64) (linuxabi.Result, error) {
+// synchronous channel if promoted, the event channel otherwise. The
+// router.forward.<transport> counters count system calls only; a fault
+// frame is counted by its transport's fault metrics.
+func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, fr frame, reqID uint64) (linuxabi.Result, error) {
 	if x := r.climb(clk, &r.ring); x != nil {
-		res, retx, err := x.Invoke(clk, call, reqID)
+		res, retx, err := x.roundTrip(clk, fr, reqID)
 		if err == nil {
-			r.counter("router.forward.ring").Inc()
+			if !fr.fault {
+				r.counter("router.forward.ring").Inc()
+			}
 			r.noteRingTransport(clk, retx)
 			return res, nil
 		}
@@ -506,9 +527,11 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 		r.ringDown(clk)
 	}
 	if sc := r.climb(clk, &r.sync); sc != nil {
-		res, retx, err := sc.Invoke(clk, call, reqID)
+		res, retx, err := sc.roundTrip(clk, fr, reqID)
 		if err == nil {
-			r.counter("router.forward.sync").Inc()
+			if !fr.fault {
+				r.counter("router.forward.sync").Inc()
+			}
 			r.noteTransport(clk, retx, true)
 			return res, nil
 		}
@@ -519,15 +542,25 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, call linuxa
 	if ch == nil {
 		return linuxabi.Result{Ret: ^uint64(0), Err: linuxabi.ENOSYS}, nil
 	}
-	env := ch.NewEnvelope()
-	env.Kind = EvSyscall
-	env.Call = call
-	env.ReqID = reqID
-	rep, err := ch.Forward(clk, env)
+	var rep Reply
+	var err error
+	if fr.fault {
+		rep, err = ch.ForwardFault(clk, fr.addr, fr.write, reqID)
+	} else {
+		env := ch.NewEnvelope()
+		env.Kind = EvSyscall
+		env.Call = fr.call
+		env.ReqID = reqID
+		rep, err = ch.Forward(clk, env)
+	}
 	if err != nil {
 		return linuxabi.Result{}, err
 	}
-	r.counter("router.forward.async").Inc()
+	if fr.fault {
+		rep.Res = faultResult(rep.FaultOK)
+	} else {
+		r.counter("router.forward.async").Inc()
+	}
 	r.noteTransport(clk, rep.Retransmits, false)
 	return rep.Res, nil
 }

@@ -511,13 +511,22 @@ const maxFaultRetries = 8
 // HRT forwards a fault, the partner thread replays the access here and
 // "the ROS will then handle it as it would normally" (section 3.2).
 func (p *Process) Touch(t *Thread, addr uint64, write bool) linuxabi.Errno {
+	return p.TouchFor(t, t.TID, addr, write)
+}
+
+// TouchFor is Touch on behalf of thread tid: under deterministic arenas,
+// a SIGSEGV the access raises is delivered with tid's dispositions. A
+// polled rung's poller replicates an execution group's faults this way,
+// on its own thread but with the dispositions of the group's partner,
+// where the runtime installed its handlers.
+func (p *Process) TouchFor(t *Thread, tid int, addr uint64, write bool) linuxabi.Errno {
 	core := p.kern.machine.Core(t.Core)
 	for try := 0; try < maxFaultRetries; try++ {
 		_, fault := core.MMU.Translate(addr, paging.Access{Write: write, User: true}, t.Clock, p.kern.cost)
 		if fault == nil {
 			return linuxabi.OK
 		}
-		if errno := p.handleFault(t, fault); errno != linuxabi.OK {
+		if errno := p.handleFault(t, tid, fault); errno != linuxabi.OK {
 			return errno
 		}
 	}
@@ -525,8 +534,9 @@ func (p *Process) Touch(t *Thread, addr uint64, write bool) linuxabi.Errno {
 }
 
 // handleFault is the kernel page-fault handler: demand-map, fix
-// protections changed under the VMA, or deliver SIGSEGV.
-func (p *Process) handleFault(t *Thread, fault *paging.Fault) linuxabi.Errno {
+// protections changed under the VMA, or deliver SIGSEGV with the
+// dispositions of thread tid.
+func (p *Process) handleFault(t *Thread, tid int, fault *paging.Fault) linuxabi.Errno {
 	start := t.Clock.Now()
 	if p.kern.world == Virtual {
 		t.Clock.Advance(p.kern.cost.VirtFaultExtra)
@@ -542,7 +552,7 @@ func (p *Process) handleFault(t *Thread, fault *paging.Fault) linuxabi.Errno {
 		// arenas dispositions live with the thread that registered them.
 		sigs, handlers := p.sigactions, p.handlers
 		if p.detArenas {
-			a := p.arenaFor(t.TID)
+			a := p.arenaFor(tid)
 			sigs, handlers = a.sigactions, a.handlers
 		}
 		sa, ok := sigs[linuxabi.SIGSEGV]

@@ -283,7 +283,7 @@ func installBuiltins(in *Interp) {
 			if o.Kind == KInt {
 				return in.NewInt(-o.Int), nil
 			}
-			return in.NewFloat(-o.Float), nil
+			return in.NewFloat(-o.F()), nil
 		})
 	def("/", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) == 0 {
@@ -404,7 +404,7 @@ func installBuiltins(in *Interp) {
 	numPred("odd?", func(o *Obj) bool { return o.Kind == KInt && o.Int%2 != 0 })
 	numPred("number?", IsNumber)
 	numPred("integer?", func(o *Obj) bool {
-		return o.Kind == KInt || (o.Kind == KFloat && o.Float == math.Trunc(o.Float))
+		return o.Kind == KInt || (o.Kind == KFloat && o.F() == math.Trunc(o.F()))
 	})
 	numPred("real?", IsNumber)
 	numPred("exact?", func(o *Obj) bool { return o.Kind == KInt })
@@ -417,7 +417,7 @@ func installBuiltins(in *Interp) {
 		if a[0].Kind == KInt {
 			return in.NewInt(a[0].Int + 1), nil
 		}
-		return in.NewFloat(a[0].Float + 1), nil
+		return in.NewFloat(a[0].F() + 1), nil
 	})
 	def("sub1", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 || !IsNumber(a[0]) {
@@ -426,7 +426,7 @@ func installBuiltins(in *Interp) {
 		if a[0].Kind == KInt {
 			return in.NewInt(a[0].Int - 1), nil
 		}
-		return in.NewFloat(a[0].Float - 1), nil
+		return in.NewFloat(a[0].F() - 1), nil
 	})
 	def("abs", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) != 1 || !IsNumber(a[0]) {
@@ -438,7 +438,7 @@ func installBuiltins(in *Interp) {
 			}
 			return a[0], nil
 		}
-		return in.NewFloat(math.Abs(a[0].Float)), nil
+		return in.NewFloat(math.Abs(a[0].F())), nil
 	})
 
 	mathFn := func(name string, fn func(float64) float64) {
@@ -478,7 +478,7 @@ func installBuiltins(in *Interp) {
 			if a[0].Kind == KInt {
 				return a[0], nil
 			}
-			return in.NewFloat(fn(a[0].Float)), nil
+			return in.NewFloat(fn(a[0].F())), nil
 		})
 	}
 	roundFn("floor", math.Floor)

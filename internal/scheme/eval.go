@@ -789,7 +789,7 @@ func eqv(a, b *Obj) bool {
 	case KInt, KChar:
 		return a.Int == b.Int
 	case KFloat:
-		return a.Float == b.Float
+		return a.F() == b.F()
 	case KString:
 		return false // distinct string objects are not eqv?
 	default:

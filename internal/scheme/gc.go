@@ -95,6 +95,9 @@ const (
 	allocCost  = 14                    // cycles per cell allocation
 )
 
+// A cell's arena index must fit Obj.idx.
+const _ uint16 = segCells - 1
+
 type segment struct {
 	base      uint64
 	n         int   // cells handed out: arena[:n], in address order
@@ -195,7 +198,7 @@ func (g *GC) alloc() *Obj {
 		s.arena = make([]Obj, segCells)
 	}
 	o := &s.arena[s.n]
-	o.Addr = addr
+	o.idx = uint16(s.n)
 	o.seg = s
 	s.n++
 	g.allocBytes += cellBytes
@@ -232,8 +235,9 @@ func (g *GC) WriteBarrier(o *Obj) {
 	if s == nil || !s.protected {
 		return
 	}
-	if err := g.in.os.Touch(o.Addr, true); err != nil {
-		panic(fmt.Sprintf("scheme: write barrier at %#x: %v", o.Addr, err))
+	addr := s.base + uint64(o.idx)*cellBytes
+	if err := g.in.os.Touch(addr, true); err != nil {
+		panic(fmt.Sprintf("scheme: write barrier at %#x: %v", addr, err))
 	}
 }
 

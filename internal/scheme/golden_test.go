@@ -104,7 +104,7 @@ func TestCollectorGolden(t *testing.T) {
 // an Obj in a per-segment arena, so its size is what each arena's
 // allocation, its zeroing, and the host collector's scans pay for.
 func TestObjCellSize(t *testing.T) {
-	if n := unsafe.Sizeof(scheme.Obj{}); n > 64 {
-		t.Errorf("unsafe.Sizeof(Obj{}) = %d bytes, want <= 64", n)
+	if n := unsafe.Sizeof(scheme.Obj{}); n > 48 {
+		t.Errorf("unsafe.Sizeof(Obj{}) = %d bytes, want <= 48", n)
 	}
 }

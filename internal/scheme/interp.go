@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"fmt"
+	"math"
 
 	"multiverse/internal/cycles"
 	"multiverse/internal/linuxabi"
@@ -258,7 +259,7 @@ func (in *Interp) NewInt(v int64) *Obj {
 // NewFloat allocates a float.
 func (in *Interp) NewFloat(v float64) *Obj {
 	o := in.alloc(KFloat)
-	o.Float = v
+	o.Int = int64(math.Float64bits(v))
 	return o
 }
 

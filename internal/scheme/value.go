@@ -13,6 +13,7 @@ package scheme
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -57,23 +58,30 @@ type Obj struct {
 	// symbol name on every combination.
 	special uint8
 
+	// idx is the cell's index in its segment's arena, so its simulated
+	// heap address is seg.base + idx*cellBytes.
+	idx uint16
+
 	// mark is the collector's mark: the object is marked in the current
 	// collection when mark equals GC.epoch. It shares the first word with
-	// Kind and special, so it costs the cell no space.
+	// Kind, special and idx, so none of them costs the cell space.
 	mark uint32
 
-	Int   int64
-	Float float64
-	Car   *Obj
-	Cdr   *Obj
+	// Int is a KInt's value, a KChar's code point and a KBool's truth; a
+	// KFloat keeps its IEEE-754 bits here, read through F.
+	Int int64
+	Car *Obj
+	Cdr *Obj
 
 	// ext carries the fields of the kinds that are rare next to pairs and
 	// floats: strings and symbols (Str), vectors (Vec) and procedures.
 	ext *objExt
 
-	Addr uint64 // simulated heap address (0 for immediates)
-	seg  *segment
+	seg *segment // nil for immediates
 }
+
+// F returns a KFloat's value.
+func (o *Obj) F() float64 { return math.Float64frombits(uint64(o.Int)) }
 
 // objExt is the side car of strings, symbols and builtins (Str), vectors
 // (Vec) and builtins (Fn). A closure hangs its fields off it behind one
@@ -174,7 +182,7 @@ func AsFloat(o *Obj) float64 {
 	if o.Kind == KInt {
 		return float64(o.Int)
 	}
-	return o.Float
+	return o.F()
 }
 
 // frameInline is how many bindings a frame holds inline. Nearly every
@@ -386,7 +394,7 @@ func writeObj(b *strings.Builder, o *Obj, write bool, seen map[*Obj]bool) {
 	case KInt:
 		b.WriteString(strconv.FormatInt(o.Int, 10))
 	case KFloat:
-		s := strconv.FormatFloat(o.Float, 'g', -1, 64)
+		s := strconv.FormatFloat(o.F(), 'g', -1, 64)
 		if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
 			s += ".0"
 		}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -256,42 +255,60 @@ func (r *Registry) LatencyHistogram(name string) *Histogram {
 	return r.Histogram(name, nil)
 }
 
-// Handles caches instrument handles by key, resolving each key once:
-// after its first resolution a key's lookup is one atomic load and a map
-// read, with no lock and no allocation. It stands in for a registry
-// lookup per event, which takes the registry-wide lock and usually
-// builds the instrument's name. Resolving on first use keeps the
-// registry's contents what per-event lookups would have made them. The
-// zero value is ready to use.
+// Handles caches instrument handles by key, resolving each key once. It
+// stands in for a registry lookup per event, which takes the
+// registry-wide lock and usually builds the instrument's name. Resolving
+// on first use keeps the registry's contents what per-event lookups would
+// have made them. The zero value is ready to use.
+//
+// It is sized for the small key sets its users hold (a group's syscall
+// kinds, tier 0's call numbers, the router's instrument names): the
+// handles are a copy-on-append slice, so after a key's first resolution
+// its lookup is one atomic load and a short scan, with no lock and no
+// allocation, and a new key appends in place while the backing array has
+// room. Readers see only the prefix their loaded header covers, so an
+// append never races them.
 type Handles[K comparable, T any] struct {
 	mu sync.Mutex
-	m  atomic.Pointer[map[K]T]
+	s  atomic.Pointer[[]handle[K, T]]
+}
+
+type handle[K comparable, T any] struct {
+	key K
+	val T
 }
 
 // Get returns the handle for key, calling resolve on the key's first
 // use.
 func (h *Handles[K, T]) Get(key K, resolve func() T) T {
-	if m := h.m.Load(); m != nil {
-		if v, ok := (*m)[key]; ok {
-			return v
-		}
+	if v, ok := h.find(key); ok {
+		return v
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	old := h.m.Load()
-	if old != nil {
-		if v, ok := (*old)[key]; ok {
-			return v
-		}
+	if v, ok := h.find(key); ok {
+		return v
 	}
-	next := make(map[K]T, 1)
-	if old != nil {
-		next = maps.Clone(*old)
+	var next []handle[K, T]
+	if s := h.s.Load(); s != nil {
+		next = *s
 	}
 	v := resolve()
-	next[key] = v
-	h.m.Store(&next)
+	next = append(next, handle[K, T]{key, v})
+	h.s.Store(&next)
 	return v
+}
+
+func (h *Handles[K, T]) find(key K) (T, bool) {
+	if s := h.s.Load(); s != nil {
+		for _, e := range *s {
+			if e.key == key {
+				return e.val, true
+			}
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // EachCounter visits the counters in name order.

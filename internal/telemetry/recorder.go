@@ -52,6 +52,7 @@ const (
 	RecDrain                     // node drained; Site=node, A=groups migrated off
 	RecNodeKill                  // node-kill injected; Site=node, A=victim groups
 	RecMigrateDone               // migration completed; Site=group, A=latency (virtual cycles), B=target node
+	RecPolledFault               // page fault served over a polled rung; Site=channel, A=seq, B=retransmits
 )
 
 var recNames = map[EventCode]string{
@@ -90,6 +91,7 @@ var recNames = map[EventCode]string{
 	RecDrain:       "drain",
 	RecNodeKill:    "node-kill",
 	RecMigrateDone: "migrate-complete",
+	RecPolledFault: "polled-fault",
 }
 
 // String returns the dump name of the code.

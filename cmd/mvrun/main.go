@@ -10,7 +10,7 @@
 //	echo '(+ 1 2)' | mvrun -world multiverse -repl
 //	mvrun -bench binary-tree-2 -world multiverse
 //	mvrun -bench fasta -world multiverse -trace=out.json -metrics
-//	mvrun -bench fasta -world multiverse -exitless -stats
+//	mvrun -bench fasta -world multiverse -router -stats
 //	mvrun -bench fasta -world multiverse -listen :8080
 //	mvrun -bench fasta -world multiverse -metrics-json metrics.json -slo
 //	mvrun -nodes 4 -groups 64 -chaos 42:0.05
@@ -44,7 +44,6 @@ func main() {
 	benchName := flag.String("bench", "", "run a named paper benchmark instead of a file")
 	flag.BoolVar(&rep.stats, "stats", false, "print run statistics afterwards")
 	flag.BoolVar(&opts.Router, "router", false, "enable the adaptive boundary-crossing router (multiverse world only)")
-	flag.BoolVar(&opts.Exitless, "exitless", false, "enable tier-3 exitless forwarding over polled SPSC rings (implies -router; multiverse world only)")
 	flag.BoolVar(&opts.Merger, "merger", false, "enable the incremental state-superposition merger (multiverse world only)")
 	flag.BoolVar(&opts.Scheduler, "scheduler", false, "enable the AeroKernel per-core run-queue scheduler (multiverse world only)")
 	hrtCores := flag.Int("hrtcores", 0, "size of the HRT core partition (cores 1..N, the machine grown to fit; 0 = default single core)")
@@ -481,11 +480,6 @@ func printStats(res *bench.RunResult, groups int) {
 			res.RouterLocalHits, res.RouterCacheHits, res.RouterCacheMisses,
 			res.RouterInvalidations, res.RouterPromotions, res.RouterDemotions,
 			uint64(res.ForwardedSyscallCycles))
-	}
-	if o.Exitless {
-		fmt.Fprintf(os.Stderr, "  ring: calls=%d promo=%d/%d fault-demo=%d repromo=%d exits=%d\n",
-			res.RingCalls, res.RingPromotions, res.RingDemotions,
-			res.RingFaultDrops, res.RingRepromotions, res.RingExits)
 	}
 	if o.Scheduler {
 		fmt.Fprintf(os.Stderr, "  sched: placements=%d steals=%d halts=%d queue-delay=%d\n",

@@ -192,7 +192,7 @@ func decodeFlightEvent(e flightEvent) string {
 		return fmt.Sprintf("channel=%d seq=%d%s", e.site, e.a, req)
 	case "retransmit":
 		return fmt.Sprintf("channel=%d seq=%d attempt=%d%s", e.site, e.a, e.b, req)
-	case "sync-call", "ring-call":
+	case "sync-call":
 		return fmt.Sprintf("channel=%d seq=%d retransmits=%d%s", e.site, e.a, e.b, req)
 	case "merge-delta":
 		return fmt.Sprintf("core=%d entries=%d%s", e.site, e.a, req)

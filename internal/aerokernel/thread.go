@@ -50,6 +50,9 @@ type Thread struct {
 	done        chan struct{}
 	exitCode    uint64
 	faultStatus error
+	// panicStatus is the error of a real panic Run recovered (nil if
+	// the body returned).
+	panicStatus error
 
 	// sysCount numbers this thread's system calls for deterministic
 	// fault-injection keys; only the owning goroutine touches it.
@@ -309,14 +312,14 @@ func (t *Thread) Run(fn func(*Thread) uint64) {
 
 	// A panic in HRT code (real, not injected) must still retire the
 	// thread and close done — otherwise every joiner blocks forever and
-	// the whole simulation wedges silently. The group's WaitExit/Join
-	// deadline turns the missing exit notification into ErrGroupWedged.
+	// the whole simulation wedges silently. Its status is kept for
+	// PanicStatus, which the group's WaitExit/Join report.
 	code := ^uint64(0)
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				t.mu.Lock()
-				t.faultStatus = fmt.Errorf("aerokernel: thread %d panicked: %v", t.ID, r)
+				t.panicStatus = fmt.Errorf("aerokernel: thread %d panicked: %v", t.ID, r)
 				t.mu.Unlock()
 				k.metrics.Counter("ak.thread.panics").Inc()
 				k.recorder.Record(t.Clock.Now(), telemetry.RecThreadPanic, uint64(t.ID), 0, 0, 0)
@@ -364,6 +367,14 @@ func (t *Thread) ExitCode() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.exitCode
+}
+
+// PanicStatus returns the error of a real panic that ended the thread,
+// or nil if its body returned. It is final once Done is closed.
+func (t *Thread) PanicStatus() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.panicStatus
 }
 
 // Kernel returns the owning AeroKernel.

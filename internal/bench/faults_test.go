@@ -49,8 +49,7 @@ func TestFaultPlaneZeroRateEquivalence(t *testing.T) {
 	}{
 		{"plain", core.Options{}},
 		{"router", core.Options{Router: true}},
-		{"exitless", core.Options{Exitless: true}},
-		{"merger+scheduler+exitless", core.Options{Merger: true, Scheduler: true, Exitless: true}},
+		{"merger+scheduler+router", core.Options{Merger: true, Scheduler: true, Router: true}},
 	} {
 		for i, prog := range Programs() {
 			cfg, prog, seed := cfg, prog, uint64(31+i)
@@ -77,7 +76,6 @@ func TestFaultPlaneZeroRateEquivalence(t *testing.T) {
 					{"forwarded syscalls", on.ForwardedSyscalls, off.ForwardedSyscalls},
 					{"forwarded faults", on.ForwardedFaults, off.ForwardedFaults},
 					{"forward cycles", uint64(on.ForwardedSyscallCycles), uint64(off.ForwardedSyscallCycles)},
-					{"ring calls", on.RingCalls, off.RingCalls},
 				} {
 					if c.on != c.off {
 						t.Errorf("%s = %d armed, %d unarmed", c.what, c.on, c.off)

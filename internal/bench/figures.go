@@ -67,7 +67,7 @@ func newHybrid(name string, hrtCore machine.CoreID) (*core.System, error) {
 // The cacheline cost depends only on whether the two share a socket.
 func syncCallCycles(sys *core.System, hrtCore machine.CoreID, runs int, arg uint64) (cycles.Cycles, error) {
 	clk := sys.Main.Clock
-	p, err := sys.HVM.OpenPolled(clk, hvm.PollSync, hrtCore, sys.Kernel.BootCore(), hvm.Poller{
+	p, err := sys.HVM.OpenPolled(clk, hrtCore, sys.Kernel.BootCore(), hvm.Poller{
 		Clock: cycles.NewClock(clk.Now()),
 		Serve: func(call linuxabi.Call) linuxabi.Result { return linuxabi.Result{Ret: call.Args[0]} },
 	})

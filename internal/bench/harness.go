@@ -17,7 +17,7 @@ type RunResult struct {
 	Program string
 	World   core.World
 	// Opts is the configuration the system booted with, defaults filled
-	// in (so Exitless runs report Router too).
+	// in.
 	Opts core.Options
 
 	// Cycles is the end-to-end virtual runtime observed by the process's
@@ -41,19 +41,9 @@ type RunResult struct {
 	RouterPromotions    uint64
 	RouterDemotions     uint64
 	// ForwardedSyscallCycles is the virtual time the HRT thread spent
-	// crossing the boundary for system calls (async event-channel,
-	// promoted synchronous-channel, and tier-3 ring round trips).
+	// crossing the boundary for system calls (async event-channel and
+	// promoted synchronous-channel round trips).
 	ForwardedSyscallCycles cycles.Cycles
-
-	// Tier-3 exitless counters (all zero unless Options.Exitless).
-	RingCalls        uint64
-	RingPromotions   uint64
-	RingDemotions    uint64
-	RingFaultDrops   uint64
-	RingRepromotions uint64
-	// RingExits counts VM exits taken on the ring path itself (the
-	// overflow doorbell); a healthy steady state keeps it at zero.
-	RingExits uint64
 
 	// Incremental-merger counters. Entries copied and broadcast shootdowns
 	// accrue on every hybrid run (the fixed paths count too); the delta,
@@ -225,14 +215,7 @@ func ResultOf(sys *core.System, program string, world core.World, eng *scheme.En
 	res.RouterPromotions = m.Counter("router.promotions").Value()
 	res.RouterDemotions = m.Counter("router.demotions").Value()
 	res.ForwardedSyscallCycles = m.LatencyHistogram("forward.syscall.latency").Sum() +
-		m.LatencyHistogram("sync.syscall.latency").Sum() +
-		m.LatencyHistogram("ring.syscall.latency").Sum()
-	res.RingCalls = m.Counter("ring.syscalls").Value()
-	res.RingPromotions = m.Counter("router.tier3.promotions").Value()
-	res.RingDemotions = m.Counter("router.tier3.demotions").Value()
-	res.RingFaultDrops = m.Counter("router.tier3.fault_demotions").Value()
-	res.RingRepromotions = m.Counter("router.tier3.repromotions").Value()
-	res.RingExits = m.Counter("exits.ring").Value()
+		m.LatencyHistogram("sync.syscall.latency").Sum()
 	res.PML4EntriesCopied = m.Counter("paging.pml4_entries_copied").Value()
 	res.MergerDeltaEntries = m.Counter("merger.delta.entries").Value()
 	res.MergerTargeted = m.Counter("merger.shootdown.targeted").Value()

@@ -31,15 +31,6 @@ type RouterComparison struct {
 	Demotions     uint64 `json:"demotions"`
 }
 
-// CrossingsEliminated is how many would-be boundary crossings the router
-// serviced inside the HRT.
-func (c *RouterComparison) CrossingsEliminated() uint64 {
-	if c.OffCrossings < c.OnCrossings {
-		return 0
-	}
-	return c.OffCrossings - c.OnCrossings
-}
-
 // routerRow projects the router suite's row from a program's off and
 // router-on runs.
 func routerRow(off, on *RunResult) RouterComparison {
@@ -128,8 +119,9 @@ func routerMicro(sys *core.System, runs int) (map[string]uint64, error) {
 }
 
 // FigureRouter renders the router suite: the seven benchmarks in
-// WorldHRT with the router off vs on (crossings eliminated, cycle
-// totals), plus per-tier latencies measured directly.
+// WorldHRT with the router off vs on (crossings, cycle totals, and the
+// per-tier counts of calls served without crossing), plus per-tier
+// latencies measured directly.
 func FigureRouter() (*Table, error) {
 	b, err := CollectRouterBaseline()
 	if err != nil {
@@ -139,7 +131,7 @@ func FigureRouter() (*Table, error) {
 		Title: "Router figure: adaptive boundary-crossing fast path, WorldHRT router off vs on",
 		Header: []string{
 			"Benchmark", "Cycles (off)", "Cycles (on)", "Speedup",
-			"Crossings (off)", "Crossings (on)", "Eliminated",
+			"Crossings (off)", "Crossings (on)",
 			"Local", "Cache h/m", "Promo",
 		},
 	}
@@ -151,7 +143,6 @@ func FigureRouter() (*Table, error) {
 			fmt.Sprintf("%.3fx", float64(c.OffCycles)/float64(c.OnCycles)),
 			fmt.Sprintf("%d", c.OffCrossings),
 			fmt.Sprintf("%d", c.OnCrossings),
-			fmt.Sprintf("%d", c.CrossingsEliminated()),
 			fmt.Sprintf("%d", c.LocalHits),
 			fmt.Sprintf("%d/%d", c.CacheHits, c.CacheMisses),
 			fmt.Sprintf("%d/%d", c.Promotions, c.Demotions),

@@ -292,9 +292,9 @@ func TestRouterTraceEvents(t *testing.T) {
 // TestRoutedFaultsCountedOnce: with the router on, every forwarded page
 // fault is counted once whichever transport carried it: the AeroKernel's
 // ak.forwarded_faults equals the event channel's page-fault forwards plus
-// the polled rungs' fault frames, and the hotspot profile's page-fault
+// the sync channel's fault frames, and the hotspot profile's page-fault
 // entry. Fault frames stay out of the system-call metrics, so the
-// syscall latency histograms and ring.syscalls count system calls alone.
+// syscall latency histogram and sync.syscalls count system calls alone.
 func TestRoutedFaultsCountedOnce(t *testing.T) {
 	p, _ := ProgramByName("fasta")
 	plain, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
@@ -320,14 +320,14 @@ func TestRoutedFaultsCountedOnce(t *testing.T) {
 			if res.ForwardedFaults != plain.ForwardedFaults {
 				t.Errorf("forwarded faults = %d, want the unrouted run's %d", res.ForwardedFaults, plain.ForwardedFaults)
 			}
-			polled := c("sync.faults") + c("ring.faults")
+			polled := c("sync.faults")
 			if polled == 0 {
-				t.Error("no fault rode a polled rung")
+				t.Error("no fault rode the sync channel")
 			}
 			if got := c("forward.page-fault") + polled; got != res.ForwardedFaults {
 				t.Errorf("event-channel + polled faults = %d, want ak.forwarded_faults = %d", got, res.ForwardedFaults)
 			}
-			if got := n("sync.fault.latency") + n("ring.fault.latency"); got != polled {
+			if got := n("sync.fault.latency"); got != polled {
 				t.Errorf("fault latency observations = %d, want %d", got, polled)
 			}
 			var hot uint64
@@ -340,14 +340,9 @@ func TestRoutedFaultsCountedOnce(t *testing.T) {
 				t.Errorf("page-fault hotspot count = %d, want %d", hot, res.ForwardedFaults)
 			}
 
-			for _, kind := range []string{"sync", "ring"} {
-				if c(kind+".syscalls") != c("router.forward."+kind) || n(kind+".syscall.latency") != c(kind+".syscalls") {
-					t.Errorf("%s: syscalls %d, router forwards %d, latency observations %d: want all equal",
-						kind, c(kind+".syscalls"), c("router.forward."+kind), n(kind+".syscall.latency"))
-				}
-			}
-			if res.RingCalls != c("ring.syscalls") {
-				t.Errorf("RingCalls = %d, want ring.syscalls = %d", res.RingCalls, c("ring.syscalls"))
+			if c("sync.syscalls") != c("router.forward.sync") || n("sync.syscall.latency") != c("sync.syscalls") {
+				t.Errorf("syscalls %d, router forwards %d, latency observations %d: want all equal",
+					c("sync.syscalls"), c("router.forward.sync"), n("sync.syscall.latency"))
 			}
 		})
 	}

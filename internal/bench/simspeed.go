@@ -19,9 +19,9 @@ import (
 // fields are deterministic and pinned exactly; wall-clock fields are
 // host-dependent and carry a tolerance band in CI.
 //
-// The composite is fasta+HPCG: three hybrid fasta runs exercising the
-// router tiers (plain, exitless rings, merger+scheduler) plus one
-// scheduler-on HPCG solve. The four units share nothing — each builds its
+// The composite is fasta+HPCG: two hybrid fasta runs exercising the
+// router tiers (plain, merger+scheduler) plus one scheduler-on HPCG
+// solve. The three units share nothing — each builds its
 // own machine, system, and runtime — so they are the canonical
 // "independent execution groups" of the host-parallel mode: each unit runs
 // on its own host goroutine, determinism preserved per unit and
@@ -116,7 +116,6 @@ func simspeedUnits() []struct {
 		run  func() (*simspeedResult, error)
 	}{
 		{"fasta/router", progRun("fasta", core.Options{Router: true})},
-		{"fasta/exitless", progRun("fasta", core.Options{Exitless: true})},
 		{"fasta-3/merger+sched", progRun("fasta-3", core.Options{Router: true, Merger: true, Scheduler: true})},
 		{"hpcg/sched-4c8w", func() (*simspeedResult, error) {
 			run, err := runHPCGWorkload(core.Options{Scheduler: true, HRTCores: core.HRTCoreRange(4)}, 8)

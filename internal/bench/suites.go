@@ -56,7 +56,6 @@ var Suites = []Suite{
 	{Name: "faults", File: "BENCH_pr5.json", Collect: collect(CollectFaultsBaseline), Figure: FigureFaults},
 	{Name: "obsv", File: "BENCH_pr6.json", Collect: collect(CollectObsvBaseline), Figure: FigureObsv,
 		HostBound: obsvHostBound},
-	{Name: "exitless", File: "BENCH_pr7.json", Collect: collect(CollectExitlessBaseline), Figure: FigureExitless},
 	{Name: "simspeed", File: "BENCH_pr8.json", Collect: collect(CollectSimspeedBaseline), Figure: FigureSimspeed,
 		Check: checkSimspeed, HostBound: simspeedHostBound},
 	{Name: "density", File: "BENCH_pr9.json", Collect: collect(CollectDensityBaseline), Figure: FigureDensity},

@@ -68,9 +68,8 @@ type GroupCheckpoint struct {
 	Window hvm.ChannelWindow
 
 	// Router is the quiesced router state (nil when the router is off):
-	// tier-3 hold flags for clean-streak re-promotion and the local
-	// process-invariant state, which migrates as-is so tier-0 answers
-	// stay byte-identical.
+	// the local process-invariant state, which migrates as-is so tier-0
+	// answers stay byte-identical.
 	Router *hvm.RouterCheckpoint
 }
 

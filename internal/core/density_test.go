@@ -104,24 +104,21 @@ type liveGroupConfig struct {
 // warm pool.
 var liveGroupConfigs = []liveGroupConfig{
 	{name: "plain", opts: Options{AppName: "live"}},
-	{name: "routed", opts: Options{AppName: "live", Router: true, Exitless: true, Merger: true, WarmPool: 64}},
+	{name: "routed", opts: Options{AppName: "live", Router: true, Merger: true, WarmPool: 64}},
 }
 
-// promotedGroupConfigs hold groups the router has promoted to a polled
-// rung: tier 2's sync channel after one forward, and tier 3's rings
-// after two (the ring promotion gives the sync channel back).
+// promotedGroupConfigs hold groups the router has promoted to tier 2's
+// sync channel after one forward.
 var promotedGroupConfigs = []liveGroupConfig{
 	{name: "tier2", calls: 1, promoted: "router.promotions", opts: Options{AppName: "live", Router: true,
 		RouterPolicy: hvm.RouterPolicy{PromoteCalls: 1}}},
-	{name: "tier3", calls: 2, promoted: "router.tier3.promotions", opts: Options{AppName: "live", Router: true,
-		Exitless: true, RouterPolicy: hvm.RouterPolicy{PromoteCalls: 1, RingCalls: 2}}},
 }
 
 // TestDensityLiveGroupHeap bounds what a held live group costs the host:
 // 16 KiB of heap, and the one goroutine of its HRT thread with at most
 // 3 KiB of goroutine stack. Simulated stacks are paged, so the nominal
 // 256 KiB HRT stack and 64 KiB partner stack cost only the pages a group
-// touches, and the partner and a promoted rung's poller are bound
+// touches, and the partner and a promoted sync channel's poller are bound
 // handlers, not goroutines. A group that has forwarded a call ran the
 // ROS service on its HRT goroutine, whose stack then stays at 4 KiB:
 // the runtime shrinks a stack only while a quarter of it is free of
@@ -195,7 +192,7 @@ func TestGroupMapLeakRegression(t *testing.T) {
 		watched int
 	}{
 		{"plain", Options{AppName: "leak", WarmPool: 2}, 0},
-		{"routed", Options{AppName: "leak", WarmPool: 2, Router: true, Exitless: true, Merger: true}, 200},
+		{"routed", Options{AppName: "leak", WarmPool: 2, Router: true, Merger: true}, 200},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := buildTestSystem(t, tc.opts)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +50,45 @@ func TestJoinWedgeDeadline(t *testing.T) {
 	code, werr := g.WaitExit(sys.Main.Clock)
 	if werr != nil || code != 0 {
 		t.Fatalf("WaitExit after unblock = (%d, %v)", code, werr)
+	}
+}
+
+// TestHRTRealPanicEndsGroup: a real (not injected) panic in the HRT body
+// still runs the exit protocol, so Join returns promptly, long before the
+// wedge deadline, with the panic in its error, and the group leaves the
+// group table.
+func TestHRTRealPanicEndsGroup(t *testing.T) {
+	sys := buildTestSystem(t, Options{AppName: "panic", WedgeTimeout: time.Minute})
+	g, err := sys.SpawnGroup(sys.Main.Clock, func(env Env) uint64 {
+		writeN(t, 2, 0)(env)
+		panic("hrt body blew up")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type joined struct {
+		code uint64
+		err  error
+	}
+	done := make(chan joined, 1)
+	go func() {
+		code, jerr := g.Join(sys.Main)
+		done <- joined{code, jerr}
+	}()
+	var j joined
+	select {
+	case j = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Join still blocked 5 s after a real HRT panic")
+	}
+	if j.err == nil || errors.Is(j.err, ErrGroupWedged) || !strings.Contains(j.err.Error(), "hrt body blew up") {
+		t.Errorf("Join = (%#x, %v), want the panic value in the error", j.code, j.err)
+	}
+	if j.code != ^uint64(0) {
+		t.Errorf("exit code = %#x, want ^0", j.code)
+	}
+	if n := sys.GroupTableSize(); n != 0 {
+		t.Errorf("GroupTableSize = %d after the panicked group joined, want 0", n)
 	}
 }
 

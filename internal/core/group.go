@@ -19,9 +19,9 @@ import (
 )
 
 // ErrGroupWedged reports that an execution group produced no exit
-// notification within the wedge deadline: its HRT goroutine died (or
-// hung) without signaling, a path that previously blocked WaitExit/Join
-// forever.
+// notification within the wedge deadline: its HRT thread hung without
+// signaling, a path that previously blocked WaitExit/Join forever. (A
+// panicking HRT thread still signals its exit.)
 var ErrGroupWedged = errors.New("multiverse: execution group wedged (no exit notification within deadline)")
 
 // spawnSpec is the pending thread-creation request a partner thread hands
@@ -338,13 +338,12 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 	r.SetStamps(s.Proc)
 	// Promotion sets up the channel with one hypercall and dedicates a
 	// fresh ROS thread, created on the promoting HRT thread's clock, as
-	// its poller; demotion (idle, fault pressure, or kill recovery)
-	// closes it with the kind's teardown hypercall, which also releases
-	// the poller. Exitless adds the tier-3 ring rung.
+	// its poller; demotion (idle or a clean window after fault pressure)
+	// closes it, which also releases the poller.
 	r.SetPollHooks(
-		func(clk *cycles.Clock, kind hvm.PollKind) (*hvm.PolledChannel, error) {
+		func(clk *cycles.Clock) (*hvm.PolledChannel, error) {
 			pt := s.Proc.NewThread(rosCore)
-			ch, err := s.HVM.OpenPolled(clk, kind, rosCore, hrtCore, hvm.Poller{
+			ch, err := s.HVM.OpenPolled(clk, rosCore, hrtCore, hvm.Poller{
 				Clock: pt.Clock,
 				Serve: func(call linuxabi.Call) linuxabi.Result { return s.Proc.Syscall(pt, call) },
 				Touch: func(addr uint64, write bool) bool {
@@ -358,7 +357,6 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 			return ch, nil
 		},
 		s.HVM.ClosePolled,
-		s.Opts.Exitless,
 	)
 }
 
@@ -474,12 +472,18 @@ func (g *ExecutionGroup) degrade(dead *ros.Thread) {
 // channel so it can clean up and exit.
 func (g *ExecutionGroup) runHRT(t *aerokernel.Thread, fn func(Env) uint64) uint64 {
 	env := &hrtEnv{t: t, group: g}
-	code := fn(env)
-	g.exitCode.Store(code)
-
-	// A failed signal or a channel already down leaves nothing to wake.
-	_ = g.sys().HVM.RaiseROSSignal(t.Clock, int(linuxabi.SIGCHLD))
-	_, _ = g.channel.Forward(t.Clock, &hvm.Envelope{Kind: hvm.EvThreadExit, ExitCode: code})
+	// The exit protocol runs even when fn panics, with code ^0, so the
+	// partner still tears the group down; the panic then unwinds on to
+	// Thread.Run, which keeps its status for WaitExit and Join.
+	code := ^uint64(0)
+	defer func() {
+		g.exitCode.Store(code)
+		// A failed signal or a channel already down leaves nothing to
+		// wake.
+		_ = g.sys().HVM.RaiseROSSignal(t.Clock, int(linuxabi.SIGCHLD))
+		_, _ = g.channel.Forward(t.Clock, &hvm.Envelope{Kind: hvm.EvThreadExit, ExitCode: code})
+	}()
+	code = fn(env)
 	return code
 }
 
@@ -570,13 +574,24 @@ func (g *ExecutionGroup) wedged() error {
 // the waiter's clock to the partner's final time and returns the exit
 // code. If the group wedges — no exit notification within
 // Options.WedgeTimeout of host time — it returns ErrGroupWedged instead
-// of blocking forever.
+// of blocking forever. If a real panic ended the HRT thread, the code is
+// ^0 and the error carries the panic.
 func (g *ExecutionGroup) WaitExit(clk *cycles.Clock) (uint64, error) {
 	if err := g.awaitDone(); err != nil {
 		return 0, err
 	}
+	return g.finish(clk)
+}
+
+// finish retires the finished group, synchronizes clk to the partner's
+// final time, and returns the exit code with the HRT thread's panic
+// status, if any.
+func (g *ExecutionGroup) finish(clk *cycles.Clock) (uint64, error) {
 	g.retire()
 	clk.SyncTo(cycles.Cycles(g.finalTime.Load()))
+	if err := g.hrt.PanicStatus(); err != nil {
+		return g.exitCode.Load(), fmt.Errorf("multiverse: group %d: %w", g.id, err)
+	}
 	return g.exitCode.Load(), nil
 }
 
@@ -584,17 +599,16 @@ func (g *ExecutionGroup) WaitExit(clk *cycles.Clock) (uint64, error) {
 // join() path in the Incremental model. It charges the same costs as a
 // direct ros.Thread.Join (a voluntary context switch plus the join
 // syscall) but waits group-wise, so a respawned partner does not
-// strand the joiner on a dead thread handle, and a wedged group surfaces
-// ErrGroupWedged instead of hanging.
+// strand the joiner on a dead thread handle, a wedged group surfaces
+// ErrGroupWedged instead of hanging, and a real HRT panic surfaces as
+// WaitExit reports it.
 func (g *ExecutionGroup) Join(joiner *ros.Thread) (uint64, error) {
 	joiner.Proc.CountVoluntaryCS()
 	joiner.Clock.Advance(g.sys().Machine.Cost.ROSThreadJoin)
 	if err := g.awaitDone(); err != nil {
 		return 0, err
 	}
-	g.retire()
-	joiner.Clock.SyncTo(cycles.Cycles(g.finalTime.Load()))
-	return g.exitCode.Load(), nil
+	return g.finish(joiner.Clock)
 }
 
 // Channel exposes the group's event channel (stats).

@@ -43,12 +43,10 @@ type Options struct {
 	// RouterPolicy tunes promotion/demotion; zero fields take the
 	// defaults (hvm.DefaultRouterPolicy).
 	RouterPolicy hvm.RouterPolicy
-	// Exitless enables the router's tier-3 transport: sustained forward
-	// rates dedicate the partner to polling SPSC shared-memory rings, so
-	// steady-state forwarding takes zero VM exits ("Look Mum, no VM
-	// Exits!") — hypercalls remain only for ring setup/teardown and
-	// kill recovery. Implies Router (NewSystem sets it). Off (the
-	// default) leaves the router's tier-2 paths byte for byte.
+	// Exitless implies Router (NewSystem sets it) and does nothing else.
+	//
+	// Deprecated: set Router. Exitless will be deleted in ROADMAP item
+	// 7b, once the benchmark stops setting it.
 	Exitless bool
 	// Merger enables the incremental state-superposition merger: re-merges
 	// copy only PML4 slots whose ROS-side generation stamp changed, TLB

@@ -3,34 +3,8 @@ package core
 import (
 	"testing"
 
-	"multiverse/internal/hvm"
 	"multiverse/internal/machine"
 )
-
-// TestExitlessImpliesRouter: Exitless alone turns the router on, and a
-// sustained forwarded-call loop past the policy's RingCalls reaches the
-// tier-3 rings with zero ring-path exits. (getpid would not do: the
-// router serves it HRT-locally on tier 0 and never forwards it.)
-func TestExitlessImpliesRouter(t *testing.T) {
-	sys := buildTestSystem(t, Options{AppName: "exitless", Exitless: true})
-	if !sys.Opts.Router {
-		t.Fatal("Exitless did not imply Router")
-	}
-	g, err := sys.SpawnGroup(sys.Main.Clock, writeN(t, 4*hvm.DefaultRouterPolicy().RingCalls, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Join(sys.Main); err != nil {
-		t.Fatal(err)
-	}
-	m := sys.Metrics()
-	if n := m.Counter("ring.syscalls").Value(); n == 0 {
-		t.Error("ring.syscalls = 0: tier 3 never engaged")
-	}
-	if n := m.Counter("exits.ring").Value(); n != 0 {
-		t.Errorf("exits.ring = %d, want 0", n)
-	}
-}
 
 // TestHRTCoresSizeMachine: with no MachineSpec, an HRT partition of cores
 // 1..n boots for every n the scheduler bench uses; the ROS keeps core 0

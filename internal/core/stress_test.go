@@ -17,7 +17,7 @@ import (
 // the main group forward over the main group's channel from goroutines
 // of their own, contending for its service lock. The protocol must hold
 // under concurrency (run under -race in CI). The routed configuration
-// adds the router's polled rungs, and the fault-armed one partner kills,
+// adds the router's sync channel, and the fault-armed one partner kills,
 // duplicated and corrupted frames. Every thread writes its own letter at
 // its own length, so each result and the final stdout prove that every
 // forwarded request was served exactly once.
@@ -27,7 +27,7 @@ func TestManyConcurrentGroups(t *testing.T) {
 		opts Options
 	}{
 		{"plain", Options{AppName: "stress", Scheduler: true}},
-		{"routed", Options{AppName: "stress", Scheduler: true, Router: true, Exitless: true}},
+		{"routed", Options{AppName: "stress", Scheduler: true, Router: true}},
 		{"faults", Options{AppName: "stress", Scheduler: true, Faults: &faults.Plan{Seed: 12, RecoveryBudget: 1 << 20,
 			Rates: map[faults.Kind]float64{faults.PartnerKill: 0.05, faults.DupNotify: 0.2, faults.CorruptFrame: 0.1}}}},
 	} {
@@ -133,9 +133,9 @@ func manyConcurrentGroups(t *testing.T, opts Options) {
 	if dedup := m.Counter("faults.dedup").Value(); dedup > dups || dups-dedup > groups+1 {
 		t.Errorf("coalesced %d duplicates of %d queued", dedup, dups)
 	}
-	t.Logf("served %d, coalesced %d duplicates, %d corrupt frames, %d recoveries, %d sync and %d ring calls",
+	t.Logf("served %d, coalesced %d duplicates, %d corrupt frames, %d recoveries, %d sync calls",
 		served, m.Counter("faults.dedup").Value(), m.Counter("faults.corrupt.detected").Value(),
-		m.Counter("faults.recovery").Value(), m.Counter("sync.syscalls").Value(), m.Counter("ring.syscalls").Value())
+		m.Counter("faults.recovery").Value(), m.Counter("sync.syscalls").Value())
 	if opts.Faults != nil && m.Counter("faults.recovery").Value() == 0 {
 		t.Error("the fault-armed run recovered no partner")
 	}

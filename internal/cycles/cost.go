@@ -22,14 +22,6 @@ type CostModel struct {
 	CachelineCrossSocket Cycles
 	SyncProtocolOverhead Cycles // fixed request encode + poll-detect + decode cost per round trip
 
-	// Exitless (tier-3) polled SPSC ring costs. The partner is statically
-	// dedicated to spinning on the request ring, so a steady-state round
-	// trip is plain stores and loads on shared cachelines — no VM exits,
-	// no injection window ("Look Mum, no VM Exits!").
-	RingPost      Cycles // writing one frame into a ring slot + publishing the tail
-	RingPoll      Cycles // one poll iteration that finds a frame (head check + slot read)
-	RingReapBatch Cycles // reaping the reply slot + retiring the head on the caller side
-
 	// Boundary-router costs: the adaptive fast path that services system
 	// calls in the HRT instead of forwarding them (zero crossings).
 	HRTLocalSyscall   Cycles // tier-0: pure call answered from mirrored HRT-local state, vDSO-style
@@ -124,10 +116,6 @@ func DefaultCostModel() *CostModel {
 		CachelineCrossSocket: 335,
 		SyncProtocolOverhead: 390,
 
-		RingPost:      120,
-		RingPoll:      80,
-		RingReapBatch: 150,
-
 		HRTLocalSyscall:   70, // comparable to a vdso call on the sparse HRT TLB
 		SyscallCacheProbe: 40,
 		SyscallCacheHit:   110,
@@ -193,17 +181,4 @@ func (m *CostModel) SyncRoundTrip(sameSocket bool) Cycles {
 		line = m.CachelineSameSocket
 	}
 	return 2*line + m.SyncProtocolOverhead
-}
-
-// RingRoundTrip is the tier-3 exitless round trip: the caller posts a
-// frame (RingPost), the frame crosses to the polling partner (one
-// cacheline transfer), the partner's poll iteration picks it up
-// (RingPoll), the reply is posted back (RingPost + one cacheline), and
-// the caller reaps it (RingReapBatch). No VM exits anywhere.
-func (m *CostModel) RingRoundTrip(sameSocket bool) Cycles {
-	line := m.CachelineCrossSocket
-	if sameSocket {
-		line = m.CachelineSameSocket
-	}
-	return 2*line + 2*m.RingPost + m.RingPoll + m.RingReapBatch
 }

@@ -11,19 +11,18 @@ import (
 
 // The forwarding planes' steady states are allocation-free: a recycled
 // envelope, frames passed by value, metric handles resolved at setup,
-// spans built only while tracing. These tests pin that property for both
-// rungs of the router's ladder (the sync rung is also Figure 2's
-// synchronous channel) and the event channel, and bound the armed fault
-// plane's bookkeeping.
+// spans built only while tracing. These tests pin that property for the
+// router's polled channel (also Figure 2's synchronous channel) and the
+// event channel, and bound the armed fault plane's bookkeeping.
 
 // TestSyncInvokeSteadyStateAllocationFree pins Figure 2's synchronous
-// channel as the figure drives it: a PollSync channel opened after boot,
+// channel as the figure drives it: a polled channel opened after boot,
 // invoked from the ROS side against an HRT poller on either socket.
 func TestSyncInvokeSteadyStateAllocationFree(t *testing.T) {
 	for _, hrtCore := range []machine.CoreID{1, 4} {
 		_, h := newHVM(t)
 		clk := cycles.NewClock(0)
-		p := openEchoOn(t, h, clk, PollSync, hrtCore)
+		p := openEchoOn(t, h, clk, hrtCore)
 
 		call := linuxabi.Call{Args: [6]uint64{42}}
 		invoke := func() {
@@ -81,28 +80,26 @@ func TestEventChannelForwardAllocs(t *testing.T) {
 }
 
 func TestSyncSyscallInvokeSteadyStateAllocationFree(t *testing.T) {
-	for _, kind := range []PollKind{PollSync, PollRing} {
-		t.Run(pollKinds[kind].name, func(t *testing.T) {
-			_, h := newHVM(t)
-			clk := cycles.NewClock(0)
-			p := openEcho(t, h, clk, kind)
+	t.Run("sync", func(t *testing.T) {
+		_, h := newHVM(t)
+		clk := cycles.NewClock(0)
+		p := openEcho(t, h, clk)
 
-			call := linuxabi.Call{Num: linuxabi.SysIoctl, Args: [6]uint64{9}}
-			for i := 0; i < 4; i++ {
-				if _, _, err := p.Invoke(clk, call, 1); err != nil {
-					t.Fatal(err)
-				}
+		call := linuxabi.Call{Num: linuxabi.SysIoctl, Args: [6]uint64{9}}
+		for i := 0; i < 4; i++ {
+			if _, _, err := p.Invoke(clk, call, 1); err != nil {
+				t.Fatal(err)
 			}
+		}
 
-			if n := testing.AllocsPerRun(500, func() {
-				if _, _, err := p.Invoke(clk, call, 1); err != nil {
-					t.Fatal(err)
-				}
-			}); n != 0 {
-				t.Errorf("%s invoke allocates %.1f per round trip, want 0", pollKinds[kind].name, n)
+		if n := testing.AllocsPerRun(500, func() {
+			if _, _, err := p.Invoke(clk, call, 1); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+		}); n != 0 {
+			t.Errorf("sync invoke allocates %.1f per round trip, want 0", n)
+		}
+	})
 }
 
 // TestRequeueStormBoundedAllocs drives a respawn storm through the

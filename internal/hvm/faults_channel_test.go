@@ -226,18 +226,17 @@ func TestChannelDupCloseRace(t *testing.T) {
 	}
 }
 
-// openEcho boots h and opens a polled channel of kind on clk between ROS
-// core 0 and HRT core 1, bound to a poller that echoes the first
-// argument.
-func openEcho(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind) *PolledChannel {
-	return openEchoOn(t, h, clk, kind, 1)
+// openEcho boots h and opens a polled channel on clk between ROS core 0
+// and HRT core 1, bound to a poller that echoes the first argument.
+func openEcho(t *testing.T, h *HVM, clk *cycles.Clock) *PolledChannel {
+	return openEchoOn(t, h, clk, 1)
 }
 
 // openEchoOn is openEcho with the HRT end on hrtCore.
-func openEchoOn(t *testing.T, h *HVM, clk *cycles.Clock, kind PollKind, hrtCore machine.CoreID) *PolledChannel {
+func openEchoOn(t *testing.T, h *HVM, clk *cycles.Clock, hrtCore machine.CoreID) *PolledChannel {
 	t.Helper()
 	bootFake(t, h, clk)
-	p, err := h.OpenPolled(clk, kind, 0, hrtCore, Poller{
+	p, err := h.OpenPolled(clk, 0, hrtCore, Poller{
 		Clock: cycles.NewClock(clk.Now()),
 		Serve: func(call linuxabi.Call) linuxabi.Result { return linuxabi.Result{Ret: call.Args[0]} },
 	})
@@ -262,37 +261,31 @@ func bootFake(t *testing.T, h *HVM, clk *cycles.Clock) {
 	}
 }
 
-// TestSyncChannelDropRetransmits applies the poll-deadline policy to both
-// polled channels: a dropped request frame goes unanswered and the
-// repost completes the call, without a VM exit on the rings.
+// TestSyncChannelDropRetransmits applies the poll-deadline policy to the
+// polled channel: a dropped request frame goes unanswered and the repost
+// completes the call.
 func TestSyncChannelDropRetransmits(t *testing.T) {
-	for _, kind := range []PollKind{PollSync, PollRing} {
-		t.Run(pollKinds[kind].name, func(t *testing.T) {
-			h := newFaultedHVM(t, faults.Plan{
-				Seed: 10, MaxAttempts: 2,
-				Rates: map[faults.Kind]float64{faults.DropNotify: 1},
-			})
-			clk := cycles.NewClock(0)
-			p := openEcho(t, h, clk, kind)
-
-			res, _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ret != 5 {
-				t.Errorf("res = %+v", res)
-			}
-			m := h.Metrics()
-			if got := m.Counter("faults.retransmit").Value(); got != 1 {
-				t.Errorf("retransmits = %d, want 1", got)
-			}
-			name := pollKinds[kind].name
-			if got := m.Counter(name + ".syscalls").Value(); got != 1 {
-				t.Errorf("%s.syscalls = %d, want 1", name, got)
-			}
-			if got := m.Counter("exits." + name).Value(); got != 0 {
-				t.Errorf("exits.%s = %d, want 0", name, got)
-			}
+	t.Run("sync", func(t *testing.T) {
+		h := newFaultedHVM(t, faults.Plan{
+			Seed: 10, MaxAttempts: 2,
+			Rates: map[faults.Kind]float64{faults.DropNotify: 1},
 		})
-	}
+		clk := cycles.NewClock(0)
+		p := openEcho(t, h, clk)
+
+		res, _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ret != 5 {
+			t.Errorf("res = %+v", res)
+		}
+		m := h.Metrics()
+		if got := m.Counter("faults.retransmit").Value(); got != 1 {
+			t.Errorf("retransmits = %d, want 1", got)
+		}
+		if got := m.Counter("sync.syscalls").Value(); got != 1 {
+			t.Errorf("sync.syscalls = %d, want 1", got)
+		}
+	})
 }

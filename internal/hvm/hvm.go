@@ -272,10 +272,9 @@ var exitMetrics = [numExitKinds]string{
 }
 
 // countExit records one VM exit as an "exits.<kind>" metrics counter so
-// a run's exposition plane can prove transport-level claims — in
-// particular that the tier-3 exitless steady state really takes zero
-// exits (exits.ring stays 0). After a kind's first exit the path is one
-// atomic load: no lock, no hashing of the kind's name.
+// a run's exposition plane can prove transport-level claims. After a
+// kind's first exit the path is one atomic load: no lock, no hashing of
+// the kind's name.
 func (h *HVM) countExit(k exitKind) {
 	c := h.hotExits[k].Load()
 	if c == nil {

@@ -286,7 +286,7 @@ func TestSyncChannelSocketDistance(t *testing.T) {
 	measure := func(hrtCore machine.CoreID) cycles.Cycles {
 		_, h := newHVM(t)
 		clk := cycles.NewClock(0)
-		p := openEchoOn(t, h, clk, PollSync, hrtCore)
+		p := openEchoOn(t, h, clk, hrtCore)
 		before := clk.Now()
 		res, _, err := p.Invoke(clk, linuxabi.Call{Args: [6]uint64{42}}, 0)
 		if err != nil {
@@ -310,7 +310,7 @@ func TestSyncChannelSocketDistance(t *testing.T) {
 
 func TestSyncChannelRequiresBoot(t *testing.T) {
 	_, h := newHVM(t)
-	if _, err := h.OpenPolled(cycles.NewClock(0), PollSync, 0, 1, Poller{}); err == nil {
+	if _, err := h.OpenPolled(cycles.NewClock(0), 0, 1, Poller{}); err == nil {
 		t.Error("sync setup before boot should fail")
 	}
 }

@@ -14,77 +14,10 @@ import (
 )
 
 // errPolledDown reports that a polled channel was torn down before or
-// during a call — a partner kill or a concurrent shutdown. The router
-// catches it on the ring rung and falls back to the hypercall-mode
-// transports.
+// during a call: another thread of the group demoted it, or the group
+// shut down. The router catches it and forwards the call over the event
+// channel instead.
 var errPolledDown = errors.New("hvm: polled channel down")
-
-// PollKind selects one of the two polled system-call transports the
-// router's promotion ladder climbs. Both are the section 4.3 protocol
-// ("a simple memory-based protocol to communicate ... without VMM
-// intervention"): the HRT posts a request descriptor at an agreed
-// address and spins, a dedicated ROS thread polls, executes the call
-// against the kernel and posts the result back. They differ only in the
-// per-kind data of pollKinds.
-type PollKind uint8
-
-const (
-	// PollSync is tier 2's synchronous cacheline channel: two cacheline
-	// transfers plus protocol overhead per call (~790/1060 cycles, Figure
-	// 2's synchronous rows) instead of the ~25K-cycle asynchronous
-	// event-channel round trip.
-	PollSync PollKind = iota
-	// PollRing is tier 3's exitless ring pair ("Look Mum, no VM
-	// Exits!"): the partner is statically dedicated to the poll loop, a
-	// round trip is RingPost + cacheline + RingPoll + service + RingPost
-	// + cacheline + RingReapBatch, and hypercalls appear only at setup,
-	// teardown and kill recovery.
-	PollRing
-)
-
-// pollKind is the per-kind data of one polled transport.
-type pollKind struct {
-	// name prefixes the kind's metrics ("<name>.syscalls",
-	// "<name>.syscall.latency", and for fault frames "<name>.faults",
-	// "<name>.fault.latency"), span category and names, and the serve
-	// track ("ros:<name>svc:<id>").
-	name string
-	// setup/teardown name the hypercalls that open and close the
-	// channel ("" = none); setup also zeroes zeroPages shared pages.
-	setup, teardown string
-	zeroPages       cycles.Cycles
-	// charges prices one round trip: send before each post, poll and
-	// reply on the serve side, reap after the reply lands.
-	charges func(c *cycles.CostModel) (send, poll, reply, reap cycles.Cycles)
-	// killable rolls PartnerKill before every post: only the dedicated
-	// ring poller can die mid-protocol.
-	killable bool
-	// rec is the flight-recorder code of a completed call.
-	rec telemetry.EventCode
-}
-
-var pollKinds = [...]pollKind{
-	PollSync: {
-		name:  "sync",
-		setup: "sync-syscall-setup",
-		charges: func(c *cycles.CostModel) (send, poll, reply, reap cycles.Cycles) {
-			half := c.SyncProtocolOverhead / 2
-			return half, 0, 0, c.SyncProtocolOverhead - half
-		},
-		rec: telemetry.RecSyncCall,
-	},
-	PollRing: {
-		name:      "ring",
-		setup:     "ring-setup",
-		teardown:  "ring-teardown",
-		zeroPages: 2,
-		charges: func(c *cycles.CostModel) (send, poll, reply, reap cycles.Cycles) {
-			return c.RingPost, c.RingPoll, c.RingPost, c.RingReapBatch
-		},
-		killable: true,
-		rec:      telemetry.RecRingCall,
-	},
-}
 
 // Poller is the ROS side of a polled channel: the dedicated poller
 // thread's clock, which pays the poll, service and reply charges of
@@ -108,19 +41,26 @@ type frame struct {
 	write bool
 }
 
-// PolledChannel is one polled transport between the HRT
-// invoker and a dedicated ROS poller. The poller is bound state, not a
-// thread of control: Invoke serves each frame inline at the point it is
-// posted, so virtual time on both sides is governed by the frame stamps
-// alone.
+// PolledChannel is the section 4.3 synchronous system-call channel
+// ("a simple memory-based protocol to communicate ... without VMM
+// intervention"), tier 2's polled transport: the HRT posts a request
+// descriptor at an agreed address and spins, a dedicated ROS poller
+// executes the call against the kernel and posts the result back. A
+// round trip is two cacheline transfers plus the protocol overhead
+// (~790/1060 cycles, Figure 2's synchronous rows) instead of the
+// ~25K-cycle asynchronous event-channel round trip. The poller is bound
+// state, not a thread of control: Invoke serves each frame inline at the
+// point it is posted, so virtual time on both sides is governed by the
+// frame stamps alone.
 type PolledChannel struct {
 	hvm    *HVM
-	kind   PollKind
 	id     uint64
 	line   cycles.Cycles // one cacheline transfer between the two cores
 	poller Poller
 
-	send, poll, reply, reap cycles.Cycles
+	// send and reap split the protocol overhead around the round trip:
+	// send before each post, reap after the reply lands.
+	send, reap cycles.Cycles
 
 	// mu serializes invokes: the protocol has one request outstanding
 	// per channel, and the poller serves one frame at a time.
@@ -136,52 +76,43 @@ type PolledChannel struct {
 	callLat, faultLat    *telemetry.Histogram
 }
 
-// OpenPolled establishes a polled channel of the given kind with its
-// setup hypercall, charged to clk, and binds poller as its ROS side:
-// the VMM pins (and for the rings zeroes) the shared pages and tells the
-// HRT where they live. Every steady-state crossing after that bypasses
-// the VMM.
-func (h *HVM) OpenPolled(clk *cycles.Clock, kind PollKind, rosCore, hrtCore machine.CoreID, poller Poller) (*PolledChannel, error) {
-	k := &pollKinds[kind]
+// OpenPolled establishes a polled channel with its setup hypercall,
+// charged to clk, and binds poller as its ROS side: the VMM pins the
+// shared page and tells the HRT where it lives. Every steady-state
+// crossing after that bypasses the VMM.
+func (h *HVM) OpenPolled(clk *cycles.Clock, rosCore, hrtCore machine.CoreID, poller Poller) (*PolledChannel, error) {
 	if !h.Booted() {
-		return nil, fmt.Errorf("hvm: cannot set up %s syscall channel before HRT boot", k.name)
+		return nil, errors.New("hvm: cannot set up sync syscall channel before HRT boot")
 	}
-	h.hypercall(clk, k.setup)
-	clk.Advance(k.zeroPages * h.cost.PageZero)
-	return h.newPolled(kind, rosCore, hrtCore, poller), nil
+	h.hypercall(clk, "sync-syscall-setup")
+	return h.newPolled(rosCore, hrtCore, poller), nil
 }
 
 // newPolled builds the channel without any setup charge.
-func (h *HVM) newPolled(kind PollKind, rosCore, hrtCore machine.CoreID, poller Poller) *PolledChannel {
-	k := &pollKinds[kind]
+func (h *HVM) newPolled(rosCore, hrtCore machine.CoreID, poller Poller) *PolledChannel {
+	half := h.cost.SyncProtocolOverhead / 2
 	p := &PolledChannel{
 		hvm:      h,
-		kind:     kind,
 		id:       atomic.AddUint64(&h.channelSeq, 1),
 		line:     h.cost.CachelineCrossSocket,
 		poller:   poller,
+		send:     half,
+		reap:     h.cost.SyncProtocolOverhead - half,
 		hrtTrack: telemetry.Track{Core: int(hrtCore), Name: "hrt"},
-		callCtr:  h.metrics.Counter(k.name + ".syscalls"),
-		callLat:  h.metrics.LatencyHistogram(k.name + ".syscall.latency"),
+		callCtr:  h.metrics.Counter("sync.syscalls"),
+		callLat:  h.metrics.LatencyHistogram("sync.syscall.latency"),
 	}
 	if h.machine.SameSocket(rosCore, hrtCore) {
 		p.line = h.cost.CachelineSameSocket
 	}
-	p.send, p.poll, p.reply, p.reap = k.charges(h.cost)
-	p.serveTrack = telemetry.Track{Core: int(rosCore), Name: fmt.Sprintf("ros:%ssvc:%d", k.name, p.id)}
+	p.serveTrack = telemetry.Track{Core: int(rosCore), Name: fmt.Sprintf("ros:syncsvc:%d", p.id)}
 	return p
 }
 
-// ClosePolled tears the channel down with its teardown hypercall, if the
-// kind has one, and releases the dedicated poller. After a partner kill
-// the ring teardown is the "hypercall-mode recovery" step the fallback
-// path charges.
-func (h *HVM) ClosePolled(clk *cycles.Clock, p *PolledChannel) {
-	if p.spec().teardown != "" {
-		h.hypercall(clk, p.spec().teardown)
-	}
-	p.Close()
-}
+// ClosePolled tears the channel down and releases the dedicated poller.
+// The sync channel has no teardown hypercall: the HRT simply stops
+// posting.
+func (h *HVM) ClosePolled(_ *cycles.Clock, p *PolledChannel) { p.Close() }
 
 // Invoke forwards one system call, spinning until the polling partner
 // completes it, and reports the retransmission count the router's fault
@@ -203,12 +134,12 @@ func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (li
 		return linuxabi.Result{}, 0, errPolledDown
 	}
 	p.seq++
-	seq, k := p.seq, p.spec()
-	ctr, lat, rec := p.callCtr, p.callLat, k.rec
+	seq := p.seq
+	ctr, lat, rec := p.callCtr, p.callLat, telemetry.RecSyncCall
 	if fr.fault {
 		if p.faultCtr == nil {
-			p.faultCtr = p.hvm.metrics.Counter(k.name + ".faults")
-			p.faultLat = p.hvm.metrics.LatencyHistogram(k.name + ".fault.latency")
+			p.faultCtr = p.hvm.metrics.Counter("sync.faults")
+			p.faultLat = p.hvm.metrics.LatencyHistogram("sync.fault.latency")
 		}
 		ctr, lat, rec = p.faultCtr, p.faultLat, telemetry.RecPolledFault
 	}
@@ -218,11 +149,11 @@ func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (li
 	var sp *telemetry.Span
 	if tr := p.hvm.tracer; tr.Enabled() {
 		if fr.fault {
-			sp = tr.Begin(p.hrtTrack, k.name, k.name+"-fault", start,
+			sp = tr.Begin(p.hrtTrack, "sync", "sync-fault", start,
 				telemetry.Attr{Key: "addr", Val: fr.addr},
 				telemetry.Attr{Key: "req", Val: reqID})
 		} else {
-			sp = tr.Begin(p.hrtTrack, k.name, k.name+"-syscall", start,
+			sp = tr.Begin(p.hrtTrack, "sync", "sync-syscall", start,
 				telemetry.Attr{Key: "num", Val: uint64(fr.call.Num)},
 				telemetry.Attr{Key: "req", Val: reqID})
 		}
@@ -232,23 +163,15 @@ func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (li
 	// Poll-deadline policy, as on the event channel: a dropped or
 	// corrupted request frame goes unanswered, the caller's virtual
 	// deadline expires, and it reposts with backoff. Shared memory cannot
-	// duplicate a frame, so only drop and corrupt apply — plus, on the
-	// rings, PartnerKill, which tears the channel down entirely and
-	// pushes recovery up to the router. The final attempt is never
-	// faulted, and with the fault plane off the first one is that.
+	// duplicate a frame, so only drop and corrupt apply. The final
+	// attempt is never faulted, and with the fault plane off the first
+	// one is that.
 	var res linuxabi.Result
 	var replied cycles.Cycles
 	retx := 0
 	fi := p.hvm.faults
 	timeout, max := fi.RetryTimeout(), fi.MaxAttempts()
 	for attempt := 0; ; attempt++ {
-		if k.killable && fi.Roll(faults.PartnerKill, p.id, seq, attempt, clk.Now()) {
-			p.hvm.metrics.Counter("ring.kills").Inc()
-			p.hvm.recorder.Record(clk.Now(), telemetry.RecRingKill, p.id, reqID, seq, 0)
-			p.Close()
-			sp.EndAt(clk.Now())
-			return linuxabi.Result{}, retx, errPolledDown
-		}
 		last := attempt >= max-1
 		clk.Advance(p.send)
 		posted := clk.Now() + p.line
@@ -267,7 +190,7 @@ func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (li
 		timeout *= 2
 		retx++
 		p.hvm.metrics.Counter("faults.retransmit").Inc()
-		p.hvm.tracer.InstantFlow(p.hrtTrack, k.name, "retransmit", clk.Now(), 0, flow,
+		p.hvm.tracer.InstantFlow(p.hrtTrack, "sync", "retransmit", clk.Now(), 0, flow,
 			telemetry.Attr{Key: "seq", Val: seq},
 			telemetry.Attr{Key: "req", Val: reqID},
 			telemetry.Attr{Key: "attempt", Val: uint64(retx)})
@@ -292,7 +215,6 @@ func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (li
 func (p *PolledChannel) serve(fr frame, posted cycles.Cycles, flow uint64, corrupt bool) (res linuxabi.Result, replied cycles.Cycles, ok bool) {
 	clk := p.poller.Clock
 	clk.SyncTo(posted)
-	clk.Advance(p.poll)
 	if corrupt {
 		p.hvm.metrics.Counter("faults.corrupt.detected").Inc()
 		return res, 0, false
@@ -300,10 +222,10 @@ func (p *PolledChannel) serve(fr frame, posted cycles.Cycles, flow uint64, corru
 	var sp *telemetry.Span
 	if tr := p.hvm.tracer; tr.Enabled() {
 		if fr.fault {
-			sp = tr.Begin(p.serveTrack, p.spec().name, "serve-fault", posted,
+			sp = tr.Begin(p.serveTrack, "sync", "serve-fault", posted,
 				telemetry.Attr{Key: "addr", Val: fr.addr})
 		} else {
-			sp = tr.Begin(p.serveTrack, p.spec().name, "serve-syscall", posted,
+			sp = tr.Begin(p.serveTrack, "sync", "serve-syscall", posted,
 				telemetry.Attr{Key: "num", Val: uint64(fr.call.Num)})
 		}
 		sp.LinkIn(flow)
@@ -314,7 +236,6 @@ func (p *PolledChannel) serve(fr frame, posted cycles.Cycles, flow uint64, corru
 		res = p.poller.Serve(fr.call)
 	}
 	sp.EndAt(clk.Now())
-	clk.Advance(p.reply)
 	return res, clk.Now(), true
 }
 
@@ -329,5 +250,3 @@ func faultResult(resolved bool) linuxabi.Result {
 
 // Close shuts the channel down; idempotent, callable from either side.
 func (p *PolledChannel) Close() { p.dead.Store(true) }
-
-func (p *PolledChannel) spec() *pollKind { return &pollKinds[p.kind] }

@@ -38,101 +38,96 @@ func echoPoller(clk *cycles.Clock, tc *toucher) Poller {
 // a corrupt one is discarded before service, so however many attempts a
 // frame takes, its access is replicated exactly once.
 func TestPolledFaultFrameTouchesOnce(t *testing.T) {
-	for _, kind := range []PollKind{PollSync, PollRing} {
-		t.Run(pollKinds[kind].name, func(t *testing.T) {
-			h := newFaultedHVM(t, faults.Plan{
-				Seed: 29, MaxAttempts: 4,
-				Rates: map[faults.Kind]float64{faults.DropNotify: 0.4, faults.CorruptFrame: 0.4},
-			})
-			clk := cycles.NewClock(0)
-			bootFake(t, h, clk)
-			tc := newToucher()
-			p, err := h.OpenPolled(clk, kind, 0, 1, echoPoller(clk, tc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			const frames = 200
-			totalRetx := 0
-			for i := uint64(0); i < frames; i++ {
-				res, retx, err := p.roundTrip(clk, frame{fault: true, addr: 0x10000 + i*4096, write: i%2 == 0}, i+1)
-				if err != nil || res.Err != linuxabi.OK {
-					t.Fatalf("fault frame %d: res=%+v err=%v", i, res, err)
-				}
-				totalRetx += retx
-			}
-			for addr, n := range tc.n {
-				if n != 1 {
-					t.Errorf("access at %#x replicated %d times, want 1", addr, n)
-				}
-			}
-			if len(tc.n) != frames {
-				t.Errorf("%d accesses replicated, want %d", len(tc.n), frames)
-			}
-			m := h.Metrics()
-			if totalRetx == 0 || m.Counter("faults.corrupt.detected").Value() == 0 {
-				t.Errorf("rolls never fired: %d retransmissions, %d corrupt frames",
-					totalRetx, m.Counter("faults.corrupt.detected").Value())
-			}
-			if got := m.Counter("faults.retransmit").Value(); got != uint64(totalRetx) {
-				t.Errorf("faults.retransmit = %d, want %d", got, totalRetx)
-			}
+	t.Run("sync", func(t *testing.T) {
+		h := newFaultedHVM(t, faults.Plan{
+			Seed: 29, MaxAttempts: 4,
+			Rates: map[faults.Kind]float64{faults.DropNotify: 0.4, faults.CorruptFrame: 0.4},
 		})
-	}
+		clk := cycles.NewClock(0)
+		bootFake(t, h, clk)
+		tc := newToucher()
+		p, err := h.OpenPolled(clk, 0, 1, echoPoller(clk, tc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const frames = 200
+		totalRetx := 0
+		for i := uint64(0); i < frames; i++ {
+			res, retx, err := p.roundTrip(clk, frame{fault: true, addr: 0x10000 + i*4096, write: i%2 == 0}, i+1)
+			if err != nil || res.Err != linuxabi.OK {
+				t.Fatalf("fault frame %d: res=%+v err=%v", i, res, err)
+			}
+			totalRetx += retx
+		}
+		for addr, n := range tc.n {
+			if n != 1 {
+				t.Errorf("access at %#x replicated %d times, want 1", addr, n)
+			}
+		}
+		if len(tc.n) != frames {
+			t.Errorf("%d accesses replicated, want %d", len(tc.n), frames)
+		}
+		m := h.Metrics()
+		if totalRetx == 0 || m.Counter("faults.corrupt.detected").Value() == 0 {
+			t.Errorf("rolls never fired: %d retransmissions, %d corrupt frames",
+				totalRetx, m.Counter("faults.corrupt.detected").Value())
+		}
+		if got := m.Counter("faults.retransmit").Value(); got != uint64(totalRetx) {
+			t.Errorf("faults.retransmit = %d, want %d", got, totalRetx)
+		}
+	})
 }
 
-// TestPolledFaultFrameCounters: a fault frame is counted by its kind's
-// fault metrics alone, never as a system call, a channel that has carried
+// TestPolledFaultFrameCounters: a fault frame is counted by the
+// channel's fault metrics alone, never as a system call, a channel that has carried
 // no fault registers no fault metric, and an access the ROS cannot
 // resolve comes back as a failed fault, not a transport error.
 func TestPolledFaultFrameCounters(t *testing.T) {
-	for _, kind := range []PollKind{PollSync, PollRing} {
-		t.Run(pollKinds[kind].name, func(t *testing.T) {
-			_, h := newHVM(t)
-			clk := cycles.NewClock(0)
-			bootFake(t, h, clk)
-			tc := newToucher()
-			tc.bad = 0x9000
-			p, err := h.OpenPolled(clk, kind, 0, 1, echoPoller(clk, tc))
+	t.Run("sync", func(t *testing.T) {
+		_, h := newHVM(t)
+		clk := cycles.NewClock(0)
+		bootFake(t, h, clk)
+		tc := newToucher()
+		tc.bad = 0x9000
+		p, err := h.OpenPolled(clk, 0, 1, echoPoller(clk, tc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := h.Metrics()
+		if _, _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysClose, Args: [6]uint64{3}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		m.EachCounter(func(c string, _ uint64) {
+			if strings.HasSuffix(c, ".faults") {
+				t.Errorf("%s registered before any fault frame", c)
+			}
+		})
+		for i, addr := range []uint64{0x8000, 0x9000, 0xa000} {
+			res, _, err := p.roundTrip(clk, frame{fault: true, addr: addr, write: true}, uint64(i+2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := pollKinds[kind].name
-			m := h.Metrics()
-			if _, _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysClose, Args: [6]uint64{3}}, 1); err != nil {
-				t.Fatal(err)
+			if ok := res.Err == linuxabi.OK; ok != (addr != tc.bad) {
+				t.Errorf("fault at %#x: res = %+v", addr, res)
 			}
-			m.EachCounter(func(c string, _ uint64) {
-				if strings.HasSuffix(c, ".faults") {
-					t.Errorf("%s registered before any fault frame", c)
-				}
-			})
-			for i, addr := range []uint64{0x8000, 0x9000, 0xa000} {
-				res, _, err := p.roundTrip(clk, frame{fault: true, addr: addr, write: true}, uint64(i+2))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok := res.Err == linuxabi.OK; ok != (addr != tc.bad) {
-					t.Errorf("fault at %#x: res = %+v", addr, res)
-				}
+		}
+		for metric, want := range map[string]uint64{
+			"sync.syscalls": 1,
+			"sync.faults":   3,
+		} {
+			if got := m.Counter(metric).Value(); got != want {
+				t.Errorf("%s = %d, want %d", metric, got, want)
 			}
-			for metric, want := range map[string]uint64{
-				name + ".syscalls": 1,
-				name + ".faults":   3,
-			} {
-				if got := m.Counter(metric).Value(); got != want {
-					t.Errorf("%s = %d, want %d", metric, got, want)
-				}
+		}
+		for metric, want := range map[string]uint64{
+			"sync.syscall.latency": 1,
+			"sync.fault.latency":   3,
+		} {
+			if got := m.LatencyHistogram(metric).Count(); got != want {
+				t.Errorf("%s count = %d, want %d", metric, got, want)
 			}
-			for metric, want := range map[string]uint64{
-				name + ".syscall.latency": 1,
-				name + ".fault.latency":   3,
-			} {
-				if got := m.LatencyHistogram(metric).Count(); got != want {
-					t.Errorf("%s count = %d, want %d", metric, got, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRouterFaultsClimbRungs drives faults alone through a router: they
@@ -157,9 +152,9 @@ func TestRouterFaultsClimbRungs(t *testing.T) {
 	const promoteAt = 4
 	r := NewSyscallRouter(h, 1, RouterLocalState{Cwd: "/"}, RouterPolicy{PromoteCalls: promoteAt})
 	tc := newToucher()
-	r.SetPollHooks(func(clk *cycles.Clock, kind PollKind) (*PolledChannel, error) {
-		return h.OpenPolled(clk, kind, 0, 1, echoPoller(clk, tc))
-	}, h.ClosePolled, false)
+	r.SetPollHooks(func(clk *cycles.Clock) (*PolledChannel, error) {
+		return h.OpenPolled(clk, 0, 1, echoPoller(clk, tc))
+	}, h.ClosePolled)
 
 	const n = 10
 	for i := uint64(0); i < n; i++ {
@@ -181,7 +176,6 @@ func TestRouterFaultsClimbRungs(t *testing.T) {
 		"router.forward.sync":    0,
 		"router.forward.async":   0,
 		"forward.syscall":        0,
-		"ring.syscalls":          0,
 		"router.cache_misses":    0,
 		"router.fault_demotions": 0,
 	} {

@@ -60,28 +60,21 @@ func (f sinkFunc) Inject(req *HRTRequest) { f(req) }
 
 // Property: the router's promotion ladder is a pure function of the
 // forward stream's virtual times. For any sequence of inter-arrival gaps,
-// replaying the identical stream through a fresh router with both rungs
-// installed yields the identical transition sequence at identical virtual
-// times — the determinism the seeded fault plane and the pinned bench
-// baselines stand on. Each rung's promotions and demotions must strictly
-// alternate (the policy never double-promotes or double-demotes), and the
-// two rungs are never promoted at once: a ring promotion gives the sync
-// channel back first.
+// replaying the identical stream through a fresh router yields the
+// identical transition sequence at identical virtual times — the
+// determinism the seeded fault plane and the pinned bench baselines stand
+// on. Promotions and demotions must strictly alternate (the policy never
+// double-promotes or double-demotes).
 func TestRouterLadderTransitionsReplayableProperty(t *testing.T) {
 	type transition struct {
-		Kind PollKind
 		Open bool
 		At   cycles.Cycles
 	}
-	pol := RouterPolicy{
-		PromoteCalls: 3, PromoteWindow: 150_000, DemoteIdle: 600_000,
-		RingCalls: 8, RingWindow: 400_000, RingIdle: 1_200_000,
-	}
-	var promotions [2]int
+	pol := RouterPolicy{PromoteCalls: 3, PromoteWindow: 150_000, DemoteIdle: 600_000}
+	promotions := 0
 
-	// run replays one stream and reports its transitions, and whether
-	// both rungs were ever promoted at once.
-	run := func(gaps []uint16) ([]transition, bool) {
+	// run replays one stream and reports its transitions.
+	run := func(gaps []uint16) []transition {
 		m, err := machine.New(machine.DefaultSpec())
 		if err != nil {
 			t.Fatal(err)
@@ -92,65 +85,53 @@ func TestRouterLadderTransitionsReplayableProperty(t *testing.T) {
 		}
 		r := NewSyscallRouter(h, 1, RouterLocalState{}, pol)
 		var evs []transition
-		var open [2]bool
-		overlap := false
 		r.SetPollHooks(
-			func(clk *cycles.Clock, kind PollKind) (*PolledChannel, error) {
+			func(clk *cycles.Clock) (*PolledChannel, error) {
 				clk.Advance(h.cost.HypercallRoundTrip())
-				overlap = overlap || open[PollSync] || open[PollRing]
-				open[kind] = true
-				promotions[kind]++
-				evs = append(evs, transition{kind, true, clk.Now()})
-				return h.newPolled(kind, 0, 1, Poller{}), nil
+				promotions++
+				evs = append(evs, transition{true, clk.Now()})
+				return h.newPolled(0, 1, Poller{}), nil
 			},
 			func(clk *cycles.Clock, p *PolledChannel) {
 				clk.Advance(h.cost.HypercallRoundTrip())
-				open[p.kind] = false
-				evs = append(evs, transition{p.kind, false, clk.Now()})
+				evs = append(evs, transition{false, clk.Now()})
 				p.Close()
 			},
-			true,
 		)
 		clk := cycles.NewClock(0)
 		for _, g := range gaps {
 			// Mostly sub-window gaps (promotable bursts) with occasional
-			// idle stretches past one or both idle budgets — all derived
-			// only from the input, so the stream itself is deterministic.
+			// idle stretches past the idle budget — all derived only from
+			// the input, so the stream itself is deterministic.
 			gap := cycles.Cycles(g&1023) * 97
-			switch {
-			case g%31 == 0:
-				gap += pol.RingIdle
-			case g%17 == 0:
+			if g%17 == 0 {
 				gap += pol.DemoteIdle
 			}
 			clk.Advance(gap)
-			// The climbs forward makes, minus the transport call.
-			if r.climb(clk, &r.ring) == nil {
-				r.climb(clk, &r.sync)
-			}
+			// The climb forward makes, minus the transport call.
+			r.climb(clk)
 		}
-		return evs, overlap
+		return evs
 	}
 
 	prop := func(gaps []uint16) bool {
-		a, overlap := run(gaps)
-		b, _ := run(gaps)
-		if overlap || !reflect.DeepEqual(a, b) {
+		a, b := run(gaps), run(gaps)
+		if !reflect.DeepEqual(a, b) {
 			return false
 		}
-		var promoted [2]bool
+		promoted := false
 		for _, e := range a {
-			if e.Open == promoted[e.Kind] {
+			if e.Open == promoted {
 				return false
 			}
-			promoted[e.Kind] = e.Open
+			promoted = e.Open
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-	if promotions[PollSync] == 0 || promotions[PollRing] == 0 {
-		t.Errorf("promotions per rung = %v: the streams never climbed both rungs", promotions)
+	if promotions == 0 {
+		t.Error("the streams never promoted")
 	}
 }

@@ -31,16 +31,11 @@ import (
 //	  it describes.
 //	tier 2 (transport): everything else forwards — over the group's
 //	  asynchronous event channel by default, or over a synchronous
-//	  memory-polling channel while the group is promoted.
-//	tier 3 (exitless): a sustained forward rate dedicates the partner to
-//	  polling a pair of SPSC shared-memory rings, so steady-state
-//	  forwarding takes zero VM exits ("Look Mum, no VM Exits!");
-//	  hypercalls remain only for ring setup/teardown and kill recovery.
+//	  memory-polling channel (PolledChannel) while the group is promoted.
 //
-// Promotion is dynamic: tiers 2 and 3 are two rungs of one ladder, each
-// a PolledChannel of its own kind. The router tracks the group's
-// forwarding rate in virtual time, promotes a hot group onto a rung
-// mid-run (burning a ROS polling core only while it pays for itself), and
+// Promotion is dynamic: the router tracks the group's forwarding rate in
+// virtual time, promotes a hot group onto the sync channel mid-run
+// (burning a ROS polling core only while it pays for itself), and
 // demotes it again after an idle gap. All decisions depend only on
 // virtual time and the call stream, so routing is as deterministic as the
 // run itself.
@@ -55,28 +50,30 @@ type SyscallRouter struct {
 	cache  map[routerCacheKey]cachedResult
 	closed bool
 
-	// sync and ring are the ladder's two polled rungs (mu-guarded):
-	// tier 2's synchronous channel and tier 3's exitless rings.
-	sync, ring rung
+	// open sets up a sync channel and its dedicated ROS poller; close
+	// tears them down. Without hooks the router never promotes.
+	open  func(clk *cycles.Clock) (*PolledChannel, error)
+	close func(clk *cycles.Clock, ch *PolledChannel)
+	// sc is the promoted sync channel (mu-guarded); only open creates
+	// one, so a non-nil sc implies the hooks are installed.
+	sc *PolledChannel
+	// recent holds the virtual times of the last PromoteCalls forwards
+	// (oldest first) while the router waits to promote; last is the
+	// latest forward the sync channel carried, the clock idle demotion
+	// reads. (A sync channel promoted for reliability is idle-exempt for
+	// its whole life, so last is the latest forward whenever idle
+	// demotion can fire.)
+	recent []cycles.Cycles
+	last   cycles.Cycles
 
-	// Tier-2 fault-policy state (mu-guarded): lossRun counts consecutive
-	// lossy async forwards, cleanRun consecutive clean sync calls, and
-	// lossSync marks that the current sync channel exists for reliability
-	// — the idle-demotion rule must not tear it down while losses may
-	// recur.
+	// Fault-policy state (mu-guarded): lossRun counts consecutive lossy
+	// async forwards, cleanRun consecutive clean sync calls, and
+	// lossSync marks that the current sync channel exists for
+	// reliability — the idle-demotion rule must not tear it down while
+	// losses may recur.
 	lossRun  int
 	cleanRun int
 	lossSync bool
-
-	// Tier-3 fault-policy state (mu-guarded), untouched while the ring
-	// rung has no hooks. ringHold latches after a fault-pressure
-	// demotion: re-promotion waits for CleanStreak clean tier-2 forwards
-	// (hypercall-mode recovery), and ringWasLossy makes that next
-	// promotion count as a re-promotion.
-	ringLossRun  int
-	ringClean    int
-	ringHold     bool
-	ringWasLossy bool
 }
 
 // routerHandles are the routers' per-call metric handles, resolved on
@@ -106,63 +103,6 @@ func (r *SyscallRouter) localCounter(num linuxabi.Sysno) *telemetry.Counter {
 	})
 }
 
-// rung is one polled transport of the promotion ladder: its hooks, its
-// promoted channel, and the rate window and idle clock that move it.
-type rung struct {
-	kind PollKind
-	// open sets up a channel and its dedicated ROS poller; close tears
-	// them down. A rung without hooks never promotes.
-	open  func(clk *cycles.Clock, kind PollKind) (*PolledChannel, error)
-	close func(clk *cycles.Clock, ch *PolledChannel)
-	// ch is the promoted channel; only open creates one, so a non-nil ch
-	// implies the hooks are installed.
-	ch *PolledChannel
-	// recent holds the virtual times of the last calls forwards (oldest
-	// first) while the rung waits; last is the latest forward it carried,
-	// the clock idle demotion reads. (A sync channel promoted outside the
-	// rate window, for reliability, is idle-exempt for its whole life, so
-	// for the sync rung last is the latest tier-2 forward whenever idle
-	// demotion can fire.)
-	recent []cycles.Cycles
-	last   cycles.Cycles
-
-	calls        int
-	window, idle cycles.Cycles
-	// promoted and demoted are the rate-promotion and idle-demotion
-	// events.
-	promoted, demoted routerEvent
-}
-
-// step advances the rung's rate window and idle clock for one forward at
-// now, with the router's lock held. keep exempts a promoted channel from
-// idle demotion; hold blocks promotion. It returns the channel an idle
-// gap demoted, for the caller to close outside the lock, and whether the
-// window filled, in which case the caller opens a channel.
-func (g *rung) step(now cycles.Cycles, keep, hold bool) (idled *PolledChannel, fill bool) {
-	if g.ch != nil && !keep && g.last > 0 && now-g.last >= g.idle {
-		idled, g.ch = g.ch, nil
-		g.recent = g.recent[:0]
-	}
-	if g.ch != nil {
-		g.last = now
-		return idled, false
-	}
-	if hold {
-		return idled, false
-	}
-	g.recent = append(g.recent, now)
-	if len(g.recent) > g.calls {
-		// Slide the window within its backing array, which a reslice
-		// would walk off the end of and reallocate.
-		g.recent = g.recent[:copy(g.recent, g.recent[len(g.recent)-g.calls:])]
-	}
-	if len(g.recent) < g.calls || now-g.recent[0] > g.window {
-		return idled, false
-	}
-	g.recent = g.recent[:0]
-	return idled, true
-}
-
 // routerEvent is one ladder transition as the three telemetry planes see
 // it: a metric counter, a trace instant on the HRT track, and a
 // flight-recorder code.
@@ -172,14 +112,10 @@ type routerEvent struct {
 }
 
 var (
-	evPromote       = routerEvent{"router.promotions", "channel-promote", telemetry.RecPromote}
-	evDemote        = routerEvent{"router.demotions", "channel-demote", telemetry.RecDemote}
-	evLossSync      = routerEvent{"router.fault_demotions", "channel-demote-lossy", telemetry.RecDemoteLossy}
-	evCleanAsync    = routerEvent{"router.fault_repromotions", "channel-repromote", telemetry.RecRepromote}
-	evRingPromote   = routerEvent{"router.tier3.promotions", "ring-promote", telemetry.RecRingPromote}
-	evRingRepromote = routerEvent{"router.tier3.repromotions", "ring-repromote", telemetry.RecRingRepromote}
-	evRingDemote    = routerEvent{"router.tier3.demotions", "ring-demote", telemetry.RecRingDemote}
-	evRingLossy     = routerEvent{"router.tier3.fault_demotions", "ring-demote-lossy", telemetry.RecRingDemoteLossy}
+	evPromote    = routerEvent{"router.promotions", "channel-promote", telemetry.RecPromote}
+	evDemote     = routerEvent{"router.demotions", "channel-demote", telemetry.RecDemote}
+	evLossSync   = routerEvent{"router.fault_demotions", "channel-demote-lossy", telemetry.RecDemoteLossy}
+	evCleanAsync = routerEvent{"router.fault_repromotions", "channel-repromote", telemetry.RecRepromote}
 )
 
 // event publishes one ladder transition at clk's current time.
@@ -210,17 +146,6 @@ type RouterPolicy struct {
 	// re-promote it to the cheaper-per-idle async channel.
 	LossStreak  int
 	CleanStreak int
-
-	// Tier-3 exitless policy: RingCalls forwards within RingWindow of
-	// virtual time promote the group to the polled SPSC rings
-	// (dedicating the partner to the poll loop); RingIdle of silence
-	// exhausts the poll budget and demotes back to tier 2;
-	// RingLossStreak consecutive lossy ring calls demote under fault
-	// pressure. Re-promotion after a fault demotion reuses CleanStreak.
-	RingCalls      int
-	RingWindow     cycles.Cycles
-	RingIdle       cycles.Cycles
-	RingLossStreak int
 }
 
 // DefaultRouterPolicy promotes after a burst of 32 forwards inside ~1ms of
@@ -235,11 +160,6 @@ func DefaultRouterPolicy() RouterPolicy {
 		DemoteIdle:    22_000_000, // 10 ms at 2.2 GHz
 		LossStreak:    3,
 		CleanStreak:   64,
-
-		RingCalls:      64,         // sustained, not just hot: 2x the sync burst
-		RingWindow:     13_200_000, // 6 ms at 2.2 GHz
-		RingIdle:       11_000_000, // 5 ms poll budget at 2.2 GHz
-		RingLossStreak: 2,
 	}
 }
 
@@ -259,18 +179,6 @@ func (p *RouterPolicy) fill() {
 	}
 	if p.CleanStreak <= 0 {
 		p.CleanStreak = d.CleanStreak
-	}
-	if p.RingCalls <= 0 {
-		p.RingCalls = d.RingCalls
-	}
-	if p.RingWindow <= 0 {
-		p.RingWindow = d.RingWindow
-	}
-	if p.RingIdle <= 0 {
-		p.RingIdle = d.RingIdle
-	}
-	if p.RingLossStreak <= 0 {
-		p.RingLossStreak = d.RingLossStreak
 	}
 }
 
@@ -340,10 +248,6 @@ func NewSyscallRouter(h *HVM, hrtCore machine.CoreID, local RouterLocalState, po
 		policy:  policy,
 		local:   local,
 		cache:   make(map[routerCacheKey]cachedResult),
-		sync: rung{kind: PollSync, calls: policy.PromoteCalls, window: policy.PromoteWindow,
-			idle: policy.DemoteIdle, promoted: evPromote, demoted: evDemote},
-		ring: rung{kind: PollRing, calls: policy.RingCalls, window: policy.RingWindow,
-			idle: policy.RingIdle, promoted: evRingPromote, demoted: evRingDemote},
 	}
 }
 
@@ -357,23 +261,16 @@ func (r *SyscallRouter) SetStamps(src StampSource) {
 	r.mu.Unlock()
 }
 
-// SetPollHooks installs the callbacks that open a polled channel (and
-// its dedicated ROS poller) on promotion and close it on demotion. The
-// sync rung always takes them; the ring rung only when exitless is set —
-// without it the router never reaches tier 3 and the tier-2 paths are
-// bit-for-bit what they were. Without hooks the router never promotes (it
-// still serves tiers 0 and 1).
+// SetPollHooks installs the callbacks that open a sync channel (and its
+// dedicated ROS poller) on promotion and close it on demotion. Without
+// hooks the router never promotes (it still serves tiers 0 and 1).
 func (r *SyscallRouter) SetPollHooks(
-	open func(clk *cycles.Clock, kind PollKind) (*PolledChannel, error),
+	open func(clk *cycles.Clock) (*PolledChannel, error),
 	close func(clk *cycles.Clock, ch *PolledChannel),
-	exitless bool,
 ) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sync.open, r.sync.close = open, close
-	if exitless {
-		r.ring.open, r.ring.close = open, close
-	}
+	r.open, r.close = open, close
 }
 
 // Dispatch routes one system call from the HRT thread. It returns the
@@ -497,36 +394,21 @@ func (r *SyscallRouter) resolvePath(path string) string {
 
 // ForwardFault forwards one page fault from the HRT thread at clk and
 // reports whether the ROS resolved it. A fault is a forward like any
-// other: it climbs the same rungs as a system call, in a fault frame of
-// its own, feeds the same promotion windows, idle clocks and fault
-// policies, and takes the ~25K-cycle event channel only when no rung is
-// promoted. reqID is the causal request id the fault handler allocated.
+// other: it rides the sync channel like a system call, in a fault frame
+// of its own, feeds the same promotion window, idle clock and fault
+// policy, and takes the ~25K-cycle event channel only when the group is
+// not promoted. reqID is the causal request id the fault handler allocated.
 func (r *SyscallRouter) ForwardFault(clk *cycles.Clock, ch *EventChannel, addr uint64, write bool, reqID uint64) (bool, error) {
 	res, err := r.forward(clk, ch, frame{fault: true, addr: addr, write: write}, reqID)
 	return err == nil && res.Err == linuxabi.OK, err
 }
 
-// forward crosses the boundary over the cheapest promoted transport:
-// the tier-3 exitless rings when promoted, else tier 2 — the
+// forward crosses the boundary over tier 2's cheapest transport: the
 // synchronous channel if promoted, the event channel otherwise. The
 // router.forward.<transport> counters count system calls only; a fault
 // frame is counted by its transport's fault metrics.
 func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, fr frame, reqID uint64) (linuxabi.Result, error) {
-	if x := r.climb(clk, &r.ring); x != nil {
-		res, retx, err := x.roundTrip(clk, fr, reqID)
-		if err == nil {
-			if !fr.fault {
-				r.counter("router.forward.ring").Inc()
-			}
-			r.noteRingTransport(clk, retx)
-			return res, nil
-		}
-		// The rings died mid-call (partner kill or shutdown): tear them
-		// down via the recovery hypercall and re-route this call over
-		// the hypercall-mode tier-2 transports.
-		r.ringDown(clk)
-	}
-	if sc := r.climb(clk, &r.sync); sc != nil {
+	if sc := r.climb(clk); sc != nil {
 		res, retx, err := sc.roundTrip(clk, fr, reqID)
 		if err == nil {
 			if !fr.fault {
@@ -565,129 +447,75 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, fr frame, r
 	return rep.Res, nil
 }
 
-// climb runs one rung's promotion policy for a forward at the caller's
-// virtual time and returns the rung's channel to use (nil = fall through
-// to the rung below). Only the owning HRT thread climbs, so decisions are
+// climb runs the promotion policy for a forward at the caller's virtual
+// time and returns the sync channel to use (nil = forward over the event
+// channel). Only the owning HRT thread climbs, so decisions are
 // serialized by construction; the lock only guards against concurrent
-// checkpoints and harness reads. A rung without hooks returns at once
+// checkpoints and harness reads. A router without hooks returns at once
 // without touching any state, keeping the dark path byte-identical.
 //
-// The rungs differ in three rules. A reliability-promoted sync channel
-// (lossSync) is exempt from idle demotion: only a clean window may undo
-// it. The rings never promote during a recovery hold or over a
-// reliability sync channel. And a ring promotion first gives a promoted
-// sync channel's polling core back, since the ring poller takes over the
-// partner.
-func (r *SyscallRouter) climb(clk *cycles.Clock, g *rung) *PolledChannel {
+// An idle gap of DemoteIdle since the channel's last forward demotes it,
+// unless it was promoted for reliability (lossSync): only a clean window
+// may undo that. PromoteCalls forwards within PromoteWindow promote.
+func (r *SyscallRouter) climb(clk *cycles.Clock) *PolledChannel {
 	now := clk.Now()
 	r.mu.Lock()
-	if g.open == nil {
+	if r.open == nil {
 		r.mu.Unlock()
 		return nil
 	}
-	tier3 := g == &r.ring
-	idled, fill := g.step(now, !tier3 && r.lossSync, tier3 && (r.ringHold || r.lossSync))
-	var displaced *PolledChannel
-	if fill && tier3 {
-		displaced, r.sync.ch = r.sync.ch, nil
-		r.sync.recent = r.sync.recent[:0]
+	var idled *PolledChannel
+	if r.sc != nil && !r.lossSync && r.last > 0 && now-r.last >= r.policy.DemoteIdle {
+		idled, r.sc = r.sc, nil
+		r.recent = r.recent[:0]
 	}
-	x, open, close, closeSync := g.ch, g.open, g.close, r.sync.close
+	sc, fill := r.sc, false
+	if sc != nil {
+		r.last = now
+	} else {
+		calls := r.policy.PromoteCalls
+		r.recent = append(r.recent, now)
+		if len(r.recent) > calls {
+			// Slide the window within its backing array, which a
+			// reslice would walk off the end of and reallocate.
+			r.recent = r.recent[:copy(r.recent, r.recent[len(r.recent)-calls:])]
+		}
+		if fill = len(r.recent) >= calls && now-r.recent[0] <= r.policy.PromoteWindow; fill {
+			r.recent = r.recent[:0]
+		}
+	}
+	open, close := r.open, r.close
 	r.mu.Unlock()
 
 	if idled != nil {
 		close(clk, idled)
-		r.event(clk, g.demoted)
-	}
-	if !fill {
-		return x
-	}
-	if displaced != nil {
-		closeSync(clk, displaced)
 		r.event(clk, evDemote)
 	}
-	x, err := open(clk, g.kind)
-	if err != nil || x == nil {
+	if !fill {
+		return sc
+	}
+	sc, err := open(clk)
+	if err != nil || sc == nil {
 		return nil
 	}
 	r.mu.Lock()
-	g.ch, g.last = x, now
-	ev := g.promoted
-	if tier3 {
-		r.ringLossRun = 0
-		if r.ringWasLossy {
-			r.ringWasLossy = false
-			ev = evRingRepromote
-		}
-	}
+	r.sc, r.last = sc, now
 	r.mu.Unlock()
-	r.event(clk, ev)
-	return x
+	r.event(clk, evPromote)
+	return sc
 }
 
-// noteRingTransport feeds the tier-3 fault policy with one ring call's
-// transport quality: RingLossStreak consecutive lossy calls mean the
-// retransmission layer is carrying the rings, so fault pressure demotes
-// back to tier 2. With the fault plane off retx is always 0.
-func (r *SyscallRouter) noteRingTransport(clk *cycles.Clock, retx int) {
-	r.mu.Lock()
-	if retx == 0 {
-		r.ringLossRun = 0
-		r.mu.Unlock()
-		return
-	}
-	r.ringLossRun++
-	if r.ringLossRun < r.policy.RingLossStreak {
-		r.mu.Unlock()
-		return
-	}
-	r.ringLossRun = 0
-	r.mu.Unlock()
-	r.ringDown(clk)
-}
-
-// ringDown tears down the tier-3 rings after fault pressure (a partner
-// kill or a loss streak): the recovery path is hypercall-mode — the
-// teardown hypercall now, tier-2 transports for subsequent forwards —
-// and re-promotion waits for a clean tier-2 window (noteRingRecovery).
-func (r *SyscallRouter) ringDown(clk *cycles.Clock) {
-	r.mu.Lock()
-	x := r.ring.ch
-	r.ring.ch = nil
-	r.ring.recent = r.ring.recent[:0]
-	r.ringHold = true
-	r.ringWasLossy = true
-	r.ringClean = 0
-	close := r.ring.close
-	r.mu.Unlock()
-	if x != nil && close != nil {
-		close(clk, x)
-	}
-	r.event(clk, evRingLossy)
-}
-
-// noteTransport feeds both fault policies with one tier-2 forward's
-// transport quality. While a ring recovery hold is latched, CleanStreak
-// clean forwards in a row prove the transport healthy again and release
-// the hold, letting the ring rung re-promote; that runs with the fault
-// plane off too, since a checkpoint latches the hold. The tier-2 policy
-// needs a lossy forward to act, so it never fires while the fault plane
-// is off (retx is always 0): LossStreak lossy async forwards in a row
-// promote the sync rung for reliability, and CleanStreak clean calls
-// over that channel demote it again.
+// noteTransport feeds the fault policy with one forward's transport
+// quality. The policy needs a lossy forward to act, so it never fires
+// while the fault plane is off (retx is always 0): LossStreak lossy
+// async forwards in a row promote the sync channel for reliability, and
+// CleanStreak clean calls over that channel demote it again.
 func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool) {
 	r.mu.Lock()
-	if r.ring.open != nil && r.ringHold {
-		if retx > 0 {
-			r.ringClean = 0
-		} else if r.ringClean++; r.ringClean >= r.policy.CleanStreak {
-			r.ringHold, r.ringClean = false, 0
-		}
-	}
 	lossy, clean := false, (*PolledChannel)(nil)
 	if retx > 0 {
 		r.cleanRun = 0
-		if !viaSync && r.sync.ch == nil && r.sync.open != nil && !r.lossSync {
+		if !viaSync && r.sc == nil && r.open != nil && !r.lossSync {
 			r.lossRun++
 			if lossy = r.lossRun >= r.policy.LossStreak; lossy {
 				r.lossRun = 0
@@ -695,28 +523,28 @@ func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool)
 		}
 	} else {
 		r.lossRun = 0
-		if viaSync && r.lossSync && r.sync.ch != nil {
+		if viaSync && r.lossSync && r.sc != nil {
 			r.cleanRun++
 			if r.cleanRun >= r.policy.CleanStreak {
-				clean, r.sync.ch = r.sync.ch, nil
+				clean, r.sc = r.sc, nil
 				r.lossSync = false
 				r.cleanRun = 0
 			}
 		}
 	}
-	open, close := r.sync.open, r.sync.close
+	open, close := r.open, r.close
 	r.mu.Unlock()
 	switch {
 	case lossy:
 		// The async notification plane is flaky: fall back to the
 		// synchronous cacheline protocol, which a lost interrupt cannot
 		// touch.
-		sc, err := open(clk, PollSync)
+		sc, err := open(clk)
 		if err != nil {
 			return
 		}
 		r.mu.Lock()
-		r.sync.ch = sc
+		r.sc = sc
 		r.lossSync = true
 		r.mu.Unlock()
 		r.event(clk, evLossSync)
@@ -728,53 +556,35 @@ func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool)
 }
 
 // RouterCheckpoint is the router slice of a group checkpoint: the
-// mirrored tier-0 state plus the fault-policy latches that survive a
-// migration. The router object itself crosses with the group (the
-// checkpoint records, it does not rebuild), so this is the serialized
-// form a restore verifies and the flight recorder describes.
+// mirrored tier-0 state that survives a migration. The router object
+// itself crosses with the group (the checkpoint records, it does not
+// rebuild), so this is the serialized form a restore verifies and the
+// flight recorder describes.
 type RouterCheckpoint struct {
 	// Local is the mirrored process state tier 0 serves from. It
 	// deliberately migrates as-is: the group keeps observing its
 	// original pid/cwd/uname, so tier-0 answers are byte-identical to
 	// an unmigrated run.
 	Local RouterLocalState
-	// RingHold/RingWasLossy carry the tier-3 recovery latch: after the
-	// checkpoint teardown, re-promotion on the target waits for the
-	// same CleanStreak window as after a partner-kill demotion.
-	RingHold     bool
-	RingWasLossy bool
 }
 
-// Quiesce prepares the router for a checkpoint. Tier-3 rings are torn
-// down to the tier-2 fallback exactly as in the partner-kill recovery
-// path — teardown hypercall, recovery hold, clean-streak-gated
-// re-promotion on the target. A promoted sync channel is demoted (its
-// polling thread lives on the source node and cannot move), and the
-// tier-1 result cache is dropped (fd and path identity is per-node), each
-// entry counting as an invalidation. clk is the migration clock: the
-// teardown hypercalls are a cost of migrating, not of the group's own
-// timeline, which must stay byte-identical to an unmigrated run.
+// Quiesce prepares the router for a checkpoint. A promoted sync channel
+// is demoted (its polling thread lives on the source node and cannot
+// move), and the tier-1 result cache is dropped (fd and path identity is
+// per-node), each entry counting as an invalidation. clk is the
+// migration clock: teardown is a cost of migrating, not of the group's
+// own timeline, which must stay byte-identical to an unmigrated run.
 func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 	r.mu.Lock()
-	hasRing := r.ring.ch != nil
-	r.mu.Unlock()
-	if hasRing {
-		r.ringDown(clk)
-	}
-	r.mu.Lock()
-	sc := r.sync.ch
-	r.sync.ch = nil
+	sc := r.sc
+	r.sc = nil
 	r.lossSync = false
 	r.cleanRun = 0
-	r.sync.recent = r.sync.recent[:0]
-	close := r.sync.close
+	r.recent = r.recent[:0]
+	close := r.close
 	dropped := len(r.cache)
 	clear(r.cache)
-	cp := RouterCheckpoint{
-		Local:        r.local,
-		RingHold:     r.ringHold,
-		RingWasLossy: r.ringWasLossy,
-	}
+	cp := RouterCheckpoint{Local: r.local}
 	r.mu.Unlock()
 	if sc != nil {
 		close(clk, sc)
@@ -785,14 +595,14 @@ func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 	return cp
 }
 
-// Shutdown closes any promoted channels (the group is tearing down) and
+// Shutdown closes a promoted channel (the group is tearing down) and
 // freezes the cache. An entry a mutation made stale but no lookup has
 // found counts as an invalidation here, so every entry that went stale
 // is counted once: at its next lookup, at a checkpoint, or now.
 func (r *SyscallRouter) Shutdown() {
 	r.mu.Lock()
-	sc, x := r.sync.ch, r.ring.ch
-	r.sync.ch, r.ring.ch = nil, nil
+	sc := r.sc
+	r.sc = nil
 	r.closed = true
 	stale := 0
 	for key, e := range r.cache {
@@ -802,10 +612,8 @@ func (r *SyscallRouter) Shutdown() {
 		}
 	}
 	r.mu.Unlock()
-	for _, c := range [...]*PolledChannel{sc, x} {
-		if c != nil {
-			c.Close()
-		}
+	if sc != nil {
+		sc.Close()
 	}
 	if stale > 0 {
 		r.hvm.metrics.Counter("router.cache_invalidations").Add(uint64(stale))

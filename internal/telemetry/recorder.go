@@ -18,41 +18,35 @@ type EventCode uint8
 // documented next to each constant; Req is always the causal request id
 // (0 when the event is not attributable to a single syscall).
 const (
-	RecNone            EventCode = iota
-	RecDoorbell                  // channel forward posted; Site=channel, A=seq, B=event kind
-	RecDeliver                   // partner picked up an envelope; Site=channel, A=seq
-	RecComplete                  // envelope completed + reply sent; Site=channel, A=seq
-	RecRetransmit                // sender timed out and re-sent; Site=channel, A=seq, B=attempt
-	RecDedup                     // receiver dropped a duplicate; Site=channel, A=seq
-	RecCorrupt                   // receiver dropped a corrupt frame; Site=channel, A=seq
-	RecSyncCall                  // sync-channel invoke; Site=channel, A=seq, B=retransmits
-	RecTierLocal                 // router served locally; Site=hrt core, A=syscall num
-	RecTierCache                 // router cache hit; Site=hrt core, A=syscall num
-	RecPromote                   // router promoted channel to async; Site=hrt core
-	RecDemote                    // router demoted channel to sync; Site=hrt core
-	RecDemoteLossy               // fault policy demoted a lossy channel; Site=hrt core
-	RecRepromote                 // fault policy re-promoted after clean run; Site=hrt core
-	RecFaultRoll                 // injector fired; Site=roll site id, A=fault kind, B=seq
-	RecRequeue                   // respawn replayed an inflight envelope; Site=channel, A=seq
-	RecRespawn                   // recovery respawned a partner; Site=group, A=generation, B=replayed
-	RecDegrade                   // recovery budget exhausted, ROS-only; Site=group, A=recoveries
-	RecPanic                     // contained HRT panic; Site=thread, A=syscall count
-	RecThreadPanic               // real host panic recovered in Thread.Run; Site=thread
-	RecWedge                     // ErrGroupWedged fired; Site=group
-	RecMergeDelta                // merger applied a delta; Site=core, A=entries
-	RecRemerge                   // fault-path re-merge; Site=thread, A=fault address
-	RecRingCall                  // exitless-ring invoke completed; Site=ring, A=seq, B=retransmits
-	RecRingPromote               // router promoted to tier-3 exitless rings; Site=hrt core
-	RecRingDemote                // router demoted tier 3 on poll-budget exhaustion; Site=hrt core
-	RecRingDemoteLossy           // fault pressure demoted tier 3; Site=hrt core
-	RecRingRepromote             // router re-promoted to tier 3 after clean run; Site=hrt core
-	RecRingKill                  // partner kill tore the rings down mid-call; Site=ring, A=seq
-	RecCheckpoint                // group state serialized for migration; Site=group, A=delta slots, B=inflight seqnos
-	RecRestore                   // group restored on a grid node; Site=group, A=source node, B=target node
-	RecDrain                     // node drained; Site=node, A=groups migrated off
-	RecNodeKill                  // node-kill injected; Site=node, A=victim groups
-	RecMigrateDone               // migration completed; Site=group, A=latency (virtual cycles), B=target node
-	RecPolledFault               // page fault served over a polled rung; Site=channel, A=seq, B=retransmits
+	RecNone        EventCode = iota
+	RecDoorbell              // channel forward posted; Site=channel, A=seq, B=event kind
+	RecDeliver               // partner picked up an envelope; Site=channel, A=seq
+	RecComplete              // envelope completed + reply sent; Site=channel, A=seq
+	RecRetransmit            // sender timed out and re-sent; Site=channel, A=seq, B=attempt
+	RecDedup                 // receiver dropped a duplicate; Site=channel, A=seq
+	RecCorrupt               // receiver dropped a corrupt frame; Site=channel, A=seq
+	RecSyncCall              // sync-channel invoke; Site=channel, A=seq, B=retransmits
+	RecTierLocal             // router served locally; Site=hrt core, A=syscall num
+	RecTierCache             // router cache hit; Site=hrt core, A=syscall num
+	RecPromote               // router promoted channel to async; Site=hrt core
+	RecDemote                // router demoted channel to sync; Site=hrt core
+	RecDemoteLossy           // fault policy demoted a lossy channel; Site=hrt core
+	RecRepromote             // fault policy re-promoted after clean run; Site=hrt core
+	RecFaultRoll             // injector fired; Site=roll site id, A=fault kind, B=seq
+	RecRequeue               // respawn replayed an inflight envelope; Site=channel, A=seq
+	RecRespawn               // recovery respawned a partner; Site=group, A=generation, B=replayed
+	RecDegrade               // recovery budget exhausted, ROS-only; Site=group, A=recoveries
+	RecPanic                 // contained HRT panic; Site=thread, A=syscall count
+	RecThreadPanic           // real host panic recovered in Thread.Run; Site=thread
+	RecWedge                 // ErrGroupWedged fired; Site=group
+	RecMergeDelta            // merger applied a delta; Site=core, A=entries
+	RecRemerge               // fault-path re-merge; Site=thread, A=fault address
+	RecCheckpoint            // group state serialized for migration; Site=group, A=delta slots, B=inflight seqnos
+	RecRestore               // group restored on a grid node; Site=group, A=source node, B=target node
+	RecDrain                 // node drained; Site=node, A=groups migrated off
+	RecNodeKill              // node-kill injected; Site=node, A=victim groups
+	RecMigrateDone           // migration completed; Site=group, A=latency (virtual cycles), B=target node
+	RecPolledFault           // page fault served over a polled rung; Site=channel, A=seq, B=retransmits
 )
 
 var recNames = map[EventCode]string{
@@ -78,13 +72,6 @@ var recNames = map[EventCode]string{
 	RecWedge:       "wedged",
 	RecMergeDelta:  "merge-delta",
 	RecRemerge:     "remerge",
-
-	RecRingCall:        "ring-call",
-	RecRingPromote:     "ring-promote",
-	RecRingDemote:      "ring-demote",
-	RecRingDemoteLossy: "ring-demote-lossy",
-	RecRingRepromote:   "ring-repromote",
-	RecRingKill:        "ring-kill",
 
 	RecCheckpoint:  "checkpoint",
 	RecRestore:     "restore",

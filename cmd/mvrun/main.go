@@ -44,7 +44,7 @@ func main() {
 	benchName := flag.String("bench", "", "run a named paper benchmark instead of a file")
 	flag.BoolVar(&rep.stats, "stats", false, "print run statistics afterwards")
 	flag.BoolVar(&opts.Router, "router", false, "enable the adaptive boundary-crossing router (multiverse world only)")
-	flag.BoolVar(&opts.Merger, "merger", false, "enable the incremental state-superposition merger (multiverse world only)")
+	flag.BoolVar(&opts.Merger, "merger", false, "enable the delta merger: re-merges copy only changed PML4 slots (multiverse world only)")
 	flag.BoolVar(&opts.Scheduler, "scheduler", false, "enable the AeroKernel per-core run-queue scheduler (multiverse world only)")
 	hrtCores := flag.Int("hrtcores", 0, "size of the HRT core partition (cores 1..N, the machine grown to fit; 0 = default single core)")
 	workers := flag.Int("workers", 8, "legion worker count for the hpcg benchmark")
@@ -488,9 +488,8 @@ func printStats(res *bench.RunResult, groups int) {
 			uint64(m.LatencyHistogram("sched.queue.delay").Sum()))
 	}
 	if o.Merger {
-		fmt.Fprintf(os.Stderr, "  merger: entries=%d delta=%d remerges=%d shootdowns=%d/%d local-faults=%d\n",
-			res.PML4EntriesCopied, res.MergerDeltaEntries, res.Remerges,
-			res.MergerTargeted, res.MergerBroadcast, res.LocalFaults)
+		fmt.Fprintf(os.Stderr, "  merger: entries=%d delta=%d remerges=%d shootdowns=%d\n",
+			res.PML4EntriesCopied, res.MergerDeltaEntries, res.Remerges, res.MergerBroadcast)
 	}
 	if groups > 0 || o.WarmPool > 0 || o.MaxGroups > 0 || o.TenantBudget != nil {
 		fmt.Fprintf(os.Stderr, "  density: spawned=%d live=%d peak=%d warm=%d hits=%d misses=%d returns=%d drops=%d adm-rejected=%d budget-rejected=%d\n",

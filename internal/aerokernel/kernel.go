@@ -68,11 +68,6 @@ type Kernel struct {
 	mergeView    *paging.AddressSpace
 	mergeViewCR3 uint64
 
-	// userFault is the fast-lane resolver for protection faults on merged
-	// user pages the runtime arranged on purpose (GC write barriers on
-	// mprotect-backed segments). Nil unless the merger option installed one.
-	userFault MemFaultHandler
-
 	// lastFault implements the duplicate-page-fault heuristic: Nautilus
 	// keeps a per-core record of the most recent forwarded fault address;
 	// a repeat means the ROS changed a top-level mapping and the PML4
@@ -352,15 +347,6 @@ func (k *Kernel) faultLock(c machine.CoreID) *sync.Mutex {
 	return m
 }
 
-// SetUserFaultHandler installs the fault fast lane: protection faults on
-// merged lower-half pages are offered to h before any forwarding or
-// re-merge. h returning true means the fault is resolved HRT-locally.
-func (k *Kernel) SetUserFaultHandler(h MemFaultHandler) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.userFault = h
-}
-
 // SetEagerRemerge switches the re-merge policy (ablation): when set, the
 // fault handler re-merges the PML4 before forwarding every fault, instead
 // of only on duplicate faults.
@@ -384,18 +370,11 @@ func (k *Kernel) ForwardedFaults() uint64 { return k.fwdFaultCtr.Value() }
 // MergeCount).
 func (k *Kernel) ForwardedSyscalls() uint64 { return k.fwdSysCtr.Value() }
 
-// targetedShootdownMaxSlots is the delta size up to which a re-merge
-// invalidates per-slot (invlpg on resident entries) instead of broadcasting
-// a full flush. Typical deltas touch one or two slots; anything larger is
-// cheaper to flush wholesale.
-const targetedShootdownMaxSlots = 8
-
 // Merge copies the lower half of the ROS process's PML4 (found through
 // cr3) into the HRT's PML4 and shoots down the HRT cores' TLBs — the
 // address-space merger superposition. With the incremental merger enabled,
 // a re-merge against the same CR3 copies only the slots whose ROS
-// generation stamp moved and, for small deltas, invalidates only those
-// slots instead of flushing.
+// generation stamp moved; every merge ends in the same broadcast shootdown.
 func (k *Kernel) Merge(clk *cycles.Clock, onCore machine.CoreID, cr3 uint64) error {
 	track := telemetry.Track{Core: int(onCore), Name: "ak"}
 	sp := k.tracer.Begin(track, "merger", "merger", clk.Now(),
@@ -461,14 +440,8 @@ func (k *Kernel) Merge(clk *cycles.Clock, onCore machine.CoreID, cr3 uint64) err
 		}
 	}
 	sd := k.tracer.Begin(track, "merger", "tlb-shootdown", clk.Now())
-	if delta && len(changed) <= targetedShootdownMaxSlots {
-		k.m.ShootdownTLBSlots(onCore, k.cores, changed)
-		k.metrics.Counter("merger.shootdown.targeted").Inc()
-		k.tracer.Instant(track, "merger", "targeted-shootdown", clk.Now())
-	} else {
-		k.m.ShootdownTLB(onCore, k.cores)
-		k.metrics.Counter("merger.shootdown.broadcast").Inc()
-	}
+	k.m.ShootdownTLB(onCore, k.cores)
+	k.metrics.Counter("merger.shootdown.broadcast").Inc()
 	sd.EndAt(clk.Now())
 	k.mu.Lock()
 	k.merged = true
@@ -607,26 +580,6 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 	}
 	if !k.Merged() {
 		return fmt.Errorf("aerokernel: lower-half access at %#x before merger", addr)
-	}
-
-	// Fault fast lane: a protection fault on a present merged page may be
-	// one the runtime arranged on purpose (a GC write barrier on an
-	// mprotect-backed segment). Offer it to the registered resolver before
-	// any crossing or re-merge — it un-protects by direct PTE edit on the
-	// shared tables at kernel speed.
-	if f.ErrorCode&0x1 != 0 {
-		k.mu.Lock()
-		uh := k.userFault
-		k.mu.Unlock()
-		if uh != nil {
-			lstart := t.Clock.Now()
-			if uh(addr, f.ErrorCode&0x2 != 0) {
-				k.m.Core(t.Core).MMU.TLB().FlushVA(addr)
-				k.metrics.Counter("fault.local").Inc()
-				k.metrics.LatencyHistogram("fault.local.latency").Observe(t.Clock.Now() - lstart)
-				return nil
-			}
-		}
 	}
 
 	// Faults that may cross the boundary (re-merge or forward) are tracked

@@ -3,8 +3,6 @@ package aerokernel
 import (
 	"fmt"
 
-	"multiverse/internal/cycles"
-	"multiverse/internal/machine"
 	"multiverse/internal/mem"
 	"multiverse/internal/paging"
 )
@@ -143,37 +141,6 @@ func (k *Kernel) MemProtect(t *Thread, addr, length uint64, writable bool) error
 		}
 		tlb.FlushVA(base)
 		t.Clock.Advance(k.cost.PTEWrite)
-	}
-	return nil
-}
-
-// ProtectUser rewrites the protection of merged lower-half user pages by
-// direct PTE edit — the fault fast lane's resolution path. Because the
-// merged lower half shares the ROS's page tables below the PML4, the edit
-// is immediately visible to both sides; only the editing core's TLB needs
-// invalidating. Errors if any page in the range is unmapped (the caller
-// falls back to the forwarded path).
-func (k *Kernel) ProtectUser(clk *cycles.Clock, core machine.CoreID, addr, length uint64, writable bool) error {
-	if !k.Merged() {
-		return fmt.Errorf("aerokernel: ProtectUser before merger")
-	}
-	if !paging.IsLowerHalf(addr) || inAKRegion(addr) {
-		return fmt.Errorf("aerokernel: ProtectUser outside the merged user half: %#x", addr)
-	}
-	k.mu.Lock()
-	space := k.space
-	k.mu.Unlock()
-	flags := uint64(paging.PteUser)
-	if writable {
-		flags |= paging.PteWrite
-	}
-	tlb := k.m.Core(core).MMU.TLB()
-	for base := paging.PageBase(addr); base < addr+length; base += mem.PageSize {
-		if err := space.Protect(base, flags); err != nil {
-			return err
-		}
-		tlb.FlushVA(base)
-		clk.Advance(k.cost.PTEWrite)
 	}
 	return nil
 }

@@ -526,3 +526,29 @@ func TestProgramByName(t *testing.T) {
 		t.Error("found nonexistent program")
 	}
 }
+
+// TestResultOfRegistersNothing pins that projecting a run's counters onto
+// its RunResult is a pure read: a router-off, merger-off hybrid run
+// exposes no router counter, no merger counter the run never moved, and
+// no sync-rung histogram, because ResultOf looks names up instead of
+// registering them.
+func TestResultOfRegistersNothing(t *testing.T) {
+	p, _ := ProgramByName("fasta")
+	res, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := res.Metrics.Snapshot()
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, "router.") || name == "fault.local" ||
+			(strings.HasPrefix(name, "merger.") && v == 0) {
+			t.Errorf("router-off, merger-off run exposes counter %s = %d", name, v)
+		}
+	}
+	if _, ok := snap.Histograms["sync.syscall.latency"]; ok {
+		t.Error("router-off run exposes sync.syscall.latency")
+	}
+	if res.MergerBroadcast == 0 || res.PML4EntriesCopied == 0 {
+		t.Errorf("merge counters not read: broadcasts %d, entries %d", res.MergerBroadcast, res.PML4EntriesCopied)
+	}
+}

@@ -18,7 +18,7 @@ import (
 // future performance work has a trajectory to compare against.
 func latencyHistogramNotes(t *Table, reg *telemetry.Registry, names ...string) {
 	for _, name := range names {
-		h := reg.LatencyHistogram(name)
+		h := reg.FindHistogram(name)
 		if h.Count() == 0 {
 			continue
 		}

@@ -45,14 +45,12 @@ type RunResult struct {
 	// promoted synchronous-channel round trips).
 	ForwardedSyscallCycles cycles.Cycles
 
-	// Incremental-merger counters. Entries copied and broadcast shootdowns
-	// accrue on every hybrid run (the fixed paths count too); the delta,
-	// targeted, and local-fault counters are zero unless Options.Merger.
+	// Merger counters. Entries copied and broadcast shootdowns accrue on
+	// every hybrid run (one shootdown per merge); the delta count is zero
+	// unless Options.Merger.
 	PML4EntriesCopied  uint64
 	MergerDeltaEntries uint64
-	MergerTargeted     uint64
 	MergerBroadcast    uint64
-	LocalFaults        uint64
 	Remerges           int
 
 	// Runtime-internal counters.
@@ -207,20 +205,20 @@ func ResultOf(sys *core.System, program string, world core.World, eng *scheme.En
 		res.Remerges = sys.AK.RemergeCount()
 		res.Hotspots = sys.Hotspots()
 	}
+	// Find*, not Counter/LatencyHistogram: a read must not register a
+	// name the run never touched, or the exposition would list it at 0.
 	m := res.Metrics
-	res.RouterLocalHits = m.Counter("router.local_hits").Value()
-	res.RouterCacheHits = m.Counter("router.cache_hits").Value()
-	res.RouterCacheMisses = m.Counter("router.cache_misses").Value()
-	res.RouterInvalidations = m.Counter("router.cache_invalidations").Value()
-	res.RouterPromotions = m.Counter("router.promotions").Value()
-	res.RouterDemotions = m.Counter("router.demotions").Value()
-	res.ForwardedSyscallCycles = m.LatencyHistogram("forward.syscall.latency").Sum() +
-		m.LatencyHistogram("sync.syscall.latency").Sum()
-	res.PML4EntriesCopied = m.Counter("paging.pml4_entries_copied").Value()
-	res.MergerDeltaEntries = m.Counter("merger.delta.entries").Value()
-	res.MergerTargeted = m.Counter("merger.shootdown.targeted").Value()
-	res.MergerBroadcast = m.Counter("merger.shootdown.broadcast").Value()
-	res.LocalFaults = m.Counter("fault.local").Value()
+	res.RouterLocalHits = m.FindCounter("router.local_hits").Value()
+	res.RouterCacheHits = m.FindCounter("router.cache_hits").Value()
+	res.RouterCacheMisses = m.FindCounter("router.cache_misses").Value()
+	res.RouterInvalidations = m.FindCounter("router.cache_invalidations").Value()
+	res.RouterPromotions = m.FindCounter("router.promotions").Value()
+	res.RouterDemotions = m.FindCounter("router.demotions").Value()
+	res.ForwardedSyscallCycles = m.FindHistogram("forward.syscall.latency").Sum() +
+		m.FindHistogram("sync.syscall.latency").Sum()
+	res.PML4EntriesCopied = m.FindCounter("paging.pml4_entries_copied").Value()
+	res.MergerDeltaEntries = m.FindCounter("merger.delta.entries").Value()
+	res.MergerBroadcast = m.FindCounter("merger.shootdown.broadcast").Value()
 	return res
 }
 

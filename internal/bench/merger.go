@@ -6,10 +6,10 @@ import (
 	"multiverse/internal/telemetry"
 )
 
-// MergerComparison is one benchmark's WorldHRT run with the incremental
-// merger off vs on: end-to-end cycles, merger activity (merges and
-// duplicate-fault re-merges), the PML4 entries actually copied, and how
-// the TLB shootdowns and write-barrier faults were serviced.
+// MergerComparison is one benchmark's WorldHRT run with the delta merger
+// off vs on: end-to-end cycles, merger activity (merges and
+// duplicate-fault re-merges), and the PML4 entries actually copied. Every
+// merge broadcasts one TLB shootdown either way.
 type MergerComparison struct {
 	Program string `json:"program"`
 
@@ -27,15 +27,6 @@ type MergerComparison struct {
 	OffEntriesCopied uint64 `json:"off_entries_copied"`
 	OnEntriesCopied  uint64 `json:"on_entries_copied"`
 	DeltaEntries     uint64 `json:"delta_entries"`
-
-	// Shootdowns: full broadcasts vs per-slot targeted invalidations.
-	OffBroadcasts uint64 `json:"off_broadcasts"`
-	OnBroadcasts  uint64 `json:"on_broadcasts"`
-	Targeted      uint64 `json:"targeted_shootdowns"`
-
-	// LocalFaults is how many protection faults the fast lane resolved
-	// HRT-locally instead of forwarding to the ROS.
-	LocalFaults uint64 `json:"local_faults"`
 }
 
 // EntriesSaved is how many PML4-entry copies the delta merger avoided.
@@ -60,10 +51,6 @@ func mergerRow(off, on *RunResult) MergerComparison {
 		OffEntriesCopied: off.PML4EntriesCopied,
 		OnEntriesCopied:  on.PML4EntriesCopied,
 		DeltaEntries:     on.MergerDeltaEntries,
-		OffBroadcasts:    off.MergerBroadcast,
-		OnBroadcasts:     on.MergerBroadcast,
-		Targeted:         on.MergerTargeted,
-		LocalFaults:      on.LocalFaults,
 	}
 }
 
@@ -79,16 +66,16 @@ type MergerBaseline struct {
 }
 
 // CollectMergerBaseline projects the seven-benchmark WorldHRT sweep onto
-// the incremental merger off/on comparison set. It enforces the
-// suite-wide acceptance invariants before returning: the merger reduces
-// both the charged PML4-entry copies and the broadcast shootdowns.
+// the delta merger off/on comparison set. It enforces the suite-wide
+// acceptance invariant before returning: the merger reduces the charged
+// PML4-entry copies.
 func CollectMergerBaseline() (*MergerBaseline, error) {
 	rows, err := hrtSweep()
 	if err != nil {
 		return nil, err
 	}
 	b := &MergerBaseline{Note: regenerateNote("merger")}
-	var offEntries, onEntries, offBcast, onBcast uint64
+	var offEntries, onEntries uint64
 	for _, r := range rows {
 		c := r.merger
 		b.Benchmarks = append(b.Benchmarks, c)
@@ -97,23 +84,16 @@ func CollectMergerBaseline() (*MergerBaseline, error) {
 		}
 		offEntries += c.OffEntriesCopied
 		onEntries += c.OnEntriesCopied
-		offBcast += c.OffBroadcasts
-		onBcast += c.OnBroadcasts
 	}
 	if onEntries >= offEntries {
 		return nil, fmt.Errorf("bench: merger did not reduce charged PML4-entry copies: off=%d on=%d",
 			offEntries, onEntries)
 	}
-	if onBcast >= offBcast {
-		return nil, fmt.Errorf("bench: merger did not reduce broadcast shootdowns: off=%d on=%d",
-			offBcast, onBcast)
-	}
 	return b, nil
 }
 
 // FigureMerger renders the merger suite: the seven benchmarks in
-// WorldHRT with the merger off vs on (entry copies saved, shootdown mix,
-// locally resolved faults, cycle totals).
+// WorldHRT with the merger off vs on (entry copies saved, cycle totals).
 func FigureMerger() (*Table, error) {
 	b, err := CollectMergerBaseline()
 	if err != nil {
@@ -124,7 +104,6 @@ func FigureMerger() (*Table, error) {
 		Header: []string{
 			"Benchmark", "Cycles (off)", "Cycles (on)", "Speedup",
 			"Merges", "Entries off/on", "Saved",
-			"Bcast off/on", "Targeted", "Local faults",
 		},
 	}
 	for _, c := range b.Benchmarks {
@@ -136,12 +115,9 @@ func FigureMerger() (*Table, error) {
 			fmt.Sprintf("%d+%d", c.OnMerges, c.OnRemerges),
 			fmt.Sprintf("%d/%d", c.OffEntriesCopied, c.OnEntriesCopied),
 			fmt.Sprintf("%d", c.EntriesSaved()),
-			fmt.Sprintf("%d/%d", c.OffBroadcasts, c.OnBroadcasts),
-			fmt.Sprintf("%d", c.Targeted),
-			fmt.Sprintf("%d", c.LocalFaults),
 		)
 	}
-	t.AddNote("off re-merges copy all %d lower-half entries and broadcast a full flush; on, only generation-stamped deltas move and small deltas invalidate per slot", 256)
-	latencyHistogramNotes(t, b.latency, "ak.merge.latency", "fault.local.latency")
+	t.AddNote("off re-merges copy all %d lower-half entries; on, only generation-stamped deltas move; every merge broadcasts a full flush", 256)
+	latencyHistogramNotes(t, b.latency, "ak.merge.latency")
 	return t, nil
 }

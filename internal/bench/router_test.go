@@ -350,8 +350,7 @@ func TestRoutedFaultsCountedOnce(t *testing.T) {
 
 // TestRoutedBarrierFaultsUsePartnerDispositions runs the router with the
 // scheduler, whose deterministic arenas keep signal dispositions per ROS
-// thread, and without the merger's fault fast lane, so the GC's write
-// barrier faults reach the ROS SIGSEGV path. The runtime installed its
+// thread, so the GC's write barrier faults reach the ROS SIGSEGV path. The runtime installed its
 // handler for the partner; a fault replicated by the polled rung's
 // poller, a different thread, must still find it.
 func TestRoutedBarrierFaultsUsePartnerDispositions(t *testing.T) {

@@ -775,23 +775,22 @@ func (e *hrtEnv) RegisterAKMemFaultHandler(h func(addr uint64, write bool) bool)
 	e.sys().AK.SetMemFaultHandler(aerokernel.MemFaultHandler(h))
 }
 
-// RegisterUserFaultHandler installs the runtime's handler for protection
-// faults on merged lower-half user pages — the fault fast lane. It
-// installs nothing and returns false unless the incremental merger is
-// enabled; callers then keep the forwarded fault path.
+// RegisterUserFaultHandler installs nothing and returns false, so
+// write-barrier faults on merged user pages take the forwarded path.
+//
+// Deprecated: kept only because the benchmark's traced Env names the
+// method; deleted in ROADMAP item 7b.
 func (e *hrtEnv) RegisterUserFaultHandler(h func(addr uint64, write bool) bool) bool {
-	if !e.sys().Opts.Merger {
-		return false
-	}
-	e.sys().AK.SetUserFaultHandler(aerokernel.MemFaultHandler(h))
-	return true
+	return false
 }
 
-// UserProtect rewrites the protection of merged user pages by direct PTE
-// edit on the HRT core, reporting whether the edit succeeded. On false
-// the caller must fall back to the forwarded mprotect path.
+// UserProtect edits nothing and returns false; callers take the
+// forwarded mprotect path.
+//
+// Deprecated: kept only because the benchmark's traced Env names the
+// method; deleted in ROADMAP item 7b.
 func (e *hrtEnv) UserProtect(addr, length uint64, writable bool) bool {
-	return e.sys().AK.ProtectUser(e.t.Clock, e.t.Core, addr, length, writable) == nil
+	return false
 }
 
 // OverrideInvoke calls a legacy function through its override wrapper.

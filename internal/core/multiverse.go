@@ -48,12 +48,11 @@ type Options struct {
 	// Deprecated: set Router. Exitless will be deleted in ROADMAP item
 	// 7b, once the benchmark stops setting it.
 	Exitless bool
-	// Merger enables the incremental state-superposition merger: re-merges
-	// copy only PML4 slots whose ROS-side generation stamp changed, TLB
-	// shootdowns target the changed slots when few, HRT cores run with
-	// PCID-tagged TLBs, and protection faults on runtime-owned user pages
-	// resolve HRT-locally. Off (the default) preserves the full-copy,
-	// broadcast-flush merge paths byte for byte.
+	// Merger enables the incremental (delta) merger: a re-merge copies
+	// only the PML4 slots whose ROS-side generation stamp changed since
+	// the last merge, then broadcasts the same TLB shootdown the full
+	// merge does. Off (the default) preserves the full-copy merge path
+	// byte for byte.
 	Merger bool
 	// Scheduler enables the AeroKernel's per-core run-queue scheduler:
 	// least-loaded placement for top-level and nested threads over the
@@ -392,18 +391,13 @@ func (s *System) enableScheduler() {
 	}
 }
 
-// enableMerger arms the incremental state-superposition merger on the
-// booted AeroKernel: the ROS process publishes per-PML4-slot generation
-// stamps for delta merges, and the HRT cores' TLBs become PCID-tagged so
-// address-space loads need no flush.
+// enableMerger arms the delta merger on the booted AeroKernel: the ROS
+// process publishes per-PML4-slot generation stamps for delta merges.
 func (s *System) enableMerger() {
 	if !s.Opts.Merger || s.AK == nil {
 		return
 	}
 	s.AK.EnableIncrementalMerger(s.Proc.PML4Generations)
-	for _, c := range s.Opts.HRTCores {
-		s.Machine.Core(c).MMU.EnablePCID(true)
-	}
 }
 
 // AddExitHook registers a function run when the hybridized process exits.

@@ -33,7 +33,6 @@ type CostModel struct {
 	TLBMissPerLevel Cycles // one page-table level fetch during a walk
 	TLBShootdownIPI Cycles // IPI delivery to one remote core
 	TLBFlushLocal   Cycles // local TLB invalidation
-	TLBInvlpg       Cycles // single-VA invalidation (invlpg) during a targeted shootdown
 	PageFaultHW     Cycles // hardware fault raise: save state + vector through IDT
 	PTEWrite        Cycles // writing one page-table entry
 	PML4EntryCopy   Cycles // copying one top-level entry during an address-space merger
@@ -124,7 +123,6 @@ func DefaultCostModel() *CostModel {
 		TLBMissPerLevel: 60,
 		TLBShootdownIPI: 1500,
 		TLBFlushLocal:   400,
-		TLBInvlpg:       120,
 		PageFaultHW:     800,
 		PTEWrite:        25,
 		PML4EntryCopy:   80,

@@ -392,20 +392,3 @@ func (m *Machine) ShootdownTLB(from CoreID, targets []CoreID) {
 		clk.Advance(m.Cost.TLBShootdownIPI + m.Cost.TLBFlushLocal)
 	}
 }
-
-// ShootdownTLBSlots is the targeted variant of ShootdownTLB: instead of a
-// full flush, each target invalidates only the translations falling in the
-// given PML4 slots (one invlpg per resident entry). The sender still pays
-// one IPI per remote target, but the invalidation cost scales with what the
-// delta actually touched rather than with TLB capacity.
-func (m *Machine) ShootdownTLBSlots(from CoreID, targets []CoreID, slots []int) {
-	src := m.Core(from)
-	clk := src.Clock()
-	for _, t := range targets {
-		n := m.Core(t).MMU.TLB().FlushSlots(slots)
-		if t != from {
-			clk.Advance(m.Cost.TLBShootdownIPI)
-		}
-		clk.Advance(cycles.Cycles(n) * m.Cost.TLBInvlpg)
-	}
-}

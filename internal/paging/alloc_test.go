@@ -18,7 +18,6 @@ func TestTLBOpsAllocationFree(t *testing.T) {
 	for i := uint64(0); i < 256; i++ {
 		tl.insert(i<<12, i|0x1)
 	}
-	slots := []int{1, 3}
 
 	if n := testing.AllocsPerRun(200, func() {
 		tl.insert(0x1234<<12, 0x9)
@@ -29,10 +28,9 @@ func TestTLBOpsAllocationFree(t *testing.T) {
 		t.Errorf("TLB insert/lookup/flushVA allocates %.1f per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		tl.FlushSlots(slots)
 		tl.FlushAll()
 	}); n != 0 {
-		t.Errorf("TLB FlushSlots/FlushAll allocates %.1f per run, want 0", n)
+		t.Errorf("TLB FlushAll allocates %.1f per run, want 0", n)
 	}
 }
 

@@ -40,13 +40,6 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("page fault at %#x (%s %s, %s)", f.Addr, mode, rw, kind)
 }
 
-// tlbKey identifies one cached translation: the page base qualified by the
-// address-space tag (PCID) it was filled under.
-type tlbKey struct {
-	tag  uint64
-	base uint64
-}
-
 // tlbWays is the associativity of the fixed-array TLB.
 const tlbWays = 8
 
@@ -54,26 +47,23 @@ const tlbWays = 8
 // TLB's current generation — FlushAll is a generation bump, never a
 // reallocation or a sweep.
 type tlbEntry struct {
-	key tlbKey
-	pte uint64
-	gen uint64
+	base uint64 // page base of the cached translation
+	pte  uint64
+	gen  uint64
 }
 
 // TLB is a per-core translation lookaside buffer: a fixed set-associative
 // array (tlbWays ways, capacity/tlbWays sets rounded down to a power of
 // two), indexed by the page number's low bits as hardware TLBs are.
 // Eviction is FIFO per set via a round-robin cursor, which keeps the
-// simulation deterministic. Entries are tagged with an address-space
-// identifier (a PCID stand-in): lookups and fills use the current tag, so
-// translations from different address spaces coexist and a CR3 reload
-// need not flush. The whole structure is allocated once at construction;
-// lookups, fills, and flushes never allocate.
+// simulation deterministic. Entries are untagged, so a CR3 reload flushes.
+// The whole structure is allocated once at construction; lookups, fills,
+// and flushes never allocate.
 type TLB struct {
 	mu      sync.Mutex
 	cap     int
 	sets    int
 	mask    uint64     // sets - 1
-	tag     uint64     // current address-space tag (0 until SetTag)
 	gen     uint64     // current generation; entries from older gens are dead
 	entries []tlbEntry // sets × tlbWays, set-major
 	next    []uint8    // per-set round-robin eviction cursor
@@ -111,28 +101,18 @@ func NewTLB(capacity int) *TLB {
 // tlbWays only for tiny capacities).
 func (t *TLB) ways() int { return t.cap / t.sets }
 
-// setFor indexes a set by the page number's low bits, mixed with the tag
-// so distinct address spaces spread differently.
-func (t *TLB) setFor(k tlbKey) int {
-	return int(((k.base >> 12) ^ (k.tag >> 12)) & t.mask)
-}
-
-// SetTag switches the TLB to a new address-space tag without invalidating
-// anything — the PCID behaviour a tagged CR3 reload gets.
-func (t *TLB) SetTag(tag uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.tag = tag
+// setFor indexes a set by the page number's low bits.
+func (t *TLB) setFor(base uint64) int {
+	return int((base >> 12) & t.mask)
 }
 
 func (t *TLB) lookup(base uint64) (uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := tlbKey{t.tag, base}
 	w := t.ways()
-	set := t.setFor(k) * w
+	set := t.setFor(base) * w
 	for i := set; i < set+w; i++ {
-		if e := &t.entries[i]; e.gen == t.gen && e.key == k {
+		if e := &t.entries[i]; e.gen == t.gen && e.base == base {
 			t.hits++
 			return e.pte, true
 		}
@@ -144,9 +124,8 @@ func (t *TLB) lookup(base uint64) (uint64, bool) {
 func (t *TLB) insert(base, pte uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := tlbKey{t.tag, base}
 	w := t.ways()
-	si := t.setFor(k)
+	si := t.setFor(base)
 	set := si * w
 	freeSlot := -1
 	for i := set; i < set+w; i++ {
@@ -157,7 +136,7 @@ func (t *TLB) insert(base, pte uint64) {
 			}
 			continue
 		}
-		if e.key == k {
+		if e.base == base {
 			e.pte = pte
 			return
 		}
@@ -168,13 +147,13 @@ func (t *TLB) insert(base, pte uint64) {
 		t.next[si] = uint8((int(t.next[si]) + 1) % w)
 		t.live--
 	}
-	t.entries[freeSlot] = tlbEntry{key: k, pte: pte, gen: t.gen}
+	t.entries[freeSlot] = tlbEntry{base: base, pte: pte, gen: t.gen}
 	t.live++
 }
 
-// FlushAll empties the TLB across all tags (full invalidation, e.g. an
-// untagged CR3 reload or a broadcast shootdown). It is a generation bump:
-// O(1), no sweep, no reallocation.
+// FlushAll empties the TLB (full invalidation: a CR3 reload or a
+// broadcast shootdown). It is a generation bump: O(1), no sweep, no
+// reallocation.
 func (t *TLB) FlushAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -183,53 +162,20 @@ func (t *TLB) FlushAll() {
 	t.flushes++
 }
 
-// FlushVA invalidates the current tag's translation for one page (invlpg).
+// FlushVA invalidates the translation for one page (invlpg).
 func (t *TLB) FlushVA(va uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := tlbKey{t.tag, PageBase(va)}
+	base := PageBase(va)
 	w := t.ways()
-	set := t.setFor(k) * w
+	set := t.setFor(base) * w
 	for i := set; i < set+w; i++ {
-		if e := &t.entries[i]; e.gen == t.gen && e.key == k {
+		if e := &t.entries[i]; e.gen == t.gen && e.base == base {
 			e.gen = 0
 			t.live--
 			return
 		}
 	}
-}
-
-// FlushSlots invalidates, across all tags, every resident translation whose
-// virtual address falls in one of the given PML4 slots — the targeted
-// shootdown a delta merge issues instead of a full flush. It returns the
-// number of entries invalidated (each costs one invlpg). The wanted slots
-// form a 512-bit stack mask, so the scan allocates nothing.
-func (t *TLB) FlushSlots(slots []int) int {
-	if len(slots) == 0 {
-		return 0
-	}
-	var want [8]uint64 // one bit per PML4 slot
-	for _, s := range slots {
-		if s >= 0 && s < EntriesPerTable {
-			want[s>>6] |= 1 << (uint(s) & 63)
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.gen != t.gen {
-			continue
-		}
-		s := PML4Index(e.key.base)
-		if want[s>>6]&(1<<(uint(s)&63)) != 0 {
-			e.gen = 0
-			t.live--
-			n++
-		}
-	}
-	return n
 }
 
 // Stats returns hit/miss/flush counters.
@@ -254,7 +200,6 @@ type MMU struct {
 	space *AddressSpace
 	tlb   *TLB
 	wp    bool // CR0.WP: supervisor writes honor the R/W bit
-	pcid  bool // tagged TLB: CR3 reloads switch tags instead of flushing
 }
 
 // NewMMU creates an MMU with the given TLB capacity.
@@ -262,26 +207,12 @@ func NewMMU(tlbCapacity int) *MMU {
 	return &MMU{tlb: NewTLB(tlbCapacity)}
 }
 
-// EnablePCID turns on TLB tagging: subsequent LoadCR3 calls retag the TLB
-// to the new space's root instead of flushing it.
-func (m *MMU) EnablePCID(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pcid = on
-}
-
-// LoadCR3 activates an address space. Without PCID the TLB flushes, as
-// hardware does on an untagged reload; with PCID the TLB switches to the
-// space's tag and existing translations survive.
+// LoadCR3 activates an address space and flushes the TLB, as hardware
+// does on an untagged reload.
 func (m *MMU) LoadCR3(as *AddressSpace) {
 	m.mu.Lock()
 	m.space = as
-	pcid := m.pcid
 	m.mu.Unlock()
-	if pcid {
-		m.tlb.SetTag(as.CR3())
-		return
-	}
 	m.tlb.FlushAll()
 }
 

@@ -228,7 +228,7 @@ func TestTLBFlushVAAbsent(t *testing.T) {
 }
 
 // TestTLBStatsFlushAccounting pins what counts as a full flush: FlushAll
-// does, per-page and per-slot invalidations do not.
+// does, per-page invalidations do not.
 func TestTLBStatsFlushAccounting(t *testing.T) {
 	_, _, m := newMMUSpace(t)
 	_, _, flushes0 := m.TLB().Stats() // the LoadCR3 in setup already flushed once
@@ -238,91 +238,8 @@ func TestTLBStatsFlushAccounting(t *testing.T) {
 		t.Errorf("flushes = %d, want %d", f, flushes0+2)
 	}
 	m.TLB().FlushVA(0x1000)
-	m.TLB().FlushSlots([]int{0, 1})
 	if _, _, f := m.TLB().Stats(); f != flushes0+2 {
-		t.Errorf("targeted invalidations counted as full flushes (%d)", f)
-	}
-}
-
-// TestTLBFlushSlots drives the targeted-shootdown primitive: only entries
-// in the named PML4 slots are invalidated, and the invlpg count reflects
-// what was actually resident.
-func TestTLBFlushSlots(t *testing.T) {
-	pm, as, m := newMMUSpace(t)
-	slot1 := uint64(1) << 39
-	for _, va := range []uint64{0x10000, 0x11000, slot1 + 0x10000} {
-		f, _ := pm.Alloc(0, "p")
-		if err := as.Map(va, f, PteUser); err != nil {
-			t.Fatal(err)
-		}
-		if _, fault := m.Translate(va, Access{User: true}, nil, nil); fault != nil {
-			t.Fatal(fault)
-		}
-	}
-	if n := m.TLB().FlushSlots(nil); n != 0 {
-		t.Errorf("empty slot list invalidated %d entries", n)
-	}
-	if n := m.TLB().FlushSlots([]int{7}); n != 0 {
-		t.Errorf("untouched slot invalidated %d entries", n)
-	}
-	if n := m.TLB().FlushSlots([]int{0}); n != 2 {
-		t.Errorf("slot-0 shootdown invalidated %d entries, want 2", n)
-	}
-	if got := m.TLB().Len(); got != 1 {
-		t.Errorf("TLB len after slot-0 shootdown = %d, want 1", got)
-	}
-	// The slot-1 translation survived and still hits.
-	hits0, _, _ := m.TLB().Stats()
-	if _, fault := m.Translate(slot1+0x10000, Access{User: true}, nil, nil); fault != nil {
-		t.Fatal(fault)
-	}
-	if hits1, _, _ := m.TLB().Stats(); hits1 != hits0+1 {
-		t.Error("surviving slot-1 entry did not hit")
-	}
-}
-
-// TestPCIDLoadCR3KeepsTranslations pins the tagged-TLB behaviour: with
-// PCID on, a CR3 reload switches tags without flushing, translations do
-// not leak across tags, and returning to the original space hits again.
-func TestPCIDLoadCR3KeepsTranslations(t *testing.T) {
-	pm, as, m := newMMUSpace(t)
-	as2, err := NewAddressSpace(pm, 0, "walk2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := pm.Alloc(0, "p")
-	if err := as.Map(0xE000, f, PteUser); err != nil {
-		t.Fatal(err)
-	}
-	m.EnablePCID(true)
-	m.LoadCR3(as)
-	if _, fault := m.Translate(0xE000, Access{User: true}, nil, nil); fault != nil {
-		t.Fatal(fault)
-	}
-	if m.TLB().Len() == 0 {
-		t.Fatal("expected cached translation")
-	}
-	m.LoadCR3(as2)
-	if m.TLB().Len() == 0 {
-		t.Error("PCID CR3 reload flushed the TLB")
-	}
-	// The cached entry belongs to as's tag: the same VA under as2 walks
-	// afresh and faults (nothing is mapped there).
-	_, misses0, _ := m.TLB().Stats()
-	if _, fault := m.Translate(0xE000, Access{User: true}, nil, nil); fault == nil {
-		t.Error("translation leaked across PCID tags")
-	}
-	if _, misses1, _ := m.TLB().Stats(); misses1 != misses0+1 {
-		t.Error("cross-tag access did not miss")
-	}
-	// Back to the original space: the old translation still hits.
-	m.LoadCR3(as)
-	hits0, _, _ := m.TLB().Stats()
-	if _, fault := m.Translate(0xE000, Access{User: true}, nil, nil); fault != nil {
-		t.Fatal(fault)
-	}
-	if hits1, _, _ := m.TLB().Stats(); hits1 != hits0+1 {
-		t.Error("returning to the tagged space did not hit")
+		t.Errorf("per-page invalidations counted as full flushes (%d)", f)
 	}
 }
 

@@ -52,10 +52,6 @@ type GC struct {
 	epoch uint32
 	minor bool
 
-	// fastProtect, when non-nil, un-protects merged user pages by direct
-	// PTE edit on the HRT core — the fault fast lane (UserFaultLane).
-	fastProtect func(addr, length uint64, writable bool) bool
-
 	// Stats.
 	Collections      uint64
 	MinorCollections uint64
@@ -137,14 +133,6 @@ func newGC(in *Interp) (*GC, error) {
 	})
 	if !res.Ok() {
 		return nil, fmt.Errorf("scheme: installing GC SIGSEGV handler: %v", res.Err)
-	}
-
-	// Fault fast lane: when the environment exposes it (an HRT under the
-	// incremental merger), write-barrier faults on heap segments resolve
-	// HRT-locally instead of crossing to the ROS. The registration is a
-	// no-op — and fastProtect stays nil — everywhere else.
-	if lane, ok := in.os.(UserFaultLane); ok && lane.RegisterUserFaultHandler(g.akMemFault) {
-		g.fastProtect = lane.UserProtect
 	}
 
 	// Create the initial heap: generations, nursery, and auxiliary

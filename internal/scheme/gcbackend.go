@@ -60,17 +60,6 @@ type AKMemory interface {
 	RegisterAKMemFaultHandler(h func(addr uint64, write bool) bool)
 }
 
-// UserFaultLane is the capability an HRT execution environment exposes
-// when the incremental merger is on: protection faults on merged
-// lower-half user pages can be resolved HRT-locally by direct PTE edit
-// instead of being forwarded to the ROS. RegisterUserFaultHandler reports
-// whether the handler was installed; when it declines, the runtime keeps
-// the forwarded SIGSEGV path.
-type UserFaultLane interface {
-	RegisterUserFaultHandler(h func(addr uint64, write bool) bool) bool
-	UserProtect(addr, length uint64, writable bool) bool
-}
-
 // akBackend edits page tables in the AeroKernel: no event-channel
 // crossings, no demand faults (frames are allocated eagerly at map time).
 type akBackend struct {
@@ -131,27 +120,13 @@ func (e *Engine) EnableAKMemory() error {
 // GCBackendName reports which backend currently provides new segments.
 func (e *Engine) GCBackendName() string { return e.in.gc.backend.name() }
 
-// akMemFault is the kernel-level write-barrier resolution: un-protect the
-// segment by direct PTE edit and let the access retry. It serves both the
-// AK-managed region (via RegisterAKMemFaultHandler) and, when the fault
-// fast lane is armed, merged lower-half segments owned by the legacy
-// backend (via UserFaultLane). Only un-protection happens locally; the
-// protect phase of a collection stays on the backend path so the ROS's
-// VMA view never disagrees with the PTEs.
+// akMemFault is the kernel-level write-barrier resolution for the
+// AK-managed region (installed via RegisterAKMemFaultHandler): un-protect
+// the segment by direct PTE edit and let the access retry.
 func (g *GC) akMemFault(addr uint64, write bool) bool {
 	s := g.segmentOf(addr)
 	if s == nil || !s.protected {
 		return false
-	}
-	if _, isAK := s.backend.(*akBackend); !isAK {
-		if g.fastProtect == nil || !g.fastProtect(s.base, segBytes, true) {
-			// Declined: fall back to the forwarded fault path, where the
-			// ROS-side SIGSEGV handler un-protects through mprotect.
-			return false
-		}
-		s.protected = false
-		g.BarrierFaults++
-		return true
 	}
 	if !s.backend.protect(g.in, s.base, segBytes, true) {
 		return false

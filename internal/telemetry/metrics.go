@@ -210,6 +210,18 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// FindCounter returns the named counter without creating it: nil (which
+// reads 0) when nothing registered the name. A read through it leaves the
+// registry, and so the exposition, unchanged.
+func (r *Registry) FindCounter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counts[name]
+}
+
 // Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
@@ -248,6 +260,17 @@ func (r *Registry) Histogram(name string, edges []cycles.Cycles) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// FindHistogram is FindCounter for histograms: nil (which reads empty)
+// when the name is not registered.
+func (r *Registry) FindHistogram(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.hists[name]
 }
 
 // LatencyHistogram is Histogram with the default latency buckets.

@@ -229,6 +229,34 @@ func TestRegistryNilAndDumpOrder(t *testing.T) {
 	}
 }
 
+// TestFindDoesNotRegister pins the lookup-only reads: a name nobody
+// registered reads 0 and stays out of the dump, and a registered one
+// reads its value through the same handle.
+func TestFindDoesNotRegister(t *testing.T) {
+	reg := NewRegistry()
+	if v := reg.FindCounter("absent").Value(); v != 0 {
+		t.Errorf("absent counter reads %d", v)
+	}
+	if n := reg.FindHistogram("absent.latency").Count(); n != 0 {
+		t.Errorf("absent histogram counts %d", n)
+	}
+	if dump := reg.Dump(); dump != "" {
+		t.Errorf("lookups registered instruments:\n%s", dump)
+	}
+	reg.Counter("present").Add(3)
+	reg.LatencyHistogram("present.latency").Observe(9)
+	if reg.FindCounter("present") != reg.Counter("present") || reg.FindCounter("present").Value() != 3 {
+		t.Error("FindCounter did not return the registered counter")
+	}
+	if reg.FindHistogram("present.latency").Sum() != 9 {
+		t.Error("FindHistogram did not return the registered histogram")
+	}
+	var nilReg *Registry
+	if nilReg.FindCounter("c") != nil || nilReg.FindHistogram("h") != nil {
+		t.Error("nil registry found an instrument")
+	}
+}
+
 func TestChromeTraceShape(t *testing.T) {
 	tr := New()
 	tk := Track{Core: 1, Name: "hrt"}

@@ -496,13 +496,13 @@ func printStats(res *bench.RunResult, groups int) {
 			m.Counter("density.groups.spawned").Value(),
 			m.Gauge("density.groups.live").Value(),
 			m.Gauge("density.groups.peak").Value(),
-			m.Gauge("density.warm.size").Value(),
-			m.Counter("density.warm.hits").Value(),
-			m.Counter("density.warm.misses").Value(),
-			m.Counter("density.warm.returns").Value(),
-			m.Counter("density.warm.drops").Value(),
-			m.Counter("density.admission.rejected").Value(),
-			m.Counter("density.budget.rejected").Value())
+			m.FindGauge("density.warm.size").Value(),
+			m.FindCounter("density.warm.hits").Value(),
+			m.FindCounter("density.warm.misses").Value(),
+			m.FindCounter("density.warm.returns").Value(),
+			m.FindCounter("density.warm.drops").Value(),
+			m.FindCounter("density.admission.rejected").Value(),
+			m.FindCounter("density.budget.rejected").Value())
 	}
 	if o.Faults != nil {
 		var injected uint64

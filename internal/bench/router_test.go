@@ -351,8 +351,8 @@ func TestRoutedFaultsCountedOnce(t *testing.T) {
 // TestRoutedBarrierFaultsUsePartnerDispositions runs the router with the
 // scheduler, whose deterministic arenas keep signal dispositions per ROS
 // thread, so the GC's write barrier faults reach the ROS SIGSEGV path. The runtime installed its
-// handler for the partner; a fault replicated by the polled rung's
-// poller, a different thread, must still find it.
+// handler for the group's ROS identity; a fault replicated by the polled
+// rung's poller, a context of its own, must still find it.
 func TestRoutedBarrierFaultsUsePartnerDispositions(t *testing.T) {
 	p, _ := ProgramByName("fasta")
 	res, err := RunBenchmark(p, core.WorldHRT, core.Options{Router: true, Scheduler: true, WedgeTimeout: time.Minute}, false)

@@ -129,10 +129,10 @@ func (e *nativeEnv) Touch(addr uint64, write bool) error {
 	return nil
 }
 
-func (e *nativeEnv) CheckTimer() bool { return e.proc.CheckTimerFor(e.thread.TID, e.thread.Clock) }
+func (e *nativeEnv) CheckTimer() bool { return e.proc.CheckTimer(e.thread.TID, e.thread.Clock) }
 
 func (e *nativeEnv) RegisterSignalCode(addr uint64, fn func(*ros.SignalContext)) {
-	e.proc.RegisterHandlerFor(e.thread.TID, addr, fn)
+	e.proc.RegisterHandler(e.thread.TID, addr, fn)
 }
 
 func (e *nativeEnv) PthreadCreate(fn func(Env)) (PthreadJoin, error) {

@@ -160,8 +160,11 @@ func (g *ExecutionGroup) bind(pt *ros.Thread) {
 	})
 }
 
-// PartnerTID is the TID of the current partner thread — the key the ROS
-// kernel scopes per-thread state (timers, signal handlers) to.
+// PartnerTID is the group's ROS identity: the TID of its partner, which
+// every context serving the group carries — each partner generation, each
+// poller and the degraded service context (ros.Process.NewContext). The
+// ROS kernel scopes per-thread state (brk, anonymous-mmap placement,
+// signal dispositions and handlers, the itimer) to it.
 func (g *ExecutionGroup) PartnerTID() int { return g.partnerRef().TID }
 
 // SpawnGroup creates an execution group running fn as a top-level HRT
@@ -337,18 +340,18 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 	r := g.router
 	r.SetStamps(s.Proc)
 	// Promotion sets up the channel with one hypercall and dedicates a
-	// fresh ROS thread, created on the promoting HRT thread's clock, as
-	// its poller; demotion (idle or a clean window after fault pressure)
-	// closes it, which also releases the poller.
+	// poller, created on the promoting HRT thread's clock: a context of
+	// the group's own ROS thread with a clock of its own, so it pays every
+	// poll and service charge and serves each frame as the group.
+	// Demotion (idle or a clean window after fault pressure) closes the
+	// channel, which also releases the poller.
 	r.SetPollHooks(
 		func(clk *cycles.Clock) (*hvm.PolledChannel, error) {
-			pt := s.Proc.NewThread(rosCore)
+			pt := s.Proc.NewContext(g.PartnerTID(), rosCore)
 			ch, err := s.HVM.OpenPolled(clk, rosCore, hrtCore, hvm.Poller{
 				Clock: pt.Clock,
 				Serve: func(call linuxabi.Call) linuxabi.Result { return s.Proc.Syscall(pt, call) },
-				Touch: func(addr uint64, write bool) bool {
-					return s.Proc.TouchFor(pt, g.PartnerTID(), addr, write) == linuxabi.OK
-				},
+				Touch: func(addr uint64, write bool) bool { return s.Proc.Touch(pt, addr, write) == linuxabi.OK },
 			})
 			if err != nil {
 				return nil, err
@@ -375,15 +378,16 @@ func (g *ExecutionGroup) recoverPartner(dead *ros.Thread) {
 	g.respawn(dead)
 }
 
-// respawn brings up a fresh partner thread after a death: create the
-// thread at the dead partner's virtual time, replay the mirrored-state
-// merge (the dead partner may have died mid-protocol; the PR-3 delta path
-// makes the replay cheap), requeue every in-flight envelope, and resume
-// serving from the retransmit queue.
+// respawn brings up a fresh partner context after a death: create it at
+// the dead partner's virtual time with the dead partner's identity (its
+// TID, so the group's brk, mappings, dispositions and itimer carry over),
+// replay the mirrored-state merge (the dead partner may have died
+// mid-protocol; the delta path makes the replay cheap), requeue every
+// in-flight envelope, and resume serving from the retransmit queue.
 func (g *ExecutionGroup) respawn(dead *ros.Thread) {
 	s := g.sys()
 	start := dead.Clock.Now()
-	pt := s.Proc.NewThread(g.rosCore)
+	pt := s.Proc.NewContext(dead.TID, g.rosCore)
 	pt.Clock.SyncTo(start)
 	pt.Clock.Advance(s.Machine.Cost.ROSThreadCreate)
 	// The merge replay is best-effort: the shared lower-level tables are
@@ -416,14 +420,14 @@ func (g *ExecutionGroup) respawn(dead *ros.Thread) {
 // forwarded faults are served by direct ROS entries under a dedicated
 // service context; the event channel goes force-reliable and a final
 // partner generation handles the residual control traffic (thread exit,
-// plus any requeued in-flight envelopes).
+// plus any requeued in-flight envelopes). Both keep the group's identity.
 func (g *ExecutionGroup) degrade(dead *ros.Thread) {
 	s := g.sys()
 	cost := s.Machine.Cost
 	g.degraded.Store(true)
 	g.channel.ForceReliable()
 
-	svc := s.Proc.NewThread(g.rosCore)
+	svc := s.Proc.NewContext(dead.TID, g.rosCore)
 	svc.Clock.SyncTo(dead.Clock.Now())
 	g.hrt.SetFallback(&aerokernel.Fallback{
 		Syscall: func(t *aerokernel.Thread, call linuxabi.Call) linuxabi.Result {
@@ -450,7 +454,7 @@ func (g *ExecutionGroup) degrade(dead *ros.Thread) {
 
 	// Final partner generation for the residual channel traffic. The
 	// degraded flag disarms the kill roll, so this one cannot die again.
-	pt := s.Proc.NewThread(g.rosCore)
+	pt := s.Proc.NewContext(dead.TID, g.rosCore)
 	pt.Clock.SyncTo(dead.Clock.Now())
 	pt.Clock.Advance(cost.ROSThreadCreate)
 	g.channel.Requeue(pt.Clock.Now())
@@ -717,16 +721,16 @@ func (e *hrtEnv) Touch(addr uint64, write bool) error {
 }
 
 func (e *hrtEnv) CheckTimer() bool {
-	// The timer is keyed by the ROS thread that serviced the forwarded
-	// setitimer — this group's partner.
-	return e.sys().Proc.CheckTimerFor(e.group.PartnerTID(), e.t.Clock)
+	// The timer is keyed by the group's ROS identity, which every context
+	// that serviced the forwarded setitimer carries.
+	return e.sys().Proc.CheckTimer(e.group.PartnerTID(), e.t.Clock)
 }
 
 func (e *hrtEnv) RegisterSignalCode(addr uint64, fn func(*ros.SignalContext)) {
-	// Scope the registration to this group's partner — the same ROS thread
-	// that services the group's rt_sigaction — so concurrent engines using
-	// the same fixed handler addresses cannot clobber each other.
-	e.sys().Proc.RegisterHandlerFor(e.group.PartnerTID(), addr, fn)
+	// Scope the registration to the group's ROS identity — the TID whose
+	// dispositions the group's rt_sigaction sets — so concurrent engines
+	// using the same fixed handler addresses cannot clobber each other.
+	e.sys().Proc.RegisterHandler(e.group.PartnerTID(), addr, fn)
 }
 
 // PthreadCreate goes through the generated wrapper for pthread_create,

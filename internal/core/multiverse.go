@@ -220,7 +220,7 @@ func NewSystem(fat *image.Image, opts Options) (*System, error) {
 	if s.metrics == nil {
 		s.metrics = telemetry.NewRegistry()
 	}
-	s.density = newDensityStats(s.metrics)
+	s.density = newDensityStats(s.metrics, &opts)
 	if opts.WarmPool > 0 {
 		s.pool = newWarmPool(opts.WarmPool)
 	}

@@ -17,10 +17,12 @@ import (
 // the main group forward over the main group's channel from goroutines
 // of their own, contending for its service lock. The protocol must hold
 // under concurrency (run under -race in CI). The routed configuration
-// adds the router's sync channel, and the fault-armed one partner kills,
-// duplicated and corrupted frames. Every thread writes its own letter at
+// adds the router's sync channel, the fault-armed one partner kills,
+// duplicated and corrupted frames, and the last both at once, so promoted
+// rungs meet respawned partners. Every thread writes its own letter at
 // its own length, so each result and the final stdout prove that every
-// forwarded request was served exactly once.
+// forwarded request was served exactly once; each group's brk(0) must
+// read the same at its end as at its start, whichever context served it.
 func TestManyConcurrentGroups(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -28,11 +30,17 @@ func TestManyConcurrentGroups(t *testing.T) {
 	}{
 		{"plain", Options{AppName: "stress", Scheduler: true}},
 		{"routed", Options{AppName: "stress", Scheduler: true, Router: true}},
-		{"faults", Options{AppName: "stress", Scheduler: true, Faults: &faults.Plan{Seed: 12, RecoveryBudget: 1 << 20,
-			Rates: map[faults.Kind]float64{faults.PartnerKill: 0.05, faults.DupNotify: 0.2, faults.CorruptFrame: 0.1}}}},
+		{"faults", Options{AppName: "stress", Scheduler: true, Faults: stressFaults()}},
+		{"routed+faults", Options{AppName: "stress", Scheduler: true, Router: true, Faults: stressFaults()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { manyConcurrentGroups(t, tc.opts) })
 	}
+}
+
+// stressFaults is the fault-armed stress configurations' plan.
+func stressFaults() *faults.Plan {
+	return &faults.Plan{Seed: 12, RecoveryBudget: 1 << 20,
+		Rates: map[faults.Kind]float64{faults.PartnerKill: 0.05, faults.DupNotify: 0.2, faults.CorruptFrame: 0.1}}
 }
 
 func manyConcurrentGroups(t *testing.T, opts Options) {
@@ -60,6 +68,7 @@ func manyConcurrentGroups(t *testing.T, opts Options) {
 			wg.Add(1)
 			join, err := env.PthreadCreate(func(child Env) {
 				defer wg.Done()
+				brk0 := child.Syscall(linuxabi.Call{Num: linuxabi.SysBrk}).Ret
 				// Each group mmaps its own region and touches it.
 				r := child.Syscall(linuxabi.Call{
 					Num:  linuxabi.SysMmap,
@@ -76,6 +85,9 @@ func manyConcurrentGroups(t *testing.T, opts Options) {
 					}
 				}
 				writes(child, fmt.Sprintf("pthread %d", g), letter(g))
+				if brk := child.Syscall(linuxabi.Call{Num: linuxabi.SysBrk}).Ret; brk != brk0 {
+					t.Errorf("pthread %d: brk(0) = %#x at its end, %#x at its start", g, brk, brk0)
+				}
 			})
 			if err != nil {
 				t.Errorf("spawn %d: %v", g, err)

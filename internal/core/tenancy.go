@@ -126,7 +126,11 @@ func (p *warmPool) size() int {
 // densityStats is the registry-backed instrument set behind the mvrun
 // -stats density line and the /metrics.json density.* entries. Handles
 // are resolved once at system construction so the spawn path pays no
-// registry lookups.
+// registry lookups. Only the instruments of what the run configures are
+// registered: the warm-pool set with Options.WarmPool, the admission
+// counter with Options.MaxGroups, the budget counter with
+// Options.TenantBudget. The others stay nil, and every increment is
+// behind the same condition.
 type densityStats struct {
 	spawned        *telemetry.Counter // density.groups.spawned
 	live           *telemetry.Gauge   // density.groups.live
@@ -140,19 +144,26 @@ type densityStats struct {
 	budgetRejected *telemetry.Counter // density.budget.rejected
 }
 
-func newDensityStats(m *telemetry.Registry) *densityStats {
-	return &densityStats{
-		spawned:        m.Counter("density.groups.spawned"),
-		live:           m.Gauge("density.groups.live"),
-		peak:           m.Gauge("density.groups.peak"),
-		warmSize:       m.Gauge("density.warm.size"),
-		warmHits:       m.Counter("density.warm.hits"),
-		warmMisses:     m.Counter("density.warm.misses"),
-		warmReturns:    m.Counter("density.warm.returns"),
-		warmDrops:      m.Counter("density.warm.drops"),
-		admRejected:    m.Counter("density.admission.rejected"),
-		budgetRejected: m.Counter("density.budget.rejected"),
+func newDensityStats(m *telemetry.Registry, opts *Options) *densityStats {
+	d := &densityStats{
+		spawned: m.Counter("density.groups.spawned"),
+		live:    m.Gauge("density.groups.live"),
+		peak:    m.Gauge("density.groups.peak"),
 	}
+	if opts.WarmPool > 0 {
+		d.warmSize = m.Gauge("density.warm.size")
+		d.warmHits = m.Counter("density.warm.hits")
+		d.warmMisses = m.Counter("density.warm.misses")
+		d.warmReturns = m.Counter("density.warm.returns")
+		d.warmDrops = m.Counter("density.warm.drops")
+	}
+	if opts.MaxGroups > 0 {
+		d.admRejected = m.Counter("density.admission.rejected")
+	}
+	if opts.TenantBudget != nil {
+		d.budgetRejected = m.Counter("density.budget.rejected")
+	}
+	return d
 }
 
 // noteGroupLive records a successful registration: the live count rises

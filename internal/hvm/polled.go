@@ -19,12 +19,13 @@ import (
 // channel instead.
 var errPolledDown = errors.New("hvm: polled channel down")
 
-// Poller is the ROS side of a polled channel: the dedicated poller
-// thread's clock, which pays the poll, service and reply charges of
-// every frame, and the service each frame receives. Serve executes a
-// system call; Touch replicates a forwarded page fault's access on the
-// poller thread, so the ROS fault path runs as it would natively, and
-// reports whether the ROS resolved it.
+// Poller is the ROS side of a polled channel: the dedicated poller's
+// clock, which pays the poll, service and reply charges of every frame,
+// and the service each frame receives. Serve executes a system call;
+// Touch replicates a forwarded page fault's access, so the ROS fault path
+// runs as it would natively, and reports whether the ROS resolved it. An
+// execution group's poller is a context of the group's own ROS thread
+// with a clock of its own, so both serve each frame as the group.
 type Poller struct {
 	Clock *cycles.Clock
 	Serve func(linuxabi.Call) linuxabi.Result

@@ -93,28 +93,23 @@ type Process struct {
 	pid  int
 	name string
 
-	mu         sync.Mutex
-	space      *paging.AddressSpace
-	vmas       []*vma // sorted by start
-	brk        uint64
-	mmapBase   uint64
-	residency  uint64 // currently mapped pages
-	fds        map[int]fdEntry
-	nextFd     int
-	cwd        string
-	sigactions map[linuxabi.Signal]sigaction
-	handlers   map[uint64]SignalHandlerFunc
-	threadFns  map[uint64]func(*Thread)
-	nextTid    int
-	exited     bool
-	exitCode   uint64
-	stdout     []byte
-	stdin      []byte
+	mu        sync.Mutex
+	space     *paging.AddressSpace
+	vmas      []*vma // sorted by start
+	residency uint64 // currently mapped pages
+	fds       map[int]fdEntry
+	nextFd    int
+	cwd       string
+	threadFns map[uint64]func(*Thread)
+	nextTid   int
+	exited    bool
+	exitCode  uint64
+	stdout    []byte
+	stdin     []byte
 
-	// itimer state (setitimer(ITIMER_*)): virtual deadline and interval.
-	timerDeadline cycles.Cycles
-	timerInterval cycles.Cycles
-	timerSig      linuxabi.Signal
+	// shared is the process-wide break, mmap pointer, itimer and signal
+	// dispositions every thread acts on while arenas are off.
+	shared threadArena
 
 	// Optional fault trace, for the paper's fidelity criterion: "if we
 	// collect a trace of page faults in the application running native
@@ -193,10 +188,11 @@ const (
 	arenaBrkOff uint64 = 3 << 28
 )
 
-// threadArena is one thread's private state under deterministic arenas: a
-// bump pointer for anonymous mmap, a private program break, and a private
-// interval timer + signal dispositions (so concurrent engines arming their
-// cooperative tick cannot clobber each other in arrival order).
+// threadArena is the state a thread's identity keys: a bump pointer for
+// anonymous mmap, a program break, an interval timer and signal
+// dispositions. Under deterministic arenas each TID owns one (so
+// concurrent engines arming their cooperative tick cannot clobber each
+// other in arrival order); otherwise every thread shares the process's.
 type threadArena struct {
 	mmapNext uint64
 	brkBase  uint64
@@ -224,8 +220,12 @@ func (p *Process) EnableDeterministicArenas() {
 	}
 }
 
-// arenaFor returns (creating on first use) tid's arena. Caller holds p.mu.
+// arenaFor returns (creating on first use) tid's arena, or the shared
+// process state when arenas are off. Caller holds p.mu.
 func (p *Process) arenaFor(tid int) *threadArena {
+	if !p.detArenas {
+		return &p.shared
+	}
 	a := p.arenas[tid]
 	if a == nil {
 		base := mmapBase + uint64(tid)*arenaStride
@@ -247,19 +247,22 @@ func newProcess(k *Kernel, pid int, name string) (*Process, error) {
 		return nil, fmt.Errorf("ros: creating address space: %w", err)
 	}
 	p := &Process{
-		kern:       k,
-		pid:        pid,
-		name:       name,
-		space:      space,
-		brk:        brkBase,
-		mmapBase:   mmapBase,
-		fds:        make(map[int]fdEntry),
-		nextFd:     3, // 0,1,2 reserved for stdio
-		cwd:        "/",
-		sigactions: make(map[linuxabi.Signal]sigaction),
-		handlers:   make(map[uint64]SignalHandlerFunc),
-		nextTid:    1,
-		stats:      Stats{Syscalls: make(map[linuxabi.Sysno]uint64)},
+		kern:    k,
+		pid:     pid,
+		name:    name,
+		space:   space,
+		fds:     make(map[int]fdEntry),
+		nextFd:  3, // 0,1,2 reserved for stdio
+		cwd:     "/",
+		nextTid: 1,
+		stats:   Stats{Syscalls: make(map[linuxabi.Sysno]uint64)},
+		shared: threadArena{
+			mmapNext:   mmapBase,
+			brkBase:    brkBase,
+			brk:        brkBase,
+			sigactions: make(map[linuxabi.Signal]sigaction),
+			handlers:   make(map[uint64]SignalHandlerFunc),
+		},
 	}
 	return p, nil
 }
@@ -398,25 +401,16 @@ func (p *Process) foldHotStats(st *Stats) {
 
 // RegisterHandler associates handler code (a Go closure) with a handler
 // address in the process image, so rt_sigaction can refer to it the way
-// real code refers to a function pointer.
-func (p *Process) RegisterHandler(addr uint64, fn SignalHandlerFunc) {
-	p.RegisterHandlerFor(0, addr, fn)
-}
-
-// RegisterHandlerFor is RegisterHandler scoped to the ROS thread doing the
-// registering. Engines place their handlers at fixed image addresses, so
-// under deterministic arenas — where several engines run at once — the
+// real code refers to a function pointer. The registration is scoped to
+// ROS thread tid: engines place their handlers at fixed image addresses,
+// so under deterministic arenas — where several engines run at once — the
 // address→closure table must be per-thread or concurrent engines would
-// clobber each other's registrations in arrival order. tid 0 (or arenas
-// off) uses the shared process table.
-func (p *Process) RegisterHandlerFor(tid int, addr uint64, fn SignalHandlerFunc) {
+// clobber each other's registrations in arrival order. With arenas off
+// every thread uses the shared process table.
+func (p *Process) RegisterHandler(tid int, addr uint64, fn SignalHandlerFunc) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.detArenas && tid != 0 {
-		p.arenaFor(tid).handlers[addr] = fn
-		return
-	}
-	p.handlers[addr] = fn
+	p.arenaFor(tid).handlers[addr] = fn
 }
 
 // Exited reports whether the process has exited and with what code.
@@ -511,22 +505,13 @@ const maxFaultRetries = 8
 // HRT forwards a fault, the partner thread replays the access here and
 // "the ROS will then handle it as it would normally" (section 3.2).
 func (p *Process) Touch(t *Thread, addr uint64, write bool) linuxabi.Errno {
-	return p.TouchFor(t, t.TID, addr, write)
-}
-
-// TouchFor is Touch on behalf of thread tid: under deterministic arenas,
-// a SIGSEGV the access raises is delivered with tid's dispositions. A
-// polled rung's poller replicates an execution group's faults this way,
-// on its own thread but with the dispositions of the group's partner,
-// where the runtime installed its handlers.
-func (p *Process) TouchFor(t *Thread, tid int, addr uint64, write bool) linuxabi.Errno {
 	core := p.kern.machine.Core(t.Core)
 	for try := 0; try < maxFaultRetries; try++ {
 		_, fault := core.MMU.Translate(addr, paging.Access{Write: write, User: true}, t.Clock, p.kern.cost)
 		if fault == nil {
 			return linuxabi.OK
 		}
-		if errno := p.handleFault(t, tid, fault); errno != linuxabi.OK {
+		if errno := p.handleFault(t, fault); errno != linuxabi.OK {
 			return errno
 		}
 	}
@@ -535,8 +520,8 @@ func (p *Process) TouchFor(t *Thread, tid int, addr uint64, write bool) linuxabi
 
 // handleFault is the kernel page-fault handler: demand-map, fix
 // protections changed under the VMA, or deliver SIGSEGV with the
-// dispositions of thread tid.
-func (p *Process) handleFault(t *Thread, tid int, fault *paging.Fault) linuxabi.Errno {
+// dispositions of thread t.
+func (p *Process) handleFault(t *Thread, fault *paging.Fault) linuxabi.Errno {
 	start := t.Clock.Now()
 	if p.kern.world == Virtual {
 		t.Clock.Advance(p.kern.cost.VirtFaultExtra)
@@ -550,13 +535,9 @@ func (p *Process) handleFault(t *Thread, tid int, fault *paging.Fault) linuxabi.
 		// Genuine access violation: deliver SIGSEGV if a handler is
 		// registered; otherwise the access fails. Under deterministic
 		// arenas dispositions live with the thread that registered them.
-		sigs, handlers := p.sigactions, p.handlers
-		if p.detArenas {
-			a := p.arenaFor(tid)
-			sigs, handlers = a.sigactions, a.handlers
-		}
-		sa, ok := sigs[linuxabi.SIGSEGV]
-		fn := handlers[sa.handlerAddr]
+		a := p.arenaFor(t.TID)
+		sa, ok := a.sigactions[linuxabi.SIGSEGV]
+		fn := a.handlers[sa.handlerAddr]
 		p.mu.Unlock()
 		if !ok || fn == nil {
 			p.chargeSys(t.Clock.Now() - start)
@@ -613,8 +594,8 @@ func (p *Process) deliverSignal(clk *cycles.Clock, fn SignalHandlerFunc, ctx *Si
 // SIGKILL/SIGSEGV, which fail the caller.
 func (p *Process) SendSignal(clk *cycles.Clock, sig linuxabi.Signal) linuxabi.Errno {
 	p.mu.Lock()
-	sa, ok := p.sigactions[sig]
-	fn := p.handlers[sa.handlerAddr]
+	sa, ok := p.shared.sigactions[sig]
+	fn := p.shared.handlers[sa.handlerAddr]
 	p.mu.Unlock()
 	if !ok || fn == nil {
 		if sig == linuxabi.SIGKILL || sig == linuxabi.SIGSEGV {
@@ -626,38 +607,27 @@ func (p *Process) SendSignal(clk *cycles.Clock, sig linuxabi.Signal) linuxabi.Er
 	return linuxabi.OK
 }
 
-// CheckTimer fires the interval timer if the context's virtual time passed
-// the deadline, delivering the timer signal (the cooperative-threading
-// tick Racket's runtime relies on). Returns true if it fired.
-func (p *Process) CheckTimer(clk *cycles.Clock) bool {
-	return p.CheckTimerFor(0, clk)
-}
-
-// CheckTimerFor is CheckTimer scoped to the ROS thread that armed the
-// timer: under deterministic arenas each thread owns a private itimer and
-// private dispositions, so the check must name whose timer it is polling.
-// tid 0 (or arenas off) selects the shared process timer.
-func (p *Process) CheckTimerFor(tid int, clk *cycles.Clock) bool {
+// CheckTimer fires the interval timer of ROS thread tid if the context's
+// virtual time (clk) passed the deadline, delivering the timer signal (the
+// cooperative-threading tick Racket's runtime relies on). Returns true if
+// it fired. Under deterministic arenas each thread owns a private itimer
+// and private dispositions, so the check names whose timer it polls; with
+// arenas off every thread polls the shared process timer.
+func (p *Process) CheckTimer(tid int, clk *cycles.Clock) bool {
 	p.mu.Lock()
-	deadline, interval, tsig := &p.timerDeadline, &p.timerInterval, &p.timerSig
-	sigs, handlers := p.sigactions, p.handlers
-	if p.detArenas && tid != 0 {
-		a := p.arenaFor(tid)
-		deadline, interval, tsig = &a.timerDeadline, &a.timerInterval, &a.timerSig
-		sigs, handlers = a.sigactions, a.handlers
-	}
-	if *deadline == 0 || clk.Now() < *deadline {
+	a := p.arenaFor(tid)
+	if a.timerDeadline == 0 || clk.Now() < a.timerDeadline {
 		p.mu.Unlock()
 		return false
 	}
-	sig := *tsig
-	if *interval > 0 {
-		*deadline = clk.Now() + *interval
+	sig := a.timerSig
+	if a.timerInterval > 0 {
+		a.timerDeadline = clk.Now() + a.timerInterval
 	} else {
-		*deadline = 0
+		a.timerDeadline = 0
 	}
-	sa, ok := sigs[sig]
-	fn := handlers[sa.handlerAddr]
+	sa, ok := a.sigactions[sig]
+	fn := a.handlers[sa.handlerAddr]
 	p.mu.Unlock()
 	p.countInvoluntaryCS()
 	if ok && fn != nil {

@@ -139,7 +139,7 @@ func TestMprotectAndSIGSEGVHandler(t *testing.T) {
 
 	// Install a GC-style handler that re-opens the page, then retry.
 	var faults int
-	p.RegisterHandler(0x4000_0000, func(ctx *SignalContext) {
+	p.RegisterHandler(0, 0x4000_0000, func(ctx *SignalContext) {
 		faults++
 		if ctx.Sig != linuxabi.SIGSEGV || !ctx.Write || ctx.FaultAddr != addr {
 			t.Errorf("ctx = %+v", ctx)
@@ -252,7 +252,7 @@ func TestStdinRead(t *testing.T) {
 func TestItimerDelivery(t *testing.T) {
 	_, p, th := newProc(t, Native)
 	var fired int
-	p.RegisterHandler(0x5000_0000, func(ctx *SignalContext) {
+	p.RegisterHandler(0, 0x5000_0000, func(ctx *SignalContext) {
 		fired++
 		if ctx.Sig != linuxabi.SIGVTALRM {
 			t.Errorf("sig = %v", ctx.Sig)
@@ -263,11 +263,11 @@ func TestItimerDelivery(t *testing.T) {
 	if r := p.Syscall(th, call(linuxabi.SysSetitimer, linuxabi.ITimerVirtual, 1000, 1000)); !r.Ok() {
 		t.Fatalf("setitimer: %v", r.Err)
 	}
-	if p.CheckTimer(th.Clock) {
+	if p.CheckTimer(0, th.Clock) {
 		t.Error("timer fired immediately")
 	}
 	th.Clock.Advance(2_200_000 * 2) // 2 ms
-	if !p.CheckTimer(th.Clock) {
+	if !p.CheckTimer(0, th.Clock) {
 		t.Error("expired timer did not fire")
 	}
 	if fired != 1 {
@@ -275,13 +275,13 @@ func TestItimerDelivery(t *testing.T) {
 	}
 	// Interval re-arms.
 	th.Clock.Advance(2_200_000 * 2)
-	if !p.CheckTimer(th.Clock) {
+	if !p.CheckTimer(0, th.Clock) {
 		t.Error("interval timer did not re-fire")
 	}
 	// Cancel.
 	_ = p.Syscall(th, call(linuxabi.SysSetitimer, linuxabi.ITimerVirtual, 0, 0))
 	th.Clock.Advance(22_000_000)
-	if p.CheckTimer(th.Clock) {
+	if p.CheckTimer(0, th.Clock) {
 		t.Error("cancelled timer fired")
 	}
 }

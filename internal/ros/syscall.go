@@ -361,14 +361,9 @@ func (p *Process) sysMmap(t *Thread, call linuxabi.Call) linuxabi.Result {
 		// mappings. Under deterministic arenas each thread bumps through
 		// its own TID-keyed slice of the mmap region instead of racing on
 		// the shared pointer.
-		if p.detArenas {
-			a := p.arenaFor(t.TID)
-			addr = a.mmapNext
-			a.mmapNext += length + mem.PageSize
-		} else {
-			addr = p.mmapBase
-			p.mmapBase += length + mem.PageSize
-		}
+		a := p.arenaFor(t.TID)
+		addr = a.mmapNext
+		a.mmapNext += length + mem.PageSize
 	}
 	v := &vma{start: addr, length: length, prot: prot, pages: make(map[uint64]mem.Frame)}
 	if err := p.insertVMA(v); err != linuxabi.OK {
@@ -476,12 +471,8 @@ func (p *Process) sysBrk(t *Thread, call linuxabi.Call) linuxabi.Result {
 	// Under deterministic arenas each thread grows a private break inside
 	// its TID-keyed slice, so concurrent brk chatter from sibling threads
 	// cannot make this thread's mappings depend on arrival order.
-	var a *threadArena
-	base, cur := brkBase, p.brk
-	if p.detArenas {
-		a = p.arenaFor(t.TID)
-		base, cur = a.brkBase, a.brk
-	}
+	a := p.arenaFor(t.TID)
+	base, cur := a.brkBase, a.brk
 	if newBrk == 0 {
 		return ok(cur)
 	}
@@ -504,11 +495,7 @@ func (p *Process) sysBrk(t *Thread, call linuxabi.Call) linuxabi.Result {
 			p.bumpGen(start, end-start)
 		}
 	}
-	if a != nil {
-		a.brk = newBrk
-	} else {
-		p.brk = newBrk
-	}
+	a.brk = newBrk
 	p.brkStamp = vfs.NewStamp()
 	return ok(newBrk)
 }
@@ -524,10 +511,7 @@ func (p *Process) sysRtSigaction(t *Thread, call linuxabi.Call) linuxabi.Result 
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sigs := p.sigactions
-	if p.detArenas {
-		sigs = p.arenaFor(t.TID).sigactions
-	}
+	sigs := p.arenaFor(t.TID).sigactions
 	if handlerAddr == 0 {
 		delete(sigs, sig)
 	} else {
@@ -576,18 +560,14 @@ func (p *Process) sysSetitimer(t *Thread, call linuxabi.Call) linuxabi.Result {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	deadline, interval, tsig := &p.timerDeadline, &p.timerInterval, &p.timerSig
-	if p.detArenas {
-		a := p.arenaFor(t.TID)
-		deadline, interval, tsig = &a.timerDeadline, &a.timerInterval, &a.timerSig
-	}
+	a := p.arenaFor(t.TID)
 	if valueUsec == 0 {
-		*deadline = 0
-		*interval = 0
+		a.timerDeadline = 0
+		a.timerInterval = 0
 	} else {
-		*deadline = t.Clock.Now() + toCycles(valueUsec)
-		*interval = toCycles(intervalUsec)
-		*tsig = sig
+		a.timerDeadline = t.Clock.Now() + toCycles(valueUsec)
+		a.timerInterval = toCycles(intervalUsec)
+		a.timerSig = sig
 	}
 	return ok(0)
 }

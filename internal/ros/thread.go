@@ -33,7 +33,15 @@ func (p *Process) NewThread(core machine.CoreID) *Thread {
 	tid := p.nextTid
 	p.nextTid++
 	p.mu.Unlock()
+	return p.NewContext(tid, core)
+}
 
+// NewContext creates another context of the existing thread tid on the
+// given core: the same TID and TLS base, so the same per-TID kernel state
+// (arena, signal dispositions, itimer), with a stack and a clock of its
+// own. Every context that serves one execution group is built this way,
+// so the group keeps one ROS identity whichever context serves a call.
+func (p *Process) NewContext(tid int, core machine.CoreID) *Thread {
 	return &Thread{
 		TID:    tid,
 		Proc:   p,

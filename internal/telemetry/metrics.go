@@ -237,6 +237,17 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// FindGauge is FindCounter for gauges: nil (which reads 0) when nothing
+// registered the name.
+func (r *Registry) FindGauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.gauges[name]
+}
+
 // Histogram returns (creating if needed) the named histogram. The edges
 // apply only on first creation; later callers share the existing
 // instrument regardless of the edges they pass.

@@ -240,6 +240,9 @@ func TestFindDoesNotRegister(t *testing.T) {
 	if n := reg.FindHistogram("absent.latency").Count(); n != 0 {
 		t.Errorf("absent histogram counts %d", n)
 	}
+	if v := reg.FindGauge("absent.gauge").Value(); v != 0 {
+		t.Errorf("absent gauge reads %d", v)
+	}
 	if dump := reg.Dump(); dump != "" {
 		t.Errorf("lookups registered instruments:\n%s", dump)
 	}
@@ -251,8 +254,12 @@ func TestFindDoesNotRegister(t *testing.T) {
 	if reg.FindHistogram("present.latency").Sum() != 9 {
 		t.Error("FindHistogram did not return the registered histogram")
 	}
+	reg.Gauge("present.gauge").Set(5)
+	if reg.FindGauge("present.gauge").Value() != 5 {
+		t.Error("FindGauge did not return the registered gauge")
+	}
 	var nilReg *Registry
-	if nilReg.FindCounter("c") != nil || nilReg.FindHistogram("h") != nil {
+	if nilReg.FindCounter("c") != nil || nilReg.FindHistogram("h") != nil || nilReg.FindGauge("g") != nil {
 		t.Error("nil registry found an instrument")
 	}
 }

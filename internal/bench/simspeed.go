@@ -194,7 +194,7 @@ func runSimspeedParallel() ([]*simspeedResult, time.Duration, error) {
 func CollectSimspeedBaseline() (*SimspeedBaseline, error) {
 	// Pin the host collector to a batch-throughput configuration for the
 	// measured region. The composite churns short-lived simulation state
-	// (heap-segment arenas, machine images), and at the default GOGC the
+	// (heap-segment cell chunks, machine images), and at the default GOGC the
 	// host collector's pacing — and therefore the measured wall time —
 	// tracks whatever ambient heap the test process happens to carry.
 	// Fixing the target makes simspeed comparable across runs and

@@ -51,18 +51,40 @@ func (z Zone) End() Frame { return z.Start + Frame(z.Count) }
 
 // PhysMem is the machine's physical memory: a frame allocator over a set of
 // NUMA zones plus lazily materialized frame contents. Per-frame state lives
-// in dense slices indexed by frame number — page-table walks and protocol
-// pages read and write words through here, so the per-access cost is a
-// bounds check and a slice load rather than a map probe.
+// in chunks of chunkFrames frames, allocated at the first Alloc of a frame
+// in the chunk, so host memory follows the frames the simulation uses
+// rather than the machine's size. Page-table walks and protocol pages read
+// and write words through here, so the per-access cost is two slice loads
+// rather than a map probe.
 type PhysMem struct {
-	mu    sync.Mutex
-	zones []Zone
-	free  map[NUMAZone]*freeList
-	limit Frame    // one past the highest frame of any zone
-	owner []string // owner tag per allocated frame ("" = free)
-	inUse []bool
-	pages []*[PageSize]byte // materialized contents (page tables, shared pages)
-	nUsed int
+	mu     sync.Mutex
+	zones  []Zone
+	free   map[NUMAZone]*freeList
+	limit  Frame // one past the highest frame of any zone
+	chunks []*[chunkFrames]frameState
+	nUsed  int
+}
+
+// chunkFrames is how many frames' state one chunk holds.
+const chunkFrames = 256
+
+// frameState is one frame's state; the zero value is a free frame.
+type frameState struct {
+	page  *[PageSize]byte // materialized contents (page tables, shared pages)
+	owner string          // owner tag while allocated
+	inUse bool
+}
+
+// state returns frame f's state if f is allocated, nil otherwise.
+func (pm *PhysMem) state(f Frame) *frameState {
+	if f >= pm.limit {
+		return nil
+	}
+	c := pm.chunks[f/chunkFrames]
+	if c == nil || !c[f%chunkFrames].inUse {
+		return nil
+	}
+	return &c[f%chunkFrames]
 }
 
 // freeList is one zone's free frames without a table of them: the frames
@@ -99,9 +121,7 @@ func New(zones ...Zone) *PhysMem {
 			pm.limit = end
 		}
 	}
-	pm.owner = make([]string, pm.limit)
-	pm.inUse = make([]bool, pm.limit)
-	pm.pages = make([]*[PageSize]byte, pm.limit)
+	pm.chunks = make([]*[chunkFrames]frameState, (pm.limit+chunkFrames-1)/chunkFrames)
 	return pm
 }
 
@@ -136,8 +156,12 @@ func (pm *PhysMem) Alloc(zone NUMAZone, owner string) (Frame, error) {
 		l.next--
 		f = l.next
 	}
-	pm.owner[f] = owner
-	pm.inUse[f] = true
+	c := pm.chunks[f/chunkFrames]
+	if c == nil {
+		c = new([chunkFrames]frameState)
+		pm.chunks[f/chunkFrames] = c
+	}
+	c[f%chunkFrames] = frameState{owner: owner, inUse: true}
 	pm.nUsed++
 	return f, nil
 }
@@ -160,12 +184,11 @@ func (pm *PhysMem) AllocN(zone NUMAZone, n int, owner string) ([]Frame, error) {
 func (pm *PhysMem) Free(f Frame) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if f >= pm.limit || !pm.inUse[f] {
+	st := pm.state(f)
+	if st == nil {
 		return fmt.Errorf("mem: double free of frame %#x", uint64(f))
 	}
-	pm.inUse[f] = false
-	pm.owner[f] = ""
-	pm.pages[f] = nil
+	*st = frameState{}
 	pm.nUsed--
 	z, ok := pm.zoneOf(f)
 	if !ok {
@@ -188,10 +211,11 @@ func (pm *PhysMem) FreeAll(frames []Frame) {
 func (pm *PhysMem) Owner(f Frame) (string, bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if f >= pm.limit || !pm.inUse[f] {
+	st := pm.state(f)
+	if st == nil {
 		return "", false
 	}
-	return pm.owner[f], true
+	return st.owner, true
 }
 
 // InUse returns the number of allocated frames.
@@ -223,13 +247,14 @@ func (pm *PhysMem) Page(f Frame) ([]byte, error) {
 }
 
 func (pm *PhysMem) pageLocked(f Frame) ([]byte, error) {
-	if f >= pm.limit || !pm.inUse[f] {
+	st := pm.state(f)
+	if st == nil {
 		return nil, fmt.Errorf("mem: access to unallocated frame %#x", uint64(f))
 	}
-	p := pm.pages[f]
+	p := st.page
 	if p == nil {
 		p = new([PageSize]byte)
-		pm.pages[f] = p
+		st.page = p
 	}
 	return p[:], nil
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -240,8 +241,9 @@ func TestAllocOrder(t *testing.T) {
 }
 
 // TestNewAllocBytes bounds what building the default machine's physical
-// memory (two zones of 16,384 frames) costs the host: per-frame tables
-// only, with no list of free frames and no per-frame slice header.
+// memory (two zones of 16,384 frames) costs the host: the table of chunk
+// pointers only, with no list of free frames and no per-frame state until
+// a frame is allocated.
 func TestNewAllocBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -253,5 +255,103 @@ func TestNewAllocBytes(t *testing.T) {
 	t.Logf("New allocated %d bytes for the default machine", n)
 	if n >= 1<<20 {
 		t.Errorf("New allocated %d bytes for the default machine, want < 1 MiB", n)
+	}
+}
+
+// TestChunkBoundaries drives every frame operation at the first and last
+// frame of a chunk, the first frame of the next one and the machine's
+// last frame. Single-frame zones make Alloc hand out exactly those frames.
+func TestChunkBoundaries(t *testing.T) {
+	pm := New(
+		Zone{ID: 0, Start: 0, Count: 1},
+		Zone{ID: 1, Start: chunkFrames - 1, Count: 2},
+		Zone{ID: 2, Start: 4*chunkFrames - 1, Count: 1},
+	)
+	want := []struct {
+		zone NUMAZone
+		f    Frame
+	}{{0, 0}, {1, chunkFrames}, {1, chunkFrames - 1}, {2, 4*chunkFrames - 1}}
+	for _, w := range want {
+		owner := fmt.Sprintf("frame%d", w.f)
+		f, err := pm.Alloc(w.zone, owner)
+		if err != nil || f != w.f {
+			t.Fatalf("Alloc(zone %d) = %d, %v; want frame %d", w.zone, f, err, w.f)
+		}
+		if got, ok := pm.Owner(f); !ok || got != owner {
+			t.Errorf("Owner(%d) = %q, %v; want %q", f, got, ok, owner)
+		}
+		if err := pm.WriteU64(f.Addr()+8, uint64(f)+1); err != nil {
+			t.Fatalf("WriteU64 frame %d: %v", f, err)
+		}
+		if v, err := pm.ReadU64(f.Addr() + 8); err != nil || v != uint64(f)+1 {
+			t.Errorf("ReadU64 frame %d = %d, %v; want %d", f, v, err, uint64(f)+1)
+		}
+		p, err := pm.Page(f)
+		if err != nil || p[8] != byte(f+1) {
+			t.Errorf("Page(%d)[8] = %v, %v; want %d", f, p[8:9], err, byte(f+1))
+		}
+	}
+	if n := pm.InUse(); n != len(want) {
+		t.Errorf("InUse = %d, want %d", n, len(want))
+	}
+	for _, w := range want {
+		if err := pm.Free(w.f); err != nil {
+			t.Errorf("Free(%d): %v", w.f, err)
+		}
+		if _, ok := pm.Owner(w.f); ok {
+			t.Errorf("Owner(%d) reports a freed frame", w.f)
+		}
+	}
+	if n := pm.InUse(); n != 0 {
+		t.Errorf("InUse after freeing all = %d", n)
+	}
+}
+
+// TestUnallocatedFrameErrors: a frame in a chunk no Alloc ever touched,
+// one past the machine and a frame freed twice all give the errors an
+// unallocated frame always gave.
+func TestUnallocatedFrameErrors(t *testing.T) {
+	pm := NewFlat(4 * chunkFrames)
+	f, err := pm.Alloc(0, "top") // the last chunk's last frame
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []Frame{chunkFrames + 7, 4 * chunkFrames} {
+		if _, ok := pm.Owner(g); ok {
+			t.Errorf("Owner(%d) reports an allocated frame", g)
+		}
+		if _, err := pm.Page(g); err == nil || err.Error() != fmt.Sprintf("mem: access to unallocated frame %#x", uint64(g)) {
+			t.Errorf("Page(%d) error = %v", g, err)
+		}
+		if _, err := pm.ReadU64(g.Addr()); err == nil || err.Error() != fmt.Sprintf("mem: access to unallocated frame %#x", uint64(g)) {
+			t.Errorf("ReadU64 frame %d error = %v", g, err)
+		}
+		if err := pm.Free(g); err == nil || err.Error() != fmt.Sprintf("mem: double free of frame %#x", uint64(g)) {
+			t.Errorf("Free(%d) error = %v", g, err)
+		}
+	}
+	if err := pm.Free(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Free(f); err == nil || err.Error() != fmt.Sprintf("mem: double free of frame %#x", uint64(f)) {
+		t.Errorf("second Free(%d) error = %v", f, err)
+	}
+}
+
+// TestStateFollowsAllocatedFrames: a 32,768-frame machine with one
+// allocated frame holds the state of one chunk, not of every frame.
+func TestStateFollowsAllocatedFrames(t *testing.T) {
+	pm := NewFlat(32768)
+	if _, err := pm.Alloc(0, "one"); err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for _, c := range pm.chunks {
+		if c != nil {
+			held++
+		}
+	}
+	if held != 1 || len(pm.chunks) != 32768/chunkFrames {
+		t.Errorf("%d of %d chunks held, want 1 of %d", held, len(pm.chunks), 32768/chunkFrames)
 	}
 }

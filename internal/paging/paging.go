@@ -70,6 +70,7 @@ type AddressSpace struct {
 	zone    mem.NUMAZone
 	root    mem.Frame
 	name    string
+	tag     string // owner tag of the table frames next allocates
 	metrics *telemetry.Registry
 }
 
@@ -84,7 +85,7 @@ func (as *AddressSpace) SetTelemetry(m *telemetry.Registry) { as.metrics = m }
 // space (zone is recorded for table allocation if a caller nevertheless
 // maps; it extends the foreign hierarchy in the given zone).
 func FromCR3(pm *mem.PhysMem, zone mem.NUMAZone, cr3 uint64, name string) *AddressSpace {
-	return &AddressSpace{pm: pm, zone: zone, root: mem.FrameOf(cr3), name: name}
+	return &AddressSpace{pm: pm, zone: zone, root: mem.FrameOf(cr3), name: name, tag: "pagetable:" + name}
 }
 
 // NewAddressSpace allocates an empty PML4 in the given zone.
@@ -93,7 +94,7 @@ func NewAddressSpace(pm *mem.PhysMem, zone mem.NUMAZone, name string) (*AddressS
 	if err != nil {
 		return nil, fmt.Errorf("paging: allocating PML4 for %s: %w", name, err)
 	}
-	return &AddressSpace{pm: pm, zone: zone, root: root, name: name}, nil
+	return FromCR3(pm, zone, root.Addr(), name), nil
 }
 
 // Root returns the PML4 frame; Root().Addr() is the CR3 value for this
@@ -129,7 +130,7 @@ func (as *AddressSpace) next(table mem.Frame, idx int, create bool) (mem.Frame, 
 	if !create {
 		return 0, errNotMapped
 	}
-	f, err := as.pm.Alloc(as.zone, "pagetable:"+as.name)
+	f, err := as.pm.Alloc(as.zone, as.tag)
 	if err != nil {
 		return 0, err
 	}

@@ -73,13 +73,17 @@ func telemetryScope(os OS) telemetry.Scope {
 	return telemetry.Scope{}
 }
 
-// Segment geometry: 64 KiB segments of 48-byte cells.
+// Segment geometry: 64 KiB segments of 48-byte cells. Each segment's
+// cells are stored in page-sized chunks of chunkCells cells (4,080 bytes,
+// Go's 4 KiB size class), so host memory follows the cells handed out.
 const (
-	segBytes  = 64 * 1024
-	cellBytes = 48
-	segCells  = segBytes / cellBytes
-	pageBytes = 4096
-	gcMinHeap = 8 * segBytes
+	segBytes   = 64 * 1024
+	cellBytes  = 48
+	segCells   = segBytes / cellBytes
+	pageBytes  = 4096
+	chunkCells = pageBytes / cellBytes
+	segChunks  = (segCells + chunkCells - 1) / chunkCells
+	gcMinHeap  = 8 * segBytes
 	// majorEvery is the generational schedule: every Nth collection is a
 	// full (major) collection; the others are minor collections that
 	// sweep only the young generation, using the write-protection
@@ -91,13 +95,16 @@ const (
 	allocCost  = 14                    // cycles per cell allocation
 )
 
-// A cell's arena index must fit Obj.idx.
+// A cell's index in its segment must fit Obj.idx.
 const _ uint16 = segCells - 1
 
 type segment struct {
-	base      uint64
-	n         int   // cells handed out: arena[:n], in address order
-	arena     []Obj // Go-side cell storage, one block per segment
+	base uint64
+	n    int // cells handed out, in address order
+	// chunks is the Go-side cell storage: cell i is chunks[i/chunkCells]
+	// [i%chunkCells], and a chunk is allocated when the bump allocator
+	// enters it.
+	chunks    [segChunks]*[chunkCells]Obj
 	protected bool
 	old       bool       // promoted by a previous collection
 	backend   memBackend // the backend that mapped this segment
@@ -111,8 +118,13 @@ func (s *segment) dirty() bool { return s.old && !s.protected }
 
 func (s *segment) full() bool { return s.n >= segCells }
 
-// cells returns the segment's allocated cells.
-func (s *segment) cells() []Obj { return s.arena[:s.n] }
+// usedChunks returns how many chunks hold allocated cells.
+func (s *segment) usedChunks() int { return (s.n + chunkCells - 1) / chunkCells }
+
+// chunk returns the allocated cells of chunk k < usedChunks().
+func (s *segment) chunk(k int) []Obj {
+	return s.chunks[k][:min(chunkCells, s.n-k*chunkCells)]
+}
 
 // newGC registers the SIGSEGV write-barrier handler and maps the initial
 // heap.
@@ -178,14 +190,16 @@ func (g *GC) alloc() *Obj {
 		s = ns
 	}
 	addr := s.base + uint64(s.n)*cellBytes
-	// Cells come from a per-segment arena: one Go allocation per segment
-	// instead of one per cell. The arena is sized up front and indexed by
-	// cell count, so cell pointers never move. Lazy — segments that never
-	// become the active nursery (most of the initial heap) pay nothing.
-	if s.arena == nil {
-		s.arena = make([]Obj, segCells)
+	// Cells come from page-sized chunks: one Go allocation per chunk
+	// instead of one per cell, made when the bump pointer enters it, so
+	// cell pointers never move and segments that never become the
+	// nursery (most of the initial heap) pay nothing.
+	c := s.chunks[s.n/chunkCells]
+	if c == nil {
+		c = new([chunkCells]Obj)
+		s.chunks[s.n/chunkCells] = c
 	}
-	o := &s.arena[s.n]
+	o := &c[s.n%chunkCells]
 	o.idx = uint16(s.n)
 	o.seg = s
 	s.n++
@@ -327,9 +341,11 @@ func (g *GC) collect(minor bool) {
 		// the only reference to a young object.
 		for _, s := range g.segments {
 			if s.dirty() {
-				cells := s.cells()
-				for i := range cells {
-					g.mark(&cells[i])
+				for k := 0; k < s.usedChunks(); k++ {
+					cells := s.chunk(k)
+					for i := range cells {
+						g.mark(&cells[i])
+					}
 				}
 			}
 		}
@@ -351,11 +367,13 @@ func (g *GC) collect(minor bool) {
 		}
 		in.charge(sweepCost)
 		any := false
-		cells := s.cells()
-		for i := range cells {
-			if cells[i].mark == g.epoch {
-				any = true
-				live += cellBytes
+		for k := 0; k < s.usedChunks(); k++ {
+			cells := s.chunk(k)
+			for i := range cells {
+				if cells[i].mark == g.epoch {
+					any = true
+					live += cellBytes
+				}
 			}
 		}
 		// The nursery stays mapped even when empty of live cells: the
@@ -368,9 +386,11 @@ func (g *GC) collect(minor bool) {
 	sort.Slice(dead, func(i, j int) bool { return dead[i].base < dead[j].base })
 	for _, s := range dead {
 		if s.backend.munmap(in, s.base, segBytes) {
-			cells := s.cells()
-			for i := range cells {
-				cells[i].seg = nil // cells outlive the segment harmlessly
+			for k := 0; k < s.usedChunks(); k++ {
+				cells := s.chunk(k)
+				for i := range cells {
+					cells[i].seg = nil // cells outlive the segment harmlessly
+				}
 			}
 			delete(g.segments, s.base)
 			g.SegmentsFreed++

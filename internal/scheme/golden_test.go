@@ -101,8 +101,8 @@ func TestCollectorGolden(t *testing.T) {
 }
 
 // TestObjCellSize guards the heap cell's host size: every heap object is
-// an Obj in a per-segment arena, so its size is what each arena's
-// allocation, its zeroing, and the host collector's scans pay for.
+// an Obj in a segment's page-sized chunk, so its size is what each
+// chunk's allocation, its zeroing, and the host collector's scans pay for.
 func TestObjCellSize(t *testing.T) {
 	if n := unsafe.Sizeof(scheme.Obj{}); n > 48 {
 		t.Errorf("unsafe.Sizeof(Obj{}) = %d bytes, want <= 48", n)

@@ -246,9 +246,10 @@ var asciiChars = func() [128]*Obj {
 }()
 
 // NewInt returns an integer. Like Racket's 62-bit fixnums, integers are
-// immediates: they never live in the GC heap (a shared prebox for small
-// values, a fresh immediate otherwise). Only flonums, pairs, strings,
-// vectors, and closures are heap-allocated.
+// immediates that cost no simulated heap: a value in -128..4096 is a
+// shared prebox, and any other value is boxed in a Go allocation outside
+// the simulated heap. Only flonums, pairs, strings, vectors, and closures
+// take simulated heap cells.
 func (in *Interp) NewInt(v int64) *Obj {
 	if v >= fixnumMin && v <= fixnumMax {
 		return fixnums[v-fixnumMin]

@@ -44,9 +44,9 @@ const (
 // the write barrier. Immediate-like values (small ints, booleans, nil)
 // are preallocated and have no segment.
 //
-// Every heap cell is an Obj in a per-segment arena, so the struct's size
-// is what each arena's allocation, its zeroing, and the host collector's
-// scans pay for: it is held to 64 bytes. Only the pairs and floats that
+// Every heap cell is an Obj in one of its segment's page-sized chunks, so
+// the struct's size is what each chunk's allocation, its zeroing, and the
+// host collector's scans pay for: it is held to 48 bytes. Only the pairs and floats that
 // churn through the heap keep their payload inline (Car/Cdr, Int,
 // Float); everything else rides in ext.
 type Obj struct {
@@ -58,7 +58,7 @@ type Obj struct {
 	// symbol name on every combination.
 	special uint8
 
-	// idx is the cell's index in its segment's arena, so its simulated
+	// idx is the cell's index in its segment, so its simulated
 	// heap address is seg.base + idx*cellBytes.
 	idx uint16
 

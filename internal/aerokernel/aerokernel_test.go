@@ -89,7 +89,7 @@ func TestBootState(t *testing.T) {
 
 func TestMergeThroughHVM(t *testing.T) {
 	r := newRig(t)
-	f, _ := r.m.Phys.Alloc(0, "rospage")
+	f, _ := r.m.Phys.Alloc(0)
 	if err := r.ros.Map(0x7f00_0000_1000, f, paging.PteUser|paging.PteWrite); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestFaultForwardingAndRetry(t *testing.T) {
 	r := newRig(t)
 	// Map a page in the fake ROS space *after* the merge request, via the
 	// shared tables: first create a lower-half mapping, then merge.
-	f, _ := r.m.Phys.Alloc(0, "lazy")
+	f, _ := r.m.Phys.Alloc(0)
 	r.merge(t)
 	ch := r.hv.NewEventChannel(1, 0)
 	th := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
@@ -256,7 +256,7 @@ func TestDuplicateFaultTriggersRemerge(t *testing.T) {
 	// The ROS maps a page at a virtual address whose PML4 slot was empty
 	// at merge time.
 	addr := uint64(0x0000_2000_0000_3000) // PML4 index 4
-	f, _ := r.m.Phys.Alloc(0, "newslot")
+	f, _ := r.m.Phys.Alloc(0)
 	if err := r.ros.Map(addr, f, paging.PteUser|paging.PteWrite); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestEagerRemergePolicy(t *testing.T) {
 	ch := r.hv.NewEventChannel(1, 0)
 	th := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
 
-	f, _ := r.m.Phys.Alloc(0, "p")
+	f, _ := r.m.Phys.Alloc(0)
 	partnerClk := cycles.NewClock(0)
 	ch.Bind(partnerClk, func(env *hvm.Envelope) {
 		_ = r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite)

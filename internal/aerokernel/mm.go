@@ -87,7 +87,7 @@ func (k *Kernel) MemMap(t *Thread, length uint64) (uint64, error) {
 	region := &akRegion{start: addr, length: length, pages: make(map[uint64]mem.Frame)}
 	zone := k.m.ZoneOfCore(t.Core)
 	for off := uint64(0); off < length; off += mem.PageSize {
-		f, err := k.m.Phys.Alloc(zone, "akmem")
+		f, err := k.m.Phys.Alloc(zone)
 		if err != nil {
 			k.releaseRegion(region)
 			return 0, fmt.Errorf("aerokernel: MemMap: %w", err)

@@ -171,7 +171,7 @@ func TestConcurrentFaultsSameCoreRouteCorrectly(t *testing.T) {
 				ch.Complete(partnerClk, env, hvm.Reply{})
 				return
 			}
-			f, err := r.m.Phys.Alloc(0, "page")
+			f, err := r.m.Phys.Alloc(0)
 			ok := err == nil
 			if ok {
 				ok = r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite) == nil

@@ -205,7 +205,7 @@ func New(m *machine.Machine, cfg Config) (*HVM, error) {
 		h.metrics = telemetry.NewRegistry()
 	}
 	// The VMM<->HRT shared data page lives in HRT-local memory.
-	f, err := m.Phys.Alloc(m.ZoneOfCore(h.hrtCores[0]), "hvm:shared-page")
+	f, err := m.Phys.Alloc(m.ZoneOfCore(h.hrtCores[0]))
 	if err != nil {
 		return nil, fmt.Errorf("hvm: allocating shared data page: %w", err)
 	}

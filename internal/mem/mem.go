@@ -71,7 +71,6 @@ const chunkFrames = 256
 // frameState is one frame's state; the zero value is a free frame.
 type frameState struct {
 	page  *[PageSize]byte // materialized contents (page tables, shared pages)
-	owner string          // owner tag while allocated
 	inUse bool
 }
 
@@ -140,13 +139,13 @@ func (pm *PhysMem) Zones() []Zone {
 	return out
 }
 
-// Alloc takes one free frame from the given zone, tagging it with owner.
-func (pm *PhysMem) Alloc(zone NUMAZone, owner string) (Frame, error) {
+// Alloc takes one free frame from the given zone.
+func (pm *PhysMem) Alloc(zone NUMAZone) (Frame, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	l := pm.free[zone]
 	if l == nil || l.count() == 0 {
-		return 0, fmt.Errorf("mem: zone %d exhausted (owner %q)", zone, owner)
+		return 0, fmt.Errorf("mem: zone %d exhausted", zone)
 	}
 	var f Frame
 	if n := len(l.freed); n > 0 {
@@ -161,16 +160,16 @@ func (pm *PhysMem) Alloc(zone NUMAZone, owner string) (Frame, error) {
 		c = new([chunkFrames]frameState)
 		pm.chunks[f/chunkFrames] = c
 	}
-	c[f%chunkFrames] = frameState{owner: owner, inUse: true}
+	c[f%chunkFrames] = frameState{inUse: true}
 	pm.nUsed++
 	return f, nil
 }
 
 // AllocN allocates n frames from the zone. On failure nothing is leaked.
-func (pm *PhysMem) AllocN(zone NUMAZone, n int, owner string) ([]Frame, error) {
+func (pm *PhysMem) AllocN(zone NUMAZone, n int) ([]Frame, error) {
 	out := make([]Frame, 0, n)
 	for i := 0; i < n; i++ {
-		f, err := pm.Alloc(zone, owner)
+		f, err := pm.Alloc(zone)
 		if err != nil {
 			pm.FreeAll(out)
 			return nil, err
@@ -205,17 +204,6 @@ func (pm *PhysMem) FreeAll(frames []Frame) {
 	for _, f := range frames {
 		_ = pm.Free(f)
 	}
-}
-
-// Owner reports the owner tag of an allocated frame.
-func (pm *PhysMem) Owner(f Frame) (string, bool) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	st := pm.state(f)
-	if st == nil {
-		return "", false
-	}
-	return st.owner, true
 }
 
 // InUse returns the number of allocated frames.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFrameAddr(t *testing.T) {
@@ -21,13 +22,13 @@ func TestAllocFree(t *testing.T) {
 	pm := NewFlat(4)
 	var frames []Frame
 	for i := 0; i < 4; i++ {
-		f, err := pm.Alloc(0, "test")
+		f, err := pm.Alloc(0)
 		if err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 		frames = append(frames, f)
 	}
-	if _, err := pm.Alloc(0, "test"); err == nil {
+	if _, err := pm.Alloc(0); err == nil {
 		t.Error("alloc on exhausted zone should fail")
 	}
 	if pm.InUse() != 4 {
@@ -48,13 +49,13 @@ func TestAllocFree(t *testing.T) {
 
 func TestAllocNRollsBack(t *testing.T) {
 	pm := NewFlat(3)
-	if _, err := pm.AllocN(0, 5, "big"); err == nil {
+	if _, err := pm.AllocN(0, 5); err == nil {
 		t.Fatal("AllocN beyond capacity should fail")
 	}
 	if pm.InUse() != 0 {
 		t.Errorf("failed AllocN leaked %d frames", pm.InUse())
 	}
-	fs, err := pm.AllocN(0, 3, "ok")
+	fs, err := pm.AllocN(0, 3)
 	if err != nil {
 		t.Fatalf("AllocN: %v", err)
 	}
@@ -68,11 +69,11 @@ func TestZones(t *testing.T) {
 		Zone{ID: 0, Start: 0, Count: 2},
 		Zone{ID: 1, Start: 2, Count: 2},
 	)
-	f0, err := pm.Alloc(0, "z0")
+	f0, err := pm.Alloc(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := pm.Alloc(1, "z1")
+	f1, err := pm.Alloc(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,18 +99,28 @@ func TestOverlappingZonesPanic(t *testing.T) {
 	New(Zone{ID: 0, Start: 0, Count: 4}, Zone{ID: 1, Start: 2, Count: 4})
 }
 
-func TestOwnerTag(t *testing.T) {
+// TestAllocMarksFrameInUse: an allocated frame has state, and a frame
+// never allocated or freed again has none.
+func TestAllocMarksFrameInUse(t *testing.T) {
 	pm := NewFlat(2)
-	f, _ := pm.Alloc(0, "page-table")
-	owner, ok := pm.Owner(f)
-	if !ok || owner != "page-table" {
-		t.Errorf("owner = %q, %v", owner, ok)
+	f, _ := pm.Alloc(0)
+	if pm.state(f) == nil {
+		t.Errorf("frame %d has no state after Alloc", f)
+	}
+	if g := f ^ 1; pm.state(g) != nil {
+		t.Errorf("never-allocated frame %d has state", g)
+	}
+	if err := pm.Free(f); err != nil {
+		t.Fatal(err)
+	}
+	if pm.state(f) != nil {
+		t.Errorf("frame %d has state after Free", f)
 	}
 }
 
 func TestReadWriteU64(t *testing.T) {
 	pm := NewFlat(2)
-	f, _ := pm.Alloc(0, "data")
+	f, _ := pm.Alloc(0)
 	pa := f.Addr() + 64
 	if err := pm.WriteU64(pa, 0xdeadbeefcafef00d); err != nil {
 		t.Fatal(err)
@@ -133,14 +144,14 @@ func TestReadWriteU64(t *testing.T) {
 
 func TestFreeDropsContents(t *testing.T) {
 	pm := NewFlat(1)
-	f, _ := pm.Alloc(0, "a")
+	f, _ := pm.Alloc(0)
 	if err := pm.WriteU64(f.Addr(), 42); err != nil {
 		t.Fatal(err)
 	}
 	if err := pm.Free(f); err != nil {
 		t.Fatal(err)
 	}
-	f2, _ := pm.Alloc(0, "b")
+	f2, _ := pm.Alloc(0)
 	if f2 != f {
 		t.Fatalf("expected frame reuse")
 	}
@@ -156,7 +167,7 @@ func TestFreeDropsContents(t *testing.T) {
 // Property: WriteU64 then ReadU64 round-trips for any aligned offset.
 func TestReadWriteRoundTripProperty(t *testing.T) {
 	pm := NewFlat(4)
-	f, _ := pm.Alloc(0, "prop")
+	f, _ := pm.Alloc(0)
 	prop := func(off uint16, v uint64) bool {
 		o := uint64(off) % (PageSize - 8)
 		pa := f.Addr() + o
@@ -179,7 +190,7 @@ func TestAllocOrder(t *testing.T) {
 	pm := New(Zone{ID: 0, Start: 10, Count: 4}, Zone{ID: 1, Start: 20, Count: 2})
 	alloc := func(z NUMAZone) Frame {
 		t.Helper()
-		f, err := pm.Alloc(z, "order")
+		f, err := pm.Alloc(z)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +226,7 @@ func TestAllocOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 2000; step++ {
 		if len(stack) > 0 && (len(held) == 0 || rng.Intn(3) > 0) {
-			f, err := pm.Alloc(0, "mix")
+			f, err := pm.Alloc(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,13 +283,12 @@ func TestChunkBoundaries(t *testing.T) {
 		f    Frame
 	}{{0, 0}, {1, chunkFrames}, {1, chunkFrames - 1}, {2, 4*chunkFrames - 1}}
 	for _, w := range want {
-		owner := fmt.Sprintf("frame%d", w.f)
-		f, err := pm.Alloc(w.zone, owner)
+		f, err := pm.Alloc(w.zone)
 		if err != nil || f != w.f {
 			t.Fatalf("Alloc(zone %d) = %d, %v; want frame %d", w.zone, f, err, w.f)
 		}
-		if got, ok := pm.Owner(f); !ok || got != owner {
-			t.Errorf("Owner(%d) = %q, %v; want %q", f, got, ok, owner)
+		if pm.state(f) == nil {
+			t.Errorf("frame %d has no state after Alloc", f)
 		}
 		if err := pm.WriteU64(f.Addr()+8, uint64(f)+1); err != nil {
 			t.Fatalf("WriteU64 frame %d: %v", f, err)
@@ -298,8 +308,8 @@ func TestChunkBoundaries(t *testing.T) {
 		if err := pm.Free(w.f); err != nil {
 			t.Errorf("Free(%d): %v", w.f, err)
 		}
-		if _, ok := pm.Owner(w.f); ok {
-			t.Errorf("Owner(%d) reports a freed frame", w.f)
+		if pm.state(w.f) != nil {
+			t.Errorf("freed frame %d has state", w.f)
 		}
 	}
 	if n := pm.InUse(); n != 0 {
@@ -312,13 +322,13 @@ func TestChunkBoundaries(t *testing.T) {
 // unallocated frame always gave.
 func TestUnallocatedFrameErrors(t *testing.T) {
 	pm := NewFlat(4 * chunkFrames)
-	f, err := pm.Alloc(0, "top") // the last chunk's last frame
+	f, err := pm.Alloc(0) // the last chunk's last frame
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range []Frame{chunkFrames + 7, 4 * chunkFrames} {
-		if _, ok := pm.Owner(g); ok {
-			t.Errorf("Owner(%d) reports an allocated frame", g)
+		if pm.state(g) != nil {
+			t.Errorf("unallocated frame %d has state", g)
 		}
 		if _, err := pm.Page(g); err == nil || err.Error() != fmt.Sprintf("mem: access to unallocated frame %#x", uint64(g)) {
 			t.Errorf("Page(%d) error = %v", g, err)
@@ -338,11 +348,22 @@ func TestUnallocatedFrameErrors(t *testing.T) {
 	}
 }
 
+// TestFrameChunkFitsPage: a frame's state is a page pointer and a flag,
+// 16 bytes, so a chunk of it is one 4 KiB page.
+func TestFrameChunkFitsPage(t *testing.T) {
+	if n := unsafe.Sizeof(frameState{}); n != 16 {
+		t.Errorf("unsafe.Sizeof(frameState{}) = %d, want 16", n)
+	}
+	if n := unsafe.Sizeof([chunkFrames]frameState{}); n != PageSize {
+		t.Errorf("a chunk is %d bytes, want %d", n, PageSize)
+	}
+}
+
 // TestStateFollowsAllocatedFrames: a 32,768-frame machine with one
 // allocated frame holds the state of one chunk, not of every frame.
 func TestStateFollowsAllocatedFrames(t *testing.T) {
 	pm := NewFlat(32768)
-	if _, err := pm.Alloc(0, "one"); err != nil {
+	if _, err := pm.Alloc(0); err != nil {
 		t.Fatal(err)
 	}
 	held := 0

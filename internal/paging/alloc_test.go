@@ -36,7 +36,7 @@ func TestTLBOpsAllocationFree(t *testing.T) {
 
 func TestTranslateWarmPathAllocationFree(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
-	target, _ := pm.Alloc(0, "p")
+	target, _ := pm.Alloc(0)
 	va := uint64(0x7000)
 	if err := as.Map(va, target, PteUser|PteWrite); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestMergerVisibilityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A higher-half HRT mapping that must survive mergers.
-	kframe, _ := pm.Alloc(0, "kernel")
+	kframe, _ := pm.Alloc(0)
 	kva := HigherHalfMin + 0x1000
 	if err := hrtAS.Map(kva, kframe, PteWrite); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestMergerVisibilityProperty(t *testing.T) {
 				break
 			}
 			va := (uint64(raw) << 12) % (LowerHalfMax &^ 0xfff)
-			f, err := pm.Alloc(0, "page")
+			f, err := pm.Alloc(0)
 			if err != nil {
 				return false
 			}
@@ -90,7 +90,7 @@ func TestMergerDeltaEquivalenceProperty(t *testing.T) {
 					break
 				}
 				va := (uint64(raw) << 12) % (LowerHalfMax &^ 0xfff)
-				f, err := pm.Alloc(0, "page")
+				f, err := pm.Alloc(0)
 				if err != nil {
 					return false
 				}

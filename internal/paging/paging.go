@@ -70,7 +70,6 @@ type AddressSpace struct {
 	zone    mem.NUMAZone
 	root    mem.Frame
 	name    string
-	tag     string // owner tag of the table frames next allocates
 	metrics *telemetry.Registry
 }
 
@@ -85,12 +84,12 @@ func (as *AddressSpace) SetTelemetry(m *telemetry.Registry) { as.metrics = m }
 // space (zone is recorded for table allocation if a caller nevertheless
 // maps; it extends the foreign hierarchy in the given zone).
 func FromCR3(pm *mem.PhysMem, zone mem.NUMAZone, cr3 uint64, name string) *AddressSpace {
-	return &AddressSpace{pm: pm, zone: zone, root: mem.FrameOf(cr3), name: name, tag: "pagetable:" + name}
+	return &AddressSpace{pm: pm, zone: zone, root: mem.FrameOf(cr3), name: name}
 }
 
 // NewAddressSpace allocates an empty PML4 in the given zone.
 func NewAddressSpace(pm *mem.PhysMem, zone mem.NUMAZone, name string) (*AddressSpace, error) {
-	root, err := pm.Alloc(zone, "pml4:"+name)
+	root, err := pm.Alloc(zone)
 	if err != nil {
 		return nil, fmt.Errorf("paging: allocating PML4 for %s: %w", name, err)
 	}
@@ -130,7 +129,7 @@ func (as *AddressSpace) next(table mem.Frame, idx int, create bool) (mem.Frame, 
 	if !create {
 		return 0, errNotMapped
 	}
-	f, err := as.pm.Alloc(as.zone, as.tag)
+	f, err := as.pm.Alloc(as.zone)
 	if err != nil {
 		return 0, err
 	}

@@ -43,7 +43,7 @@ func TestCanonical(t *testing.T) {
 
 func TestMapLookupUnmap(t *testing.T) {
 	pm, as := newSpace(t, 64)
-	target, _ := pm.Alloc(0, "page")
+	target, _ := pm.Alloc(0)
 	va := uint64(0x7f12_3456_7000)
 
 	if err := as.Map(va, target, PteUser|PteWrite); err != nil {
@@ -74,7 +74,7 @@ func TestMapLookupUnmap(t *testing.T) {
 
 func TestProtect(t *testing.T) {
 	pm, as := newSpace(t, 64)
-	target, _ := pm.Alloc(0, "page")
+	target, _ := pm.Alloc(0)
 	va := uint64(0x1000)
 	if err := as.Map(va, target, PteUser|PteWrite); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestMergerSharesLowerTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, _ := pm.Alloc(0, "page")
+	target, _ := pm.Alloc(0)
 	va := uint64(0x7f00_0000_0000)
 	if err := rosAS.Map(va, target, PteUser|PteWrite); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestMergerSharesLowerTables(t *testing.T) {
 
 	// Sub-PML4 changes propagate without re-merge: map a second page in
 	// the same 512 GiB region on the ROS side.
-	target2, _ := pm.Alloc(0, "page2")
+	target2, _ := pm.Alloc(0)
 	va2 := va + 0x200000*5 + 0x3000
 	if err := rosAS.Map(va2, target2, PteUser); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestMergerSharesLowerTables(t *testing.T) {
 
 	// A change in a *new* PML4 slot does NOT propagate (needs re-merge).
 	va3 := uint64(0x0000_1000_0000_0000) // PML4 index 2
-	target3, _ := pm.Alloc(0, "page3")
+	target3, _ := pm.Alloc(0)
 	if err := rosAS.Map(va3, target3, PteUser); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestClearLowerHalf(t *testing.T) {
 	pm := mem.NewFlat(128)
 	rosAS, _ := NewAddressSpace(pm, 0, "ros")
 	hrtAS, _ := NewAddressSpace(pm, 0, "hrt")
-	target, _ := pm.Alloc(0, "p")
+	target, _ := pm.Alloc(0)
 	if err := rosAS.Map(0x4000, target, PteUser); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestIdentityMapHigherHalf(t *testing.T) {
 func TestFromCR3AdoptsHierarchy(t *testing.T) {
 	pm := mem.NewFlat(64)
 	orig, _ := NewAddressSpace(pm, 0, "orig")
-	target, _ := pm.Alloc(0, "p")
+	target, _ := pm.Alloc(0)
 	if err := orig.Map(0x5000, target, PteUser); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMapLookupProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, _ := pm.Alloc(0, "t")
+	target, _ := pm.Alloc(0)
 	prop := func(raw uint64) bool {
 		va := (raw % LowerHalfMax) &^ uint64(mem.PageSize-1)
 		if err := as.Map(va, target, PteUser|PteWrite); err != nil {

@@ -21,7 +21,7 @@ func newMMUSpace(t *testing.T) (*mem.PhysMem, *AddressSpace, *MMU) {
 
 func TestTranslateHitAndMiss(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
-	target, _ := pm.Alloc(0, "p")
+	target, _ := pm.Alloc(0)
 	va := uint64(0x7000)
 	if err := as.Map(va, target, PteUser|PteWrite); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestTranslateNotPresent(t *testing.T) {
 
 func TestUserCannotTouchSupervisorPage(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
-	target, _ := pm.Alloc(0, "k")
+	target, _ := pm.Alloc(0)
 	if err := as.Map(0xA000, target, PteWrite); err != nil { // no PteUser
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestUserCannotTouchSupervisorPage(t *testing.T) {
 // CR0.WP clear ("mysterious memory corruption") and fault with it set.
 func TestCR0WPSemantics(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
-	target, _ := pm.Alloc(0, "ro")
+	target, _ := pm.Alloc(0)
 	if err := as.Map(0xB000, target, PteUser); err != nil { // read-only
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTLBEvictionFIFO(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
 	// Capacity is 8; map 10 pages and touch them in order.
 	for i := uint64(0); i < 10; i++ {
-		f, _ := pm.Alloc(0, "p")
+		f, _ := pm.Alloc(0)
 		if err := as.Map(0x10000+i*4096, f, PteUser); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestTLBEvictionFIFO(t *testing.T) {
 
 func TestTLBFlushVA(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
-	f, _ := pm.Alloc(0, "p")
+	f, _ := pm.Alloc(0)
 	if err := as.Map(0xC000, f, PteUser|PteWrite); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestTLBFlushVA(t *testing.T) {
 // now-read-only page.
 func TestStaleTLBHidesProtectionChange(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
-	f, _ := pm.Alloc(0, "p")
+	f, _ := pm.Alloc(0)
 	if err := as.Map(0xD000, f, PteUser|PteWrite); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestStaleTLBHidesProtectionChange(t *testing.T) {
 
 func TestLoadCR3FlushesTLB(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
-	f, _ := pm.Alloc(0, "p")
+	f, _ := pm.Alloc(0)
 	if err := as.Map(0xE000, f, PteUser); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestLoadCR3FlushesTLB(t *testing.T) {
 // cached: nothing is removed and resident entries keep hitting.
 func TestTLBFlushVAAbsent(t *testing.T) {
 	pm, as, m := newMMUSpace(t)
-	f, _ := pm.Alloc(0, "p")
+	f, _ := pm.Alloc(0)
 	if err := as.Map(0xF000, f, PteUser); err != nil {
 		t.Fatal(err)
 	}

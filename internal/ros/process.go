@@ -89,10 +89,9 @@ func (s *Stats) MaxRSSKb() uint64 { return s.MaxRSSPages * mem.PageSize / 1024 }
 
 // Process is one ROS process.
 type Process struct {
-	kern    *Kernel
-	pid     int
-	name    string
-	pageTag string // owner tag of demand-mapped frames
+	kern *Kernel
+	pid  int
+	name string
 
 	mu        sync.Mutex
 	space     *paging.AddressSpace
@@ -251,7 +250,6 @@ func newProcess(k *Kernel, pid int, name string) (*Process, error) {
 		kern:    k,
 		pid:     pid,
 		name:    name,
-		pageTag: fmt.Sprintf("proc%d:page", pid),
 		space:   space,
 		fds:     make(map[int]fdEntry),
 		nextFd:  3, // 0,1,2 reserved for stdio
@@ -449,7 +447,7 @@ func (p *Process) insertVMA(v *vma) linuxabi.Errno {
 // mapPage demand-maps one page of a VMA, charging frame zeroing and PTE
 // installation to clk and counting a minor fault.
 func (p *Process) mapPage(v *vma, base uint64, clk *cycles.Clock) linuxabi.Errno {
-	f, err := p.kern.machine.Phys.Alloc(p.kern.Zone(), p.pageTag)
+	f, err := p.kern.machine.Phys.Alloc(p.kern.Zone())
 	if err != nil {
 		return linuxabi.ENOMEM
 	}

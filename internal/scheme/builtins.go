@@ -20,12 +20,6 @@ func installBuiltins(in *Interp) {
 		}
 		return nil
 	}
-	wantNum := func(name string, o *Obj) error {
-		if !IsNumber(o) {
-			return evalError("%s: not a number: %s", name, WriteString(o))
-		}
-		return nil
-	}
 
 	// ---- pairs & lists ------------------------------------------------
 
@@ -245,78 +239,30 @@ func installBuiltins(in *Interp) {
 
 	// ---- numbers -------------------------------------------------------
 
-	arith := func(name string, intOp func(int64, int64) int64, floOp func(float64, float64) float64, unit int64, unary func(*Interp, *Obj) (*Obj, error)) {
+	// The arithmetic and comparison builtins share their kernels with
+	// the evaluator's inline primitives (prim.go).
+	arith := func(name string, op uint8, unit int64) {
 		def(name, func(in *Interp, a []*Obj) (*Obj, error) {
 			if len(a) == 0 {
 				return in.NewInt(unit), nil
 			}
-			for _, o := range a {
-				if err := wantNum(name, o); err != nil {
-					return nil, err
-				}
+			if err := wantNumbers(name, a); err != nil {
+				return nil, err
 			}
-			if len(a) == 1 && unary != nil {
-				return unary(in, a[0])
-			}
-			acc := a[0]
-			allInt := acc.Kind == KInt
-			ai, af := acc.Int, AsFloat(acc)
-			for _, o := range a[1:] {
-				if o.Kind != KInt {
-					allInt = false
-				}
-				if allInt {
-					ai = intOp(ai, o.Int)
-				}
-				af = floOp(af, AsFloat(o))
-			}
-			if allInt {
-				return in.NewInt(ai), nil
-			}
-			return in.NewFloat(af), nil
+			return in.arith(op, a), nil
 		})
 	}
-	arith("+", func(a, b int64) int64 { return a + b }, func(a, b float64) float64 { return a + b }, 0, nil)
-	arith("*", func(a, b int64) int64 { return a * b }, func(a, b float64) float64 { return a * b }, 1, nil)
-	arith("-", func(a, b int64) int64 { return a - b }, func(a, b float64) float64 { return a - b }, 0,
-		func(in *Interp, o *Obj) (*Obj, error) {
-			if o.Kind == KInt {
-				return in.NewInt(-o.Int), nil
-			}
-			return in.NewFloat(-o.F()), nil
-		})
+	arith("+", primAdd, 0)
+	arith("*", primMul, 1)
+	arith("-", primSub, 0)
 	def("/", func(in *Interp, a []*Obj) (*Obj, error) {
 		if len(a) == 0 {
 			return nil, evalError("/: want at least 1 arg")
 		}
-		for _, o := range a {
-			if err := wantNum("/", o); err != nil {
-				return nil, err
-			}
+		if err := wantNumbers("/", a); err != nil {
+			return nil, err
 		}
-		if len(a) == 1 {
-			return in.NewFloat(1 / AsFloat(a[0])), nil
-		}
-		// Integer division yielding exact results stays exact.
-		if a[0].Kind == KInt {
-			acc := a[0].Int
-			exact := true
-			for _, o := range a[1:] {
-				if o.Kind != KInt || o.Int == 0 || acc%o.Int != 0 {
-					exact = false
-					break
-				}
-				acc /= o.Int
-			}
-			if exact {
-				return in.NewInt(acc), nil
-			}
-		}
-		af := AsFloat(a[0])
-		for _, o := range a[1:] {
-			af /= AsFloat(o)
-		}
-		return in.NewFloat(af), nil
+		return in.divide(a), nil
 	})
 	intBin := func(name string, op func(int64, int64) (int64, error)) {
 		def(name, func(in *Interp, a []*Obj) (*Obj, error) {
@@ -346,11 +292,7 @@ func installBuiltins(in *Interp) {
 		if b == 0 {
 			return 0, evalError("modulo: division by zero")
 		}
-		m := a % b
-		if m != 0 && (m < 0) != (b < 0) {
-			m += b
-		}
-		return m, nil
+		return modulo(a, b), nil
 	})
 	intBin("bitwise-and", func(a, b int64) (int64, error) { return a & b, nil })
 	intBin("bitwise-ior", func(a, b int64) (int64, error) { return a | b, nil })
@@ -362,29 +304,22 @@ func installBuiltins(in *Interp) {
 		return a >> uint(-b), nil
 	})
 
-	cmp := func(name string, ok func(a, b float64) bool) {
+	cmp := func(name string, op uint8) {
 		def(name, func(in *Interp, a []*Obj) (*Obj, error) {
 			if len(a) < 2 {
 				return nil, evalError("%s: want at least 2 args", name)
 			}
-			for _, o := range a {
-				if err := wantNum(name, o); err != nil {
-					return nil, err
-				}
+			if err := wantNumbers(name, a); err != nil {
+				return nil, err
 			}
-			for i := 0; i+1 < len(a); i++ {
-				if !ok(AsFloat(a[i]), AsFloat(a[i+1])) {
-					return False, nil
-				}
-			}
-			return True, nil
+			return compare(op, a), nil
 		})
 	}
-	cmp("=", func(a, b float64) bool { return a == b })
-	cmp("<", func(a, b float64) bool { return a < b })
-	cmp(">", func(a, b float64) bool { return a > b })
-	cmp("<=", func(a, b float64) bool { return a <= b })
-	cmp(">=", func(a, b float64) bool { return a >= b })
+	cmp("=", primNumEq)
+	cmp("<", primLt)
+	cmp(">", primGt)
+	cmp("<=", primLe)
+	cmp(">=", primGe)
 
 	def("min", minMax("min", func(a, b float64) bool { return a < b }))
 	def("max", minMax("max", func(a, b float64) bool { return a > b }))

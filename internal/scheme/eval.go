@@ -35,6 +35,9 @@ func (in *Interp) eval(n *node, env *Frame) (*Obj, error) {
 		if fn != nil && fn.Kind == KBuiltin {
 			in.tick()
 			in.tick()
+			if fn.special != primNone && len(n.kids) <= maxPrimOperands {
+				return in.applyPrim(fn, n.kids, env)
+			}
 			return in.applyBuiltin(fn, n.kids, env)
 		}
 	}
@@ -358,6 +361,9 @@ func (in *Interp) exec(n *node, env *Frame, base int) (*Obj, error) {
 				fn, operands = v, operands[1:]
 			}
 			if fn.Kind == KBuiltin {
+				if fn.special != primNone && len(operands) <= maxPrimOperands {
+					return in.applyPrim(fn, operands, env)
+				}
 				return in.applyBuiltin(fn, operands, env)
 			}
 			abase := len(in.argStack)
@@ -417,7 +423,8 @@ func (in *Interp) pushOperands(operands []*node, env *Frame) error {
 	return nil
 }
 
-// applyBuiltin evaluates operands and applies the builtin fn to them.
+// applyBuiltin evaluates operands onto the operand stack and applies the
+// builtin fn to them through its Fn.
 func (in *Interp) applyBuiltin(fn *Obj, operands []*node, env *Frame) (*Obj, error) {
 	abase := len(in.argStack)
 	if err := in.pushOperands(operands, env); err != nil {

@@ -72,6 +72,43 @@ var goldenEval = []struct {
 	{"set! unbound", `(set! never-defined 1)`, evalGolden{"scheme: set!: unbound variable never-defined", 2, 67334}},
 	{"not a procedure", `(5 1)`, evalGolden{"scheme: not a procedure: 5", 3, 67330}},
 	{"arity", `((lambda (x) x))`, evalGolden{"scheme: arity: want 1 args, got 0", 2, 67362}},
+
+	// Inline primitives: rebinding, shadowing and set! of a coded name,
+	// a coded operator reached through an operator expression, n-ary and
+	// float-widened comparisons, every primitive kind's errors, and write
+	// barriers taken from a primitive.
+	{"rebind coded name", `(define plus +) (define first car) (list (plus 1 2) (first '(a b)))`, evalGolden{"(3 a)", 13, 68018}},
+	{"set! coded global", `(define (f) (car '(1 2))) (define a (f)) (set! car cdr) (list a (f))`, evalGolden{"(1 (2))", 17, 68212}},
+	{"shadow coded names", `(let ((+ -) (car cdr)) (list (+ 5 2) (car '(1 2))))`, evalGolden{"(3 (2))", 12, 67966}},
+	{"coded name as parameter", `(define (f * x) (* x x)) (list (f + 3) (f cons 4))`, evalGolden{"(6 (4 . 4))", 19, 68232}},
+	{"redefine coded name", `(define (- a b) (+ a b)) (- 2 3)`, evalGolden{"5", 9, 67754}},
+	{"coded operator expression", `((if #t + -) 1 2.5)`, evalGolden{"3.5", 6, 67542}},
+	{"coded builtin through apply", `(list (apply + '(1 2 3 4)) (map car '((1) (2))) (apply vector-ref (list (vector 7 8) 1)))`, evalGolden{"(10 (1 2) 8)", 24, 68646}},
+	{"arith arities", `(list (+) (*) (-) (+ 7) (* 1.5) (- 4) (- 2.5) (+ 1 2 3) (* 2 3 4 5) (- 10 1 2 3) (/ 8) (/ 12 3 2) (/ 7 2) (/ 1 0) (/ 6 4 0.5))`, evalGolden{"(0 1 0 7 1.5 -4 -2.5 6 120 4 0.125 2 3.5 +Inf 3.0)", 58, 72431}},
+	{"mixed arith", `(list (+ 1 2.5) (* 2.0 3) (- 9007199254740993 1.0) (+ 9007199254740993 1 0.5) (* 4611686018427387904 2) (+ 9223372036854775807 1))`, evalGolden{"(3.5 6.0 9.007199254740991e+15 9.007199254740992e+15 -9223372036854775808 -9223372036854775808)", 27, 68774}},
+	{"3-operand comparisons", `(list (< 1 2 3) (< 1 3 2) (= 2 2 2.0) (>= 3 3 1) (<= 1 1 0) (> 3 2 1) (> 3 2 2))`, evalGolden{"(#t #f #t #t #f #t #f)", 37, 69210}},
+	{"big int compares as float", `(= 9007199254740993 9007199254740992)`, evalGolden{"#t", 4, 67382}},
+	{"NaN comparisons", `(let ((nan (/ 0.0 0.0))) (list (= nan nan) (< nan 1) (> nan 1) (<= nan nan) (>= 1 nan) (= 0.0 -0.0)))`, evalGolden{"(#f #f #f #f #f #t)", 31, 69010}},
+	{"pairs and vectors", `(let ((p (cons 1 2)) (v (make-vector 3 0)) (s (make-string 3 #\a))) (vector-set! v 2 p) (string-set! s 1 #\b) (list (car p) (cdr p) (vector-ref v 2) (vector-length v) s (string-ref s 1) (modulo -7 3) (modulo 7 -3)))`, evalGolden{"(1 2 (1 . 2) 3 \"aba\" #\\b 2 -2)", 51, 72031}},
+	{"arith type error", `(+ 1 'a)`, evalGolden{"scheme: +: not a number: a", 4, 67424}},
+	{"arith type error late", `(* 2 3 "x")`, evalGolden{"scheme: *: not a number: \"x\"", 5, 67448}},
+	{"divide type error", `(/ 1 'a)`, evalGolden{"scheme: /: not a number: a", 4, 67424}},
+	{"modulo type error", `(modulo 5 2.0)`, evalGolden{"scheme: modulo: want 2 integers", 4, 67396}},
+	{"modulo by zero", `(modulo 5 0)`, evalGolden{"scheme: modulo: division by zero", 4, 67382}},
+	{"compare type error", `(< 1 "x")`, evalGolden{"scheme: <: not a number: \"x\"", 4, 67396}},
+	{"compare arity error", `(= 1)`, evalGolden{"scheme: =: want at least 2 args", 3, 67330}},
+	{"car type error", `(car '())`, evalGolden{"scheme: car: not a pair", 3, 67358}},
+	{"cdr type error", `(cdr 5)`, evalGolden{"scheme: cdr: not a pair", 3, 67330}},
+	{"cons arity error", `(cons 1)`, evalGolden{"scheme: cons: want 2 args, got 1", 3, 67330}},
+	{"vector-ref type error", `(vector-ref '(1) 0)`, evalGolden{"scheme: vector-ref: malformed", 4, 67424}},
+	{"vector-ref index error", `(vector-ref (vector 1 2) 2)`, evalGolden{"scheme: vector-ref: index 2 out of range [0,2)", 7, 67552}},
+	{"vector-set! index error", `(vector-set! (make-vector 2 0) -1 'x)`, evalGolden{"scheme: vector-set!: index -1 out of range [0,2)", 8, 67636}},
+	{"vector-length type error", `(vector-length "abc")`, evalGolden{"scheme: vector-length: want a vector", 3, 67344}},
+	{"string-ref index error", `(string-ref "abc" 3)`, evalGolden{"scheme: string-ref: index out of range", 4, 67396}},
+	{"string-set! type error", `(string-set! (make-string 2) 0 1)`, evalGolden{"scheme: string-set!: malformed", 7, 67552}},
+	{"string-set! index error", `(string-set! (make-string 2) 2 #\z)`, evalGolden{"scheme: string-set!: index out of range", 7, 67552}},
+	{"vector-set! barrier fault", `(define v (make-vector 3 0)) (collect-garbage) (vector-set! v 0 'x) (vector-set! v 1 'y) (list v (list-ref (gc-stats) 3))`, evalGolden{"(#(x y 0) 1)", 25, 100247}},
+	{"string-set! barrier fault", `(define s (make-string 2 #\a)) (collect-garbage) (string-set! s 0 #\b) (list s (list-ref (gc-stats) 3))`, evalGolden{"(\"ba\" 1)", 20, 99902}},
 }
 
 // TestEvalGolden runs each snippet on a fresh native engine and checks

@@ -307,9 +307,13 @@ func (in *Interp) List(elems ...*Obj) *Obj {
 	return out
 }
 
-// defineBuiltin binds a builtin procedure in the global frame.
+// defineBuiltin binds a builtin procedure in the global frame. A name in
+// primCodes gives the builtin its primitive code (Obj.special), which the
+// evaluator reads off the procedure it is about to apply, never off the
+// name: a program that rebinds the name applies whatever it bound.
 func (in *Interp) defineBuiltin(name string, fn func(*Interp, []*Obj) (*Obj, error)) {
 	b := in.alloc(KBuiltin)
+	b.special = primCodes[name]
 	sym := in.Intern(name)
 	b.ext = &objExt{Str: sym.ext.Str, Fn: fn} // names are immutable: share the symbol's
 	in.global.Define(sym, b)

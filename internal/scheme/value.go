@@ -52,10 +52,13 @@ const (
 type Obj struct {
 	Kind Kind
 
-	// special is the evaluator's dispatch code for special-form symbols
-	// (spIf, spLet, ...), stamped at intern time so the hot loop
-	// dispatches on one byte instead of converting and comparing the
-	// symbol name on every combination.
+	// special is the evaluator's dispatch code. On a KSymbol it is the
+	// special-form code (spIf, spLet, ...), stamped at intern time so the
+	// hot loop dispatches on one byte instead of converting and comparing
+	// the symbol name on every combination. On a KBuiltin it is the
+	// primitive code (primAdd, primCar, ...; primNone for the rest),
+	// stamped by defineBuiltin, which the evaluator applies inline. Every
+	// other kind leaves it zero.
 	special uint8
 
 	// idx is the cell's index in its segment, so its simulated

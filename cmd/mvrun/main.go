@@ -427,7 +427,7 @@ func runGrid(worldName string, nodes, groups int, chaos string, rep report) erro
 	if err != nil {
 		return err
 	}
-	summary, err := bench.RunGridChaosObserved(nodes, groups, plan, reg, rec)
+	summary, err := bench.RunGridChaos(nodes, groups, plan, reg, rec)
 	if err != nil {
 		return err
 	}

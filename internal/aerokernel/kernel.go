@@ -77,8 +77,6 @@ type Kernel struct {
 	// alternative policy the re-merge ablation compares against.
 	eagerRemerge bool
 
-	sigHandler func(sig int)
-
 	// Kernel-managed memory (mm.go): regions, bump pointer, the
 	// preserved PML4 entry for the AK slot, and the runtime's fault
 	// handler for protection faults it arranged on purpose.
@@ -259,24 +257,12 @@ func (k *Kernel) eventLoop(bootCore machine.CoreID) {
 			k.retire(t)
 			req.Complete(clk, ret)
 		case hvm.OpSignal:
-			k.mu.Lock()
-			h := k.sigHandler
-			k.mu.Unlock()
-			if h != nil {
-				h(req.Signal)
-			}
+			// The AeroKernel installs no signal handlers: acknowledge.
 			req.Complete(clk, 0)
 		default:
 			req.Complete(clk, ^uint64(0))
 		}
 	}
-}
-
-// SetSignalHandler installs the handler for injected ROS->HRT signals.
-func (k *Kernel) SetSignalHandler(h func(sig int)) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.sigHandler = h
 }
 
 // Space returns the HRT address space.

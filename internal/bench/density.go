@@ -206,20 +206,21 @@ type denseFigures struct {
 	Leaked              int
 }
 
-// runDense executes one full dense phase: spawn denseGroups groups from
-// denseSpawners concurrent host goroutines, hold them all live at once
-// behind a gate, release and join everything, then spawn a warm second
-// wave out of the pool.
-func runDense() (*denseFigures, error) {
-	sys, err := densitySystem(core.Options{WarmPool: denseWarmPool})
-	if err != nil {
-		return nil, err
-	}
-	perSpawner := denseGroups / denseSpawners
+// holdGroups is the dense choreography runDense and mvrun -groups share:
+// spawn n groups from spawners concurrent host goroutines, each group
+// forwarding calls getpids and then checking in at a gate, so once all n
+// have arrived every group is live at once. held runs at that moment,
+// before the gate opens; then each spawner joins its own groups on its
+// own creator clock. It returns each spawner's clock time after its
+// last spawn. A failed spawn releases and joins the groups that did
+// spawn, which keeps the system clean on a partial failure (say, an
+// admission rejection mid-load).
+func holdGroups(sys *core.System, n, spawners, calls int, held func()) ([]uint64, error) {
+	spawners = min(spawners, n)
 	gate := make(chan struct{})
-	arrived := make(chan struct{}, denseGroups)
+	arrived := make(chan struct{}, n)
 	fn := func(env core.Env) uint64 {
-		for i := 0; i < denseCallsPerGroup; i++ {
+		for i := 0; i < calls; i++ {
 			if res := env.Syscall(linuxabi.Call{Num: linuxabi.SysGetpid}); !res.Ok() {
 				return 1
 			}
@@ -229,49 +230,49 @@ func runDense() (*denseFigures, error) {
 		return 0
 	}
 
-	groups := make([][]*core.ExecutionGroup, denseSpawners)
-	clocks := make([]*cycles.Clock, denseSpawners)
-	spawnCyc := make([]uint64, denseSpawners)
-	errs := make([]error, denseSpawners)
+	errs := make([]error, spawners)
+	groups := make([][]*core.ExecutionGroup, spawners)
+	clocks := make([]*cycles.Clock, spawners)
+	spawnCyc := make([]uint64, spawners)
 	var wg sync.WaitGroup
-	for si := 0; si < denseSpawners; si++ {
+	for si := 0; si < spawners; si++ {
+		share := n / spawners
+		if si < n%spawners {
+			share++
+		}
+		clocks[si] = cycles.NewClock(0)
 		wg.Add(1)
-		go func(si int) {
+		go func(si, share int) {
 			defer wg.Done()
-			clk := cycles.NewClock(0)
-			clocks[si] = clk
-			for k := 0; k < perSpawner; k++ {
-				g, serr := sys.SpawnGroup(clk, fn)
-				if serr != nil {
-					errs[si] = serr
+			for k := 0; k < share; k++ {
+				g, err := sys.SpawnGroup(clocks[si], fn)
+				if err != nil {
+					errs[si] = err
 					return
 				}
 				groups[si] = append(groups[si], g)
 			}
-			spawnCyc[si] = uint64(clk.Now())
-		}(si)
+			spawnCyc[si] = uint64(clocks[si].Now())
+		}(si, share)
 	}
 	wg.Wait()
-	for si, serr := range errs {
-		if serr != nil {
-			close(gate)
-			return nil, fmt.Errorf("density: dense spawner %d: %w", si, serr)
+	if err := errors.Join(errs...); err != nil {
+		close(gate)
+		for si := range groups {
+			for _, g := range groups[si] {
+				g.WaitExit(clocks[si])
+			}
 		}
+		return nil, err
 	}
-	// Every group checks in after its syscalls and before the gate, so
-	// after denseGroups arrivals all of them are live simultaneously.
-	for i := 0; i < denseGroups; i++ {
+	for i := 0; i < n; i++ {
 		<-arrived
 	}
-	fig := &denseFigures{
-		PeakLive: sys.Metrics().Gauge("density.groups.peak").Value(),
+	if held != nil {
+		held()
 	}
 	close(gate)
-
-	// Join the wave, each spawner on its own clock. The per-spawner
-	// spawn cost must agree across spawners — the spawn path charges
-	// program structure, not host interleaving.
-	for si := 0; si < denseSpawners; si++ {
+	for si := range groups {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
@@ -284,18 +285,34 @@ func runDense() (*denseFigures, error) {
 		}(si)
 	}
 	wg.Wait()
-	for si, jerr := range errs {
-		if jerr != nil {
-			return nil, fmt.Errorf("density: dense join %d: %w", si, jerr)
-		}
+	return spawnCyc, errors.Join(errs...)
+}
+
+// runDense executes one full dense phase: spawn denseGroups groups from
+// denseSpawners concurrent host goroutines, hold them all live at once
+// behind a gate, release and join everything, then spawn a warm second
+// wave out of the pool.
+func runDense() (*denseFigures, error) {
+	sys, err := densitySystem(core.Options{WarmPool: denseWarmPool})
+	if err != nil {
+		return nil, err
 	}
+	fig := &denseFigures{}
+	spawnCyc, err := holdGroups(sys, denseGroups, denseSpawners, denseCallsPerGroup, func() {
+		fig.PeakLive = sys.Metrics().Gauge("density.groups.peak").Value()
+	})
+	if err != nil {
+		return nil, fmt.Errorf("density: dense wave: %w", err)
+	}
+	// The per-spawner spawn cost must agree across spawners — the spawn
+	// path charges program structure, not host interleaving.
 	for si := 1; si < denseSpawners; si++ {
 		if spawnCyc[si] != spawnCyc[0] {
 			return nil, fmt.Errorf("density: spawner %d spent %d cycles spawning, spawner 0 spent %d",
 				si, spawnCyc[si], spawnCyc[0])
 		}
 	}
-	fig.SpawnCyclesPerGroup = spawnCyc[0] / uint64(perSpawner)
+	fig.SpawnCyclesPerGroup = spawnCyc[0] / (denseGroups / denseSpawners)
 
 	// Warm second wave: the pool holds denseWarmPool parked contexts, so
 	// all denseWarmWave spawns are warm hits on a fresh creator clock.
@@ -553,74 +570,6 @@ func DensityWorkload(sys *core.System, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	spawners := denseSpawners
-	if n < spawners {
-		spawners = n
-	}
-	gate := make(chan struct{})
-	arrived := make(chan struct{}, n)
-	fn := func(env core.Env) uint64 {
-		for i := 0; i < 4; i++ {
-			if res := env.Syscall(linuxabi.Call{Num: linuxabi.SysGetpid}); !res.Ok() {
-				return 1
-			}
-		}
-		arrived <- struct{}{}
-		<-gate
-		return 0
-	}
-
-	errs := make([]error, spawners)
-	groups := make([][]*core.ExecutionGroup, spawners)
-	clocks := make([]*cycles.Clock, spawners)
-	var wg sync.WaitGroup
-	for si := 0; si < spawners; si++ {
-		share := n / spawners
-		if si < n%spawners {
-			share++
-		}
-		clocks[si] = cycles.NewClock(0)
-		wg.Add(1)
-		go func(si, share int) {
-			defer wg.Done()
-			for k := 0; k < share; k++ {
-				g, err := sys.SpawnGroup(clocks[si], fn)
-				if err != nil {
-					errs[si] = err
-					return
-				}
-				groups[si] = append(groups[si], g)
-			}
-		}(si, share)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		close(gate)
-		// Joining the groups that did spawn keeps the system clean even
-		// on a partial failure (e.g. an admission rejection mid-load).
-		for si := range groups {
-			for _, g := range groups[si] {
-				g.WaitExit(clocks[si])
-			}
-		}
-		return err
-	}
-	for i := 0; i < n; i++ {
-		<-arrived
-	}
-	close(gate)
-	for si := range groups {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			for _, g := range groups[si] {
-				if _, jerr := g.WaitExit(clocks[si]); jerr != nil {
-					errs[si] = jerr
-					return
-				}
-			}
-		}(si)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	_, err := holdGroups(sys, n, denseSpawners, 4, nil)
+	return err
 }

@@ -11,29 +11,48 @@ import (
 // TestFaultedOutputProperty is the recovery-correctness property over
 // arbitrary seeds: a faulted run whose recovery budget covers every
 // injected death must produce byte-identical program output to the clean
-// run — injection perturbs timing, never results.
+// run — injection perturbs timing, never results. The routed input
+// promotes mid-run, so drops and corruptions land on both rungs: the
+// event channel before promotion and the polled channel after it.
 func TestFaultedOutputProperty(t *testing.T) {
 	prog, ok := ProgramByName("n-body")
 	if !ok {
 		t.Fatal("n-body program missing")
 	}
-	clean, err := RunBenchmark(prog, core.WorldHRT, core.Options{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range []uint64{7, 21, 99, 12345} {
-		res, err := RunBenchmark(prog, core.WorldHRT, core.Options{
-			Faults: &faults.Plan{Seed: seed, Rate: 0.05, KillRate: 0.002, RecoveryBudget: 128},
-		}, false)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !bytes.Equal(res.Output, clean.Output) {
-			t.Errorf("seed %d: faulted output diverged from clean", seed)
-		}
-		if res.Metrics.Counter("faults.degraded").Value() != 0 {
-			t.Errorf("seed %d: group degraded despite ample budget", seed)
-		}
+	for _, cfg := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"plain", core.Options{}},
+		{"router", core.Options{Router: true}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			clean, err := RunBenchmark(prog, core.WorldHRT, cfg.opts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []uint64{7, 21, 99, 12345} {
+				opts := cfg.opts
+				opts.Faults = &faults.Plan{Seed: seed, Rate: 0.05, KillRate: 0.002, RecoveryBudget: 128}
+				res, err := RunBenchmark(prog, core.WorldHRT, opts, false)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if !bytes.Equal(res.Output, clean.Output) {
+					t.Errorf("seed %d: faulted output diverged from clean", seed)
+				}
+				m := res.Metrics
+				if m.Counter("faults.degraded").Value() != 0 {
+					t.Errorf("seed %d: group degraded despite ample budget", seed)
+				}
+				if m.Counter("faults.retransmit").Value() == 0 || m.Counter("faults.corrupt.detected").Value() == 0 {
+					t.Errorf("seed %d: no drop or corruption was recovered", seed)
+				}
+				if opts.Router && (m.Counter("router.forward.async").Value() == 0 || m.Counter("router.forward.sync").Value() == 0) {
+					t.Errorf("seed %d: the routed run did not forward over both rungs", seed)
+				}
+			}
+		})
 	}
 }
 

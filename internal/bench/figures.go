@@ -77,7 +77,7 @@ func syncCallCycles(sys *core.System, hrtCore machine.CoreID, runs int, arg uint
 	defer sys.HVM.ClosePolled(clk, p)
 	call := linuxabi.Call{Args: [6]uint64{arg}}
 	return avgCycles(clk, runs, func() {
-		if _, _, ierr := p.Invoke(clk, call, 0); ierr != nil {
+		if _, ierr := p.Invoke(clk, call, 0); ierr != nil {
 			panic(ierr)
 		}
 	}), nil
@@ -387,8 +387,8 @@ func checkWorldOrder(program string, native, virt, mv, routed cycles.Cycles) err
 }
 
 // Figure13 regenerates the end-to-end benchmark comparison across the
-// three worlds, plus the Multiverse world with the router on, read from
-// the shared WorldHRT sweep.
+// three worlds, plus the Multiverse world with the router on. Both
+// Multiverse columns are read from the shared WorldHRT sweep.
 func Figure13() (*Table, error) {
 	t := &Table{
 		Title:  "Figure 13: Benchmark runtime (virtual seconds), Native vs Virtual vs Multiverse",
@@ -399,28 +399,28 @@ func Figure13() (*Table, error) {
 		return nil, err
 	}
 	for pi, p := range Programs() {
-		var runs [3]*RunResult
-		for i, w := range []core.World{core.WorldNative, core.WorldVirtual, core.WorldHRT} {
+		var runs [2]*RunResult
+		for i, w := range []core.World{core.WorldNative, core.WorldVirtual} {
 			res, err := RunBenchmark(p, w, core.Options{}, false)
 			if err != nil {
 				return nil, err
 			}
 			runs[i] = res
 		}
-		native, virt, mv := runs[0], runs[1], runs[2]
-		routed := cycles.Cycles(sweep[pi].router.OnCycles)
-		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv.Cycles, routed); err != nil {
+		native, virt, row := runs[0], runs[1], sweep[pi]
+		mv, routed := cycles.Cycles(row.router.OffCycles), cycles.Cycles(row.router.OnCycles)
+		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv, routed); err != nil {
 			return nil, err
 		}
 		t.AddRow(
 			p.Name,
 			fmt.Sprintf("%.4f", native.Seconds),
 			fmt.Sprintf("%.4f", virt.Seconds),
-			fmt.Sprintf("%.4f", mv.Seconds),
+			fmt.Sprintf("%.4f", mv.Seconds()),
 			fmt.Sprintf("%.4f", routed.Seconds()),
-			fmt.Sprintf("%.2fx", mv.Seconds/native.Seconds),
-			fmt.Sprintf("%d", mv.ForwardedSyscalls),
-			fmt.Sprintf("%d", mv.ForwardedFaults),
+			fmt.Sprintf("%.2fx", mv.Seconds()/native.Seconds),
+			fmt.Sprintf("%d", row.router.OffCrossings),
+			fmt.Sprintf("%d", row.offFaults),
 		)
 	}
 	t.AddNote("expected shape: Native <= Virtual <= Multiverse; overhead tracks forwarded interactions")

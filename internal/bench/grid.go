@@ -95,15 +95,11 @@ type GridBaseline struct {
 
 // buildGridNodes assembles n identically-configured grid nodes sharing
 // one metrics registry and flight recorder, plus the fault plan when
-// one is armed, and joins them into a Grid.
-func buildGridNodes(n int, plan *faults.Plan) (*core.Grid, *telemetry.Registry, error) {
-	return buildGridNodesObserved(n, plan, nil, nil)
-}
-
-// buildGridNodesObserved builds the grid into caller-supplied telemetry
-// (either may be nil for a fresh instance), so mvrun can serve the
-// grid's metrics and flight recorder through its exposition plane.
-func buildGridNodesObserved(n int, plan *faults.Plan, reg *telemetry.Registry, rec *telemetry.Recorder) (*core.Grid, *telemetry.Registry, error) {
+// one is armed, and joins them into a Grid. reg and rec are the
+// caller's telemetry, so mvrun can serve the grid's metrics and flight
+// recorder through its exposition plane; either may be nil for a fresh
+// instance.
+func buildGridNodes(n int, plan *faults.Plan, reg *telemetry.Registry, rec *telemetry.Recorder) (*core.Grid, *telemetry.Registry, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
@@ -193,7 +189,7 @@ func gridMigrateUnit(b *GridBaseline) error {
 	// Migrated run on a two-node grid: arm at the barrier (the group has
 	// made exactly gridMigrateCallsBefore crossings), release, and the
 	// migration fires on the first crossing after it.
-	gr, reg, err := buildGridNodes(2, nil)
+	gr, reg, err := buildGridNodes(2, nil, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -256,7 +252,7 @@ type gridKillFigures struct {
 func runGridKill() (*gridKillFigures, error) {
 	// Zero-rate plan: injects nothing, arms the channel seqno window so
 	// serviced calls are countable.
-	gr, reg, err := buildGridNodes(gridKillNodes, &faults.Plan{Seed: 7})
+	gr, reg, err := buildGridNodes(gridKillNodes, &faults.Plan{Seed: 7}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -369,20 +365,15 @@ func gridKillUnit(b *GridBaseline) error {
 // menu (drop/corrupt/duplicate/delay/stall, partner kills) runs at the
 // plan's rates. HRT panics are not part of the chaos menu: a panic
 // legitimately changes the group's exit, so transparency cannot hold.
-func RunGridChaos(nodes, groups int, plan faults.Plan) ([]byte, error) {
-	return RunGridChaosObserved(nodes, groups, plan, nil, nil)
-}
-
-// RunGridChaosObserved is RunGridChaos recording into caller-supplied
-// telemetry: reg collects the grid.* metrics, rec the flight-recorder
-// events (checkpoint, restore, node-kill, migrate-complete), so mvrun
-// can emit its usual post-run artifacts for a grid run. Either may be
-// nil.
-func RunGridChaosObserved(nodes, groups int, plan faults.Plan, reg *telemetry.Registry, rec *telemetry.Recorder) ([]byte, error) {
+//
+// reg collects the grid.* metrics and rec the flight-recorder events
+// (checkpoint, restore, node-kill, migrate-complete), so mvrun can emit
+// its usual post-run artifacts for a grid run. Either may be nil.
+func RunGridChaos(nodes, groups int, plan faults.Plan, reg *telemetry.Registry, rec *telemetry.Recorder) ([]byte, error) {
 	plan.PanicRate = 0
 	kills := plan.NodeKills
 	plan.NodeKills = 0 // node kills are grid-driven, not channel-rolled
-	gr, _, err := buildGridNodesObserved(nodes, &plan, reg, rec)
+	gr, _, err := buildGridNodes(nodes, &plan, reg, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -469,14 +460,14 @@ func RunGridChaosObserved(nodes, groups int, plan faults.Plan, reg *telemetry.Re
 // gridChaosUnit compares chaos against clean across the pinned seeds.
 func gridChaosUnit(b *GridBaseline) error {
 	for seed := uint64(1); seed <= gridChaosSeeds; seed++ {
-		clean, err := RunGridChaos(gridChaosNodes, gridChaosGroups, faults.Plan{Seed: seed})
+		clean, err := RunGridChaos(gridChaosNodes, gridChaosGroups, faults.Plan{Seed: seed}, nil, nil)
 		if err != nil {
 			return fmt.Errorf("bench: chaos clean seed %d: %w", seed, err)
 		}
 		chaotic, err := RunGridChaos(gridChaosNodes, gridChaosGroups, faults.Plan{
 			Seed: seed, Rate: gridChaosRate, KillRate: gridChaosRate / 10,
 			NodeKills: 1,
-		})
+		}, nil, nil)
 		if err != nil {
 			return fmt.Errorf("bench: chaos seed %d: %w", seed, err)
 		}

@@ -14,12 +14,12 @@ import (
 // itself.
 func TestGridChaosSeedsIdentical(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		clean, err := RunGridChaos(gridChaosNodes, gridChaosGroups, faults.Plan{Seed: seed})
+		clean, err := RunGridChaos(gridChaosNodes, gridChaosGroups, faults.Plan{Seed: seed}, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d clean: %v", seed, err)
 		}
 		plan := faults.Plan{Seed: seed, Rate: gridChaosRate, KillRate: gridChaosRate / 10, NodeKills: 1}
-		chaotic, err := RunGridChaos(gridChaosNodes, gridChaosGroups, plan)
+		chaotic, err := RunGridChaos(gridChaosNodes, gridChaosGroups, plan, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d chaos: %v", seed, err)
 		}
@@ -27,7 +27,7 @@ func TestGridChaosSeedsIdentical(t *testing.T) {
 			t.Errorf("seed %d: chaos summary diverged from clean:\nclean:\n%schaos:\n%s",
 				seed, clean, chaotic)
 		}
-		again, err := RunGridChaos(gridChaosNodes, gridChaosGroups, plan)
+		again, err := RunGridChaos(gridChaosNodes, gridChaosGroups, plan, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d chaos repeat: %v", seed, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"multiverse/internal/faults"
-	"multiverse/internal/hvm"
 	"multiverse/internal/linuxabi"
 )
 
@@ -209,14 +208,14 @@ func TestSeqnoDedupBrkMutation(t *testing.T) {
 	}
 }
 
-// TestRouterLossDemotion scripts three consecutive notification losses
-// through the router's async path: the fault policy must demote the
-// channel to sync mode, then re-promote it after a clean window.
-func TestRouterLossDemotion(t *testing.T) {
+// TestRouterAsyncRetransmits scripts three notification losses through
+// the router's async path: each forward rides out its loss by
+// retransmission alone, and the losses do not promote the group, whose
+// only promotion rule is the forwarding-rate window.
+func TestRouterAsyncRetransmits(t *testing.T) {
 	sys := buildTestSystem(t, Options{
-		AppName:      "lossy",
-		Router:       true,
-		RouterPolicy: hvm.RouterPolicy{LossStreak: 3, CleanStreak: 4},
+		AppName: "lossy",
+		Router:  true,
 		Faults: &faults.Plan{
 			Seed:        11,
 			MaxAttempts: 2, // one drop per forward, then forced clean
@@ -236,14 +235,14 @@ func TestRouterLossDemotion(t *testing.T) {
 		t.Errorf("stdout = %q, want 12 bytes", got)
 	}
 	m := sys.Metrics()
-	if got := m.Counter("faults.retransmit").Value(); got != 3 {
-		t.Errorf("faults.retransmit = %d, want 3", got)
-	}
-	if got := m.Counter("router.fault_demotions").Value(); got != 1 {
-		t.Errorf("router.fault_demotions = %d, want 1", got)
-	}
-	if got := m.Counter("router.fault_repromotions").Value(); got != 1 {
-		t.Errorf("router.fault_repromotions = %d, want 1", got)
+	for metric, want := range map[string]uint64{
+		"faults.retransmit":   3,
+		"router.promotions":   0,
+		"router.forward.sync": 0,
+	} {
+		if got := m.Counter(metric).Value(); got != want {
+			t.Errorf("%s = %d, want %d", metric, got, want)
+		}
 	}
 }
 

@@ -343,8 +343,8 @@ func (g *ExecutionGroup) bindRouterHooks(s *System, rosCore, hrtCore machine.Cor
 	// poller, created on the promoting HRT thread's clock: a context of
 	// the group's own ROS thread with a clock of its own, so it pays every
 	// poll and service charge and serves each frame as the group.
-	// Demotion (idle or a clean window after fault pressure) closes the
-	// channel, which also releases the poller.
+	// Demotion (idle, or quiescing for a checkpoint) closes the channel,
+	// which also releases the poller.
 	r.SetPollHooks(
 		func(clk *cycles.Clock) (*hvm.PolledChannel, error) {
 			pt := s.Proc.NewContext(g.PartnerTID(), rosCore)

@@ -26,7 +26,7 @@ func TestSyncInvokeSteadyStateAllocationFree(t *testing.T) {
 
 		call := linuxabi.Call{Args: [6]uint64{42}}
 		invoke := func() {
-			if res, _, err := p.Invoke(clk, call, 0); err != nil || res.Ret != 42 {
+			if res, err := p.Invoke(clk, call, 0); err != nil || res.Ret != 42 {
 				t.Fatalf("sync invoke = %d, %v; want 42", res.Ret, err)
 			}
 		}
@@ -87,13 +87,13 @@ func TestSyncSyscallInvokeSteadyStateAllocationFree(t *testing.T) {
 
 		call := linuxabi.Call{Num: linuxabi.SysIoctl, Args: [6]uint64{9}}
 		for i := 0; i < 4; i++ {
-			if _, _, err := p.Invoke(clk, call, 1); err != nil {
+			if _, err := p.Invoke(clk, call, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 
 		if n := testing.AllocsPerRun(500, func() {
-			if _, _, err := p.Invoke(clk, call, 1); err != nil {
+			if _, err := p.Invoke(clk, call, 1); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {

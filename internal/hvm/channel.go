@@ -131,9 +131,6 @@ type Reply struct {
 	FaultOK bool
 	// Departure is the virtual time the reply left the ROS side.
 	Departure cycles.Cycles
-	// Retransmits is the request's retransmission count, copied out by
-	// Forward because a recycled envelope may be reused once it returns.
-	Retransmits int
 }
 
 // EventChannel is the VMM-mediated communication path of one execution
@@ -330,7 +327,6 @@ func (c *EventChannel) Forward(clk *cycles.Clock, env *Envelope) (Reply, error) 
 	sp.EndAt(clk.Now())
 
 	kind := env.Kind
-	r.Retransmits = env.Retransmits
 	if !dup {
 		// The partner's Complete has run and no duplicate of env was
 		// queued for redelivery, so nothing holds the envelope any more

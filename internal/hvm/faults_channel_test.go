@@ -273,7 +273,7 @@ func TestSyncChannelDropRetransmits(t *testing.T) {
 		clk := cycles.NewClock(0)
 		p := openEcho(t, h, clk)
 
-		res, _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
+		res, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysGetpid, Args: [6]uint64{5}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -288,7 +288,7 @@ func TestSyncChannelSocketDistance(t *testing.T) {
 		clk := cycles.NewClock(0)
 		p := openEchoOn(t, h, clk, hrtCore)
 		before := clk.Now()
-		res, _, err := p.Invoke(clk, linuxabi.Call{Args: [6]uint64{42}}, 0)
+		res, err := p.Invoke(clk, linuxabi.Call{Args: [6]uint64{42}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,23 +116,22 @@ func (h *HVM) newPolled(rosCore, hrtCore machine.CoreID, poller Poller) *PolledC
 func (h *HVM) ClosePolled(_ *cycles.Clock, p *PolledChannel) { p.Close() }
 
 // Invoke forwards one system call, spinning until the polling partner
-// completes it, and reports the retransmission count the router's fault
-// policy reads. reqID is the causal request id from the syscall entry (0
+// completes it. reqID is the causal request id from the syscall entry (0
 // for control traffic without one). It returns errPolledDown when the
 // channel died before or during the call; the caller still owns the
 // request and must re-route it.
-func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint64) (linuxabi.Result, int, error) {
+func (p *PolledChannel) Invoke(clk *cycles.Clock, call linuxabi.Call, reqID uint64) (linuxabi.Result, error) {
 	return p.roundTrip(clk, frame{call: call}, reqID)
 }
 
 // roundTrip carries one frame, a system call or a fault, as Invoke
 // describes: post, poll, service, reply, reap. A fault frame's result is
 // faultResult's.
-func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (linuxabi.Result, int, error) {
+func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (linuxabi.Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dead.Load() {
-		return linuxabi.Result{}, 0, errPolledDown
+		return linuxabi.Result{}, errPolledDown
 	}
 	p.seq++
 	seq := p.seq
@@ -180,7 +179,7 @@ func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (li
 			corrupt := !last && fi.Roll(faults.CorruptFrame, p.id, seq, attempt, clk.Now())
 			if p.dead.Load() {
 				sp.EndAt(clk.Now())
-				return linuxabi.Result{}, retx, errPolledDown
+				return linuxabi.Result{}, errPolledDown
 			}
 			var ok bool
 			if res, replied, ok = p.serve(fr, posted, flow, corrupt); ok {
@@ -203,7 +202,7 @@ func (p *PolledChannel) roundTrip(clk *cycles.Clock, fr frame, reqID uint64) (li
 	ctr.Inc()
 	lat.Observe(clk.Now() - start)
 	p.hvm.recorder.Record(clk.Now(), rec, p.id, reqID, seq, uint64(retx))
-	return res, retx, nil
+	return res, nil
 }
 
 // serve is the poller's side of one frame posted at virtual time

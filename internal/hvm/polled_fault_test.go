@@ -51,13 +51,11 @@ func TestPolledFaultFrameTouchesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		const frames = 200
-		totalRetx := 0
 		for i := uint64(0); i < frames; i++ {
-			res, retx, err := p.roundTrip(clk, frame{fault: true, addr: 0x10000 + i*4096, write: i%2 == 0}, i+1)
+			res, err := p.roundTrip(clk, frame{fault: true, addr: 0x10000 + i*4096, write: i%2 == 0}, i+1)
 			if err != nil || res.Err != linuxabi.OK {
 				t.Fatalf("fault frame %d: res=%+v err=%v", i, res, err)
 			}
-			totalRetx += retx
 		}
 		for addr, n := range tc.n {
 			if n != 1 {
@@ -67,13 +65,13 @@ func TestPolledFaultFrameTouchesOnce(t *testing.T) {
 		if len(tc.n) != frames {
 			t.Errorf("%d accesses replicated, want %d", len(tc.n), frames)
 		}
+		// Every dropped and every corrupt frame costs one retransmission,
+		// so more retransmissions than corrupt frames means both rolls
+		// fired.
 		m := h.Metrics()
-		if totalRetx == 0 || m.Counter("faults.corrupt.detected").Value() == 0 {
-			t.Errorf("rolls never fired: %d retransmissions, %d corrupt frames",
-				totalRetx, m.Counter("faults.corrupt.detected").Value())
-		}
-		if got := m.Counter("faults.retransmit").Value(); got != uint64(totalRetx) {
-			t.Errorf("faults.retransmit = %d, want %d", got, totalRetx)
+		retx, corrupt := m.Counter("faults.retransmit").Value(), m.Counter("faults.corrupt.detected").Value()
+		if corrupt == 0 || retx <= corrupt {
+			t.Errorf("rolls never fired: %d retransmissions, %d corrupt frames", retx, corrupt)
 		}
 	})
 }
@@ -94,7 +92,7 @@ func TestPolledFaultFrameCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := h.Metrics()
-		if _, _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysClose, Args: [6]uint64{3}}, 1); err != nil {
+		if _, err := p.Invoke(clk, linuxabi.Call{Num: linuxabi.SysClose, Args: [6]uint64{3}}, 1); err != nil {
 			t.Fatal(err)
 		}
 		m.EachCounter(func(c string, _ uint64) {
@@ -103,7 +101,7 @@ func TestPolledFaultFrameCounters(t *testing.T) {
 			}
 		})
 		for i, addr := range []uint64{0x8000, 0x9000, 0xa000} {
-			res, _, err := p.roundTrip(clk, frame{fault: true, addr: addr, write: true}, uint64(i+2))
+			res, err := p.roundTrip(clk, frame{fault: true, addr: addr, write: true}, uint64(i+2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,15 +167,14 @@ func TestRouterFaultsClimbRungs(t *testing.T) {
 			partnerFaults, len(tc.n), promoteAt-1, n-promoteAt+1)
 	}
 	for metric, want := range map[string]uint64{
-		"router.promotions":      1,
-		"sync.faults":            n - promoteAt + 1,
-		"forward.page-fault":     promoteAt - 1,
-		"sync.syscalls":          0,
-		"router.forward.sync":    0,
-		"router.forward.async":   0,
-		"forward.syscall":        0,
-		"router.cache_misses":    0,
-		"router.fault_demotions": 0,
+		"router.promotions":    1,
+		"sync.faults":          n - promoteAt + 1,
+		"forward.page-fault":   promoteAt - 1,
+		"sync.syscalls":        0,
+		"router.forward.sync":  0,
+		"router.forward.async": 0,
+		"forward.syscall":      0,
+		"router.cache_misses":  0,
 	} {
 		if got := m.Counter(metric).Value(); got != want {
 			t.Errorf("%s = %d, want %d", metric, got, want)

@@ -60,20 +60,9 @@ type SyscallRouter struct {
 	// recent holds the virtual times of the last PromoteCalls forwards
 	// (oldest first) while the router waits to promote; last is the
 	// latest forward the sync channel carried, the clock idle demotion
-	// reads. (A sync channel promoted for reliability is idle-exempt for
-	// its whole life, so last is the latest forward whenever idle
-	// demotion can fire.)
+	// reads.
 	recent []cycles.Cycles
 	last   cycles.Cycles
-
-	// Fault-policy state (mu-guarded): lossRun counts consecutive lossy
-	// async forwards, cleanRun consecutive clean sync calls, and
-	// lossSync marks that the current sync channel exists for
-	// reliability — the idle-demotion rule must not tear it down while
-	// losses may recur.
-	lossRun  int
-	cleanRun int
-	lossSync bool
 }
 
 // routerHandles are the routers' per-call metric handles, resolved on
@@ -112,10 +101,8 @@ type routerEvent struct {
 }
 
 var (
-	evPromote    = routerEvent{"router.promotions", "channel-promote", telemetry.RecPromote}
-	evDemote     = routerEvent{"router.demotions", "channel-demote", telemetry.RecDemote}
-	evLossSync   = routerEvent{"router.fault_demotions", "channel-demote-lossy", telemetry.RecDemoteLossy}
-	evCleanAsync = routerEvent{"router.fault_repromotions", "channel-repromote", telemetry.RecRepromote}
+	evPromote = routerEvent{"router.promotions", "channel-promote", telemetry.RecPromote}
+	evDemote  = routerEvent{"router.demotions", "channel-demote", telemetry.RecDemote}
 )
 
 // event publishes one ladder transition at clk's current time.
@@ -137,15 +124,6 @@ type RouterPolicy struct {
 	// next call, which is the first moment the HRT thread is active
 	// again).
 	DemoteIdle cycles.Cycles
-
-	// Fault policy (active only when the fault plane is armed):
-	// LossStreak consecutive lossy async forwards (at least one
-	// retransmission each) demote the channel to the synchronous
-	// memory-polling path, whose cacheline protocol rides out a flaky
-	// notification plane; CleanStreak consecutive clean sync calls
-	// re-promote it to the cheaper-per-idle async channel.
-	LossStreak  int
-	CleanStreak int
 }
 
 // DefaultRouterPolicy promotes after a burst of 32 forwards inside ~1ms of
@@ -158,8 +136,6 @@ func DefaultRouterPolicy() RouterPolicy {
 		PromoteCalls:  32,
 		PromoteWindow: 2_200_000,  // 1 ms at 2.2 GHz
 		DemoteIdle:    22_000_000, // 10 ms at 2.2 GHz
-		LossStreak:    3,
-		CleanStreak:   64,
 	}
 }
 
@@ -173,12 +149,6 @@ func (p *RouterPolicy) fill() {
 	}
 	if p.DemoteIdle <= 0 {
 		p.DemoteIdle = d.DemoteIdle
-	}
-	if p.LossStreak <= 0 {
-		p.LossStreak = d.LossStreak
-	}
-	if p.CleanStreak <= 0 {
-		p.CleanStreak = d.CleanStreak
 	}
 }
 
@@ -395,9 +365,9 @@ func (r *SyscallRouter) resolvePath(path string) string {
 // ForwardFault forwards one page fault from the HRT thread at clk and
 // reports whether the ROS resolved it. A fault is a forward like any
 // other: it rides the sync channel like a system call, in a fault frame
-// of its own, feeds the same promotion window, idle clock and fault
-// policy, and takes the ~25K-cycle event channel only when the group is
-// not promoted. reqID is the causal request id the fault handler allocated.
+// of its own, feeds the same promotion window and idle clock, and takes
+// the ~25K-cycle event channel only when the group is not promoted.
+// reqID is the causal request id the fault handler allocated.
 func (r *SyscallRouter) ForwardFault(clk *cycles.Clock, ch *EventChannel, addr uint64, write bool, reqID uint64) (bool, error) {
 	res, err := r.forward(clk, ch, frame{fault: true, addr: addr, write: write}, reqID)
 	return err == nil && res.Err == linuxabi.OK, err
@@ -409,12 +379,11 @@ func (r *SyscallRouter) ForwardFault(clk *cycles.Clock, ch *EventChannel, addr u
 // frame is counted by its transport's fault metrics.
 func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, fr frame, reqID uint64) (linuxabi.Result, error) {
 	if sc := r.climb(clk); sc != nil {
-		res, retx, err := sc.roundTrip(clk, fr, reqID)
+		res, err := sc.roundTrip(clk, fr, reqID)
 		if err == nil {
 			if !fr.fault {
 				r.counter("router.forward.sync").Inc()
 			}
-			r.noteTransport(clk, retx, true)
 			return res, nil
 		}
 		// Another thread of the group demoted the channel before this
@@ -443,7 +412,6 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, fr frame, r
 	} else {
 		r.counter("router.forward.async").Inc()
 	}
-	r.noteTransport(clk, rep.Retransmits, false)
 	return rep.Res, nil
 }
 
@@ -454,9 +422,8 @@ func (r *SyscallRouter) forward(clk *cycles.Clock, ch *EventChannel, fr frame, r
 // checkpoints and harness reads. A router without hooks returns at once
 // without touching any state, keeping the dark path byte-identical.
 //
-// An idle gap of DemoteIdle since the channel's last forward demotes it,
-// unless it was promoted for reliability (lossSync): only a clean window
-// may undo that. PromoteCalls forwards within PromoteWindow promote.
+// An idle gap of DemoteIdle since the channel's last forward demotes it;
+// PromoteCalls forwards within PromoteWindow promote it.
 func (r *SyscallRouter) climb(clk *cycles.Clock) *PolledChannel {
 	now := clk.Now()
 	r.mu.Lock()
@@ -465,7 +432,7 @@ func (r *SyscallRouter) climb(clk *cycles.Clock) *PolledChannel {
 		return nil
 	}
 	var idled *PolledChannel
-	if r.sc != nil && !r.lossSync && r.last > 0 && now-r.last >= r.policy.DemoteIdle {
+	if r.sc != nil && r.last > 0 && now-r.last >= r.policy.DemoteIdle {
 		idled, r.sc = r.sc, nil
 		r.recent = r.recent[:0]
 	}
@@ -505,56 +472,6 @@ func (r *SyscallRouter) climb(clk *cycles.Clock) *PolledChannel {
 	return sc
 }
 
-// noteTransport feeds the fault policy with one forward's transport
-// quality. The policy needs a lossy forward to act, so it never fires
-// while the fault plane is off (retx is always 0): LossStreak lossy
-// async forwards in a row promote the sync channel for reliability, and
-// CleanStreak clean calls over that channel demote it again.
-func (r *SyscallRouter) noteTransport(clk *cycles.Clock, retx int, viaSync bool) {
-	r.mu.Lock()
-	lossy, clean := false, (*PolledChannel)(nil)
-	if retx > 0 {
-		r.cleanRun = 0
-		if !viaSync && r.sc == nil && r.open != nil && !r.lossSync {
-			r.lossRun++
-			if lossy = r.lossRun >= r.policy.LossStreak; lossy {
-				r.lossRun = 0
-			}
-		}
-	} else {
-		r.lossRun = 0
-		if viaSync && r.lossSync && r.sc != nil {
-			r.cleanRun++
-			if r.cleanRun >= r.policy.CleanStreak {
-				clean, r.sc = r.sc, nil
-				r.lossSync = false
-				r.cleanRun = 0
-			}
-		}
-	}
-	open, close := r.open, r.close
-	r.mu.Unlock()
-	switch {
-	case lossy:
-		// The async notification plane is flaky: fall back to the
-		// synchronous cacheline protocol, which a lost interrupt cannot
-		// touch.
-		sc, err := open(clk)
-		if err != nil {
-			return
-		}
-		r.mu.Lock()
-		r.sc = sc
-		r.lossSync = true
-		r.mu.Unlock()
-		r.event(clk, evLossSync)
-	case clean != nil:
-		// A clean window on the reliable path: give the polling core back.
-		close(clk, clean)
-		r.event(clk, evCleanAsync)
-	}
-}
-
 // RouterCheckpoint is the router slice of a group checkpoint: the
 // mirrored tier-0 state that survives a migration. The router object
 // itself crosses with the group (the checkpoint records, it does not
@@ -578,8 +495,6 @@ func (r *SyscallRouter) Quiesce(clk *cycles.Clock) RouterCheckpoint {
 	r.mu.Lock()
 	sc := r.sc
 	r.sc = nil
-	r.lossSync = false
-	r.cleanRun = 0
 	r.recent = r.recent[:0]
 	close := r.close
 	dropped := len(r.cache)

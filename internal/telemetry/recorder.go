@@ -28,10 +28,8 @@ const (
 	RecSyncCall              // sync-channel invoke; Site=channel, A=seq, B=retransmits
 	RecTierLocal             // router served locally; Site=hrt core, A=syscall num
 	RecTierCache             // router cache hit; Site=hrt core, A=syscall num
-	RecPromote               // router promoted channel to async; Site=hrt core
-	RecDemote                // router demoted channel to sync; Site=hrt core
-	RecDemoteLossy           // fault policy demoted a lossy channel; Site=hrt core
-	RecRepromote             // fault policy re-promoted after clean run; Site=hrt core
+	RecPromote               // router promoted channel to sync; Site=hrt core
+	RecDemote                // router demoted channel to async; Site=hrt core
 	RecFaultRoll             // injector fired; Site=roll site id, A=fault kind, B=seq
 	RecRequeue               // respawn replayed an inflight envelope; Site=channel, A=seq
 	RecRespawn               // recovery respawned a partner; Site=group, A=generation, B=replayed
@@ -61,8 +59,6 @@ var recNames = map[EventCode]string{
 	RecTierCache:   "tier-cache",
 	RecPromote:     "promote",
 	RecDemote:      "demote",
-	RecDemoteLossy: "demote-lossy",
-	RecRepromote:   "repromote",
 	RecFaultRoll:   "fault-roll",
 	RecRequeue:     "requeue",
 	RecRespawn:     "respawn",

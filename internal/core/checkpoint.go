@@ -38,8 +38,10 @@ type DeltaSlot struct {
 // partner resumes at it, which is what makes migration virtually
 // transparent), the address-space delta, the event-channel
 // seqno/retransmission window (in-flight calls replay idempotently
-// after restore), and the router tier state (rings torn down to the
-// tier-2 fallback, exactly as in partner-kill recovery).
+// after restore), and the router tier state. The router's Quiesce
+// demotes a promoted polled channel (its poller stays on the source
+// node) and drops the tier-1 result cache (fd and path identity is
+// per-node).
 type GroupCheckpoint struct {
 	GroupID    uint64
 	SourceNode int

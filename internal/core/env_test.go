@@ -42,7 +42,7 @@ func TestNativeEnvSurface(t *testing.T) {
 	fired := false
 	env.RegisterSignalCode(0x7100_0000, func(*ros.SignalContext) { fired = true })
 	env.Syscall(linuxabi.Call{Num: linuxabi.SysRtSigaction, Args: [6]uint64{uint64(linuxabi.SIGTERM), 0x7100_0000}})
-	sys.Proc.SendSignal(env.Clock(), linuxabi.SIGTERM)
+	sys.Proc.SendSignal(sys.Main.TID, env.Clock(), linuxabi.SIGTERM)
 	if !fired {
 		t.Error("registered handler did not run")
 	}

@@ -589,13 +589,16 @@ func (p *Process) deliverSignal(clk *cycles.Clock, fn SignalHandlerFunc, ctx *Si
 	clk.Advance(p.kern.cost.ROSSignalReturn)
 }
 
-// SendSignal delivers sig to the process on the context owning clk (e.g.
-// the itimer expiry path). Unhandled signals are ignored except
-// SIGKILL/SIGSEGV, which fail the caller.
-func (p *Process) SendSignal(clk *cycles.Clock, sig linuxabi.Signal) linuxabi.Errno {
+// SendSignal delivers sig to ROS thread tid on the context owning clk
+// (e.g. the itimer expiry path), under tid's dispositions: its own arena's
+// under deterministic arenas, the shared process state otherwise.
+// Unhandled signals are ignored except SIGKILL/SIGSEGV, which fail the
+// caller.
+func (p *Process) SendSignal(tid int, clk *cycles.Clock, sig linuxabi.Signal) linuxabi.Errno {
 	p.mu.Lock()
-	sa, ok := p.shared.sigactions[sig]
-	fn := p.shared.handlers[sa.handlerAddr]
+	a := p.arenaFor(tid)
+	sa, ok := a.sigactions[sig]
+	fn := a.handlers[sa.handlerAddr]
 	p.mu.Unlock()
 	if !ok || fn == nil {
 		if sig == linuxabi.SIGKILL || sig == linuxabi.SIGSEGV {

@@ -286,6 +286,32 @@ func TestItimerDelivery(t *testing.T) {
 	}
 }
 
+// TestSendSignalUsesThreadArena: under deterministic arenas rt_sigaction
+// and RegisterHandler write the calling thread's own dispositions, so a
+// signal sent to that thread must find its handler there, and a thread
+// that registered nothing must not run another thread's handler.
+func TestSendSignalUsesThreadArena(t *testing.T) {
+	_, p, th := newProc(t, Native)
+	p.EnableDeterministicArenas()
+	other := p.NewThread(th.Core)
+	fired := 0
+	p.RegisterHandler(th.TID, 0x5100_0000, func(ctx *SignalContext) {
+		fired++
+		if ctx.Sig != linuxabi.SIGTERM {
+			t.Errorf("sig = %v", ctx.Sig)
+		}
+	})
+	if r := p.Syscall(th, call(linuxabi.SysRtSigaction, uint64(linuxabi.SIGTERM), 0x5100_0000, 0)); !r.Ok() {
+		t.Fatalf("rt_sigaction: %v", r.Err)
+	}
+	if errno := p.SendSignal(th.TID, th.Clock, linuxabi.SIGTERM); errno != linuxabi.OK || fired != 1 {
+		t.Errorf("signal to the registering thread: errno %v, handler ran %d times, want OK and 1", errno, fired)
+	}
+	if errno := p.SendSignal(other.TID, other.Clock, linuxabi.SIGTERM); errno != linuxabi.OK || fired != 1 {
+		t.Errorf("signal to a thread with no handler: errno %v, handler ran %d times, want OK and still 1", errno, fired)
+	}
+}
+
 func TestGetrusage(t *testing.T) {
 	_, p, th := newProc(t, Native)
 	p.ChargeUser(2_200_000_0) // 10 ms user

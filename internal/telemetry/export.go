@@ -18,26 +18,12 @@ type HistogramSnapshot struct {
 	Count  uint64   `json:"count"`
 }
 
-// Quantile mirrors Histogram.Quantile over the exported buckets.
+// Quantile is Histogram.Quantile over the exported buckets.
 func (h *HistogramSnapshot) Quantile(p float64) uint64 {
-	if h == nil || h.Count == 0 || len(h.Edges) == 0 {
+	if h == nil {
 		return 0
 	}
-	target := uint64(p * float64(h.Count))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.Edges) {
-				return h.Edges[i]
-			}
-			return h.Edges[len(h.Edges)-1]
-		}
-	}
-	return h.Edges[len(h.Edges)-1]
+	return bucketQuantile(p, h.Edges, h.Counts, h.Count)
 }
 
 // MetricsSnapshot is a point-in-time copy of a Registry in a stable,

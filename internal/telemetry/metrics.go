@@ -163,16 +163,27 @@ func (h *Histogram) BucketCount(i int) uint64 {
 }
 
 // Quantile returns the upper edge of the bucket containing the p-th
-// quantile (0 < p <= 1). Observations in the overflow bucket report the
-// histogram's mean-capped maximum edge; an empty histogram reports 0.
-// Bucket-edge quantiles are coarse but deterministic, which is the
-// property the reports need.
+// quantile (0 < p <= 1), by bucketQuantile's rule.
 func (h *Histogram) Quantile(p float64) cycles.Cycles {
 	if h == nil {
 		return 0
 	}
-	total := h.n.Load()
-	if total == 0 {
+	counts := make([]uint64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return bucketQuantile(p, h.edges, counts, h.n.Load())
+}
+
+// bucketQuantile is the one quantile rule of a live histogram and of its
+// snapshot: the upper edge of the bucket in which the cumulative count
+// (counts per bucket, overflow last) first reaches p of total.
+// Observations in the overflow bucket report the last edge, so the value
+// is still deterministic; an empty histogram reports 0. Bucket-edge
+// quantiles are coarse but deterministic, which is the property the
+// reports need.
+func bucketQuantile[E ~uint64](p float64, edges []E, counts []uint64, total uint64) E {
+	if total == 0 || len(edges) == 0 {
 		return 0
 	}
 	target := uint64(p * float64(total))
@@ -180,18 +191,13 @@ func (h *Histogram) Quantile(p float64) cycles.Cycles {
 		target = 1
 	}
 	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			if i < len(h.edges) {
-				return h.edges[i]
-			}
-			// Overflow bucket: no upper edge; report the last edge so
-			// the value is still deterministic.
-			return h.edges[len(h.edges)-1]
+	for i, c := range counts {
+		cum += c
+		if cum >= target && i < len(edges) {
+			return edges[i]
 		}
 	}
-	return h.edges[len(h.edges)-1]
+	return edges[len(edges)-1]
 }
 
 // Counter returns (creating if needed) the named counter. Nil registries

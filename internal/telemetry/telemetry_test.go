@@ -199,6 +199,27 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestSnapshotQuantileMatchesLive: a histogram's snapshot reports the
+// live histogram's quantile at every p, including the overflow bucket and
+// the empty histogram.
+func TestSnapshotQuantileMatchesLive(t *testing.T) {
+	r := NewRegistry()
+	h := r.LatencyHistogram("spread")
+	for v := cycles.Cycles(1); v < 1<<26; v = v*3 + 7 {
+		h.Observe(v)
+	}
+	r.LatencyHistogram("empty")
+	snap := r.Snapshot()
+	for _, name := range []string{"spread", "empty"} {
+		live, exported := r.FindHistogram(name), snap.Histograms[name]
+		for _, p := range []float64{0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
+			if got, want := exported.Quantile(p), uint64(live.Quantile(p)); got != want {
+				t.Errorf("%s p%g: snapshot %d, live %d", name, p, got, want)
+			}
+		}
+	}
+}
+
 func TestRegistryNilAndDumpOrder(t *testing.T) {
 	var r *Registry
 	// Nil registries hand out nil instruments whose methods are no-ops.

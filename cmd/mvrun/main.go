@@ -465,6 +465,9 @@ func writeTrace(tracer *telemetry.Tracer, path string) error {
 // (0 for -bench, which ignores it).
 func printStats(res *bench.RunResult, groups int) {
 	o, m := res.Opts, res.Metrics
+	// Find*, not Counter: a read must not register a name the run never
+	// touched, or the -metrics dump would list it at 0.
+	c := func(name string) uint64 { return m.FindCounter(name).Value() }
 	fmt.Fprintf(os.Stderr, "\n[%s] %s: %.4f virtual seconds\n", res.World, res.Program, res.Seconds)
 	fmt.Fprintf(os.Stderr, "  syscalls=%d faults=%d maxrss=%dKb ctxsw=%d\n",
 		res.Stats.TotalSyscalls(), res.Stats.MinorFaults+res.Stats.MajorFaults,
@@ -477,9 +480,9 @@ func printStats(res *bench.RunResult, groups int) {
 		res.GCCollections, res.BarrierFaults, res.Reductions)
 	if o.Router {
 		fmt.Fprintf(os.Stderr, "  router: local=%d cache=%d/%d inval=%d promo=%d/%d fwd-cycles=%d\n",
-			res.RouterLocalHits, res.RouterCacheHits, res.RouterCacheMisses,
-			res.RouterInvalidations, res.RouterPromotions, res.RouterDemotions,
-			uint64(res.ForwardedSyscallCycles))
+			c("router.local_hits"), c("router.cache_hits"), c("router.cache_misses"),
+			c("router.cache_invalidations"), c("router.promotions"), c("router.demotions"),
+			uint64(m.FindHistogram("forward.syscall.latency").Sum()+m.FindHistogram("sync.syscall.latency").Sum()))
 	}
 	if o.Scheduler {
 		fmt.Fprintf(os.Stderr, "  sched: placements=%d steals=%d halts=%d queue-delay=%d\n",
@@ -489,7 +492,7 @@ func printStats(res *bench.RunResult, groups int) {
 	}
 	if o.Merger {
 		fmt.Fprintf(os.Stderr, "  merger: entries=%d delta=%d remerges=%d shootdowns=%d\n",
-			res.PML4EntriesCopied, res.MergerDeltaEntries, res.Remerges, res.MergerBroadcast)
+			c("paging.pml4_entries_copied"), c("merger.delta.entries"), res.Remerges, c("merger.shootdown.broadcast"))
 	}
 	if groups > 0 || o.WarmPool > 0 || o.MaxGroups > 0 || o.TenantBudget != nil {
 		fmt.Fprintf(os.Stderr, "  density: spawned=%d live=%d peak=%d warm=%d hits=%d misses=%d returns=%d drops=%d adm-rejected=%d budget-rejected=%d\n",

@@ -527,17 +527,18 @@ func TestProgramByName(t *testing.T) {
 	}
 }
 
-// TestResultOfRegistersNothing pins that projecting a run's counters onto
-// its RunResult is a pure read: a router-off, merger-off hybrid run
+// TestResultOfRegistersNothing pins that reading a run is a pure read: a
+// router-off, merger-off hybrid run projected onto the sweep's record
 // exposes no router counter, no merger counter the run never moved, and
-// no sync-rung histogram, because ResultOf looks names up instead of
-// registering them.
+// no sync-rung histogram, because ResultOf and the projection look names
+// up instead of registering them.
 func TestResultOfRegistersNothing(t *testing.T) {
 	p, _ := ProgramByName("fasta")
 	res, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := sweepMetrics.project("off", res)
 	snap := res.Metrics.Snapshot()
 	for name, v := range snap.Counters {
 		if strings.HasPrefix(name, "router.") || name == "fault.local" ||
@@ -548,7 +549,7 @@ func TestResultOfRegistersNothing(t *testing.T) {
 	if _, ok := snap.Histograms["sync.syscall.latency"]; ok {
 		t.Error("router-off run exposes sync.syscall.latency")
 	}
-	if res.MergerBroadcast == 0 || res.PML4EntriesCopied == 0 {
-		t.Errorf("merge counters not read: broadcasts %d, entries %d", res.MergerBroadcast, res.PML4EntriesCopied)
+	if run.Counters["paging.pml4_entries_copied"] == 0 || run.Counters["ak.merges"] == 0 {
+		t.Errorf("merge counters not read: %v", run.Counters)
 	}
 }

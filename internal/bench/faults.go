@@ -14,27 +14,6 @@ import (
 // mid-protocol.
 const faultsProgram = "fasta"
 
-// FaultsRun is one configuration of the faults suite: end-to-end cycles,
-// the injection/recovery activity, and whether the program's output was
-// byte-identical to the clean run (the recovery correctness property).
-type FaultsRun struct {
-	Config string `json:"config"`
-	Cycles uint64 `json:"cycles"`
-
-	Injected    uint64 `json:"injected"`
-	Retransmits uint64 `json:"retransmits"`
-	Dedups      uint64 `json:"dedups"`
-	Corrupt     uint64 `json:"corrupt_detected"`
-	Recoveries  uint64 `json:"recoveries"`
-	Degraded    uint64 `json:"degraded"`
-
-	// RecoveryLatencyCycles is the summed virtual time from partner death
-	// to the respawned partner resuming service.
-	RecoveryLatencyCycles uint64 `json:"recovery_latency_cycles"`
-
-	OutputMatchesClean bool `json:"output_matches_clean"`
-}
-
 // faultsConfigs are the suite's five configurations, in run order.
 func faultsConfigs() []struct {
 	Name string
@@ -61,28 +40,45 @@ func faultsConfigs() []struct {
 	}
 }
 
-// FaultsBaseline is the BENCH_pr5.json document: the deterministic
-// injection/recovery activity and cycle totals the regression tests pin.
-type FaultsBaseline struct {
-	// Note documents how to regenerate the file.
-	Note    string      `json:"note"`
-	Program string      `json:"program"`
-	Runs    []FaultsRun `json:"runs"`
+// faultsMetrics is what the faults suite pins of each run: the
+// injections of every kind, the recovery activity, and the recovery
+// latency (its sum is the virtual time from partner death to the
+// respawned partner resuming service).
+var faultsMetrics = func() metricSet {
+	ms := metricSet{
+		counters: []string{"faults.retransmit", "faults.dedup", "faults.corrupt.detected",
+			"faults.recovery", "faults.degraded"},
+		histograms: map[string][]string{"faults.recovery.latency": nil},
+	}
+	for k := faults.DropNotify; k <= faults.HRTPanic; k++ {
+		ms.counters = append(ms.counters, "faults.injected."+k.String())
+	}
+	return ms
+}()
+
+// injected is the run's fault injections of every kind.
+func (r *Run) injected() uint64 {
+	var n uint64
+	for k := faults.DropNotify; k <= faults.HRTPanic; k++ {
+		n += r.Counters["faults.injected."+k.String()]
+	}
+	return n
 }
 
 // CollectFaultsBaseline runs the five-configuration faults suite on the
 // fasta benchmark, clean first, and validates its structural invariants
 // before returning: the plumbed run charges exactly the clean run's
 // cycles (overhead-when-clean is zero, not merely <=1%), every faulted
-// configuration recovers to byte-identical output, the faulted run
-// injects and retransmits, the scripted partner death recovers once with
-// its latency recorded, and the degraded run degrades.
-func CollectFaultsBaseline() (*FaultsBaseline, error) {
+// configuration recovers to output byte-identical to the clean run's,
+// the faulted run injects and retransmits, the scripted partner death
+// recovers once with its latency recorded, and the degraded run
+// degrades.
+func CollectFaultsBaseline() (*Runs, error) {
 	prog, ok := ProgramByName(faultsProgram)
 	if !ok {
 		return nil, fmt.Errorf("bench: %s program missing from the suite", faultsProgram)
 	}
-	var runs []FaultsRun
+	doc := &Runs{Note: regenerateNote("faults")}
 	var cleanOut []byte
 	for _, cfg := range faultsConfigs() {
 		res, err := RunBenchmark(prog, core.WorldHRT, core.Options{Faults: cfg.Plan}, false)
@@ -92,50 +88,28 @@ func CollectFaultsBaseline() (*FaultsBaseline, error) {
 		if cfg.Name == "clean" {
 			cleanOut = res.Output
 		}
-		m := res.Metrics
-		injected := uint64(0)
-		for _, k := range []string{"drop-notify", "dup-notify", "delay-inject",
-			"corrupt-frame", "partner-stall", "partner-kill", "hrt-panic"} {
-			injected += m.Counter("faults.injected." + k).Value()
+		if !bytes.Equal(res.Output, cleanOut) {
+			return nil, fmt.Errorf("bench: faults config %s diverged from the clean output", cfg.Name)
 		}
-		runs = append(runs, FaultsRun{
-			Config:                cfg.Name,
-			Cycles:                uint64(res.Cycles),
-			Injected:              injected,
-			Retransmits:           m.Counter("faults.retransmit").Value(),
-			Dedups:                m.Counter("faults.dedup").Value(),
-			Corrupt:               m.Counter("faults.corrupt.detected").Value(),
-			Recoveries:            m.Counter("faults.recovery").Value(),
-			Degraded:              m.Counter("faults.degraded").Value(),
-			RecoveryLatencyCycles: uint64(m.LatencyHistogram("faults.recovery.latency").Sum()),
-			OutputMatchesClean:    bytes.Equal(res.Output, cleanOut),
-		})
+		doc.Runs = append(doc.Runs, faultsMetrics.project(cfg.Name, res))
 	}
+	runs := doc.Runs
 	if runs[1].Cycles != runs[0].Cycles {
 		return nil, fmt.Errorf("bench: plumbed run charges %d cycles vs clean %d — the unfired fault plane is not free",
 			runs[1].Cycles, runs[0].Cycles)
 	}
-	for _, r := range runs {
-		if !r.OutputMatchesClean {
-			return nil, fmt.Errorf("bench: faults config %s diverged from the clean output", r.Config)
-		}
-	}
-	if f := runs[2]; f.Injected == 0 || f.Retransmits == 0 {
+	if f := runs[2]; f.injected() == 0 || f.Counters["faults.retransmit"] == 0 {
 		return nil, fmt.Errorf("bench: faulted run injected %d faults, %d retransmits — the plane never fired",
-			f.Injected, f.Retransmits)
+			f.injected(), f.Counters["faults.retransmit"])
 	}
-	if s := runs[3]; s.Recoveries != 1 || s.RecoveryLatencyCycles == 0 {
+	if s := runs[3]; s.Counters["faults.recovery"] != 1 || s.Histograms["faults.recovery.latency"].Sum == 0 {
 		return nil, fmt.Errorf("bench: scenario run: recoveries=%d latency=%d, want one measured recovery",
-			s.Recoveries, s.RecoveryLatencyCycles)
+			s.Counters["faults.recovery"], s.Histograms["faults.recovery.latency"].Sum)
 	}
-	if d := runs[4]; d.Degraded != 1 {
-		return nil, fmt.Errorf("bench: degraded run: faults.degraded=%d, want 1", d.Degraded)
+	if d := runs[4]; d.Counters["faults.degraded"] != 1 {
+		return nil, fmt.Errorf("bench: degraded run: faults.degraded=%d, want 1", d.Counters["faults.degraded"])
 	}
-	return &FaultsBaseline{
-		Note:    regenerateNote("faults"),
-		Program: faultsProgram,
-		Runs:    runs,
-	}, nil
+	return doc, nil
 }
 
 // FigureFaults renders the faults suite: the five fasta configurations
@@ -155,21 +129,22 @@ func FigureFaults() (*Table, error) {
 	}
 	clean := b.Runs[0].Cycles
 	for _, r := range b.Runs {
+		c := r.Counters
 		t.AddRow(
 			r.Config,
 			fmt.Sprintf("%d", r.Cycles),
 			fmt.Sprintf("%+.2f%%", 100*(float64(r.Cycles)/float64(clean)-1)),
-			fmt.Sprintf("%d", r.Injected),
-			fmt.Sprintf("%d", r.Retransmits),
-			fmt.Sprintf("%d", r.Dedups),
-			fmt.Sprintf("%d", r.Corrupt),
-			fmt.Sprintf("%d", r.Recoveries),
-			fmt.Sprintf("%d", r.Degraded),
+			fmt.Sprintf("%d", r.injected()),
+			fmt.Sprintf("%d", c["faults.retransmit"]),
+			fmt.Sprintf("%d", c["faults.dedup"]),
+			fmt.Sprintf("%d", c["faults.corrupt.detected"]),
+			fmt.Sprintf("%d", c["faults.recovery"]),
+			fmt.Sprintf("%d", c["faults.degraded"]),
 			"identical",
 		)
 	}
 	t.AddNote("scripted partner death recovered in %d virtual cycles (respawn + merge replay + redelivery)",
-		b.Runs[3].RecoveryLatencyCycles)
+		b.Runs[3].Histograms["faults.recovery.latency"].Sum)
 	t.AddNote("plumbed = fault plane armed with all rates zero; its overhead against clean is the suite's acceptance bar (0.00%%)")
 	return t, nil
 }

@@ -94,7 +94,8 @@ func TestFaultPlaneZeroRateEquivalence(t *testing.T) {
 					{"cycles", uint64(on.Cycles), uint64(off.Cycles)},
 					{"forwarded syscalls", on.ForwardedSyscalls, off.ForwardedSyscalls},
 					{"forwarded faults", on.ForwardedFaults, off.ForwardedFaults},
-					{"forward cycles", uint64(on.ForwardedSyscallCycles), uint64(off.ForwardedSyscallCycles)},
+					{"async forward cycles", fwdSum(on, "forward.syscall.latency"), fwdSum(off, "forward.syscall.latency")},
+					{"sync forward cycles", fwdSum(on, "sync.syscall.latency"), fwdSum(off, "sync.syscall.latency")},
 				} {
 					if c.on != c.off {
 						t.Errorf("%s = %d armed, %d unarmed", c.what, c.on, c.off)
@@ -103,6 +104,11 @@ func TestFaultPlaneZeroRateEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// fwdSum is the summed latency of one of a run's forwarding histograms.
+func fwdSum(res *RunResult, name string) uint64 {
+	return uint64(res.Metrics.FindHistogram(name).Sum())
 }
 
 // TestFaultedRunReplays pins fixed-seed replay: the same seed must

@@ -18,14 +18,21 @@ import (
 // future performance work has a trajectory to compare against.
 func latencyHistogramNotes(t *Table, reg *telemetry.Registry, names ...string) {
 	for _, name := range names {
-		h := reg.FindHistogram(name)
-		if h.Count() == 0 {
-			continue
-		}
-		t.AddNote("latency %s: n=%d mean=%d p50=%d p90=%d p99=%d cycles",
-			name, h.Count(), uint64(h.Mean()),
-			uint64(h.Quantile(0.50)), uint64(h.Quantile(0.90)), uint64(h.Quantile(0.99)))
+		latencyNote(t, name, summarize(reg.FindHistogram(name), noteQuantiles))
 	}
+}
+
+// noteQuantiles are the quantiles a latency note prints.
+var noteQuantiles = []string{"p50", "p90", "p99"}
+
+// latencyNote appends the latency note of histogram name, unless it
+// recorded nothing.
+func latencyNote(t *Table, name string, h Hist) {
+	if h.Count == 0 {
+		return
+	}
+	t.AddNote("latency %s: n=%d mean=%d p50=%d p90=%d p99=%d cycles",
+		name, h.Count, h.Sum/h.Count, h.Quantiles["p50"], h.Quantiles["p90"], h.Quantiles["p99"])
 }
 
 // Repetitions behind the averaged latency tables: the paper averages 10
@@ -388,17 +395,17 @@ func checkWorldOrder(program string, native, virt, mv, routed cycles.Cycles) err
 
 // Figure13 regenerates the end-to-end benchmark comparison across the
 // three worlds, plus the Multiverse world with the router on. Both
-// Multiverse columns are read from the shared WorldHRT sweep.
+// Multiverse columns are read from the pinned WorldHRT sweep.
 func Figure13() (*Table, error) {
 	t := &Table{
 		Title:  "Figure 13: Benchmark runtime (virtual seconds), Native vs Virtual vs Multiverse",
 		Header: []string{"Benchmark", "Native", "Virtual", "Multiverse", "Multiverse + router", "MV/Native", "Fwd Syscalls", "Fwd Faults"},
 	}
-	sweep, err := hrtSweep()
+	sweep, err := CollectSweepBaseline()
 	if err != nil {
 		return nil, err
 	}
-	for pi, p := range Programs() {
+	for _, p := range Programs() {
 		var runs [2]*RunResult
 		for i, w := range []core.World{core.WorldNative, core.WorldVirtual} {
 			res, err := RunBenchmark(p, w, core.Options{}, false)
@@ -407,9 +414,10 @@ func Figure13() (*Table, error) {
 			}
 			runs[i] = res
 		}
-		native, virt, row := runs[0], runs[1], sweep[pi]
-		mv, routed := cycles.Cycles(row.router.OffCycles), cycles.Cycles(row.router.OnCycles)
-		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv, routed); err != nil {
+		native, virt := runs[0], runs[1]
+		off, routed := sweep.find(p.Name, "off"), sweep.find(p.Name, "router")
+		mv, onCycles := cycles.Cycles(off.Cycles), cycles.Cycles(routed.Cycles)
+		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv, onCycles); err != nil {
 			return nil, err
 		}
 		t.AddRow(
@@ -417,10 +425,10 @@ func Figure13() (*Table, error) {
 			fmt.Sprintf("%.4f", native.Seconds),
 			fmt.Sprintf("%.4f", virt.Seconds),
 			fmt.Sprintf("%.4f", mv.Seconds()),
-			fmt.Sprintf("%.4f", routed.Seconds()),
+			fmt.Sprintf("%.4f", onCycles.Seconds()),
 			fmt.Sprintf("%.2fx", mv.Seconds()/native.Seconds),
-			fmt.Sprintf("%d", row.router.OffCrossings),
-			fmt.Sprintf("%d", row.offFaults),
+			fmt.Sprintf("%d", off.Counters["ak.forwarded_syscalls"]),
+			fmt.Sprintf("%d", off.Counters["ak.forwarded_faults"]),
 		)
 	}
 	t.AddNote("expected shape: Native <= Virtual <= Multiverse; overhead tracks forwarded interactions")

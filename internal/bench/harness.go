@@ -28,30 +28,12 @@ type RunResult struct {
 	Stats  ros.Stats
 	Output []byte
 
-	// Multiverse-only counters.
+	// Multiverse-only counters; every other registry metric is read
+	// from Metrics.
 	ForwardedSyscalls uint64
 	ForwardedFaults   uint64
 	Merges            int
-
-	// Boundary-router tier counters (all zero unless Options.Router).
-	RouterLocalHits     uint64
-	RouterCacheHits     uint64
-	RouterCacheMisses   uint64
-	RouterInvalidations uint64
-	RouterPromotions    uint64
-	RouterDemotions     uint64
-	// ForwardedSyscallCycles is the virtual time the HRT thread spent
-	// crossing the boundary for system calls (async event-channel and
-	// promoted synchronous-channel round trips).
-	ForwardedSyscallCycles cycles.Cycles
-
-	// Merger counters. Entries copied and broadcast shootdowns accrue on
-	// every hybrid run (one shootdown per merge); the delta count is zero
-	// unless Options.Merger.
-	PML4EntriesCopied  uint64
-	MergerDeltaEntries uint64
-	MergerBroadcast    uint64
-	Remerges           int
+	Remerges          int
 
 	// Runtime-internal counters.
 	GCCollections uint64
@@ -205,20 +187,6 @@ func ResultOf(sys *core.System, program string, world core.World, eng *scheme.En
 		res.Remerges = sys.AK.RemergeCount()
 		res.Hotspots = sys.Hotspots()
 	}
-	// Find*, not Counter/LatencyHistogram: a read must not register a
-	// name the run never touched, or the exposition would list it at 0.
-	m := res.Metrics
-	res.RouterLocalHits = m.FindCounter("router.local_hits").Value()
-	res.RouterCacheHits = m.FindCounter("router.cache_hits").Value()
-	res.RouterCacheMisses = m.FindCounter("router.cache_misses").Value()
-	res.RouterInvalidations = m.FindCounter("router.cache_invalidations").Value()
-	res.RouterPromotions = m.FindCounter("router.promotions").Value()
-	res.RouterDemotions = m.FindCounter("router.demotions").Value()
-	res.ForwardedSyscallCycles = m.FindHistogram("forward.syscall.latency").Sum() +
-		m.FindHistogram("sync.syscall.latency").Sum()
-	res.PML4EntriesCopied = m.FindCounter("paging.pml4_entries_copied").Value()
-	res.MergerDeltaEntries = m.FindCounter("merger.delta.entries").Value()
-	res.MergerBroadcast = m.FindCounter("merger.shootdown.broadcast").Value()
 	return res
 }
 

@@ -2,100 +2,15 @@ package bench
 
 import (
 	"fmt"
-
-	"multiverse/internal/telemetry"
 )
 
-// MergerComparison is one benchmark's WorldHRT run with the delta merger
-// off vs on: end-to-end cycles, merger activity (merges and
-// duplicate-fault re-merges), and the PML4 entries actually copied. Every
-// merge broadcasts one TLB shootdown either way.
-type MergerComparison struct {
-	Program string `json:"program"`
-
-	OffCycles uint64 `json:"off_cycles"`
-	OnCycles  uint64 `json:"on_cycles"`
-
-	OffMerges   uint64 `json:"off_merges"`
-	OnMerges    uint64 `json:"on_merges"`
-	OffRemerges uint64 `json:"off_remerges"`
-	OnRemerges  uint64 `json:"on_remerges"`
-
-	// Entry copies: the PML4 entries charged across all merges. Off, every
-	// merge copies the whole lower half; on, re-merges copy only slots
-	// whose ROS generation stamp moved.
-	OffEntriesCopied uint64 `json:"off_entries_copied"`
-	OnEntriesCopied  uint64 `json:"on_entries_copied"`
-	DeltaEntries     uint64 `json:"delta_entries"`
-}
-
-// EntriesSaved is how many PML4-entry copies the delta merger avoided.
-func (c *MergerComparison) EntriesSaved() uint64 {
-	if c.OffEntriesCopied < c.OnEntriesCopied {
-		return 0
-	}
-	return c.OffEntriesCopied - c.OnEntriesCopied
-}
-
-// mergerRow projects the merger suite's row from a program's off and
-// merger-on runs.
-func mergerRow(off, on *RunResult) MergerComparison {
-	return MergerComparison{
-		Program:          on.Program,
-		OffCycles:        uint64(off.Cycles),
-		OnCycles:         uint64(on.Cycles),
-		OffMerges:        uint64(off.Merges),
-		OnMerges:         uint64(on.Merges),
-		OffRemerges:      uint64(off.Remerges),
-		OnRemerges:       uint64(on.Remerges),
-		OffEntriesCopied: off.PML4EntriesCopied,
-		OnEntriesCopied:  on.PML4EntriesCopied,
-		DeltaEntries:     on.MergerDeltaEntries,
-	}
-}
-
-// MergerBaseline is the BENCH_pr3.json document: the deterministic
-// per-benchmark merger activity and cycle totals the regression tests pin.
-type MergerBaseline struct {
-	// Note documents how to regenerate the file.
-	Note       string             `json:"note"`
-	Benchmarks []MergerComparison `json:"benchmarks"`
-	// latency is the metrics registry of fasta's merger-on run (the
-	// heaviest write/GC mix in the suite), the figure's latency detail.
-	latency *telemetry.Registry
-}
-
-// CollectMergerBaseline projects the seven-benchmark WorldHRT sweep onto
-// the delta merger off/on comparison set. It enforces the suite-wide
-// acceptance invariant before returning: the merger reduces the charged
-// PML4-entry copies.
-func CollectMergerBaseline() (*MergerBaseline, error) {
-	rows, err := hrtSweep()
-	if err != nil {
-		return nil, err
-	}
-	b := &MergerBaseline{Note: regenerateNote("merger")}
-	var offEntries, onEntries uint64
-	for _, r := range rows {
-		c := r.merger
-		b.Benchmarks = append(b.Benchmarks, c)
-		if c.Program == "fasta" {
-			b.latency = r.mergerMetrics
-		}
-		offEntries += c.OffEntriesCopied
-		onEntries += c.OnEntriesCopied
-	}
-	if onEntries >= offEntries {
-		return nil, fmt.Errorf("bench: merger did not reduce charged PML4-entry copies: off=%d on=%d",
-			offEntries, onEntries)
-	}
-	return b, nil
-}
-
 // FigureMerger renders the merger suite: the seven benchmarks in
-// WorldHRT with the merger off vs on (entry copies saved, cycle totals).
+// WorldHRT with the delta merger off vs on (cycle totals, merges and
+// duplicate-fault re-merges, and the PML4 entries copied: off, every
+// merge copies the whole lower half; on, re-merges copy only slots whose
+// ROS generation stamp moved).
 func FigureMerger() (*Table, error) {
-	b, err := CollectMergerBaseline()
+	sweep, err := CollectSweepBaseline()
 	if err != nil {
 		return nil, err
 	}
@@ -106,18 +21,21 @@ func FigureMerger() (*Table, error) {
 			"Merges", "Entries off/on", "Saved",
 		},
 	}
-	for _, c := range b.Benchmarks {
+	for _, p := range Programs() {
+		off, on := sweep.find(p.Name, "off"), sweep.find(p.Name, "merger")
+		offEntries, onEntries := off.Counters["paging.pml4_entries_copied"], on.Counters["paging.pml4_entries_copied"]
 		t.AddRow(
-			c.Program,
-			fmt.Sprintf("%d", c.OffCycles),
-			fmt.Sprintf("%d", c.OnCycles),
-			fmt.Sprintf("%.3fx", float64(c.OffCycles)/float64(c.OnCycles)),
-			fmt.Sprintf("%d+%d", c.OnMerges, c.OnRemerges),
-			fmt.Sprintf("%d/%d", c.OffEntriesCopied, c.OnEntriesCopied),
-			fmt.Sprintf("%d", c.EntriesSaved()),
+			p.Name,
+			fmt.Sprintf("%d", off.Cycles),
+			fmt.Sprintf("%d", on.Cycles),
+			fmt.Sprintf("%.3fx", float64(off.Cycles)/float64(on.Cycles)),
+			fmt.Sprintf("%d+%d", on.Counters["ak.merges"], on.Counters["ak.remerges"]),
+			fmt.Sprintf("%d/%d", offEntries, onEntries),
+			fmt.Sprintf("%d", int64(offEntries)-int64(onEntries)),
 		)
 	}
 	t.AddNote("off re-merges copy all %d lower-half entries; on, only generation-stamped deltas move; every merge broadcasts a full flush", 256)
-	latencyHistogramNotes(t, b.latency, "ak.merge.latency")
+	// fasta's merger-on run is the heaviest write/GC mix in the suite.
+	latencyNote(t, "ak.merge.latency", sweep.find("fasta", "merger").Histograms["ak.merge.latency"])
 	return t, nil
 }

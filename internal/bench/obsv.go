@@ -25,32 +25,6 @@ const obsvProgram = "fasta"
 // tests.
 const ObsvWallOverheadBound = 1.10
 
-// ObsvRun is one configuration of the observability suite. Every field
-// is deterministic — wall-clock timings are deliberately kept out of the
-// pinned document.
-type ObsvRun struct {
-	Config string `json:"config"`
-	Cycles uint64 `json:"cycles"`
-
-	// CyclesMatchDark / OutputMatchesDark are the zero-perturbation
-	// property: arming every observability plane must leave virtual time
-	// and program output byte-identical.
-	CyclesMatchDark   bool `json:"cycles_match_dark"`
-	OutputMatchesDark bool `json:"output_matches_dark"`
-
-	// RecorderEvents is the flight recorder's lifetime event count (the
-	// ring may have wrapped; this counts everything ever recorded).
-	RecorderEvents uint64 `json:"recorder_events"`
-
-	// SLOMetric is the busiest per-group, per-syscall SLO histogram of
-	// the run, with its population and latency quantiles.
-	SLOMetric string `json:"slo_metric"`
-	SLOCount  uint64 `json:"slo_count"`
-	SLOP50    uint64 `json:"slo_p50"`
-	SLOP99    uint64 `json:"slo_p99"`
-	SLOP999   uint64 `json:"slo_p999"`
-}
-
 // obsvConfig is one configuration of the suite.
 type obsvConfig struct {
 	Name   string
@@ -76,26 +50,21 @@ func obsvConfigs() []obsvConfig {
 	}
 }
 
-// busiestSLO returns the name and snapshot of the most-populated SLO
-// histogram (ties break to the lexicographically first name, so the
-// choice is deterministic).
-func busiestSLO(s *telemetry.MetricsSnapshot) (string, *telemetry.HistogramSnapshot) {
-	names := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		if strings.HasPrefix(name, telemetry.SLOPrefix) {
-			names = append(names, name)
+// busiestSLO returns the name of the most-populated SLO histogram (ties
+// break to the lexicographically first name: EachHistogram visits in
+// name order), or "" when the run has none.
+func busiestSLO(reg *telemetry.Registry) string {
+	var best string
+	var bestCount uint64
+	reg.EachHistogram(func(name string, h *telemetry.Histogram) {
+		if !strings.HasPrefix(name, telemetry.SLOPrefix) {
+			return
 		}
-	}
-	sort.Strings(names)
-	var bestName string
-	var best *telemetry.HistogramSnapshot
-	for _, name := range names {
-		h := s.Histograms[name]
-		if best == nil || h.Count > best.Count {
-			bestName, best = name, h
+		if n := h.Count(); best == "" || n > bestCount {
+			best, bestCount = name, n
 		}
-	}
-	return bestName, best
+	})
+	return best
 }
 
 // runObsvConfig executes one configuration.
@@ -109,15 +78,6 @@ func runObsvConfig(prog Program, cfg obsvConfig) (*RunResult, error) {
 	return RunBenchmark(prog, core.WorldHRT, opts, false)
 }
 
-// ObsvBaseline is the BENCH_pr6.json document: the deterministic
-// observability activity the regression tests pin.
-type ObsvBaseline struct {
-	// Note documents how to regenerate the file.
-	Note    string    `json:"note"`
-	Program string    `json:"program"`
-	Runs    []ObsvRun `json:"runs"`
-}
-
 // obsvReps is how many times each configuration runs in the collection;
 // every rep must agree on cycles.
 const obsvReps = 3
@@ -125,18 +85,19 @@ const obsvReps = 3
 // CollectObsvBaseline runs the observability suite on the fasta
 // benchmark, with the dark run anchoring the zero-perturbation
 // comparison, and validates its structural invariants before returning:
-// the armed run is cycle- and output-identical to dark, the recorder
-// actually saw traffic, and the faulted run's recovery activity reached
-// the ring. The wall-clock bound is not checked here; obsvHostBound
-// holds it.
-func CollectObsvBaseline() (*ObsvBaseline, error) {
+// every run's output is byte-identical to dark's, every run without a
+// fault plan charges dark's cycles, the armed run's recorder and SLO
+// histograms saw traffic, and the faulted run's recovery activity
+// reached the ring. Each run pins its busiest SLO histogram with the
+// quantiles the figure prints and its recorder total. The wall-clock
+// bound is not checked here; obsvHostBound holds it.
+func CollectObsvBaseline() (*Runs, error) {
 	prog, ok := ProgramByName(obsvProgram)
 	if !ok {
 		return nil, fmt.Errorf("bench: %s program missing from the suite", obsvProgram)
 	}
-	var runs []ObsvRun
-	var darkCycles uint64
-	var darkOut []byte
+	doc := &Runs{Note: regenerateNote("obsv")}
+	var dark *RunResult
 	for _, cfg := range obsvConfigs() {
 		var res *RunResult
 		for rep := 0; rep < obsvReps; rep++ {
@@ -150,45 +111,37 @@ func CollectObsvBaseline() (*ObsvBaseline, error) {
 			}
 			res = r
 		}
-		if cfg.Name == "dark" {
-			darkCycles = uint64(res.Cycles)
-			darkOut = res.Output
+		if dark == nil {
+			dark = res
 		}
-		sloName, slo := busiestSLO(res.Metrics.Snapshot())
-		run := ObsvRun{
-			Config:            cfg.Name,
-			Cycles:            uint64(res.Cycles),
-			CyclesMatchDark:   cfg.Faults == nil && uint64(res.Cycles) == darkCycles,
-			OutputMatchesDark: bytes.Equal(res.Output, darkOut),
-			RecorderEvents:    res.Recorder.Total(),
-			SLOMetric:         sloName,
+		if !bytes.Equal(res.Output, dark.Output) || (cfg.Faults == nil && res.Cycles != dark.Cycles) {
+			return nil, fmt.Errorf("bench: obsv config %s perturbed the run (cycles %d vs dark %d, output match=%v)",
+				cfg.Name, res.Cycles, dark.Cycles, bytes.Equal(res.Output, dark.Output))
 		}
-		if slo != nil {
-			run.SLOCount = slo.Count
-			run.SLOP50 = slo.Quantile(0.50)
-			run.SLOP99 = slo.Quantile(0.99)
-			run.SLOP999 = slo.Quantile(0.999)
-		}
-		runs = append(runs, run)
+		slo := metricSet{histograms: map[string][]string{busiestSLO(res.Metrics): {"p50", "p99", "p999"}}}
+		run := slo.project(cfg.Name, res)
+		run.RecorderEvents = res.Recorder.Total()
+		doc.Runs = append(doc.Runs, run)
 	}
-	armed, faulted := runs[1], runs[2]
-	if !armed.CyclesMatchDark || !armed.OutputMatchesDark {
-		return nil, fmt.Errorf("bench: armed observability perturbed the run (cycles match=%v output match=%v)",
-			armed.CyclesMatchDark, armed.OutputMatchesDark)
-	}
-	if armed.RecorderEvents == 0 || armed.SLOCount == 0 {
+	armed, faulted := doc.Runs[1], doc.Runs[2]
+	if _, slo := sloOf(armed); armed.RecorderEvents == 0 || slo.Count == 0 {
 		return nil, fmt.Errorf("bench: armed run recorded no events (recorder=%d slo=%d) — the planes never engaged",
-			armed.RecorderEvents, armed.SLOCount)
+			armed.RecorderEvents, slo.Count)
 	}
-	if !faulted.OutputMatchesDark || faulted.RecorderEvents <= armed.RecorderEvents {
-		return nil, fmt.Errorf("bench: faulted run: output match=%v recorder=%d (armed=%d) — recovery activity missing from the ring",
-			faulted.OutputMatchesDark, faulted.RecorderEvents, armed.RecorderEvents)
+	if faulted.RecorderEvents <= armed.RecorderEvents {
+		return nil, fmt.Errorf("bench: faulted run: recorder=%d (armed=%d) — recovery activity missing from the ring",
+			faulted.RecorderEvents, armed.RecorderEvents)
 	}
-	return &ObsvBaseline{
-		Note:    regenerateNote("obsv"),
-		Program: obsvProgram,
-		Runs:    runs,
-	}, nil
+	return doc, nil
+}
+
+// sloOf returns the name and summary of the one SLO histogram an obsv
+// run pins.
+func sloOf(r Run) (string, Hist) {
+	for name, h := range r.Histograms {
+		return name, h
+	}
+	return "", Hist{}
 }
 
 // obsvPairs is how many dark/armed pairs the host-time gate times. One
@@ -246,20 +199,23 @@ func FigureObsv() (*Table, error) {
 		},
 	}
 	for _, r := range b.Runs {
+		// The collection holds every run without a fault plan to dark's
+		// cycles.
 		cm := "yes"
-		if !r.CyclesMatchDark {
+		if r.Cycles != b.Runs[0].Cycles {
 			cm = "n/a (faulted)"
 		}
+		name, slo := sloOf(r)
 		t.AddRow(
 			r.Config,
 			fmt.Sprintf("%d", r.Cycles),
 			cm,
 			"identical",
 			fmt.Sprintf("%d", r.RecorderEvents),
-			r.SLOMetric,
-			fmt.Sprintf("%d", r.SLOP50),
-			fmt.Sprintf("%d", r.SLOP99),
-			fmt.Sprintf("%d", r.SLOP999),
+			name,
+			fmt.Sprintf("%d", slo.Quantiles["p50"]),
+			fmt.Sprintf("%d", slo.Quantiles["p99"]),
+			fmt.Sprintf("%d", slo.Quantiles["p999"]),
 		)
 	}
 	t.AddNote("SLO metric shown is the busiest slo.g<group>.<syscall> histogram of each run")

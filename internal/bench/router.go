@@ -7,86 +7,6 @@ import (
 	"multiverse/internal/linuxabi"
 )
 
-// RouterComparison is one benchmark's WorldHRT run with the boundary
-// router off vs on: end-to-end cycles, actual boundary crossings, the
-// virtual time spent crossing, and the router's tier counters.
-type RouterComparison struct {
-	Program string `json:"program"`
-
-	OffCycles    uint64 `json:"off_cycles"`
-	OnCycles     uint64 `json:"on_cycles"`
-	OffCrossings uint64 `json:"off_crossings"`
-	OnCrossings  uint64 `json:"on_crossings"`
-	// Forward cycles: the sum of boundary round-trip latencies the HRT
-	// thread paid for system calls (async event channel + promoted sync
-	// channel).
-	OffForwardCycles uint64 `json:"off_forward_cycles"`
-	OnForwardCycles  uint64 `json:"on_forward_cycles"`
-
-	LocalHits     uint64 `json:"local_hits"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	Invalidations uint64 `json:"invalidations"`
-	Promotions    uint64 `json:"promotions"`
-	Demotions     uint64 `json:"demotions"`
-}
-
-// routerRow projects the router suite's row from a program's off and
-// router-on runs.
-func routerRow(off, on *RunResult) RouterComparison {
-	return RouterComparison{
-		Program:          on.Program,
-		OffCycles:        uint64(off.Cycles),
-		OnCycles:         uint64(on.Cycles),
-		OffCrossings:     off.ForwardedSyscalls,
-		OnCrossings:      on.ForwardedSyscalls,
-		OffForwardCycles: uint64(off.ForwardedSyscallCycles),
-		OnForwardCycles:  uint64(on.ForwardedSyscallCycles),
-		LocalHits:        on.RouterLocalHits,
-		CacheHits:        on.RouterCacheHits,
-		CacheMisses:      on.RouterCacheMisses,
-		Invalidations:    on.RouterInvalidations,
-		Promotions:       on.RouterPromotions,
-		Demotions:        on.RouterDemotions,
-	}
-}
-
-// RouterBaseline is the BENCH_pr2.json document: the deterministic
-// per-benchmark crossing and cycle totals the regression tests pin.
-type RouterBaseline struct {
-	// Note documents how to regenerate the file.
-	Note       string             `json:"note"`
-	Benchmarks []RouterComparison `json:"benchmarks"`
-}
-
-// CollectRouterBaseline projects the seven-benchmark WorldHRT sweep onto
-// the router off/on comparison set. It enforces the suite-wide
-// acceptance invariants before returning: the router reduces both the
-// total crossings and the total forwarded-syscall cycles.
-func CollectRouterBaseline() (*RouterBaseline, error) {
-	rows, err := hrtSweep()
-	if err != nil {
-		return nil, err
-	}
-	b := &RouterBaseline{Note: regenerateNote("router")}
-	var offX, onX, offFwd, onFwd uint64
-	for _, r := range rows {
-		c := r.router
-		b.Benchmarks = append(b.Benchmarks, c)
-		offX += c.OffCrossings
-		onX += c.OnCrossings
-		offFwd += c.OffForwardCycles
-		onFwd += c.OnForwardCycles
-	}
-	if onX >= offX {
-		return nil, fmt.Errorf("bench: router did not reduce total crossings: off=%d on=%d", offX, onX)
-	}
-	if onFwd >= offFwd {
-		return nil, fmt.Errorf("bench: router did not reduce total forwarded cycles: off=%d on=%d", offFwd, onFwd)
-	}
-	return b, nil
-}
-
 // routerMicro measures the three router tiers directly from an HRT
 // thread: tier-0 (getpid, uname), tier-1 hit (repeated stat), and tier-2
 // (ioctl, which no tier can answer). Returns name -> mean cycles.
@@ -123,7 +43,7 @@ func routerMicro(sys *core.System, runs int) (map[string]uint64, error) {
 // per-tier counts of calls served without crossing), plus per-tier
 // latencies measured directly.
 func FigureRouter() (*Table, error) {
-	b, err := CollectRouterBaseline()
+	sweep, err := CollectSweepBaseline()
 	if err != nil {
 		return nil, err
 	}
@@ -135,17 +55,19 @@ func FigureRouter() (*Table, error) {
 			"Local", "Cache h/m", "Promo",
 		},
 	}
-	for _, c := range b.Benchmarks {
+	for _, p := range Programs() {
+		off, on := sweep.find(p.Name, "off"), sweep.find(p.Name, "router")
+		c := on.Counters
 		t.AddRow(
-			c.Program,
-			fmt.Sprintf("%d", c.OffCycles),
-			fmt.Sprintf("%d", c.OnCycles),
-			fmt.Sprintf("%.3fx", float64(c.OffCycles)/float64(c.OnCycles)),
-			fmt.Sprintf("%d", c.OffCrossings),
-			fmt.Sprintf("%d", c.OnCrossings),
-			fmt.Sprintf("%d", c.LocalHits),
-			fmt.Sprintf("%d/%d", c.CacheHits, c.CacheMisses),
-			fmt.Sprintf("%d/%d", c.Promotions, c.Demotions),
+			p.Name,
+			fmt.Sprintf("%d", off.Cycles),
+			fmt.Sprintf("%d", on.Cycles),
+			fmt.Sprintf("%.3fx", float64(off.Cycles)/float64(on.Cycles)),
+			fmt.Sprintf("%d", off.Counters["ak.forwarded_syscalls"]),
+			fmt.Sprintf("%d", c["ak.forwarded_syscalls"]),
+			fmt.Sprintf("%d", c["router.local_hits"]),
+			fmt.Sprintf("%d/%d", c["router.cache_hits"], c["router.cache_misses"]),
+			fmt.Sprintf("%d/%d", c["router.promotions"], c["router.demotions"]),
 		)
 	}
 

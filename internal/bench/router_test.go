@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -220,32 +221,32 @@ func TestRouterPromotionDemotion(t *testing.T) {
 // and both configurations must reproduce exactly across runs.
 func TestRouterRegression(t *testing.T) {
 	p, _ := ProgramByName("fasta")
-	ra, err := sweepProgram(p)
+	a, err := sweepProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := sweepProgram(p)
+	b, err := sweepProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := ra.router, rb.router
-	if a != b {
-		t.Errorf("router comparison not deterministic:\n%+v\n%+v", a, b)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("sweep runs not deterministic:\n%+v\n%+v", a, b)
 	}
-	if a.OnCrossings >= a.OffCrossings {
-		t.Errorf("router did not reduce crossings: off=%d on=%d", a.OffCrossings, a.OnCrossings)
+	off, on := a[0], a[1]
+	offX, onX := off.Counters["ak.forwarded_syscalls"], on.Counters["ak.forwarded_syscalls"]
+	if onX >= offX {
+		t.Errorf("router did not reduce crossings: off=%d on=%d", offX, onX)
 	}
-	if a.OnForwardCycles >= a.OffForwardCycles {
-		t.Errorf("router did not reduce forwarded cycles: off=%d on=%d",
-			a.OffForwardCycles, a.OnForwardCycles)
+	if on.forwardCycles() >= off.forwardCycles() {
+		t.Errorf("router did not reduce forwarded cycles: off=%d on=%d", off.forwardCycles(), on.forwardCycles())
 	}
-	if a.OnCycles >= a.OffCycles {
-		t.Errorf("router did not reduce end-to-end cycles: off=%d on=%d", a.OffCycles, a.OnCycles)
+	if on.Cycles >= off.Cycles {
+		t.Errorf("router did not reduce end-to-end cycles: off=%d on=%d", off.Cycles, on.Cycles)
 	}
-	if a.LocalHits == 0 {
+	if on.Counters["router.local_hits"] == 0 {
 		t.Error("no tier-0 local hits on the benchmark run")
 	}
-	if a.Promotions == 0 {
+	if on.Counters["router.promotions"] == 0 {
 		t.Error("write-heavy benchmark did not promote to the sync channel")
 	}
 }

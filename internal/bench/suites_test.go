@@ -39,7 +39,7 @@ func runBaseline(s Suite, dir string, update bool) error {
 // instead; a collection that breaks one of its suite's acceptance
 // invariants fails either way.
 func TestBaselines(t *testing.T) {
-	pinned, err := filepath.Glob(filepath.Join(repoRoot, "BENCH_pr*.json"))
+	pinned, err := filepath.Glob(filepath.Join(repoRoot, "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestBaselines(t *testing.T) {
 		}
 	}
 	if len(pinned) != len(suites) {
-		t.Errorf("%d pinned BENCH_pr*.json files, %d pinned suites in the table", len(pinned), len(suites))
+		t.Errorf("%d pinned BENCH_*.json files, %d pinned suites in the table", len(pinned), len(suites))
 	}
 	update := os.Getenv("MV_UPDATE_BASELINE") != ""
 	for _, s := range suites {

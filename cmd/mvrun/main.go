@@ -509,14 +509,11 @@ func printStats(res *bench.RunResult, groups int) {
 	}
 	if o.Faults != nil {
 		var injected uint64
-		for _, k := range []string{"drop-notify", "dup-notify", "delay-inject",
-			"corrupt-frame", "partner-stall", "partner-kill", "hrt-panic"} {
-			injected += m.Counter("faults.injected." + k).Value()
+		for k := faults.DropNotify; k <= faults.HRTPanic; k++ {
+			injected += c("faults.injected." + k.String())
 		}
 		fmt.Fprintf(os.Stderr, "  faults: injected=%d retransmits=%d dedups=%d recoveries=%d degraded=%d recovery-cycles=%d\n",
-			injected, m.Counter("faults.retransmit").Value(),
-			m.Counter("faults.dedup").Value(), m.Counter("faults.recovery").Value(),
-			m.Counter("faults.degraded").Value(),
-			uint64(m.LatencyHistogram("faults.recovery.latency").Sum()))
+			injected, c("faults.retransmit"), c("faults.dedup"), c("faults.recovery"), c("faults.degraded"),
+			uint64(m.FindHistogram("faults.recovery.latency").Sum()))
 	}
 }

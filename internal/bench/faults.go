@@ -14,7 +14,9 @@ import (
 // mid-protocol.
 const faultsProgram = "fasta"
 
-// faultsConfigs are the suite's five configurations, in run order.
+// faultsConfigs are the suite's four fault-plane configurations, in run
+// order. Their clean reference is the WorldHRT sweep's fasta run with
+// every option off, pinned there once.
 func faultsConfigs() []struct {
 	Name string
 	Plan *faults.Plan
@@ -23,7 +25,6 @@ func faultsConfigs() []struct {
 		Name string
 		Plan *faults.Plan
 	}{
-		{"clean", nil},
 		// Plumbed but clean: the fault plane armed with every rate zero.
 		// Sequencing, checksums, and kill rolls all run; the acceptance bar
 		// is zero added virtual cycles against the clean run.
@@ -65,10 +66,10 @@ func (r *Run) injected() uint64 {
 	return n
 }
 
-// CollectFaultsBaseline runs the five-configuration faults suite on the
-// fasta benchmark, clean first, and validates its structural invariants
-// before returning: the plumbed run charges exactly the clean run's
-// cycles (overhead-when-clean is zero, not merely <=1%), every faulted
+// CollectFaultsBaseline runs the four fault-plane configurations on the
+// fasta benchmark and validates the suite's structural invariants
+// against the sweep's clean run before returning: the plumbed run
+// charges exactly the clean run's cycles (overhead-when-clean is zero, not merely <=1%), every faulted
 // configuration recovers to output byte-identical to the clean run's,
 // the faulted run injects and retransmits, the scripted partner death
 // recovers once with its latency recorded, and the degraded run
@@ -78,48 +79,56 @@ func CollectFaultsBaseline() (*Runs, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: %s program missing from the suite", faultsProgram)
 	}
+	sweep, err := CollectSweepBaseline()
+	if err != nil {
+		return nil, err
+	}
+	clean := sweep.find(faultsProgram, "off")
 	doc := &Runs{Note: regenerateNote("faults")}
-	var cleanOut []byte
 	for _, cfg := range faultsConfigs() {
 		res, err := RunBenchmark(prog, core.WorldHRT, core.Options{Faults: cfg.Plan}, false)
 		if err != nil {
 			return nil, fmt.Errorf("bench: faults config %s: %w", cfg.Name, err)
 		}
-		if cfg.Name == "clean" {
-			cleanOut = res.Output
-		}
-		if !bytes.Equal(res.Output, cleanOut) {
+		if !bytes.Equal(res.Output, clean.output) {
 			return nil, fmt.Errorf("bench: faults config %s diverged from the clean output", cfg.Name)
 		}
 		doc.Runs = append(doc.Runs, faultsMetrics.project(cfg.Name, res))
 	}
 	runs := doc.Runs
-	if runs[1].Cycles != runs[0].Cycles {
+	if runs[0].Cycles != clean.Cycles {
 		return nil, fmt.Errorf("bench: plumbed run charges %d cycles vs clean %d — the unfired fault plane is not free",
-			runs[1].Cycles, runs[0].Cycles)
+			runs[0].Cycles, clean.Cycles)
 	}
-	if f := runs[2]; f.injected() == 0 || f.Counters["faults.retransmit"] == 0 {
+	if f := runs[1]; f.injected() == 0 || f.Counters["faults.retransmit"] == 0 {
 		return nil, fmt.Errorf("bench: faulted run injected %d faults, %d retransmits — the plane never fired",
 			f.injected(), f.Counters["faults.retransmit"])
 	}
-	if s := runs[3]; s.Counters["faults.recovery"] != 1 || s.Histograms["faults.recovery.latency"].Sum == 0 {
+	if s := runs[2]; s.Counters["faults.recovery"] != 1 || s.Histograms["faults.recovery.latency"].Sum == 0 {
 		return nil, fmt.Errorf("bench: scenario run: recoveries=%d latency=%d, want one measured recovery",
 			s.Counters["faults.recovery"], s.Histograms["faults.recovery.latency"].Sum)
 	}
-	if d := runs[4]; d.Counters["faults.degraded"] != 1 {
+	if d := runs[3]; d.Counters["faults.degraded"] != 1 {
 		return nil, fmt.Errorf("bench: degraded run: faults.degraded=%d, want 1", d.Counters["faults.degraded"])
 	}
 	return doc, nil
 }
 
-// FigureFaults renders the faults suite: the five fasta configurations
-// with their injection counts, recovery activity, and the
-// output-correctness verdict the collection enforced.
+// FigureFaults renders the faults suite: the sweep's clean fasta run and
+// the four fault-plane configurations, with their injection counts,
+// recovery activity, and the output-correctness verdict the collection
+// enforced.
 func FigureFaults() (*Table, error) {
 	b, err := CollectFaultsBaseline()
 	if err != nil {
 		return nil, err
 	}
+	sweep, err := CollectSweepBaseline()
+	if err != nil {
+		return nil, err
+	}
+	rows := append([]Run{*sweep.find(faultsProgram, "off")}, b.Runs...)
+	rows[0].Config = "clean"
 	t := &Table{
 		Title: "Faults figure: injection and recovery on fasta, WorldHRT",
 		Header: []string{
@@ -127,8 +136,8 @@ func FigureFaults() (*Table, error) {
 			"Dedups", "Corrupt", "Recoveries", "Degraded", "Output",
 		},
 	}
-	clean := b.Runs[0].Cycles
-	for _, r := range b.Runs {
+	clean := rows[0].Cycles
+	for _, r := range rows {
 		c := r.Counters
 		t.AddRow(
 			r.Config,
@@ -144,7 +153,7 @@ func FigureFaults() (*Table, error) {
 		)
 	}
 	t.AddNote("scripted partner death recovered in %d virtual cycles (respawn + merge replay + redelivery)",
-		b.Runs[3].Histograms["faults.recovery.latency"].Sum)
+		b.Runs[2].Histograms["faults.recovery.latency"].Sum)
 	t.AddNote("plumbed = fault plane armed with all rates zero; its overhead against clean is the suite's acceptance bar (0.00%%)")
 	return t, nil
 }

@@ -1,8 +1,6 @@
 package bench
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // FigureMerger renders the merger suite: the seven benchmarks in
 // WorldHRT with the delta merger off vs on (cycle totals, merges and

@@ -1,8 +1,6 @@
 package bench
 
-import (
-	"multiverse/internal/telemetry"
-)
+import "multiverse/internal/telemetry"
 
 // Run is one pinned benchmark run: the program, the suite's name for its
 // configuration, the main thread's end-to-end cycles, and the registry
@@ -20,6 +18,10 @@ type Run struct {
 	// ring may have wrapped; this counts everything ever recorded), set
 	// by the suites that read it.
 	RecorderEvents uint64 `json:"recorder_events,omitempty"`
+
+	// output is the program's stdout, which the collections compare
+	// across runs and do not pin.
+	output []byte
 }
 
 // Hist summarizes one latency histogram of a pinned run: its population,
@@ -63,7 +65,7 @@ type metricSet struct {
 // listed name appears, at 0 when the run never registered it; reads go
 // through FindCounter/FindHistogram, so projecting registers nothing.
 func (ms metricSet) project(config string, res *RunResult) Run {
-	r := Run{Program: res.Program, Config: config, Cycles: uint64(res.Cycles)}
+	r := Run{Program: res.Program, Config: config, Cycles: uint64(res.Cycles), output: res.Output}
 	m := res.Metrics
 	if len(ms.counters) > 0 {
 		r.Counters = make(map[string]uint64, len(ms.counters))

@@ -69,11 +69,11 @@ func (r *Run) injected() uint64 {
 // CollectFaultsBaseline runs the four fault-plane configurations on the
 // fasta benchmark and validates the suite's structural invariants
 // against the sweep's clean run before returning: the plumbed run
-// charges exactly the clean run's cycles (overhead-when-clean is zero, not merely <=1%), every faulted
-// configuration recovers to output byte-identical to the clean run's,
-// the faulted run injects and retransmits, the scripted partner death
-// recovers once with its latency recorded, and the degraded run
-// degrades.
+// charges exactly the clean run's cycles (overhead-when-clean is zero,
+// not merely <=1%), every faulted configuration recovers to output
+// byte-identical to the clean run's, the faulted run injects and
+// retransmits, the scripted partner death recovers once with its latency
+// recorded, and the degraded run degrades.
 func CollectFaultsBaseline() (*Runs, error) {
 	prog, ok := ProgramByName(faultsProgram)
 	if !ok {

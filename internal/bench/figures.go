@@ -415,9 +415,9 @@ func Figure13() (*Table, error) {
 			runs[i] = res
 		}
 		native, virt := runs[0], runs[1]
-		off, routed := sweep.find(p.Name, "off"), sweep.find(p.Name, "router")
-		mv, onCycles := cycles.Cycles(off.Cycles), cycles.Cycles(routed.Cycles)
-		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv, onCycles); err != nil {
+		off, on := sweep.find(p.Name, "off"), sweep.find(p.Name, "router")
+		mv, routed := cycles.Cycles(off.Cycles), cycles.Cycles(on.Cycles)
+		if err := checkWorldOrder(p.Name, native.Cycles, virt.Cycles, mv, routed); err != nil {
 			return nil, err
 		}
 		t.AddRow(
@@ -425,7 +425,7 @@ func Figure13() (*Table, error) {
 			fmt.Sprintf("%.4f", native.Seconds),
 			fmt.Sprintf("%.4f", virt.Seconds),
 			fmt.Sprintf("%.4f", mv.Seconds()),
-			fmt.Sprintf("%.4f", onCycles.Seconds()),
+			fmt.Sprintf("%.4f", routed.Seconds()),
 			fmt.Sprintf("%.2fx", mv.Seconds()/native.Seconds),
 			fmt.Sprintf("%d", off.Counters["ak.forwarded_syscalls"]),
 			fmt.Sprintf("%d", off.Counters["ak.forwarded_faults"]),

@@ -285,32 +285,16 @@ func AblationSyncSyscalls() (*Table, error) {
 	return t, nil
 }
 
-// channelKindCycles averages an HRT function invocation over runs calls
-// through each channel kind on sys: the asynchronous hypercall-and-
-// injection channel, and the synchronous polled channel to sys's HRT
-// core.
-func channelKindCycles(sys *core.System, runs int) (async, sync cycles.Cycles, err error) {
-	clk := sys.Main.Clock
-	noopAddr := sys.AK.RegisterFunc("ablate_noop",
-		func(t *aerokernel.Thread, args []uint64) uint64 { return args[0] })
-	async = avgCycles(clk, runs, func() {
-		if _, aerr := sys.HVM.AsyncCall(clk, noopAddr, 7); aerr != nil {
-			panic(aerr)
-		}
-	})
-	sync, err = syncCallCycles(sys, sys.Opts.HRTCores[0], runs, 7)
-	return async, sync, err
-}
-
 // AblationChannelKind compares invoking an HRT function via the
 // asynchronous (hypercall + injection) path against the post-merger
-// synchronous memory-polling channel.
+// synchronous memory-polling channel on the same socket: Figure 2's
+// asynchronous and same-socket synchronous round trips.
 func AblationChannelKind() (*Table, error) {
-	sys, err := newHybrid("ablate-channel", 1)
+	sys, err := newHybrid("ablate-channel", fig2SameSocketCore)
 	if err != nil {
 		return nil, err
 	}
-	async, sync, err := channelKindCycles(sys, latencyRuns)
+	l, err := measureFig2(sys, latencyRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -319,8 +303,8 @@ func AblationChannelKind() (*Table, error) {
 		Title:  "Ablation: function invocation channel kind (same socket)",
 		Header: []string{"Channel", "Cycles/call"},
 	}
-	t.AddRow("asynchronous (hypercall + injection)", fmt.Sprintf("%d", uint64(async)))
-	t.AddRow("synchronous (memory polling)", fmt.Sprintf("%d", uint64(sync)))
+	t.AddRow("asynchronous (hypercall + injection)", fmt.Sprintf("%d", uint64(l.async)))
+	t.AddRow("synchronous (memory polling)", fmt.Sprintf("%d", uint64(l.syncSame)))
 	t.AddNote("the sync channel needs a dedicated polling HRT core but no VMM involvement per call")
 	return t, nil
 }

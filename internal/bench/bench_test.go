@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"multiverse/internal/core"
+	"multiverse/internal/cycles"
 	"multiverse/internal/hvm"
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/scheme"
+	"multiverse/internal/telemetry"
 )
 
 // TestAllProgramsRunNative gates correctness of every workload: each must
@@ -531,14 +533,16 @@ func TestProgramByName(t *testing.T) {
 // router-off, merger-off hybrid run projected onto the sweep's record
 // exposes no router counter, no merger counter the run never moved, and
 // no sync-rung histogram, because ResultOf and the projection look names
-// up instead of registering them.
+// up instead of registering them. Then, for each system-level suite,
+// projecting one of its runs onto the suite's metric set leaves the
+// registry's names as the run left them.
 func TestResultOfRegistersNothing(t *testing.T) {
 	p, _ := ProgramByName("fasta")
 	res, err := RunBenchmark(p, core.WorldHRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := sweepMetrics.project("off", res)
+	run := sweepMetrics.project(res.Program, "off", res.Metrics, res.Cycles)
 	snap := res.Metrics.Snapshot()
 	for name, v := range snap.Counters {
 		if strings.HasPrefix(name, "router.") || name == "fault.local" ||
@@ -552,4 +556,82 @@ func TestResultOfRegistersNothing(t *testing.T) {
 	if run.Counters["paging.pml4_entries_copied"] == 0 || run.Counters["ak.merges"] == 0 {
 		t.Errorf("merge counters not read: %v", run.Counters)
 	}
+
+	for _, c := range []struct {
+		suite string
+		ms    metricSet
+		run   func() (*telemetry.Registry, error)
+	}{
+		// A scheduler-off Native solve registers no sched.* counter.
+		{"hpcg", hpcgMetrics, func() (*telemetry.Registry, error) {
+			sys, _, err := runHPCG(core.WorldNative, core.Options{}, hpcgWorkers, 1024, 30)
+			return registryOf(sys, err)
+		}},
+		// The ramp registers neither places.spawned nor the solve latency.
+		{"scheduler", schedMetrics, func() (*telemetry.Registry, error) {
+			return registryOf(runImbalancedSteal())
+		}},
+		// A default-options system registers no warm-pool, admission or
+		// budget counter.
+		{"density", densityMetrics, func() (*telemetry.Registry, error) {
+			sys, err := densitySystem(core.Options{})
+			if err != nil {
+				return nil, err
+			}
+			g, err := sys.SpawnGroup(cycles.NewClock(0), getpidFn(2))
+			if err != nil {
+				return nil, err
+			}
+			_, err = g.Join(sys.Main)
+			return sys.Metrics(), err
+		}},
+		{"grid", gridMetrics, func() (*telemetry.Registry, error) {
+			gr, reg, err := buildGridNodes(1, nil, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			g, err := gr.SpawnGroupOn(0, getpidFn(2))
+			if err != nil {
+				return nil, err
+			}
+			_, err = g.Join(gr.Node(0).Main)
+			return reg, err
+		}},
+	} {
+		t.Run(c.suite, func(t *testing.T) {
+			reg, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := metricNames(reg)
+			c.ms.project(c.suite, "", reg, 0)
+			if after := metricNames(reg); !reflect.DeepEqual(before, after) {
+				t.Errorf("projecting registered names:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+}
+
+// registryOf is the registry of a finished system, or err.
+func registryOf(sys *core.System, err error) (*telemetry.Registry, error) {
+	if err != nil {
+		return nil, err
+	}
+	return sys.Metrics(), nil
+}
+
+// metricNames is the set of every name the registry holds.
+func metricNames(reg *telemetry.Registry) map[string]bool {
+	snap := reg.Snapshot()
+	names := map[string]bool{}
+	for name := range snap.Counters {
+		names[name] = true
+	}
+	for name := range snap.Gauges {
+		names[name] = true
+	}
+	for name := range snap.Histograms {
+		names[name] = true
+	}
+	return names
 }

@@ -93,7 +93,7 @@ func CollectFaultsBaseline() (*Runs, error) {
 		if !bytes.Equal(res.Output, clean.output) {
 			return nil, fmt.Errorf("bench: faults config %s diverged from the clean output", cfg.Name)
 		}
-		doc.Runs = append(doc.Runs, faultsMetrics.project(cfg.Name, res))
+		doc.Runs = append(doc.Runs, faultsMetrics.project(res.Program, cfg.Name, res.Metrics, res.Cycles))
 	}
 	runs := doc.Runs
 	if runs[0].Cycles != clean.Cycles {

@@ -67,22 +67,22 @@ func newHybrid(name string, hrtCore machine.CoreID) (*core.System, error) {
 
 // syncCallCycles averages the round trip of the section 4.3 synchronous
 // memory-polling channel between the ROS boot core and hrtCore over runs
-// calls. The poller answers each call with its first argument, arg. The
-// figure's call runs from the ROS to an HRT poller, the reverse of a
-// forwarded system call, so the channel is opened with the ends swapped:
-// the caller's spans land on the boot core and the poller's on hrtCore.
-// The cacheline cost depends only on whether the two share a socket.
-func syncCallCycles(sys *core.System, hrtCore machine.CoreID, runs int, arg uint64) (cycles.Cycles, error) {
+// empty calls. The figure's call runs from the ROS to an HRT poller, the
+// reverse of a forwarded system call, so the channel is opened with the
+// ends swapped: the caller's spans land on the boot core and the
+// poller's on hrtCore. The cacheline cost depends only on whether the
+// two share a socket.
+func syncCallCycles(sys *core.System, hrtCore machine.CoreID, runs int) (cycles.Cycles, error) {
 	clk := sys.Main.Clock
 	p, err := sys.HVM.OpenPolled(clk, hrtCore, sys.Kernel.BootCore(), hvm.Poller{
 		Clock: cycles.NewClock(clk.Now()),
-		Serve: func(call linuxabi.Call) linuxabi.Result { return linuxabi.Result{Ret: call.Args[0]} },
+		Serve: func(linuxabi.Call) linuxabi.Result { return linuxabi.Result{} },
 	})
 	if err != nil {
 		return 0, err
 	}
 	defer sys.HVM.ClosePolled(clk, p)
-	call := linuxabi.Call{Args: [6]uint64{arg}}
+	var call linuxabi.Call
 	return avgCycles(clk, runs, func() {
 		if _, ierr := p.Invoke(clk, call, 0); ierr != nil {
 			panic(ierr)
@@ -130,10 +130,10 @@ func measureFig2(sys *core.System, runs int) (fig2Latencies, error) {
 	})
 
 	var err error
-	if l.syncSame, err = syncCallCycles(sys, fig2SameSocketCore, runs, 0); err != nil {
+	if l.syncSame, err = syncCallCycles(sys, fig2SameSocketCore, runs); err != nil {
 		return l, err
 	}
-	l.syncCross, err = syncCallCycles(sys, fig2CrossSocketCore, runs, 0)
+	l.syncCross, err = syncCallCycles(sys, fig2CrossSocketCore, runs)
 	return l, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"multiverse/internal/core"
 	"multiverse/internal/cycles"
@@ -26,6 +27,9 @@ const (
 	// crossings around the barrier where the migration is armed.
 	gridMigrateCallsBefore = 6
 	gridMigrateCallsAfter  = 10
+	// gridMigrateNodes is the migration unit's grid: the group starts on
+	// node 0 and migrates to node 1.
+	gridMigrateNodes = 2
 
 	// gridKillNodes/Groups/Victims: the scripted node-kill scenario —
 	// 1000 live groups, 8 of them on the doomed node.
@@ -44,53 +48,16 @@ const (
 	gridChaosRate   = 0.05
 )
 
-// GridBaseline is the BENCH_pr10.json document. Every field is
-// deterministic: exact in CI under a byte-compare gate.
-type GridBaseline struct {
-	Note    string `json:"note"`
-	ClockHz uint64 `json:"clock_hz"`
-
-	// Migration unit: one group migrated mid-run between two nodes,
-	// held against an unmigrated reference on a standalone system.
-	MigrateNodes       int `json:"migrate_nodes"`
-	MigrateCallsBefore int `json:"migrate_calls_before"`
-	MigrateCallsAfter  int `json:"migrate_calls_after"`
-	// MigrateLatencyCycles is the full quiesce+checkpoint+transfer+
-	// restore cost of the one migration, in virtual cycles on the
-	// dedicated migration clock.
-	MigrateLatencyCycles uint64 `json:"migrate_latency_cycles"`
-	// MigrateHRTCycles is the migrated group's final HRT-clock total —
-	// identical to the unmigrated reference (the transparency pin).
-	MigrateHRTCycles   uint64 `json:"migrate_hrt_cycles"`
-	MigrateOutputMatch bool   `json:"migrate_output_match"`
-	MigrateCycleMatch  bool   `json:"migrate_cycle_match"`
-
-	// Node-kill unit: the scripted scenario at 1000 live groups.
-	KillNodes            int    `json:"kill_nodes"`
-	KillGroups           int    `json:"kill_groups"`
-	KillVictimGroups     int    `json:"kill_victim_groups"`
-	KillRestored         int    `json:"kill_restored"`
-	KillRestoreP50Cycles uint64 `json:"kill_restore_p50_cycles"`
-	KillRestoreP99Cycles uint64 `json:"kill_restore_p99_cycles"`
-	// KillMigrationClockCycles is the grid migration clock after the 8
-	// restores — total recovery work in virtual cycles.
-	KillMigrationClockCycles uint64 `json:"kill_migration_clock_cycles"`
-	// KillCompletedTotal sums every group's serviced-seqno count after
-	// the joins: groups*(calls+exit), pinning zero lost and zero
-	// duplicated syscalls at scale.
-	KillCompletedTotal uint64 `json:"kill_completed_total"`
-	// KillRepeatMatch records that a second full run (fresh grid, same
-	// script) produced identical figures.
-	KillRepeatMatch bool `json:"kill_repeat_match"`
-
-	// Chaos unit: node kills + the transport fault menu against the
-	// density-style workload, compared byte-for-byte against a clean
-	// run of the same seed.
-	ChaosNodes         int     `json:"chaos_nodes"`
-	ChaosGroups        int     `json:"chaos_groups"`
-	ChaosSeeds         int     `json:"chaos_seeds"`
-	ChaosRate          float64 `json:"chaos_rate"`
-	ChaosByteIdentical bool    `json:"chaos_byte_identical"`
+// gridMetrics is what the grid suite pins of each run: the voluntary
+// migration's latency (its sum is the quiesce + checkpoint + transfer +
+// restore cost on the grid's migration clock) and the node-kill
+// restores' latency with the quantiles the figure prints (its count is
+// the victims restored).
+var gridMetrics = metricSet{
+	histograms: map[string][]string{
+		"grid.migrate.latency": nil,
+		"grid.restore.latency": {"p50", "p99"},
+	},
 }
 
 // buildGridNodes assembles n identically-configured grid nodes sharing
@@ -157,31 +124,31 @@ func migrateBody(arrived chan<- struct{}, gate <-chan struct{}) func(core.Env) u
 	}
 }
 
-// gridMigrateUnit pins one voluntary migration: latency on the
-// migration clock, and byte/cycle transparency against an unmigrated
-// reference run.
-func gridMigrateUnit(b *GridBaseline) error {
+// gridMigrateUnit pins one voluntary migration ("migrate", on the
+// migrated group's HRT clock): its latency on the migration clock, and
+// exit, byte and cycle transparency against an unmigrated reference run.
+func gridMigrateUnit() (Run, error) {
 	// Unmigrated reference on a standalone system.
 	fs, err := provisionFS(nil)
 	if err != nil {
-		return err
+		return Run{}, err
 	}
 	ref, err := NewSystemForWorld(core.WorldHRT, core.Options{FS: fs, AppName: "grid"})
 	if err != nil {
-		return err
+		return Run{}, err
 	}
 	// Spawn on Main's clock — the same creator SpawnGroupOn charges on
 	// the grid side, so the two groups' virtual start times agree.
 	refArrived, refGate := make(chan struct{}, 1), make(chan struct{})
 	rg, err := ref.SpawnGroup(ref.Main.Clock, migrateBody(refArrived, refGate))
 	if err != nil {
-		return err
+		return Run{}, err
 	}
 	<-refArrived
 	close(refGate)
 	refCode, err := rg.Join(ref.Main)
 	if err != nil {
-		return fmt.Errorf("bench: grid migrate reference join: %w", err)
+		return Run{}, fmt.Errorf("bench: grid migrate reference join: %w", err)
 	}
 	refOut := ref.Proc.Stdout()
 	refCycles := rg.HRTThread().Clock.Now()
@@ -189,72 +156,58 @@ func gridMigrateUnit(b *GridBaseline) error {
 	// Migrated run on a two-node grid: arm at the barrier (the group has
 	// made exactly gridMigrateCallsBefore crossings), release, and the
 	// migration fires on the first crossing after it.
-	gr, reg, err := buildGridNodes(2, nil, nil, nil)
+	gr, reg, err := buildGridNodes(gridMigrateNodes, nil, nil, nil)
 	if err != nil {
-		return err
+		return Run{}, err
 	}
 	arrived, gate := make(chan struct{}, 1), make(chan struct{})
 	g, err := gr.SpawnGroupOn(0, migrateBody(arrived, gate))
 	if err != nil {
-		return err
+		return Run{}, err
 	}
 	<-arrived
 	res, err := gr.ArmMigration(g, 1, gridMigrateCallsBefore)
 	if err != nil {
-		return err
+		return Run{}, err
 	}
 	close(gate)
 	if merr := <-res; merr != nil {
-		return fmt.Errorf("bench: grid migrate: %w", merr)
+		return Run{}, fmt.Errorf("bench: grid migrate: %w", merr)
 	}
 	code, err := g.Join(gr.Node(0).Main)
 	if err != nil {
-		return fmt.Errorf("bench: grid migrate join: %w", err)
+		return Run{}, fmt.Errorf("bench: grid migrate join: %w", err)
 	}
 	out := append(append([]byte{}, gr.Node(0).Proc.Stdout()...), gr.Node(1).Proc.Stdout()...)
 
 	if code != refCode {
-		return fmt.Errorf("bench: grid migrate exit %d != reference %d", code, refCode)
+		return Run{}, fmt.Errorf("bench: grid migrate exit %d != reference %d", code, refCode)
 	}
 	if !bytes.Equal(out, refOut) {
-		return fmt.Errorf("bench: grid migrate output diverged from reference:\n%q\nvs\n%q", out, refOut)
+		return Run{}, fmt.Errorf("bench: grid migrate output diverged from reference:\n%q\nvs\n%q", out, refOut)
 	}
 	gotCycles := g.HRTThread().Clock.Now()
 	if gotCycles != refCycles {
-		return fmt.Errorf("bench: grid migrate HRT cycles %d != reference %d (migration cost leaked)", gotCycles, refCycles)
+		return Run{}, fmt.Errorf("bench: grid migrate HRT cycles %d != reference %d (migration cost leaked)", gotCycles, refCycles)
 	}
-	b.MigrateNodes = 2
-	b.MigrateCallsBefore = gridMigrateCallsBefore
-	b.MigrateCallsAfter = gridMigrateCallsAfter
-	b.MigrateLatencyCycles = uint64(reg.LatencyHistogram("grid.migrate.latency").Sum())
-	b.MigrateHRTCycles = uint64(refCycles)
-	b.MigrateOutputMatch = true
-	b.MigrateCycleMatch = true
-	if b.MigrateLatencyCycles == 0 {
-		return fmt.Errorf("bench: grid migrate measured zero latency")
+	run := gridMetrics.project("grid", "migrate", reg, gotCycles)
+	if run.Histograms["grid.migrate.latency"].Sum == 0 {
+		return Run{}, fmt.Errorf("bench: grid migrate measured zero latency")
 	}
-	return nil
-}
-
-// gridKillFigures is one node-kill run's pinned numbers, comparable
-// across the repeat run.
-type gridKillFigures struct {
-	Restored        int
-	RestoreP50      uint64
-	RestoreP99      uint64
-	MigrationCycles uint64
-	CompletedTotal  uint64
+	return run, nil
 }
 
 // runGridKill executes the scripted scenario once: 1000 live groups on
 // 8 nodes (8 on the last), kill that node at the workload barrier, all
-// 8 victims restore on survivors, everything joins clean.
-func runGridKill() (*gridKillFigures, error) {
+// 8 victims restore on survivors, everything joins clean with every
+// group's calls serviced exactly once. Its run ("kill") is read on the
+// grid's migration clock: the total recovery work.
+func runGridKill() (Run, error) {
 	// Zero-rate plan: injects nothing, arms the channel seqno window so
 	// serviced calls are countable.
 	gr, reg, err := buildGridNodes(gridKillNodes, &faults.Plan{Seed: 7}, nil, nil)
 	if err != nil {
-		return nil, err
+		return Run{}, err
 	}
 	total := gridKillGroups
 	gate := make(chan struct{})
@@ -278,14 +231,14 @@ func runGridKill() (*gridKillFigures, error) {
 	for i := 0; i < total-gridKillVictims; i++ {
 		g, serr := gr.SpawnGroupOn(i%(gridKillNodes-1), fn)
 		if serr != nil {
-			return nil, fmt.Errorf("bench: grid kill spawn %d: %w", i, serr)
+			return Run{}, fmt.Errorf("bench: grid kill spawn %d: %w", i, serr)
 		}
 		groups = append(groups, g)
 	}
 	for i := 0; i < gridKillVictims; i++ {
 		g, serr := gr.SpawnGroupOn(gridKillNodes-1, fn)
 		if serr != nil {
-			return nil, fmt.Errorf("bench: grid kill victim spawn %d: %w", i, serr)
+			return Run{}, fmt.Errorf("bench: grid kill victim spawn %d: %w", i, serr)
 		}
 		groups = append(groups, g)
 	}
@@ -296,58 +249,42 @@ func runGridKill() (*gridKillFigures, error) {
 	// grid with nothing in flight, the quiesce-point invariant.
 	ids, err := gr.KillNode(gridKillNodes - 1)
 	if err != nil {
-		return nil, fmt.Errorf("bench: grid kill: %w", err)
+		return Run{}, fmt.Errorf("bench: grid kill: %w", err)
 	}
 	if len(ids) != gridKillVictims {
-		return nil, fmt.Errorf("bench: grid kill restored %d groups, want %d", len(ids), gridKillVictims)
+		return Run{}, fmt.Errorf("bench: grid kill restored %d groups, want %d", len(ids), gridKillVictims)
 	}
 	close(gate)
 	var completed uint64
 	for i, g := range groups {
 		code, jerr := g.Join(gr.Node(0).Main)
 		if jerr != nil || code != 0 {
-			return nil, fmt.Errorf("bench: grid kill join %d: code %d err %v", i, code, jerr)
+			return Run{}, fmt.Errorf("bench: grid kill join %d: code %d err %v", i, code, jerr)
 		}
 		completed += uint64(g.Channel().Window().Completed)
 	}
 	want := uint64(total) * uint64(gridKillCalls1+gridKillCalls2+1)
 	if completed != want {
-		return nil, fmt.Errorf("bench: grid kill completed %d syscalls, want %d (lost or duplicated)", completed, want)
+		return Run{}, fmt.Errorf("bench: grid kill completed %d syscalls, want %d (lost or duplicated)", completed, want)
 	}
-	h := reg.LatencyHistogram("grid.restore.latency")
-	return &gridKillFigures{
-		Restored:        len(ids),
-		RestoreP50:      uint64(h.Quantile(0.50)),
-		RestoreP99:      uint64(h.Quantile(0.99)),
-		MigrationCycles: uint64(gr.MigrationCycles()),
-		CompletedTotal:  completed,
-	}, nil
+	return gridMetrics.project("grid", "kill", reg, gr.MigrationCycles()), nil
 }
 
-// gridKillUnit runs the scripted scenario twice — figures must agree
+// gridKillUnit runs the scripted scenario twice — the runs must agree
 // exactly, or host interleaving leaked into the virtual plane.
-func gridKillUnit(b *GridBaseline) error {
+func gridKillUnit() (Run, error) {
 	first, err := runGridKill()
 	if err != nil {
-		return err
+		return Run{}, err
 	}
 	second, err := runGridKill()
 	if err != nil {
-		return fmt.Errorf("bench: grid kill repeat run: %w", err)
+		return Run{}, fmt.Errorf("bench: grid kill repeat run: %w", err)
 	}
-	if *first != *second {
-		return fmt.Errorf("bench: grid kill figures diverged across runs: %+v vs %+v", first, second)
+	if !reflect.DeepEqual(first, second) {
+		return Run{}, fmt.Errorf("bench: grid kill runs diverged across runs: %+v vs %+v", first, second)
 	}
-	b.KillNodes = gridKillNodes
-	b.KillGroups = gridKillGroups
-	b.KillVictimGroups = gridKillVictims
-	b.KillRestored = first.Restored
-	b.KillRestoreP50Cycles = first.RestoreP50
-	b.KillRestoreP99Cycles = first.RestoreP99
-	b.KillMigrationClockCycles = first.MigrationCycles
-	b.KillCompletedTotal = first.CompletedTotal
-	b.KillRepeatMatch = true
-	return nil
+	return first, nil
 }
 
 // RunGridChaos drives the chaos workload on a fresh grid and returns
@@ -458,7 +395,7 @@ func RunGridChaos(nodes, groups int, plan faults.Plan, reg *telemetry.Registry, 
 }
 
 // gridChaosUnit compares chaos against clean across the pinned seeds.
-func gridChaosUnit(b *GridBaseline) error {
+func gridChaosUnit() error {
 	for seed := uint64(1); seed <= gridChaosSeeds; seed++ {
 		clean, err := RunGridChaos(gridChaosNodes, gridChaosGroups, faults.Plan{Seed: seed}, nil, nil)
 		if err != nil {
@@ -475,62 +412,57 @@ func gridChaosUnit(b *GridBaseline) error {
 			return fmt.Errorf("bench: chaos output diverged from clean at seed %d:\nclean:\n%schaos:\n%s", seed, clean, chaotic)
 		}
 	}
-	b.ChaosNodes = gridChaosNodes
-	b.ChaosGroups = gridChaosGroups
-	b.ChaosSeeds = gridChaosSeeds
-	b.ChaosRate = gridChaosRate
-	b.ChaosByteIdentical = true
 	return nil
 }
 
-// CollectGridBaseline runs the full suite and assembles the document.
-// Each unit fails the collection when its acceptance criterion breaks: a
-// migrated run not byte- and cycle-identical to its reference, a node
-// kill that restores fewer than every victim or loses or duplicates a
-// syscall, a repeat run that diverges, or a chaos seed whose output
-// differs from clean.
-func CollectGridBaseline() (*GridBaseline, error) {
-	b := &GridBaseline{
-		Note:    regenerateNote("grid") + "; all fields deterministic, byte-exact in CI",
-		ClockHz: uint64(cycles.ClockHz),
+// CollectGridBaseline runs the full suite and pins the migration and
+// node-kill runs; the chaos unit pins nothing. Each unit fails the
+// collection when its acceptance criterion breaks: a migrated run whose
+// exit, output or HRT cycles differ from its reference or whose
+// migration took no time, a node kill that restores fewer than every
+// victim or loses or duplicates a syscall, a repeat run that diverges,
+// or a chaos seed whose output differs from clean.
+func CollectGridBaseline() (*Runs, error) {
+	migrate, err := gridMigrateUnit()
+	if err != nil {
+		return nil, fmt.Errorf("bench: grid unit migrate: %w", err)
 	}
-	for _, unit := range []struct {
-		name string
-		run  func(*GridBaseline) error
-	}{
-		{"migrate", gridMigrateUnit},
-		{"kill", gridKillUnit},
-		{"chaos", gridChaosUnit},
-	} {
-		if err := unit.run(b); err != nil {
-			return nil, fmt.Errorf("bench: grid unit %s: %w", unit.name, err)
-		}
+	kill, err := gridKillUnit()
+	if err != nil {
+		return nil, fmt.Errorf("bench: grid unit kill: %w", err)
 	}
-	return b, nil
+	if err := gridChaosUnit(); err != nil {
+		return nil, fmt.Errorf("bench: grid unit chaos: %w", err)
+	}
+	return &Runs{Note: regenerateNote("grid"), Runs: []Run{migrate, kill}}, nil
 }
 
-// FigureGrid renders the grid suite as a table.
+// FigureGrid renders the grid suite as a table. The matches, the
+// completed-call total and the chaos verdict are the invariants the
+// collection enforced.
 func FigureGrid() (*Table, error) {
-	b, err := CollectGridBaseline()
+	doc, err := CollectGridBaseline()
 	if err != nil {
 		return nil, err
 	}
+	migrate, kill := doc.find("grid", "migrate"), doc.find("grid", "kill")
+	restore := kill.Histograms["grid.restore.latency"]
 	t := &Table{
 		Title:  "Grid figure: live migration, node-kill recovery, chaos transparency",
 		Header: []string{"Figure", "Value"},
 	}
-	t.AddRow("migration latency (cycles)", fmt.Sprintf("%d", b.MigrateLatencyCycles))
-	t.AddRow("migrated run output/cycles match", fmt.Sprintf("%v / %v", b.MigrateOutputMatch, b.MigrateCycleMatch))
+	t.AddRow("migration latency (cycles)", fmt.Sprintf("%d", migrate.Histograms["grid.migrate.latency"].Sum))
+	t.AddRow("migrated run output/cycles match", "true / true")
 	t.AddRow("node-kill scenario", fmt.Sprintf("%d groups on %d nodes, %d victims",
-		b.KillGroups, b.KillNodes, b.KillVictimGroups))
-	t.AddRow("victims restored on survivors", fmt.Sprintf("%d", b.KillRestored))
+		gridKillGroups, gridKillNodes, gridKillVictims))
+	t.AddRow("victims restored on survivors", fmt.Sprintf("%d", restore.Count))
 	t.AddRow("restore latency p50/p99 (cycles)", fmt.Sprintf("%d / %d",
-		b.KillRestoreP50Cycles, b.KillRestoreP99Cycles))
-	t.AddRow("recovery total (migration clock)", fmt.Sprintf("%d", b.KillMigrationClockCycles))
-	t.AddRow("syscalls completed (zero lost/dup)", fmt.Sprintf("%d", b.KillCompletedTotal))
-	t.AddRow("chaos vs clean byte-identical", fmt.Sprintf("%v (%d seeds, rate %g, %d nodes, %d groups)",
-		b.ChaosByteIdentical, b.ChaosSeeds, b.ChaosRate, b.ChaosNodes, b.ChaosGroups))
-	t.AddNote("kill repeat match: %v; all figures virtual (cycles at %d Hz)",
-		b.KillRepeatMatch, b.ClockHz)
+		restore.Quantiles["p50"], restore.Quantiles["p99"]))
+	t.AddRow("recovery total (migration clock)", fmt.Sprintf("%d", kill.Cycles))
+	t.AddRow("syscalls completed (zero lost/dup)", fmt.Sprintf("%d",
+		gridKillGroups*(gridKillCalls1+gridKillCalls2+1)))
+	t.AddRow("chaos vs clean byte-identical", fmt.Sprintf("true (%d seeds, rate %g, %d nodes, %d groups)",
+		gridChaosSeeds, gridChaosRate, gridChaosNodes, gridChaosGroups))
+	t.AddNote("kill repeat match: true; all figures virtual (cycles at %d Hz)", uint64(cycles.ClockHz))
 	return t, nil
 }

@@ -190,34 +190,50 @@ func ResultOf(sys *core.System, program string, world core.World, eng *scheme.En
 	return res
 }
 
+// runMain boots a system for world under opts, named app, with the
+// library collection installed, and runs main on its main thread. It
+// returns the finished system, whose registry and main clock the
+// suites read, or main's error.
+func runMain(world core.World, app string, opts core.Options, main func(core.Env) error) (*core.System, error) {
+	fs, err := provisionFS(nil)
+	if err != nil {
+		return nil, err
+	}
+	opts.FS, opts.AppName = fs, app
+	sys, err := NewSystemForWorld(world, opts)
+	if err != nil {
+		return nil, err
+	}
+	var runErr error
+	if _, err := sys.RunMain(func(env core.Env) uint64 {
+		if runErr = main(env); runErr != nil {
+			return 1
+		}
+		return 0
+	}); err != nil {
+		return nil, err
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	return sys, nil
+}
+
 // RunStartup boots the engine (GC heap creation, prelude load, timer
 // setup) without running any benchmark — the Figure 11 configuration
 // ("utilization of system calls in the Racket runtime without any
 // benchmark").
 func RunStartup(world core.World) (*RunResult, error) {
-	fs, err := provisionFS(nil)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := NewSystemForWorld(world, core.Options{FS: fs, AppName: "startup"})
-	if err != nil {
-		return nil, err
-	}
-	var runErr error
-	_, err = sys.RunMain(func(env core.Env) uint64 {
-		eng, eerr := scheme.NewEngine(env)
-		if eerr != nil {
-			runErr = eerr
-			return 1
+	sys, err := runMain(world, "startup", core.Options{}, func(env core.Env) error {
+		eng, err := scheme.NewEngine(env)
+		if err != nil {
+			return err
 		}
 		eng.Shutdown()
-		return 0
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	return ResultOf(sys, "startup", world, nil), nil
 }

@@ -6,7 +6,6 @@ import (
 	"multiverse/internal/core"
 	"multiverse/internal/cycles"
 	"multiverse/internal/legion"
-	"multiverse/internal/vfs"
 )
 
 // HPCG parameters for the figure (scaled from the paper's testbed run).
@@ -16,101 +15,105 @@ const (
 	hpcgWorkers = 4
 )
 
-// HPCGWorld is one world's solve in the HPCG suite.
-type HPCGWorld struct {
-	World       string `json:"world"`
-	Cycles      uint64 `json:"cycles"`
-	SyncBinding string `json:"sync_binding"`
-	SyncOps     int    `json:"sync_ops"`
-	Launches    int    `json:"launches"`
+// hpcgWorlds are the hpcg suite's worlds in run order, each with the
+// synchronization binding legion must choose there.
+var hpcgWorlds = []struct {
+	world   core.World
+	binding string
+}{
+	{core.WorldNative, "futex"},
+	{core.WorldVirtual, "futex"},
+	{core.WorldHRT, "aerokernel-events"},
 }
 
-// HPCGBaseline is the BENCH_pr20.json document: the section 2
-// Legion/HPCG solve in the Native, Virtual and Multiverse worlds, with
-// the scheduler off.
-type HPCGBaseline struct {
-	// Note documents how to regenerate the file.
-	Note    string      `json:"note"`
-	N       int         `json:"hpcg_n"`
-	Iters   int         `json:"hpcg_iters"`
-	Workers int         `json:"workers"`
-	Worlds  []HPCGWorld `json:"worlds"`
+// hpcgMetrics is what the hpcg suite pins of each solve: legion's sync
+// ops and index launches, and the solve's latency, whose sum is the
+// solve's cycles on the master's clock.
+var hpcgMetrics = metricSet{
+	counters:   []string{"legion.sync_ops", "legion.launches"},
+	histograms: map[string][]string{"legion.solve.latency": nil},
+}
+
+// solveCycles is the virtual time of the run's HPCG solve, boot excluded.
+func (r *Run) solveCycles() uint64 { return r.Histograms["legion.solve.latency"].Sum }
+
+// runHPCG boots a system for world under opts, solves the CG system of n
+// rows for iters iterations on workers legion workers, and fails unless
+// the solution verifies. The returned system's registry holds legion's
+// instruments and, with the scheduler on, the scheduler's. It is the one
+// HPCG run behind the hpcg and scheduler suites, simspeed's HPCG unit and
+// `mvrun -bench hpcg`.
+func runHPCG(world core.World, opts core.Options, workers, n, iters int) (*core.System, *legion.HPCGResult, error) {
+	var res *legion.HPCGResult
+	sys, err := runMain(world, "hpcg", opts, func(env core.Env) error {
+		rt, err := legion.New(env, workers)
+		if err != nil {
+			return err
+		}
+		defer rt.Shutdown()
+		if res, err = legion.RunHPCG(rt, env, n, iters); err != nil {
+			return err
+		}
+		return legion.VerifySolution(res.X, 1e-6)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: HPCG on %s: %w", world, err)
+	}
+	return sys, res, nil
 }
 
 // CollectHPCGBaseline runs the mini task-parallel runtime's
 // conjugate-gradient solve once in each world, with synchronization bound
 // to futexes on the ROS and to AeroKernel events in the HRT. It fails
-// unless every solution verifies, every world performs the same sync-op
-// count, and Multiverse beats Native.
-func CollectHPCGBaseline() (*HPCGBaseline, error) {
-	b := &HPCGBaseline{Note: regenerateNote("hpcg"), N: hpcgN, Iters: hpcgIters, Workers: hpcgWorkers}
-	for _, world := range []core.World{core.WorldNative, core.WorldVirtual, core.WorldHRT} {
-		sys, err := NewSystemForWorld(world, core.Options{FS: vfs.New(), AppName: "hpcg"})
+// unless every solution verifies, each world binds its expected
+// primitive, every world performs the same sync-op count, and Multiverse
+// solves faster than Native.
+func CollectHPCGBaseline() (*Runs, error) {
+	doc := &Runs{Note: regenerateNote("hpcg")}
+	for _, w := range hpcgWorlds {
+		sys, res, err := runHPCG(w.world, core.Options{}, hpcgWorkers, hpcgN, hpcgIters)
 		if err != nil {
 			return nil, err
 		}
-		var res *legion.HPCGResult
-		var rerr error
-		if _, err := sys.RunMain(func(env core.Env) uint64 {
-			rt, e := legion.New(env, hpcgWorkers)
-			if e != nil {
-				rerr = e
-				return 1
-			}
-			defer rt.Shutdown()
-			res, rerr = legion.RunHPCG(rt, env, hpcgN, hpcgIters)
-			return 0
-		}); err != nil {
-			return nil, err
+		if res.SyncBinding != w.binding {
+			return nil, fmt.Errorf("bench: HPCG on %s binds %s, want %s", w.world, res.SyncBinding, w.binding)
 		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		if verr := legion.VerifySolution(res.X, 1e-6); verr != nil {
-			return nil, fmt.Errorf("bench: HPCG on %s: %w", world, verr)
-		}
-		b.Worlds = append(b.Worlds, HPCGWorld{
-			World:       world.String(),
-			Cycles:      uint64(res.Cycles),
-			SyncBinding: res.SyncBinding,
-			SyncOps:     res.SyncOps,
-			Launches:    res.Launches,
-		})
+		doc.Runs = append(doc.Runs, hpcgMetrics.project("hpcg", w.world.String(), sys.Metrics(), sys.Main.Clock.Now()))
 	}
-	native, hrt := b.Worlds[0], b.Worlds[len(b.Worlds)-1]
-	for _, w := range b.Worlds {
-		if w.SyncOps != native.SyncOps {
+	native, hrt := doc.Runs[0], doc.Runs[len(doc.Runs)-1]
+	for _, r := range doc.Runs {
+		if r.Counters["legion.sync_ops"] != native.Counters["legion.sync_ops"] {
 			return nil, fmt.Errorf("bench: HPCG sync ops differ: %s %d, %s %d",
-				native.World, native.SyncOps, w.World, w.SyncOps)
+				native.Config, native.Counters["legion.sync_ops"], r.Config, r.Counters["legion.sync_ops"])
 		}
 	}
-	if hrt.Cycles >= native.Cycles {
+	if hrt.solveCycles() >= native.solveCycles() {
 		return nil, fmt.Errorf("bench: HPCG %s (%d cycles) does not beat %s (%d cycles)",
-			hrt.World, hrt.Cycles, native.World, native.Cycles)
+			hrt.Config, hrt.solveCycles(), native.Config, native.solveCycles())
 	}
-	return b, nil
+	return doc, nil
 }
 
 // FigureHPCG reproduces the paper's section 2 Legion/HPCG experiment
 // shape from the HPCG suite's document. The paper reports HRT speedups of
 // up to 20% (Xeon Phi) and up to 40% (x64).
 func FigureHPCG() (*Table, error) {
-	b, err := CollectHPCGBaseline()
+	doc, err := CollectHPCGBaseline()
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		Title:  fmt.Sprintf("HPCG (mini-Legion): CG n=%d, %d iterations, %d workers", b.N, b.Iters, b.Workers),
+		Title:  fmt.Sprintf("HPCG (mini-Legion): CG n=%d, %d iterations, %d workers", hpcgN, hpcgIters, hpcgWorkers),
 		Header: []string{"World", "Runtime (ms)", "Sync binding", "Sync ops", "Speedup vs Native"},
 	}
-	base := b.Worlds[0].Cycles
-	for _, w := range b.Worlds {
+	base := doc.Runs[0].solveCycles()
+	for i, r := range doc.Runs {
 		t.AddRow(
-			w.World,
-			fmt.Sprintf("%.3f", cycles.Cycles(w.Cycles).Nanoseconds()/1e6),
-			w.SyncBinding,
-			fmt.Sprintf("%d", w.SyncOps),
-			fmt.Sprintf("%.2fx", float64(base)/float64(w.Cycles)),
+			r.Config,
+			fmt.Sprintf("%.3f", cycles.Cycles(r.solveCycles()).Nanoseconds()/1e6),
+			hpcgWorlds[i].binding,
+			fmt.Sprintf("%d", r.Counters["legion.sync_ops"]),
+			fmt.Sprintf("%.2fx", float64(base)/float64(r.solveCycles())),
 		)
 	}
 	t.AddNote("paper (section 2): HPCG-on-Legion HRT speedups up to 20%% (Phi) / 40%% (x64)")

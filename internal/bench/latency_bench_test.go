@@ -68,17 +68,3 @@ func BenchmarkFig9(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkAblationChannelKind(b *testing.B) {
-	sys, err := newHybrid("ablate-channel", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	async, sync, err := channelKindCycles(sys, b.N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(async), "async-vcycles")
-	b.ReportMetric(float64(sync), "sync-vcycles")
-}

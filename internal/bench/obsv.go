@@ -119,7 +119,7 @@ func CollectObsvBaseline() (*Runs, error) {
 				cfg.Name, res.Cycles, dark.Cycles, bytes.Equal(res.Output, dark.Output))
 		}
 		slo := metricSet{histograms: map[string][]string{busiestSLO(res.Metrics): {"p50", "p99", "p999"}}}
-		run := slo.project(cfg.Name, res)
+		run := slo.project(res.Program, cfg.Name, res.Metrics, res.Cycles)
 		run.RecorderEvents = res.Recorder.Total()
 		doc.Runs = append(doc.Runs, run)
 	}

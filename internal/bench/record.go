@@ -1,11 +1,15 @@
 package bench
 
-import "multiverse/internal/telemetry"
+import (
+	"multiverse/internal/cycles"
+	"multiverse/internal/telemetry"
+)
 
 // Run is one pinned benchmark run: the program, the suite's name for its
-// configuration, the main thread's end-to-end cycles, and the registry
-// counters and latency-histogram summaries the suite lists, keyed by
-// their registry names.
+// configuration, the run's cycles on the clock its suite chose (the main
+// thread's end-to-end time unless the suite says otherwise), and the
+// registry counters and latency-histogram summaries the suite lists,
+// keyed by their registry names.
 type Run struct {
 	Program string `json:"program"`
 	Config  string `json:"config"`
@@ -61,12 +65,13 @@ type metricSet struct {
 	histograms map[string][]string
 }
 
-// project reads a finished run into its record under config. Every
+// project reads one run's record under program and config: cyc is the
+// run's cycles on the clock its suite chose, and the metrics are read
+// from m, the registry of the system (or grid) the run used. Every
 // listed name appears, at 0 when the run never registered it; reads go
 // through FindCounter/FindHistogram, so projecting registers nothing.
-func (ms metricSet) project(config string, res *RunResult) Run {
-	r := Run{Program: res.Program, Config: config, Cycles: uint64(res.Cycles), output: res.Output}
-	m := res.Metrics
+func (ms metricSet) project(program, config string, m *telemetry.Registry, cyc cycles.Cycles) Run {
+	r := Run{Program: program, Config: config, Cycles: uint64(cyc)}
 	if len(ms.counters) > 0 {
 		r.Counters = make(map[string]uint64, len(ms.counters))
 		for _, name := range ms.counters {

@@ -27,146 +27,49 @@ const (
 // schedCoreLadder is the HRT-partition sizes of the scaling curve.
 var schedCoreLadder = []int{1, 2, 4, 8}
 
-// SchedulerPoint is one HRT-core-count sample of the scaling curve: the
-// legion HPCG solve and the places fan-out, both with the scheduler on,
-// plus the scheduler's own activity counters.
-type SchedulerPoint struct {
-	HRTCores int `json:"hrt_cores"`
-
-	// HPCG: end-to-end virtual cycles of the whole run (boot + solve),
-	// solve-only cycles, and the runtime's sync-op count.
-	HPCGCycles      uint64 `json:"hpcg_cycles"`
-	HPCGSolveCycles uint64 `json:"hpcg_solve_cycles"`
-	HPCGSyncOps     uint64 `json:"hpcg_sync_ops"`
-
-	// Scheduler activity during the HPCG run.
-	Steals     uint64 `json:"steals"`
-	Placements uint64 `json:"placements"`
-	IdleHalts  uint64 `json:"idle_halts"`
-	QueueDelay uint64 `json:"queue_delay_cycles"`
-
-	// Places: end-to-end virtual cycles of a run spawning schedPlaceCount
-	// places, and how many actually spawned.
-	PlacesCycles  uint64 `json:"places_cycles"`
-	PlacesSpawned uint64 `json:"places_spawned"`
+// schedMetrics is what the scheduler suite pins of each run: legion's
+// sync ops and solve latency (its sum is the solve's cycles), the
+// scheduler's steals, placements, idle halts and queue delay (its sum is
+// the summed delay), and the places spawned.
+var schedMetrics = metricSet{
+	counters: []string{"legion.sync_ops", "sched.steal", "sched.place", "sched.idle.halt", "places.spawned"},
+	histograms: map[string][]string{
+		"legion.solve.latency": nil,
+		"sched.queue.delay":    nil,
+	},
 }
 
-// SchedulerBaseline is the BENCH_pr4.json document: the deterministic
-// scheduler scaling curve plus the imbalanced-workload steal sample the
-// regression tests pin.
-type SchedulerBaseline struct {
-	// Note documents how to regenerate the file.
-	Note    string `json:"note"`
-	Workers int    `json:"workers"`
-	N       int    `json:"hpcg_n"`
-	Iters   int    `json:"hpcg_iters"`
-	Places  int    `json:"places"`
-
-	Points []SchedulerPoint `json:"points"`
-
-	// Imbalanced ramp workload on schedRampCores cores: per-index cost
-	// grows linearly, so the statically dealt chunk runs finish at very
-	// different times and idle workers must steal.
-	ImbalancedCycles uint64 `json:"imbalanced_cycles"`
-	ImbalancedSteals uint64 `json:"imbalanced_steals"`
+// schedOptions turns the scheduler on over the first cores HRT cores.
+func schedOptions(cores int) core.Options {
+	return core.Options{Scheduler: true, HRTCores: core.HRTCoreRange(cores)}
 }
 
-// schedHPCGRun is one scheduler-on HPCG solve on a given HRT core count.
-type schedHPCGRun struct {
-	End    cycles.Cycles // end-to-end (main-thread) virtual time
-	Result *legion.HPCGResult
-	Steals int
-
-	Placements uint64
-	IdleHalts  uint64
-	QueueDelay cycles.Cycles
-
-	// Sched snapshots every "sched.*" counter, for determinism checks.
-	Sched map[string]uint64
-}
-
-// runSchedulerHPCG boots a hybrid system with the scheduler enabled and
-// cores HRT cores, runs the CG solve with schedWorkers scheduler-placed
-// workers, and verifies the solution.
-func runSchedulerHPCG(cores int) (*schedHPCGRun, error) {
-	return runHPCGWorkload(core.Options{Scheduler: true, HRTCores: core.HRTCoreRange(cores)}, schedWorkers)
-}
-
-// runHPCGWorkload is the parameterized HPCG run behind both the scaling
-// suite and mvrun's manual-experiment surface: the options (scheduler,
-// HRT partition) and the legion worker count are all free.
-func runHPCGWorkload(opts core.Options, workers int) (*schedHPCGRun, error) {
-	fs, err := provisionFS(nil)
-	if err != nil {
-		return nil, err
-	}
-	opts.FS, opts.AppName = fs, "hpcg-sched"
-	sys, err := NewSystemForWorld(core.WorldHRT, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := &schedHPCGRun{}
-	var runErr error
-	_, err = sys.RunMain(func(env core.Env) uint64 {
-		rt, rerr := legion.New(env, workers)
-		if rerr != nil {
-			runErr = rerr
-			return 1
-		}
-		defer rt.Shutdown()
-		res, rerr := legion.RunHPCG(rt, env, schedHPCGN, schedHPCGIters)
-		if rerr != nil {
-			runErr = rerr
-			return 1
-		}
-		out.Result = res
-		out.Steals = rt.Steals
-		return 0
-	})
-	if err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("bench: scheduler HPCG on %d cores: %w", len(sys.Opts.HRTCores), runErr)
-	}
-	if err := legion.VerifySolution(out.Result.X, 1e-6); err != nil {
-		return nil, fmt.Errorf("bench: scheduler HPCG on %d cores: %w", len(sys.Opts.HRTCores), err)
-	}
-	m := sys.Metrics()
-	out.End = sys.Main.Clock.Now()
-	out.Placements = m.Counter("sched.place").Value()
-	out.IdleHalts = m.Counter("sched.idle.halt").Value()
-	out.QueueDelay = m.LatencyHistogram("sched.queue.delay").Sum()
-	out.Sched = make(map[string]uint64)
-	m.EachCounter(func(name string, v uint64) {
-		if strings.HasPrefix(name, "sched.") {
-			out.Sched[name] = v
-		}
-	})
-	return out, nil
-}
+// coresConfig is the scheduler suite's config name for a run on cores
+// HRT cores.
+func coresConfig(cores int) string { return fmt.Sprintf("hrtcores=%d", cores) }
 
 // HPCGWorkloadTable runs one HPCG solve in the HRT world under opts with
 // the given legion worker count, and renders the result — the manual
 // experiment `mvrun -bench hpcg -scheduler -hrtcores N -workers M` drives.
 func HPCGWorkloadTable(opts core.Options, workers int) (*Table, error) {
-	run, err := runHPCGWorkload(opts, workers)
+	sys, _, err := runHPCG(core.WorldHRT, opts, workers, schedHPCGN, schedHPCGIters)
 	if err != nil {
 		return nil, err
 	}
+	r := schedMetrics.project("hpcg", "", sys.Metrics(), sys.Main.Clock.Now())
 	t := &Table{
 		Title: fmt.Sprintf("HPCG n=%d iters=%d workers=%d hrtcores=%d scheduler=%v",
 			schedHPCGN, schedHPCGIters, workers, len(opts.HRTCores), opts.Scheduler),
 		Header: []string{"End cycles", "Solve cycles", "Sync ops", "Steals", "Placements", "Halts", "Queue delay"},
 	}
 	t.AddRow(
-		fmt.Sprintf("%d", uint64(run.End)),
-		fmt.Sprintf("%d", uint64(run.Result.Cycles)),
-		fmt.Sprintf("%d", run.Result.SyncOps),
-		fmt.Sprintf("%d", run.Steals),
-		fmt.Sprintf("%d", run.Placements),
-		fmt.Sprintf("%d", run.IdleHalts),
-		fmt.Sprintf("%d", uint64(run.QueueDelay)),
+		fmt.Sprintf("%d", r.Cycles),
+		fmt.Sprintf("%d", r.solveCycles()),
+		fmt.Sprintf("%d", r.Counters["legion.sync_ops"]),
+		fmt.Sprintf("%d", r.Counters["sched.steal"]),
+		fmt.Sprintf("%d", r.Counters["sched.place"]),
+		fmt.Sprintf("%d", r.Counters["sched.idle.halt"]),
+		fmt.Sprintf("%d", r.Histograms["sched.queue.delay"].Sum),
 	)
 	return t, nil
 }
@@ -188,72 +91,39 @@ func placesSource(nplaces int) string {
 	return b.String()
 }
 
-// runSchedulerPlaces boots a hybrid system with the scheduler enabled and
-// runs the places fan-out, returning end-to-end virtual cycles and the
-// places-spawned count.
-func runSchedulerPlaces(cores, nplaces int) (cycles.Cycles, uint64, error) {
-	fs, err := provisionFS(nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	sys, err := NewSystemForWorld(core.WorldHRT, core.Options{
-		FS: fs, AppName: "places-sched",
-		Scheduler: true, HRTCores: core.HRTCoreRange(cores),
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var runErr error
-	_, err = sys.RunMain(func(env core.Env) uint64 {
-		eng, eerr := places.NewEngine(env)
-		if eerr != nil {
-			runErr = eerr
-			return 1
+// runSchedulerPlaces boots a hybrid system with the scheduler on cores
+// HRT cores and runs the places fan-out of schedPlaceCount places,
+// failing unless their sum is right.
+func runSchedulerPlaces(cores int) (*core.System, error) {
+	sys, err := runMain(core.WorldHRT, "places-sched", schedOptions(cores), func(env core.Env) error {
+		eng, err := places.NewEngine(env)
+		if err != nil {
+			return err
 		}
-		want := fmt.Sprintf("%d", nplaces*40000)
-		v, eerr := eng.RunString(placesSource(nplaces))
-		if eerr != nil {
-			runErr = eerr
-			return 1
+		v, err := eng.RunString(placesSource(schedPlaceCount))
+		if err != nil {
+			return err
 		}
 		eng.Shutdown()
-		if got := scheme.WriteString(v); got != want {
-			runErr = fmt.Errorf("places result %s, want %s", got, want)
-			return 1
+		if got, want := scheme.WriteString(v), fmt.Sprint(schedPlaceCount*40000); got != want {
+			return fmt.Errorf("places result %s, want %s", got, want)
 		}
-		return 0
+		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return nil, fmt.Errorf("bench: scheduler places on %d cores: %w", cores, err)
 	}
-	if runErr != nil {
-		return 0, 0, fmt.Errorf("bench: scheduler places on %d cores: %w", cores, runErr)
-	}
-	return sys.Main.Clock.Now(), sys.Metrics().Counter("places.spawned").Value(), nil
+	return sys, nil
 }
 
-// runImbalancedSteal runs the ramp workload — per-index cost grows with the
-// index, so the contiguous chunk deal is lopsided and finishing workers
-// must steal from the heavy end. Returns end-to-end cycles and steals.
-func runImbalancedSteal() (cycles.Cycles, int, error) {
-	fs, err := provisionFS(nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	sys, err := NewSystemForWorld(core.WorldHRT, core.Options{
-		FS: fs, AppName: "ramp-sched",
-		Scheduler: true, HRTCores: core.HRTCoreRange(schedRampCores),
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var steals int
-	var runErr error
-	_, err = sys.RunMain(func(env core.Env) uint64 {
-		rt, rerr := legion.New(env, schedWorkers)
-		if rerr != nil {
-			runErr = rerr
-			return 1
+// runImbalancedSteal runs the ramp workload on schedRampCores cores —
+// per-index cost grows with the index, so the contiguous chunk deal is
+// lopsided and finishing workers must steal from the heavy end.
+func runImbalancedSteal() (*core.System, error) {
+	sys, err := runMain(core.WorldHRT, "ramp-sched", schedOptions(schedRampCores), func(env core.Env) error {
+		rt, err := legion.New(env, schedWorkers)
+		if err != nil {
+			return err
 		}
 		defer rt.Shutdown()
 		for round := 0; round < schedRampRounds; round++ {
@@ -261,97 +131,79 @@ func runImbalancedSteal() (cycles.Cycles, int, error) {
 				e.Compute(cycles.Cycles(20 + i/4))
 			})
 		}
-		steals = rt.Steals
-		return 0
+		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return nil, fmt.Errorf("bench: imbalanced steal run: %w", err)
 	}
-	if runErr != nil {
-		return 0, 0, fmt.Errorf("bench: imbalanced steal run: %w", runErr)
-	}
-	return sys.Main.Clock.Now(), steals, nil
+	return sys, nil
 }
 
-// CollectSchedulerBaseline runs the scheduler scaling suite (HPCG + places
-// over the HRT core ladder, plus the imbalanced steal sample) and returns
-// the baseline document.
-func CollectSchedulerBaseline() (*SchedulerBaseline, error) {
-	b := &SchedulerBaseline{
-		Note:    regenerateNote("scheduler"),
-		Workers: schedWorkers,
-		N:       schedHPCGN,
-		Iters:   schedHPCGIters,
-		Places:  schedPlaceCount,
+// CollectSchedulerBaseline runs the scheduler scaling suite: at each
+// point of the HRT core ladder an HPCG solve ("hpcg") and the places
+// fan-out ("places"), then the imbalanced ramp ("ramp"), each read on
+// its main thread's clock. It fails unless checkScaling holds.
+func CollectSchedulerBaseline() (*Runs, error) {
+	doc := &Runs{Note: regenerateNote("scheduler")}
+	add := func(program string, cores int, sys *core.System) {
+		doc.Runs = append(doc.Runs, schedMetrics.project(program, coresConfig(cores), sys.Metrics(), sys.Main.Clock.Now()))
 	}
 	for _, cores := range schedCoreLadder {
-		run, err := runSchedulerHPCG(cores)
+		sys, _, err := runHPCG(core.WorldHRT, schedOptions(cores), schedWorkers, schedHPCGN, schedHPCGIters)
 		if err != nil {
 			return nil, err
 		}
-		pc, spawned, err := runSchedulerPlaces(cores, schedPlaceCount)
-		if err != nil {
+		add("hpcg", cores, sys)
+		if sys, err = runSchedulerPlaces(cores); err != nil {
 			return nil, err
 		}
-		b.Points = append(b.Points, SchedulerPoint{
-			HRTCores:        cores,
-			HPCGCycles:      uint64(run.End),
-			HPCGSolveCycles: uint64(run.Result.Cycles),
-			HPCGSyncOps:     uint64(run.Result.SyncOps),
-			Steals:          uint64(run.Steals),
-			Placements:      run.Placements,
-			IdleHalts:       run.IdleHalts,
-			QueueDelay:      uint64(run.QueueDelay),
-			PlacesCycles:    uint64(pc),
-			PlacesSpawned:   spawned,
-		})
+		add("places", cores, sys)
 	}
-	ic, is, err := runImbalancedSteal()
+	sys, err := runImbalancedSteal()
 	if err != nil {
 		return nil, err
 	}
-	b.ImbalancedCycles = uint64(ic)
-	b.ImbalancedSteals = uint64(is)
-	if err := b.checkScaling(); err != nil {
+	add("ramp", schedRampCores, sys)
+	if err := checkScaling(doc); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return doc, nil
 }
 
 // checkScaling holds the scheduler suite's acceptance invariants: with 4
-// HRT cores the HPCG solve beats the 1-core run by at least 2.5x, HPCG
+// HRT cores the HPCG run beats the 1-core run by at least 2.5x, HPCG
 // and places scale monotonically over the core ladder, every point places
 // threads and spawns every place, and the imbalanced ramp steals.
-func (b *SchedulerBaseline) checkScaling() error {
-	byCores := make(map[int]SchedulerPoint, len(b.Points))
-	for _, p := range b.Points {
-		byCores[p.HRTCores] = p
-	}
-	one, four := byCores[1], byCores[4]
-	if one.HPCGCycles == 0 || four.HPCGCycles == 0 {
-		return fmt.Errorf("bench: scheduler ladder points missing: %+v", b.Points)
-	}
-	if speedup := float64(one.HPCGCycles) / float64(four.HPCGCycles); speedup < 2.5 {
-		return fmt.Errorf("bench: HPCG 4-core speedup %.3fx < 2.5x (1 core: %d, 4 cores: %d)",
-			speedup, one.HPCGCycles, four.HPCGCycles)
-	}
-	for i, p := range b.Points {
-		if i > 0 && p.HPCGCycles >= b.Points[i-1].HPCGCycles {
+func checkScaling(doc *Runs) error {
+	var prevCores int
+	var prevHPCG, prevPlaces *Run
+	for _, cores := range schedCoreLadder {
+		h, p := doc.find("hpcg", coresConfig(cores)), doc.find("places", coresConfig(cores))
+		if h == nil || p == nil {
+			return fmt.Errorf("bench: scheduler ladder point %s missing", coresConfig(cores))
+		}
+		if prevHPCG != nil && h.Cycles >= prevHPCG.Cycles {
 			return fmt.Errorf("bench: HPCG scaling not monotone: %d cores %d cycles >= %d cores %d cycles",
-				p.HRTCores, p.HPCGCycles, b.Points[i-1].HRTCores, b.Points[i-1].HPCGCycles)
+				cores, h.Cycles, prevCores, prevHPCG.Cycles)
 		}
-		if i > 0 && p.PlacesCycles >= b.Points[i-1].PlacesCycles {
+		if prevPlaces != nil && p.Cycles >= prevPlaces.Cycles {
 			return fmt.Errorf("bench: places scaling not monotone: %d cores %d cycles >= %d cores %d cycles",
-				p.HRTCores, p.PlacesCycles, b.Points[i-1].HRTCores, b.Points[i-1].PlacesCycles)
+				cores, p.Cycles, prevCores, prevPlaces.Cycles)
 		}
-		if p.Placements == 0 {
-			return fmt.Errorf("bench: %d cores: no sched.place placements recorded", p.HRTCores)
+		if h.Counters["sched.place"] == 0 {
+			return fmt.Errorf("bench: %d cores: no sched.place placements recorded", cores)
 		}
-		if p.PlacesSpawned != uint64(b.Places) {
-			return fmt.Errorf("bench: %d cores: %d places spawned, want %d", p.HRTCores, p.PlacesSpawned, b.Places)
+		if n := p.Counters["places.spawned"]; n != schedPlaceCount {
+			return fmt.Errorf("bench: %d cores: %d places spawned, want %d", cores, n, schedPlaceCount)
 		}
+		prevCores, prevHPCG, prevPlaces = cores, h, p
 	}
-	if b.ImbalancedSteals == 0 {
+	one, four := doc.find("hpcg", coresConfig(1)), doc.find("hpcg", coresConfig(4))
+	if speedup := float64(one.Cycles) / float64(four.Cycles); speedup < 2.5 {
+		return fmt.Errorf("bench: HPCG 4-core speedup %.3fx < 2.5x (1 core: %d, 4 cores: %d)",
+			speedup, one.Cycles, four.Cycles)
+	}
+	if ramp := doc.find("ramp", coresConfig(schedRampCores)); ramp == nil || ramp.Counters["sched.steal"] == 0 {
 		return fmt.Errorf("bench: imbalanced ramp workload recorded no steals")
 	}
 	return nil
@@ -361,35 +213,37 @@ func (b *SchedulerBaseline) checkScaling() error {
 // places fan-out over 1/2/4/8 HRT cores with the work-stealing scheduler
 // on, plus the imbalanced-workload steal sample.
 func FigureScheduler() (*Table, error) {
-	b, err := CollectSchedulerBaseline()
+	doc, err := CollectSchedulerBaseline()
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		Title: fmt.Sprintf(
 			"Scheduler figure: HPCG n=%d iters=%d workers=%d and %d places, per-core run queues + work stealing",
-			b.N, b.Iters, b.Workers, b.Places),
+			schedHPCGN, schedHPCGIters, schedWorkers, schedPlaceCount),
 		Header: []string{
 			"HRT cores", "HPCG cycles", "Speedup", "Steals", "Halts",
 			"Queue delay", "Places cycles", "Speedup",
 		},
 	}
-	base := b.Points[0]
-	for _, p := range b.Points {
+	baseHPCG, basePlaces := doc.find("hpcg", coresConfig(1)), doc.find("places", coresConfig(1))
+	for _, cores := range schedCoreLadder {
+		h, p := doc.find("hpcg", coresConfig(cores)), doc.find("places", coresConfig(cores))
 		t.AddRow(
-			fmt.Sprintf("%d", p.HRTCores),
-			fmt.Sprintf("%d", p.HPCGCycles),
-			fmt.Sprintf("%.3fx", float64(base.HPCGCycles)/float64(p.HPCGCycles)),
-			fmt.Sprintf("%d", p.Steals),
-			fmt.Sprintf("%d", p.IdleHalts),
-			fmt.Sprintf("%d", p.QueueDelay),
-			fmt.Sprintf("%d", p.PlacesCycles),
-			fmt.Sprintf("%.3fx", float64(base.PlacesCycles)/float64(p.PlacesCycles)),
+			fmt.Sprintf("%d", cores),
+			fmt.Sprintf("%d", h.Cycles),
+			fmt.Sprintf("%.3fx", float64(baseHPCG.Cycles)/float64(h.Cycles)),
+			fmt.Sprintf("%d", h.Counters["sched.steal"]),
+			fmt.Sprintf("%d", h.Counters["sched.idle.halt"]),
+			fmt.Sprintf("%d", h.Histograms["sched.queue.delay"].Sum),
+			fmt.Sprintf("%d", p.Cycles),
+			fmt.Sprintf("%.3fx", float64(basePlaces.Cycles)/float64(p.Cycles)),
 		)
 	}
+	ramp := doc.find("ramp", coresConfig(schedRampCores))
 	t.AddNote("imbalanced ramp (%d indices, cost ~ index, %d cores): %d cycles, %d steals",
-		schedRampN, schedRampCores, b.ImbalancedCycles, b.ImbalancedSteals)
+		schedRampN, schedRampCores, ramp.Cycles, ramp.Counters["sched.steal"])
 	t.AddNote("threads placed: %d; idle cores halt after spinning %d cycles and wake by IPI kick",
-		b.Points[len(b.Points)-1].Placements, 20000)
+		doc.find("hpcg", coresConfig(schedCoreLadder[len(schedCoreLadder)-1])).Counters["sched.place"], 20000)
 	return t, nil
 }

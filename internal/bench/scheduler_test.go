@@ -2,72 +2,82 @@ package bench
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"multiverse/internal/core"
 )
 
-// TestSchedulerScalingRegression holds the pinned scaling curve to the
-// scheduler suite's acceptance invariants (CollectSchedulerBaseline holds
-// every fresh curve to the same check) and shows the check rejects a
-// curve that breaks them: 4 cores no faster than 2, or a ramp that never
-// stole.
+// TestSchedulerScalingRegression holds the pinned runs to the scheduler
+// suite's acceptance invariants (CollectSchedulerBaseline holds every
+// fresh collection to the same check) and shows the check rejects runs
+// that break them: a 4-core HPCG run no faster than the 2-core one, or a
+// ramp that never stole.
 func TestSchedulerScalingRegression(t *testing.T) {
-	var b SchedulerBaseline
-	readPinned(t, "BENCH_pr4.json", &b)
-	if err := b.checkScaling(); err != nil {
-		t.Fatalf("pinned curve: %v", err)
+	var doc Runs
+	readPinned(t, "BENCH_pr4.json", &doc)
+	if err := checkScaling(&doc); err != nil {
+		t.Fatalf("pinned runs: %v", err)
 	}
-	flat := b
-	flat.Points = append([]SchedulerPoint(nil), b.Points...)
-	flat.Points[2].HPCGCycles = flat.Points[1].HPCGCycles
-	if flat.checkScaling() == nil {
-		t.Error("non-monotone HPCG curve passed the scaling check")
+	flat := Runs{Runs: slices.Clone(doc.Runs)}
+	flat.find("hpcg", coresConfig(4)).Cycles = flat.find("hpcg", coresConfig(2)).Cycles
+	if checkScaling(&flat) == nil {
+		t.Error("a 4-core HPCG run flattened to the 2-core cycles passed the scaling check")
 	}
-	idle := b
-	idle.ImbalancedSteals = 0
-	if idle.checkScaling() == nil {
-		t.Error("steal-free imbalanced ramp passed the scaling check")
+	idle := Runs{Runs: slices.Clone(doc.Runs)}
+	idle.find("ramp", coresConfig(schedRampCores)).Counters = map[string]uint64{"sched.steal": 0}
+	if checkScaling(&idle) == nil {
+		t.Error("a steal-free imbalanced ramp passed the scaling check")
 	}
 }
 
 // TestSchedulerDeterminism is the scheduler's determinism property: the
-// same seeded legion and places workloads, run twice, must report identical
-// end-to-end virtual cycles and identical sched.* counter values (satellite
-// of ISSUE 4; run under -race by the tier-1 sweep).
+// same seeded legion and places workloads, run twice, must report
+// identical end-to-end virtual cycles, identical pinned metrics,
+// identical sched.* counters and, for HPCG, an identical residual (run
+// under -race by the tier-1 sweep).
 func TestSchedulerDeterminism(t *testing.T) {
-	a, err := runSchedulerHPCG(4)
-	if err != nil {
-		t.Fatal(err)
+	sched := func(sys *core.System) map[string]uint64 {
+		out := map[string]uint64{}
+		sys.Metrics().EachCounter(func(name string, v uint64) {
+			if strings.HasPrefix(name, "sched.") {
+				out[name] = v
+			}
+		})
+		return out
 	}
-	b, err := runSchedulerHPCG(4)
-	if err != nil {
-		t.Fatal(err)
+	var residuals []float64
+	hpcg := func() (*core.System, error) {
+		sys, res, err := runHPCG(core.WorldHRT, schedOptions(4), schedWorkers, schedHPCGN, schedHPCGIters)
+		if err == nil {
+			residuals = append(residuals, res.Residual)
+		}
+		return sys, err
 	}
-	if a.End != b.End {
-		t.Errorf("HPCG end-to-end cycles differ across runs: %d vs %d", a.End, b.End)
+	places := func() (*core.System, error) { return runSchedulerPlaces(4) }
+	for _, w := range []struct {
+		name string
+		run  func() (*core.System, error)
+	}{{"hpcg", hpcg}, {"places", places}} {
+		var runs [2]Run
+		var counters [2]map[string]uint64
+		for i := range runs {
+			sys, err := w.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = schedMetrics.project(w.name, coresConfig(4), sys.Metrics(), sys.Main.Clock.Now())
+			counters[i] = sched(sys)
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("%s run not deterministic:\n%+v\n%+v", w.name, runs[0], runs[1])
+		}
+		if !reflect.DeepEqual(counters[0], counters[1]) {
+			t.Errorf("%s: sched.* counters differ across runs:\n%v\n%v", w.name, counters[0], counters[1])
+		}
 	}
-	if a.Result.Cycles != b.Result.Cycles {
-		t.Errorf("HPCG solve cycles differ across runs: %d vs %d", a.Result.Cycles, b.Result.Cycles)
-	}
-	if a.Result.Residual != b.Result.Residual {
-		t.Errorf("HPCG residual differs across runs: %v vs %v", a.Result.Residual, b.Result.Residual)
-	}
-	if a.Steals != b.Steals || a.QueueDelay != b.QueueDelay {
-		t.Errorf("scheduler activity differs across runs: steals %d/%d queue delay %d/%d",
-			a.Steals, b.Steals, a.QueueDelay, b.QueueDelay)
-	}
-	if !reflect.DeepEqual(a.Sched, b.Sched) {
-		t.Errorf("sched.* counters differ across runs:\n%v\n%v", a.Sched, b.Sched)
-	}
-
-	pc1, sp1, err := runSchedulerPlaces(4, schedPlaceCount)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc2, sp2, err := runSchedulerPlaces(4, schedPlaceCount)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc1 != pc2 || sp1 != sp2 {
-		t.Errorf("places run not deterministic: cycles %d/%d spawned %d/%d", pc1, pc2, sp1, sp2)
+	if residuals[0] != residuals[1] {
+		t.Errorf("HPCG residual differs across runs: %v vs %v", residuals[0], residuals[1])
 	}
 }

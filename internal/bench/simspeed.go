@@ -118,20 +118,20 @@ func simspeedUnits() []struct {
 		{"fasta/router", progRun("fasta", core.Options{Router: true})},
 		{"fasta-3/merger+sched", progRun("fasta-3", core.Options{Router: true, Merger: true, Scheduler: true})},
 		{"hpcg/sched-4c8w", func() (*simspeedResult, error) {
-			run, err := runHPCGWorkload(core.Options{Scheduler: true, HRTCores: core.HRTCoreRange(4)}, 8)
+			sys, res, err := runHPCG(core.WorldHRT, schedOptions(4), schedWorkers, schedHPCGN, schedHPCGIters)
 			if err != nil {
 				return nil, err
 			}
 			// The solve has no stdout; the result vector digest plays the
 			// role of the output fingerprint.
 			var buf bytes.Buffer
-			for _, x := range run.Result.X {
+			for _, x := range res.X {
 				fmt.Fprintf(&buf, "%.17g\n", x)
 			}
 			return &simspeedResult{
 				unit: SimspeedUnit{
-					Cycles:            uint64(run.End),
-					ForwardedSyscalls: uint64(run.Result.SyncOps),
+					Cycles:            uint64(sys.Main.Clock.Now()),
+					ForwardedSyscalls: uint64(res.SyncOps),
 				},
 				output: buf.Bytes(),
 			}, nil

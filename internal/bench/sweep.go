@@ -53,7 +53,9 @@ func sweepProgram(p Program) ([]Run, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, sweepMetrics.project(c.name, res))
+		r := sweepMetrics.project(res.Program, c.name, res.Metrics, res.Cycles)
+		r.output = res.Output
+		runs = append(runs, r)
 	}
 	return runs, nil
 }

@@ -118,11 +118,13 @@ func RunHPCG(rt *Runtime, env core.Env, n, iters int) (*HPCGResult, error) {
 		})
 	}
 
+	elapsed := env.Clock().Now() - start
+	rt.solveHist.Observe(elapsed)
 	return &HPCGResult{
 		Iterations:  iters,
 		Residual:    math.Sqrt(rr),
 		X:           x,
-		Cycles:      env.Clock().Now() - start,
+		Cycles:      elapsed,
 		SyncOps:     rt.SyncOps,
 		Launches:    rt.Launches,
 		SyncBinding: rt.SyncBinding(),

@@ -22,6 +22,7 @@ import (
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/machine"
 	"multiverse/internal/scheme"
+	"multiverse/internal/telemetry"
 )
 
 // syncCoster charges the cost of one blocking wait or one wakeup in
@@ -134,8 +135,16 @@ type Runtime struct {
 	Launches int
 	// SyncOps counts wake and wait operations (the hot-spot metric).
 	SyncOps int
-	// Steals counts work-stealing events (scheduler mode only).
+	// Steals counts work-stealing events (scheduler mode only); the
+	// scheduler's sched.steal counter counts the same events.
 	Steals int
+
+	// The run's instruments, resolved once from env's telemetry scope:
+	// legion.launches, legion.sync_ops and legion.solve.latency. They are
+	// nil, and their updates no-ops, when env exposes no registry, and
+	// they charge no virtual cycle.
+	launchCtr, syncCtr *telemetry.Counter
+	solveHist          *telemetry.Histogram
 }
 
 // New starts a runtime with the given number of worker threads. The
@@ -149,6 +158,11 @@ func New(env core.Env, nworkers int) (*Runtime, error) {
 	rt := &Runtime{env: env, coster: futexCoster{}, park: make(chan struct{})}
 	if _, ok := env.(scheme.AKCaller); ok {
 		rt.coster = akEventCoster{}
+	}
+	if ts, ok := env.(interface{ TelemetryScope() telemetry.Scope }); ok {
+		m := ts.TelemetryScope().Metrics
+		rt.launchCtr, rt.syncCtr = m.Counter("legion.launches"), m.Counter("legion.sync_ops")
+		rt.solveHist = m.LatencyHistogram("legion.solve.latency")
 	}
 	spawn := rt.spawnThread
 	if host, ok := env.(core.SchedulerHost); ok && host.Scheduler() != nil {
@@ -228,9 +242,11 @@ func (rt *Runtime) launch(chunks []chunk, b body) {
 		panic("legion: IndexLaunch after Shutdown")
 	}
 	rt.Launches++
+	rt.launchCtr.Inc()
 	if len(chunks) == 0 {
 		return
 	}
+	syncOps := rt.SyncOps
 	p := len(rt.workers)
 	for i, w := range rt.workers {
 		w.deque.reset(chunks[i*len(chunks)/p : (i+1)*len(chunks)/p])
@@ -240,6 +256,7 @@ func (rt *Runtime) launch(chunks []chunk, b body) {
 	} else {
 		rt.staticLaunch(b)
 	}
+	rt.syncCtr.Add(uint64(rt.SyncOps - syncOps))
 }
 
 // staticLaunch is the scheduler-off step with a semaphore barrier's

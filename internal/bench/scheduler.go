@@ -51,6 +51,8 @@ func coresConfig(cores int) string { return fmt.Sprintf("hrtcores=%d", cores) }
 // HPCGWorkloadTable runs one HPCG solve in the HRT world under opts with
 // the given legion worker count, and renders the result — the manual
 // experiment `mvrun -bench hpcg -scheduler -hrtcores N -workers M` drives.
+// The title reads the booted system's options, so it names the HRT cores
+// the run had even when opts left them to the default.
 func HPCGWorkloadTable(opts core.Options, workers int) (*Table, error) {
 	sys, _, err := runHPCG(core.WorldHRT, opts, workers, schedHPCGN, schedHPCGIters)
 	if err != nil {
@@ -59,7 +61,7 @@ func HPCGWorkloadTable(opts core.Options, workers int) (*Table, error) {
 	r := schedMetrics.project("hpcg", "", sys.Metrics(), sys.Main.Clock.Now())
 	t := &Table{
 		Title: fmt.Sprintf("HPCG n=%d iters=%d workers=%d hrtcores=%d scheduler=%v",
-			schedHPCGN, schedHPCGIters, workers, len(opts.HRTCores), opts.Scheduler),
+			schedHPCGN, schedHPCGIters, workers, len(sys.Opts.HRTCores), sys.Opts.Scheduler),
 		Header: []string{"End cycles", "Solve cycles", "Sync ops", "Steals", "Placements", "Halts", "Queue delay"},
 	}
 	t.AddRow(

@@ -81,3 +81,23 @@ func TestSchedulerDeterminism(t *testing.T) {
 		t.Errorf("HPCG residual differs across runs: %v vs %v", residuals[0], residuals[1])
 	}
 }
+
+// TestHPCGWorkloadTitle: the manual HPCG table names the HRT cores the
+// system booted on, the default core when the options name none.
+func TestHPCGWorkloadTitle(t *testing.T) {
+	for _, c := range []struct {
+		opts core.Options
+		want string
+	}{
+		{core.Options{}, "workers=2 hrtcores=1 scheduler=false"},
+		{schedOptions(2), "workers=2 hrtcores=2 scheduler=true"},
+	} {
+		tab, err := HPCGWorkloadTable(c.opts, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(tab.Title, c.want) {
+			t.Errorf("title %q, want it to end %q", tab.Title, c.want)
+		}
+	}
+}

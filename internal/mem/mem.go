@@ -7,7 +7,9 @@
 //
 // Frame contents are materialized lazily: most frames in the simulation only
 // need identity and accounting, not bytes. Frames that back page tables or
-// shared protocol pages allocate real storage on first touch.
+// shared protocol pages allocate real storage on first touch. A frame may
+// instead share a read-only template page (Share): reads see the template
+// in place and the first write copies it.
 package mem
 
 import (
@@ -70,8 +72,9 @@ const chunkFrames = 256
 
 // frameState is one frame's state; the zero value is a free frame.
 type frameState struct {
-	page  *[PageSize]byte // materialized contents (page tables, shared pages)
-	inUse bool
+	page   *[PageSize]byte // materialized contents (page tables, shared pages)
+	inUse  bool
+	shared bool // page is a template other frames read too; copy before a write
 }
 
 // state returns frame f's state if f is allocated, nil otherwise.
@@ -223,28 +226,38 @@ func (pm *PhysMem) FreeCount(zone NUMAZone) int {
 	return 0
 }
 
-// Page returns the materialized 4 KiB contents of an allocated frame,
-// allocating zeroed storage on first touch. The returned slice is shared
-// with the frame; callers that access it concurrently must synchronize
-// themselves (ReadU64/WriteU64 do, and are the right interface for
-// protocol pages).
-func (pm *PhysMem) Page(f Frame) ([]byte, error) {
+// Share makes template the contents of the allocated frame f without
+// copying it. Any number of frames, on any number of machines, may share one
+// template: reads see it in place, and the first WriteU64 to f copies it
+// into storage of f's own, so a write never reaches another frame. Nobody
+// may write template after the first Share of it.
+func (pm *PhysMem) Share(f Frame, template *[PageSize]byte) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return pm.pageLocked(f)
+	st := pm.state(f)
+	if st == nil {
+		return fmt.Errorf("mem: access to unallocated frame %#x", uint64(f))
+	}
+	st.page, st.shared = template, true
+	return nil
 }
 
-func (pm *PhysMem) pageLocked(f Frame) ([]byte, error) {
+// pageLocked returns frame f's contents, allocating zeroed storage on
+// first touch. For a write it first gives a shared frame a private copy.
+func (pm *PhysMem) pageLocked(f Frame, write bool) ([]byte, error) {
 	st := pm.state(f)
 	if st == nil {
 		return nil, fmt.Errorf("mem: access to unallocated frame %#x", uint64(f))
 	}
-	p := st.page
-	if p == nil {
-		p = new([PageSize]byte)
-		st.page = p
+	switch {
+	case st.page == nil:
+		st.page = new([PageSize]byte)
+	case write && st.shared:
+		p := new([PageSize]byte)
+		*p = *st.page
+		st.page, st.shared = p, false
 	}
-	return p[:], nil
+	return st.page[:], nil
 }
 
 // ReadU64 reads a 64-bit little-endian word at a physical address. The
@@ -252,7 +265,7 @@ func (pm *PhysMem) pageLocked(f Frame) ([]byte, error) {
 func (pm *PhysMem) ReadU64(pa uint64) (uint64, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	p, off, err := pm.pageAtLocked(pa, 8)
+	p, off, err := pm.pageAtLocked(pa, 8, false)
 	if err != nil {
 		return 0, err
 	}
@@ -263,7 +276,7 @@ func (pm *PhysMem) ReadU64(pa uint64) (uint64, error) {
 func (pm *PhysMem) WriteU64(pa uint64, v uint64) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	p, off, err := pm.pageAtLocked(pa, 8)
+	p, off, err := pm.pageAtLocked(pa, 8, true)
 	if err != nil {
 		return err
 	}
@@ -271,12 +284,12 @@ func (pm *PhysMem) WriteU64(pa uint64, v uint64) error {
 	return nil
 }
 
-func (pm *PhysMem) pageAtLocked(pa uint64, size int) ([]byte, int, error) {
+func (pm *PhysMem) pageAtLocked(pa uint64, size int, write bool) ([]byte, int, error) {
 	off := int(pa & (PageSize - 1))
 	if off+size > PageSize {
 		return nil, 0, fmt.Errorf("mem: %d-byte access at %#x crosses a page boundary", size, pa)
 	}
-	p, err := pm.pageLocked(FrameOf(pa))
+	p, err := pm.pageLocked(FrameOf(pa), write)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -287,18 +287,21 @@ func TestChunkBoundaries(t *testing.T) {
 		if err != nil || f != w.f {
 			t.Fatalf("Alloc(zone %d) = %d, %v; want frame %d", w.zone, f, err, w.f)
 		}
-		if pm.state(f) == nil {
-			t.Errorf("frame %d has no state after Alloc", f)
+		st := pm.state(f)
+		if st == nil {
+			t.Fatalf("frame %d has no state after Alloc", f)
+		}
+		if st.page != nil {
+			t.Errorf("frame %d has storage before its first touch", f)
 		}
 		if err := pm.WriteU64(f.Addr()+8, uint64(f)+1); err != nil {
 			t.Fatalf("WriteU64 frame %d: %v", f, err)
 		}
+		if st.page == nil {
+			t.Errorf("frame %d has no storage after WriteU64", f)
+		}
 		if v, err := pm.ReadU64(f.Addr() + 8); err != nil || v != uint64(f)+1 {
 			t.Errorf("ReadU64 frame %d = %d, %v; want %d", f, v, err, uint64(f)+1)
-		}
-		p, err := pm.Page(f)
-		if err != nil || p[8] != byte(f+1) {
-			t.Errorf("Page(%d)[8] = %v, %v; want %d", f, p[8:9], err, byte(f+1))
 		}
 	}
 	if n := pm.InUse(); n != len(want) {
@@ -330,8 +333,11 @@ func TestUnallocatedFrameErrors(t *testing.T) {
 		if pm.state(g) != nil {
 			t.Errorf("unallocated frame %d has state", g)
 		}
-		if _, err := pm.Page(g); err == nil || err.Error() != fmt.Sprintf("mem: access to unallocated frame %#x", uint64(g)) {
-			t.Errorf("Page(%d) error = %v", g, err)
+		if err := pm.WriteU64(g.Addr(), 1); err == nil || err.Error() != fmt.Sprintf("mem: access to unallocated frame %#x", uint64(g)) {
+			t.Errorf("WriteU64 frame %d error = %v", g, err)
+		}
+		if err := pm.Share(g, new([PageSize]byte)); err == nil || err.Error() != fmt.Sprintf("mem: access to unallocated frame %#x", uint64(g)) {
+			t.Errorf("Share(%d) error = %v", g, err)
 		}
 		if _, err := pm.ReadU64(g.Addr()); err == nil || err.Error() != fmt.Sprintf("mem: access to unallocated frame %#x", uint64(g)) {
 			t.Errorf("ReadU64 frame %d error = %v", g, err)
@@ -348,7 +354,63 @@ func TestUnallocatedFrameErrors(t *testing.T) {
 	}
 }
 
-// TestFrameChunkFitsPage: a frame's state is a page pointer and a flag,
+// TestSharedFrameCopiesOnWrite: frames sharing a template read it in
+// place; the first write to one gives that frame a private copy, leaving
+// the template and the other frame as they were; Free drops the share.
+func TestSharedFrameCopiesOnWrite(t *testing.T) {
+	tmpl := new([PageSize]byte)
+	for i := range tmpl {
+		tmpl[i] = byte(i)
+	}
+	want := *tmpl
+	a, b := NewFlat(2), NewFlat(2)
+	fa, _ := a.Alloc(0)
+	fb, _ := b.Alloc(0)
+	if err := a.Share(fa, tmpl); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Share(fb, tmpl); err != nil {
+		t.Fatal(err)
+	}
+	word := func(pm *PhysMem, f Frame, off uint64) uint64 {
+		t.Helper()
+		v, err := pm.ReadU64(f.Addr() + off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	orig := word(a, fa, 64)
+	if a.state(fa).page != tmpl {
+		t.Error("a read copied the shared page")
+	}
+	if err := a.WriteU64(fa.Addr()+64, 7); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.state(fa); st.page == tmpl || st.shared {
+		t.Error("a write left the frame on its template")
+	}
+	if got := word(a, fa, 64); got != 7 {
+		t.Errorf("written word = %#x, want 7", got)
+	}
+	if got := word(a, fa, 72); got != word(b, fb, 72) {
+		t.Errorf("copy lost the template's other words: %#x", got)
+	}
+	if got := word(b, fb, 64); got != orig {
+		t.Errorf("other machine's frame reads %#x, want %#x", got, orig)
+	}
+	if *tmpl != want {
+		t.Error("a write reached the template")
+	}
+	if err := b.Free(fb); err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := b.Alloc(0); f != fb || word(b, f, 64) != 0 {
+		t.Errorf("frame %d reallocated after Free still reads the template", f)
+	}
+}
+
+// TestFrameChunkFitsPage: a frame's state is a page pointer and two flags,
 // 16 bytes, so a chunk of it is one 4 KiB page.
 func TestFrameChunkFitsPage(t *testing.T) {
 	if n := unsafe.Sizeof(frameState{}); n != 16 {

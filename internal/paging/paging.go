@@ -10,7 +10,9 @@
 package paging
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"multiverse/internal/mem"
 	"multiverse/internal/telemetry"
@@ -306,39 +308,81 @@ func (as *AddressSpace) ClearLowerHalf() error {
 // higher half at HigherHalfMin+pa, supervisor read/write — the HVM's
 // arrangement for an HRT that supports it (section 4.4: "the physical
 // address space is identity-mapped into the higher half").
+//
+// The map covers every physical frame and an HRT boots at every hybrid
+// program start, so it is built a leaf table at a time: each 2 MiB region
+// allocates its tables as a per-page Map loop would, and a leaf table this
+// call creates shares the process-wide template holding exactly the PTEs
+// that loop would write (mem.PhysMem.Share). A later Map, Unmap or Protect
+// of one of those pages copies the table first, so no other address space
+// sees the edit.
 func (as *AddressSpace) IdentityMapHigherHalf(frames uint64) error {
-	// The mapping covers every physical frame, so this loop runs tens of
-	// thousands of times per HRT boot. Consecutive pages share one leaf
-	// table for 512 entries: walk the upper levels once per 2 MiB region
-	// and stream the leaf PTEs, building exactly the tables a per-page
-	// Map loop would.
-	var (
-		pt      mem.Frame
-		ptValid bool
-		ptFor   uint64 // va >> 21 of the cached leaf table's region
-	)
-	for f := mem.Frame(0); f < mem.Frame(frames); f++ {
-		va := HigherHalfMin + f.Addr()
-		if region := va >> 21; !ptValid || region != ptFor {
-			pdpt, err := as.next(as.root, pml4Index(va), true)
-			if err != nil {
-				return fmt.Errorf("paging: identity map frame %#x: %w", uint64(f), err)
-			}
-			pd, err := as.next(pdpt, pdptIndex(va), true)
-			if err != nil {
-				return fmt.Errorf("paging: identity map frame %#x: %w", uint64(f), err)
-			}
-			pt, err = as.next(pd, pdIndex(va), true)
-			if err != nil {
-				return fmt.Errorf("paging: identity map frame %#x: %w", uint64(f), err)
-			}
-			ptFor, ptValid = region, true
-		}
-		if err := as.writeEntry(pt, ptIndex(va), f.Addr()|PteWrite|PtePresent); err != nil {
-			return fmt.Errorf("paging: identity map frame %#x: %w", uint64(f), err)
+	for first := uint64(0); first < frames; first += EntriesPerTable {
+		count := min(frames-first, EntriesPerTable)
+		if err := as.identityMapRegion(mem.Frame(first), int(count)); err != nil {
+			return fmt.Errorf("paging: identity map frame %#x: %w", first, err)
 		}
 	}
 	return nil
+}
+
+// identityMapRegion maps frames [first, first+count), which start a
+// 2 MiB region, at their higher-half addresses.
+func (as *AddressSpace) identityMapRegion(first mem.Frame, count int) error {
+	va := HigherHalfVA(first.Addr())
+	pdpt, err := as.next(as.root, pml4Index(va), true)
+	if err != nil {
+		return err
+	}
+	pd, err := as.next(pdpt, pdptIndex(va), true)
+	if err != nil {
+		return err
+	}
+	e, err := as.readEntry(pd, pdIndex(va))
+	if err != nil {
+		return err
+	}
+	pt, err := as.next(pd, pdIndex(va), true)
+	if err != nil {
+		return err
+	}
+	if e&PtePresent == 0 { // a fresh, all-zero table
+		return as.pm.Share(pt, identityLeaf(first, count))
+	}
+	for i := 0; i < count; i++ {
+		if err := as.writeEntry(pt, i, identityPTE(first+mem.Frame(i))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// identityPTE is the leaf PTE mapping frame f in the identity map.
+func identityPTE(f mem.Frame) uint64 { return f.Addr() | PteWrite | PtePresent }
+
+// identityLeaves holds the identity map's leaf-table templates, keyed by
+// first frame and frame count (leafKey → *[mem.PageSize]byte). A template
+// is built once per process and never written after it is published.
+var identityLeaves sync.Map
+
+type leafKey struct {
+	first mem.Frame
+	count int
+}
+
+// identityLeaf returns the template of the leaf table mapping frames
+// [first, first+count) at entries 0..count-1.
+func identityLeaf(first mem.Frame, count int) *[mem.PageSize]byte {
+	k := leafKey{first, count}
+	if p, ok := identityLeaves.Load(k); ok {
+		return p.(*[mem.PageSize]byte)
+	}
+	p := new([mem.PageSize]byte)
+	for i := 0; i < count; i++ {
+		binary.LittleEndian.PutUint64(p[i*8:], identityPTE(first+mem.Frame(i)))
+	}
+	actual, _ := identityLeaves.LoadOrStore(k, p)
+	return actual.(*[mem.PageSize]byte)
 }
 
 // HigherHalfVA returns the higher-half virtual address aliasing physical

@@ -395,3 +395,128 @@ func TestEagerRemergePolicy(t *testing.T) {
 	}
 	ch.Close()
 }
+
+// resolvingPartner binds a partner that resolves every forwarded fault by
+// mapping a fresh frame at the faulting page in the fake ROS space.
+func (r *testRig) resolvingPartner(t *testing.T, ch *hvm.EventChannel) {
+	t.Helper()
+	partnerClk := cycles.NewClock(0)
+	ch.Bind(partnerClk, func(env *hvm.Envelope) {
+		f, err := r.m.Phys.Alloc(0)
+		ok := err == nil && r.ros.Map(paging.PageBase(env.FaultAddr), f, paging.PteUser|paging.PteWrite) == nil
+		ch.Complete(partnerClk, env, hvm.Reply{FaultOK: ok})
+	})
+	t.Cleanup(ch.Close)
+}
+
+// TestDuplicateFaultIsPerThread: the duplicate-fault record belongs to the
+// faulting thread. Thread A forwards a fault at addr; the ROS then unmaps
+// addr, and thread B, on the same core, faults there. It is B's first
+// fault at addr, so it is forwarded, not taken for a duplicate and
+// re-merged.
+func TestDuplicateFaultIsPerThread(t *testing.T) {
+	r := newRig(t)
+	const addr = 0x7f77_0000_0000
+	// A neighbour page makes the merge carry addr's page tables, so the
+	// ROS's fix of addr is visible to the HRT at once.
+	f, _ := r.m.Phys.Alloc(0)
+	if err := r.ros.Map(addr+0x1000, f, paging.PteUser|paging.PteWrite); err != nil {
+		t.Fatal(err)
+	}
+	r.merge(t)
+	ch := r.hv.NewEventChannel(1, 0)
+	r.resolvingPartner(t, ch)
+	a := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
+	b := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
+
+	if err := a.Touch(addr, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ros.Unmap(addr); err != nil {
+		t.Fatal(err)
+	}
+	r.m.Core(1).MMU.TLB().FlushAll()
+	if err := b.Touch(addr, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.k.RemergeCount(); got != 0 {
+		t.Errorf("re-merges = %d, want 0: B's first fault at %#x was taken for a duplicate of A's", got, uint64(addr))
+	}
+	if a.ForwardedFaults() != 1 || b.ForwardedFaults() != 1 {
+		t.Errorf("forwarded faults A=%d B=%d, want 1 each", a.ForwardedFaults(), b.ForwardedFaults())
+	}
+}
+
+// TestRemergeChargesFaultingThread: a duplicate-fault re-merge, shootdown
+// included, is paid by the faulting thread, also while another thread is
+// running on the same core.
+func TestRemergeChargesFaultingThread(t *testing.T) {
+	touchCost := func(otherRunning bool) (cost cycles.Cycles, other cycles.Cycles) {
+		r := newRig(t)
+		r.merge(t)
+		ch := r.hv.NewEventChannel(1, 0)
+		r.resolvingPartner(t, ch)
+		// A page in a PML4 slot the merge did not copy: the first fault
+		// forwards, the second is a duplicate and re-merges.
+		addr := uint64(0x0000_2000_0000_3000)
+		f, _ := r.m.Phys.Alloc(0)
+		if err := r.ros.Map(addr, f, paging.PteUser|paging.PteWrite); err != nil {
+			t.Fatal(err)
+		}
+		a := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
+		b := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
+		release := make(chan struct{})
+		if otherRunning {
+			started := make(chan struct{})
+			b.Start(func(*Thread) uint64 {
+				close(started)
+				<-release
+				return 0
+			})
+			<-started
+		}
+		before, bBefore := a.Clock.Now(), b.Clock.Now()
+		if err := a.Touch(addr, false); err != nil {
+			t.Fatal(err)
+		}
+		if a.Remerges() != 1 {
+			t.Fatalf("re-merges = %d, want 1", a.Remerges())
+		}
+		cost, other = a.Clock.Now()-before, b.Clock.Now()-bBefore
+		close(release)
+		return cost, other
+	}
+	alone, _ := touchCost(false)
+	shared, other := touchCost(true)
+	if shared != alone {
+		t.Errorf("faulting thread paid %d cycles with another thread on its core, %d alone", shared, alone)
+	}
+	if other != 0 {
+		t.Errorf("the other thread on the core was charged %d cycles", other)
+	}
+	cost := cycles.DefaultCostModel()
+	// A full copy of the lower half, a local flush, and one IPI+flush to
+	// the partition's second core.
+	if min := paging.LowerHalfEntries*cost.PML4EntryCopy + 2*cost.TLBFlushLocal + cost.TLBShootdownIPI; alone < min {
+		t.Errorf("faulting thread paid %d cycles, less than its re-merge's %d", alone, min)
+	}
+}
+
+// TestMergeRequestPaysItsShootdown: a merge the ROS requests through the
+// HVM pays its own TLB shootdown, also after an HRT thread has run on the
+// core the AeroKernel's event loop serves it on.
+func TestMergeRequestPaysItsShootdown(t *testing.T) {
+	mergeCost := func(threadRan bool) cycles.Cycles {
+		r := newRig(t)
+		r.merge(t)
+		if threadRan {
+			r.k.CreateThread(r.clk, 1, Superposition{}, nil, nil).Run(func(*Thread) uint64 { return 0 })
+		}
+		start := r.clk.Now()
+		r.merge(t)
+		return r.clk.Now() - start
+	}
+	if idle, ran := mergeCost(false), mergeCost(true); idle != ran {
+		t.Errorf("merge request took %d cycles after a thread ran on the boot core, %d before", ran, idle)
+	}
+}

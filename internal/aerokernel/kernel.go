@@ -45,15 +45,13 @@ type Kernel struct {
 
 	// threads and nextTid are off the kernel mutex: thread creation and
 	// retirement are per-spawn hot-path operations at density scale, and
-	// neither needs to see the rest of the kernel state. k.mu still
-	// guards current (bounded by core count) and the cold boot/merge
-	// state below.
+	// neither needs to see the rest of the kernel state. k.mu guards the
+	// cold boot/merge state below.
 	nextTid atomic.Int64
 	threads sync.Map // int tid -> *Thread
 
 	mu       sync.Mutex
 	space    *paging.AddressSpace
-	current  map[machine.CoreID]*Thread
 	symbols  []image.Symbol
 	funcs    map[uint64]AKFunc // by symbol address
 	nextFunc uint64
@@ -68,13 +66,10 @@ type Kernel struct {
 	mergeView    *paging.AddressSpace
 	mergeViewCR3 uint64
 
-	// lastFault implements the duplicate-page-fault heuristic: Nautilus
-	// keeps a per-core record of the most recent forwarded fault address;
-	// a repeat means the ROS changed a top-level mapping and the PML4
-	// must be re-merged (section 4.4).
-	lastFault map[machine.CoreID]uint64
 	// eagerRemerge re-merges on *every* forwarded fault — the naive
-	// alternative policy the re-merge ablation compares against.
+	// alternative policy the re-merge ablation compares against. (The
+	// duplicate-fault record the default policy reads is per thread:
+	// Thread.lastFault.)
 	eagerRemerge bool
 
 	// Kernel-managed memory (mm.go): regions, bump pointer, the
@@ -86,11 +81,9 @@ type Kernel struct {
 	memFault     MemFaultHandler
 
 	// sched is the per-core run-queue scheduler (core.Options.Scheduler);
-	// nil when the option is off. faultMu serializes fault delivery and
-	// occupancy installation per core so a fault can never vector into the
-	// wrong thread when two threads share a core.
-	sched   *Scheduler
-	faultMu map[machine.CoreID]*sync.Mutex
+	// nil when the option is off. Every Thread.Run reads it, and it is set
+	// once, so it is atomic rather than under k.mu.
+	sched atomic.Pointer[Scheduler]
 
 	events chan *hvm.HRTRequest
 	halted atomic.Bool
@@ -123,20 +116,17 @@ type Kernel struct {
 // Multiverse runtime registers.
 func Boot(m *machine.Machine, info hvm.BootInfo) (*Kernel, error) {
 	k := &Kernel{
-		m:         m,
-		cost:      m.Cost,
-		cores:     append([]machine.CoreID(nil), info.HRTCores...),
-		img:       info.Image,
-		current:   make(map[machine.CoreID]*Thread),
-		funcs:     make(map[uint64]AKFunc),
-		nextFunc:  funcBase,
-		lastFault: make(map[machine.CoreID]uint64),
-		faultMu:   make(map[machine.CoreID]*sync.Mutex),
-		events:    make(chan *hvm.HRTRequest, 4),
-		tracer:    info.Tracer,
-		metrics:   info.Metrics,
-		recorder:  info.Recorder,
-		faults:    info.Faults,
+		m:        m,
+		cost:     m.Cost,
+		cores:    append([]machine.CoreID(nil), info.HRTCores...),
+		img:      info.Image,
+		funcs:    make(map[uint64]AKFunc),
+		nextFunc: funcBase,
+		events:   make(chan *hvm.HRTRequest, 4),
+		tracer:   info.Tracer,
+		metrics:  info.Metrics,
+		recorder: info.Recorder,
+		faults:   info.Faults,
 	}
 	if k.metrics == nil {
 		k.metrics = telemetry.NewRegistry()
@@ -233,7 +223,6 @@ func (k *Kernel) SeedThreadIDs(base int64) {
 // requests" (section 3.5).
 func (k *Kernel) eventLoop(bootCore machine.CoreID) {
 	clk := cycles.NewClock(0)
-	k.m.Core(bootCore).SetClock(clk)
 	for req := range k.events {
 		clk.SyncTo(req.Arrival)
 		switch req.Op {
@@ -307,31 +296,16 @@ func (k *Kernel) EnableIncrementalMerger(gens func() []uint64) {
 func (k *Kernel) EnableScheduler() *Scheduler {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.sched == nil {
-		k.sched = newScheduler(k)
+	if s := k.sched.Load(); s != nil {
+		return s
 	}
-	return k.sched
+	s := newScheduler(k)
+	k.sched.Store(s)
+	return s
 }
 
 // Scheduler returns the run-queue scheduler, or nil when the option is off.
-func (k *Kernel) Scheduler() *Scheduler {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.sched
-}
-
-// faultLock returns the per-core mutex serializing occupancy installation
-// and fault delivery on a core.
-func (k *Kernel) faultLock(c machine.CoreID) *sync.Mutex {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	m := k.faultMu[c]
-	if m == nil {
-		m = &sync.Mutex{}
-		k.faultMu[c] = m
-	}
-	return m
-}
+func (k *Kernel) Scheduler() *Scheduler { return k.sched.Load() }
 
 // SetEagerRemerge switches the re-merge policy (ablation): when set, the
 // fault handler re-merges the PML4 before forwarding every fault, instead
@@ -426,7 +400,7 @@ func (k *Kernel) Merge(clk *cycles.Clock, onCore machine.CoreID, cr3 uint64) err
 		}
 	}
 	sd := k.tracer.Begin(track, "merger", "tlb-shootdown", clk.Now())
-	k.m.ShootdownTLB(onCore, k.cores)
+	k.m.ShootdownTLB(clk, onCore, k.cores)
 	k.metrics.Counter("merger.shootdown.broadcast").Inc()
 	sd.EndAt(clk.Now())
 	k.mu.Lock()
@@ -530,12 +504,11 @@ func (k *Kernel) CallByAddr(t *Thread, addr uint64, args ...uint64) (uint64, err
 
 // pageFaultVector is the IDT entry for #PF on HRT cores. It runs on the
 // IST stack (so red zones survive) and delegates to the handler with the
-// interrupted thread's context.
+// interrupted thread, which the frame carries: threads sharing a core
+// fault concurrently, so no per-core record could name the right one.
 func (k *Kernel) pageFaultVector(c *machine.Core, f *machine.InterruptFrame) {
-	k.mu.Lock()
-	t := k.current[c.ID]
-	k.mu.Unlock()
-	if t == nil {
+	t, ok := f.Ctx.Owner.(*Thread)
+	if !ok {
 		panic(fmt.Sprintf("aerokernel: page fault on core %d with no thread (addr %#x)", c.ID, f.CR2))
 	}
 	t.faultStatus = k.handleFault(t, f)
@@ -573,31 +546,27 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 	// delta work and the forwarded envelope carry the same one.
 	reqID := t.nextReqID()
 
+	dup := t.lastFault == addr
+	t.lastFault = addr
 	k.mu.Lock()
-	dup := k.lastFault[t.Core] == addr
-	k.lastFault[t.Core] = addr
 	cr3 := k.rosCR3
 	eager := k.eagerRemerge
 	k.mu.Unlock()
 
-	if eager {
+	// The default policy re-merges only when the same address faulted
+	// twice in a row: the ROS must have changed a top-level mapping after
+	// our merger. The eager one re-merges before every forward.
+	if eager || dup {
 		if err := k.Merge(t.Clock, t.Core, cr3); err != nil {
 			return err
 		}
+		t.remerges++
 		k.remergeCtr.Inc()
 		k.recorder.Record(t.Clock.Now(), telemetry.RecRemerge, uint64(t.ID), reqID, addr, 0)
-	} else if dup {
-		// Same address faulted twice in a row: the ROS must have
-		// changed a top-level mapping after our merger. Re-merge.
-		if err := k.Merge(t.Clock, t.Core, cr3); err != nil {
-			return err
+		if !eager {
+			t.lastFault = 0
+			return nil
 		}
-		k.mu.Lock()
-		delete(k.lastFault, t.Core)
-		k.mu.Unlock()
-		k.remergeCtr.Inc()
-		k.recorder.Record(t.Clock.Now(), telemetry.RecRemerge, uint64(t.ID), reqID, addr, 0)
-		return nil
 	}
 
 	// Degraded ROS-only mode: the group's channel is beyond its recovery

@@ -157,9 +157,10 @@ func TestSchedulerNestedPlacementAndRelease(t *testing.T) {
 
 // TestConcurrentFaultsSameCoreRouteCorrectly is the regression test for the
 // fault-misroute bug: two threads sharing a core and faulting concurrently
-// used to interleave their k.current installs, so a fault could vector into
-// the wrong thread and one thread read the other's fault status. The fix
-// holds the core's fault lock across install+raise+status read.
+// used to interleave their installs as the core's current thread, so a
+// fault could vector into the wrong thread and one thread read the other's
+// fault status. Delivery is now thread-scoped: the frame carries the
+// faulting thread, and no per-core record is left to interleave.
 func TestConcurrentFaultsSameCoreRouteCorrectly(t *testing.T) {
 	r := newRig(t)
 	r.merge(t)

@@ -42,17 +42,30 @@ type Thread struct {
 	// joiners on other goroutines read it for the join cost.
 	kernv atomic.Pointer[Kernel]
 
-	mu          sync.Mutex
-	ch          *hvm.EventChannel
-	router      *hvm.SyscallRouter
-	fallback    *Fallback
-	schedEntry  *QueueEntry // run-queue slot, when scheduler-placed
-	done        chan struct{}
-	exitCode    uint64
-	faultStatus error
+	mu         sync.Mutex
+	ch         *hvm.EventChannel
+	router     *hvm.SyscallRouter
+	fallback   *Fallback
+	schedEntry *QueueEntry // run-queue slot, when scheduler-placed
+	done       chan struct{}
+	exitCode   uint64
 	// panicStatus is the error of a real panic Run recovered (nil if
 	// the body returned).
 	panicStatus error
+
+	// faultStatus is the page-fault handler's verdict on the access
+	// Touch is retrying. The handler runs synchronously inside Touch, so
+	// only the owning goroutine touches it.
+	faultStatus error
+
+	// lastFault is the duplicate-page-fault record: the most recent
+	// lower-half fault address this thread raised, where a repeat means
+	// the ROS changed a top-level mapping after the merger and the PML4
+	// must be re-merged (section 4.4). Nautilus keeps it per core because
+	// a core runs one thread at a time; per thread it is the same record
+	// when threads share a core, and one thread's faults cannot decide
+	// another's re-merge. Only the owning goroutine touches it.
+	lastFault uint64
 
 	// sysCount numbers this thread's system calls for deterministic
 	// fault-injection keys; only the owning goroutine touches it.
@@ -65,16 +78,22 @@ type Thread struct {
 	// allocating ids. Only the owning goroutine touches it.
 	reqCount uint64
 
-	// fwdFaults counts the page faults this thread's accesses forwarded
-	// to the ROS. The fault handler runs synchronously inside Touch, so
-	// only the owning goroutine touches it.
+	// fwdFaults and remerges count the page faults this thread's
+	// accesses forwarded to the ROS and the re-merges they ran. The fault
+	// handler runs synchronously inside Touch, so only the owning
+	// goroutine touches them.
 	fwdFaults uint64
+	remerges  uint64
 }
 
 // ForwardedFaults returns how many page faults this thread's accesses
 // have forwarded to the ROS: the per-thread attribution a caller of Touch
 // reads, unperturbed by faults other threads forward meanwhile.
 func (t *Thread) ForwardedFaults() uint64 { return t.fwdFaults }
+
+// Remerges returns how many re-merges this thread's faults ran (its share
+// of Kernel.RemergeCount).
+func (t *Thread) Remerges() uint64 { return t.remerges }
 
 // nextReqID allocates the causal request id for one boundary request:
 // the thread id in the high word, a per-thread ordinal in the low. The
@@ -185,48 +204,24 @@ func (t *Thread) kern() *Kernel { return t.kernv.Load() }
 
 // Rehome moves a live top-level thread onto dst: the thread-table entry
 // moves between kernels with its ID unchanged (request ids, fault-roll
-// sites, and trace flow ids must match an unmigrated run), and the
-// thread's core occupancy is installed on dst's machine so fault
-// vectoring works there. Grid nodes have identical topologies, so
-// t.Core names the same partition slot on both machines. Must be called
-// from the thread's own goroutine at a syscall boundary (the
-// quiesce-point invariant): no fault or syscall of this thread can be
-// in flight on either kernel.
+// sites, and trace flow ids must match an unmigrated run). Its faults
+// then vector on dst's machine, since Touch reads the machine through
+// the thread's kernel. Grid nodes have identical topologies, so t.Core
+// names the same partition slot on both machines. Must be called from
+// the thread's own goroutine at a syscall boundary (the quiesce-point
+// invariant): no fault or syscall of this thread can be in flight on
+// either kernel.
 func (t *Thread) Rehome(dst *Kernel) {
 	src := t.kern()
 	if dst == nil || src == dst {
 		return
 	}
 	src.threads.Delete(t.ID)
-	lock := src.faultLock(t.Core)
-	lock.Lock()
-	src.mu.Lock()
-	if src.current[t.Core] == t {
-		delete(src.current, t.Core)
-	}
-	src.mu.Unlock()
-	lock.Unlock()
-
 	t.kernv.Store(dst)
 	dst.threads.Store(t.ID, t)
-	lock = dst.faultLock(t.Core)
-	lock.Lock()
-	dst.mu.Lock()
-	dst.current[t.Core] = t
-	dst.mu.Unlock()
-	dst.m.Core(t.Core).SetClock(t.Clock)
-	dst.m.Core(t.Core).SetCurrentStack(t.Stack)
-	lock.Unlock()
 }
 
-func (k *Kernel) retire(t *Thread) {
-	k.threads.Delete(t.ID)
-	k.mu.Lock()
-	if k.current[t.Core] == t {
-		delete(k.current, t.Core)
-	}
-	k.mu.Unlock()
-}
+func (k *Kernel) retire(t *Thread) { k.threads.Delete(t.ID) }
 
 // CreateThread makes a top-level HRT thread on core, applying the state
 // superposition and attaching the execution group's event channel. stack,
@@ -290,25 +285,15 @@ func (t *Thread) channel() *hvm.EventChannel {
 	return nil
 }
 
-// Run executes fn as this thread on the caller's goroutine, installing the
-// thread on its core for fault vectoring and marking completion on
-// return. A scheduler-placed thread first waits for its run-queue turn:
-// same-core threads serialize in virtual time. Occupancy installation is
-// guarded by the core's fault lock so a concurrent fault on the same core
-// cannot vector into the wrong thread.
+// Run executes fn as this thread on the caller's goroutine and marks
+// completion on return. A scheduler-placed thread first waits for its
+// run-queue turn: same-core threads serialize in virtual time. Nothing is
+// installed on the core: a fault carries its thread in the frame.
 func (t *Thread) Run(fn func(*Thread) uint64) {
 	k := t.kern()
 	if s := k.Scheduler(); s != nil {
 		s.waitTurn(t)
 	}
-	lock := k.faultLock(t.Core)
-	lock.Lock()
-	k.mu.Lock()
-	k.current[t.Core] = t
-	k.mu.Unlock()
-	k.m.Core(t.Core).SetClock(t.Clock)
-	k.m.Core(t.Core).SetCurrentStack(t.Stack)
-	lock.Unlock()
 
 	// A panic in HRT code (real, not injected) must still retire the
 	// thread and close done — otherwise every joiner blocks forever and
@@ -387,10 +372,14 @@ const maxFaultRetries = 8
 // Touch performs one ring-0 memory access at addr from this HRT thread.
 // Faults vector through the IDT (on the IST stack) into the Nautilus
 // handler, which forwards or re-merges; the access then retries, as the
-// hardware would re-execute the instruction.
+// hardware would re-execute the instruction. Delivery is thread-scoped:
+// the frame carries this thread, its clock and its stack, so threads
+// sharing a core fault concurrently and no host lock is held across a
+// forwarded fault.
 func (t *Thread) Touch(addr uint64, write bool) error {
 	k := t.kern()
 	core := k.m.Core(t.Core)
+	ctx := machine.Context{Clock: t.Clock, Stack: t.Stack, Owner: t}
 	for try := 0; try < maxFaultRetries; try++ {
 		_, fault := core.MMU.Translate(addr, paging.Access{Write: write, User: false}, t.Clock, k.cost)
 		if fault == nil {
@@ -404,25 +393,12 @@ func (t *Thread) Touch(addr uint64, write bool) error {
 			errCode |= 0x2
 		}
 		frame := &machine.InterruptFrame{CR2: fault.Addr, ErrorCode: errCode}
-		// Deliver the fault with this thread installed as the core's
-		// occupant, holding the core's fault lock across the whole
-		// raise: two threads faulting on one core used to interleave
-		// their k.current writes and read each other's fault status.
-		lock := k.faultLock(t.Core)
-		lock.Lock()
-		k.mu.Lock()
-		k.current[t.Core] = t
-		k.mu.Unlock()
-		core.SetClock(t.Clock)
 		t.faultStatus = nil
-		raiseErr := core.Raise(machine.VecPageFault, frame, t.Clock.Now())
-		status := t.faultStatus
-		lock.Unlock()
-		if raiseErr != nil {
-			return raiseErr
+		if err := core.Raise(machine.VecPageFault, ctx, frame, t.Clock.Now()); err != nil {
+			return err
 		}
-		if status != nil {
-			return status
+		if t.faultStatus != nil {
+			return t.faultStatus
 		}
 	}
 	return fmt.Errorf("aerokernel: access at %#x did not resolve after %d faults", addr, maxFaultRetries)

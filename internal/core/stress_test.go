@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"multiverse/internal/cycles"
 	"multiverse/internal/faults"
 	"multiverse/internal/linuxabi"
 	"multiverse/internal/machine"
@@ -272,5 +273,112 @@ func TestPageFaultHotspotPerThread(t *testing.T) {
 	}
 	if faults != n {
 		t.Errorf("page-fault hotspot count = %d, want %d", faults, n)
+	}
+}
+
+// TestSameCoreGroupsFaultAsSolo: groups sharing one HRT core fault
+// concurrently, and each sees exactly what it sees running alone. Every
+// group mmaps its own region, in a 1 GiB range of its own, and touches
+// each page once: one forwarded fault per page. The eager re-merge policy
+// runs a re-merge before every forward, so concurrent groups also merge
+// while others forward. Fault delivery is thread-scoped, so each group's
+// HRT cycles, forwarded faults and re-merges must equal its solo run's,
+// however the host interleaves the groups.
+func TestSameCoreGroupsFaultAsSolo(t *testing.T) {
+	const groups, pages = 4, 8
+	// All regions lie in one PML4 slot the ROS populates and the HRT
+	// merges before any group runs, so no group's fault changes a
+	// top-level entry another group's merge could pick up.
+	const slot = uint64(16) << 39
+	type result struct {
+		cycles        cycles.Cycles
+		fwd, remerges uint64
+		code          uint64
+		core          machine.CoreID
+	}
+	mmap := func(env Env, addr uint64) bool {
+		r := env.Syscall(linuxabi.Call{Num: linuxabi.SysMmap, Args: [6]uint64{addr, pages * 4096,
+			linuxabi.ProtRead | linuxabi.ProtWrite, linuxabi.MapPrivate | linuxabi.MapAnonymous | linuxabi.MapFixed}})
+		return r.Ok() && r.Ret == addr
+	}
+	run := func(ids []int, eager bool) map[int]result {
+		sys := buildTestSystem(t, Options{AppName: "same-core"})
+		clk := sys.Main.Clock
+		r := sys.Proc.Syscall(sys.Main, linuxabi.Call{Num: linuxabi.SysMmap, Args: [6]uint64{slot, 4096,
+			linuxabi.ProtRead | linuxabi.ProtWrite, linuxabi.MapPrivate | linuxabi.MapAnonymous | linuxabi.MapFixed}})
+		if !r.Ok() {
+			t.Fatalf("mmap: %v", r.Err)
+		}
+		if errno := sys.Proc.Touch(sys.Main, slot, true); errno != linuxabi.OK {
+			t.Fatalf("ROS touch: %v", errno)
+		}
+		if err := sys.HVM.MergeAddressSpace(clk, sys.Proc.CR3()); err != nil {
+			t.Fatal(err)
+		}
+		sys.AK.SetEagerRemerge(eager)
+
+		start := make(chan struct{})
+		cyc := make([]cycles.Cycles, groups)
+		gs := make(map[int]*ExecutionGroup, len(ids))
+		for _, id := range ids {
+			base := slot + uint64(id+1)<<30
+			g, err := sys.SpawnGroup(clk, func(env Env) uint64 {
+				<-start
+				c0 := env.Clock().Now()
+				if !mmap(env, base) {
+					return 1
+				}
+				for off := uint64(0); off < pages*4096; off += 4096 {
+					if env.Touch(base+off, true) != nil {
+						return 2
+					}
+				}
+				cyc[id] = env.Clock().Now() - c0
+				return 0
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs[id] = g
+		}
+		close(start)
+		codes := make(map[int]uint64, len(ids))
+		for id, g := range gs {
+			code, err := g.WaitExit(clk)
+			if err != nil {
+				t.Fatalf("group %d: %v", id, err)
+			}
+			codes[id] = code
+		}
+		out := make(map[int]result, len(ids))
+		for id, g := range gs {
+			th := g.HRTThread()
+			out[id] = result{cycles: cyc[id], fwd: th.ForwardedFaults(), remerges: th.Remerges(), code: codes[id], core: th.Core}
+		}
+		return out
+	}
+	for _, eager := range []bool{false, true} {
+		together := run([]int{0, 1, 2, 3}, eager)
+		for id := 0; id < groups; id++ {
+			solo := run([]int{id}, eager)[id]
+			got := together[id]
+			if solo.code != 0 || got.code != 0 {
+				t.Fatalf("eager=%v group %d exited %d alone, %d together", eager, id, solo.code, got.code)
+			}
+			if got.core != together[0].core {
+				t.Errorf("group %d ran on core %d, group 0 on %d; want one shared core", id, got.core, together[0].core)
+			}
+			if got != solo {
+				t.Errorf("eager=%v group %d: together %+v, alone %+v", eager, id, got, solo)
+			}
+			wantRemerges := uint64(0)
+			if eager {
+				wantRemerges = pages
+			}
+			if solo.fwd != pages || solo.remerges != wantRemerges {
+				t.Errorf("eager=%v group %d alone: %d forwarded faults, %d re-merges; want %d, %d",
+					eager, id, solo.fwd, solo.remerges, pages, wantRemerges)
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 // Package machine models the hardware platform: cores grouped into
-// sockets, per-core MMU/TLB and cycle clocks, descriptor-table state, the
+// sockets, per-core MMU/TLB, descriptor-table state, the
 // interrupt-vector table with IST support, and inter-processor interrupts.
+// Cores keep no clock: every cost lands on the clock of the context that
+// pays it, which the caller passes in.
 //
 // The default topology mirrors the paper's evaluation machine — a Dell
 // PowerEdge R415 with one 8-core AMD Opteron 4122 package exposing two
@@ -41,17 +43,30 @@ const (
 	VecSchedKick Vector = 0xE3
 )
 
+// Context is the execution context an interrupt interrupts. Delivery
+// charges its Clock, and a vector without an IST pushes its frame onto its
+// Stack (nil: no stack to clobber). Owner is opaque to the machine: it is
+// how a handler finds the interrupted thread, so delivery needs no
+// per-core record of who is running.
+type Context struct {
+	Clock *cycles.Clock
+	Stack *Stack
+	Owner any
+}
+
 // InterruptFrame is the state pushed on interrupt entry.
 type InterruptFrame struct {
 	Vector    Vector
 	ErrorCode uint64
 	RIP       uint64
 	RSP       uint64
-	CR2       uint64 // faulting address, for page faults
+	CR2       uint64  // faulting address, for page faults
+	Ctx       Context // the interrupted context, filled in by Raise
 }
 
 // Handler services one interrupt vector on a core. It runs with the
-// target core's clock already synchronized to the interrupt arrival time.
+// interrupted context's clock already synchronized to the interrupt
+// arrival time.
 type Handler func(c *Core, f *InterruptFrame)
 
 // SegmentDescriptor is one GDT entry (the fields the superposition
@@ -92,12 +107,10 @@ type Core struct {
 	MMU *paging.MMU
 
 	mu     sync.Mutex
-	clock  *cycles.Clock // the clock of the context currently on this core
 	gdt    GDT
 	fsBase uint64 // FS.base MSR: thread-local storage pointer
 	idt    map[Vector]idtEntry
 	ist    [8]*Stack // IST stacks (index 0 unused, as on hardware)
-	stack  *Stack    // current stack if no IST switch applies
 
 	// Scheduler-maintained occupancy: the thread id currently charged to
 	// this core (0 = idle), and whether the core has fallen past its spin
@@ -165,7 +178,6 @@ func New(spec Spec) (*Machine, error) {
 			core := &Core{
 				ID:      CoreID(s*spec.CoresPerSocket + c),
 				Socket:  s,
-				clock:   cycles.NewClock(0),
 				MMU:     paging.NewMMU(spec.TLBCapacity),
 				idt:     make(map[Vector]idtEntry),
 				machine: m,
@@ -258,63 +270,36 @@ func (c *Core) SetISTStack(i int, s *Stack) error {
 	return nil
 }
 
-// SetCurrentStack sets the stack interrupts land on when no IST switch is
-// configured (i.e. the running thread's stack).
-func (c *Core) SetCurrentStack(s *Stack) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stack = s
-}
-
 // Machine returns the owning machine.
 func (c *Core) Machine() *Machine { return c.machine }
 
-// Clock returns the clock of the context currently scheduled on this core.
-// Each core starts with an idle clock of its own; schedulers install the
-// running thread's clock so that interrupts delivered to the core charge
-// the interrupted context.
-func (c *Core) Clock() *cycles.Clock {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.clock
-}
-
-// SetClock installs the clock of the context now running on the core.
-func (c *Core) SetClock(clk *cycles.Clock) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if clk != nil {
-		c.clock = clk
-	}
-}
-
-// Raise delivers an interrupt or exception on this core at time `at`
-// (already including delivery latency). The hardware pushes the frame onto
-// the IST stack if one is configured for the vector, otherwise onto the
-// current stack at its current RSP — destroying any red zone there, exactly
-// the hazard the paper describes.
-func (c *Core) Raise(v Vector, frame *InterruptFrame, at cycles.Cycles) error {
+// Raise delivers an interrupt or exception to ctx, running on this core,
+// at time `at` (already including delivery latency). The hardware pushes
+// the frame onto the IST stack if one is configured for the vector,
+// otherwise onto ctx's stack at its current RSP — destroying any red zone
+// there, exactly the hazard the paper describes. Everything it charges
+// goes to ctx's clock, so concurrent deliveries on one core need no lock:
+// an IST stack's push and pop lock internally and stay balanced.
+func (c *Core) Raise(v Vector, ctx Context, frame *InterruptFrame, at cycles.Cycles) error {
 	c.mu.Lock()
 	entry, ok := c.idt[v]
-	var target *Stack
+	target := ctx.Stack
 	istSwitch := false
 	if ok && entry.ist != 0 && c.ist[entry.ist] != nil {
 		target = c.ist[entry.ist]
 		istSwitch = true
-	} else {
-		target = c.stack
 	}
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("machine: core %d has no handler for vector %#x", c.ID, v)
 	}
-	clk := c.Clock()
-	clk.SyncTo(at)
+	ctx.Clock.SyncTo(at)
 	if istSwitch {
-		clk.Advance(c.machine.Cost.AKIstSwitch)
+		ctx.Clock.Advance(c.machine.Cost.AKIstSwitch)
 	}
+	frame.Vector = v
+	frame.Ctx = ctx
 	if target != nil {
-		frame.Vector = v
 		target.PushFrame(frame)
 	}
 	entry.handler(c, frame)
@@ -366,22 +351,13 @@ func (m *Machine) KickCore(clk *cycles.Clock, to CoreID) {
 	m.Core(to).SetHalted(false)
 }
 
-// SendIPI delivers an inter-processor interrupt from one core to another,
-// charging IPI latency and synchronizing the destination clock to the
-// arrival time.
-func (m *Machine) SendIPI(from, to CoreID, v Vector, frame *InterruptFrame) error {
-	src := m.Core(from)
-	arrival := src.Clock().Now() + m.Cost.TLBShootdownIPI
-	return m.Core(to).Raise(v, frame, arrival)
-}
-
 // ShootdownTLB broadcasts a TLB invalidation from core `from` to every core
-// in targets (flushing `from`'s own TLB locally if listed). The sender pays
-// one IPI per remote target plus its local flush — the cost structure of
-// the merger's "broadcast a TLB shootdown to all HRT cores".
-func (m *Machine) ShootdownTLB(from CoreID, targets []CoreID) {
+// in targets (flushing `from`'s own TLB locally if listed). The sender, the
+// context owning clk, pays one IPI per remote target plus its local flush
+// — the cost structure of the merger's "broadcast a TLB shootdown to all
+// HRT cores".
+func (m *Machine) ShootdownTLB(clk *cycles.Clock, from CoreID, targets []CoreID) {
 	src := m.Core(from)
-	clk := src.Clock()
 	for _, t := range targets {
 		if t == from {
 			src.MMU.TLB().FlushAll()

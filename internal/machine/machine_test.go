@@ -76,7 +76,7 @@ func TestFSBase(t *testing.T) {
 
 func TestRaiseWithoutHandlerFails(t *testing.T) {
 	c := newMachine(t).Core(0)
-	if err := c.Raise(VecPageFault, &InterruptFrame{}, 0); err == nil {
+	if err := c.Raise(VecPageFault, Context{Clock: cycles.NewClock(0)}, &InterruptFrame{}, 0); err == nil {
 		t.Error("raise without handler should fail")
 	}
 }
@@ -85,16 +85,19 @@ func TestRaiseSyncsClock(t *testing.T) {
 	m := newMachine(t)
 	c := m.Core(0)
 	clk := cycles.NewClock(100)
-	c.SetClock(clk)
 	var seen *InterruptFrame
 	if err := c.SetHandler(VecPageFault, 0, func(_ *Core, f *InterruptFrame) { seen = f }); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Raise(VecPageFault, &InterruptFrame{CR2: 0x42}, 500); err != nil {
+	owner := new(int)
+	if err := c.Raise(VecPageFault, Context{Clock: clk, Owner: owner}, &InterruptFrame{CR2: 0x42}, 500); err != nil {
 		t.Fatal(err)
 	}
 	if seen == nil || seen.CR2 != 0x42 {
 		t.Fatal("handler not invoked with frame")
+	}
+	if seen.Ctx.Owner != owner || seen.Ctx.Clock != clk {
+		t.Error("handler did not see the interrupted context")
 	}
 	if clk.Now() < 500 {
 		t.Errorf("clock not synced to arrival: %d", clk.Now())
@@ -119,9 +122,7 @@ func TestRedZoneClobberedWithoutIST(t *testing.T) {
 
 	runCase := func(useIST bool) (intact bool) {
 		c := m.Core(0)
-		c.SetClock(cycles.NewClock(0))
 		user := NewStack(4096)
-		c.SetCurrentStack(user)
 		ist := 0
 		if useIST {
 			if err := c.SetISTStack(1, NewStack(4096)); err != nil {
@@ -139,7 +140,7 @@ func TestRedZoneClobberedWithoutIST(t *testing.T) {
 			}
 		}
 		// ...an interrupt arrives...
-		if err := c.Raise(VecHVMEvent, &InterruptFrame{}, 0); err != nil {
+		if err := c.Raise(VecHVMEvent, Context{Clock: cycles.NewClock(0), Stack: user}, &InterruptFrame{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		// ...and the leaf function reads its data back.
@@ -300,33 +301,11 @@ func TestStackAllocs(t *testing.T) {
 	}
 }
 
-func TestSendIPI(t *testing.T) {
-	m := newMachine(t)
-	src, dst := m.Core(0), m.Core(1)
-	src.SetClock(cycles.NewClock(1000))
-	dstClk := cycles.NewClock(0)
-	dst.SetClock(dstClk)
-	fired := false
-	if err := dst.SetHandler(VecTLBShootdown, 0, func(*Core, *InterruptFrame) { fired = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SendIPI(0, 1, VecTLBShootdown, &InterruptFrame{}); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Error("IPI handler did not run")
-	}
-	if dstClk.Now() < 1000+m.Cost.TLBShootdownIPI {
-		t.Errorf("destination clock %d not past IPI arrival", dstClk.Now())
-	}
-}
-
 func TestShootdownTLB(t *testing.T) {
 	m := newMachine(t)
 	clk := cycles.NewClock(0)
-	m.Core(0).SetClock(clk)
 	before := clk.Now()
-	m.ShootdownTLB(0, []CoreID{0, 1, 2})
+	m.ShootdownTLB(clk, 0, []CoreID{0, 1, 2})
 	// 1 local flush + 2 remote IPIs+flushes.
 	want := m.Cost.TLBFlushLocal + 2*(m.Cost.TLBShootdownIPI+m.Cost.TLBFlushLocal)
 	if clk.Now()-before != want {

@@ -138,6 +138,12 @@ type Process struct {
 
 	stats Stats
 
+	// syscalls counts calls by number (linuxabi.Sysno -> *atomic.Uint64);
+	// Stats builds the snapshot's Syscalls map from it. Every system call
+	// bumps one, so it lives off p.mu: a number's counter, once made, is
+	// found and bumped without a lock.
+	syscalls sync.Map
+
 	// Hot accounting counters: the runtime under test bumps these on
 	// every compute charge and context switch, so they live off p.mu as
 	// atomics; Stats and getrusage fold them into the snapshot.
@@ -255,7 +261,6 @@ func newProcess(k *Kernel, pid int, name string) (*Process, error) {
 		nextFd:  3, // 0,1,2 reserved for stdio
 		cwd:     "/",
 		nextTid: 1,
-		stats:   Stats{Syscalls: make(map[linuxabi.Sysno]uint64)},
 		shared: threadArena{
 			mmapNext:   mmapBase,
 			brkBase:    brkBase,
@@ -362,12 +367,22 @@ func (p *Process) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := p.stats
-	out.Syscalls = make(map[linuxabi.Sysno]uint64, len(p.stats.Syscalls))
-	for k, v := range p.stats.Syscalls {
-		out.Syscalls[k] = v
-	}
+	out.Syscalls = make(map[linuxabi.Sysno]uint64)
+	p.syscalls.Range(func(num, n any) bool {
+		out.Syscalls[num.(linuxabi.Sysno)] = n.(*atomic.Uint64).Load()
+		return true
+	})
 	p.foldHotStats(&out)
 	return out
+}
+
+// countSyscall bumps the counter for one call number.
+func (p *Process) countSyscall(num linuxabi.Sysno) {
+	n, ok := p.syscalls.Load(num)
+	if !ok {
+		n, _ = p.syscalls.LoadOrStore(num, new(atomic.Uint64))
+	}
+	n.(*atomic.Uint64).Add(1)
 }
 
 // ChargeUser adds user-mode compute time to the accounting; the runtime
@@ -582,8 +597,8 @@ func (p *Process) deliverSignal(clk *cycles.Clock, fn SignalHandlerFunc, ctx *Si
 	clk.Advance(p.kern.cost.ROSSignalDeliver)
 	ctx.Clock = clk
 	fn(ctx)
+	p.countSyscall(linuxabi.SysRtSigreturn)
 	p.mu.Lock()
-	p.stats.Syscalls[linuxabi.SysRtSigreturn]++
 	p.stats.SignalsSent++
 	p.mu.Unlock()
 	clk.Advance(p.kern.cost.ROSSignalReturn)

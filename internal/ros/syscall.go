@@ -21,9 +21,7 @@ const UnameString = "Linux multiverse-ros 2.6.38"
 func (p *Process) Syscall(t *Thread, call linuxabi.Call) linuxabi.Result {
 	start := t.Clock.Now()
 	p.kern.enterKernel(t.Clock)
-	p.mu.Lock()
-	p.stats.Syscalls[call.Num]++
-	p.mu.Unlock()
+	p.countSyscall(call.Num)
 
 	res := p.dispatch(t, call)
 

@@ -447,6 +447,32 @@ func TestDuplicateFaultIsPerThread(t *testing.T) {
 	}
 }
 
+// TestFaultAtAddressZeroForwards: a thread's first fault at lower-half
+// address 0 is forwarded to the ROS, which maps the page, not taken for a
+// repeat of a fault the thread never raised.
+func TestFaultAtAddressZeroForwards(t *testing.T) {
+	r := newRig(t)
+	// A neighbour page makes the merge carry page 0's page tables, so the
+	// ROS's mapping of page 0 is visible to the HRT at once.
+	f, _ := r.m.Phys.Alloc(0)
+	if err := r.ros.Map(0x1000, f, paging.PteUser|paging.PteWrite); err != nil {
+		t.Fatal(err)
+	}
+	r.merge(t)
+	ch := r.hv.NewEventChannel(1, 0)
+	r.resolvingPartner(t, ch)
+	th := r.k.CreateThread(r.clk, 1, Superposition{}, ch, nil)
+	if err := th.Touch(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if th.ForwardedFaults() != 1 || th.Remerges() != 0 {
+		t.Errorf("forwarded faults %d, re-merges %d; want 1, 0", th.ForwardedFaults(), th.Remerges())
+	}
+	if pte, _ := r.ros.Lookup(0); pte&paging.PtePresent == 0 {
+		t.Error("ROS never mapped page 0")
+	}
+}
+
 // TestRemergeChargesFaultingThread: a duplicate-fault re-merge, shootdown
 // included, is paid by the faulting thread, also while another thread is
 // running on the same core.

@@ -546,8 +546,8 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 	// delta work and the forwarded envelope carry the same one.
 	reqID := t.nextReqID()
 
-	dup := t.lastFault == addr
-	t.lastFault = addr
+	dup := t.hasLastFault && t.lastFault == addr
+	t.lastFault, t.hasLastFault = addr, true
 	k.mu.Lock()
 	cr3 := k.rosCR3
 	eager := k.eagerRemerge
@@ -564,7 +564,7 @@ func (k *Kernel) handleFault(t *Thread, f *machine.InterruptFrame) error {
 		k.remergeCtr.Inc()
 		k.recorder.Record(t.Clock.Now(), telemetry.RecRemerge, uint64(t.ID), reqID, addr, 0)
 		if !eager {
-			t.lastFault = 0
+			t.hasLastFault = false
 			return nil
 		}
 	}

@@ -64,8 +64,11 @@ type Thread struct {
 	// must be re-merged (section 4.4). Nautilus keeps it per core because
 	// a core runs one thread at a time; per thread it is the same record
 	// when threads share a core, and one thread's faults cannot decide
-	// another's re-merge. Only the owning goroutine touches it.
-	lastFault uint64
+	// another's re-merge. hasLastFault says whether lastFault holds a
+	// record, so a first fault at address 0 is not taken for a repeat.
+	// Only the owning goroutine touches them.
+	lastFault    uint64
+	hasLastFault bool
 
 	// sysCount numbers this thread's system calls for deterministic
 	// fault-injection keys; only the owning goroutine touches it.

@@ -9,7 +9,6 @@
 package image
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -77,36 +76,44 @@ const (
 	version = 1
 )
 
-// Encode serializes the image.
+// Encode serializes the image into one exactly sized allocation:
+// little-endian fixed-width integers, and strings and blobs as a uint32
+// length followed by their bytes.
 func (im *Image) Encode() []byte {
-	var buf bytes.Buffer
-	w := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	ws := func(s string) {
-		w(uint32(len(s)))
-		buf.WriteString(s)
-	}
-	wb := func(b []byte) {
-		w(uint32(len(b)))
-		buf.Write(b)
-	}
-	w(uint32(magic))
-	w(uint32(version))
-	ws(im.Name)
-	w(im.Entry)
-	w(uint32(len(im.Sections)))
+	n := 4 + 4 + 4 + len(im.Name) + 8 + 4
 	for _, s := range im.Sections {
-		ws(s.Name)
-		w(uint32(s.Kind))
-		w(s.VAddr)
-		wb(s.Data)
+		n += 4 + len(s.Name) + 4 + 8 + 4 + len(s.Data)
 	}
-	w(uint32(len(im.Symbols)))
+	n += 4
 	for _, s := range im.Symbols {
-		ws(s.Name)
-		w(s.Addr)
-		w(s.Size)
+		n += 4 + len(s.Name) + 8 + 8
 	}
-	return buf.Bytes()
+	le := binary.LittleEndian
+	b := make([]byte, 0, n)
+	b = le.AppendUint32(b, magic)
+	b = le.AppendUint32(b, version)
+	b = appendBytes(b, im.Name)
+	b = le.AppendUint64(b, im.Entry)
+	b = le.AppendUint32(b, uint32(len(im.Sections)))
+	for _, s := range im.Sections {
+		b = appendBytes(b, s.Name)
+		b = le.AppendUint32(b, uint32(s.Kind))
+		b = le.AppendUint64(b, s.VAddr)
+		b = appendBytes(b, s.Data)
+	}
+	b = le.AppendUint32(b, uint32(len(im.Symbols)))
+	for _, s := range im.Symbols {
+		b = appendBytes(b, s.Name)
+		b = le.AppendUint64(b, s.Addr)
+		b = le.AppendUint64(b, s.Size)
+	}
+	return b
+}
+
+// appendBytes appends a length-prefixed string or blob.
+func appendBytes[T string | []byte](b []byte, v T) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
+	return append(b, v...)
 }
 
 type decoder struct {
@@ -155,6 +162,9 @@ func (d *decoder) str() string {
 	return s
 }
 
+// blob returns a length-prefixed blob aliasing the encoded bytes, capped
+// so an append copies; no code writes decoded section data. An empty blob
+// decodes as nil.
 func (d *decoder) blob() []byte {
 	n := int(d.u32())
 	if d.err != nil {
@@ -164,12 +174,16 @@ func (d *decoder) blob() []byte {
 		d.err = fmt.Errorf("image: bad blob length %d at offset %d", n, d.off)
 		return nil
 	}
-	b := append([]byte(nil), d.b[d.off:d.off+n]...)
+	var b []byte
+	if n > 0 {
+		b = d.b[d.off : d.off+n : d.off+n]
+	}
 	d.off += n
 	return b
 }
 
-// Decode parses an encoded image.
+// Decode parses an encoded image. Its sections' data alias b, so b must
+// not change while the image is in use.
 func Decode(b []byte) (*Image, error) {
 	d := &decoder{b: b}
 	if m := d.u32(); d.err == nil && m != magic {
@@ -269,7 +283,7 @@ func EmbedAeroKernel(user, kernel *Image, overrides []byte) *Image {
 
 // ExtractAeroKernel parses the embedded AeroKernel image back out of a fat
 // binary — what the Multiverse runtime component does at program startup
-// (section 3.5, "AeroKernel Boot").
+// (section 3.5, "AeroKernel Boot"). The image's section data alias fat's.
 func ExtractAeroKernel(fat *Image) (*Image, error) {
 	sec, ok := fat.Section(SecAeroKernel)
 	if !ok {

@@ -2,6 +2,7 @@ package image
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -158,5 +159,74 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceEncode is the original bytes.Buffer + binary.Write encoder,
+// kept as the byte-level reference Encode must match.
+func referenceEncode(im *Image) []byte {
+	var buf bytes.Buffer
+	w := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	ws := func(s string) {
+		w(uint32(len(s)))
+		buf.WriteString(s)
+	}
+	wb := func(b []byte) {
+		w(uint32(len(b)))
+		buf.Write(b)
+	}
+	w(uint32(magic))
+	w(uint32(version))
+	ws(im.Name)
+	w(im.Entry)
+	w(uint32(len(im.Sections)))
+	for _, s := range im.Sections {
+		ws(s.Name)
+		w(uint32(s.Kind))
+		w(s.VAddr)
+		wb(s.Data)
+	}
+	w(uint32(len(im.Symbols)))
+	for _, s := range im.Symbols {
+		ws(s.Name)
+		w(s.Addr)
+		w(s.Size)
+	}
+	return buf.Bytes()
+}
+
+// TestEncodeMatchesReference: Encode's bytes equal the reference
+// encoder's for no, one and several sections and symbols, empty names
+// and empty data included, and its output is sized exactly.
+func TestEncodeMatchesReference(t *testing.T) {
+	many := sampleImage()
+	many.Sections = append(many.Sections,
+		Section{Name: "", Kind: SecBSS, VAddr: 0x700000},
+		Section{Name: ".hrt.aerokernel", Kind: SecAeroKernel, Data: []byte{}},
+	)
+	many.Symbols = append(many.Symbols, Symbol{Name: "", Addr: 1, Size: 0})
+	cases := map[string]*Image{
+		"empty": {},
+		"one": {
+			Name:     "one",
+			Entry:    0xffff_8000_0000_0000,
+			Sections: []Section{{Name: ".text", Kind: SecText, VAddr: 0x400000, Data: []byte{0xC3}}},
+			Symbols:  []Symbol{{Name: "main", Addr: 0x400000, Size: 1}},
+		},
+		"empty-names-and-data": {
+			Sections: []Section{{Kind: SecData}},
+			Symbols:  []Symbol{{}},
+		},
+		"several":    many,
+		"aerokernel": EmbedAeroKernel(sampleImage(), sampleImage(), []byte("override a => b\n")),
+	}
+	for name, img := range cases {
+		got, want := img.Encode(), referenceEncode(img)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Encode = %x, reference %x", name, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: Encode sized %d bytes for %d", name, cap(got), len(got))
+		}
 	}
 }

@@ -68,3 +68,47 @@ func TestTranslateWarmPathAllocationFree(t *testing.T) {
 		t.Errorf("walk-and-refill translate allocates %.1f per run, want 0", n)
 	}
 }
+
+// TestUnfilledTLBIsEmpty: a TLB allocates its entries at its first fill;
+// until then it must behave as an empty one. The same operations on an
+// unfilled TLB and on one filled and then flushed read the same counts,
+// and none of them allocates.
+func TestUnfilledTLBIsEmpty(t *testing.T) {
+	unfilled := NewTLB(64)
+	flushed := NewTLB(64)
+	flushed.insert(0x1000, 0x1)
+	flushed.FlushAll()
+	if !flushed.Filled() || unfilled.Filled() {
+		t.Fatalf("Filled: flushed %v, unfilled %v; want true, false", flushed.Filled(), unfilled.Filled())
+	}
+	_, _, f0 := flushed.Stats() // the flush above
+	ops := func(tl *TLB) {
+		tl.lookup(0x1000)
+		tl.lookup(0x2000)
+		tl.FlushVA(0x1000)
+		tl.FlushAll()
+	}
+	const calls = 11 // AllocsPerRun(10) makes one warm-up call first
+	for _, tl := range []*TLB{unfilled, flushed} {
+		if n := testing.AllocsPerRun(calls-1, func() { ops(tl) }); n != 0 {
+			t.Errorf("filled=%v: lookup/flush allocates %.1f per run, want 0", tl.Filled(), n)
+		}
+	}
+	if unfilled.Filled() {
+		t.Error("lookups and flushes allocated the entries")
+	}
+	h, m, f := unfilled.Stats()
+	fh, fm, ff := flushed.Stats()
+	if h != fh || m != fm || f != ff-f0 || unfilled.Len() != flushed.Len() {
+		t.Errorf("unfilled: hits %d misses %d flushes %d len %d; filled-then-flushed: %d %d %d %d",
+			h, m, f, unfilled.Len(), fh, fm, ff-f0, flushed.Len())
+	}
+	if h != 0 || m != 2*calls || f != calls || unfilled.Len() != 0 {
+		t.Errorf("unfilled: hits %d misses %d flushes %d len %d; want 0 %d %d 0", h, m, f, unfilled.Len(), 2*calls, calls)
+	}
+	// The first fill allocates once and the TLB then works as usual.
+	unfilled.insert(0x3000, 0x3)
+	if pte, ok := unfilled.lookup(0x3000); !ok || pte != 0x3 || unfilled.Len() != 1 {
+		t.Errorf("after first fill: lookup = %#x, %v; len %d", pte, ok, unfilled.Len())
+	}
+}

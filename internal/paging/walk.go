@@ -57,16 +57,18 @@ type tlbEntry struct {
 // two), indexed by the page number's low bits as hardware TLBs are.
 // Eviction is FIFO per set via a round-robin cursor, which keeps the
 // simulation deterministic. Entries are untagged, so a CR3 reload flushes.
-// The whole structure is allocated once at construction; lookups, fills,
-// and flushes never allocate.
+// The entry array is allocated whole at the first fill, so a core that
+// never translates costs no storage; after that, lookups, fills, and
+// flushes never allocate. An unfilled TLB is an empty one: every lookup
+// misses, FlushVA finds nothing, and FlushAll still counts.
 type TLB struct {
 	mu      sync.Mutex
 	cap     int
 	sets    int
 	mask    uint64     // sets - 1
 	gen     uint64     // current generation; entries from older gens are dead
-	entries []tlbEntry // sets × tlbWays, set-major
-	next    []uint8    // per-set round-robin eviction cursor
+	entries []tlbEntry // sets × tlbWays, set-major; nil until the first fill
+	next    []uint8    // per-set round-robin eviction cursor; nil until the first fill
 	live    int
 	hits    uint64
 	misses  uint64
@@ -86,15 +88,15 @@ func NewTLB(capacity int) *TLB {
 	for sets*2*ways <= capacity {
 		sets *= 2
 	}
-	t := &TLB{
-		cap:     sets * ways,
-		sets:    sets,
-		mask:    uint64(sets - 1),
-		gen:     1,
-		entries: make([]tlbEntry, sets*ways),
-		next:    make([]uint8, sets),
-	}
-	return t
+	return &TLB{cap: sets * ways, sets: sets, mask: uint64(sets - 1), gen: 1}
+}
+
+// Filled reports whether the TLB has allocated its entry array, which
+// its first fill does.
+func (t *TLB) Filled() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries != nil
 }
 
 // ways is the associativity actually in use (cap/sets; differs from
@@ -106,15 +108,18 @@ func (t *TLB) setFor(base uint64) int {
 	return int((base >> 12) & t.mask)
 }
 
+// lookup scans base's set; an unfilled TLB holds nothing and misses.
 func (t *TLB) lookup(base uint64) (uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := t.ways()
-	set := t.setFor(base) * w
-	for i := set; i < set+w; i++ {
-		if e := &t.entries[i]; e.gen == t.gen && e.base == base {
-			t.hits++
-			return e.pte, true
+	if t.entries != nil {
+		w := t.ways()
+		set := t.setFor(base) * w
+		for i := set; i < set+w; i++ {
+			if e := &t.entries[i]; e.gen == t.gen && e.base == base {
+				t.hits++
+				return e.pte, true
+			}
 		}
 	}
 	t.misses++
@@ -124,6 +129,12 @@ func (t *TLB) lookup(base uint64) (uint64, bool) {
 func (t *TLB) insert(base, pte uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.entries == nil {
+		// First fill. Zeroed entries carry gen 0, which no live
+		// generation (1 and up) matches, so they all read as free.
+		t.entries = make([]tlbEntry, t.cap)
+		t.next = make([]uint8, t.sets)
+	}
 	w := t.ways()
 	si := t.setFor(base)
 	set := si * w
@@ -166,6 +177,9 @@ func (t *TLB) FlushAll() {
 func (t *TLB) FlushVA(va uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.entries == nil {
+		return
+	}
 	base := PageBase(va)
 	w := t.ways()
 	set := t.setFor(base) * w

@@ -47,19 +47,7 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 		return s
 	}
 	r.EachCounter(func(name string, v uint64) { s.Counters[name] = v })
-	r.mu.Lock()
-	gnames := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		gnames = append(gnames, n)
-	}
-	ghandles := make(map[string]*Gauge, len(gnames))
-	for _, n := range gnames {
-		ghandles[n] = r.gauges[n]
-	}
-	r.mu.Unlock()
-	for _, n := range gnames {
-		s.Gauges[n] = ghandles[n].Value()
-	}
+	r.EachGauge(func(name string, v uint64) { s.Gauges[name] = v })
 	r.EachHistogram(func(name string, h *Histogram) {
 		edges := h.Edges()
 		hs := &HistogramSnapshot{

@@ -351,45 +351,43 @@ func (h *Handles[K, T]) find(key K) (T, bool) {
 	return zero, false
 }
 
-// EachCounter visits the counters in name order.
-func (r *Registry) EachCounter(fn func(name string, v uint64)) {
-	if r == nil {
-		return
-	}
+// eachSorted visits m's instruments in name order. It copies the names
+// and handles under the registry lock and calls fn after releasing it.
+func eachSorted[T any](r *Registry, m map[string]T, fn func(name string, h T)) {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counts))
-	for n := range r.counts {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
-	handles := make(map[string]*Counter, len(names))
-	for _, n := range names {
-		handles[n] = r.counts[n]
+	sort.Strings(names)
+	handles := make([]T, len(names))
+	for i, n := range names {
+		handles[i] = m[n]
 	}
 	r.mu.Unlock()
-	sort.Strings(names)
-	for _, n := range names {
-		fn(n, handles[n].Value())
+	for i, n := range names {
+		fn(n, handles[i])
+	}
+}
+
+// EachCounter visits the counters in name order.
+func (r *Registry) EachCounter(fn func(name string, v uint64)) {
+	if r != nil {
+		eachSorted(r, r.counts, func(n string, c *Counter) { fn(n, c.Value()) })
+	}
+}
+
+// EachGauge visits the gauges in name order.
+func (r *Registry) EachGauge(fn func(name string, v uint64)) {
+	if r != nil {
+		eachSorted(r, r.gauges, func(n string, g *Gauge) { fn(n, g.Value()) })
 	}
 }
 
 // EachHistogram visits the histograms in name order.
 func (r *Registry) EachHistogram(fn func(name string, h *Histogram)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	handles := make(map[string]*Histogram, len(names))
-	for _, n := range names {
-		handles[n] = r.hists[n]
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	for _, n := range names {
-		fn(n, handles[n])
+	if r != nil {
+		eachSorted(r, r.hists, fn)
 	}
 }
 
@@ -403,20 +401,9 @@ func (r *Registry) Dump() string {
 	r.EachCounter(func(name string, v uint64) {
 		fmt.Fprintf(&b, "counter   %-40s %12d\n", name, v)
 	})
-	r.mu.Lock()
-	gnames := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		gnames = append(gnames, n)
-	}
-	ghandles := make(map[string]*Gauge, len(gnames))
-	for _, n := range gnames {
-		ghandles[n] = r.gauges[n]
-	}
-	r.mu.Unlock()
-	sort.Strings(gnames)
-	for _, n := range gnames {
-		fmt.Fprintf(&b, "gauge     %-40s %12d\n", n, ghandles[n].Value())
-	}
+	r.EachGauge(func(name string, v uint64) {
+		fmt.Fprintf(&b, "gauge     %-40s %12d\n", name, v)
+	})
 	r.EachHistogram(func(name string, h *Histogram) {
 		fmt.Fprintf(&b, "histogram %-40s n=%d sum=%d mean=%d p50=%d p90=%d p99=%d\n",
 			name, h.Count(), uint64(h.Sum()), uint64(h.Mean()),

@@ -122,8 +122,9 @@ type Recorder struct {
 const DefaultRecorderSize = 8192
 
 // recChunk is how many events one piece of the ring holds: a run that
-// records few events allocates one piece, not the whole ring.
-const recChunk = 1024
+// records few events allocates one 6 KB piece, not the whole ring. A
+// hybrid boot records its merge, so every hybrid boot pays one piece.
+const recChunk = 128
 
 // NewRecorder returns a recorder holding the last `size` events
 // (DefaultRecorderSize when size <= 0).

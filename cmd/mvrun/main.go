@@ -30,7 +30,6 @@ import (
 	"multiverse/internal/profiling"
 	"multiverse/internal/scheme"
 	"multiverse/internal/telemetry"
-	"multiverse/internal/vcode"
 	"multiverse/internal/vfs"
 )
 
@@ -38,7 +37,6 @@ func main() {
 	var opts core.Options
 	var rep report
 	world := flag.String("world", "multiverse", "execution world: native, virtual, multiverse")
-	runtimeName := flag.String("runtime", "scheme", "guest runtime: scheme or vcode")
 	expr := flag.String("e", "", "evaluate this expression instead of a file")
 	repl := flag.Bool("repl", false, "run the interactive REPL over stdin")
 	benchName := flag.String("bench", "", "run a named paper benchmark instead of a file")
@@ -84,7 +82,7 @@ func main() {
 	if *nodes > 0 || *chaos != "" {
 		runErr = runGrid(*world, *nodes, *groups, *chaos, rep)
 	} else {
-		runErr = run(*world, *runtimeName, *expr, *repl, *benchName, opts, *workers, *groups, rep, flag.Args())
+		runErr = run(*world, *expr, *repl, *benchName, opts, *workers, *groups, rep, flag.Args())
 	}
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "mvrun: %v\n", err)
@@ -222,13 +220,10 @@ func parseFaultFlags(seedRate, specPath string) (*faults.Plan, error) {
 	return &plan, nil
 }
 
-func run(worldName, runtimeName, expr string, repl bool, benchName string, opts core.Options, workers, groups int, rep report, args []string) error {
+func run(worldName, expr string, repl bool, benchName string, opts core.Options, workers, groups int, rep report, args []string) error {
 	w, err := parseWorld(worldName)
 	if err != nil {
 		return err
-	}
-	if runtimeName != "scheme" && runtimeName != "vcode" {
-		return fmt.Errorf("unknown runtime %q (want scheme or vcode)", runtimeName)
 	}
 
 	// Telemetry: tracing costs only when requested; the metrics registry
@@ -348,19 +343,6 @@ func run(worldName, runtimeName, expr string, repl bool, benchName string, opts 
 	var eng *scheme.Engine
 	var runErr error
 	if _, err := sys.RunMain(func(env core.Env) uint64 {
-		if runtimeName == "vcode" {
-			prog, perr := vcode.Parse(src)
-			if perr != nil {
-				runErr = perr
-				return 1
-			}
-			vm := vcode.NewVM(env)
-			runErr = vm.Run(prog)
-			if runErr != nil {
-				return 1
-			}
-			return 0
-		}
 		e, eerr := scheme.NewEngine(env)
 		if eerr != nil {
 			runErr = eerr

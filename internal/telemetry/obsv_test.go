@@ -147,6 +147,45 @@ func TestRecorderRingAcrossChunks(t *testing.T) {
 	}
 }
 
+// TestRecorderTieOrderIgnoresAppendOrder: events that share a virtual
+// time, appended in two different host orders, come back from Events in
+// one order and render the same dump. Each pair of events differs in
+// exactly one tie-key field, so every field of the key is exercised.
+func TestRecorderTieOrderIgnoresAppendOrder(t *testing.T) {
+	evs := []Event{
+		{VTime: 7, Code: RecDoorbell, Site: 3, Req: 1, A: 5, B: 0},
+		{VTime: 7, Code: RecDoorbell, Site: 2, Req: 1, A: 5, B: 0},
+		{VTime: 7, Code: RecDoorbell, Site: 2, Req: 0, A: 5, B: 0},
+		{VTime: 7, Code: RecDeliver, Site: 2, Req: 0, A: 5, B: 0},
+		{VTime: 7, Code: RecDeliver, Site: 2, Req: 0, A: 4, B: 0},
+		{VTime: 7, Code: RecDeliver, Site: 2, Req: 0, A: 4, B: 9},
+		{VTime: 3, Code: RecRespawn, Site: 9, Req: 0, A: 1, B: 1},
+	}
+	render := func(order []int) ([]Event, string) {
+		rec := NewRecorder(16)
+		for _, i := range order {
+			e := evs[i]
+			rec.Record(e.VTime, e.Code, e.Site, e.Req, e.A, e.B)
+		}
+		var dump bytes.Buffer
+		if err := rec.DumpTo(&dump, "tie order"); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Events(), dump.String()
+	}
+	fwdEvs, fwdDump := render([]int{0, 1, 2, 3, 4, 5, 6})
+	revEvs, revDump := render([]int{6, 5, 4, 3, 2, 1, 0})
+	if !reflect.DeepEqual(fwdEvs, revEvs) {
+		t.Errorf("Events depends on append order:\n%v\n%v", fwdEvs, revEvs)
+	}
+	if fwdDump != revDump {
+		t.Errorf("dump depends on append order:\n%s\n%s", fwdDump, revDump)
+	}
+	if fwdEvs[0].VTime != 3 {
+		t.Errorf("first event at vt=%d, want the earliest (3)", fwdEvs[0].VTime)
+	}
+}
+
 // TestRecorderAutoDumpOnce pins the post-mortem contract: the first
 // trigger wins, later triggers do not overwrite it, and the dump text
 // renders every retained event with its code name.

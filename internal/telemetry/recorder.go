@@ -1,9 +1,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"multiverse/internal/cycles"
@@ -168,10 +169,11 @@ func (r *Recorder) Total() uint64 {
 	return r.total
 }
 
-// Events returns the retained events sorted by virtual time (ties keep
-// ring order, which is append order). Sorting by VTime makes the dump a
+// Events returns the retained events sorted by virtual time, ties
+// broken on (Site, Req, Code, A, B). Sorting by VTime makes the dump a
 // causal timeline even when events were appended from different host
-// goroutines.
+// goroutines; the tie key covers every rendered field, so a fixed set
+// of events comes back in one order whatever the append order was.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -186,7 +188,11 @@ func (r *Recorder) Events() []Event {
 		out[i] = r.at((start + i) % r.size)
 	}
 	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].VTime < out[j].VTime })
+	slices.SortFunc(out, func(x, y Event) int {
+		return cmp.Or(cmp.Compare(x.VTime, y.VTime), cmp.Compare(x.Site, y.Site),
+			cmp.Compare(x.Req, y.Req), cmp.Compare(x.Code, y.Code),
+			cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
 	return out
 }
 
